@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-obs build test race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
+.PHONY: ci fmt vet vet-obs build test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
 
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
-# tests, the race-detector pass over the concurrent packages, the seeded
-# chaos matrix, the self-healing chaos soak, the wire-codec fuzz smoke,
+# tests (root module and benchmark/), the race-detector pass over the
+# concurrent packages, the seeded chaos matrix, the self-healing chaos
+# soak, the wire-codec fuzz smoke,
 # the metrics-exposition and collector-overhead smoke, the kernel,
 # compiled op-graph, and inference-serving benchmark-regression gates,
 # and the coverage floors. The GitHub workflow (.github/workflows/ci.yml)
 # runs exactly these targets, split across its ci and bench jobs.
-ci: fmt vet vet-obs build test race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
+ci: fmt vet vet-obs build test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -29,6 +30,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-benchmark runs the contract tests of the end-to-end benchmark: it
+# is its own module (benchmark/go.mod), so ./... above does not reach it.
+test-benchmark:
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/...
@@ -85,70 +91,52 @@ bench-smoke:
 	AVGPIPE_BENCH_COLLECT=1 $(GO) test ./internal/obs/collect/ \
 		-run '^TestCollectorOverheadGate$$' -count=1
 
-# BENCH_FLAGS drives both the gate and re-baselining so they always
-# measure the same way: every Kernel* benchmark in the tensor and nn
-# packages, allocation counts on, minimum taken across 3 repetitions.
-BENCH_FLAGS = -run '^$$' -bench Kernel -benchmem -benchtime 300ms -count 5 ./internal/tensor/ ./internal/nn/
+# The micro-benchmark regression gates are one recipe over this table:
+# BENCH_<name> = <-bench pattern> <packages...>, baseline BENCH_<name>.json.
+# Gate and re-baseline share bench_flags so they always measure the same
+# way: allocation counts on, minimum taken across 5 repetitions.
+#   kernels: every Kernel* benchmark in the tensor and nn packages.
+#   graph:   every Graph* benchmark replays one full steady-state
+#            micro-batch (forward, 2BP grad-input, grad-weight, EndMicro)
+#            against a pre-built Program and pooled Env; the replay makes
+#            zero allocation decisions on slot registers, so a new
+#            per-micro-batch allocation means the compiler or planner
+#            regressed.
+#   serve:   a deterministic full-batch forward through the worker path,
+#            the closed-loop saturation number (1/ns_per_op = sustained
+#            req/s through the real dispatcher), and the p99 latency at a
+#            fixed offered load (reported as that benchmark's ns/op).
+BENCH_kernels = Kernel ./internal/tensor/ ./internal/nn/
+BENCH_graph   = Graph ./internal/nn/
+BENCH_serve   = Serve ./internal/serve/
+bench_flags = -run '^$$' -bench $(firstword $(BENCH_$*)) -benchmem -benchtime 300ms -count 5 $(wordlist 2,9,$(BENCH_$*))
 
-# bench-gate fails on kernel benchmark regressions: >15% ns/op over the
-# committed BENCH_kernels.json baseline, or ANY allocs/op increase (arena
+# bench-gate-<name> fails on regressions against the committed
+# BENCH_<name>.json: >15% ns/op, or ANY allocs/op increase (arena
 # regressions surface in allocation counts long before wall time moves).
-bench-gate:
-	@out="$$(mktemp -t avgpipe-bench.XXXXXX.txt)"; \
+# BENCH_serve.json carries an elevated time_regression_limit (tail
+# latency is noisier than kernel time) and a small alloc_regression_limit
+# (batch composition under load varies run to run).
+bench-gate-%:
+	@out="$$(mktemp -t avgpipe-bench-$*.XXXXXX.txt)"; \
 	trap 'rm -f "$$out"' EXIT; \
-	$(GO) test $(BENCH_FLAGS) > "$$out" 2>&1 || { cat "$$out"; exit 1; }; \
-	$(GO) run ./cmd/benchgate -baseline BENCH_kernels.json < "$$out"
+	$(GO) test $(bench_flags) > "$$out" 2>&1 || { cat "$$out"; exit 1; }; \
+	$(GO) run ./cmd/benchgate -baseline BENCH_$*.json < "$$out"
 
-# bench-baseline rewrites BENCH_kernels.json from a fresh run. Use after
-# an intentional kernel change or on a new machine class, and commit the
-# result; pre_overhaul_* reference fields are preserved (see README
-# "Benchmarking & re-baselining").
-bench-baseline:
-	$(GO) test $(BENCH_FLAGS) | $(GO) run ./cmd/benchgate -baseline BENCH_kernels.json -update
+# bench-baseline-<name> rewrites BENCH_<name>.json from a fresh run. Use
+# after an intentional change to that layer or on a new machine class,
+# and commit the result; pre_overhaul_* reference fields are preserved
+# (see README "Benchmarking & re-baselining").
+bench-baseline-%:
+	$(GO) test $(bench_flags) | $(GO) run ./cmd/benchgate -baseline BENCH_$*.json -update
 
-# GRAPH_BENCH_FLAGS drives the compiled op-graph gate the same way:
-# every Graph* benchmark replays one full steady-state micro-batch
-# (forward, 2BP grad-input, grad-weight, EndMicro) against a pre-built
-# Program and pooled Env.
-GRAPH_BENCH_FLAGS = -run '^$$' -bench Graph -benchmem -benchtime 300ms -count 5 ./internal/nn/
-
-# bench-graph-gate fails on compiled-path regressions against
-# BENCH_graph.json: >15% ns/op, or ANY allocs/op increase — the replay
-# makes zero allocation decisions on slot registers, so a new
-# per-micro-batch allocation means the compiler or planner regressed.
-bench-graph-gate:
-	@out="$$(mktemp -t avgpipe-graphbench.XXXXXX.txt)"; \
-	trap 'rm -f "$$out"' EXIT; \
-	$(GO) test $(GRAPH_BENCH_FLAGS) > "$$out" 2>&1 || { cat "$$out"; exit 1; }; \
-	$(GO) run ./cmd/benchgate -baseline BENCH_graph.json < "$$out"
-
-# bench-graph-baseline rewrites BENCH_graph.json from a fresh run (after
-# an intentional compiler/planner change or on a new machine class).
-bench-graph-baseline:
-	$(GO) test $(GRAPH_BENCH_FLAGS) | $(GO) run ./cmd/benchgate -baseline BENCH_graph.json -update
-
-# SERVE_BENCH_FLAGS drives the inference-serving gate: a deterministic
-# full-batch forward through the worker path, the closed-loop saturation
-# number (1/ns_per_op = sustained req/s through the real dispatcher),
-# and the p99 latency at a fixed offered load (reported as that
-# benchmark's ns/op).
-SERVE_BENCH_FLAGS = -run '^$$' -bench Serve -benchmem -benchtime 300ms -count 5 ./internal/serve/
-
-# bench-serve-gate fails on serving regressions against BENCH_serve.json.
-# The baseline carries an elevated time_regression_limit (tail latency is
-# noisier than kernel time) and a small alloc_regression_limit (batch
-# composition under load varies run to run); the deterministic batch
-# benchmark still gets tight allocation tracking through the same file.
-bench-serve-gate:
-	@out="$$(mktemp -t avgpipe-servebench.XXXXXX.txt)"; \
-	trap 'rm -f "$$out"' EXIT; \
-	$(GO) test $(SERVE_BENCH_FLAGS) > "$$out" 2>&1 || { cat "$$out"; exit 1; }; \
-	$(GO) run ./cmd/benchgate -baseline BENCH_serve.json < "$$out"
-
-# bench-serve-baseline rewrites BENCH_serve.json from a fresh run (after
-# an intentional serving-path change or on a new machine class).
-bench-serve-baseline:
-	$(GO) test $(SERVE_BENCH_FLAGS) | $(GO) run ./cmd/benchgate -baseline BENCH_serve.json -update
+# The names ci.yml and the README use.
+bench-gate: bench-gate-kernels
+bench-graph-gate: bench-gate-graph
+bench-serve-gate: bench-gate-serve
+bench-baseline: bench-baseline-kernels
+bench-graph-baseline: bench-baseline-graph
+bench-serve-baseline: bench-baseline-serve
 
 # cover reports per-package coverage and enforces a 70% floor on the
 # kernel hot path (internal/tensor), the op-graph compiler

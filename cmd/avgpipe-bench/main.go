@@ -31,7 +31,6 @@ var (
 	csvDir     = flag.String("csv", "", "also write each table as CSV into this directory")
 	jsonlDir   = flag.String("jsonl", "", "also write each table as JSON Lines into this directory")
 	metricsOut = flag.String("metrics-out", "", "write the metrics registry as validated Prometheus text to this file")
-	compiled   = flag.Bool("compiled", false, "run the real-training figures (fig14, ablations) on the compiled stage-execution path")
 )
 
 func emit(t *exp.Table) {
@@ -89,7 +88,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	exp.UseCompiled(*compiled)
 	want := map[string]bool{}
 	for _, a := range flag.Args() {
 		want[a] = true

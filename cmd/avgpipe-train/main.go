@@ -82,7 +82,6 @@ func main() {
 		schedule  = flag.String("schedule", "afp", "pipeline schedule: afab, gpipe, 1f1b, dapple, or afp")
 		advance   = flag.String("advance", "", "per-stage AFP advance, comma-separated (e.g. 2,0); empty = 1F1B")
 		partition = flag.String("partition", "equal", "layer partitioning: equal or cost")
-		compiled  = flag.Bool("compiled", false, "execute stages as compiled op graphs with the 2BP backward split (loss-bitwise identical to the interpreter)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace of pipeline 0's final batch to this file")
@@ -235,20 +234,15 @@ func main() {
 		log.Fatal("-rejoin needs multi-process mode (-replica-id/-listen) with -heal")
 	}
 
-	execPath := "interpreted"
-	if *compiled {
-		execPath = "compiled"
-	}
-	fmt.Printf("training %q with N=%d pipelines, M=%d micro-batches, K=%d stages, %s schedule, %s partition, %s stages (batch %d)\n",
-		task.Name, *pipelines, *micro, *stageN, plan.Name, *partition, execPath, task.BatchSize)
+	fmt.Printf("training %q with N=%d pipelines, M=%d micro-batches, K=%d stages, %s schedule, %s partition (batch %d)\n",
+		task.Name, *pipelines, *micro, *stageN, plan.Name, *partition, task.BatchSize)
 	trainer, err := avgpipe.NewTrainer(avgpipe.TrainerConfig{
 		Task: task, Pipelines: *pipelines, Micro: *micro,
 		StageCount: *stageN, Seed: *seed, ClipNorm: 5,
 		Plan: plan, Advance: adv, Partition: part,
 		Trace: *traceOut != "", Obs: reg,
 		Faults: faults, RoundDeadline: *roundDeadline, Watchdog: *watchdog,
-		Dist: dist, Compiled: *compiled,
-		Compress: codec, TopK: *topkFlag,
+		Dist: dist, Compress: codec, TopK: *topkFlag,
 	})
 	if err != nil {
 		log.Fatalf("trainer: %v", err)

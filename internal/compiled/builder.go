@@ -36,9 +36,6 @@ func NewBuilder() *Builder {
 	return b
 }
 
-// Input returns the stage-input register.
-func (b *Builder) Input() Reg { return b.inReg }
-
 // Cur returns the activation cursor: the register holding the output of
 // the last lowered layer (the next layer's input).
 func (b *Builder) Cur() Reg { return b.cur }
@@ -241,7 +238,7 @@ func (b *Builder) Finish(opts Options) (*Program, error) {
 	// Release schedule for dynamic registers: returned to the arena
 	// right after their last use. Boundary tensors are excluded — the
 	// output and emitted dx pass ownership downstream/upstream, externs
-	// are released by EndMicro with interpreter-matching guards.
+	// are released by EndMicro with pointer-identity guards.
 	p.release = make([][]Reg, pos)
 	for r := range p.regs {
 		ri := &p.regs[r]

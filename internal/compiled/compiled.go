@@ -31,13 +31,11 @@
 //     call the reference Forward/Backward). The planner's release
 //     schedule returns each one to the arena right after its last use.
 //
-// Ownership at stage boundaries matches the interpreter: a tensor sent
-// to another stage (forward activation, upstream gradient) is borrowed
-// per micro-batch and owned by the receiver, so cross-stage buffers are
-// never aliased by slot reuse.
+// Ownership at stage boundaries: a tensor sent to another stage
+// (forward activation, upstream gradient) is borrowed per micro-batch
+// and owned by the receiver, so cross-stage buffers are never aliased
+// by slot reuse.
 package compiled
-
-import "fmt"
 
 // Phase tags which replay pass an op belongs to.
 type Phase uint8
@@ -135,28 +133,3 @@ type Program struct {
 func (p *Program) Ops() (fwd, bwdIn, bwdW int) {
 	return len(p.fwd), len(p.bwdIn), len(p.bwdW)
 }
-
-// OpNames returns the names of every op in linear replay order.
-func (p *Program) OpNames() []string {
-	var names []string
-	for _, ops := range [][]Op{p.fwd, p.bwdIn, p.bwdW} {
-		for _, op := range ops {
-			names = append(names, fmt.Sprintf("%s:%s", op.Phase, op.Name))
-		}
-	}
-	return names
-}
-
-// OutOwned reports whether the forward output is a per-micro-batch
-// tensor the caller owns (and may release after consuming it), as
-// opposed to slot storage reused by the next micro-batch.
-func (p *Program) OutOwned() bool {
-	if p.outReg == NoReg {
-		return false
-	}
-	c := p.regs[p.outReg].class
-	return c == regDynamic || c == regBorrowOut
-}
-
-// linearLen returns the number of ops across all phases.
-func (p *Program) linearLen() int { return len(p.fwd) + len(p.bwdIn) + len(p.bwdW) }

@@ -27,7 +27,7 @@ type Env struct {
 	aux  []any
 
 	// x and dy record the externally provided tensors for the
-	// interpreter-matching release guards in EndMicro.
+	// pointer-identity release guards in EndMicro.
 	x, dy *tensor.Tensor
 }
 
@@ -76,8 +76,9 @@ func (e *Env) Aux(a AuxID) any { return e.aux[a] }
 func (e *Env) SetAux(a AuxID, v any) { e.aux[a] = v }
 
 // BindInput binds the stage input for this micro-batch. The input is
-// owned by the caller; the Env never releases it (mirroring the
-// interpreter, where the stage worker releases x after backward).
+// owned by the caller; the Env never releases it (an activation shipped
+// from upstream is released as that micro-batch's dy/dx chain retires,
+// and stage 0's input belongs to the batch).
 func (e *Env) BindInput(x *tensor.Tensor) {
 	e.x = x
 	e.regs[e.prog.inReg] = x
@@ -189,23 +190,23 @@ func (e *Env) BackwardWeights() {
 }
 
 // EndMicro finishes the micro-batch: releases the incoming gradient and
-// any non-emitted input gradient with the same pointer guards the
-// interpreter's stage worker uses, then resets extern and dynamic
-// registers so the Env can be rebound. Slot headers persist.
+// any non-emitted input gradient, guarded by pointer identity against
+// passthrough layers that return their argument, then resets extern and
+// dynamic registers so the Env can be rebound. Slot headers persist.
 func (e *Env) EndMicro() {
 	p := e.prog
 	dx := e.rawGradOut()
-	// Mirror the interpreter's stage-0 `dx.Release()` for gradients that
-	// never leave the stage (guard: a passthrough may alias dx == dy).
+	// A gradient that never leaves the stage (stage 0's dx has no
+	// consumer) retires here (guard: a passthrough may alias dx == dy).
 	if !p.emitDX && dx != nil && dx != e.dy {
 		switch p.regs[p.dOutReg].class {
 		case regDynamic, regBorrowOut:
 			dx.Release()
 		}
 	}
-	// Mirror the interpreter's `if x != nil && dx != x { x.Release() }`
-	// ownership rule for the incoming gradient: dy was borrowed by the
-	// upstream stage (or by CrossEntropy on the last stage).
+	// The incoming gradient retires with its micro-batch unless it was
+	// passed through as dx: dy was borrowed by the downstream stage (or
+	// by CrossEntropy on the last stage).
 	if e.dy != nil && dx != e.dy {
 		e.dy.Release()
 	}
@@ -228,17 +229,6 @@ func (e *Env) ResetMicro() {
 		}
 	}
 	e.x, e.dy = nil, nil
-}
-
-// SlotCount returns the number of distinct slot buffers the plan uses
-// for the given input shape, and their total element count (test and
-// DESIGN.md reporting).
-func (p *Program) SlotCount(in []int) (slots, elems int) {
-	_, sizes := assignSlots(p.slotIntervals(in))
-	for _, n := range sizes {
-		elems += n
-	}
-	return len(sizes), elems
 }
 
 // CheckPlan validates the plan's safety invariants for an input shape:

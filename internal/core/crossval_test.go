@@ -104,7 +104,7 @@ func TestCrossValidationRuntimeSimAnalysis(t *testing.T) {
 
 // TestCrossValidationSplitBackward extends the three-way contract to
 // split schedules: for each schedule family, the 2BP-split variant must
-// agree across sched.Analyze, pipesim, and the compiled runtime on
+// agree across sched.Analyze, pipesim, and the runtime on
 // forward, grad-input, and grad-weight op counts and on the stash
 // high-water mark (which a split backward holds until BwdW).
 func TestCrossValidationSplitBackward(t *testing.T) {
@@ -131,11 +131,9 @@ func TestCrossValidationSplitBackward(t *testing.T) {
 			}
 		}
 
-		// Compiled runtime: the pipeline splits the plan itself, so its
-		// effective schedule must match the explicit split.
-		pl, err := NewPipelineWith(task.NewModel(9), PipelineConfig{
-			Stages: k, Plan: plan, Compiled: true,
-		})
+		// Runtime: the pipeline splits the plan itself, so its effective
+		// schedule must match the explicit split.
+		pl, err := NewPipelineWith(task.NewModel(9), PipelineConfig{Stages: k, Plan: plan})
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Name, err)
 		}
@@ -236,7 +234,7 @@ func TestPipelineTraceMatchesSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.RunBatch(batch, m)
-	schedule, _ := pl.ScheduleFor(m)
+	schedule, an := pl.ScheduleFor(m)
 	for s, met := range pl.Metrics() {
 		if len(met.Ops) != len(schedule.PerGPU[s]) {
 			t.Fatalf("stage %d traced %d ops, schedule has %d", s, len(met.Ops), len(schedule.PerGPU[s]))
@@ -261,9 +259,9 @@ func TestPipelineTraceMatchesSchedule(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace not valid JSON: %v", err)
 	}
-	// One process row, k thread rows, and per stage 2m op spans plus 2m
-	// flow points (the arrow chain linking each micro across stages).
-	if want := 1 + k + 2*(k*2*m); len(doc.TraceEvents) != want {
+	// One process row, k thread rows, and per scheduled op one span plus
+	// one flow point (the arrow chain linking each micro across stages).
+	if want := 1 + k + 2*an.TotalOps(); len(doc.TraceEvents) != want {
 		t.Fatalf("trace has %d events, want %d", len(doc.TraceEvents), want)
 	}
 	// Untraced runs record no per-op events.

@@ -560,12 +560,19 @@ func TestWatchdogKillsWedgedSchedule(t *testing.T) {
 	if got := reg.Counter("avgpipe_watchdog_stalls_total", "").Value(); got != 1 {
 		t.Fatalf("stalls counter %v, want 1", got)
 	}
-	// The pipeline is reusable after the kill: a healthy schedule runs.
+	// The pipeline is reusable after the kill, and the Envs recycled
+	// from the aborted batch (stage 0's micro 1 was stranded mid-flight)
+	// carry no state: a healthy schedule reproduces a fresh pipeline's
+	// loss and gradients bit for bit.
 	pl.fixed, pl.cur, pl.curAn, pl.curM = nil, nil, nil, 0
 	pl.SetWatchdog(0)
-	if _, err := pl.RunBatchContext(context.Background(), batch, 2); err != nil {
+	nn.ZeroGrads(pl.Params()) // partial gradients are meaningless
+	loss, err := pl.RunBatchContext(context.Background(), batch, 2)
+	if err != nil {
 		t.Fatalf("pipeline unusable after watchdog kill: %v", err)
 	}
+	fresh := NewPipeline(task.NewModel(1), 2, nil)
+	requireSameBits(t, "after watchdog kill", loss, fresh.RunBatch(batch, 2), pl.Params(), fresh.Params())
 }
 
 // TestRunBatchContextCancel checks the other abort path: cancelling the

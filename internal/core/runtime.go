@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,9 @@ import (
 // the single source of truth for what every stage does. AFAB/GPipe,
 // 1F1B/Dapple, AFP, and any future schedule run on real tensors with
 // zero runtime changes, and the runtime's measured occupancy equals the
-// schedule's analytic occupancy (sched.Analyze) exactly.
+// schedule's analytic occupancy (sched.Analyze) exactly. The compute
+// inside each op is a replay of the stage's compiled program (lowered
+// once, when the pipeline is built).
 type Pipeline struct {
 	Stages []*nn.Sequential
 	// Advance is the AFP run-ahead vector of the NewPipeline wrapper
@@ -44,15 +47,14 @@ type Pipeline struct {
 	curAn *sched.Analysis
 	curM  int
 
-	// compiled selects the compiled execution path: each stage lowered
-	// once at build time into a static op graph (progs[s]) that the
-	// stage workers replay per micro-batch, with the backward pass split
-	// 2BP-style into grad-input and grad-weight ops. envPools[s] recycles
-	// per-micro execution environments across batches, keyed by input
-	// shape; each pool is touched only by stage s's worker goroutine.
-	compiled bool
-	progs    []*compiled.Program
-	envPools []map[string][]*compiled.Env
+	// progs[s] is stage s lowered at build time into a static op graph
+	// that the stage worker replays per micro-batch, with the backward
+	// pass split 2BP-style into grad-input and grad-weight ops. envFree[s]
+	// recycles per-micro execution environments across batches; a stage
+	// sees one or two input shapes, so the free list is scanned by shape.
+	// Each list is touched only by stage s's worker goroutine.
+	progs   []*compiled.Program
+	envFree [][]*compiled.Env
 
 	params  []*nn.Param
 	metrics []StageMetrics
@@ -159,12 +161,6 @@ type PipelineConfig struct {
 	// Obs selects the metrics registry the pipeline records per-stage
 	// compute, wait, and occupancy metrics into (nil = obs.Default()).
 	Obs *obs.Registry
-	// Compiled lowers each stage into a static op graph at build time
-	// (kernel dispatch resolved, buffer lifetimes planned, arena slots
-	// pre-assigned) and replays it per micro-batch, splitting the
-	// backward pass into grad-input and grad-weight ops. Bitwise
-	// equivalent to the interpreter on the same seed.
-	Compiled bool
 }
 
 // NewPipeline partitions model layers into k stages of near-equal layer
@@ -208,35 +204,36 @@ func NewPipelineWith(model *nn.Sequential, cfg PipelineConfig) (*Pipeline, error
 	default:
 		bounds = PartitionModelLayers(len(model.Layers), k)
 	}
-	stages := make([]*nn.Sequential, k)
-	for s, b := range bounds {
-		stages[s] = model.Slice(b[0], b[1])
+	p, err := buildPipeline(model, bounds)
+	if err != nil {
+		return nil, err
 	}
-	p := &Pipeline{Stages: stages, Advance: advance, Trace: cfg.Trace,
-		plan: plan, params: model.Params(), metrics: make([]StageMetrics, k)}
-	if cfg.Compiled {
-		p.compiled = true
-		p.progs = make([]*compiled.Program, k)
-		p.envPools = make([]map[string][]*compiled.Env, k)
-		for s := range stages {
-			prog, err := nn.CompileStage(stages[s], compiled.Options{EmitOut: s < k-1, EmitDX: s > 0})
-			if err != nil {
-				return nil, fmt.Errorf("core: compile stage %d: %w", s, err)
-			}
-			p.progs[s] = prog
-			p.envPools[s] = make(map[string][]*compiled.Env)
-		}
-	}
+	p.Advance, p.Trace, p.plan = advance, cfg.Trace, plan
 	p.SetObs(cfg.Obs)
 	return p, nil
 }
 
-// Compiled reports whether the pipeline executes stages through the
-// compiled op-graph path rather than the reference interpreter.
-func (p *Pipeline) Compiled() bool { return p.compiled }
+// buildPipeline slices the model at bounds and lowers every stage into
+// its compiled program — the one way a Pipeline comes to execute a
+// stage, shared by both constructors.
+func buildPipeline(model *nn.Sequential, bounds [][2]int) (*Pipeline, error) {
+	k := len(bounds)
+	p := &Pipeline{Stages: make([]*nn.Sequential, k),
+		progs: make([]*compiled.Program, k), envFree: make([][]*compiled.Env, k),
+		params: model.Params(), metrics: make([]StageMetrics, k)}
+	for s, b := range bounds {
+		p.Stages[s] = model.Slice(b[0], b[1])
+		prog, err := nn.CompileStage(p.Stages[s], compiled.Options{EmitOut: s < k-1, EmitDX: s > 0})
+		if err != nil {
+			return nil, fmt.Errorf("core: compile stage %d: %w", s, err)
+		}
+		p.progs[s] = prog
+	}
+	return p, nil
+}
 
-// StagePrograms returns the per-stage compiled programs (nil when the
-// pipeline interprets); tests use them to validate plans directly.
+// StagePrograms returns the per-stage compiled programs; tests use them
+// to validate plans directly.
 func (p *Pipeline) StagePrograms() []*compiled.Program { return p.progs }
 
 // SetObs rebinds the pipeline's metrics to reg (nil = obs.Default()) and
@@ -278,10 +275,12 @@ func (p *Pipeline) SetObs(reg *obs.Registry) {
 }
 
 // NewPipelineFromSchedule builds a schedule interpreter over an explicit
-// execution plan: stage s runs schedule.PerGPU[s] verbatim. The schedule
-// must pass sched.Analyze (per-GPU structure plus cross-stage dependency
-// legality) and cover exactly one flush: RunBatch(batch, m) requires its
-// micro set to be 0..m−1.
+// execution plan: stage s runs schedule.PerGPU[s] verbatim — a combined
+// Bwd op stays combined (both backward halves run inline), so the
+// measured occupancy equals the analysis of the schedule as given. The
+// schedule must pass sched.Analyze (per-GPU structure plus cross-stage
+// dependency legality) and cover exactly one flush: RunBatch(batch, m)
+// requires its micro set to be 0..m−1.
 func NewPipelineFromSchedule(model *nn.Sequential, schedule *sched.Schedule) (*Pipeline, error) {
 	an, err := sched.Analyze(schedule)
 	if err != nil {
@@ -291,16 +290,12 @@ func NewPipelineFromSchedule(model *nn.Sequential, schedule *sched.Schedule) (*P
 		return nil, fmt.Errorf("core: schedule %s micro indices not contiguous from 0 (max %d over %d micros)",
 			schedule.Name, an.MaxMicro, an.Micros)
 	}
-	k := an.Stages
-	bounds := PartitionModelLayers(len(model.Layers), k)
-	stages := make([]*nn.Sequential, k)
-	for s, b := range bounds {
-		stages[s] = model.Slice(b[0], b[1])
+	p, err := buildPipeline(model, PartitionModelLayers(len(model.Layers), an.Stages))
+	if err != nil {
+		return nil, err
 	}
-	p := &Pipeline{Stages: stages,
-		plan:  sched.Plan{Name: schedule.Name},
-		fixed: schedule, cur: schedule, curAn: an, curM: an.Micros,
-		params: model.Params(), metrics: make([]StageMetrics, k)}
+	p.plan = sched.Plan{Name: schedule.Name}
+	p.fixed, p.cur, p.curAn, p.curM = schedule, schedule, an, an.Micros
 	p.SetObs(nil)
 	return p, nil
 }
@@ -329,14 +324,10 @@ func (p *Pipeline) scheduleFor(m int) (*sched.Schedule, *sched.Analysis) {
 		panic(fmt.Sprintf("core: pipeline built from schedule %q covering %d micro-batches, RunBatch got %d",
 			p.fixed.Name, p.curAn.Micros, m))
 	}
-	s := p.plan.Make(len(p.Stages), m)
-	if p.compiled {
-		// The compiled runtime executes the finer-grained 2BP split: each
-		// combined backward becomes an adjacent BwdIn/BwdW pair, so the
-		// analysis (and the simulator) see the same op stream the stage
-		// workers retire.
-		s = sched.SplitBackward(s)
-	}
+	// The runtime executes the finer-grained 2BP split: each combined
+	// backward becomes an adjacent BwdIn/BwdW pair, so the analysis (and
+	// the simulator) see the same op stream the stage workers retire.
+	s := sched.SplitBackward(p.plan.Make(len(p.Stages), m))
 	an, err := sched.Analyze(s)
 	if err != nil {
 		panic(fmt.Sprintf("core: plan %s produced an illegal schedule: %v", p.plan.Name, err))
@@ -454,11 +445,7 @@ func (p *Pipeline) RunBatchContext(ctx context.Context, batch *data.Batch, micro
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			if p.compiled {
-				p.stageWorkerCompiled(s, k, schedule.PerGPU[s], run)
-			} else {
-				p.stageWorker(s, k, schedule.PerGPU[s], run)
-			}
+			p.stageWorker(s, k, schedule.PerGPU[s], run)
 		}(s)
 	}
 	wg.Wait()
@@ -512,28 +499,64 @@ func (p *Pipeline) monitor(ctx context.Context, schedule *sched.Schedule, run *b
 	}
 }
 
-// stageWorker interprets stage s's op list. A Fwd op receives the
-// micro-batch's activations from upstream, runs the stage forward, and
-// ships the output downstream; a Bwd op receives the output gradient
-// from downstream (the last stage derives it locally from the loss),
-// runs the stage backward, and ships the input gradient upstream.
-// Because the worker follows the schedule verbatim, its measured
-// PeakInFlight equals the schedule's analytic MaxInFlight exactly.
+// stageWorker interprets stage s's op list by replaying the stage's
+// compiled program: no kernel dispatch, no lifetime decisions, no arena
+// traffic in steady state — those were all resolved when the pipeline
+// was built. A Fwd op receives the micro-batch's activations from
+// upstream, replays the forward ops, and ships the output downstream.
+// Backward is split 2BP-style: BwdIn receives the output gradient from
+// downstream (the last stage derives it locally from the loss), replays
+// the grad-input ops and ships dx upstream immediately; BwdW replays the
+// grad-weight ops afterwards, which is when the micro-batch's Env (its
+// activation stash) retires. Combined Bwd ops (explicit unsplit
+// schedules) run both halves inline. Because the worker follows the
+// schedule verbatim, its measured PeakInFlight equals the schedule's
+// analytic MaxInFlight exactly.
 func (p *Pipeline) stageWorker(s, k int, ops []sched.Op, run *batchRun) {
-	stage := p.Stages[s]
-	ctxs := make(map[int]*nn.Context, len(run.micros))
-	outs := make(map[int]*tensor.Tensor) // last stage: fwd outputs awaiting their bwd
+	prog, free := p.progs[s], &p.envFree[s]
+	envs := make([]*compiled.Env, len(run.micros)) // by micro; nil = not in flight
 	pendF := make(map[int]*tensor.Tensor)
 	pendB := make(map[int]*tensor.Tensor)
 	inflight := 0
 	met := StageMetrics{}
 	instr := p.stageInstr[s]
 	defer func() {
+		// Recycle the Envs stranded by an abort: the ownership of their
+		// in-flight tensors is indeterminate, so ResetMicro drops the
+		// references without releasing.
+		for _, env := range envs {
+			if env != nil {
+				env.ResetMicro()
+				*free = append(*free, env)
+			}
+		}
 		p.metrics[s] = met
 		instr.waitSec.Add(met.Wait.Seconds())
 		instr.bubbleFrac.Set(met.BubbleFraction())
 		instr.peakInFlight.SetMax(float64(met.PeakInFlight))
 	}()
+
+	getEnv := func(shape []int) *compiled.Env {
+		for i, env := range *free {
+			if slices.Equal(env.InShape(), shape) {
+				last := len(*free) - 1
+				(*free)[i], (*free)[last] = (*free)[last], nil
+				*free = (*free)[:last]
+				return env
+			}
+		}
+		return prog.NewEnv(shape)
+	}
+	// retire runs the grad-weight half and returns the micro's Env to
+	// the free list; this is where the schedule's in-flight count drops.
+	retire := func(micro int) {
+		env := envs[micro]
+		env.BackwardWeights()
+		env.EndMicro()
+		envs[micro] = nil
+		*free = append(*free, env)
+		inflight--
+	}
 
 	// recv returns the payload for the requested micro, stashing any
 	// earlier arrivals the op order has not demanded yet (upstream may
@@ -588,191 +611,6 @@ func (p *Pipeline) stageWorker(s, k int, ops []sched.Op, run *batchRun) {
 		if d := p.faults.StageDelay(p.pipeID, s, i); d > 0 {
 			// Injected straggler: the op still computes, just slowly, so
 			// the slowdown shows up in Busy and the per-op trace.
-			time.Sleep(d)
-		}
-		switch op.Kind {
-		case sched.Fwd:
-			ctx := nn.NewContext()
-			y := stage.Forward(ctx, x, true)
-			ctxs[op.Micro] = ctx
-			inflight++
-			met.Fwd++
-			if inflight > met.PeakInFlight {
-				met.PeakInFlight = inflight
-			}
-			if s < k-1 {
-				run.fwdCh[s+1] <- microMsg{micro: op.Micro, t: y}
-			} else {
-				outs[op.Micro] = y
-			}
-		case sched.Bwd, sched.BwdIn:
-			if s == k-1 {
-				// The loss gradient is local: derive it from the stashed
-				// forward output. The logits' last use is the loss, so
-				// their buffer goes back to the arena for the next micro.
-				y := outs[op.Micro]
-				loss, dlogits := nn.CrossEntropy(y, run.micros[op.Micro].Targets)
-				y.Release()
-				run.losses[op.Micro] = loss
-				delete(outs, op.Micro)
-				x = dlogits
-			}
-			// The interpreter cannot split the passes (grad-input and
-			// grad-weight are interleaved inside Module.Backward), so a
-			// BwdIn op runs the full backward and the matching BwdW op
-			// becomes pure bookkeeping — the upstream send still happens
-			// at the earlier BwdIn position, which is the legality the
-			// split schedule encodes.
-			dx := stage.Backward(ctxs[op.Micro], x)
-			delete(ctxs, op.Micro)
-			if op.Kind == sched.Bwd {
-				inflight--
-			}
-			met.Bwd++
-			if s > 0 {
-				run.bwdCh[s-1] <- microMsg{micro: op.Micro, t: dx}
-			} else if dx != nil && dx != x {
-				// Stage 0's input gradient has no consumer.
-				dx.Release()
-			}
-			// The received gradient (or the local loss gradient) retires
-			// with this op; guard against identity passthroughs returning
-			// x itself.
-			if x != nil && dx != x {
-				x.Release()
-			}
-		case sched.BwdW:
-			// Grad weights already accumulated by the BwdIn above; the
-			// micro-batch's stash retires here, as the schedule accounts.
-			inflight--
-			met.BwdW++
-		}
-		dur := time.Since(busyStart)
-		met.Busy += dur
-		run.last.Store(time.Now().UnixNano())
-		if op.Kind == sched.Fwd {
-			met.FwdTime += dur
-			instr.fwdSec.Observe(dur.Seconds())
-			instr.fwdOps.Inc()
-		} else {
-			met.BwdTime += dur
-			instr.bwdSec.Observe(dur.Seconds())
-			instr.bwdOps.Inc()
-		}
-		if p.Trace {
-			met.Ops = append(met.Ops, OpEvent{Index: i, Kind: op.Kind, Micro: op.Micro,
-				Start: busyStart.Sub(run.epoch), Dur: dur})
-		}
-	}
-	run.pos[s].Store(int32(len(ops)))
-}
-
-// shapeKey renders a tensor shape as an Env-pool map key.
-func shapeKey(shape []int) string { return fmt.Sprint(shape) }
-
-// stageWorkerCompiled interprets stage s's op list by replaying the
-// stage's compiled program: no kernel dispatch, no lifetime decisions,
-// no arena traffic in steady state — those were all resolved when the
-// pipeline was built. Backward is split 2BP-style: BwdIn replays the
-// grad-input ops and ships dx upstream immediately, BwdW replays the
-// grad-weight ops afterwards, which is when the micro-batch's Env (its
-// activation stash) retires. Combined Bwd ops (explicit unsplit
-// schedules) run both halves inline.
-func (p *Pipeline) stageWorkerCompiled(s, k int, ops []sched.Op, run *batchRun) {
-	prog := p.progs[s]
-	pool := p.envPools[s]
-	envs := make(map[int]*compiled.Env, len(run.micros))
-	pendF := make(map[int]*tensor.Tensor)
-	pendB := make(map[int]*tensor.Tensor)
-	inflight := 0
-	met := StageMetrics{}
-	instr := p.stageInstr[s]
-	defer func() {
-		// Recycle every Env, including those stranded by an abort: the
-		// ownership of their in-flight tensors is indeterminate, so
-		// ResetMicro drops the references without releasing.
-		for _, env := range envs {
-			env.ResetMicro()
-			key := shapeKey(env.InShape())
-			pool[key] = append(pool[key], env)
-		}
-		p.metrics[s] = met
-		instr.waitSec.Add(met.Wait.Seconds())
-		instr.bubbleFrac.Set(met.BubbleFraction())
-		instr.peakInFlight.SetMax(float64(met.PeakInFlight))
-	}()
-
-	getEnv := func(shape []int) *compiled.Env {
-		key := shapeKey(shape)
-		if es := pool[key]; len(es) > 0 {
-			env := es[len(es)-1]
-			pool[key] = es[:len(es)-1]
-			return env
-		}
-		return prog.NewEnv(shape)
-	}
-	putEnv := func(env *compiled.Env) {
-		key := shapeKey(env.InShape())
-		pool[key] = append(pool[key], env)
-	}
-	// retire runs the grad-weight half and returns the micro's Env to
-	// the pool; this is where the schedule's in-flight count drops.
-	retire := func(micro int) {
-		env := envs[micro]
-		env.BackwardWeights()
-		env.EndMicro()
-		delete(envs, micro)
-		putEnv(env)
-		inflight--
-	}
-
-	recv := func(ch chan microMsg, pending map[int]*tensor.Tensor, micro int) (*tensor.Tensor, bool) {
-		if t, ok := pending[micro]; ok {
-			delete(pending, micro)
-			return t, true
-		}
-		start := time.Now()
-		for {
-			select {
-			case msg := <-ch:
-				if msg.micro == micro {
-					met.Wait += time.Since(start)
-					return msg.t, true
-				}
-				pending[msg.micro] = msg.t
-			case <-run.abort:
-				met.Wait += time.Since(start)
-				return nil, false
-			}
-		}
-	}
-
-	for i, op := range ops {
-		run.pos[s].Store(int32(i))
-		select {
-		case <-run.abort:
-			return
-		default:
-		}
-		var x *tensor.Tensor
-		ok := true
-		switch op.Kind {
-		case sched.Fwd:
-			if s == 0 {
-				x = run.micros[op.Micro].X
-			} else {
-				x, ok = recv(run.fwdCh[s], pendF, op.Micro)
-			}
-		case sched.Bwd, sched.BwdIn:
-			if s < k-1 {
-				x, ok = recv(run.bwdCh[s], pendB, op.Micro)
-			}
-		}
-		if !ok {
-			return
-		}
-		busyStart := time.Now()
-		if d := p.faults.StageDelay(p.pipeID, s, i); d > 0 {
 			time.Sleep(d)
 		}
 		switch op.Kind {

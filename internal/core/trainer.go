@@ -38,11 +38,6 @@ type TrainerConfig struct {
 	Partition PartitionMode
 	// Trace records per-op timestamps in every pipeline's StageMetrics.
 	Trace bool
-	// Compiled runs every pipeline through the compiled op-graph path
-	// (static per-stage op lists with the 2BP backward split) instead of
-	// the reference interpreter. Loss-bitwise-equivalent for the same
-	// seed; logged per round in StepRecord.Compiled.
-	Compiled bool
 	// Seed derives all replica initializations and data streams.
 	Seed int64
 	// ClipNorm, when > 0, applies global gradient-norm clipping.
@@ -152,9 +147,6 @@ type StepRecord struct {
 	// the owning replica's id in dist mode, -1 for a single-process run
 	// (where every replica is local and Losses carries the breakdown).
 	ReplicaID int `json:"replica_id"`
-	// Compiled records which execution path produced the round, so runs
-	// comparing the two paths are distinguishable from their logs alone.
-	Compiled bool `json:"compiled"`
 }
 
 // NewTrainer builds the replicas, data streams, optimizers, and the
@@ -222,7 +214,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		pl, err := NewPipelineWith(m, PipelineConfig{
 			Stages: cfg.StageCount, Plan: cfg.Plan, Advance: cfg.Advance,
 			Partition: cfg.Partition, Trace: cfg.Trace, Obs: cfg.Obs,
-			Compiled: cfg.Compiled,
 		})
 		if err != nil {
 			return nil, err
@@ -379,31 +370,35 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 		loss = total / float64(live)
 	}
 
+	return loss, t.finishStep(start, StepRecord{
+		Round: round, Loss: loss, Samples: int(samples), Tokens: int(tokens),
+		Live: live, Losses: losses, ReplicaID: -1,
+	})
+}
+
+// finishStep is the epilogue every round ends in, in-process or dist:
+// it times the round, updates the trainer's throughput and loss
+// metrics, and logs the StepRecord. The caller fills the fields that
+// differ by mode (Live, Losses, Replica, ReplicaID); everything derived
+// from the clock or the averager is decided here.
+func (t *Trainer) finishStep(start time.Time, rec StepRecord) error {
 	dur := time.Since(start).Seconds()
 	t.stepSec.Observe(dur)
-	t.samplesTotal.Add(float64(samples))
-	t.tokensTotal.Add(float64(tokens))
-	var sps, tps float64
+	t.samplesTotal.Add(float64(rec.Samples))
+	t.tokensTotal.Add(float64(rec.Tokens))
+	rec.StepSeconds = dur
 	if dur > 0 {
-		sps, tps = float64(samples)/dur, float64(tokens)/dur
+		rec.SamplesPerS, rec.TokensPerS = float64(rec.Samples)/dur, float64(rec.Tokens)/dur
 	}
-	t.samplesPerSec.Set(sps)
-	t.tokensPerSec.Set(tps)
-	t.lossGauge.Set(loss)
+	t.samplesPerSec.Set(rec.SamplesPerS)
+	t.tokensPerSec.Set(rec.TokensPerS)
+	t.lossGauge.Set(rec.Loss)
 	t.roundGauge.Set(float64(t.round))
-	if err := t.stepLog.Log(StepRecord{
-		Round: t.round - 1, Loss: loss, StepSeconds: dur,
-		Samples: int(samples), Tokens: int(tokens),
-		SamplesPerS: sps, TokensPerS: tps,
-		OpenRounds: t.avg.PendingRounds(),
-		Live:       live,
-		Losses:     losses,
-		ReplicaID:  -1,
-		Compiled:   t.cfg.Compiled,
-	}); err != nil {
-		return loss, fmt.Errorf("core: step log: %w", err)
+	rec.OpenRounds = t.avg.PendingRounds()
+	if err := t.stepLog.Log(rec); err != nil {
+		return fmt.Errorf("core: step log: %w", err)
 	}
-	return loss, nil
+	return nil
 }
 
 // stepDist runs one training round of a multi-process job: the local
@@ -464,31 +459,10 @@ func (t *Trainer) stepDist(ctx context.Context) (float64, error) {
 	}
 	t.round++
 
-	dur := time.Since(start).Seconds()
-	t.stepSec.Observe(dur)
-	t.samplesTotal.Add(float64(samples))
-	t.tokensTotal.Add(float64(tokens))
-	var sps, tps float64
-	if dur > 0 {
-		sps, tps = float64(samples)/dur, float64(tokens)/dur
-	}
-	t.samplesPerSec.Set(sps)
-	t.tokensPerSec.Set(tps)
-	t.lossGauge.Set(loss)
-	t.roundGauge.Set(float64(t.round))
-	if err := t.stepLog.Log(StepRecord{
-		Round: round, Loss: loss, StepSeconds: dur,
-		Samples: int(samples), Tokens: int(tokens),
-		SamplesPerS: sps, TokensPerS: tps,
-		OpenRounds: t.avg.PendingRounds(),
-		Live:       t.avg.LiveReplicas(),
-		Replica:    p,
-		ReplicaID:  p,
-		Compiled:   t.cfg.Compiled,
-	}); err != nil {
-		return loss, fmt.Errorf("core: step log: %w", err)
-	}
-	return loss, nil
+	return loss, t.finishStep(start, StepRecord{
+		Round: round, Loss: loss, Samples: int(samples), Tokens: int(tokens),
+		Live: t.avg.LiveReplicas(), Replica: p, ReplicaID: p,
+	})
 }
 
 // RejoinMesh re-enters a restarted dist-mode process into a running

@@ -27,7 +27,7 @@ func AblationAlpha() *Table {
 	for _, alpha := range []float64{0.5, 0.25, 0.1, 0.05} {
 		tr, err := core.NewTrainer(core.TrainerConfig{
 			Task: task, Pipelines: 2, Micro: 2, StageCount: 2,
-			Seed: 11, ClipNorm: 5, Alpha: alpha, Compiled: useCompiled,
+			Seed: 11, ClipNorm: 5, Alpha: alpha,
 		})
 		if err != nil {
 			panic(err)
@@ -58,7 +58,7 @@ func AblationSyncAsync() *Table {
 	for _, async := range []bool{false, true} {
 		tr, err := core.NewTrainer(core.TrainerConfig{
 			Task: task, Pipelines: 2, Micro: 2, StageCount: 2,
-			Seed: 11, ClipNorm: 5, AsyncDilute: async, Compiled: useCompiled,
+			Seed: 11, ClipNorm: 5, AsyncDilute: async,
 		})
 		if err != nil {
 			panic(err)

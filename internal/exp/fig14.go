@@ -109,7 +109,7 @@ func StatEff(task *workload.Task, pipeDreamDelay int, avgPipeN int, seed int64) 
 	{
 		tr, err := core.NewTrainer(core.TrainerConfig{
 			Task: task, Pipelines: avgPipeN, Micro: 2, StageCount: 2,
-			Seed: seed, ClipNorm: 5, Compiled: useCompiled,
+			Seed: seed, ClipNorm: 5,
 		})
 		if err != nil {
 			panic(err)

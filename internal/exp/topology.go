@@ -109,7 +109,7 @@ func runTopologyVariant(topo netx.Topology, codec netx.Codec, topk float64, n in
 			defer wg.Done()
 			t, err := core.NewTrainer(core.TrainerConfig{
 				Task: task, Pipelines: n, Micro: 2, StageCount: 2,
-				Seed: 11, ClipNorm: 5, Obs: regs[p], Compiled: useCompiled,
+				Seed: 11, ClipNorm: 5, Obs: regs[p],
 				Dist:     &core.DistConfig{ReplicaID: p, Mesh: meshes[p]},
 				Compress: codec, TopK: topk,
 			})
