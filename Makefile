@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-obs build test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
+.PHONY: ci fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
 
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
-# tests (root module and benchmark/), the race-detector pass over the
+# the arm64 cross-build, tests (root module and benchmark/), the race-detector pass over the
 # concurrent packages, the seeded chaos matrix, the self-healing chaos
 # soak, the wire-codec fuzz smoke,
 # the metrics-exposition and collector-overhead smoke, the kernel,
 # compiled op-graph, and inference-serving benchmark-regression gates,
 # and the coverage floors. The GitHub workflow (.github/workflows/ci.yml)
 # runs exactly these targets, split across its ci and bench jobs.
-ci: fmt vet vet-obs build test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
+ci: fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -27,6 +27,17 @@ vet-obs:
 
 build:
 	$(GO) build ./...
+
+# cross proves the kernel layer's file sets are complete on a platform
+# without assembly: internal/tensor splits each inner loop into the Go
+# definition (kernels.go), the amd64 dispatch + AVX2 twins
+# (kernels_amd64.{go,s}) and the everything-else forwarding
+# (kernels_noasm.go), and a symbol missing from or duplicated in the
+# non-amd64 set only shows when something builds it. On amd64 `make vet`
+# already checks the .s frames against their Go declarations (asmdecl).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 test:
 	$(GO) test ./...

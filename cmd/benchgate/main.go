@@ -20,9 +20,9 @@
 // Re-baselining (after an intentional kernel change, or on a new CI
 // machine class): run the same bench command into
 // `go run ./cmd/benchgate -baseline BENCH_kernels.json -update` and commit
-// the rewritten file. -update preserves the pre_overhaul_* reference
-// fields and the prose fields; only measurements, cpu, go, and date are
-// replaced.
+// the rewritten file. -update preserves the pre_overhaul_* and pre_avx2_*
+// reference fields and the prose fields; only measurements, cpu, go, and
+// date are replaced.
 package main
 
 import (
@@ -39,8 +39,9 @@ import (
 )
 
 // entry is one benchmark's committed measurements. The pre_overhaul_*
-// fields are a frozen reference to the pre-arena/pre-fusion kernels and
-// are never touched by -update.
+// fields are a frozen reference to the pre-arena/pre-fusion kernels, the
+// pre_avx2_* fields to the scalar-Go inner loops before the AVX2 kernel
+// layer; neither is touched by -update.
 type entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
@@ -48,6 +49,8 @@ type entry struct {
 
 	PreOverhaulNsPerOp     float64 `json:"pre_overhaul_ns_per_op,omitempty"`
 	PreOverhaulAllocsPerOp float64 `json:"pre_overhaul_allocs_per_op,omitempty"`
+	PreAVX2NsPerOp         float64 `json:"pre_avx2_ns_per_op,omitempty"`
+	PreAVX2AllocsPerOp     float64 `json:"pre_avx2_allocs_per_op,omitempty"`
 }
 
 type baseline struct {

@@ -38,17 +38,18 @@ func NewLSTM(rng *tensor.RNG, in, hidden, seqLen int) *LSTM {
 	}
 }
 
-// lstmStep is the stash for one timestep's backward. xt and gates are
-// owned by this step; hPrev/cPrev alias the previous step's gates.H/.C
-// (or the borrowed initial zero states for step 0), so only the owning
-// step releases them.
+// lstmStep is the stash for one timestep's backward. The gates are owned
+// by this step; hPrev/cPrev alias the previous step's gates.H/.C (or the
+// borrowed initial zero states for step 0), so only the owning step
+// releases them.
 type lstmStep struct {
-	xt, hPrev, cPrev *tensor.Tensor
-	gates            tensor.LSTMGates
+	hPrev, cPrev *tensor.Tensor
+	gates        tensor.LSTMGates
 }
 
 // lstmSaved is the stash for the whole sequence.
 type lstmSaved struct {
+	x      *tensor.Tensor // the layer's own copy of the input, all steps
 	steps  []lstmStep
 	whMask *tensor.Tensor // nil unless weight-drop was active
 	batch  int
@@ -92,17 +93,21 @@ func (l *LSTM) Forward(ctx *Context, x *tensor.Tensor, train bool) *tensor.Tenso
 		wh = tensor.Mul(wh, mask)
 	}
 
-	saved := &lstmSaved{whMask: mask, batch: batch}
+	// The input projection does not depend on the recurrence: one matmul
+	// over all SeqLen·batch rows gives every step's zx (rows are independent
+	// outputs, so each is bit-identical to its own per-step product).
+	zx := tensor.MatMul(x, l.Wx.W)
+	saved := &lstmSaved{x: x.Clone(), whMask: mask, batch: batch}
 	out := tensor.Borrow(rows, hDim)
 	h := tensor.Borrow(batch, hDim)
 	c := tensor.Borrow(batch, hDim)
 	for t := 0; t < l.SeqLen; t++ {
-		xt := x.SliceRows(t*batch, (t+1)*batch)
-		g := tensor.LSTMCellForward(xt, h, c, l.Wx.W, wh, l.B.W)
-		saved.steps = append(saved.steps, lstmStep{xt: xt.Clone(), hPrev: h, cPrev: c, gates: g})
+		g := tensor.LSTMCellForward(zx.SliceRows(t*batch, (t+1)*batch), h, c, wh, l.B.W)
+		saved.steps = append(saved.steps, lstmStep{hPrev: h, cPrev: c, gates: g})
 		h, c = g.H, g.C
 		copy(out.Data()[t*batch*hDim:(t+1)*batch*hDim], g.H.Data())
 	}
+	zx.Release()
 	if mask != nil {
 		wh.Release() // the masked copy; l.Wh.W itself is never pooled
 	}
@@ -116,7 +121,8 @@ func (l *LSTM) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	saved := ctx.Pop().(*lstmSaved)
 	batch := saved.batch
 	rows := l.SeqLen * batch
-	dx := tensor.Borrow(rows, l.In)
+	// Every step's dz rows, kept so dx is one product after the loop.
+	dzAll := tensor.Borrow(rows, 4*l.Hidden)
 
 	wh := l.Wh.W
 	if saved.whMask != nil {
@@ -131,22 +137,30 @@ func (l *LSTM) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		dyt := dy.SliceRows(t*batch, (t+1)*batch)
 		dz, dcPrev := tensor.LSTMCellBackward(dyt, dhNext, dcNext, st.cPrev, st.gates)
 
-		tensor.MatMulTransAAcc(l.Wx.G, st.xt, dz)
+		// The weight gradients stay per step, t descending, each product
+		// formed in zeroed scratch and then added: one batched Xᵀ·DZ over
+		// all rows would fold the per-step partial products into a single
+		// running sum and change the rounding.
+		tensor.MatMulTransAAcc(l.Wx.G, saved.x.SliceRows(t*batch, (t+1)*batch), dz)
 		tensor.MatMulTransAAcc(dWh, st.hPrev, dz)
 		tensor.SumRowsAcc(l.B.G, dz)
 
-		tensor.MatMulTransBInto(dx.SliceRows(t*batch, (t+1)*batch), dz, l.Wx.W)
+		copy(dzAll.Data()[t*batch*4*l.Hidden:], dz.Data())
 		dhNext.Release()
 		dhNext = tensor.MatMulTransB(dz, wh)
 		dcNext.Release()
 		dcNext = dcPrev
 
-		// This step owns its input clone and gate buffers; hPrev/cPrev
-		// belong to the previous step (released with its gates below).
+		// This step owns its gate buffers; hPrev/cPrev belong to the
+		// previous step (released with its gates below).
 		dz.Release()
-		st.xt.Release()
 		st.gates.Release()
 	}
+	// dx rows are independent outputs of dz·Wxᵀ, so one product over all
+	// steps is bit-identical to the per-step ones.
+	dx := tensor.MatMulTransB(dzAll, l.Wx.W)
+	dzAll.Release()
+	saved.x.Release()
 	dhNext.Release()
 	dcNext.Release()
 	// The initial zero states are owned by Forward's borrow, not by any

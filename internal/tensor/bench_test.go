@@ -50,6 +50,55 @@ func BenchmarkKernelMatMulTransB(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelGEMMSmall times the three GEMM variants at the per-micro-
+// batch shapes the end-to-end workloads actually run (m×k×n of the forward
+// product; TransA and TransB are the weight- and input-gradient products of
+// the same layer), where call overhead and fan-out policy matter as much
+// as the inner loop.
+func BenchmarkKernelGEMMSmall(b *testing.B) {
+	for _, sh := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"gnmt_8x48x192", 8, 48, 192},
+		{"bert_64x32x64", 64, 32, 64},
+		{"awd_32x32x128", 32, 32, 128},
+	} {
+		rng := tensor.NewRNG(5)
+		x := rng.Uniform(-1, 1, sh.m, sh.k)
+		w := rng.Uniform(-1, 1, sh.k, sh.n)
+		dy := rng.Uniform(-1, 1, sh.m, sh.n)
+		for _, v := range []struct {
+			name string
+			run  func() *tensor.Tensor
+		}{
+			{"MatMul", func() *tensor.Tensor { return tensor.MatMul(x, w) }},
+			{"TransA", func() *tensor.Tensor { return tensor.MatMulTransA(x, dy) }},
+			{"TransB", func() *tensor.Tensor { return tensor.MatMulTransB(dy, w) }},
+		} {
+			b.Run(sh.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.run().Release()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkKernelAxpyInPlace1M is the elastic-averaging update over one
+// large parameter tensor (awd-dist's embedding is 1M floats).
+func BenchmarkKernelAxpyInPlace1M(b *testing.B) {
+	rng := tensor.NewRNG(6)
+	x := rng.Uniform(-1, 1, 1<<20)
+	d := rng.Uniform(-1, 1, 1<<20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.AxpyInPlace(1e-3, d)
+	}
+}
+
 func BenchmarkKernelSoftmax(b *testing.B) {
 	rng := tensor.NewRNG(4)
 	x := rng.Uniform(-4, 4, 256, 4600)

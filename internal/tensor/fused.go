@@ -80,28 +80,12 @@ func checkMatMulBiasAct(a, b, bias *Tensor) {
 // matMulBiasActInto accumulates into out, which must be zeroed.
 func matMulBiasActInto(out, a, b, bias *Tensor, act Act) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	ParallelForCost(m, k*n, func(lo, hi int) {
+	parallelGEMM(m, k, n, matmulRowTile, func(lo, hi int) {
+		gemmAccRows(out.data, a.data, k, 1, b.data, k, n, lo, hi)
 		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
 			orow := out.data[i*n : (i+1)*n]
-			for p0 := 0; p0 < k; p0 += matmulBlock {
-				p1 := p0 + matmulBlock
-				if p1 > k {
-					p1 = k
-				}
-				for p := p0; p < p1; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					axpyAdd(av, b.data[p*n:(p+1)*n], orow)
-				}
-			}
 			if bias != nil {
-				bv := bias.data
-				for j := 0; j < n; j++ {
-					orow[j] += bv[j]
-				}
+				vecAdd(orow, bias.data)
 			}
 			switch act {
 			case ActIdentity:
@@ -147,26 +131,27 @@ func (g *LSTMGates) Release() {
 
 // LSTMCellForward runs one LSTM time step in a single fused pass:
 //
-//	z = xt@wx + h@wh + bias            (packed gates [input|forget|cell|output])
+//	z = zx + h@wh + bias               (packed gates [input|forget|cell|output])
 //	i,f,o = sigmoid(z…), g = tanh(z…)
 //	c' = f*c + i*g;  h' = o * tanh(c')
 //
-// xt is (batch,in), h and c are (batch,hidden), wx (in,4h), wh (hidden,4h),
-// bias (4h). The gate pre-activations are computed with the standard
-// matmul kernels (same accumulation order as the composed version:
-// (xt@wx + h@wh) + bias elementwise), then one pass produces all gate
-// activations and states — bit-identical to the chain of
+// zx is the step's rows of the input projection x@wx (batch,4h) — it does
+// not depend on the recurrence, so the caller computes it for the whole
+// sequence in one matmul. h and c are (batch,hidden), wh (hidden,4h), bias
+// (4h). The recurrent pre-activation uses the standard matmul kernel (same
+// accumulation order as the composed version: (xt@wx + h@wh) + bias
+// elementwise), then one pass produces all gate activations and states —
+// bit-identical to the chain of
 // MatMul/Add/AddRowVector/splitCols/Sigmoid/Tanh/Mul ops it replaces.
-func LSTMCellForward(xt, h, c, wx, wh, bias *Tensor) LSTMGates {
+func LSTMCellForward(zx, h, c, wh, bias *Tensor) LSTMGates {
 	batch, hidden := h.shape[0], h.shape[1]
-	if len(xt.shape) != 2 || xt.shape[0] != batch ||
+	if len(zx.shape) != 2 || zx.shape[0] != batch || zx.shape[1] != 4*hidden ||
 		len(c.shape) != 2 || c.shape[0] != batch || c.shape[1] != hidden ||
-		wx.shape[1] != 4*hidden || wh.shape[0] != hidden || wh.shape[1] != 4*hidden ||
+		wh.shape[0] != hidden || wh.shape[1] != 4*hidden ||
 		len(bias.shape) != 1 || bias.shape[0] != 4*hidden {
-		panic(fmt.Sprintf("tensor: LSTMCellForward shapes xt=%v h=%v c=%v wx=%v wh=%v bias=%v",
-			xt.shape, h.shape, c.shape, wx.shape, wh.shape, bias.shape))
+		panic(fmt.Sprintf("tensor: LSTMCellForward shapes zx=%v h=%v c=%v wh=%v bias=%v",
+			zx.shape, h.shape, c.shape, wh.shape, bias.shape))
 	}
-	zx := MatMul(xt, wx)
 	zh := MatMul(h, wh)
 	g := LSTMGates{
 		I: borrowRaw(batch, hidden), F: borrowRaw(batch, hidden),
@@ -199,7 +184,6 @@ func LSTMCellForward(xt, h, c, wx, wh, bias *Tensor) LSTMGates {
 			}
 		}
 	})
-	zx.Release()
 	zh.Release()
 	return g
 }

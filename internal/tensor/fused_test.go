@@ -103,7 +103,7 @@ func TestLSTMCellForwardMatchesComposed(t *testing.T) {
 	wh := rng.Uniform(-1, 1, hd, 4*hd)
 	bias := rng.Uniform(-1, 1, 4*hd)
 
-	gates := tensor.LSTMCellForward(xt, h, c, wx, wh, bias)
+	gates := tensor.LSTMCellForward(tensor.MatMul(xt, wx), h, c, wh, bias)
 	i, f, g, o, cNew, tc, hNew := composedLSTMCell(xt, h, c, wx, wh, bias)
 	bitEqual(t, "LSTM i", gates.I, i)
 	bitEqual(t, "LSTM f", gates.F, f)
@@ -128,7 +128,7 @@ func TestLSTMCellBackwardMatchesComposed(t *testing.T) {
 	dhNext := rng.Uniform(-1, 1, batch, hd)
 	dcNext := rng.Uniform(-1, 1, batch, hd)
 
-	gates := tensor.LSTMCellForward(xt, h, cPrev, wx, wh, bias)
+	gates := tensor.LSTMCellForward(tensor.MatMul(xt, wx), h, cPrev, wh, bias)
 	dz, dcPrev := tensor.LSTMCellBackward(dyt, dhNext, dcNext, cPrev, gates)
 
 	// The pre-fusion backward chain, op for op.
@@ -215,7 +215,7 @@ func TestLSTMCellBackwardCrossCheckAutograd(t *testing.T) {
 	dhNext := rng.Uniform(-1, 1, batch, hd)
 	dcNext := rng.Uniform(-1, 1, batch, hd)
 
-	gates := tensor.LSTMCellForward(xt, h, cPrev, wx, wh, bias)
+	gates := tensor.LSTMCellForward(tensor.MatMul(xt, wx), h, cPrev, wh, bias)
 	dz, dcPrev := tensor.LSTMCellBackward(dyt, dhNext, dcNext, cPrev, gates)
 
 	// Tape version: leaves are the four pre-activation blocks and cPrev.

@@ -1,0 +1,174 @@
+package tensor
+
+// The inner loops every hot kernel is built from, in plain Go. These are
+// the definition of each primitive — the per-element float expression and
+// its evaluation order — and the implementation on every platform without
+// the AVX2 layer (kernels_noasm.go, or an amd64 CPU/OS without AVX2). The
+// amd64 assembly in kernels_amd64.s is tested bit-equal to them
+// (kernels_amd64_test.go); see the determinism contract in matmul.go for
+// the rule that makes that possible.
+
+// axpyAddGo computes o[j] += av * b[j] for all j, unrolled 8-wide. Each
+// element still receives exactly one multiply and one add in index order,
+// so this is bit-identical to the plain loop; the full slice expressions
+// let the compiler drop bounds checks inside the unrolled body.
+func axpyAddGo(av float32, b, o []float32) {
+	n := len(o)
+	b = b[:n]
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		bo := b[j : j+8 : j+8]
+		oo := o[j : j+8 : j+8]
+		oo[0] += av * bo[0]
+		oo[1] += av * bo[1]
+		oo[2] += av * bo[2]
+		oo[3] += av * bo[3]
+		oo[4] += av * bo[4]
+		oo[5] += av * bo[5]
+		oo[6] += av * bo[6]
+		oo[7] += av * bo[7]
+	}
+	for ; j < n; j++ {
+		o[j] += av * b[j]
+	}
+}
+
+// axpy4AddGo fuses four consecutive k-steps into one pass over the output
+// row: o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j].
+// That is the exact operation sequence of four successive axpyAdd calls —
+// one accumulator per element, ascending k — so it is bit-identical while
+// reading and writing the output row a quarter as often.
+func axpy4AddGo(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
+	n := len(o)
+	b0 = b0[:n]
+	b1 = b1[:n]
+	b2 = b2[:n]
+	b3 = b3[:n]
+	for j := 0; j < n; j++ {
+		s := o[j] + a0*b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		o[j] = s
+	}
+}
+
+// axpy4Add2Go is axpy4Add over two independent output rows at once,
+// sharing the four b-row loads between them. Each output element's
+// accumulation chain is the same as in axpy4Add, so it remains
+// bit-identical; the pairing only halves the number of passes over the B
+// panel.
+func axpy4Add2Go(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
+	n := len(ox)
+	b0 = b0[:n]
+	b1 = b1[:n]
+	b2 = b2[:n]
+	b3 = b3[:n]
+	oy = oy[:n]
+	for j := 0; j < n; j++ {
+		bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
+		s := ox[j] + x0*bv0
+		s += x1 * bv1
+		s += x2 * bv2
+		s += x3 * bv3
+		ox[j] = s
+		t := oy[j] + y0*bv0
+		t += y1 * bv1
+		t += y2 * bv2
+		t += y3 * bv3
+		oy[j] = t
+	}
+}
+
+// dotSeq computes the in-order dot product of a and b with a single
+// accumulator, unrolled 4-wide purely to amortize loop overhead: the adds
+// into sum stay in ascending index order, so rounding matches the plain
+// loop exactly.
+func dotSeq(a, b []float32) float32 {
+	n := len(a)
+	b = b[:n]
+	var sum float32
+	p := 0
+	for ; p+4 <= n; p += 4 {
+		ao := a[p : p+4 : p+4]
+		bo := b[p : p+4 : p+4]
+		sum += ao[0] * bo[0]
+		sum += ao[1] * bo[1]
+		sum += ao[2] * bo[2]
+		sum += ao[3] * bo[3]
+	}
+	for ; p < n; p++ {
+		sum += a[p] * b[p]
+	}
+	return sum
+}
+
+// dot4Seq computes four in-order dot products of a against b0..b3 in one
+// pass, loading each a element once. Every accumulator is still a single
+// float32 summed in ascending index order, so each result is bit-identical
+// to a separate dotSeq call.
+func dot4Seq(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
+	n := len(a)
+	b0 = b0[:n]
+	b1 = b1[:n]
+	b2 = b2[:n]
+	b3 = b3[:n]
+	for p := 0; p < n; p++ {
+		av := a[p]
+		s0 += av * b0[p]
+		s1 += av * b1[p]
+		s2 += av * b2[p]
+		s3 += av * b3[p]
+	}
+	return
+}
+
+// transBRowsGo computes rows [lo,hi) of out = a @ bᵀ for a (m,k), b (n,k):
+// one dotSeq chain per output element, four b rows per pass over an a row.
+func transBRowsGo(out, a, b []float32, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := out[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4Seq(arow,
+				b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k],
+				b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k])
+		}
+		for ; j < n; j++ {
+			orow[j] = dotSeq(arow, b[j*k:(j+1)*k])
+		}
+	}
+}
+
+// vecAddGo sets o[i] += b[i].
+func vecAddGo(o, b []float32) {
+	b = b[:len(o)]
+	for i := range o {
+		o[i] += b[i]
+	}
+}
+
+// vecSubGo sets o[i] = a[i] - b[i]; o may alias a.
+func vecSubGo(o, a, b []float32) {
+	a = a[:len(o)]
+	b = b[:len(o)]
+	for i := range o {
+		o[i] = a[i] - b[i]
+	}
+}
+
+// vecMulGo sets o[i] *= b[i].
+func vecMulGo(o, b []float32) {
+	b = b[:len(o)]
+	for i := range o {
+		o[i] *= b[i]
+	}
+}
+
+// vecScaleGo sets o[i] *= alpha.
+func vecScaleGo(alpha float32, o []float32) {
+	for i := range o {
+		o[i] *= alpha
+	}
+}

@@ -1,0 +1,178 @@
+package tensor
+
+// The amd64 kernel layer: each primitive of kernels.go dispatches to its
+// AVX2 twin in kernels_amd64.s when the CPU and the OS support it, and to
+// the Go loop otherwise. The choice is a hardware fact read once at init —
+// there is nothing to configure, because both sides produce the same bits.
+
+// useAVX2 reports whether the CPU has AVX2 and the OS saves YMM state.
+var useAVX2 = detectAVX2()
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	// XCR0 bits 1 and 2: the OS context-switches XMM and YMM state.
+	if lo, _ := xgetbv(); lo&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}
+
+// The assembly reads len(o) elements from every operand and never looks at
+// a pointer when that count is zero; the Go wrappers below reslice the
+// other operands to len(o) first, so a short operand panics here exactly
+// as it does in the Go loops.
+
+//go:noescape
+func axpyAddAVX2(av float32, b, o []float32)
+
+//go:noescape
+func axpy4AddAVX2(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32)
+
+//go:noescape
+func axpy4Add2AVX2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32)
+
+//go:noescape
+func vecAddAVX2(o, b []float32)
+
+//go:noescape
+func vecSubAVX2(o, a, b []float32)
+
+//go:noescape
+func vecMulAVX2(o, b []float32)
+
+//go:noescape
+func vecScaleAVX2(alpha float32, o []float32)
+
+// dotCols8AVX2 computes one k-block of an 8-row block of a @ bᵀ with one
+// SIMD lane per row: at is the block of a packed transposed (kb,8), b
+// starts at the k-block's first column of a (n,·) matrix with row stride
+// ldb, and out[l*ldo+j] (+)= Σ_{p<kb} at[p*8+l]*b[j*ldb+p] for l < 8,
+// j < n. Every lane is one accumulator visiting p ascending — the dotSeq
+// chain — starting from zero, or from out's value when resume is set (a
+// float32 stored and reloaded is the same float32, so splitting k into
+// blocks does not change the chain). kb must be at least 1.
+//
+//go:noescape
+func dotCols8AVX2(at, b []float32, ldb, kb, n int, out []float32, ldo int, resume bool)
+
+func axpyAdd(av float32, b, o []float32) {
+	if useAVX2 {
+		axpyAddAVX2(av, b[:len(o)], o)
+		return
+	}
+	axpyAddGo(av, b, o)
+}
+
+func axpy4Add(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
+	if useAVX2 {
+		n := len(o)
+		axpy4AddAVX2(a0, a1, a2, a3, b0[:n], b1[:n], b2[:n], b3[:n], o)
+		return
+	}
+	axpy4AddGo(a0, a1, a2, a3, b0, b1, b2, b3, o)
+}
+
+func axpy4Add2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
+	if useAVX2 {
+		n := len(ox)
+		axpy4Add2AVX2(x0, x1, x2, x3, y0, y1, y2, y3, b0[:n], b1[:n], b2[:n], b3[:n], ox, oy[:n])
+		return
+	}
+	axpy4Add2Go(x0, x1, x2, x3, y0, y1, y2, y3, b0, b1, b2, b3, ox, oy)
+}
+
+func vecAdd(o, b []float32) {
+	if useAVX2 {
+		vecAddAVX2(o, b[:len(o)])
+		return
+	}
+	vecAddGo(o, b)
+}
+
+func vecSub(o, a, b []float32) {
+	if useAVX2 {
+		vecSubAVX2(o, a[:len(o)], b[:len(o)])
+		return
+	}
+	vecSubGo(o, a, b)
+}
+
+func vecMul(o, b []float32) {
+	if useAVX2 {
+		vecMulAVX2(o, b[:len(o)])
+		return
+	}
+	vecMulGo(o, b)
+}
+
+func vecScale(alpha float32, o []float32) {
+	if useAVX2 {
+		vecScaleAVX2(alpha, o)
+		return
+	}
+	vecScaleGo(alpha, o)
+}
+
+// vectorOpsPerUnit is how many element operations of a vector kernel — a
+// GEMM multiply-add, an elementwise add — make one parallel-for cost unit
+// (parallel.go). Measured on a 2-vCPU Xeon @ 2.1 GHz with these kernels:
+// fanning out stops losing to the serial call at about 2^20 of them, for
+// all three GEMM variants (32×128×n, n = 64…1024) and for AxpyInPlace
+// alike, against parallelThreshold = 2^14 units.
+const vectorOpsPerUnit = 64
+
+// transBRowTile is how many rows of a the A·Bᵀ kernel packs per block,
+// and transBKBlock how many columns of them at a time.
+const (
+	transBRowTile = 8
+	transBKBlock  = 256
+)
+
+// transBRows computes rows [lo,hi) of out = a @ bᵀ. A dot product cannot
+// be vectorised along k without regrouping its sum, so the AVX2 path turns
+// the problem sideways: it packs eight rows of a transposed (k,8) — m·k
+// copies against m·k·n multiply-adds — and gives each row a lane, so eight
+// dotSeq chains advance together, each still its own accumulator. The pack
+// buffer is 8 KB of stack (the compiled replay may not touch the arena),
+// so k advances in blocks of transBKBlock. Rows past the last full block
+// of eight take the Go loops.
+func transBRows(out, a, b []float32, k, n, lo, hi int) {
+	if useAVX2 && k > 0 && n > 0 && hi-lo >= transBRowTile {
+		var at [transBRowTile * transBKBlock]float32
+		for ; lo+transBRowTile <= hi; lo += transBRowTile {
+			rows := a[lo*k : (lo+transBRowTile)*k]
+			orows := out[lo*n : (lo+transBRowTile)*n]
+			for p0 := 0; p0 < k; p0 += transBKBlock {
+				kb := min(transBKBlock, k-p0)
+				packTrans8(at[:transBRowTile*kb], rows[p0:], k)
+				dotCols8AVX2(at[:transBRowTile*kb], b[p0:n*k], k, kb, n, orows, n, p0 > 0)
+			}
+		}
+	}
+	transBRowsGo(out, a, b, k, n, lo, hi)
+}
+
+// packTrans8 writes the first len(at)/8 columns of the eight rows in a
+// (row stride k) transposed into at: at[p*8+l] = a[l*k+p].
+func packTrans8(at, a []float32, k int) {
+	kb := len(at) / 8
+	r0, r1, r2, r3 := a[0:kb], a[k:k+kb], a[2*k:2*k+kb], a[3*k:3*k+kb]
+	r4, r5, r6, r7 := a[4*k:4*k+kb], a[5*k:5*k+kb], a[6*k:6*k+kb], a[7*k:7*k+kb]
+	for p := 0; p < kb; p++ {
+		d := at[p*8 : p*8+8 : p*8+8]
+		d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+		d[4], d[5], d[6], d[7] = r4[p], r5[p], r6[p], r7[p]
+	}
+}

@@ -1,0 +1,415 @@
+#include "textflag.h"
+
+// AVX2 twins of the Go loops in kernels.go. The rule (matmul.go): a SIMD
+// lane is one output element; no lane ever holds a partial sum; multiply
+// and add are separate instructions (VMULPS then VADDPS, never a fused
+// multiply-add), so each lane performs exactly the rounding sequence of
+// the scalar loop. Tails run the same sequence with VMULSS/VADDSS.
+//
+// Every function executes VZEROUPPER before RET: the Go compiler's float
+// code is legacy-SSE encoded and stalls on dirty upper YMM halves.
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// acc += coef * b[AX], eight lanes / one lane. AX is a byte offset.
+#define STEP8(coef, bptr, acc, tmp) \
+	VMULPS (bptr)(AX*1), coef, tmp; \
+	VADDPS tmp, acc, acc
+#define STEP1(coef, bptr, acc, tmp) \
+	VMULSS (bptr)(AX*1), coef, tmp; \
+	VADDSS tmp, acc, acc
+
+// func axpyAddAVX2(av float32, b, o []float32)
+// o[j] += av * b[j]
+TEXT ·axpyAddAVX2(SB), NOSPLIT, $0-56
+	VBROADCASTSS av+0(FP), Y8
+	MOVQ b_base+8(FP), R8
+	MOVQ o_base+32(FP), DI
+	MOVQ o_len+40(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $~31, DX
+	JMP  axpy1_test8
+
+axpy1_loop8:
+	VMOVUPS (DI)(AX*1), Y0
+	STEP8(Y8, R8, Y0, Y1)
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+
+axpy1_test8:
+	CMPQ AX, DX
+	JLT  axpy1_loop8
+	JMP  axpy1_test1
+
+axpy1_loop1:
+	VMOVSS (DI)(AX*1), X0
+	STEP1(X8, R8, X0, X1)
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ $4, AX
+
+axpy1_test1:
+	CMPQ AX, CX
+	JLT  axpy1_loop1
+	VZEROUPPER
+	RET
+
+// func axpy4AddAVX2(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32)
+// o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+TEXT ·axpy4AddAVX2(SB), NOSPLIT, $0-136
+	VBROADCASTSS a0+0(FP), Y8
+	VBROADCASTSS a1+4(FP), Y9
+	VBROADCASTSS a2+8(FP), Y10
+	VBROADCASTSS a3+12(FP), Y11
+	MOVQ b0_base+16(FP), R8
+	MOVQ b1_base+40(FP), R9
+	MOVQ b2_base+64(FP), R10
+	MOVQ b3_base+88(FP), R11
+	MOVQ o_base+112(FP), DI
+	MOVQ o_len+120(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $~31, DX
+	JMP  axpy4_test8
+
+axpy4_loop8:
+	VMOVUPS (DI)(AX*1), Y0
+	STEP8(Y8, R8, Y0, Y1)
+	STEP8(Y9, R9, Y0, Y2)
+	STEP8(Y10, R10, Y0, Y3)
+	STEP8(Y11, R11, Y0, Y4)
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+
+axpy4_test8:
+	CMPQ AX, DX
+	JLT  axpy4_loop8
+	JMP  axpy4_test1
+
+axpy4_loop1:
+	VMOVSS (DI)(AX*1), X0
+	STEP1(X8, R8, X0, X1)
+	STEP1(X9, R9, X0, X2)
+	STEP1(X10, R10, X0, X3)
+	STEP1(X11, R11, X0, X4)
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ $4, AX
+
+axpy4_test1:
+	CMPQ AX, CX
+	JLT  axpy4_loop1
+	VZEROUPPER
+	RET
+
+// Two rows share one load of b: accx += cx*b, accy += cy*b.
+#define STEP8X2(cx, cy, bptr, accx, accy) \
+	VMOVUPS (bptr)(AX*1), Y4; \
+	VMULPS Y4, cx, Y5; \
+	VADDPS Y5, accx, accx; \
+	VMULPS Y4, cy, Y6; \
+	VADDPS Y6, accy, accy
+#define STEP1X2(cx, cy, bptr, accx, accy) \
+	VMOVSS (bptr)(AX*1), X4; \
+	VMULSS X4, cx, X5; \
+	VADDSS X5, accx, accx; \
+	VMULSS X4, cy, X6; \
+	VADDSS X6, accy, accy
+
+// func axpy4Add2AVX2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32)
+// axpy4Add on two output rows at once.
+TEXT ·axpy4Add2AVX2(SB), NOSPLIT, $0-176
+	VBROADCASTSS x0+0(FP), Y7
+	VBROADCASTSS x1+4(FP), Y8
+	VBROADCASTSS x2+8(FP), Y9
+	VBROADCASTSS x3+12(FP), Y10
+	VBROADCASTSS y0+16(FP), Y11
+	VBROADCASTSS y1+20(FP), Y12
+	VBROADCASTSS y2+24(FP), Y13
+	VBROADCASTSS y3+28(FP), Y14
+	MOVQ b0_base+32(FP), R8
+	MOVQ b1_base+56(FP), R9
+	MOVQ b2_base+80(FP), R10
+	MOVQ b3_base+104(FP), R11
+	MOVQ ox_base+128(FP), DI
+	MOVQ ox_len+136(FP), CX
+	MOVQ oy_base+152(FP), SI
+	SHLQ $2, CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $~31, DX
+	JMP  axpy42_test8
+
+axpy42_loop8:
+	VMOVUPS (DI)(AX*1), Y0
+	VMOVUPS (SI)(AX*1), Y1
+	STEP8X2(Y7, Y11, R8, Y0, Y1)
+	STEP8X2(Y8, Y12, R9, Y0, Y1)
+	STEP8X2(Y9, Y13, R10, Y0, Y1)
+	STEP8X2(Y10, Y14, R11, Y0, Y1)
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS Y1, (SI)(AX*1)
+	ADDQ $32, AX
+
+axpy42_test8:
+	CMPQ AX, DX
+	JLT  axpy42_loop8
+	JMP  axpy42_test1
+
+axpy42_loop1:
+	VMOVSS (DI)(AX*1), X0
+	VMOVSS (SI)(AX*1), X1
+	STEP1X2(X7, X11, R8, X0, X1)
+	STEP1X2(X8, X12, R9, X0, X1)
+	STEP1X2(X9, X13, R10, X0, X1)
+	STEP1X2(X10, X14, R11, X0, X1)
+	VMOVSS X0, (DI)(AX*1)
+	VMOVSS X1, (SI)(AX*1)
+	ADDQ $4, AX
+
+axpy42_test1:
+	CMPQ AX, CX
+	JLT  axpy42_loop1
+	VZEROUPPER
+	RET
+
+// The elementwise family: dst[i] = x[i] OP y[i] over CX bytes, with the
+// operand order of the scalar instruction the Go loop compiles to
+// (x is the destination operand there). DI = dst, SI = x, R8 = y; the
+// preprocessor cannot paste label names, so each use passes its own.
+#define ELEMENTWISE(OP8, OP1, loop8, test8, loop1, test1) \
+	SHLQ $2, CX; \
+	XORQ AX, AX; \
+	MOVQ CX, DX; \
+	ANDQ $~31, DX; \
+	JMP  test8; \
+loop8: \
+	VMOVUPS (SI)(AX*1), Y0; \
+	OP8 (R8)(AX*1), Y0, Y0; \
+	VMOVUPS Y0, (DI)(AX*1); \
+	ADDQ $32, AX; \
+test8: \
+	CMPQ AX, DX; \
+	JLT  loop8; \
+	JMP  test1; \
+loop1: \
+	VMOVSS (SI)(AX*1), X0; \
+	OP1 (R8)(AX*1), X0, X0; \
+	VMOVSS X0, (DI)(AX*1); \
+	ADDQ $4, AX; \
+test1: \
+	CMPQ AX, CX; \
+	JLT  loop1; \
+	VZEROUPPER; \
+	RET
+
+// func vecAddAVX2(o, b []float32)
+// o[i] += b[i]
+TEXT ·vecAddAVX2(SB), NOSPLIT, $0-48
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ b_base+24(FP), R8
+	MOVQ DI, SI
+	ELEMENTWISE(VADDPS, VADDSS, vadd_loop8, vadd_test8, vadd_loop1, vadd_test1)
+
+// func vecSubAVX2(o, a, b []float32)
+// o[i] = a[i] - b[i]
+TEXT ·vecSubAVX2(SB), NOSPLIT, $0-72
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	ELEMENTWISE(VSUBPS, VSUBSS, vsub_loop8, vsub_test8, vsub_loop1, vsub_test1)
+
+// func vecMulAVX2(o, b []float32)
+// o[i] *= b[i]
+TEXT ·vecMulAVX2(SB), NOSPLIT, $0-48
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ b_base+24(FP), R8
+	MOVQ DI, SI
+	ELEMENTWISE(VMULPS, VMULSS, vmul_loop8, vmul_test8, vmul_loop1, vmul_test1)
+
+// func vecScaleAVX2(alpha float32, o []float32)
+// o[i] *= alpha
+TEXT ·vecScaleAVX2(SB), NOSPLIT, $0-32
+	VBROADCASTSS alpha+0(FP), Y8
+	MOVQ o_base+8(FP), DI
+	MOVQ o_len+16(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $~31, DX
+	JMP  vscale_test8
+
+vscale_loop8:
+	VMULPS (DI)(AX*1), Y8, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+
+vscale_test8:
+	CMPQ AX, DX
+	JLT  vscale_loop8
+	JMP  vscale_test1
+
+vscale_loop1:
+	VMULSS (DI)(AX*1), X8, X0
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ $4, AX
+
+vscale_test1:
+	CMPQ AX, CX
+	JLT  vscale_loop1
+	VZEROUPPER
+	RET
+
+// acc (lanes = 8 rows of a) += at[p] * broadcast(b[j,p]); Y4 holds at[p].
+#define DOTSTEP(bmem, acc, tmp) \
+	VBROADCASTSS bmem, tmp; \
+	VMULPS tmp, Y4, tmp; \
+	VADDPS tmp, acc, acc
+
+// Move the eight lanes of an accumulator to / from a column of out: lane
+// l lives at off+DI + l*ldo. BX = ldo bytes, R13 = 3*ldo bytes, R11 and
+// XT are scratch. SCATTER8 destroys the accumulator.
+#define SCATTER8(Y, X, off) \
+	VMOVSS X, off(DI); \
+	VEXTRACTPS $1, X, off(DI)(BX*1); \
+	VEXTRACTPS $2, X, off(DI)(BX*2); \
+	VEXTRACTPS $3, X, off(DI)(R13*1); \
+	LEAQ off(DI)(BX*4), R11; \
+	VEXTRACTF128 $1, Y, X; \
+	VMOVSS X, (R11); \
+	VEXTRACTPS $1, X, (R11)(BX*1); \
+	VEXTRACTPS $2, X, (R11)(BX*2); \
+	VEXTRACTPS $3, X, (R11)(R13*1)
+#define GATHER8(Y, X, XT, off) \
+	VMOVSS off(DI), X; \
+	VINSERTPS $0x10, off(DI)(BX*1), X, X; \
+	VINSERTPS $0x20, off(DI)(BX*2), X, X; \
+	VINSERTPS $0x30, off(DI)(R13*1), X, X; \
+	LEAQ off(DI)(BX*4), R11; \
+	VMOVSS (R11), XT; \
+	VINSERTPS $0x10, (R11)(BX*1), XT, XT; \
+	VINSERTPS $0x20, (R11)(BX*2), XT, XT; \
+	VINSERTPS $0x30, (R11)(R13*1), XT, XT; \
+	VINSERTF128 $1, XT, Y, Y
+
+// func dotCols8AVX2(at, b []float32, ldb, kb, n int, out []float32, ldo int, resume bool)
+// out[l*ldo+j] (+)= Σ_{p<kb} at[p*8+l] * b[j*ldb+p] for l < 8, j < n: each
+// lane is one dot-product chain in ascending p, starting from zero or,
+// when resume is set, from the value an earlier k-block left in out. Four
+// b rows per pass, then single rows.
+TEXT ·dotCols8AVX2(SB), NOSPLIT, $0-105
+	MOVQ b_base+24(FP), R8
+	MOVQ ldb+48(FP), R12
+	MOVQ kb+56(FP), R10
+	MOVQ n+64(FP), DX
+	MOVQ out_base+72(FP), DI
+	MOVQ ldo+96(FP), BX
+	SHLQ $2, BX
+	LEAQ (BX)(BX*2), R13
+	SHLQ $2, R12           // b row stride in bytes
+	MOVQ R10, SI
+	SHLQ $2, SI
+	NEGQ SI
+	ADDQ R12, SI           // from the end of one row's block to the next row's
+	LEAQ (R12)(R12*2), R9
+	ADDQ R8, R9            // R9 = R8 + 3 rows, kept in step with R8
+	JMP  dot8_test4
+
+dot8_rows4:
+	CMPB resume+104(FP), $0
+	JNE  dot8_resume4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	JMP  dot8_start4
+
+dot8_resume4:
+	GATHER8(Y0, X0, X4, 0)
+	GATHER8(Y1, X1, X4, 4)
+	GATHER8(Y2, X2, X4, 8)
+	GATHER8(Y3, X3, X4, 12)
+
+dot8_start4:
+	MOVQ at_base+0(FP), AX
+	MOVQ R10, CX
+
+dot8_loop4:
+	VMOVUPS (AX), Y4
+	DOTSTEP((R8), Y0, Y5)
+	DOTSTEP((R8)(R12*1), Y1, Y6)
+	DOTSTEP((R8)(R12*2), Y2, Y7)
+	DOTSTEP((R9), Y3, Y8)
+	ADDQ $32, AX
+	ADDQ $4, R8
+	ADDQ $4, R9
+	DECQ CX
+	JNZ  dot8_loop4
+
+	SCATTER8(Y0, X0, 0)
+	SCATTER8(Y1, X1, 4)
+	SCATTER8(Y2, X2, 8)
+	SCATTER8(Y3, X3, 12)
+	ADDQ $16, DI
+	LEAQ (R9)(SI*1), R8    // R9 ended kb past row j+3
+	LEAQ (R12)(R12*2), R9
+	ADDQ R8, R9
+	SUBQ $4, DX
+
+dot8_test4:
+	CMPQ DX, $4
+	JGE  dot8_rows4
+	JMP  dot8_test1
+
+dot8_rows1:
+	CMPB resume+104(FP), $0
+	JNE  dot8_resume1
+	VXORPS Y0, Y0, Y0
+	JMP  dot8_start1
+
+dot8_resume1:
+	GATHER8(Y0, X0, X4, 0)
+
+dot8_start1:
+	MOVQ at_base+0(FP), AX
+	MOVQ R10, CX
+
+dot8_loop1:
+	VMOVUPS (AX), Y4
+	DOTSTEP((R8), Y0, Y5)
+	ADDQ $32, AX
+	ADDQ $4, R8
+	DECQ CX
+	JNZ  dot8_loop1
+
+	SCATTER8(Y0, X0, 0)
+	ADDQ $4, DI
+	ADDQ SI, R8
+	DECQ DX
+
+dot8_test1:
+	TESTQ DX, DX
+	JNZ  dot8_rows1
+	VZEROUPPER
+	RET

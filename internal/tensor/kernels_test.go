@@ -1,0 +1,220 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
+
+// kernelImpl is one implementation of every inner-loop primitive. The
+// bit-equality table below compares two of them: the Go loops against the
+// plain one-line loops here (every platform), and the AVX2 assembly
+// against the Go loops (kernels_amd64_test.go).
+type kernelImpl struct {
+	axpy   func(av float32, b, o []float32)
+	axpy4  func(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32)
+	axpy42 func(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32)
+	add    func(o, b []float32)
+	sub    func(o, a, b []float32)
+	mul    func(o, b []float32)
+	scale  func(alpha float32, o []float32)
+	transB func(out, a, b []float32, k, n, lo, hi int)
+}
+
+var goKernels = kernelImpl{
+	axpy: axpyAddGo, axpy4: axpy4AddGo, axpy42: axpy4Add2Go,
+	add: vecAddGo, sub: vecSubGo, mul: vecMulGo, scale: vecScaleGo,
+	transB: transBRowsGo,
+}
+
+func naiveAxpy(av float32, b, o []float32) {
+	for j := range o {
+		o[j] += av * b[j]
+	}
+}
+
+func naiveAxpy4(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
+	naiveAxpy(a0, b0, o)
+	naiveAxpy(a1, b1, o)
+	naiveAxpy(a2, b2, o)
+	naiveAxpy(a3, b3, o)
+}
+
+// naiveKernels spells each primitive as the chain of single steps it
+// claims to equal.
+var naiveKernels = kernelImpl{
+	axpy:  naiveAxpy,
+	axpy4: naiveAxpy4,
+	axpy42: func(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
+		naiveAxpy4(x0, x1, x2, x3, b0, b1, b2, b3, ox)
+		naiveAxpy4(y0, y1, y2, y3, b0, b1, b2, b3, oy)
+	},
+	add:   vecAddGo,
+	sub:   vecSubGo,
+	mul:   vecMulGo,
+	scale: vecScaleGo,
+	transB: func(out, a, b []float32, k, n, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for j := 0; j < n; j++ {
+				var s float32
+				for p := 0; p < k; p++ {
+					s += a[i*k+p] * b[j*k+p]
+				}
+				out[i*n+j] = s
+			}
+		}
+	},
+}
+
+// specials are the values rounding and skip decisions turn on.
+var specials = []float32{
+	0, float32(math.Copysign(0, -1)), 1e-40, -1e-40, math.SmallestNonzeroFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, 1, -1,
+}
+
+// specialSlice returns n floats, one in every of them a special, starting
+// off floats into their backing array so vector loads are unaligned.
+func specialSlice(r *rand.Rand, n, off, every int) []float32 {
+	s := make([]float32, off+n)[off:]
+	for i := range s {
+		if r.Intn(every) == 0 {
+			s[i] = specials[r.Intn(len(specials))]
+		} else {
+			s[i] = float32(r.NormFloat64())
+		}
+	}
+	return s
+}
+
+// sameBits reports the first index where got and want differ in their
+// bits; two NaNs count as equal whatever their payloads (an x86 NaN
+// result carries an operand's payload, and vector and scalar encodings
+// may order the operands differently).
+func sameBits(got, want []float32) (int, bool) {
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// checkKernelsBitEqual runs every primitive of got and want on the same
+// inputs and requires identical bits, over every vector-tail length
+// (n = 0…40 and around 192), every load misalignment (sub-slices 0–7
+// floats into their arrays), and inputs seeded with ±0, denormals and ±Inf.
+func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
+	t.Helper()
+	r := rand.New(rand.NewSource(20))
+	sizes := []int{191, 192, 193}
+	for n := 0; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for off := 0; off < 8; off++ {
+			c := specialSlice(r, 8, 0, 5)
+			b := [4][]float32{}
+			for q := range b {
+				b[q] = specialSlice(r, n, (off+q)%8, 5)
+			}
+			o0, o1 := specialSlice(r, n, off, 5), specialSlice(r, n, 7-off, 5)
+			run := func(name string, f func(k kernelImpl, ox, oy []float32)) {
+				t.Helper()
+				gx, gy := specialSlice(r, n, off, 5), specialSlice(r, n, 7-off, 5)
+				wx, wy := make([]float32, n), make([]float32, n)
+				copy(gx, o0)
+				copy(gy, o1)
+				copy(wx, o0)
+				copy(wy, o1)
+				f(got, gx, gy)
+				f(want, wx, wy)
+				for _, p := range [][2][]float32{{gx, wx}, {gy, wy}} {
+					if i, ok := sameBits(p[0], p[1]); !ok {
+						t.Fatalf("%s n=%d off=%d: element %d = %v (%#x), want %v (%#x)", name, n, off, i,
+							p[0][i], math.Float32bits(p[0][i]), p[1][i], math.Float32bits(p[1][i]))
+					}
+				}
+			}
+			run("axpyAdd", func(k kernelImpl, ox, _ []float32) { k.axpy(c[0], b[0], ox) })
+			run("axpy4Add", func(k kernelImpl, ox, _ []float32) {
+				k.axpy4(c[0], c[1], c[2], c[3], b[0], b[1], b[2], b[3], ox)
+			})
+			run("axpy4Add2", func(k kernelImpl, ox, oy []float32) {
+				k.axpy42(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], b[0], b[1], b[2], b[3], ox, oy)
+			})
+			run("vecAdd", func(k kernelImpl, ox, _ []float32) { k.add(ox, b[0]) })
+			run("vecSub", func(k kernelImpl, ox, oy []float32) {
+				k.sub(ox, ox, b[0])   // in place
+				k.sub(oy, b[1], b[2]) // three operands
+			})
+			run("vecMul", func(k kernelImpl, ox, _ []float32) { k.mul(ox, b[0]) })
+			run("vecScale", func(k kernelImpl, ox, _ []float32) { k.scale(c[0], ox) })
+		}
+	}
+
+	// a @ bᵀ: row counts around the 8-row block, k around the unroll and the
+	// k-block, n around the four-rows-of-b pass.
+	for _, sh := range []struct{ m, k, n int }{
+		{8, 1, 1}, {8, 7, 5}, {9, 13, 4}, {16, 48, 7}, {17, 192, 48}, {23, 257, 9}, {8, 600, 3}, {7, 9, 9},
+	} {
+		// Sparse specials, or every chain of k products ends in NaN.
+		a := specialSlice(r, sh.m*sh.k, 1, 4*sh.k)
+		b := specialSlice(r, sh.n*sh.k, 3, 4*sh.k)
+		g, w := specialSlice(r, sh.m*sh.n, 5, 5), make([]float32, sh.m*sh.n)
+		got.transB(g, a, b, sh.k, sh.n, 0, sh.m)
+		want.transB(w, a, b, sh.k, sh.n, 0, sh.m)
+		if i, ok := sameBits(g, w); !ok {
+			t.Fatalf("transB %dx%dx%d: element %d = %v, want %v", sh.m, sh.k, sh.n, i, g[i], w[i])
+		}
+	}
+}
+
+// TestGoKernelsMatchNaive is the generic half of the kernel proof: the
+// unrolled and fused Go loops equal the chains of single steps they stand
+// for, bit for bit. It runs on every platform.
+func TestGoKernelsMatchNaive(t *testing.T) {
+	checkKernelsBitEqual(t, goKernels, naiveKernels)
+}
+
+// TestPropGEMMVariantsMatchNaive: for random shapes (empty, odd, around
+// every tile) all three GEMM variants equal the naive triple loop — one
+// accumulator per element, ascending p — in every bit, through whichever
+// kernel layer this platform selected.
+func TestPropGEMMVariantsMatchNaive(t *testing.T) {
+	prop := func(seed int64, mm, kk, nn uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		m, k, n := int(mm%41), int(kk%71), int(nn%41)
+		a, b := smallTensor(r, m, k), smallTensor(r, k, n)
+		for i := range a.data {
+			if r.Intn(8) == 0 {
+				a.data[i] = 0 // the skip path
+			}
+		}
+		want := New(m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var s float32
+				for p := 0; p < k; p++ {
+					s += a.data[i*k+p] * b.data[p*n+j]
+				}
+				want.data[i*n+j] = s
+			}
+		}
+		for name, got := range map[string]*Tensor{
+			"MatMul":       MatMul(a, b),
+			"MatMulTransA": MatMulTransA(Transpose2D(a), b),
+			"MatMulTransB": MatMulTransB(a, Transpose2D(b)),
+		} {
+			if i, ok := sameBits(got.data, want.data); !ok || !got.SameShape(want) {
+				t.Logf("%s %dx%dx%d: element %d = %v, want %v", name, m, k, n, i, got.data[i], want.data[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,154 +2,55 @@ package tensor
 
 import "fmt"
 
-// matmulBlock is the cache-blocking factor for the inner kernels. 64
-// float32s per row segment keeps three blocks comfortably inside L1.
-const matmulBlock = 64
-
 // Determinism contract for every matmul variant: output element (i,j) is
 // the sum over p, in ascending p order, into a single accumulator. The
 // optimizations below — unrolling across j (independent output elements),
 // cache blocking over p (which only groups the same ascending-p visits),
 // and row-parallelism — never reorder the per-element accumulation, so
 // results are bit-identical to the naive triple loop.
+//
+// The SIMD layer (kernels_amd64.s) lives under the same contract by one
+// rule: a SIMD lane is an output element; no lane ever holds a partial
+// sum; multiply and add are separate instructions (no fused multiply-add,
+// in assembly or in Go). A lane then performs exactly the scalar loop's
+// rounding sequence, so the Go loops in kernels.go stay the definition and
+// the assembly is tested bit-equal to them. A reduction with one running
+// accumulator (L2Norm, Dot, SumRows, softmax and layernorm sums) has no
+// independent output elements to spread over lanes and stays scalar.
 
-// axpyAdd computes o[j] += av * b[j] for all j, unrolled 8-wide. Each
-// element still receives exactly one fused add in index order, so this is
-// bit-identical to the plain loop; the full slice expressions let the
-// compiler drop bounds checks inside the unrolled body.
-func axpyAdd(av float32, b, o []float32) {
-	n := len(o)
-	b = b[:n]
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		bo := b[j : j+8 : j+8]
-		oo := o[j : j+8 : j+8]
-		oo[0] += av * bo[0]
-		oo[1] += av * bo[1]
-		oo[2] += av * bo[2]
-		oo[3] += av * bo[3]
-		oo[4] += av * bo[4]
-		oo[5] += av * bo[5]
-		oo[6] += av * bo[6]
-		oo[7] += av * bo[7]
-	}
-	for ; j < n; j++ {
-		o[j] += av * b[j]
-	}
-}
+// matmulBlock is the cache-blocking factor for the inner kernels. 64
+// float32s per row segment keeps three blocks comfortably inside L1.
+const matmulBlock = 64
 
-// axpy4Add fuses four consecutive k-steps into one pass over the output
-// row: o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j].
-// That is the exact operation sequence of four successive axpyAdd calls —
-// one accumulator per element, ascending k — so it is bit-identical while
-// reading and writing the output row a quarter as often.
-func axpy4Add(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
-	n := len(o)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	for j := 0; j < n; j++ {
-		s := o[j] + a0*b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
-		o[j] = s
-	}
-}
+// matmulRowTile is how many output rows the axpy kernels advance together
+// (axpyRange2 pairs rows to share each load of b); matmul chunk boundaries
+// are multiples of it so a chunk never splits a pair.
+const matmulRowTile = 2
 
-// dotSeq computes the in-order dot product of a and b with a single
-// accumulator, unrolled 4-wide purely to amortize loop overhead: the adds
-// into sum stay in ascending index order, so rounding matches the plain
-// loop exactly.
-func dotSeq(a, b []float32) float32 {
-	n := len(a)
-	b = b[:n]
-	var sum float32
+// axpyRange accumulates orow += Σ_q ar[q]·b[q,:] for one block of k-steps:
+// ar holds the block's coefficients and bblk its rows of b (len(ar) rows of
+// n). It takes the fused 4-step path whenever the next four coefficients
+// are all non-zero and falls back to single steps (with the av==0 skip)
+// otherwise, which preserves the skip's semantics exactly.
+func axpyRange(ar, bblk []float32, n int, orow []float32) {
 	p := 0
-	for ; p+4 <= n; p += 4 {
-		ao := a[p : p+4 : p+4]
-		bo := b[p : p+4 : p+4]
-		sum += ao[0] * bo[0]
-		sum += ao[1] * bo[1]
-		sum += ao[2] * bo[2]
-		sum += ao[3] * bo[3]
-	}
-	for ; p < n; p++ {
-		sum += a[p] * b[p]
-	}
-	return sum
-}
-
-// dot4Seq computes four in-order dot products of a against b0..b3 in one
-// pass, loading each a element once. Every accumulator is still a single
-// float32 summed in ascending index order, so each result is bit-identical
-// to a separate dotSeq call.
-func dot4Seq(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
-	n := len(a)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	for p := 0; p < n; p++ {
-		av := a[p]
-		s0 += av * b0[p]
-		s1 += av * b1[p]
-		s2 += av * b2[p]
-		s3 += av * b3[p]
-	}
-	return
-}
-
-// axpy4Add2 is axpy4Add over two independent output rows at once, sharing
-// the four b-row loads between them. Each output element's accumulation
-// chain is the same as in axpy4Add, so it remains bit-identical; the
-// pairing only halves the number of passes over the B panel.
-func axpy4Add2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
-	n := len(ox)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	oy = oy[:n]
-	for j := 0; j < n; j++ {
-		bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-		s := ox[j] + x0*bv0
-		s += x1 * bv1
-		s += x2 * bv2
-		s += x3 * bv3
-		ox[j] = s
-		t := oy[j] + y0*bv0
-		t += y1 * bv1
-		t += y2 * bv2
-		t += y3 * bv3
-		oy[j] = t
-	}
-}
-
-// axpyRange runs the axpy accumulation for k-steps [p0,p1), taking the
-// fused 4-step path whenever the next four coefficients are all non-zero
-// and falling back to single steps (with the av==0 skip) otherwise, which
-// preserves the skip's semantics exactly.
-func axpyRange(arow []float32, bdata []float32, n int, p0, p1 int, orow []float32) {
-	p := p0
-	for ; p+4 <= p1; p += 4 {
-		a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
+	for ; p+4 <= len(ar); p += 4 {
+		a0, a1, a2, a3 := ar[p], ar[p+1], ar[p+2], ar[p+3]
 		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
 			axpy4Add(a0, a1, a2, a3,
-				bdata[p*n:(p+1)*n], bdata[(p+1)*n:(p+2)*n],
-				bdata[(p+2)*n:(p+3)*n], bdata[(p+3)*n:(p+4)*n], orow)
+				bblk[p*n:(p+1)*n], bblk[(p+1)*n:(p+2)*n],
+				bblk[(p+2)*n:(p+3)*n], bblk[(p+3)*n:(p+4)*n], orow)
 			continue
 		}
 		for q := p; q < p+4; q++ {
-			if av := arow[q]; av != 0 {
-				axpyAdd(av, bdata[q*n:(q+1)*n], orow)
+			if av := ar[q]; av != 0 {
+				axpyAdd(av, bblk[q*n:(q+1)*n], orow)
 			}
 		}
 	}
-	for ; p < p1; p++ {
-		if av := arow[p]; av != 0 {
-			axpyAdd(av, bdata[p*n:(p+1)*n], orow)
+	for ; p < len(ar); p++ {
+		if av := ar[p]; av != 0 {
+			axpyAdd(av, bblk[p*n:(p+1)*n], orow)
 		}
 	}
 }
@@ -157,35 +58,60 @@ func axpyRange(arow []float32, bdata []float32, n int, p0, p1 int, orow []float3
 // axpyRange2 is axpyRange over two output rows, pairing them through
 // axpy4Add2 when all eight coefficients are non-zero and degrading to the
 // single-row path (which keeps the av==0 skip exact) otherwise.
-func axpyRange2(ar0, ar1 []float32, bdata []float32, n, p0, p1 int, o0, o1 []float32) {
-	p := p0
-	for ; p+4 <= p1; p += 4 {
+func axpyRange2(ar0, ar1, bblk []float32, n int, o0, o1 []float32) {
+	ar1 = ar1[:len(ar0)]
+	p := 0
+	for ; p+4 <= len(ar0); p += 4 {
 		x0, x1, x2, x3 := ar0[p], ar0[p+1], ar0[p+2], ar0[p+3]
 		y0, y1, y2, y3 := ar1[p], ar1[p+1], ar1[p+2], ar1[p+3]
 		if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 &&
 			y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
 			axpy4Add2(x0, x1, x2, x3, y0, y1, y2, y3,
-				bdata[p*n:(p+1)*n], bdata[(p+1)*n:(p+2)*n],
-				bdata[(p+2)*n:(p+3)*n], bdata[(p+3)*n:(p+4)*n], o0, o1)
+				bblk[p*n:(p+1)*n], bblk[(p+1)*n:(p+2)*n],
+				bblk[(p+2)*n:(p+3)*n], bblk[(p+3)*n:(p+4)*n], o0, o1)
 			continue
 		}
-		for q := p; q < p+4; q++ {
-			if av := ar0[q]; av != 0 {
-				axpyAdd(av, bdata[q*n:(q+1)*n], o0)
-			}
-		}
-		for q := p; q < p+4; q++ {
-			if av := ar1[q]; av != 0 {
-				axpyAdd(av, bdata[q*n:(q+1)*n], o1)
-			}
-		}
+		axpyRange(ar0[p:p+4], bblk[p*n:(p+4)*n], n, o0)
+		axpyRange(ar1[p:p+4], bblk[p*n:(p+4)*n], n, o1)
 	}
-	for ; p < p1; p++ {
-		if av := ar0[p]; av != 0 {
-			axpyAdd(av, bdata[p*n:(p+1)*n], o0)
-		}
-		if av := ar1[p]; av != 0 {
-			axpyAdd(av, bdata[p*n:(p+1)*n], o1)
+	axpyRange(ar0[p:], bblk[p*n:], n, o0)
+	axpyRange(ar1[p:], bblk[p*n:], n, o1)
+}
+
+// coefBlock returns A[i, p0:p1] as one contiguous slice, where A's element
+// (i,p) is a[i*rs+p*ps]: a view when A is stored row-major (ps == 1),
+// otherwise gathered into buf.
+func coefBlock(a []float32, i, rs, ps, p0, p1 int, buf []float32) []float32 {
+	if ps == 1 {
+		return a[i*rs+p0 : i*rs+p1]
+	}
+	buf = buf[:p1-p0]
+	for q := range buf {
+		buf[q] = a[i*rs+(p0+q)*ps]
+	}
+	return buf
+}
+
+// gemmAccRows accumulates rows [lo,hi) of out (·,n) += A @ b for b (k,n),
+// where A's element (i,p) is a[i*rs+p*ps] — a itself for MatMul (rs=k,
+// ps=1), its transpose for MatMulTransA (rs=1, ps=m). Rows are paired so
+// each b panel pass feeds two output rows, and blocked over k so the panel
+// is reused while hot; a leftover odd row takes the single-row path.
+// Neither changes any element's accumulation order.
+func gemmAccRows(out, a []float32, rs, ps int, b []float32, k, n, lo, hi int) {
+	var g0, g1 [matmulBlock]float32
+	for i := lo; i < hi; i += matmulRowTile {
+		o0 := out[i*n : (i+1)*n]
+		for p0 := 0; p0 < k; p0 += matmulBlock {
+			p1 := min(p0+matmulBlock, k)
+			bblk := b[p0*n : p1*n]
+			ar0 := coefBlock(a, i, rs, ps, p0, p1, g0[:])
+			if i+1 == hi {
+				axpyRange(ar0, bblk, n, o0)
+				continue
+			}
+			ar1 := coefBlock(a, i+1, rs, ps, p0, p1, g1[:])
+			axpyRange2(ar0, ar1, bblk, n, o0, out[(i+1)*n:(i+2)*n])
 		}
 	}
 }
@@ -207,35 +133,8 @@ func MatMul(a, b *Tensor) *Tensor {
 // must be zeroed for a plain product.
 func matMulAccInto(out, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	ParallelForCost(m, k*n, func(lo, hi int) {
-		// Rows are paired so each B panel pass feeds two output rows; a
-		// leftover odd row takes the single-row path. Pairing never changes
-		// any element's accumulation order, only B-row reuse.
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			ar0 := a.data[i*k : (i+1)*k]
-			ar1 := a.data[(i+1)*k : (i+2)*k]
-			o0 := out.data[i*n : (i+1)*n]
-			o1 := out.data[(i+1)*n : (i+2)*n]
-			for p0 := 0; p0 < k; p0 += matmulBlock {
-				p1 := p0 + matmulBlock
-				if p1 > k {
-					p1 = k
-				}
-				axpyRange2(ar0, ar1, b.data, n, p0, p1, o0, o1)
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			orow := out.data[i*n : (i+1)*n]
-			for p0 := 0; p0 < k; p0 += matmulBlock {
-				p1 := p0 + matmulBlock
-				if p1 > k {
-					p1 = k
-				}
-				axpyRange(arow, b.data, n, p0, p1, orow)
-			}
-		}
+	parallelGEMM(m, k, n, matmulRowTile, func(lo, hi int) {
+		gemmAccRows(out.data, a.data, k, 1, b.data, k, n, lo, hi)
 	})
 }
 
@@ -268,20 +167,8 @@ func checkTransB(a, b *Tensor) {
 
 func matMulTransBInto(out, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	ParallelForCost(m, k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			orow := out.data[i*n : (i+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4Seq(arow,
-					b.data[j*k:(j+1)*k], b.data[(j+1)*k:(j+2)*k],
-					b.data[(j+2)*k:(j+3)*k], b.data[(j+3)*k:(j+4)*k])
-			}
-			for ; j < n; j++ {
-				orow[j] = dotSeq(arow, b.data[j*k:(j+1)*k])
-			}
-		}
+	parallelGEMM(m, k, n, transBRowTile, func(lo, hi int) {
+		transBRows(out.data, a.data, b.data, k, n, lo, hi)
 	})
 }
 
@@ -321,31 +208,8 @@ func checkTransA(a, b *Tensor) {
 // a plain product.
 func matMulTransAAccInto(out, a, b *Tensor) {
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	ParallelForCost(m, k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.data[i*n : (i+1)*n]
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				a0, a1 := a.data[p*m+i], a.data[(p+1)*m+i]
-				a2, a3 := a.data[(p+2)*m+i], a.data[(p+3)*m+i]
-				if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-					axpy4Add(a0, a1, a2, a3,
-						b.data[p*n:(p+1)*n], b.data[(p+1)*n:(p+2)*n],
-						b.data[(p+2)*n:(p+3)*n], b.data[(p+3)*n:(p+4)*n], orow)
-					continue
-				}
-				for q := p; q < p+4; q++ {
-					if av := a.data[q*m+i]; av != 0 {
-						axpyAdd(av, b.data[q*n:(q+1)*n], orow)
-					}
-				}
-			}
-			for ; p < k; p++ {
-				if av := a.data[p*m+i]; av != 0 {
-					axpyAdd(av, b.data[p*n:(p+1)*n], orow)
-				}
-			}
-		}
+	parallelGEMM(m, k, n, matmulRowTile, func(lo, hi int) {
+		gemmAccRows(out.data, a.data, 1, m, b.data, k, n, lo, hi)
 	})
 }
 

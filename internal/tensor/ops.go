@@ -28,10 +28,8 @@ func Add(a, b *Tensor) *Tensor {
 func Sub(a, b *Tensor) *Tensor {
 	checkSameShape("Sub", a, b)
 	out := borrowRaw(a.shape...)
-	ParallelFor(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] - b.data[i]
-		}
+	parallelVec(len(a.data), func(lo, hi int) {
+		vecSub(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
 	})
 	return out
 }
@@ -63,10 +61,8 @@ func Div(a, b *Tensor) *Tensor {
 // AddInPlace sets a += b elementwise and returns a.
 func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
 	checkSameShape("AddInPlace", t, b)
-	ParallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.data[i] += b.data[i]
-		}
+	parallelVec(len(t.data), func(lo, hi int) {
+		vecAdd(t.data[lo:hi], b.data[lo:hi])
 	})
 	return t
 }
@@ -74,10 +70,8 @@ func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
 // SubInPlace sets a -= b elementwise and returns a.
 func (t *Tensor) SubInPlace(b *Tensor) *Tensor {
 	checkSameShape("SubInPlace", t, b)
-	ParallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.data[i] -= b.data[i]
-		}
+	parallelVec(len(t.data), func(lo, hi int) {
+		vecSub(t.data[lo:hi], t.data[lo:hi], b.data[lo:hi])
 	})
 	return t
 }
@@ -85,10 +79,8 @@ func (t *Tensor) SubInPlace(b *Tensor) *Tensor {
 // MulInPlace sets a *= b elementwise and returns a.
 func (t *Tensor) MulInPlace(b *Tensor) *Tensor {
 	checkSameShape("MulInPlace", t, b)
-	ParallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.data[i] *= b.data[i]
-		}
+	parallelVec(len(t.data), func(lo, hi int) {
+		vecMul(t.data[lo:hi], b.data[lo:hi])
 	})
 	return t
 }
@@ -97,20 +89,16 @@ func (t *Tensor) MulInPlace(b *Tensor) *Tensor {
 // core update primitive for optimizers and elastic averaging.
 func (t *Tensor) AxpyInPlace(alpha float32, b *Tensor) *Tensor {
 	checkSameShape("AxpyInPlace", t, b)
-	ParallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.data[i] += alpha * b.data[i]
-		}
+	parallelVec(len(t.data), func(lo, hi int) {
+		axpyAdd(alpha, b.data[lo:hi], t.data[lo:hi])
 	})
 	return t
 }
 
 // ScaleInPlace multiplies every element by alpha and returns t.
 func (t *Tensor) ScaleInPlace(alpha float32) *Tensor {
-	ParallelFor(len(t.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.data[i] *= alpha
-		}
+	parallelVec(len(t.data), func(lo, hi int) {
+		vecScale(alpha, t.data[lo:hi])
 	})
 	return t
 }

@@ -15,10 +15,12 @@ import (
 // deadlock, and a saturated pool degrades to the caller running serially
 // rather than queueing behind other tasks.
 
-// parallelThreshold is the minimum amount of work (iterations × the
-// caller's per-iteration cost estimate) before a kernel fans out; below
-// it, scheduling overhead dominates and the body runs serially on the
-// caller's goroutine.
+// parallelThreshold is the minimum amount of work, in cost units, before a
+// kernel fans out; below it, scheduling overhead dominates and the body
+// runs serially on the caller's goroutine. A cost unit is what a scalar Go
+// loop spends on one element (callers pass iterations × their
+// per-iteration estimate). Loops that run on the vector kernels finish
+// vectorOpsPerUnit element operations in that time and divide by it.
 const parallelThreshold = 1 << 14
 
 // chunksPerWorker oversubscribes chunks relative to workers so a worker
@@ -96,33 +98,49 @@ func PoolWorkersBusy() int { return int(poolBusy.Load()) }
 // must only write disjoint output. Falls back to a single serial call for
 // small n.
 func ParallelFor(n int, body func(lo, hi int)) {
-	ParallelForCost(n, 1, body)
+	parallelFor(n, n, 1, body)
 }
 
 // ParallelForCost is ParallelFor with an explicit per-iteration cost
-// estimate, for kernels whose iterations are expensive (a matmul row
-// costs k·n flops, a layernorm row costs the feature dimension). The
+// estimate, for kernels whose iterations are expensive (a softmax row
+// costs its width, a layernorm row the feature dimension). The
 // serial-versus-parallel decision uses n×costPerIter, so heavy loops with
 // few iterations still fan out. Chunking is by iteration count only —
 // per-element results are identical to the serial path regardless of
 // cost, worker count, or chunk boundaries.
 func ParallelForCost(n, costPerIter int, body func(lo, hi int)) {
+	parallelFor(n, n*max(costPerIter, 1), 1, body)
+}
+
+// parallelVec is ParallelFor for an elementwise loop over n floats that
+// runs on the vector kernels: costed at their speed, and chunked at whole
+// 8-float vectors so only the last chunk has a scalar tail.
+func parallelVec(n int, body func(lo, hi int)) {
+	parallelFor(n, n/vectorOpsPerUnit, 8, body)
+}
+
+// parallelGEMM fans the m output rows of an (m,k)·(k,n) product out in
+// chunks of whole row tiles: a kernel that advances two (or eight) rows
+// together must not have a tile split between chunks.
+func parallelGEMM(m, k, n, rowTile int, body func(lo, hi int)) {
+	parallelFor(m, m*k*n/vectorOpsPerUnit, rowTile, body)
+}
+
+// parallelFor runs body over [0, n) in chunks whose boundaries are
+// multiples of align, fanning out when work (in cost units) reaches
+// parallelThreshold.
+func parallelFor(n, work, align int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if costPerIter < 1 {
-		costPerIter = 1
-	}
-	if maxWorkers <= 1 || n == 1 || n*costPerIter < parallelThreshold {
+	if maxWorkers <= 1 || n <= align || work < parallelThreshold {
 		body(0, n)
 		return
 	}
 	poolOnce.Do(startPool)
 	chunks := maxWorkers * chunksPerWorker
-	if chunks > n {
-		chunks = n
-	}
 	chunk := (n + chunks - 1) / chunks
+	chunk = (chunk + align - 1) / align * align
 	nchunks := (n + chunk - 1) / chunk
 	t := &poolTask{body: body, n: n, chunk: chunk}
 	t.wg.Add(nchunks)

@@ -41,6 +41,37 @@ func TestParallelForCostFansOutSmallN(t *testing.T) {
 	if got := sum.Load(); got != 64*63/2 {
 		t.Fatalf("sum %d, want %d", got, 64*63/2)
 	}
+
+	// The rule the matmuls fan out by: work below the threshold is one
+	// serial call however many rows there are; at the threshold the rows
+	// split, but only at multiples of the kernel's row tile, so no chunk
+	// starts inside a tile and only the last may end inside one.
+	type span struct{ lo, hi int }
+	spans := func(n, work, align int) []span {
+		var mu sync.Mutex
+		var got []span
+		parallelFor(n, work, align, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, span{lo, hi})
+			mu.Unlock()
+		})
+		return got
+	}
+	if got := spans(64, parallelThreshold-1, 8); len(got) != 1 || got[0] != (span{0, 64}) {
+		t.Fatalf("work below the threshold ran as %v, want one call over [0,64)", got)
+	}
+	for _, c := range []struct{ n, align int }{{64, 8}, {61, 8}, {9, 2}, {7, 8}, {1000, 2}} {
+		covered := 0
+		for _, s := range spans(c.n, parallelThreshold, c.align) {
+			if s.lo%c.align != 0 || (s.hi%c.align != 0 && s.hi != c.n) {
+				t.Fatalf("n=%d align=%d: chunk [%d,%d) splits a row tile", c.n, c.align, s.lo, s.hi)
+			}
+			covered += s.hi - s.lo
+		}
+		if covered != c.n {
+			t.Fatalf("n=%d align=%d: chunks cover %d rows", c.n, c.align, covered)
+		}
+	}
 }
 
 func TestParallelForNested(t *testing.T) {
