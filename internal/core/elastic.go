@@ -16,14 +16,14 @@ import (
 
 // Update is one pipeline's local update for one training round: the
 // per-parameter weight deltas produced by its optimizer step (§3.2
-// step ❸). Updates travel to the reference model over a net.Transport
-// connection — an in-process loopback for single-process runs, fanned
-// out over a TCP mesh for multi-process jobs — so they never block the
-// pipeline.
+// step ❸), in run form — only the coefficients that moved. Updates
+// travel to the reference model over a net.Transport connection — an
+// in-process loopback for single-process runs, fanned out over a TCP
+// mesh for multi-process jobs — so they never block the pipeline.
 type Update struct {
 	Pipeline int
 	Round    int
-	Deltas   []*tensor.Tensor
+	Deltas   []*tensor.Runs
 }
 
 // Averager implements the elastic-averaging-based framework of §3.2. It
@@ -55,6 +55,12 @@ type Averager struct {
 
 	mu  sync.RWMutex
 	ref []*tensor.Tensor
+	// refMoves[i] records that ref[i] may hold a coefficient adding zero
+	// would move (−0, a signalling NaN): set when a reference is
+	// installed, cleared once an apply pass finds none left. Only then
+	// do the +0 coefficients an update skips need touching (see
+	// tensor.AxpyRuns).
+	refMoves []bool
 
 	// The update stream is a transport connection: pipelines Submit on
 	// tx, the reference loop receives on loopRx. tx is the composed
@@ -70,8 +76,9 @@ type Averager struct {
 	// pipeline reports (or the round deadline closes the round early).
 	pending map[int]*roundAcc
 	// snapshots[p] is pipeline p's weights after its previous round,
-	// used to derive local update deltas.
+	// used to derive local update deltas; builders[p] derives them.
 	snapshots [][]*tensor.Tensor
+	builders  []tensor.RunBuilder
 	// live[p] marks replicas currently participating in rounds; liveN
 	// counts them. Detach/Rejoin flip these. liveFrom[p] is the first
 	// round replica p counts toward: a rejoining replica is admitted
@@ -137,6 +144,8 @@ type Averager struct {
 	expired     *obs.Counter
 	lateUpdates *obs.Counter
 	updateBytes *obs.Counter
+	coeffsSent  *obs.Counter
+	coeffsSkip  *obs.Counter
 	decodeErrs  *obs.Counter
 	// events receives membership and round-health events (the registry's
 	// event log); tracer, when set, records submit/apply spans on wall-
@@ -151,7 +160,7 @@ type Averager struct {
 // arrival order — which is what lets a restored checkpoint reproduce an
 // uninterrupted run bit-exactly.
 type roundAcc struct {
-	deltas [][]*tensor.Tensor // indexed by pipeline; nil = not arrived
+	deltas [][]*tensor.Runs // indexed by pipeline; nil = not arrived
 	got    int
 	first  time.Time
 }
@@ -178,6 +187,7 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 		N:          n,
 		pending:    make(map[int]*roundAcc),
 		snapshots:  make([][]*tensor.Tensor, n),
+		builders:   make([]tensor.RunBuilder, n),
 		live:       make([]bool, n),
 		liveN:      n,
 		liveFrom:   make([]int, n),
@@ -209,8 +219,12 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 			"Updates discarded because their round had already closed."),
 		updateBytes: reg.Counter("avgpipe_avg_update_bytes_total",
 			"Wire bytes of update payloads this process submitted (one delivery each); divide by rounds for bytes-on-wire per round."),
+		coeffsSent: reg.Counter("avgpipe_avg_update_coeffs_total",
+			"Delta coefficients of submitted updates, by whether they were sent (bits not +0) or skipped (+0).", "kind", "sent"),
+		coeffsSkip: reg.Counter("avgpipe_avg_update_coeffs_total",
+			"Delta coefficients of submitted updates, by whether they were sent (bits not +0) or skipped (+0).", "kind", "skipped"),
 		decodeErrs: reg.Counter("avgpipe_avg_decode_errors_total",
-			"Compressed update frames dropped because their payload failed to decode."),
+			"Update frames dropped because their payload failed to decode or did not fit the model."),
 		events: reg.Events(),
 	}
 	for p := 0; p < n; p++ {
@@ -228,11 +242,21 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 	for i, p := range init {
 		a.ref[i] = p.W.Clone()
 	}
+	a.refMoves = make([]bool, len(a.ref))
+	a.installedRefLocked()
 	for p := 0; p < n; p++ {
 		a.snapshots[p] = cloneTensors(a.ref)
 	}
 	go a.referenceLoop()
 	return a
+}
+
+// installedRefLocked refreshes refMoves after the reference was
+// overwritten wholesale. Caller holds a.mu (or owns a).
+func (a *Averager) installedRefLocked() {
+	for i, t := range a.ref {
+		a.refMoves[i] = t.ZeroAddMoves()
+	}
 }
 
 func cloneTensors(ts []*tensor.Tensor) []*tensor.Tensor {
@@ -503,6 +527,8 @@ func (a *Averager) expireStale() {
 func (a *Averager) applyRoundLocked(round int, acc *roundAcc) {
 	if acc.got > 0 {
 		start := time.Now()
+		// Each delta touches only its runs; every coefficient still gets
+		// the dense path's adds in pipeline order, so the sum is unchanged.
 		inv := float32(1 / float64(acc.got))
 		for p := 0; p < a.N; p++ {
 			ds := acc.deltas[p]
@@ -510,7 +536,12 @@ func (a *Averager) applyRoundLocked(round int, acc *roundAcc) {
 				continue
 			}
 			for i := range a.ref {
-				a.ref[i].AxpyInPlace(inv, ds[i])
+				a.ref[i].AxpyRuns(inv, ds[i], a.refMoves[i])
+			}
+		}
+		for i, moves := range a.refMoves {
+			if moves {
+				a.refMoves[i] = a.ref[i].ZeroAddMoves()
 			}
 		}
 		if a.tracer != nil {
@@ -566,21 +597,44 @@ func (a *Averager) referenceLoop() {
 		if err != nil {
 			return // closed and drained
 		}
-		deltas := f.Tensors
-		if c, ok := netx.UpdateCodec(f.Type); ok && c != netx.CodecNone {
-			// A compressed update: every reference copy dequantizes the
-			// same packed payload, so the applied deltas stay identical
-			// across processes even though they are lossy.
-			ds, derr := netx.UnpackUpdateFrame(f)
-			if derr != nil {
-				a.decodeErrs.Inc()
-				a.bumpApplied() // the frame is accounted for, not applied
-				continue
-			}
-			deltas = ds
+		deltas, ok := a.updateDeltas(f)
+		if !ok {
+			a.decodeErrs.Inc()
+			a.bumpApplied() // the frame is accounted for, not applied
+			continue
 		}
 		a.ingest(Update{Pipeline: int(f.Replica), Round: int(f.Round), Deltas: deltas})
 	}
+}
+
+// updateDeltas returns an update frame's deltas in run form, or false
+// when they failed to decode or do not fit the model tensor for tensor (a
+// peer running another model): such a frame is dropped, not applied. The
+// reference's shapes never change, so no lock is needed.
+func (a *Averager) updateDeltas(f *netx.Frame) ([]*tensor.Runs, bool) {
+	deltas := f.Runs
+	if c, ok := netx.UpdateCodec(f.Type); ok && c != netx.CodecNone {
+		// A compressed update: every reference copy dequantizes the
+		// same packed payload, so the applied deltas stay identical
+		// across processes even though they are lossy.
+		ds, err := netx.UnpackUpdateFrame(f)
+		if err != nil {
+			return nil, false
+		}
+		deltas = make([]*tensor.Runs, len(ds))
+		for i, d := range ds {
+			deltas[i] = tensor.RunsOf(d)
+		}
+	}
+	if len(deltas) != len(a.ref) {
+		return nil, false
+	}
+	for i, d := range deltas {
+		if d.Size() != a.ref[i].Size() {
+			return nil, false
+		}
+	}
+	return deltas, true
 }
 
 // ingest accumulates one update, closing its round if every live
@@ -601,7 +655,7 @@ func (a *Averager) ingest(u Update) {
 	}
 	acc := a.pending[u.Round]
 	if acc == nil {
-		acc = &roundAcc{deltas: make([][]*tensor.Tensor, a.N), first: time.Now()}
+		acc = &roundAcc{deltas: make([][]*tensor.Runs, a.N), first: time.Now()}
 		a.pending[u.Round] = acc
 	}
 	if acc.deltas[u.Pipeline] == nil {
@@ -757,6 +811,10 @@ func (a *Averager) rejoin(p int, params []*nn.Param, minJoin int) {
 		join = minJoin
 	}
 	a.liveFrom[p] = join
+	// It owes no update before its join round: count it as caught up to
+	// there, or the heal supervisor would measure it against its pre-crash
+	// progress and detach it as behind before its first submit.
+	a.lastRound[p] = max(a.lastRound[p], join-1)
 	det := a.detachedAt[p]
 	degraded := a.N - a.liveN
 	a.mu.Unlock()
@@ -860,6 +918,7 @@ func (a *Averager) ResumeReplica(ctx context.Context) (int, error) {
 	for i := range a.ref {
 		a.ref[i].CopyFrom(f.Tensors[i])
 	}
+	a.installedRefLocked()
 	for p := range a.snapshots {
 		for i := range a.snapshots[p] {
 			a.snapshots[p][i].CopyFrom(a.ref[i])
@@ -935,8 +994,8 @@ func (a *Averager) Submit(p, round int, params []*nn.Param) {
 }
 
 // SubmitContext derives pipeline p's local update delta from the
-// previous snapshot and sends it to the reference model without
-// blocking. A transient send failure is retried with exponential
+// previous snapshot, in run form, and sends it to the reference model
+// without blocking. A transient send failure is retried with exponential
 // backoff (bounded by submitRetries) until ctx is done; submitting
 // after Close returns an error instead of wedging a later Drain. When a
 // fault injector is installed the update may be delayed or dropped in
@@ -949,17 +1008,9 @@ func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn
 	if round < 0 {
 		return fmt.Errorf("round %d negative", round)
 	}
-	deltas := make([]*tensor.Tensor, len(params))
-	for i, pr := range params {
-		deltas[i] = tensor.Sub(pr.W, a.snapshots[p][i])
-	}
-	f := &netx.Frame{Type: netx.FrameUpdate, Replica: uint32(p), Round: uint32(round), Tensors: deltas}
-	if a.codec != netx.CodecNone {
-		blob, err := a.comps[p].Pack(deltas)
-		if err != nil {
-			return fmt.Errorf("compressing update: %w", err)
-		}
-		f = &netx.Frame{Type: a.codec.UpdateFrameType(), Replica: uint32(p), Round: uint32(round), Blob: blob}
+	f, err := a.updateFrame(p, round, params)
+	if err != nil {
+		return err
 	}
 	if size, err := netx.FrameWireSize(f); err == nil {
 		a.updateBytes.Add(float64(size))
@@ -993,6 +1044,34 @@ func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn
 			return err
 		}
 	}
+}
+
+// updateFrame derives pipeline p's update for round as the frame
+// SubmitContext sends: the run-form deltas against its snapshot, or their
+// compressed blob under a compression codec.
+func (a *Averager) updateFrame(p, round int, params []*nn.Param) (*netx.Frame, error) {
+	deltas := make([]*tensor.Runs, len(params))
+	var sent, total int
+	for i, pr := range params {
+		deltas[i] = a.builders[p].Sub(pr.W, a.snapshots[p][i])
+		sent += len(deltas[i].Vals)
+		total += pr.W.Size()
+	}
+	a.coeffsSent.Add(float64(sent))
+	a.coeffsSkip.Add(float64(total - sent))
+	if a.codec == netx.CodecNone {
+		return &netx.Frame{Type: netx.FrameUpdate, Replica: uint32(p), Round: uint32(round), Runs: deltas}, nil
+	}
+	// Compressors quantize or select over the dense delta.
+	dense := make([]*tensor.Tensor, len(deltas))
+	for i, d := range deltas {
+		dense[i] = d.Dense()
+	}
+	blob, err := a.comps[p].Pack(dense)
+	if err != nil {
+		return nil, fmt.Errorf("compressing update: %w", err)
+	}
+	return &netx.Frame{Type: a.codec.UpdateFrameType(), Replica: uint32(p), Round: uint32(round), Blob: blob}, nil
 }
 
 // RoundClosed reports whether the round has been applied to the
@@ -1041,13 +1120,9 @@ func (a *Averager) Dilute(p int, params []*nn.Param) {
 	alpha := float32(a.Alpha)
 	a.mu.RLock()
 	for i, pr := range params {
-		pr.W.ScaleInPlace(1 - alpha)
-		pr.W.AxpyInPlace(alpha, a.ref[i])
+		tensor.Dilute(alpha, pr.W, a.ref[i], a.snapshots[p][i])
 	}
 	a.mu.RUnlock()
-	for i, pr := range params {
-		a.snapshots[p][i].CopyFrom(pr.W)
-	}
 }
 
 // AfterStep performs steps ❷ and ❸ together in the fully asynchronous
@@ -1079,6 +1154,7 @@ func (a *Averager) SetReference(src []*nn.Param) {
 	for i, p := range src {
 		a.ref[i].CopyFrom(p.W)
 	}
+	a.installedRefLocked()
 	for p := range a.snapshots {
 		for i := range a.snapshots[p] {
 			a.snapshots[p][i].CopyFrom(a.ref[i])

@@ -110,6 +110,11 @@ func TestAveragerRejoinReseedsFromReference(t *testing.T) {
 	if !a.Live(1) || a.LiveReplicas() != 2 {
 		t.Fatalf("after rejoin: live=%d, Live(1)=%v", a.LiveReplicas(), a.Live(1))
 	}
+	// It owes nothing before its join round, so round progress counts it
+	// caught up — the heal supervisor must not see it as behind.
+	if latest, last := a.RoundProgress(); last[1] < latest {
+		t.Fatalf("rejoined replica's progress %d trails round %d before it could submit", last[1], latest)
+	}
 	if got := reg.Counter("avgpipe_avg_detaches_total", "").Value(); got != 1 {
 		t.Fatalf("detaches counter %v, want 1", got)
 	}

@@ -123,7 +123,7 @@ type Supervisor struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-	wake     chan struct{} // test hook: force one supervision pass
+	wake     chan chan struct{} // Kick's pass requests, closed once the pass ran
 }
 
 // New builds a supervisor over avg, reacting to events (typically the
@@ -138,7 +138,7 @@ func New(avg Averager, events *obs.EventLog, cfg Config) *Supervisor {
 		counters: make(map[string]*obs.Counter),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-		wake:     make(chan struct{}, 1),
+		wake:     make(chan chan struct{}),
 	}
 }
 
@@ -168,11 +168,21 @@ func (s *Supervisor) Stop() {
 	}
 }
 
-// Kick forces one immediate supervision pass (tests).
+// Kick forces one immediate supervision pass and returns once that pass
+// has run, so a test can check its effect without polling. It returns at
+// once when the supervision loop is not running.
 func (s *Supervisor) Kick() {
+	s.mu.Lock()
+	started := s.started
+	s.mu.Unlock()
+	if !started {
+		return
+	}
+	ran := make(chan struct{})
 	select {
-	case s.wake <- struct{}{}:
-	default:
+	case s.wake <- ran:
+		<-ran
+	case <-s.done:
 	}
 }
 
@@ -219,14 +229,18 @@ func (s *Supervisor) loop() {
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
 	for {
+		var kicked chan struct{}
 		select {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-		case <-s.wake:
+		case kicked = <-s.wake:
 		}
 		s.checkRounds()
 		s.retuneDeadline()
+		if kicked != nil {
+			close(kicked)
+		}
 	}
 }
 

@@ -99,18 +99,6 @@ func newSupervisor(t *testing.T, fake *fakeAverager, cfg Config) (*Supervisor, *
 	return s, reg
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func TestSupervisorDetachesOnWatchdogStall(t *testing.T) {
 	fake := newFake(3)
 	_, reg := newSupervisor(t, fake, Config{Self: 0})
@@ -169,8 +157,7 @@ func TestSupervisorDetachesReplicaFallingBehind(t *testing.T) {
 	fake.last = []int{10, 7, 8}
 	fake.mu.Unlock()
 	s.Kick()
-	waitFor(t, "behind replica detached", func() bool { return len(fake.detachedList()) == 1 })
-	if got := fake.detachedList(); got[0] != 1 {
+	if got := fake.detachedList(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("detached %v, want [1] (replica 2 is only 2 behind)", got)
 	}
 	// Self is never detached for falling behind, even when silent.
@@ -178,7 +165,6 @@ func TestSupervisorDetachesReplicaFallingBehind(t *testing.T) {
 	fake.last[0] = 0
 	fake.mu.Unlock()
 	s.Kick()
-	time.Sleep(20 * time.Millisecond)
 	if got := fake.detachedList(); len(got) != 1 {
 		t.Fatalf("detached %v — the supervisor detached its own replica", got)
 	}
@@ -194,13 +180,14 @@ func TestSupervisorRetunesDeadlineWithHysteresis(t *testing.T) {
 	fake.p99 = 0.05 // p99 50ms → deadline 200ms
 	fake.mu.Unlock()
 	s.Kick()
-	waitFor(t, "first retune", func() bool { return fake.currentDeadline() == 200*time.Millisecond })
+	if got := fake.currentDeadline(); got != 200*time.Millisecond {
+		t.Fatalf("first retune set %v, want 200ms", got)
+	}
 	// A wiggle inside the hysteresis band must not retune.
 	fake.mu.Lock()
 	fake.p99 = 0.055 // → 220ms, a 10% change
 	fake.mu.Unlock()
 	s.Kick()
-	time.Sleep(20 * time.Millisecond)
 	if got := fake.currentDeadline(); got != 200*time.Millisecond {
 		t.Fatalf("deadline %v retuned inside the hysteresis band", got)
 	}
@@ -209,7 +196,9 @@ func TestSupervisorRetunesDeadlineWithHysteresis(t *testing.T) {
 	fake.p99 = 10 // → 40s, clamped to MaxDeadline
 	fake.mu.Unlock()
 	s.Kick()
-	waitFor(t, "clamped retune", func() bool { return fake.currentDeadline() == time.Second })
+	if got := fake.currentDeadline(); got != time.Second {
+		t.Fatalf("clamped retune set %v, want 1s", got)
+	}
 	if got := reg.Counter("avgpipe_heal_actions_total", "", "action", ActionRetune).Value(); got != 2 {
 		t.Fatalf("retune count %v, want 2", got)
 	}

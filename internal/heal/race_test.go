@@ -64,3 +64,18 @@ func TestSupervisorRacesWithAveragerTraffic(t *testing.T) {
 	a.Drain()
 	waitFor(t, "all rounds closed", func() bool { return a.PendingRounds() == 0 })
 }
+
+// waitFor polls cond until it holds: the averager closes the rounds the
+// flapping replica left short on its own deadline ticker, which no call
+// here can wait on.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}

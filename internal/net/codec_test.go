@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"strings"
@@ -27,6 +28,11 @@ func sampleFrames() []*Frame {
 			tensor.FromSlice(nil, 0),
 			tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2),
 		}},
+		// The run layout proper: +0 gaps between runs, a −0 inside one
+		// (it is a value, not a gap), an all-+0 tensor with no runs, and
+		// the same deltas given in run form.
+		{Type: FrameUpdate, Replica: 1, Round: 8, Tensors: []*tensor.Tensor{sparseDelta(), tensor.New(2, 3)}},
+		{Type: FrameUpdate, Replica: 1, Round: 8, Runs: []*tensor.Runs{tensor.RunsOf(sparseDelta())}},
 		// Blob frames (the telemetry plane): raw payloads carried
 		// verbatim, including empty and binary-looking bytes.
 		{Type: FrameClockPing, Replica: 1, Blob: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
@@ -51,6 +57,18 @@ func sampleFrames() []*Frame {
 		{Type: FrameUpdateQ16, Replica: 2, Round: 4, Blob: mustPacked(CodecQ16)},
 		{Type: FrameUpdateTopK, Replica: 3, Round: 5, Blob: mustPacked(CodecTopK)},
 	}
+}
+
+// sparseDelta is a 4×4 update with two runs around +0 gaps, one of them
+// holding a −0.
+func sparseDelta() *tensor.Tensor {
+	negZero := float32(math.Copysign(0, -1))
+	return tensor.FromSlice([]float32{
+		0, 0, 1.5, negZero,
+		-2, 0, 0, 0,
+		0, 0, 0, 3,
+		4, 5, 6, 0,
+	}, 4, 4)
 }
 
 func mustBlob(b []byte, err error) []byte {
@@ -109,11 +127,15 @@ func assertFramesEqual(t *testing.T, want, got *Frame) {
 	if !bytes.Equal(got.Blob, want.Blob) {
 		t.Fatalf("blob mismatch: want %x, got %x", want.Blob, got.Blob)
 	}
-	if len(got.Tensors) != len(want.Tensors) {
-		t.Fatalf("tensor count: want %d, got %d", len(want.Tensors), len(got.Tensors))
+	if got.Type == FrameUpdate && len(got.Tensors) > 0 {
+		t.Fatalf("decoded update carries dense tensors, want run form")
 	}
-	for i := range want.Tensors {
-		w, g := want.Tensors[i], got.Tensors[i]
+	wt, gt := denseTensors(want), denseTensors(got)
+	if len(gt) != len(wt) {
+		t.Fatalf("tensor count: want %d, got %d", len(wt), len(gt))
+	}
+	for i := range wt {
+		w, g := wt[i], gt[i]
 		ws, gs := w.Shape(), g.Shape()
 		if len(ws) != len(gs) {
 			t.Fatalf("tensor %d dims: want %v, got %v", i, ws, gs)
@@ -133,6 +155,16 @@ func assertFramesEqual(t *testing.T, want, got *Frame) {
 			}
 		}
 	}
+}
+
+// denseTensors is a frame's tensor payload in dense form, whichever form
+// it was built or decoded in.
+func denseTensors(f *Frame) []*tensor.Tensor {
+	out := append([]*tensor.Tensor(nil), f.Tensors...)
+	for _, r := range f.Runs {
+		out = append(out, r.Dense())
+	}
+	return out
 }
 
 func TestCodecStream(t *testing.T) {
@@ -215,5 +247,116 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 	}
 	if _, err := AppendFrame(nil, &Frame{Type: FrameUpdate, Blob: []byte{1}}); err == nil {
 		t.Error("tensor frame with a blob encoded")
+	}
+}
+
+// updateBytes wraps one update tensor block — dims 4×4, then the given
+// value count, values, and (start, length) pairs — in a frame.
+func updateBytes(nv uint32, vals []float32, spans ...uint32) []byte {
+	le := binary.LittleEndian
+	p := le.AppendUint32(nil, 1)
+	p = append(p, 2)
+	p = le.AppendUint32(le.AppendUint32(p, 4), 4)
+	p = le.AppendUint32(p, nv)
+	for _, v := range vals {
+		p = le.AppendUint32(p, math.Float32bits(v))
+	}
+	p = le.AppendUint32(p, uint32(len(spans)/2))
+	for _, x := range spans {
+		p = le.AppendUint32(p, x)
+	}
+	h := append(magic[:], codecVersion, byte(FrameUpdate), 0, 0)
+	h = le.AppendUint32(le.AppendUint32(le.AppendUint32(h, 1), 8), 0)
+	return append(le.AppendUint32(h, uint32(len(p))), p...)
+}
+
+// TestUpdateRunLayout pins the version-2 update layout byte for byte,
+// shows that an update given as dense tensors and the same update in run
+// form are one encoding, and rejects every non-canonical run table on
+// both sides of the codec.
+func TestUpdateRunLayout(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	vals := []float32{1.5, negZero, -2, 3, 4, 5, 6}
+	want := updateBytes(7, vals, 2, 3, 11, 4)
+	dense := &Frame{Type: FrameUpdate, Replica: 1, Round: 8, Tensors: []*tensor.Tensor{sparseDelta()}}
+	runs := &Frame{Type: FrameUpdate, Replica: 1, Round: 8, Runs: []*tensor.Runs{tensor.RunsOf(sparseDelta())}}
+	for _, f := range []*Frame{dense, runs} {
+		got, err := AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("update layout:\n got %x\nwant %x", got, want)
+		}
+		if size, err := FrameWireSize(f); err != nil || size != len(want) {
+			t.Fatalf("FrameWireSize = %d, %v; want %d", size, err, len(want))
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want string
+	}{
+		{"+0 value", updateBytes(2, []float32{1, 0}, 0, 2), "+0"},
+		{"touching runs", updateBytes(2, []float32{1, 2}, 0, 1, 1, 1), "maximal"},
+		{"overlapping runs", updateBytes(3, []float32{1, 2, 3}, 3, 2, 4, 1), "maximal"},
+		{"descending runs", updateBytes(2, []float32{1, 2}, 5, 1, 2, 1), "maximal"},
+		{"empty run", updateBytes(2, []float32{1, 2}, 0, 2, 3, 0), "empty"},
+		{"run past the end", updateBytes(2, []float32{1, 2}, 15, 2), "past"},
+		{"values uncovered", updateBytes(3, []float32{1, 2, 3}, 0, 2), "cover"},
+		{"more runs than values", updateBytes(1, []float32{1}, 0, 1, 2, 1), "runs for"},
+		{"more values than elements", updateBytes(17, make([]float32, 17)), "exceed"},
+	} {
+		if _, _, err := DecodeFrameBytes(tc.buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
+		}
+	}
+
+	bad := []*tensor.Runs{
+		{Shape: []int{4}, Spans: []tensor.Span{{Start: 0, Len: 2}}, Vals: []float32{1, 0}},
+		{Shape: []int{4}, Spans: []tensor.Span{{Start: 0, Len: 1}, {Start: 1, Len: 1}}, Vals: []float32{1, 2}},
+		{Shape: []int{4}, Spans: []tensor.Span{{Start: 3, Len: 2}}, Vals: []float32{1, 2}},
+	}
+	for i, r := range bad {
+		if _, err := AppendFrame(nil, &Frame{Type: FrameUpdate, Runs: []*tensor.Runs{r}}); err == nil {
+			t.Errorf("non-canonical runs %d encoded", i)
+		}
+	}
+	if _, err := AppendFrame(nil, &Frame{Type: FrameSnapshot, Runs: runs.Runs}); err == nil {
+		t.Error("snapshot frame with runs encoded")
+	}
+}
+
+// TestCodecPortablePath: the one-coefficient-at-a-time path a big-endian
+// host takes writes and accepts exactly the bytes the in-place path does.
+func TestCodecPortablePath(t *testing.T) {
+	if !hostLE {
+		t.Skip("big-endian host: the portable path is the only path")
+	}
+	defer func() { hostLE = true }()
+	for _, f := range sampleFrames() {
+		hostLE = true
+		want, err := AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostLE = false
+		got, err := AppendFrame(nil, f)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v: portable encoding differs (err %v):\n got %x\nwant %x", f.Type, err, got, want)
+		}
+		dec, _, err := DecodeFrameBytes(want)
+		if err != nil {
+			t.Fatalf("%v: portable decode: %v", f.Type, err)
+		}
+		assertFramesEqual(t, f, dec)
+	}
+	if _, _, err := DecodeFrameBytes(updateBytes(2, []float32{1, 0}, 0, 2)); err == nil {
+		t.Error("portable decode accepted a +0 run value")
+	}
+	bad := &tensor.Runs{Shape: []int{4}, Spans: []tensor.Span{{Start: 0, Len: 2}}, Vals: []float32{1, 0}}
+	if _, err := AppendFrame(nil, &Frame{Type: FrameUpdate, Runs: []*tensor.Runs{bad}}); err == nil {
+		t.Error("portable encode accepted a +0 run value")
 	}
 }

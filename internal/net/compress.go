@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"avgpipe/internal/tensor"
 )
@@ -473,29 +472,59 @@ func packTensor(codec Codec, frac float64, shape []int, acc []float32) PackedTen
 		if k > len(acc) {
 			k = len(acc)
 		}
-		// Select the k largest magnitudes (ties to the lower index, so
-		// the selection is deterministic), then emit in index order.
-		order := make([]int, len(acc))
-		for e := range order {
-			order[e] = e
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ma, mb := abs32(acc[order[a]]), abs32(acc[order[b]])
-			if ma != mb {
-				return ma > mb
-			}
-			return order[a] < order[b]
-		})
-		kept := append([]int(nil), order[:k]...)
-		sort.Ints(kept)
-		pt.Idx = make([]uint32, k)
+		pt.Idx = topK(acc, k)
 		pt.Val = make([]float32, k)
-		for e, ix := range kept {
-			pt.Idx[e] = uint32(ix)
+		for e, ix := range pt.Idx {
 			pt.Val[e] = acc[ix]
 		}
 	}
 	return pt
+}
+
+// topK returns the indices of the k largest-magnitude coefficients of acc
+// in ascending order, ties at the cut going to the lower index — the set
+// a full sort by descending magnitude, then index, would keep, found in
+// four linear passes. Magnitudes compare as the bits of |x|, which order
+// exactly as the values do (a NaN ranks above +Inf). The k-th largest key
+// is radix-selected 11, 11, then 10 bits at a time from the top; every key
+// above it is kept, and as many equal to it as k still needs, in index
+// order.
+func topK(acc []float32, k int) []uint32 {
+	idx := make([]uint32, 0, k)
+	if k >= len(acc) {
+		for i := range acc {
+			idx = append(idx, uint32(i))
+		}
+		return idx
+	}
+	key := func(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+	var cut, fixed uint32 // the threshold's bits found so far, and which
+	need := k             // keys still to take at or below the fixed prefix
+	for _, digit := range [...]struct{ shift, width uint }{{21, 11}, {10, 11}, {0, 10}} {
+		var hist [1 << 11]int
+		dmask := uint32(1)<<digit.width - 1
+		for _, v := range acc {
+			if kv := key(v); kv&fixed == cut {
+				hist[kv>>digit.shift&dmask]++
+			}
+		}
+		d := dmask
+		for hist[d] < need {
+			need -= hist[d]
+			d--
+		}
+		cut |= d << digit.shift
+		fixed |= dmask << digit.shift
+	}
+	for i, v := range acc {
+		if kv := key(v); kv > cut || (kv == cut && need > 0) {
+			if kv == cut {
+				need--
+			}
+			idx = append(idx, uint32(i))
+		}
+	}
+	return idx
 }
 
 // subtractPacked subtracts the dequantized encoding from acc in place,

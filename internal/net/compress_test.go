@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -131,6 +133,65 @@ func TestTopKPreservesLargest(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTopKSelectionMatchesSort: the radix selection keeps exactly the
+// index set the full sort it replaced kept — descending magnitude, ties
+// to the lower index, emitted in index order — on inputs dense with ties,
+// signed zeros and magnitudes differing only in their low bits.
+func TestTopKSelectionMatchesSort(t *testing.T) {
+	oracle := func(acc []float32, k int) []uint32 {
+		order := make([]int, len(acc))
+		for e := range order {
+			order[e] = e
+		}
+		sort.Slice(order, func(a, b int) bool {
+			ma, mb := abs32(acc[order[a]]), abs32(acc[order[b]])
+			if ma != mb {
+				return ma > mb
+			}
+			return order[a] < order[b]
+		})
+		kept := append([]int(nil), order[:k]...)
+		sort.Ints(kept)
+		idx := make([]uint32, k)
+		for e, ix := range kept {
+			idx[e] = uint32(ix)
+		}
+		return idx
+	}
+	prop := func(seed int64, size uint16, kk uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		acc := make([]float32, int(size%3000))
+		pool := []float32{0, 1, 1e-3, 3.5, math.MaxFloat32, math.SmallestNonzeroFloat32,
+			math.Float32frombits(0x3f800001), float32(math.Inf(1))}
+		for e := range acc {
+			v := pool[r.Intn(len(pool))]
+			if r.Intn(3) == 0 {
+				v = float32(r.NormFloat64())
+			}
+			if r.Intn(2) == 0 {
+				v = -v
+			}
+			acc[e] = v
+		}
+		k := int(kk) % (len(acc) + 1)
+		got, want := topK(acc, k), oracle(acc, k)
+		if len(got) != len(want) {
+			t.Logf("n=%d k=%d: kept %d", len(acc), k, len(got))
+			return false
+		}
+		for e := range want {
+			if got[e] != want[e] {
+				t.Logf("n=%d k=%d: kept[%d] = %d, want %d", len(acc), k, e, got[e], want[e])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -212,10 +212,11 @@ func confCancelDoesNotConsume(t *testing.T, mk pairMaker) {
 // confBackpressure: with a receiver that stops draining, Send
 // eventually blocks — and a blocked Send honors its context. For the
 // in-process transport the bound is the queue capacity; for TCP it is
-// the inbox plus the kernel socket buffers, which large frames fill.
+// the inbox plus the kernel socket buffers, which large frames fill —
+// so the payload is non-zero: an all-+0 update encodes to a few bytes.
 func confBackpressure(t *testing.T, mk pairMaker) {
 	pair := mk(t, 1)
-	big := &Frame{Type: FrameUpdate, Tensors: []*tensor.Tensor{tensor.New(256 << 10)}}
+	big := &Frame{Type: FrameUpdate, Tensors: []*tensor.Tensor{tensor.Ones(256 << 10)}}
 	blocked := false
 	for i := 0; i < 256; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

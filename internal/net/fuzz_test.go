@@ -2,10 +2,13 @@ package net
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"avgpipe/internal/tensor"
 )
 
 // FuzzDecodeFrame drives DecodeFrameBytes with arbitrary bytes. Two
@@ -75,15 +78,17 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the topology-frame regression seeds
-// under testdata/fuzz/FuzzDecodeFrame when AVGPIPE_WRITE_CORPUS=1: the
-// valid group-hello and compressed-update frames from sampleFrames plus
-// targeted corruptions (malformed k, malformed scale, bad topology id)
-// that must decode to errors, not panics. Checked-in output keeps the
+// TestWriteFuzzCorpus regenerates the checked-in regression seeds under
+// testdata/fuzz/FuzzDecodeFrame when AVGPIPE_WRITE_CORPUS=1: the
+// group-hello and compressed-update frames with targeted corruptions
+// (malformed k, malformed scale, bad topology id), then numbered seeds —
+// every valid frame of sampleFrames at the current wire version, and the
+// update run layout with each way a run table can fail to be canonical.
+// The corruptions must decode to errors, not panics. Checked-in output keeps the
 // CI fuzz smoke regression-testing these shapes without regeneration.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("AVGPIPE_WRITE_CORPUS") == "" {
-		t.Skip("set AVGPIPE_WRITE_CORPUS=1 to regenerate topology fuzz seeds")
+		t.Skip("set AVGPIPE_WRITE_CORPUS=1 to regenerate the fuzz seeds")
 	}
 	frame := func(f *Frame) []byte {
 		buf, err := AppendFrame(nil, f)
@@ -102,6 +107,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		GroupHello{Topology: "ring", N: 4, Codecs: AllCodecsMask()}))}
 	q8 := &Frame{Type: FrameUpdateQ8, Replica: 1, Round: 3, Blob: mustPacked(CodecQ8)}
 	topk := &Frame{Type: FrameUpdateTopK, Replica: 3, Round: 5, Blob: mustPacked(CodecTopK)}
+	v1 := frame(&Frame{Type: FrameUpdate, Replica: 1, Round: 8, Tensors: []*tensor.Tensor{sparseDelta()}})
+	v1[4] = 1
 	seeds := map[string][]byte{
 		"seed-gh-valid":     frame(gh),
 		"seed-gh-bad-topo":  blobAt(gh, 1, 9),
@@ -113,11 +120,52 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		"seed-topk-bad-k":   blobAt(topk, 11, 0xee), // k low byte → k > elems
 		"seed-topk-descend": blobAt(topk, 15, 4),    // first index 4, second 4: not ascending
 	}
-	for name, b := range seeds {
-		path := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", name)
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+	// Numbered seeds: every sampleFrames frame, then the update run
+	// layout — valid, then each way a run table fails to be canonical.
+	numbered := make([][]byte, 0, 32)
+	for _, f := range sampleFrames() {
+		numbered = append(numbered, frame(f))
+	}
+	numbered = append(numbered,
+		updateBytes(7, []float32{1.5, -2, 3, 4, 5, 6, 7}, 2, 3, 11, 4), // valid
+		updateBytes(0, nil),                            // valid, no runs
+		updateBytes(16, make16(), 0, 16),               // valid, one dense run
+		updateBytes(2, []float32{1, 0}, 0, 2),          // +0 value
+		updateBytes(2, []float32{1, 2}, 0, 1, 1, 1),    // touching runs
+		updateBytes(2, []float32{1, 2}, 5, 1, 2, 1),    // descending runs
+		updateBytes(2, []float32{1, 2}, 0, 2, 3, 0),    // empty run
+		updateBytes(2, []float32{1, 2}, 15, 2),         // run past the end
+		updateBytes(2, []float32{1, 2}, 0xffffffff, 2), // start wraps u32
+		updateBytes(3, []float32{1, 2, 3}, 0, 2),       // values uncovered
+		updateBytes(17, nil),                           // more values than elements
+		v1,                                             // version 1 update
+	)
+	for i, b := range numbered {
+		seeds[fmt.Sprintf("seed-%02d", i)] = b
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
+	stale, err := filepath.Glob(filepath.Join(dir, "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range stale {
+		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for name, b := range seeds {
+		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// make16 is a dense 4×4 tensor's values: one run of sixteen.
+func make16() []float32 {
+	v := make([]float32, 16)
+	for i := range v {
+		v[i] = float32(i + 1)
+	}
+	return v
 }

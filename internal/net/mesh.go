@@ -131,7 +131,7 @@ func FormTopologyOn(ctx context.Context, tr Transport, ln Listener, topo Topolog
 	}
 
 	// Non-mesh fabrics exchange a group hello after the hello; the full
-	// mesh stays byte-identical to the seed handshake.
+	// mesh handshake is the hello alone.
 	grouped := topo.Name() != "mesh"
 	ghBlob, err := groupHelloBlob(topo, n)
 	if err != nil {
@@ -269,8 +269,8 @@ func groupSize(topo Topology, n int) int {
 }
 
 // groupHelloBlob encodes the topology fingerprint non-mesh fabrics
-// exchange after the hello — nil for the mesh, whose handshake stays
-// byte-identical to the seed.
+// exchange after the hello — nil for the mesh, whose handshake is the
+// hello alone.
 func groupHelloBlob(topo Topology, n int) ([]byte, error) {
 	if topo == nil || topo.Name() == "mesh" {
 		return nil, nil
@@ -438,9 +438,9 @@ func (m *Mesh) Topology() Topology {
 
 // SupportsCodec reports whether every connected peer advertised support
 // for compression codec c. Full-mesh formation exchanges no codec
-// masks (the handshake predates them and stays byte-identical), so it
-// reports true — all first-party builds understand all codecs; the
-// mask exists to fail fast on sparse fabrics mixing builds.
+// masks (its handshake is the hello alone), so it reports true — all
+// first-party builds understand all codecs; the mask exists to fail fast
+// on sparse fabrics mixing builds.
 func (m *Mesh) SupportsCodec(c Codec) bool {
 	if c == CodecNone {
 		return true

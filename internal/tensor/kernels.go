@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // The inner loops every hot kernel is built from, in plain Go. These are
 // the definition of each primitive — the per-element float expression and
 // its evaluation order — and the implementation on every platform without
@@ -171,4 +173,64 @@ func vecScaleGo(alpha float32, o []float32) {
 	for i := range o {
 		o[i] *= alpha
 	}
+}
+
+// diluteGo sets w[i] = a*w[i] + b*r[i] and snap[i] = w[i]: the two
+// products rounded separately, then their sum — vecScale followed by
+// axpyAdd, and the copy, in one pass.
+func diluteGo(a, b float32, w, r, snap []float32) {
+	r = r[:len(w)]
+	snap = snap[:len(w)]
+	for i := range w {
+		v := a * w[i]
+		v += b * r[i]
+		w[i] = v
+		snap[i] = v
+	}
+}
+
+// runsGo packs the coefficients of d = x − s (d = x when s is empty) whose
+// bits are not +0 into vals, in index order, and records the maximal runs
+// they form in spans as (base+start, length). Each coefficient costs the
+// one subtract vecSub gives it. vals must have room for len(x) values and
+// spans for len(x)/2+1 runs; it returns how many of each it wrote.
+func runsGo(x, s, vals []float32, spans []Span, base uint32) (nv, ns int) {
+	if len(s) > 0 {
+		s = s[:len(x)]
+	}
+	open := false
+	for i, v := range x {
+		if len(s) > 0 {
+			v -= s[i]
+		}
+		if math.Float32bits(v) == 0 {
+			open = false
+			continue
+		}
+		if !open {
+			spans[ns] = Span{Start: base + uint32(i)}
+			ns++
+			open = true
+		}
+		spans[ns-1].Len++
+		vals[nv] = v
+		nv++
+	}
+	return nv, ns
+}
+
+// zeroBlocksGo returns how many leading coefficients of x lie in whole
+// blocks of eight that are all ±0.
+func zeroBlocksGo(x []float32) int {
+	i := 0
+	for ; i+8 <= len(x); i += 8 {
+		var bits uint32
+		for _, v := range x[i : i+8] {
+			bits |= math.Float32bits(v)
+		}
+		if bits&^(1<<31) != 0 {
+			break
+		}
+	}
+	return i
 }

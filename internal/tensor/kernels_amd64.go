@@ -55,6 +55,20 @@ func vecMulAVX2(o, b []float32)
 //go:noescape
 func vecScaleAVX2(alpha float32, o []float32)
 
+//go:noescape
+func diluteAVX2(a, b float32, w, r, snap []float32)
+
+//go:noescape
+func zeroBlocksAVX2(x []float32) int
+
+// runsAVX2 is runsGo eight coefficients at a time: each block is stored
+// to vals where the next value belongs, kept as is when all eight lanes
+// are non-zero, skipped when all are +0, and compacted lane by lane when
+// mixed. The store needs vals to have room for len(x) values.
+//
+//go:noescape
+func runsAVX2(x, s, vals []float32, spans []Span, base uint32) (nv, ns int)
+
 // dotCols8AVX2 computes one k-block of an 8-row block of a @ bᵀ with one
 // SIMD lane per row: at is the block of a packed transposed (kb,8), b
 // starts at the k-block's first column of a (n,·) matrix with row stride
@@ -123,6 +137,32 @@ func vecScale(alpha float32, o []float32) {
 		return
 	}
 	vecScaleGo(alpha, o)
+}
+
+func dilute(a, b float32, w, r, snap []float32) {
+	if useAVX2 {
+		diluteAVX2(a, b, w, r[:len(w)], snap[:len(w)])
+		return
+	}
+	diluteGo(a, b, w, r, snap)
+}
+
+func zeroBlocks(x []float32) int {
+	if useAVX2 {
+		return zeroBlocksAVX2(x)
+	}
+	return zeroBlocksGo(x)
+}
+
+func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {
+	if useAVX2 {
+		if len(s) > 0 {
+			s = s[:len(x)]
+		}
+		_ = spans[len(x)/2]
+		return runsAVX2(x, s, vals[:len(x)], spans, base)
+	}
+	return runsGo(x, s, vals, spans, base)
 }
 
 // vectorOpsPerUnit is how many element operations of a vector kernel — a

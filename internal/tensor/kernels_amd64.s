@@ -413,3 +413,194 @@ dot8_test1:
 	JNZ  dot8_rows1
 	VZEROUPPER
 	RET
+
+// func diluteAVX2(a, b float32, w, r, snap []float32)
+// w[i] = a*w[i] + b*r[i]; snap[i] = w[i]
+TEXT ·diluteAVX2(SB), NOSPLIT, $0-80
+	VBROADCASTSS a+0(FP), Y8
+	VBROADCASTSS b+4(FP), Y9
+	MOVQ w_base+8(FP), DI
+	MOVQ w_len+16(FP), CX
+	MOVQ r_base+32(FP), R8
+	MOVQ snap_base+56(FP), SI
+	SHLQ $2, CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $~31, DX
+	JMP  dilute_test8
+
+dilute_loop8:
+	VMULPS (DI)(AX*1), Y8, Y0
+	VMULPS (R8)(AX*1), Y9, Y1
+	VADDPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS Y0, (SI)(AX*1)
+	ADDQ $32, AX
+
+dilute_test8:
+	CMPQ AX, DX
+	JLT  dilute_loop8
+	JMP  dilute_test1
+
+dilute_loop1:
+	VMULSS (DI)(AX*1), X8, X0
+	VMULSS (R8)(AX*1), X9, X1
+	VADDSS X1, X0, X0
+	VMOVSS X0, (DI)(AX*1)
+	VMOVSS X0, (SI)(AX*1)
+	ADDQ $4, AX
+
+dilute_test1:
+	CMPQ AX, CX
+	JLT  dilute_loop1
+	VZEROUPPER
+	RET
+
+// func zeroBlocksAVX2(x []float32) int
+// The count of leading coefficients in whole 8-blocks of ±0: VPTEST
+// against the magnitude mask sets ZF exactly when a block has no bit
+// outside the sign bits.
+TEXT ·zeroBlocksAVX2(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	ANDQ $~7, CX
+	SHLQ $2, CX
+	MOVL $0x7fffffff, AX
+	MOVQ AX, X8
+	VPBROADCASTD X8, Y8
+	XORQ AX, AX
+	JMP  zblk_test
+
+zblk_loop:
+	VPTEST (SI)(AX*1), Y8
+	JNZ  zblk_done
+	ADDQ $32, AX
+
+zblk_test:
+	CMPQ AX, CX
+	JLT  zblk_loop
+
+zblk_done:
+	SHRQ $2, AX
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func runsAVX2(x, s, vals []float32, spans []Span, base uint32) (nv, ns int)
+// Registers: SI x, R8 s, DI vals, R10 next span, AX element index, R11
+// values written, BX run-open flag, CX end of the whole blocks, DX n,
+// Y7 zero.
+TEXT ·runsAVX2(SB), NOSPLIT, $0-120
+
+// Open a run at element index AX + base (R9 scratch) unless one is open
+// (BX = 1), then count one more coefficient into it. R10 points one past
+// the last span written; a span is (u32 start, u32 len).
+#define OPEN_OR_EXTEND(ext, n) \
+	TESTQ BX, BX; \
+	JNZ  ext; \
+	MOVL base+96(FP), R9; \
+	ADDL AX, R9; \
+	MOVL R9, (R10); \
+	MOVL $0, 4(R10); \
+	ADDQ $8, R10; \
+	MOVQ $1, BX; \
+ext: \
+	ADDL n, -4(R10)
+
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), DX
+	MOVQ s_base+24(FP), R8
+	MOVQ vals_base+48(FP), DI
+	MOVQ spans_base+72(FP), R10
+	XORQ AX, AX
+	XORQ R11, R11
+	XORQ BX, BX
+	VPXOR Y7, Y7, Y7
+	MOVQ DX, CX
+	ANDQ $~7, CX
+	JMP  runs_test8
+
+runs_loop8:
+	VMOVUPS (SI)(AX*4), Y0
+	CMPQ s_len+32(FP), $0
+	JEQ  runs_nosub8
+	VSUBPS (R8)(AX*4), Y0, Y0
+
+runs_nosub8:
+	VMOVUPS Y0, (DI)(R11*4)
+	VPCMPEQD Y7, Y0, Y1
+	VMOVMSKPS Y1, R12
+	CMPQ R12, $0xff
+	JEQ  runs_zero8
+	TESTQ R12, R12
+	JNZ  runs_mixed8
+	OPEN_OR_EXTEND(runs_ext8, $8)
+	ADDQ $8, R11
+	ADDQ $8, AX
+	JMP  runs_test8
+
+runs_zero8:
+	XORQ BX, BX
+	ADDQ $8, AX
+	JMP  runs_test8
+
+	// Lane by lane: R12 is the +0 mask with a stop bit above lane 7, R13
+	// indexes the lane's value in the block just stored, which moves down
+	// to vals[R11] (never above R13, so no value is overwritten unread).
+runs_mixed8:
+	ORQ  $0x100, R12
+	MOVQ R11, R13
+
+runs_lane:
+	SHRQ $1, R12
+	JCS  runs_lanezero
+	OPEN_OR_EXTEND(runs_laneext, $1)
+	VMOVSS (DI)(R13*4), X2
+	VMOVSS X2, (DI)(R11*4)
+	INCQ R11
+	JMP  runs_lanenext
+
+runs_lanezero:
+	XORQ BX, BX
+
+runs_lanenext:
+	INCQ R13
+	INCQ AX
+	CMPQ R12, $1
+	JNE  runs_lane
+
+runs_test8:
+	CMPQ AX, CX
+	JLT  runs_loop8
+	JMP  runs_test1
+
+runs_loop1:
+	VMOVSS (SI)(AX*4), X0
+	CMPQ s_len+32(FP), $0
+	JEQ  runs_nosub1
+	VSUBSS (R8)(AX*4), X0, X0
+
+runs_nosub1:
+	VMOVD X0, R12
+	TESTL R12, R12
+	JZ   runs_zero1
+	OPEN_OR_EXTEND(runs_ext1, $1)
+	VMOVSS X0, (DI)(R11*4)
+	INCQ R11
+	JMP  runs_next1
+
+runs_zero1:
+	XORQ BX, BX
+
+runs_next1:
+	INCQ AX
+
+runs_test1:
+	CMPQ AX, DX
+	JLT  runs_loop1
+	MOVQ R11, nv+104(FP)
+	SUBQ spans_base+72(FP), R10
+	SHRQ $3, R10
+	MOVQ R10, ns+112(FP)
+	VZEROUPPER
+	RET

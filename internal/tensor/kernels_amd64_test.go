@@ -8,6 +8,7 @@ import (
 var avx2Kernels = kernelImpl{
 	axpy: axpyAddAVX2, axpy4: axpy4AddAVX2, axpy42: axpy4Add2AVX2,
 	add: vecAddAVX2, sub: vecSubAVX2, mul: vecMulAVX2, scale: vecScaleAVX2,
+	dilute: diluteAVX2, zeros: zeroBlocksAVX2, runs: runsAVX2,
 	transB: transBRows,
 }
 

@@ -19,6 +19,13 @@ func vecSub(o, a, b []float32)            { vecSubGo(o, a, b) }
 func vecMul(o, b []float32)               { vecMulGo(o, b) }
 func vecScale(alpha float32, o []float32) { vecScaleGo(alpha, o) }
 
+func dilute(a, b float32, w, r, snap []float32) { diluteGo(a, b, w, r, snap) }
+func zeroBlocks(x []float32) int                { return zeroBlocksGo(x) }
+
+func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {
+	return runsGo(x, s, vals, spans, base)
+}
+
 // vectorOpsPerUnit: the Go loops run at the scalar speed parallel.go's cost
 // unit is defined by.
 const vectorOpsPerUnit = 1

@@ -19,12 +19,16 @@ type kernelImpl struct {
 	sub    func(o, a, b []float32)
 	mul    func(o, b []float32)
 	scale  func(alpha float32, o []float32)
+	dilute func(a, b float32, w, r, snap []float32)
+	zeros  func(x []float32) int
+	runs   func(x, s, vals []float32, spans []Span, base uint32) (int, int)
 	transB func(out, a, b []float32, k, n, lo, hi int)
 }
 
 var goKernels = kernelImpl{
 	axpy: axpyAddGo, axpy4: axpy4AddGo, axpy42: axpy4Add2Go,
 	add: vecAddGo, sub: vecSubGo, mul: vecMulGo, scale: vecScaleGo,
+	dilute: diluteGo, zeros: zeroBlocksGo, runs: runsGo,
 	transB: transBRowsGo,
 }
 
@@ -54,6 +58,22 @@ var naiveKernels = kernelImpl{
 	sub:   vecSubGo,
 	mul:   vecMulGo,
 	scale: vecScaleGo,
+	dilute: func(a, b float32, w, r, snap []float32) {
+		vecScaleGo(a, w)
+		naiveAxpy(b, r, w)
+		copy(snap, w)
+	},
+	zeros: func(x []float32) int {
+		for i := 0; i+8 <= len(x); i += 8 {
+			for _, v := range x[i : i+8] {
+				if v != 0 {
+					return i
+				}
+			}
+		}
+		return len(x) &^ 7
+	},
+	runs: naiveRuns,
 	transB: func(out, a, b []float32, k, n, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
@@ -65,6 +85,58 @@ var naiveKernels = kernelImpl{
 			}
 		}
 	},
+}
+
+// naiveRuns forms the dense difference first, then scans it for runs.
+func naiveRuns(x, s, vals []float32, spans []Span, base uint32) (nv, ns int) {
+	d := append([]float32(nil), x...)
+	if len(s) > 0 {
+		vecSubGo(d, x, s)
+	}
+	for i := 0; i < len(d); {
+		if math.Float32bits(d[i]) == 0 {
+			i++
+			continue
+		}
+		start := i
+		for i < len(d) && math.Float32bits(d[i]) != 0 {
+			vals[nv] = d[i]
+			nv++
+			i++
+		}
+		spans[ns] = Span{Start: base + uint32(start), Len: uint32(i - start)}
+		ns++
+	}
+	return nv, ns
+}
+
+// plantZeros makes d = x − s exactly +0 (x = s) and −0 (x = −0, s = +0)
+// over random stretches — single coefficients up to several 8-blocks — so
+// the run kernels meet all-zero, all-non-zero and mixed blocks; with s
+// empty it plants ±0 in x itself.
+func plantZeros(r *rand.Rand, x, s []float32) {
+	for i := 0; i < len(x); {
+		n := 1 + r.Intn(20)
+		end := min(i+n, len(x))
+		switch r.Intn(3) {
+		case 0:
+			for j := i; j < end; j++ {
+				if len(s) > 0 {
+					x[j] = s[j]
+				} else {
+					x[j] = 0
+				}
+			}
+		case 1:
+			if r.Intn(4) == 0 {
+				x[i] = float32(math.Copysign(0, -1))
+				if len(s) > 0 {
+					s[i] = 0
+				}
+			}
+		}
+		i = end
+	}
 }
 
 // specials are the values rounding and skip decisions turn on.
@@ -151,6 +223,35 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 			})
 			run("vecMul", func(k kernelImpl, ox, _ []float32) { k.mul(ox, b[0]) })
 			run("vecScale", func(k kernelImpl, ox, _ []float32) { k.scale(c[0], ox) })
+			run("dilute", func(k kernelImpl, ox, oy []float32) { k.dilute(c[0], c[1], ox, b[0], oy) })
+
+			// Run extraction, with a snapshot to subtract and without.
+			for _, sub := range []bool{true, false} {
+				x, sn := specialSlice(r, n, off, 5), []float32(nil)
+				if sub {
+					sn = specialSlice(r, n, 7-off, 5)
+				}
+				plantZeros(r, x, sn)
+				gv, wv := make([]float32, n), make([]float32, n)
+				gs, ws := make([]Span, n/2+1), make([]Span, n/2+1)
+				gn, gns := got.runs(x, sn, gv, gs, 3)
+				wn, wns := want.runs(x, sn, wv, ws, 3)
+				if gn != wn || gns != wns {
+					t.Fatalf("runs n=%d off=%d sub=%v: %d values in %d runs, want %d in %d", n, off, sub, gn, gns, wn, wns)
+				}
+				if i, ok := sameBits(gv[:gn], wv[:wn]); !ok {
+					t.Fatalf("runs n=%d off=%d sub=%v: value %d = %v, want %v", n, off, sub, i, gv[i], wv[i])
+				}
+				for i := range ws[:wns] {
+					if gs[i] != ws[i] {
+						t.Fatalf("runs n=%d off=%d sub=%v: span %d = %v, want %v", n, off, sub, i, gs[i], ws[i])
+					}
+				}
+				plantZeros(r, x, nil)
+				if g, w := got.zeros(x), want.zeros(x); g != w {
+					t.Fatalf("zeroBlocks n=%d off=%d: %d, want %d", n, off, g, w)
+				}
+			}
 		}
 	}
 

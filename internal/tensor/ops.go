@@ -95,6 +95,18 @@ func (t *Tensor) AxpyInPlace(alpha float32, b *Tensor) *Tensor {
 	return t
 }
 
+// Dilute sets w = (1−alpha)·w + alpha·ref and snap = w in one pass, each
+// product rounded on its own and then summed — exactly
+// w.ScaleInPlace(1−alpha); w.AxpyInPlace(alpha, ref); snap.CopyFrom(w).
+func Dilute(alpha float32, w, ref, snap *Tensor) {
+	checkSameShape("Dilute", w, ref)
+	checkSameShape("Dilute", w, snap)
+	keep := 1 - alpha
+	parallelVec(len(w.data), func(lo, hi int) {
+		dilute(keep, alpha, w.data[lo:hi], ref.data[lo:hi], snap.data[lo:hi])
+	})
+}
+
 // ScaleInPlace multiplies every element by alpha and returns t.
 func (t *Tensor) ScaleInPlace(alpha float32) *Tensor {
 	parallelVec(len(t.data), func(lo, hi int) {

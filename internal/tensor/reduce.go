@@ -51,14 +51,27 @@ func (t *Tensor) Min() float32 {
 	return m
 }
 
-// L2Norm returns the Euclidean norm of the flattened tensor.
+// L2Norm returns the Euclidean norm of the flattened tensor, summed in
+// index order. Blocks of ±0 are skipped — exactly, because the running sum
+// is never −0 and adding +0 to it changes nothing — so a mostly untouched
+// gradient (an embedding's) costs a scan, not a float64 add chain.
 func (t *Tensor) L2Norm() float64 {
 	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
+	x := t.data
+	for i := 0; i < len(x); {
+		i += zeroBlocks(x[i:])
+		end := min(i+l2Block, len(x))
+		for _, v := range x[i:end] {
+			s += float64(v) * float64(v)
+		}
+		i = end
 	}
 	return math.Sqrt(s)
 }
+
+// l2Block is how many coefficients L2Norm sums between zero scans: a few
+// embedding rows, so a touched row costs little more than itself.
+const l2Block = 64
 
 // Dot returns the inner product of two tensors of equal size.
 func Dot(a, b *Tensor) float64 {
