@@ -27,6 +27,8 @@ package avgpipe
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 
 	"avgpipe/internal/cluster"
@@ -210,8 +212,9 @@ type StallError = core.StallError
 // asynchronous update queues), usable directly with custom training loops.
 type Averager = core.Averager
 
-// NewAverager builds the framework around an initial parameter set.
-func NewAverager(n int, init []*Param) *Averager { return core.NewAverager(n, init) }
+// NewAverager builds the framework around an initial parameter set,
+// recording metrics into the default registry.
+func NewAverager(n int, init []*Param) *Averager { return core.NewAveragerObs(n, init, nil) }
 
 // Pipeline executes one partitioned model with goroutine stage workers,
 // each interpreting its per-GPU op sequence from a Schedule.
@@ -231,12 +234,6 @@ const (
 	PartitionCostAware   = core.PartitionCostAware
 )
 
-// NewPipeline partitions a model into k pipeline stages running the AFP
-// schedule with the given advance (nil = 1F1B).
-func NewPipeline(model *Sequential, k int, advance []int) *Pipeline {
-	return core.NewPipeline(model, k, advance)
-}
-
 // NewPipelineWith builds a pipeline with full control over schedule
 // plan, partitioning, and tracing. A malformed config is an error, not
 // a panic.
@@ -247,7 +244,7 @@ func NewPipelineWith(model *Sequential, cfg PipelineConfig) (*Pipeline, error) {
 // NewPipelineFromSchedule builds a pipeline that executes one explicit
 // schedule verbatim — the same Schedule value the simulator accepts.
 // The schedule's GPU count fixes the stage count and its micro count
-// fixes the only legal RunBatch micro parameter.
+// fixes the only micro count RunBatchContext accepts.
 func NewPipelineFromSchedule(model *Sequential, s *Schedule) (*Pipeline, error) {
 	return core.NewPipelineFromSchedule(model, s)
 }
@@ -261,9 +258,10 @@ func NewPipelineFromSchedule(model *Sequential, s *Schedule) (*Pipeline, error) 
 // copies stay bit-identical without a coordinator.
 type DistConfig = core.DistConfig
 
-// Mesh is the coordinator-free full mesh of one replica: a dedicated
-// connection to and from every peer (see internal/net for the wire
-// protocol and the transport cancellation contract).
+// Mesh is one replica's coordinator-free averaging fabric, formed by
+// DialMesh: a dedicated connection to and from every topology neighbour
+// (see internal/net for the wire protocol and the transport
+// cancellation contract).
 type Mesh = netx.Mesh
 
 // Replica names one process of a multi-process job: its pipeline index
@@ -273,25 +271,6 @@ type Replica = cluster.Replica
 // ParseReplicaPeers parses the -peers flag syntax,
 // "1=host:port,2=host:port", into an id → address map.
 var ParseReplicaPeers = cluster.ParsePeers
-
-// DialTCPMesh forms the TCP full mesh for replica self of an N-replica
-// job: it listens on listenAddr, dials every peer in peers (id →
-// address, the other N−1 replicas) with retry until ctx expires, and
-// verifies the job geometry. Peer processes may start in any order.
-// After forming, it measures every peer's clock offset (round-trip
-// midpoint) so distributed traces can be aligned onto one timeline.
-// Metrics go to reg (nil = the default registry).
-func DialTCPMesh(ctx context.Context, self int, listenAddr string, peers map[int]string, reg *MetricsRegistry) (*Mesh, error) {
-	m, err := netx.FormMesh(ctx, netx.NewTCP(reg), self, listenAddr, peers)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.SyncClocks(ctx); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
-}
 
 // Topology shapes the averaging fabric behind the transport seam: which
 // replica pairs hold connections and how update frames are relayed so
@@ -337,80 +316,79 @@ const (
 // "q16", "topk").
 var UpdateCodecByName = netx.CodecByName
 
-// DialTCPTopology forms the TCP averaging fabric for replica self of an
-// N-replica job under an arbitrary topology, like DialTCPMesh but
-// dialing only the topology's neighbor set. Non-mesh topologies append
-// a group hello to the handshake so every link cross-checks topology
-// name, group size, and job size before training starts.
-func DialTCPTopology(ctx context.Context, topo Topology, self int, listenAddr string, peers map[int]string, reg *MetricsRegistry) (*Mesh, error) {
-	m, err := netx.FormTopology(ctx, netx.NewTCP(reg), topo, self, listenAddr, peers)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.SyncClocks(ctx); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
+// MeshConfig places this process in a multi-process job for DialMesh.
+// Its fields are the whole choice of how a replica joins the fabric.
+type MeshConfig struct {
+	// Self is this process's replica id; Listen is the TCP address its
+	// transport listens on; Peers maps every other replica's id to its
+	// address (the job has len(Peers)+1 replicas).
+	Self   int
+	Listen string
+	Peers  map[int]string
+	// Topology shapes the fabric (nil = FullMesh).
+	Topology Topology
+	// Registry receives the transport's metrics and, with SelfHeal, its
+	// connection health events (nil = DefaultMetrics()).
+	Registry *MetricsRegistry
+	// SelfHeal arms self-healing after formation: broken connections
+	// re-dial in the background under bumped session epochs, and the
+	// formation listener keeps admitting reconnecting (or fully
+	// restarted) peers. Full mesh only.
+	SelfHeal bool
+	// Rejoin re-forms the fabric of a restarted replica whose peers are
+	// mid-training. It skips the formation-time clock sync: the peers'
+	// averaging loops are already streaming updates, so a quiescent
+	// ping/pong exchange is impossible; Trainer.RejoinMesh re-measures
+	// the offsets once the averager is attached. Requires SelfHeal.
+	Rejoin bool
 }
 
-// SelfHealConfig configures Mesh.EnableSelfHeal: reconnecting
-// connections with exponential backoff + jitter and session epochs, so
-// a transient network fault no longer permanently poisons a peer link.
-type SelfHealConfig = netx.SelfHealConfig
-
-// Backoff is the shared exponential-backoff-with-jitter retry pacer the
-// transports and the self-healing connections use.
-type Backoff = netx.Backoff
-
-// DialSelfHealingTCPMesh forms the TCP mesh like DialTCPMesh and then
-// arms self-healing on it: broken connections re-dial in the background
-// under bumped session epochs, and the formation listener keeps
-// admitting reconnecting (or fully restarted) peers. Connection
-// lifecycle health events go to reg's event log.
-func DialSelfHealingTCPMesh(ctx context.Context, self int, listenAddr string, peers map[int]string, reg *MetricsRegistry) (*Mesh, error) {
+// DialMesh forms the TCP averaging fabric of replica cfg.Self: it
+// listens on cfg.Listen, dials the topology's neighbours in cfg.Peers
+// with retry until ctx expires, and verifies the job geometry (sparse
+// topologies also cross-check a group hello). Peer processes may start
+// in any order. Unless cfg.Rejoin, it then measures every neighbour's
+// clock offset (round-trip midpoint) so distributed traces can be
+// aligned onto one timeline; with cfg.SelfHeal it finally arms
+// self-healing. SelfHeal off the full mesh, and Rejoin without
+// SelfHeal, are errors.
+func DialMesh(ctx context.Context, cfg MeshConfig) (*Mesh, error) {
+	topo := cfg.Topology
+	if topo == nil {
+		topo = FullMesh{}
+	}
+	if cfg.SelfHeal && topo.Name() != "mesh" {
+		return nil, fmt.Errorf("avgpipe: self-heal re-dials the full mesh only, not topology %s", topo.Name())
+	}
+	if cfg.Rejoin && !cfg.SelfHeal {
+		return nil, errors.New("avgpipe: rejoin needs self-heal")
+	}
+	reg := cfg.Registry
 	if reg == nil {
 		reg = DefaultMetrics()
 	}
 	tp := netx.NewTCP(reg)
-	m, err := netx.FormMesh(ctx, tp, self, listenAddr, peers)
+	ln, err := tp.Listen(cfg.Listen)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.SyncClocks(ctx); err != nil {
-		m.Close()
-		return nil, err
-	}
-	if err := m.EnableSelfHeal(netx.SelfHealConfig{
-		Transport: tp, Peers: peers, Events: reg.Events(),
-	}); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
-}
-
-// DialRejoiningTCPMesh re-forms the mesh of a restarted replica whose
-// peers are mid-training, arming self-healing like
-// DialSelfHealingTCPMesh but skipping the symmetric formation-time
-// clock sync: the peers' averaging loops are already streaming updates,
-// so a quiescent ping/pong exchange is impossible. Clock offsets are
-// re-measured per peer by Trainer.RejoinMesh once the averager is
-// attached and answering pings.
-func DialRejoiningTCPMesh(ctx context.Context, self int, listenAddr string, peers map[int]string, reg *MetricsRegistry) (*Mesh, error) {
-	if reg == nil {
-		reg = DefaultMetrics()
-	}
-	tp := netx.NewTCP(reg)
-	m, err := netx.FormMesh(ctx, tp, self, listenAddr, peers)
+	m, err := netx.FormTopologyOn(ctx, tp, ln, topo, cfg.Self, cfg.Peers)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.EnableSelfHeal(netx.SelfHealConfig{
-		Transport: tp, Peers: peers, Events: reg.Events(),
-	}); err != nil {
-		m.Close()
-		return nil, err
+	if !cfg.Rejoin {
+		if err := m.SyncClocks(ctx); err != nil {
+			m.Close()
+			return nil, err
+		}
+	}
+	if cfg.SelfHeal {
+		if err := m.EnableSelfHeal(netx.SelfHealConfig{
+			Transport: tp, Peers: cfg.Peers, Events: reg.Events(),
+		}); err != nil {
+			m.Close()
+			return nil, err
+		}
 	}
 	return m, nil
 }
@@ -501,15 +479,9 @@ type (
 	ScheduleAnalysis = sched.Analysis
 )
 
-// Plan constructors and the name-based lookup used by the CLI.
-var (
-	AFABPlan     = sched.AFABPlan
-	GPipePlan    = sched.GPipePlan
-	OneFOneBPlan = sched.OneFOneBPlan
-	DapplePlan   = sched.DapplePlan
-	AFPPlan      = sched.AFPPlan
-	PlanByName   = sched.PlanByName
-)
+// PlanByName resolves a -schedule flag value ("afab", "gpipe", "1f1b",
+// "dapple", "afp"; advance feeds AFP) to its plan.
+var PlanByName = sched.PlanByName
 
 // AnalyzeSchedule statically checks a schedule (dependency deadlocks,
 // malformed op lists) and computes its per-stage occupancy: Fwd/Bwd op

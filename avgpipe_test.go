@@ -1,8 +1,16 @@
 package avgpipe
 
 import (
+	"context"
+	"errors"
+	gonet "net"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	netx "avgpipe/internal/net"
 )
 
 // TestPublicAPITrainQuickstart exercises the training path end to end
@@ -192,9 +200,13 @@ func TestPublicAPIElasticAverager(t *testing.T) {
 		for p, r := range replicas {
 			// Fake a local update.
 			r.Params()[0].W.Data()[0] += float32(p + 1)
-			avg.Submit(p, round, r.Params())
+			if err := avg.SubmitContext(context.Background(), p, round, r.Params()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		avg.Drain()
+		if err := avg.DrainContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		for p, r := range replicas {
 			avg.Dilute(p, r.Params())
 		}
@@ -202,5 +214,115 @@ func TestPublicAPIElasticAverager(t *testing.T) {
 	ref := avg.Reference()
 	if len(ref) != 2 {
 		t.Fatal("reference parameter count")
+	}
+}
+
+// dialPair forms both replicas of a 2-replica loopback job concurrently
+// through DialMesh; cfg supplies everything but identity and addresses.
+// The two ports are reserved by binding and releasing them, leaving the
+// usual local-only reuse race before DialMesh binds them again.
+func dialPair(t *testing.T, cfg MeshConfig) (meshes [2]*Mesh, addrs [2]string) {
+	t.Helper()
+	var lns [2]gonet.Listener
+	for i := range lns {
+		ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	lns[0].Close()
+	lns[1].Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var errs [2]error
+	var wg sync.WaitGroup
+	for p := range meshes {
+		c := cfg
+		c.Self, c.Listen, c.Peers = p, addrs[p], map[int]string{1 - p: addrs[1-p]}
+		c.Registry = NewMetricsRegistry()
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			meshes[p], errs[p] = DialMesh(ctx, c)
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("replica %d: %v", p, err)
+		}
+		t.Cleanup(meshes[p].Close)
+	}
+	return meshes, addrs
+}
+
+// TestDialMesh forms 2-replica loopback jobs through the one facade
+// dialer — plain on a ring, self-healing on the full mesh, and a
+// restarted replica re-entering with Rejoin — and checks the two
+// configurations it refuses.
+func TestDialMesh(t *testing.T) {
+	ring, _ := dialPair(t, MeshConfig{Topology: RingTopology{}})
+	for p, m := range ring {
+		if _, ok := m.ClockOffset(1 - p); m.Topology().Name() != "ring" || !ok {
+			t.Errorf("replica %d formed %s, clock synced %v; want ring, synced", p, m.Topology().Name(), ok)
+		}
+	}
+
+	// Replica 1 of a self-healing job dies and restarts with Rejoin. Its
+	// formation can only finish if the survivor re-dials it and admits
+	// its fresh session — both self-heal behaviours. The survivor's sends
+	// are what notice the dead link.
+	healing, addrs := dialPair(t, MeshConfig{SelfHeal: true})
+	healing[1].Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var rejoined *Mesh
+	done := make(chan error, 1)
+	go func() {
+		for {
+			m, err := DialMesh(ctx, MeshConfig{
+				Self: 1, Listen: addrs[1], Peers: map[int]string{0: addrs[0]},
+				Registry: NewMetricsRegistry(), SelfHeal: true, Rejoin: true,
+			})
+			// A new bind of the dead replica's port can briefly fail
+			// while the survivor is redialling it; retry until it binds.
+			if !errors.Is(err, syscall.EADDRINUSE) || ctx.Err() != nil {
+				rejoined = m
+				done <- err
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	for formed := false; !formed; {
+		_ = healing[0].Send(ctx, 1, netx.ClockPingFrame(0, 0))
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("restarted replica: %v", err)
+			}
+			formed = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	defer rejoined.Close()
+	// Rejoin skips the formation-time sync: the peers of a real rejoin
+	// are mid-training and cannot answer a quiescent ping.
+	if offs := rejoined.ClockOffsets(); len(offs) != 0 {
+		t.Errorf("rejoining replica measured clock offsets %v at formation", offs)
+	}
+
+	for _, tc := range []struct {
+		cfg  MeshConfig
+		want string
+	}{
+		{MeshConfig{Topology: RingTopology{}, SelfHeal: true}, "self-heal re-dials the full mesh only"},
+		{MeshConfig{Rejoin: true}, "rejoin needs self-heal"},
+	} {
+		tc.cfg.Listen, tc.cfg.Peers = "127.0.0.1:0", map[int]string{1: "127.0.0.1:1"}
+		if m, err := DialMesh(ctx, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: got mesh %v, error %v; want an error containing %q", tc.cfg, m, err, tc.want)
+		}
 	}
 }

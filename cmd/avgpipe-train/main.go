@@ -193,10 +193,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if (*healFlag || *rejoinFlag) && topo.Name() != "mesh" {
-		log.Fatal("-heal/-rejoin currently re-dial the full mesh; use -topology mesh with them")
-	}
-
 	var dist *avgpipe.DistConfig
 	if *replicaID >= 0 {
 		if *listenAddr == "" {
@@ -210,17 +206,10 @@ func main() {
 			log.Fatalf("-pipelines says %d replicas, but %d peers + self = %d", *pipelines, len(peers), len(peers)+1)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *meshTimeout)
-		var mesh *avgpipe.Mesh
-		switch {
-		case *rejoinFlag:
-			// The peers are mid-training: skip the quiescent formation-time
-			// clock sync; RejoinMesh re-measures offsets once attached.
-			mesh, err = avgpipe.DialRejoiningTCPMesh(ctx, *replicaID, *listenAddr, peers, reg)
-		case *healFlag:
-			mesh, err = avgpipe.DialSelfHealingTCPMesh(ctx, *replicaID, *listenAddr, peers, reg)
-		default:
-			mesh, err = avgpipe.DialTCPTopology(ctx, topo, *replicaID, *listenAddr, peers, reg)
-		}
+		mesh, err := avgpipe.DialMesh(ctx, avgpipe.MeshConfig{
+			Self: *replicaID, Listen: *listenAddr, Peers: peers, Topology: topo,
+			Registry: reg, SelfHeal: *healFlag, Rejoin: *rejoinFlag,
+		})
 		cancel()
 		if err != nil {
 			log.Fatalf("mesh: %v", err)
@@ -230,7 +219,7 @@ func main() {
 	} else if topo.Name() != "mesh" {
 		log.Fatal("-topology needs multi-process mode (-replica-id/-listen); single-process averaging is in-memory")
 	}
-	if *rejoinFlag && (dist == nil || !*healFlag) {
+	if *rejoinFlag && dist == nil {
 		log.Fatal("-rejoin needs multi-process mode (-replica-id/-listen) with -heal")
 	}
 

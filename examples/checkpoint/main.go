@@ -29,10 +29,9 @@ func main() {
 	loss1, acc1 := first.Eval()
 	fmt.Printf("  at checkpoint: loss=%.3f acc=%.1f%%\n", loss1, 100*acc1)
 
-	// Eval() wrote the reference weights into an evaluation model; save a
-	// model that carries exactly those weights.
+	// Eval() drained the averager and wrote the reference weights into an
+	// evaluation model; save a model that carries exactly those weights.
 	snapshot := task.NewModel(1)
-	first.Averager().Drain()
 	first.Averager().WriteReference(snapshot.Params())
 	var checkpoint bytes.Buffer
 	if err := avgpipe.SaveParams(&checkpoint, snapshot.Params()); err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"avgpipe"
@@ -77,7 +78,10 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		loss := pl.RunBatch(batch, rm)
+		loss, err := pl.RunBatchContext(context.Background(), batch, rm)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-14s  %6.3f   ", s.Name, loss)
 		for st, met := range pl.Metrics() {
 			fmt.Printf("s%d:%dF/%dB ", st, met.Fwd, met.Bwd)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -118,7 +119,7 @@ func readCheckpointMeta(dir string) (*checkpointMeta, error) {
 // the same round; checkpoint at a round boundary (after WaitRound has
 // closed the round on every process) so the N reference copies agree.
 func (t *Trainer) SaveCheckpoint(dir string) error {
-	t.avg.Drain()
+	_ = t.avg.DrainContext(context.Background())
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"avgpipe/internal/data"
@@ -123,7 +125,7 @@ func TestPipelineMatchesInterpreterOracle(t *testing.T) {
 					for round := 0; round < 3; round++ {
 						batch := gen.NextBatch(task.BatchSize)
 						want := interpretBatch(ref, batch, m)
-						got := pl.RunBatch(batch, m)
+						got := runBatch(t, pl, batch, m)
 						requireSameBits(t, fmt.Sprintf("round %d", round), got, want, pl.Params(), ref.Params())
 						refOpt.Step(ref.Params())
 						pipOpt.Step(pl.Params())
@@ -141,7 +143,9 @@ func TestPipelineMatchesInterpreterOracle(t *testing.T) {
 // NewPipelineFromSchedule keeps its combined Bwd ops (both backward
 // halves inline) while NewPipelineWith splits the same plan, and the
 // two must still agree bitwise on loss and gradients, each reporting
-// exactly the stash high-water mark of the schedule it ran.
+// exactly the stash high-water mark of the schedule it ran. The
+// explicit pipeline then refuses a micro count its schedule does not
+// cover with an error.
 func TestExplicitScheduleMatchesPlanPipeline(t *testing.T) {
 	task := workload.TranslationTask()
 	const k, m = 2, 4
@@ -157,14 +161,20 @@ func TestExplicitScheduleMatchesPlanPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixedLoss := fixed.RunBatch(batch, m)
-	plannedLoss := planned.RunBatch(batch, m)
+	fixedLoss := runBatch(t, fixed, batch, m)
+	plannedLoss := runBatch(t, planned, batch, m)
 	requireSameBits(t, "explicit vs plan-built", fixedLoss, plannedLoss, fixed.Params(), planned.Params())
 
 	requireOccupancy(t, fixed, m)
 	requireOccupancy(t, planned, m)
 	if s, _ := fixed.ScheduleFor(m); s != unsplit {
 		t.Fatal("NewPipelineFromSchedule did not run the schedule it was given")
+	}
+	// A micro count the schedule does not cover is the caller's mistake:
+	// an error before any stage runs, not a panic.
+	_, err = fixed.RunBatchContext(context.Background(), batch, 2)
+	if want := `schedule "1F1B" covering 4 micro-batches, RunBatch got 2`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunBatchContext with 2 micro-batches: got %v, want an error containing %q", err, want)
 	}
 }
 
@@ -181,7 +191,7 @@ func TestPipelineOccupancy(t *testing.T) {
 	}
 	const m = 4
 	batch := task.NewGen(11).NextBatch(8)
-	pl.RunBatch(batch, m)
+	runBatch(t, pl, batch, m)
 
 	s, _ := pl.ScheduleFor(m)
 	for _, ops := range s.PerGPU {

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+	"time"
 
 	"avgpipe/internal/autograd"
 	"avgpipe/internal/cluster"
 	"avgpipe/internal/comm"
+	"avgpipe/internal/data"
 	"avgpipe/internal/device"
 	"avgpipe/internal/nn"
 	"avgpipe/internal/optim"
@@ -82,6 +85,46 @@ func TestPartitionModelLayers(t *testing.T) {
 
 // --- elastic averager ---
 
+// submit is SubmitContext for tests, failing the test on error.
+func submit(t testing.TB, a *Averager, p, round int, ps []*nn.Param) {
+	t.Helper()
+	if err := a.SubmitContext(context.Background(), p, round, ps); err != nil {
+		t.Fatalf("submit pipeline %d round %d: %v", p, round, err)
+	}
+}
+
+// drain waits for every submitted update to apply; a wait past a
+// generous bound fails the test instead of hanging it.
+func drain(t testing.TB, a *Averager) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := a.DrainContext(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// newTestPipeline builds an equal-layer AFP pipeline (nil advance =
+// 1F1B), failing the test on a malformed config.
+func newTestPipeline(t testing.TB, model *nn.Sequential, k int, advance []int) *Pipeline {
+	t.Helper()
+	pl, err := NewPipelineWith(model, PipelineConfig{Stages: k, Advance: advance})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// runBatch is RunBatchContext for tests, failing the test on error.
+func runBatch(t testing.TB, pl *Pipeline, b *data.Batch, micro int) float64 {
+	t.Helper()
+	loss, err := pl.RunBatchContext(context.Background(), b, micro)
+	if err != nil {
+		t.Fatalf("run batch: %v", err)
+	}
+	return loss
+}
+
 func paramsOf(vals ...float32) []*nn.Param {
 	ps := make([]*nn.Param, len(vals))
 	for i, v := range vals {
@@ -92,13 +135,15 @@ func paramsOf(vals ...float32) []*nn.Param {
 
 func TestAveragerSingleRound(t *testing.T) {
 	init := paramsOf(1)
-	a := NewAverager(2, init)
+	a := NewAveragerObs(2, init, nil)
 	defer a.Close()
 	// Two replicas start at 1, take local updates +1 and +3.
 	r0, r1 := paramsOf(2), paramsOf(4)
-	a.AfterStep(0, 0, r0)
-	a.AfterStep(1, 0, r1)
-	a.Drain()
+	submit(t, a, 0, 0, r0)
+	a.Dilute(0, r0)
+	submit(t, a, 1, 0, r1)
+	a.Dilute(1, r1)
+	drain(t, a)
 	// Reference: 1 + mean(1, 3) = 3.
 	ref := a.Reference()
 	if got := ref[0].At(0); got != 3 {
@@ -113,7 +158,7 @@ func TestAveragerSingleRound(t *testing.T) {
 }
 
 func TestAveragerAlphaDefault(t *testing.T) {
-	a := NewAverager(4, paramsOf(0))
+	a := NewAveragerObs(4, paramsOf(0), nil)
 	defer a.Close()
 	if a.Alpha != 0.25 {
 		t.Fatalf("alpha = %v, want 1/N", a.Alpha)
@@ -124,15 +169,17 @@ func TestAveragerPullPreventsDivergence(t *testing.T) {
 	// Two replicas repeatedly pushed apart by opposite updates must stay
 	// bounded thanks to the elastic pull (§3.1, Fig. 5).
 	init := paramsOf(0)
-	a := NewAverager(2, init)
+	a := NewAveragerObs(2, init, nil)
 	defer a.Close()
 	r0, r1 := paramsOf(0), paramsOf(0)
 	for round := 0; round < 200; round++ {
 		r0[0].W.AddInPlace(tensor.Full(1, 2))  // diverging update +1
 		r1[0].W.AddInPlace(tensor.Full(-1, 2)) // diverging update −1
-		a.AfterStep(0, round, r0)
-		a.AfterStep(1, round, r1)
-		a.Drain()
+		submit(t, a, 0, round, r0)
+		a.Dilute(0, r0)
+		submit(t, a, 1, round, r1)
+		a.Dilute(1, r1)
+		drain(t, a)
 	}
 	gap := float64(r0[0].W.At(0) - r1[0].W.At(0))
 	// Without the pull the gap would be 400; with α=1/2 it stays O(1/α).
@@ -145,15 +192,16 @@ func TestAveragerConservation(t *testing.T) {
 	// When all replicas receive identical updates, the reference must
 	// track them exactly and dilution must be a no-op in the limit.
 	init := paramsOf(5)
-	a := NewAverager(3, init)
+	a := NewAveragerObs(3, init, nil)
 	defer a.Close()
 	reps := [][]*nn.Param{paramsOf(5), paramsOf(5), paramsOf(5)}
 	for round := 0; round < 10; round++ {
 		for p, r := range reps {
 			r[0].W.AddInPlace(tensor.Full(1, 2))
-			a.AfterStep(p, round, r)
+			submit(t, a, p, round, r)
+			a.Dilute(p, r)
 		}
-		a.Drain()
+		drain(t, a)
 	}
 	ref := a.Reference()
 	if got := float64(ref[0].At(0)); math.Abs(got-15) > 1e-3 {
@@ -176,21 +224,22 @@ func TestAveragerConservation(t *testing.T) {
 func TestAveragerSendsNeverBlock(t *testing.T) {
 	// One pipeline can run many rounds ahead without any other pipeline
 	// reporting — the queues are asynchronous (§3.2 step ❸).
-	a := NewAverager(2, paramsOf(0))
+	a := NewAveragerObs(2, paramsOf(0), nil)
 	defer a.Close()
 	r0 := paramsOf(0)
 	for round := 0; round < 50; round++ {
 		r0[0].W.AddInPlace(tensor.Full(1, 2))
-		a.AfterStep(0, round, r0) // must not block
+		submit(t, a, 0, round, r0) // must not block
+		a.Dilute(0, r0)
 	}
-	a.Drain()
+	drain(t, a)
 	if a.PendingRounds() != 50 {
 		t.Fatalf("expected 50 straggler rounds, got %d", a.PendingRounds())
 	}
 }
 
 func TestAveragerSetReference(t *testing.T) {
-	a := NewAverager(2, paramsOf(0))
+	a := NewAveragerObs(2, paramsOf(0), nil)
 	defer a.Close()
 	restored := paramsOf(7)
 	a.SetReference(restored)
@@ -202,9 +251,9 @@ func TestAveragerSetReference(t *testing.T) {
 	// a replica stepping from 7 to 8 contributes delta 1, not 8.
 	reps := [][]*nn.Param{paramsOf(8), paramsOf(8)}
 	for p, r := range reps {
-		a.Submit(p, 0, r)
+		submit(t, a, p, 0, r)
 	}
-	a.Drain()
+	drain(t, a)
 	if got := a.Reference()[0].At(0); got != 8 {
 		t.Fatalf("reference after round = %v, want 8", got)
 	}
@@ -224,8 +273,8 @@ func TestPipelineMatchesSequentialExecution(t *testing.T) {
 
 	seqLoss := workload.TrainStep(seq, batch)
 
-	pl := NewPipeline(pip, 2, nil)
-	pipLoss := pl.RunBatch(batch, 4)
+	pl := newTestPipeline(t, pip, 2, nil)
+	pipLoss := runBatch(t, pl, batch, 4)
 
 	if math.Abs(seqLoss-pipLoss) > 1e-4 {
 		t.Fatalf("loss mismatch: sequential %v vs pipelined %v", seqLoss, pipLoss)
@@ -246,8 +295,8 @@ func TestPipelineAdvanceDoesNotChangeResults(t *testing.T) {
 	batch := gen.NextBatch(8)
 	grads := func(advance []int) []*tensor.Tensor {
 		m := task.NewModel(3)
-		pl := NewPipeline(m, 2, advance)
-		pl.RunBatch(batch, 4)
+		pl := newTestPipeline(t, m, 2, advance)
+		runBatch(t, pl, batch, 4)
 		out := make([]*tensor.Tensor, len(pl.Params()))
 		for i, p := range pl.Params() {
 			out[i] = p.G.Clone()
@@ -271,8 +320,8 @@ func TestPipelineMetricsAndStashBound(t *testing.T) {
 	batch := gen.NextBatch(16)
 	const k, m = 2, 8
 	for _, advance := range [][]int{nil, {3, 0}} {
-		pl := NewPipeline(task.NewModel(4), k, advance)
-		pl.RunBatch(batch, m)
+		pl := newTestPipeline(t, task.NewModel(4), k, advance)
+		runBatch(t, pl, batch, m)
 		mets := pl.Metrics()
 		if len(mets) != k {
 			t.Fatalf("metrics for %d stages", len(mets))
@@ -299,8 +348,8 @@ func TestPipelineMetricsAndStashBound(t *testing.T) {
 	}
 	// With a larger allowance the first stage must actually run ahead
 	// further than plain 1F1B's bound.
-	pl := NewPipeline(task.NewModel(4), k, []int{6, 0})
-	pl.RunBatch(batch, m)
+	pl := newTestPipeline(t, task.NewModel(4), k, []int{6, 0})
+	runBatch(t, pl, batch, m)
 	if got := pl.Metrics()[0].PeakInFlight; got <= k {
 		t.Logf("note: advance allowance unused this run (peak %d); timing-dependent", got)
 	}
@@ -309,7 +358,7 @@ func TestPipelineMetricsAndStashBound(t *testing.T) {
 func TestPipelineStageCount(t *testing.T) {
 	task := workload.ClassificationTask()
 	m := task.NewModel(1)
-	pl := NewPipeline(m, 3, nil)
+	pl := newTestPipeline(t, m, 3, nil)
 	if len(pl.Stages) != 3 {
 		t.Fatalf("stages %d", len(pl.Stages))
 	}
@@ -358,7 +407,7 @@ func TestTrainerReplicasStayCoupled(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Step()
 	}
-	tr.Averager().Drain()
+	drain(t, tr.Averager())
 	ref := tr.Averager().Reference()
 	// Each replica's distance to the reference stays far below the
 	// reference norm (the elastic pull keeps them in a neighbourhood).
@@ -376,6 +425,26 @@ func TestTrainerReplicasStayCoupled(t *testing.T) {
 		d = math.Sqrt(d)
 		if d > 0.5*refNorm {
 			t.Fatalf("replica %d drifted: %v vs ref norm %v", p, d, refNorm)
+		}
+	}
+}
+
+// TestStepContextAfterCloseReturnsError: a closed trainer's averager
+// refuses updates, and StepContext — the error-returning step — must
+// report that from its pipeline goroutines in both dilution modes
+// rather than panic the process.
+func TestStepContextAfterCloseReturnsError(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		tr, err := NewTrainer(TrainerConfig{
+			Task: workload.TranslationTask(), Pipelines: 2, Micro: 2, StageCount: 2,
+			Seed: 1, AsyncDilute: async,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Close()
+		if _, err := tr.StepContext(context.Background()); err == nil {
+			t.Errorf("async=%v: StepContext after Close returned no error", async)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestCrossValidationRuntimeSimAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		pl.RunBatch(batch, m)
+		runBatch(t, pl, batch, m)
 		for st, met := range pl.Metrics() {
 			if met.Fwd != an.Fwd[st] || met.Bwd != an.Bwd[st] {
 				t.Errorf("%s runtime stage %d: %dF %dB, analysis %dF %dB",
@@ -137,7 +137,7 @@ func TestCrossValidationSplitBackward(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Name, err)
 		}
-		pl.RunBatch(batch, m)
+		runBatch(t, pl, batch, m)
 		for st, met := range pl.Metrics() {
 			if met.Fwd != an.Fwd[st] || met.Bwd != an.Bwd[st] || met.BwdW != an.BwdW[st] {
 				t.Errorf("%s runtime stage %d: %dF %dBi %dBw, analysis %dF %dBi %dBw",
@@ -188,7 +188,7 @@ func TestScheduleInterpreterMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		pipLoss := pl.RunBatch(batch, m)
+		pipLoss := runBatch(t, pl, batch, m)
 		if math.Abs(seqLoss-pipLoss) > 1e-4 {
 			t.Fatalf("%s: loss %v vs sequential %v", s.Name, pipLoss, seqLoss)
 		}
@@ -233,7 +233,7 @@ func TestPipelineTraceMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.RunBatch(batch, m)
+	runBatch(t, pl, batch, m)
 	schedule, an := pl.ScheduleFor(m)
 	for s, met := range pl.Metrics() {
 		if len(met.Ops) != len(schedule.PerGPU[s]) {
@@ -265,8 +265,8 @@ func TestPipelineTraceMatchesSchedule(t *testing.T) {
 		t.Fatalf("trace has %d events, want %d", len(doc.TraceEvents), want)
 	}
 	// Untraced runs record no per-op events.
-	pl2 := NewPipeline(task.NewModel(2), k, nil)
-	pl2.RunBatch(batch, m)
+	pl2 := newTestPipeline(t, task.NewModel(2), k, nil)
+	runBatch(t, pl2, batch, m)
 	if n := len(pl2.Metrics()[0].Ops); n != 0 {
 		t.Fatalf("untraced run recorded %d op events", n)
 	}

@@ -18,48 +18,33 @@ import (
 	"avgpipe/internal/workload"
 )
 
-// formTestMeshes assembles an n-replica TCP full mesh over loopback
-// inside one test process: every "replica" gets its own transport,
-// listener, and mesh, exactly as n OS processes would.
-func formTestMeshes(t *testing.T, n int) []*netx.Mesh {
+// formTestMeshes forms an n-replica job inside one test process under
+// topo: every "replica" gets its own listener and mesh, exactly as n OS
+// processes would. Over TCP each replica also gets its own transport
+// and binds a kernel-chosen loopback port; in-process replicas share
+// one InProc transport.
+func formTestMeshes(t *testing.T, tcp bool, topo netx.Topology, n int) []*netx.Mesh {
 	t.Helper()
-	// Bind every listener first on a kernel-chosen port, then hand each
-	// replica its peers' real addresses — no port guessing.
-	trs := make([]*netx.TCP, n)
+	inproc := netx.NewInProc(0)
+	trs := make([]netx.Transport, n)
 	lns := make([]netx.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		trs[i] = netx.NewTCP(obs.NewRegistry())
-		ln, err := trs[i].Listen("127.0.0.1:0")
+	for i := range lns {
+		var tr netx.Transport = inproc
+		addr := fmt.Sprintf("replica-%d", i)
+		if tcp {
+			tr, addr = netx.NewTCP(obs.NewRegistry()), "127.0.0.1:0"
+		}
+		ln, err := tr.Listen(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr()
+		trs[i], lns[i] = tr, ln
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	meshes := make([]*netx.Mesh, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		wg.Add(1)
-		go func(i int, peers map[int]string) {
-			defer wg.Done()
-			meshes[i], errs[i] = netx.FormMeshOn(ctx, trs[i], lns[i], i, peers)
-		}(i, peers)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("replica %d mesh: %v", i, err)
-		}
+	meshes, err := netx.FormJob(ctx, trs, lns, topo)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, m := range meshes {
@@ -69,24 +54,14 @@ func formTestMeshes(t *testing.T, n int) []*netx.Mesh {
 	return meshes
 }
 
-// TestDistBitwiseDeterminism is the end-to-end determinism gate for the
-// wire transport: the same seed trained single-process and as a 2-
-// replica TCP-loopback job must produce bit-identical per-round local
-// losses, because every process applies the same deterministic
-// reduction to its own reference copy and the codec moves float32 bits
-// exactly.
-func TestDistBitwiseDeterminism(t *testing.T) {
-	const (
-		n      = 2
-		rounds = 4
-		seed   = 11
-	)
-	task := workload.TranslationTask()
-
-	// Single-process reference run: per-pipeline losses from the step log.
+// singleProcessLosses trains the seeded n-pipeline translation job in
+// one process for the given rounds and returns every round's
+// per-pipeline losses from its step log: [round][pipeline].
+func singleProcessLosses(t *testing.T, n, rounds int, seed int64) [][]float64 {
+	t.Helper()
 	var log bytes.Buffer
 	single, err := NewTrainer(TrainerConfig{
-		Task: task, Pipelines: n, Micro: 2, StageCount: 2,
+		Task: workload.TranslationTask(), Pipelines: n, Micro: 2, StageCount: 2,
 		Seed: seed, ClipNorm: 5, Obs: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -97,9 +72,8 @@ func TestDistBitwiseDeterminism(t *testing.T) {
 		single.Step()
 	}
 	single.Close()
-	want := make([][]float64, 0, rounds) // [round][pipeline]
-	dec := json.NewDecoder(&log)
-	for dec.More() {
+	var want [][]float64
+	for dec := json.NewDecoder(&log); dec.More(); {
 		var rec StepRecord
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
@@ -112,18 +86,24 @@ func TestDistBitwiseDeterminism(t *testing.T) {
 	if len(want) != rounds {
 		t.Fatalf("want %d logged rounds, got %d", rounds, len(want))
 	}
+	return want
+}
 
-	// The same job as two replicas over a TCP loopback mesh.
-	meshes := formTestMeshes(t, n)
+// requireDistMatches trains the same job as one dist-mode trainer per
+// mesh, concurrently, and requires every replica's per-round local loss
+// to be bit-identical to want[round][replica].
+func requireDistMatches(t *testing.T, meshes []*netx.Mesh, want [][]float64, seed int64) {
+	t.Helper()
+	n := len(meshes)
 	got := make([][]float64, n) // [replica][round]
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
+	for p := range meshes {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			tr, err := NewTrainer(TrainerConfig{
-				Task: task, Pipelines: n, Micro: 2, StageCount: 2,
+				Task: workload.TranslationTask(), Pipelines: n, Micro: 2, StageCount: 2,
 				Seed: seed, ClipNorm: 5, Obs: obs.NewRegistry(),
 				Dist: &DistConfig{ReplicaID: p, Mesh: meshes[p]},
 			})
@@ -132,7 +112,7 @@ func TestDistBitwiseDeterminism(t *testing.T) {
 				return
 			}
 			defer tr.Close()
-			for r := 0; r < rounds; r++ {
+			for r := range want {
 				loss, err := tr.StepContext(context.Background())
 				if err != nil {
 					errs[p] = fmt.Errorf("round %d: %w", r, err)
@@ -148,16 +128,27 @@ func TestDistBitwiseDeterminism(t *testing.T) {
 			t.Fatalf("replica %d: %v", p, err)
 		}
 	}
-	for p := 0; p < n; p++ {
-		for r := 0; r < rounds; r++ {
-			w, g := want[r][p], got[p][r]
-			if math.Float64bits(w) != math.Float64bits(g) {
+	for p := range meshes {
+		for r, w := range want {
+			if g := got[p][r]; math.Float64bits(w[p]) != math.Float64bits(g) {
 				t.Errorf("replica %d round %d: single-process loss %.17g (bits %016x), "+
-					"2-process loss %.17g (bits %016x)",
-					p, r, w, math.Float64bits(w), g, math.Float64bits(g))
+					"%s-fabric loss %.17g (bits %016x)", p, r, w[p], math.Float64bits(w[p]),
+					meshes[p].Topology().Name(), g, math.Float64bits(g))
 			}
 		}
 	}
+}
+
+// TestDistBitwiseDeterminism is the end-to-end determinism gate for the
+// wire transport: the same seed trained single-process and as a 2-
+// replica TCP-loopback job must produce bit-identical per-round local
+// losses, because every process applies the same deterministic
+// reduction to its own reference copy and the codec moves float32 bits
+// exactly.
+func TestDistBitwiseDeterminism(t *testing.T) {
+	const n, rounds, seed = 2, 4, 11
+	requireDistMatches(t, formTestMeshes(t, true, netx.FullMesh{}, n),
+		singleProcessLosses(t, n, rounds, seed), seed)
 }
 
 // TestDistConcurrentMembership exercises concurrent Submit, Detach, and
@@ -172,7 +163,7 @@ func TestDistConcurrentMembership(t *testing.T) {
 		rounds = 12
 	)
 	task := workload.TranslationTask()
-	meshes := formTestMeshes(t, n)
+	meshes := formTestMeshes(t, true, netx.FullMesh{}, n)
 
 	avgs := make([]*Averager, n)
 	params := make([][]*nn.Param, n)

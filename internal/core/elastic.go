@@ -62,7 +62,7 @@ type Averager struct {
 	// tensor.AxpyRuns).
 	refMoves []bool
 
-	// The update stream is a transport connection: pipelines Submit on
+	// The update stream is a transport connection: pipelines submit on
 	// tx, the reference loop receives on loopRx. tx is the composed
 	// path — the local loopback, fanned out to the mesh peers when a
 	// multi-process mesh is attached, wrapped by the fault layer when
@@ -115,8 +115,9 @@ type Averager struct {
 	topk  float64
 	comps []*netx.Compressor
 
-	// drainMu guards the sent/applied counters; drainCond wakes Drain
-	// waiters whenever the reference loop processes an update.
+	// drainMu guards the sent/applied counters; drainCond wakes
+	// DrainContext waiters whenever the reference loop processes an
+	// update.
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
 	sent      int64
@@ -165,16 +166,10 @@ type roundAcc struct {
 	first  time.Time
 }
 
-// NewAverager builds the framework around an initial model: the reference
-// model starts as a copy of init, and all N pipelines are assumed to start
-// from weights equal to init (use SeedReplica otherwise). Metrics go to
-// obs.Default(); use NewAveragerObs to choose a registry.
-func NewAverager(n int, init []*nn.Param) *Averager {
-	return NewAveragerObs(n, init, nil)
-}
-
-// NewAveragerObs is NewAverager recording metrics into reg (nil =
-// obs.Default()).
+// NewAveragerObs builds the framework around an initial model: the
+// reference model starts as a copy of init, and all N pipelines are
+// assumed to start from weights equal to init (use SeedReplica
+// otherwise). Metrics go to reg (nil = obs.Default()).
 func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 	if n <= 0 {
 		panic("core: need at least one pipeline")
@@ -233,8 +228,8 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 	}
 	a.latestRound = -1
 	// The loopback pipe is the refactored §3.2 update queue: unbounded
-	// (capacity 0), so Submit never blocks a pipeline, and instrumented
-	// under the historical queue name.
+	// (capacity 0), so SubmitContext never blocks a pipeline, and
+	// instrumented under the historical queue name.
 	a.loopTx, a.loopRx = netx.InstrumentedPipe(0, reg, "averager")
 	a.tx = a.loopTx
 	a.drainCond = sync.NewCond(&a.drainMu)
@@ -310,11 +305,12 @@ func (a *Averager) self() int {
 	return -1
 }
 
-// SetFaults installs the fault injector consulted on every Submit (nil
-// = no faults). Injection happens at the transport seam — the submit
-// connection is wrapped so updates are delivered, delayed, or dropped
-// in flight (net.Faulty) — rather than inside the queue. Call before
-// training starts, not concurrently with Submit.
+// SetFaults installs the fault injector consulted on every
+// SubmitContext (nil = no faults). Injection happens at the transport
+// seam — the submit connection is wrapped so updates are delivered,
+// delayed, or dropped in flight (net.Faulty) — rather than inside the
+// queue. Call before training starts, not concurrently with
+// SubmitContext.
 func (a *Averager) SetFaults(in *fault.Injector) {
 	a.faults = in
 	a.recomposeTx()
@@ -328,7 +324,7 @@ func (a *Averager) recomposeTx() {
 	base := netx.FanOut(a.loopTx, a.mesh)
 	a.tx = netx.Faulty(base, a.faults, func() {
 		// A delayed update finally lost to a closed connection: undo its
-		// drain accounting so Close's Drain cannot park on it.
+		// drain accounting so Close's drain cannot park on it.
 		a.lateUpdates.Inc()
 		a.addSent(-1)
 	})
@@ -429,7 +425,7 @@ func (a *Averager) relay(from int, f *netx.Frame) {
 // applies the same dequantized values, so dist-mode copies stay
 // bit-identical to each other. topkFrac is the kept fraction for
 // CodecTopK (0 = net.DefaultTopKFraction). Call before training
-// starts, not concurrently with Submit.
+// starts, not concurrently with SubmitContext.
 func (a *Averager) SetCompression(c netx.Codec, topkFrac float64) error {
 	if c == netx.CodecNone {
 		a.codec, a.comps = c, nil
@@ -685,7 +681,7 @@ func (a *Averager) ingest(u Update) {
 	a.bumpApplied()
 }
 
-// bumpApplied advances the drain watermark and wakes Drain and
+// bumpApplied advances the drain watermark and wakes DrainContext and
 // WaitRound waiters.
 func (a *Averager) bumpApplied() {
 	a.drainMu.Lock()
@@ -705,8 +701,8 @@ func (a *Averager) notifyRounds() {
 }
 
 // addSent adjusts the drain send watermark; negative deltas (a delayed
-// update lost to a closed queue) wake waiters so Drain cannot park on a
-// send that will never apply.
+// update lost to a closed queue) wake waiters so DrainContext cannot
+// park on a send that will never apply.
 func (a *Averager) addSent(d int64) {
 	a.drainMu.Lock()
 	a.sent += d
@@ -983,24 +979,15 @@ const (
 // refRequestRetry paces ResumeReplica's re-asks for reference state.
 const refRequestRetry = 250 * time.Millisecond
 
-// Submit performs step ❸ for pipeline p after its optimizer has applied
-// a local update for the given round. It panics on misuse (pipeline out
-// of range, submit after Close); SubmitContext is the error-returning
-// variant for callers that degrade gracefully.
-func (a *Averager) Submit(p, round int, params []*nn.Param) {
-	if err := a.SubmitContext(context.Background(), p, round, params); err != nil {
-		panic(fmt.Sprintf("core: Submit(pipeline %d, round %d): %v", p, round, err))
-	}
-}
-
-// SubmitContext derives pipeline p's local update delta from the
-// previous snapshot, in run form, and sends it to the reference model
-// without blocking. A transient send failure is retried with exponential
-// backoff (bounded by submitRetries) until ctx is done; submitting
-// after Close returns an error instead of wedging a later Drain. When a
-// fault injector is installed the update may be delayed or dropped in
-// flight — a dropped update is absorbed by the round deadline, never an
-// error.
+// SubmitContext performs step ❸ for pipeline p after its optimizer has
+// applied a local update for the given round: it derives the update
+// delta from the previous snapshot, in run form, and sends it to the
+// reference model without blocking. A transient send failure is retried
+// with exponential backoff (bounded by submitRetries) until ctx is done;
+// a pipeline out of range, or submitting after Close, returns an error
+// instead of wedging a later DrainContext. When a fault injector is
+// installed the update may be delayed or dropped in flight — a dropped
+// update is absorbed by the round deadline, never an error.
 func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn.Param) error {
 	if p < 0 || p >= a.N {
 		return fmt.Errorf("pipeline %d out of range [0, %d)", p, a.N)
@@ -1030,8 +1017,8 @@ func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn
 		}
 		if errors.Is(err, netx.ErrDropped) {
 			// Lost in flight by the fault layer: not counted as sent, so
-			// Drain does not wait for it; the round deadline closes the
-			// round without it.
+			// DrainContext does not wait for it; the round deadline closes
+			// the round without it.
 			a.addSent(-1)
 			return nil
 		}
@@ -1083,10 +1070,11 @@ func (a *Averager) RoundClosed(round int) bool {
 }
 
 // WaitRound blocks until the given round closes on THIS process's
-// reference copy — the distributed round barrier. Unlike Drain, whose
-// sent/applied watermarks only see local submits, WaitRound observes
-// the round itself, so it also waits for peer updates a multi-process
-// job delivers over the mesh. It returns ctx.Err() if ctx ends first.
+// reference copy — the distributed round barrier. Unlike DrainContext,
+// whose sent/applied watermarks only see local submits, WaitRound
+// observes the round itself, so it also waits for peer updates a
+// multi-process job delivers over the mesh. It returns ctx.Err() if ctx
+// ends first.
 //
 // With a round deadline armed, WaitRound also bounds a round that never
 // opens: if every replica's update for the round was lost in flight, no
@@ -1112,10 +1100,11 @@ func (a *Averager) WaitRound(ctx context.Context, round int) error {
 // Dilute performs step ❷ for pipeline p: its weights are mixed with the
 // current reference model in ratio (1−α):α, and the post-dilution weights
 // become the baseline for the next round's delta. Callers that want exact
-// synchronous elastic-averaging semantics Drain() between Submit and
-// Dilute so the reference already includes the round's updates; callers
-// that must never block may Dilute immediately against a slightly stale
-// reference.
+// synchronous elastic-averaging semantics drain (DrainContext, or
+// WaitRound across processes) between SubmitContext and Dilute so the
+// reference already includes the round's updates; the fully asynchronous
+// mode Dilutes right after SubmitContext against whatever reference is
+// current, never blocking the pipeline.
 func (a *Averager) Dilute(p int, params []*nn.Param) {
 	alpha := float32(a.Alpha)
 	a.mu.RLock()
@@ -1123,14 +1112,6 @@ func (a *Averager) Dilute(p int, params []*nn.Param) {
 		tensor.Dilute(alpha, pr.W, a.ref[i], a.snapshots[p][i])
 	}
 	a.mu.RUnlock()
-}
-
-// AfterStep performs steps ❷ and ❸ together in the fully asynchronous
-// mode: submit the local update, then dilute against whatever reference
-// is current (never blocking the pipeline).
-func (a *Averager) AfterStep(p, round int, params []*nn.Param) {
-	a.Submit(p, round, params)
-	a.Dilute(p, params)
 }
 
 // Reference returns a snapshot (deep copy) of the current reference
@@ -1175,16 +1156,13 @@ func (a *Averager) WriteReference(dst []*nn.Param) {
 	}
 }
 
-// Drain blocks until every update sent so far has been applied, so tests
-// and evaluation points observe a consistent reference model. The wait
+// DrainContext blocks until every update sent so far has been applied,
+// so evaluation points observe a consistent reference model. The wait
 // parks on a condition variable signalled by the reference loop — no
-// core is burned while updates are in flight.
-func (a *Averager) Drain() { _ = a.DrainContext(context.Background()) }
-
-// DrainContext is Drain with a way out: it returns ctx.Err() when the
-// context is cancelled or its deadline passes before the outstanding
-// updates apply, leaving the averager in a consistent (if not fully
-// drained) state.
+// core is burned while updates are in flight. It returns ctx.Err() when
+// the context is cancelled or its deadline passes first, leaving the
+// averager in a consistent (if not fully drained) state; under a context
+// that never ends it cannot fail.
 func (a *Averager) DrainContext(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		a.drainMu.Lock()
@@ -1206,7 +1184,7 @@ func (a *Averager) DrainContext(ctx context.Context) error {
 // peer inbound loops stop before the local loopback drains.
 func (a *Averager) Close() {
 	a.closed.Do(func() {
-		a.Drain()
+		_ = a.DrainContext(context.Background())
 		if a.mesh != nil {
 			a.mesh.Close()
 		}

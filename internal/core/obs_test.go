@@ -36,7 +36,7 @@ func TestObsCrossValidatesScheduleAnalysis(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		pl.SetObs(reg)
-		pl.RunBatch(batch, m)
+		runBatch(t, pl, batch, m)
 
 		var fwd, bwd, peak []int
 		var totalOps int
@@ -108,7 +108,7 @@ func TestWriteTraceWithoutTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.RunBatch(task.NewGen(5).NextBatch(8), 4)
+	runBatch(t, pl, task.NewGen(5).NextBatch(8), 4)
 	var buf bytes.Buffer
 	if err := pl.WriteTrace(&buf); err != ErrNoTrace {
 		t.Fatalf("WriteTrace without Trace = %v, want ErrNoTrace", err)
@@ -140,7 +140,7 @@ func TestTrainerObsAndStepLog(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		tr.Step()
 	}
-	tr.Averager().Drain()
+	drain(t, tr.Averager())
 
 	wantSamples := float64(rounds * n * task.BatchSize)
 	if got := reg.Counter("avgpipe_train_samples_total", "").Value(); got != wantSamples {
@@ -198,7 +198,7 @@ func benchRunBatch(b *testing.B, reg *obs.Registry) {
 	batch := task.NewGen(3).NextBatch(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.RunBatch(batch, 4)
+		runBatch(b, pl, batch, 4)
 	}
 }
 

@@ -134,7 +134,7 @@ func TestPropAveragerReferenceTracksMean(t *testing.T) {
 		rounds := 1 + r.Intn(6)
 		delta := float32(r.NormFloat64())
 		init := []*nn.Param{nn.NewParam("w", tensor.Full(1, 3))}
-		a := NewAverager(n, init)
+		a := NewAveragerObs(n, init, nil)
 		defer a.Close()
 		if v := 0.05 + r.Float64()*0.9; true {
 			a.Alpha = v
@@ -146,9 +146,9 @@ func TestPropAveragerReferenceTracksMean(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			for p, rep := range reps {
 				rep[0].W.AddInPlace(tensor.Full(delta, 3))
-				a.Submit(p, round, rep)
+				submit(t, a, p, round, rep)
 			}
-			a.Drain()
+			drain(t, a)
 			for p, rep := range reps {
 				a.Dilute(p, rep)
 			}

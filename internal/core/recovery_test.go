@@ -36,10 +36,10 @@ func TestAveragerDetachRenormalizes(t *testing.T) {
 	defer a.Close()
 	// Round 0 at full strength: deltas 3, 6, 9 → reference mean 6.
 	r0, r1, r2 := paramsOf(3), paramsOf(6), paramsOf(9)
-	a.Submit(0, 0, r0)
-	a.Submit(1, 0, r1)
-	a.Submit(2, 0, r2)
-	a.Drain()
+	submit(t, a, 0, 0, r0)
+	submit(t, a, 1, 0, r1)
+	submit(t, a, 2, 0, r2)
+	drain(t, a)
 	if got := a.Reference()[0].At(0); got != 6 {
 		t.Fatalf("reference after full round = %v, want 6", got)
 	}
@@ -60,9 +60,9 @@ func TestAveragerDetachRenormalizes(t *testing.T) {
 	ref1 := a.Reference()[0].At(0)
 	addAll(r0, 2) // delta 2
 	addAll(r1, 4) // delta 4
-	a.Submit(0, 1, r0)
-	a.Submit(1, 1, r1)
-	a.Drain()
+	submit(t, a, 0, 1, r0)
+	submit(t, a, 1, 1, r1)
+	drain(t, a)
 	if a.PendingRounds() != 0 {
 		t.Fatalf("round 1 still pending with %d open rounds after detach", a.PendingRounds())
 	}
@@ -72,11 +72,11 @@ func TestAveragerDetachRenormalizes(t *testing.T) {
 }
 
 func TestAveragerDetachClosesWaitingRound(t *testing.T) {
-	a := NewAverager(2, paramsOf(0))
+	a := NewAveragerObs(2, paramsOf(0), nil)
 	defer a.Close()
 	r0 := paramsOf(1)
-	a.Submit(0, 0, r0)
-	a.Drain() // ingested but the round still waits on replica 1
+	submit(t, a, 0, 0, r0)
+	drain(t, a) // ingested but the round still waits on replica 1
 	if a.PendingRounds() != 1 {
 		t.Fatalf("open rounds = %d, want 1", a.PendingRounds())
 	}
@@ -95,8 +95,8 @@ func TestAveragerRejoinReseedsFromReference(t *testing.T) {
 	defer a.Close()
 	a.Detach(1)
 	r0 := paramsOf(7) // delta +2 from the shared init of 5
-	a.Submit(0, 0, r0)
-	a.Drain()
+	submit(t, a, 0, 0, r0)
+	drain(t, a)
 	if got := a.Reference()[0].At(0); got != 7 {
 		t.Fatalf("solo round reference = %v, want 7", got)
 	}
@@ -132,9 +132,9 @@ func TestAveragerRejoinReseedsFromReference(t *testing.T) {
 	a.Dilute(0, r0)
 	addAll(r0, 2)
 	addAll(r1, 2)
-	a.Submit(0, 1, r0)
-	a.Submit(1, 1, r1)
-	a.Drain()
+	submit(t, a, 0, 1, r0)
+	submit(t, a, 1, 1, r1)
+	drain(t, a)
 	if got := a.Reference()[0].At(0); got != 9 {
 		t.Fatalf("post-rejoin reference = %v, want 9", got)
 	}
@@ -151,13 +151,13 @@ func TestAveragerRejoinReseedsFromReference(t *testing.T) {
 // leave the round one update short forever (regression test for the
 // inflated-quorum wedge).
 func TestAveragerRejoinDoesNotInflateOpenRoundQuorum(t *testing.T) {
-	a := NewAverager(3, paramsOf(0))
+	a := NewAveragerObs(3, paramsOf(0), nil)
 	defer a.Close()
 	a.Detach(2)
 	// Round 0 opens with quorum {0, 1}.
 	r0, r1 := paramsOf(4), paramsOf(8)
-	a.Submit(0, 0, r0)
-	a.Drain() // ensure the round is open before the rejoin
+	submit(t, a, 0, 0, r0)
+	drain(t, a) // ensure the round is open before the rejoin
 	if a.PendingRounds() != 1 {
 		t.Fatalf("round 0 not open: %d pending", a.PendingRounds())
 	}
@@ -165,8 +165,8 @@ func TestAveragerRejoinDoesNotInflateOpenRoundQuorum(t *testing.T) {
 	a.Rejoin(2, r2)
 	// Replica 1's update is the second of two — the round must close
 	// even though three replicas are now live.
-	a.Submit(1, 0, r1)
-	a.Drain()
+	submit(t, a, 1, 0, r1)
+	drain(t, a)
 	if a.PendingRounds() != 0 {
 		t.Fatal("round 0 wedged: rejoined replica counted toward an open round's quorum")
 	}
@@ -180,14 +180,14 @@ func TestAveragerRejoinDoesNotInflateOpenRoundQuorum(t *testing.T) {
 	addAll(r0, 3)
 	addAll(r1, 3)
 	addAll(r2, 3)
-	a.Submit(0, 1, r0)
-	a.Submit(1, 1, r1)
-	a.Drain()
+	submit(t, a, 0, 1, r0)
+	submit(t, a, 1, 1, r1)
+	drain(t, a)
 	if a.PendingRounds() != 1 {
 		t.Fatalf("round 1 closed without the rejoined replica: %d pending", a.PendingRounds())
 	}
-	a.Submit(2, 1, r2)
-	a.Drain()
+	submit(t, a, 2, 1, r2)
+	drain(t, a)
 	if a.PendingRounds() != 0 {
 		t.Fatal("round 1 did not close after every live replica reported")
 	}
@@ -202,8 +202,8 @@ func TestAveragerRoundDeadlineExpiresPartialRound(t *testing.T) {
 	defer a.Close()
 	a.SetRoundDeadline(20 * time.Millisecond)
 	r0 := paramsOf(4)
-	a.Submit(0, 0, r0)
-	a.Drain() // the update is ingested; the round waits on replica 1
+	submit(t, a, 0, 0, r0)
+	drain(t, a) // the update is ingested; the round waits on replica 1
 	deadline := time.Now().Add(5 * time.Second)
 	for a.PendingRounds() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
@@ -221,8 +221,8 @@ func TestAveragerRoundDeadlineExpiresPartialRound(t *testing.T) {
 	// discarded — never re-opens the round, never moves the reference —
 	// and Drain still returns.
 	r1 := paramsOf(100)
-	a.Submit(1, 0, r1)
-	a.Drain()
+	submit(t, a, 1, 0, r1)
+	drain(t, a)
 	if got := reg.Counter("avgpipe_avg_late_updates_total", "").Value(); got != 1 {
 		t.Fatalf("late-updates counter %v, want 1", got)
 	}
@@ -235,7 +235,7 @@ func TestAveragerRoundDeadlineExpiresPartialRound(t *testing.T) {
 }
 
 func TestAveragerSubmitErrorPaths(t *testing.T) {
-	a := NewAverager(2, paramsOf(0))
+	a := NewAveragerObs(2, paramsOf(0), nil)
 	if err := a.SubmitContext(context.Background(), 5, 0, paramsOf(1)); err == nil {
 		t.Fatal("out-of-range pipeline must be an error")
 	}
@@ -438,8 +438,8 @@ func TestCheckpointBitExact(t *testing.T) {
 		t.Fatalf("restored round %d, want 5", b.Round())
 	}
 	b.Step() // the restored run's round r+1
-	a.Averager().Drain()
-	b.Averager().Drain()
+	drain(t, a.Averager())
+	drain(t, b.Averager())
 
 	for p := range a.Pipelines() {
 		ap, bp := a.Pipelines()[p].Params(), b.Pipelines()[p].Params()
@@ -576,8 +576,8 @@ func TestWatchdogKillsWedgedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipeline unusable after watchdog kill: %v", err)
 	}
-	fresh := NewPipeline(task.NewModel(1), 2, nil)
-	requireSameBits(t, "after watchdog kill", loss, fresh.RunBatch(batch, 2), pl.Params(), fresh.Params())
+	fresh := newTestPipeline(t, task.NewModel(1), 2, nil)
+	requireSameBits(t, "after watchdog kill", loss, runBatch(t, fresh, batch, 2), pl.Params(), fresh.Params())
 }
 
 // TestRunBatchContextCancel checks the other abort path: cancelling the

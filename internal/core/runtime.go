@@ -34,11 +34,11 @@ import (
 // once, when the pipeline is built).
 type Pipeline struct {
 	Stages []*nn.Sequential
-	// Advance is the AFP run-ahead vector of the NewPipeline wrapper
-	// (nil when the pipeline was built from an explicit plan/schedule).
+	// Advance is the per-stage AFP run-ahead the pipeline was built with
+	// (nil when it was built from an explicit schedule).
 	Advance []int
 	// Trace records per-op timestamps into StageMetrics.Ops during
-	// RunBatch; see WriteTrace.
+	// RunBatchContext; see WriteTrace.
 	Trace bool
 
 	plan  sched.Plan
@@ -121,7 +121,7 @@ func (m StageMetrics) BubbleFraction() float64 {
 
 // OpEvent records one executed op for tracing: its position in the
 // stage's schedule, what it was, and when its compute ran relative to
-// the start of RunBatch. WriteTrace renders these in the same
+// the start of RunBatchContext. WriteTrace renders these in the same
 // Chrome-trace shape as pipesim.Result.WriteTrace.
 type OpEvent struct {
 	Index int
@@ -161,20 +161,6 @@ type PipelineConfig struct {
 	// Obs selects the metrics registry the pipeline records per-stage
 	// compute, wait, and occupancy metrics into (nil = obs.Default()).
 	Obs *obs.Registry
-}
-
-// NewPipeline partitions model layers into k stages of near-equal layer
-// count and drives them with the AFP schedule for the given advance
-// vector (nil = pure 1F1B). It is a thin wrapper over NewPipelineWith:
-// the hand-rolled channel discipline it used to implement is now just
-// one point in the schedule family the interpreter executes. It panics
-// on a malformed config; NewPipelineWith returns the error instead.
-func NewPipeline(model *nn.Sequential, k int, advance []int) *Pipeline {
-	p, err := NewPipelineWith(model, PipelineConfig{Stages: k, Advance: advance})
-	if err != nil {
-		panic(err.Error())
-	}
-	return p
 }
 
 // NewPipelineWith builds a schedule-interpreting pipeline with explicit
@@ -237,8 +223,9 @@ func buildPipeline(model *nn.Sequential, bounds [][2]int) (*Pipeline, error) {
 func (p *Pipeline) StagePrograms() []*compiled.Program { return p.progs }
 
 // SetObs rebinds the pipeline's metrics to reg (nil = obs.Default()) and
-// caches per-stage metric handles so RunBatch's hot path never touches
-// the registry. Call before RunBatch, not concurrently with it.
+// caches per-stage metric handles so RunBatchContext's hot path never
+// touches the registry. Call before RunBatchContext, not concurrently
+// with it.
 func (p *Pipeline) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.Default()
@@ -279,8 +266,8 @@ func (p *Pipeline) SetObs(reg *obs.Registry) {
 // Bwd op stays combined (both backward halves run inline), so the
 // measured occupancy equals the analysis of the schedule as given. The
 // schedule must pass sched.Analyze (per-GPU structure plus cross-stage
-// dependency legality) and cover exactly one flush: RunBatch(batch, m)
-// requires its micro set to be 0..m−1.
+// dependency legality) and cover exactly one flush whose micro set is
+// 0..m−1; RunBatchContext then accepts only that m.
 func NewPipelineFromSchedule(model *nn.Sequential, schedule *sched.Schedule) (*Pipeline, error) {
 	an, err := sched.Analyze(schedule)
 	if err != nil {
@@ -304,25 +291,33 @@ func NewPipelineFromSchedule(model *nn.Sequential, schedule *sched.Schedule) (*P
 func (p *Pipeline) Params() []*nn.Param { return p.params }
 
 // Metrics returns each stage's instrumentation from the most recent
-// RunBatch call.
+// RunBatchContext call.
 func (p *Pipeline) Metrics() []StageMetrics {
 	return append([]StageMetrics(nil), p.metrics...)
 }
 
 // ScheduleFor returns the concrete schedule the pipeline executes for a
 // batch of m micro-batches, together with its analysis — what tests and
-// callers compare measured StageMetrics against.
+// callers compare measured StageMetrics against. It panics when m is
+// not the micro count of a pipeline built from an explicit schedule.
 func (p *Pipeline) ScheduleFor(m int) (*sched.Schedule, *sched.Analysis) {
-	return p.scheduleFor(m)
+	s, an, err := p.scheduleFor(m)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s, an
 }
 
-func (p *Pipeline) scheduleFor(m int) (*sched.Schedule, *sched.Analysis) {
+// scheduleFor is ScheduleFor reporting a micro count an explicit
+// schedule does not cover as an error; a plan that generates an illegal
+// schedule is a bug and panics.
+func (p *Pipeline) scheduleFor(m int) (*sched.Schedule, *sched.Analysis, error) {
 	if p.cur != nil && p.curM == m {
-		return p.cur, p.curAn
+		return p.cur, p.curAn, nil
 	}
 	if p.fixed != nil {
-		panic(fmt.Sprintf("core: pipeline built from schedule %q covering %d micro-batches, RunBatch got %d",
-			p.fixed.Name, p.curAn.Micros, m))
+		return nil, nil, fmt.Errorf("core: pipeline built from schedule %q covering %d micro-batches, RunBatch got %d",
+			p.fixed.Name, p.curAn.Micros, m)
 	}
 	// The runtime executes the finer-grained 2BP split: each combined
 	// backward becomes an adjacent BwdIn/BwdW pair, so the analysis (and
@@ -336,7 +331,7 @@ func (p *Pipeline) scheduleFor(m int) (*sched.Schedule, *sched.Analysis) {
 		panic(fmt.Sprintf("core: plan %s covers %d micros, want %d", p.plan.Name, an.Micros, m))
 	}
 	p.cur, p.curAn, p.curM = s, an, m
-	return s, an
+	return s, an, nil
 }
 
 // microMsg carries one micro-batch's activations (forward) or gradient
@@ -346,7 +341,7 @@ type microMsg struct {
 	t     *tensor.Tensor
 }
 
-// batchRun is the shared state of one RunBatch execution: the channels
+// batchRun is the shared state of one RunBatchContext execution: the channels
 // wiring the stage workers, the abort machinery the watchdog uses to
 // unwind a live-locked batch, and the liveness clock it reads.
 type batchRun struct {
@@ -387,33 +382,28 @@ func (r *batchRun) failure() error {
 	return r.err
 }
 
-// RunBatch pipelines the batch through the stages as M micro-batches,
-// each stage executing its schedule's op order, and returns the mean
-// training loss across micro-batches. Parameter gradients are
-// accumulated (summed over micro-batches) and then scaled to a batch
-// mean; the caller owns the optimizer step. It panics if the batch is
-// aborted (only possible with a watchdog armed); RunBatchContext is the
-// error-returning variant.
-func (p *Pipeline) RunBatch(batch *data.Batch, micro int) float64 {
-	loss, err := p.RunBatchContext(context.Background(), batch, micro)
-	if err != nil {
-		panic(fmt.Sprintf("core: RunBatch: %v", err))
-	}
-	return loss
-}
-
-// RunBatchContext is RunBatch under supervision: the batch is aborted —
-// every stage worker unwound, per-stage metrics still recorded, no
-// goroutine leaked — when ctx is cancelled, or when the watchdog window
-// (SetWatchdog) elapses with no op retired. A watchdog kill returns a
-// *StallError dumping each stage's in-flight schedule position. On
-// error the partially accumulated gradients are meaningless; discard
-// them before the next step.
+// RunBatchContext pipelines the batch through the stages as M
+// micro-batches, each stage executing its schedule's op order, and
+// returns the mean training loss across micro-batches. Parameter
+// gradients are accumulated (summed over micro-batches) and then scaled
+// to a batch mean; the caller owns the optimizer step.
+//
+// The batch runs under supervision: it is aborted — every stage worker
+// unwound, per-stage metrics still recorded, no goroutine leaked — when
+// ctx is cancelled, or when the watchdog window (SetWatchdog) elapses
+// with no op retired. A watchdog kill returns a *StallError dumping each
+// stage's in-flight schedule position. On error the partially
+// accumulated gradients are meaningless; discard them before the next
+// step. A micro count an explicit schedule does not cover is an error
+// before any stage runs.
 func (p *Pipeline) RunBatchContext(ctx context.Context, batch *data.Batch, micro int) (float64, error) {
 	k := len(p.Stages)
 	micros := batch.Slice(micro)
 	m := len(micros)
-	schedule, _ := p.scheduleFor(m)
+	schedule, _, err := p.scheduleFor(m)
+	if err != nil {
+		return 0, err
+	}
 
 	run := &batchRun{
 		micros: micros,
@@ -673,11 +663,11 @@ func (p *Pipeline) stageWorker(s, k int, ops []sched.Op, run *batchRun) {
 }
 
 // ErrNoTrace reports a WriteTrace call with nothing to write: Trace was
-// never enabled (or RunBatch never ran), so emitting a silently empty
+// never enabled (or RunBatchContext never ran), so emitting a silently empty
 // trace file would mislead whoever opens it in Perfetto.
 var ErrNoTrace = errors.New("core: no per-op trace recorded; set Pipeline.Trace before RunBatch")
 
-// Tracer renders the most recent traced RunBatch into the shared
+// Tracer renders the most recent traced RunBatchContext into the shared
 // obs.Tracer: one track per stage, one complete event per op named like
 // "F3"/"B3" (matching pipesim.Result.Tracer so a real run and its
 // simulation diff directly), plus one flow-arrow chain per micro-batch
@@ -725,7 +715,7 @@ func (p *Pipeline) Tracer() (*obs.Tracer, error) {
 	return t, nil
 }
 
-// WriteTrace writes the most recent traced RunBatch as a Chrome trace.
+// WriteTrace writes the most recent traced RunBatchContext as a Chrome trace.
 // It returns ErrNoTrace instead of silently writing an empty trace when
 // Trace was never enabled.
 func (p *Pipeline) WriteTrace(w io.Writer) error {

@@ -1,64 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"math"
-	"sync"
 	"testing"
 
 	netx "avgpipe/internal/net"
-	"avgpipe/internal/obs"
-	"avgpipe/internal/workload"
 )
-
-// formTopoMeshes assembles an n-replica in-process fabric under an
-// explicit topology: every "replica" gets its own listener and mesh,
-// formed concurrently exactly as n OS processes would.
-func formTopoMeshes(t *testing.T, topo netx.Topology, n int) []*netx.Mesh {
-	t.Helper()
-	tr := netx.NewInProc(0)
-	lns := make([]netx.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := tr.Listen(fmt.Sprintf("replica-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr()
-	}
-	meshes := make([]*netx.Mesh, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		wg.Add(1)
-		go func(i int, peers map[int]string) {
-			defer wg.Done()
-			meshes[i], errs[i] = netx.FormTopologyOn(context.Background(), tr, lns[i], topo, i, peers)
-		}(i, peers)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("replica %d mesh: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, m := range meshes {
-			m.Close()
-		}
-	})
-	return meshes
-}
 
 // TestTopologyBitwiseDeterminism is the determinism gate for the
 // averaging fabrics: the same seed trained single-process (the
@@ -69,85 +15,11 @@ func formTopoMeshes(t *testing.T, topo netx.Topology, n int) []*netx.Mesh {
 // never summed en route — so the deterministic pipeline-order reduction
 // sees the same inputs everywhere.
 func TestTopologyBitwiseDeterminism(t *testing.T) {
-	const (
-		n      = 4
-		rounds = 6
-		seed   = 11
-	)
-	task := workload.TranslationTask()
-
-	// Single-process reference run: per-pipeline losses from the step log.
-	var log bytes.Buffer
-	single, err := NewTrainer(TrainerConfig{
-		Task: task, Pipelines: n, Micro: 2, StageCount: 2,
-		Seed: seed, ClipNorm: 5, Obs: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.SetStepLog(&log)
-	for r := 0; r < rounds; r++ {
-		single.Step()
-	}
-	single.Close()
-	want := make([][]float64, 0, rounds) // [round][pipeline]
-	dec := json.NewDecoder(&log)
-	for dec.More() {
-		var rec StepRecord
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rec.Losses)
-	}
-	if len(want) != rounds {
-		t.Fatalf("want %d logged rounds, got %d", rounds, len(want))
-	}
-
+	const n, rounds, seed = 4, 6, 11
+	want := singleProcessLosses(t, n, rounds, seed)
 	for _, topo := range []netx.Topology{netx.FullMesh{}, netx.Ring{}, netx.Hierarchical{}} {
 		t.Run(topo.Name(), func(t *testing.T) {
-			meshes := formTopoMeshes(t, topo, n)
-			got := make([][]float64, n) // [replica][round]
-			errs := make([]error, n)
-			var wg sync.WaitGroup
-			for p := 0; p < n; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					tr, err := NewTrainer(TrainerConfig{
-						Task: task, Pipelines: n, Micro: 2, StageCount: 2,
-						Seed: seed, ClipNorm: 5, Obs: obs.NewRegistry(),
-						Dist: &DistConfig{ReplicaID: p, Mesh: meshes[p]},
-					})
-					if err != nil {
-						errs[p] = err
-						return
-					}
-					defer tr.Close()
-					for r := 0; r < rounds; r++ {
-						loss, err := tr.StepContext(context.Background())
-						if err != nil {
-							errs[p] = fmt.Errorf("round %d: %w", r, err)
-							return
-						}
-						got[p] = append(got[p], loss)
-					}
-				}(p)
-			}
-			wg.Wait()
-			for p, err := range errs {
-				if err != nil {
-					t.Fatalf("replica %d: %v", p, err)
-				}
-			}
-			for p := 0; p < n; p++ {
-				for r := 0; r < rounds; r++ {
-					w, g := want[r][p], got[p][r]
-					if math.Float64bits(w) != math.Float64bits(g) {
-						t.Errorf("replica %d round %d: single-process loss %.17g, %s-fabric loss %.17g",
-							p, r, w, topo.Name(), g)
-					}
-				}
-			}
+			requireDistMatches(t, formTestMeshes(t, false, topo, n), want, seed)
 		})
 	}
 }

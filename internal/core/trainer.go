@@ -87,10 +87,9 @@ type DistConfig struct {
 	// ReplicaID is this process's pipeline index in [0, Pipelines).
 	ReplicaID int
 	// Mesh is the formed averaging fabric connecting the job's replicas
-	// (net.FormMesh, or net.FormTopology for ring/hierarchical). Its
-	// Self must equal ReplicaID and its N must equal Pipelines. The
-	// trainer attaches it to its averager and closes it with the
-	// trainer.
+	// (net.FormTopologyOn, under any topology). Its Self must equal
+	// ReplicaID and its N must equal Pipelines. The trainer attaches it
+	// to its averager and closes it with the trainer.
 	Mesh *netx.Mesh
 }
 
@@ -335,10 +334,12 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 			}
 			t.opts[p].Step(pl.Params())
 			nn.ZeroGrads(pl.Params())
+			if err := t.avg.SubmitContext(ctx, p, round, pl.Params()); err != nil {
+				errs[p] = fmt.Errorf("pipeline %d: %w", p, err)
+				return
+			}
 			if t.cfg.AsyncDilute {
-				t.avg.AfterStep(p, round, pl.Params())
-			} else {
-				t.avg.Submit(p, round, pl.Params())
+				t.avg.Dilute(p, pl.Params())
 			}
 		}(p, batch)
 	}
@@ -405,8 +406,8 @@ func (t *Trainer) finishStep(start time.Time, rec StepRecord) error {
 // replica processes its batch, applies its local optimizer update,
 // submits the delta (which fans out to every peer's reference copy),
 // waits for the round to close on the local reference copy — the
-// distributed barrier that replaces Drain, whose watermarks only see
-// local submits — and dilutes. Because every process applies the same
+// distributed barrier that replaces DrainContext, whose watermarks only
+// see local submits — and dilutes. Because every process applies the same
 // deterministic reduction, the local loss sequence is bit-identical to
 // the same replica's losses in a single-process run of the same job.
 func (t *Trainer) stepDist(ctx context.Context) (float64, error) {
@@ -517,7 +518,7 @@ func (t *Trainer) Round() int { return t.round }
 // Eval evaluates the reference model on the held-out batch and returns
 // loss and accuracy.
 func (t *Trainer) Eval() (loss, acc float64) {
-	t.avg.Drain()
+	_ = t.avg.DrainContext(context.Background())
 	t.avg.WriteReference(t.evalModel.Params())
 	return workload.Evaluate(t.evalModel, t.evalGen.EvalBatch(), t.cfg.Task.PerPosition)
 }
@@ -528,7 +529,7 @@ func (t *Trainer) Eval() (loss, acc float64) {
 // ship it elsewhere (e.g. a snapshot frame) should copy the data before
 // the next round mutates it.
 func (t *Trainer) ReferenceSnapshot() []*nn.Param {
-	t.avg.Drain()
+	_ = t.avg.DrainContext(context.Background())
 	t.avg.WriteReference(t.evalModel.Params())
 	return t.evalModel.Params()
 }

@@ -11,7 +11,7 @@ import (
 
 // SetFaults installs the fault injector the stage workers consult for
 // straggler delays, identifying this pipeline as id in the injector's
-// coordinates (nil injector = no faults). Call before RunBatch, not
+// coordinates (nil injector = no faults). Call before RunBatchContext, not
 // concurrently with it.
 func (p *Pipeline) SetFaults(in *fault.Injector, id int) {
 	p.faults = in

@@ -64,36 +64,19 @@ func RunTopologyAB(n int) []TopologyVariant {
 func runTopologyVariant(topo netx.Topology, codec netx.Codec, topk float64, n int) TopologyVariant {
 	task := workload.TranslationTask()
 	tr := netx.NewInProc(0)
+	trs := make([]netx.Transport, n)
 	lns := make([]netx.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range lns {
 		ln, err := tr.Listen(fmt.Sprintf("replica-%d", i))
 		if err != nil {
 			panic(err)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr()
+		trs[i], lns[i] = tr, ln
 	}
-	meshes := make([]*netx.Mesh, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		wg.Add(1)
-		go func(i int, peers map[int]string) {
-			defer wg.Done()
-			m, err := netx.FormTopologyOn(context.Background(), tr, lns[i], topo, i, peers)
-			if err != nil {
-				panic(err)
-			}
-			meshes[i] = m
-		}(i, peers)
+	meshes, err := netx.FormJob(context.Background(), trs, lns, topo)
+	if err != nil {
+		panic(err)
 	}
-	wg.Wait()
 
 	conns := 0
 	for _, m := range meshes {
@@ -102,6 +85,7 @@ func runTopologyVariant(topo netx.Topology, codec netx.Codec, topk float64, n in
 
 	regs := make([]*obs.Registry, n)
 	var v TopologyVariant
+	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		regs[p] = obs.NewRegistry()
 		wg.Add(1)

@@ -1,6 +1,7 @@
 package heal
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +16,8 @@ func smallParams() []*nn.Param {
 	return []*nn.Param{nn.NewParam("w", tensor.New(4))}
 }
 
-// The supervisor races against live Submit/Detach/Rejoin traffic on a
-// real averager: detaches triggered by injected health events must
+// The supervisor races against live SubmitContext/Detach/Rejoin traffic
+// on a real averager: detaches triggered by injected health events must
 // interleave safely with rounds closing, replicas rejoining, and the
 // adaptive deadline moving. Run under -race (the Makefile race tier).
 func TestSupervisorRacesWithAveragerTraffic(t *testing.T) {
@@ -43,7 +44,10 @@ func TestSupervisorRacesWithAveragerTraffic(t *testing.T) {
 			ps := smallParams()
 			for r := 0; r < rounds; r++ {
 				ps[0].W.Data()[0] += 1
-				a.Submit(p, r, ps)
+				if err := a.SubmitContext(context.Background(), p, r, ps); err != nil {
+					t.Errorf("pipeline %d round %d: %v", p, r, err)
+					return
+				}
 			}
 		}(p)
 	}
@@ -61,7 +65,11 @@ func TestSupervisorRacesWithAveragerTraffic(t *testing.T) {
 		a.Detach(2)
 	}()
 	wg.Wait()
-	a.Drain()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.DrainContext(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 	waitFor(t, "all rounds closed", func() bool { return a.PendingRounds() == 0 })
 }
 

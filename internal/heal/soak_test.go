@@ -29,19 +29,21 @@ const soakRoundDeadline = 100 * time.Millisecond
 type soakNode struct {
 	id      int
 	reg     *obs.Registry
-	tp      *netx.TCP
+	tp      netx.Transport
 	mesh    *netx.Mesh
 	trainer *core.Trainer
 	sup     *Supervisor
 }
 
-// soakBind binds one TCP listener per replica on kernel-chosen ports.
-func soakBind(t *testing.T, n int) (tps []*netx.TCP, lns []netx.Listener, addrs []string) {
+// soakForm binds one TCP listener per replica on kernel-chosen ports
+// and forms every replica's mesh concurrently on the given averaging
+// topology (nil = the full mesh).
+func soakForm(t *testing.T, topo netx.Topology, n int) (tps []netx.Transport, meshes []*netx.Mesh, addrs []string) {
 	t.Helper()
-	tps = make([]*netx.TCP, n)
-	lns = make([]netx.Listener, n)
+	tps = make([]netx.Transport, n)
+	lns := make([]netx.Listener, n)
 	addrs = make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range lns {
 		tps[i] = netx.NewTCP(obs.NewRegistry())
 		ln, err := tps[i].Listen("127.0.0.1:0")
 		if err != nil {
@@ -49,44 +51,18 @@ func soakBind(t *testing.T, n int) (tps []*netx.TCP, lns []netx.Listener, addrs 
 		}
 		lns[i], addrs[i] = ln, ln.Addr()
 	}
-	return tps, lns, addrs
-}
-
-// soakForm forms every replica's mesh concurrently on the given
-// averaging topology (nil = the full mesh).
-func soakForm(t *testing.T, topo netx.Topology, tps []*netx.TCP, lns []netx.Listener, addrs []string) []*netx.Mesh {
-	t.Helper()
-	n := len(tps)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	meshes := make([]*netx.Mesh, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		wg.Add(1)
-		go func(i int, peers map[int]string) {
-			defer wg.Done()
-			meshes[i], errs[i] = netx.FormTopologyOn(ctx, tps[i], lns[i], topo, i, peers)
-		}(i, peers)
+	meshes, err := netx.FormJob(ctx, tps, lns, topo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("replica %d mesh: %v", i, err)
-		}
-	}
-	return meshes
+	return tps, meshes, addrs
 }
 
 // soakUp builds one replica's runtime on a formed mesh: self-healing
 // connections (when selfHeal), the trainer, and the heal supervisor.
-func soakUp(t *testing.T, id int, reg *obs.Registry, tp *netx.TCP, mesh *netx.Mesh,
+func soakUp(t *testing.T, id int, reg *obs.Registry, tp netx.Transport, mesh *netx.Mesh,
 	addrs []string, faults fault.Config, selfHeal bool) *soakNode {
 	t.Helper()
 	if selfHeal {
@@ -135,8 +111,7 @@ func (n *soakNode) steps(ctx context.Context, count int) error {
 // soakBaseline measures the fault-free round rate of a fresh job.
 func soakBaseline(t *testing.T, topo netx.Topology, rounds int) float64 {
 	t.Helper()
-	tps, lns, addrs := soakBind(t, 2)
-	meshes := soakForm(t, topo, tps, lns, addrs)
+	tps, meshes, addrs := soakForm(t, topo, 2)
 	nodes := make([]*soakNode, 2)
 	for p := 0; p < 2; p++ {
 		nodes[p] = soakUp(t, p, obs.NewRegistry(), tps[p], meshes[p], addrs, fault.Config{}, false)
@@ -175,8 +150,7 @@ func soakBaseline(t *testing.T, topo netx.Topology, rounds int) float64 {
 // measured over measured rounds (0 when measured == 0).
 func runChaosRecovery(t *testing.T, topo netx.Topology, faults fault.Config, preCrash, sync, measured int) float64 {
 	t.Helper()
-	tps, lns, addrs := soakBind(t, 2)
-	meshes := soakForm(t, topo, tps, lns, addrs)
+	tps, meshes, addrs := soakForm(t, topo, 2)
 	n0 := soakUp(t, 0, obs.NewRegistry(), tps[0], meshes[0], addrs, faults, true)
 	n1 := soakUp(t, 1, obs.NewRegistry(), tps[1], meshes[1], addrs, faults, true)
 	defer n0.sup.Stop()
@@ -307,7 +281,7 @@ func TestChaosSoakRecovery(t *testing.T) {
 }
 
 // TestChaosSoakRecoveryRing runs the same gate on the ring fabric: the
-// restarted replica re-forms with FormTopology, so every new session —
+// restarted replica re-forms with FormTopologyOn, so every new session —
 // the survivor's re-dial and the restart's fresh dial alike — must
 // re-negotiate the ring's group-hello fingerprint before re-admission.
 func TestChaosSoakRecoveryRing(t *testing.T) {

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"avgpipe/internal/obs"
 )
 
 // TestClockFrameRoundTrip checks the ping/pong blob payloads survive
@@ -67,52 +65,14 @@ func TestMeasureClockOffset(t *testing.T) {
 
 // TestMeshSyncClocks forms a 3-replica loopback mesh and has every
 // replica measure every peer concurrently — the distributed handshake
-// the trainer runs right after FormMesh.
+// the trainer runs right after formation.
 func TestMeshSyncClocks(t *testing.T) {
 	const n = 3
-	trs := make([]*TCP, n)
-	lns := make([]Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		trs[i] = NewTCP(obs.NewRegistry())
-		ln, err := trs[i].Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		lns[i] = ln
-		addrs[i] = ln.Addr()
-	}
+	_, meshes := FormTestJob(t, true, FullMesh{}, n)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	meshes := make([]*Mesh, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		wg.Add(1)
-		go func(i int, peers map[int]string) {
-			defer wg.Done()
-			meshes[i], errs[i] = FormMeshOn(ctx, trs[i], lns[i], i, peers)
-		}(i, peers)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("replica %d mesh: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, m := range meshes {
-			m.Close()
-		}
-	}()
-
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {

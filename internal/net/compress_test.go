@@ -7,12 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"avgpipe/internal/obs"
 	"avgpipe/internal/tensor"
 )
 
@@ -358,37 +356,9 @@ func TestGroupHelloRoundTrip(t *testing.T) {
 // measured at the transport's byte counters.
 func TestCompressedBytesOnWire(t *testing.T) {
 	const elems = 1 << 14
-	regs := [2]*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
-	trs := [2]*TCP{NewTCP(regs[0]), NewTCP(regs[1])}
-	lns := [2]Listener{}
-	addrs := [2]string{}
-	for i := range trs {
-		ln, err := trs[i].Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i], addrs[i] = ln, ln.Addr()
-	}
+	trs, meshes := FormTestJob(t, true, FullMesh{}, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	meshes := [2]*Mesh{}
-	errs := [2]error{}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			meshes[i], errs[i] = FormMeshOn(ctx, trs[i], lns[i], i, map[int]string{1 - i: addrs[1-i]})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
-	}
-	defer meshes[0].Close()
-	defer meshes[1].Close()
 
 	// Drain replica 1's inbound so TCP windows never stall the sends.
 	go func() {
@@ -404,9 +374,7 @@ func TestCompressedBytesOnWire(t *testing.T) {
 	for i := range delta.Data() {
 		delta.Data()[i] = float32(i%251) - 125
 	}
-	sent := func() float64 {
-		return regs[0].Counter("avgpipe_net_bytes_sent_total", "", "transport", "tcp").Value()
-	}
+	sent := trs[0].(*TCP).bytesSent.Value
 	send := func(f *Frame) float64 {
 		before := sent()
 		if err := meshes[0].Broadcast(ctx, f); err != nil {

@@ -57,45 +57,22 @@ const (
 	dialRetryMax  = 500 * time.Millisecond
 )
 
-// FormMesh assembles the full mesh for replica self: it listens on
-// listenAddr, dials every peer in peers (id → address) with retry until
-// ctx expires, exchanges hello frames, and verifies that every process
-// agrees on the job size. Peer processes may start in any order.
-func FormMesh(ctx context.Context, tr Transport, self int, listenAddr string, peers map[int]string) (*Mesh, error) {
-	ln, err := tr.Listen(listenAddr)
-	if err != nil {
-		return nil, err
-	}
-	return FormMeshOn(ctx, tr, ln, self, peers)
-}
-
-// FormMeshOn is FormMesh over an already-bound listener, for callers
-// that need the kernel-chosen address (":0" listens) before the peer
-// map can be assembled. The mesh owns the listener: Mesh.Close closes
-// it, and so does any formation failure.
-func FormMeshOn(ctx context.Context, tr Transport, ln Listener, self int, peers map[int]string) (*Mesh, error) {
-	return FormTopologyOn(ctx, tr, ln, FullMesh{}, self, peers)
-}
-
-// FormTopology is FormMesh under an explicit averaging topology: only
-// the topology's connections are dialed and accepted, so a Ring or
-// Hierarchical fabric forms with O(N) connections instead of O(N²).
-// peers still lists every other replica — the topology decides which
-// subset this replica actually talks to.
-func FormTopology(ctx context.Context, tr Transport, topo Topology, self int, listenAddr string, peers map[int]string) (*Mesh, error) {
-	ln, err := tr.Listen(listenAddr)
-	if err != nil {
-		return nil, err
-	}
-	return FormTopologyOn(ctx, tr, ln, topo, self, peers)
-}
-
-// FormTopologyOn is FormTopology over an already-bound listener. On
-// non-mesh topologies every dialed connection sends a FrameGroupHello
-// after the hello — the topology name, effective group size, job size,
-// and supported-compression mask — and the acceptor cross-checks it, so
-// two processes configured with different fabrics fail at handshake
-// instead of stranding frames mid-round.
+// FormTopologyOn forms the averaging fabric of replica self — the one
+// way a Mesh comes to exist. ln is this replica's already-bound
+// listener (bind first, so a ":0" listen's kernel-chosen address can go
+// into the peers' maps); the mesh owns it: Mesh.Close closes it, and so
+// does any formation failure. peers maps every other replica's id to
+// its dial address; topo (nil = FullMesh) decides which of them this
+// replica dials and accepts, so a Ring or Hierarchical fabric forms
+// with O(N) connections instead of O(N²). Dials retry until ctx
+// expires, so peer processes may start in any order; every hello is
+// checked for the job size.
+//
+// On non-mesh topologies every dialed connection sends a
+// FrameGroupHello after the hello — the topology name, effective group
+// size, job size, and supported-compression mask — and the acceptor
+// cross-checks it, so two processes configured with different fabrics
+// fail at handshake instead of stranding frames mid-round.
 func FormTopologyOn(ctx context.Context, tr Transport, ln Listener, topo Topology, self int, peers map[int]string) (*Mesh, error) {
 	n := len(peers) + 1
 	if self < 0 || self >= n {
@@ -257,6 +234,57 @@ func FormTopologyOn(ctx context.Context, tr Transport, ln Listener, topo Topolog
 		return nil, errors.Join(errs...)
 	}
 	return m, nil
+}
+
+// FormJob forms every replica of an n-replica job inside one process,
+// concurrently, exactly as n processes would: replica i owns the
+// already-bound listener lns[i], dials with trs[i], and reaches each
+// other replica j at lns[j].Addr(). If any replica fails, the others
+// are cancelled, every mesh formed is closed, and the error names the
+// first replica that failed.
+func FormJob(ctx context.Context, trs []Transport, lns []Listener, topo Topology) ([]*Mesh, error) {
+	if len(trs) != len(lns) {
+		return nil, fmt.Errorf("net: %d transports for %d listeners", len(trs), len(lns))
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	meshes := make([]*Mesh, len(lns))
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for i := range lns {
+		peers := make(map[int]string, len(lns)-1)
+		for j, ln := range lns {
+			if j != i {
+				peers[j] = ln.Addr()
+			}
+		}
+		wg.Add(1)
+		go func(i int, peers map[int]string) {
+			defer wg.Done()
+			m, err := FormTopologyOn(ctx, trs[i], lns[i], topo, i, peers)
+			if err != nil {
+				once.Do(func() {
+					first = fmt.Errorf("net: form replica %d: %w", i, err)
+					cancel()
+				})
+				return
+			}
+			meshes[i] = m
+		}(i, peers)
+	}
+	wg.Wait()
+	if first != nil {
+		for _, m := range meshes {
+			if m != nil {
+				m.Close()
+			}
+		}
+		return nil, first
+	}
+	return meshes, nil
 }
 
 // groupSize resolves the negotiated group-size field of a topology's
@@ -427,8 +455,7 @@ func (m *Mesh) Inbound() []int {
 	return ids
 }
 
-// Topology returns the fabric shape the mesh was formed under
-// (FullMesh for meshes formed by FormMesh).
+// Topology returns the fabric shape the mesh was formed under.
 func (m *Mesh) Topology() Topology {
 	if m.topo == nil {
 		return FullMesh{}

@@ -39,7 +39,7 @@ type SelfHealConfig struct {
 // restarted process starting a fresh session) replaces that peer's
 // inbound connection and is announced through SetInboundHandler.
 //
-// Call it after FormMesh and SyncClocks and before the averager
+// Call it after FormTopologyOn and SyncClocks and before the averager
 // attaches: it rewrites the send table, which is only safe while the
 // mesh is quiescent.
 func (m *Mesh) EnableSelfHeal(cfg SelfHealConfig) error {
@@ -53,7 +53,7 @@ func (m *Mesh) EnableSelfHeal(cfg SelfHealConfig) error {
 	}
 	// A sparse fabric re-runs its topology fingerprint on every new
 	// session, exactly as formation does — a restarted peer re-forms
-	// with FormTopology and expects the group hello after the hello.
+	// with FormTopologyOn and expects the group hello after the hello.
 	ghBlob, err := groupHelloBlob(m.topo, m.N)
 	if err != nil {
 		return err

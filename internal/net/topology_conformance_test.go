@@ -25,79 +25,6 @@ import (
 // carries the frames, the N reference copies must land bit-identical to
 // the seed's in-memory behavior.
 
-// topoFabric builds the n per-replica (transport, listener) pairs of one
-// job and reports every listener's dialable address.
-type topoFabric func(t *testing.T, n int) (trs []netx.Transport, lns []netx.Listener, addrs []string)
-
-func inprocFabric(t *testing.T, n int) ([]netx.Transport, []netx.Listener, []string) {
-	t.Helper()
-	tr := netx.NewInProc(0)
-	trs := make([]netx.Transport, n)
-	lns := make([]netx.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := tr.Listen(fmt.Sprintf("replica-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[i], lns[i], addrs[i] = tr, ln, ln.Addr()
-	}
-	return trs, lns, addrs
-}
-
-func tcpFabric(t *testing.T, n int) ([]netx.Transport, []netx.Listener, []string) {
-	t.Helper()
-	trs := make([]netx.Transport, n)
-	lns := make([]netx.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		tr := netx.NewTCP(obs.NewRegistry())
-		ln, err := tr.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[i], lns[i], addrs[i] = tr, ln, ln.Addr()
-	}
-	return trs, lns, addrs
-}
-
-// formFabric forms the n meshes of one job concurrently, as n OS
-// processes would.
-func formFabric(t *testing.T, fab topoFabric, topo netx.Topology, n int) []*netx.Mesh {
-	t.Helper()
-	trs, lns, addrs := fab(t, n)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	meshes := make([]*netx.Mesh, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		wg.Add(1)
-		go func(i int, peers map[int]string) {
-			defer wg.Done()
-			meshes[i], errs[i] = netx.FormTopologyOn(ctx, trs[i], lns[i], topo, i, peers)
-		}(i, peers)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, m := range meshes {
-			m.Close()
-		}
-	})
-	return meshes
-}
-
 // topoHarness is one formed job: n averagers over n meshes, each with
 // its own single-tensor parameter set, plus the single-process oracle
 // the distributed outcome is compared against.
@@ -110,9 +37,9 @@ type topoHarness struct {
 	oracleParams [][]*nn.Param
 }
 
-func newTopoHarness(t *testing.T, fab topoFabric, topo netx.Topology, n int, deadline time.Duration) *topoHarness {
+func newTopoHarness(t *testing.T, tcp bool, topo netx.Topology, n int, deadline time.Duration) *topoHarness {
 	t.Helper()
-	meshes := formFabric(t, fab, topo, n)
+	_, meshes := netx.FormTestJob(t, tcp, topo, n)
 	h := &topoHarness{n: n}
 	h.avgs = make([]*core.Averager, n)
 	h.params = make([][]*nn.Param, n)
@@ -145,6 +72,14 @@ func (h *topoHarness) nudge(p, r int) {
 	d := float32(p+1) * 0.01 * float32(r+1)
 	h.params[p][0].W.AxpyInPlace(d, tensor.Ones(8))
 	h.oracleParams[p][0].W.AxpyInPlace(d, tensor.Ones(8))
+}
+
+// oracleSubmit feeds pipeline p's round-r update to the oracle.
+func (h *topoHarness) oracleSubmit(t *testing.T, p, r int) {
+	t.Helper()
+	if err := h.oracle.SubmitContext(context.Background(), p, r, h.oracleParams[p]); err != nil {
+		t.Fatalf("oracle: pipeline %d round %d: %v", p, r, err)
+	}
 }
 
 // checkRefs asserts all n distributed reference copies are bit-identical
@@ -184,7 +119,7 @@ func (h *topoHarness) submitAll(t *testing.T, r int, live func(p int) bool) {
 	wg.Wait()
 	for p := 0; p < h.n; p++ {
 		if live(p) {
-			h.oracle.Submit(p, r, h.oracleParams[p])
+			h.oracleSubmit(t, p, r)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -209,8 +144,9 @@ func conformanceTopologies() map[string]netx.Topology {
 	}
 }
 
-func conformanceFabrics() map[string]topoFabric {
-	return map[string]topoFabric{"inproc": inprocFabric, "tcp": tcpFabric}
+// conformanceFabrics maps each transport to FormTestJob's tcp flag.
+func conformanceFabrics() map[string]bool {
+	return map[string]bool{"inproc": false, "tcp": true}
 }
 
 // TestTopologyConformance is the behavioral table: every case runs
@@ -219,23 +155,23 @@ func TestTopologyConformance(t *testing.T) {
 	const n = 4
 	cases := []struct {
 		name string
-		run  func(t *testing.T, fab topoFabric, topo netx.Topology)
+		run  func(t *testing.T, tcp bool, topo netx.Topology)
 	}{
-		{"RoundCompletes", func(t *testing.T, fab topoFabric, topo netx.Topology) {
+		{"RoundCompletes", func(t *testing.T, tcp bool, topo netx.Topology) {
 			// Three full rounds: every reference copy applies all N deltas
 			// in pipeline order and lands bit-identical to the oracle.
-			h := newTopoHarness(t, fab, topo, n, 0)
+			h := newTopoHarness(t, tcp, topo, n, 0)
 			for r := 0; r < 3; r++ {
 				h.submitAll(t, r, func(int) bool { return true })
 			}
 			h.checkRefs(t, "round-completes")
 		}},
-		{"DetachMidRound", func(t *testing.T, fab topoFabric, topo netx.Topology) {
+		{"DetachMidRound", func(t *testing.T, tcp bool, topo netx.Topology) {
 			// Replica n-1 detaches while round 0 is open: the round closes
 			// over the remaining live set, renormalized to 1/(n-1), on every
 			// replica — including the detached one, which still hosts its
 			// reference copy.
-			h := newTopoHarness(t, fab, topo, n, 0)
+			h := newTopoHarness(t, tcp, topo, n, 0)
 			var wg sync.WaitGroup
 			for p := 0; p < n-1; p++ {
 				h.nudge(p, 0)
@@ -250,7 +186,7 @@ func TestTopologyConformance(t *testing.T) {
 			wg.Wait()
 			h.avgs[n-1].Detach(n - 1)
 			for p := 0; p < n-1; p++ {
-				h.oracle.Submit(p, 0, h.oracleParams[p])
+				h.oracleSubmit(t, p, 0)
 			}
 			h.oracle.Detach(n - 1)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -270,10 +206,10 @@ func TestTopologyConformance(t *testing.T) {
 				}
 			}
 		}},
-		{"RejoinReadmits", func(t *testing.T, fab topoFabric, topo netx.Topology) {
+		{"RejoinReadmits", func(t *testing.T, tcp bool, topo netx.Topology) {
 			// A detached replica rejoins: peers re-admit it from its join
 			// round on, and the next round closes over all N again.
-			h := newTopoHarness(t, fab, topo, n, 0)
+			h := newTopoHarness(t, tcp, topo, n, 0)
 			h.avgs[n-1].Detach(n - 1)
 			h.oracle.Detach(n - 1)
 			h.submitAll(t, 0, func(p int) bool { return p < n-1 })
@@ -292,12 +228,12 @@ func TestTopologyConformance(t *testing.T) {
 			h.submitAll(t, 1, func(int) bool { return true })
 			h.checkRefs(t, "rejoin-readmits")
 		}},
-		{"DeadlineDiscardsStale", func(t *testing.T, fab topoFabric, topo netx.Topology) {
+		{"DeadlineDiscardsStale", func(t *testing.T, tcp bool, topo netx.Topology) {
 			// Replica n-1 stays live but silent: the round deadline closes
 			// round 0 over the partial set on every replica, and the
 			// straggler's late update is discarded — no reference copy
 			// moves again.
-			h := newTopoHarness(t, fab, topo, n, 400*time.Millisecond)
+			h := newTopoHarness(t, tcp, topo, n, 400*time.Millisecond)
 			h.submitAll(t, 0, func(p int) bool { return p < n-1 })
 			h.checkRefs(t, "deadline-partial")
 			// The stale update arrives after the round closed.
@@ -305,16 +241,16 @@ func TestTopologyConformance(t *testing.T) {
 			if err := h.avgs[n-1].SubmitContext(context.Background(), n-1, 0, h.params[n-1]); err != nil {
 				t.Fatal(err)
 			}
-			h.oracle.Submit(n-1, 0, h.oracleParams[n-1])
+			h.oracleSubmit(t, n-1, 0)
 			time.Sleep(200 * time.Millisecond) // let the late frame disseminate
 			h.checkRefs(t, "deadline-late-discard")
 		}},
 	}
-	for fabName, fab := range conformanceFabrics() {
+	for fabName, tcp := range conformanceFabrics() {
 		for topoName, topo := range conformanceTopologies() {
 			for _, tc := range cases {
 				t.Run(fmt.Sprintf("%s/%s/%s", fabName, topoName, tc.name), func(t *testing.T) {
-					tc.run(t, fab, topo)
+					tc.run(t, tcp, topo)
 				})
 			}
 		}
@@ -328,7 +264,7 @@ func TestTopologyConnectionCounts(t *testing.T) {
 	const n = 8
 	counts := map[string]int{}
 	for name, topo := range conformanceTopologies() {
-		meshes := formFabric(t, inprocFabric, topo, n)
+		_, meshes := netx.FormTestJob(t, false, topo, n)
 		total := 0
 		for _, m := range meshes {
 			total += len(m.Peers())
@@ -350,30 +286,18 @@ func TestTopologyConnectionCounts(t *testing.T) {
 }
 
 // TestFormationNamesMismatchedPeers pins the formation diagnostics: a
-// geometry or topology mismatch must name the offending replica ids, not
-// just counts.
+// geometry or topology mismatch, or a replica of an in-process job
+// failing, must name the offending replica ids, not just counts.
 func TestFormationNamesMismatchedPeers(t *testing.T) {
 	t.Run("job-size", func(t *testing.T) {
 		// Replica 0 believes n=2; replica 1 believes n=3 and dials 0.
-		tr := netx.NewInProc(0)
-		ln0, err := tr.Listen("size-0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln1, err := tr.Listen("size-1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln2, err := tr.Listen("size-2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln1.Close()
-		defer ln2.Close()
+		trs, lns := netx.BindFabric(t, false, 3)
+		defer lns[1].Close()
+		defer lns[2].Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		go netx.FormTopologyOn(ctx, tr, ln1, netx.FullMesh{}, 1, map[int]string{0: "size-0", 2: "size-2"})
-		_, err = netx.FormTopologyOn(ctx, tr, ln0, netx.FullMesh{}, 0, map[int]string{1: "size-1"})
+		go netx.FormTopologyOn(ctx, trs[1], lns[1], netx.FullMesh{}, 1, map[int]string{0: "replica-0", 2: "replica-2"})
+		_, err := netx.FormTopologyOn(ctx, trs[0], lns[0], netx.FullMesh{}, 0, map[int]string{1: "replica-1"})
 		if err == nil {
 			t.Fatal("mismatched job size accepted")
 		}
@@ -387,21 +311,13 @@ func TestFormationNamesMismatchedPeers(t *testing.T) {
 		// Replica 0 forms a ring (accepts only its predecessor, 2);
 		// replica 1 runs a full mesh and dials everyone — its hello at
 		// replica 0 must be refused by name.
-		tr := netx.NewInProc(0)
-		lns := make([]netx.Listener, 3)
-		for i := range lns {
-			ln, err := tr.Listen(fmt.Sprintf("as-%d", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lns[i] = ln
-		}
+		trs, lns := netx.BindFabric(t, false, 3)
 		defer lns[1].Close()
 		defer lns[2].Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		go netx.FormTopologyOn(ctx, tr, lns[1], netx.FullMesh{}, 1, map[int]string{0: "as-0", 2: "as-2"})
-		_, err := netx.FormTopologyOn(ctx, tr, lns[0], netx.Ring{}, 0, map[int]string{1: "as-1", 2: "as-2"})
+		go netx.FormTopologyOn(ctx, trs[1], lns[1], netx.FullMesh{}, 1, map[int]string{0: "replica-0", 2: "replica-2"})
+		_, err := netx.FormTopologyOn(ctx, trs[0], lns[0], netx.Ring{}, 0, map[int]string{1: "replica-1", 2: "replica-2"})
 		if err == nil {
 			t.Fatal("out-of-topology hello accepted")
 		}
@@ -414,19 +330,11 @@ func TestFormationNamesMismatchedPeers(t *testing.T) {
 	t.Run("topology-fingerprint", func(t *testing.T) {
 		// Both replicas of a 2-job run sparse fabrics, but different ones:
 		// the group hello cross-check must name both fingerprints.
-		tr := netx.NewInProc(0)
-		lns := make([]netx.Listener, 2)
-		for i := range lns {
-			ln, err := tr.Listen(fmt.Sprintf("fp-%d", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lns[i] = ln
-		}
+		trs, lns := netx.BindFabric(t, false, 2)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		go netx.FormTopologyOn(ctx, tr, lns[1], netx.Hierarchical{Group: 2}, 1, map[int]string{0: "fp-0"})
-		_, err := netx.FormTopologyOn(ctx, tr, lns[0], netx.Ring{}, 0, map[int]string{1: "fp-1"})
+		go netx.FormTopologyOn(ctx, trs[1], lns[1], netx.Hierarchical{Group: 2}, 1, map[int]string{0: "replica-0"})
+		_, err := netx.FormTopologyOn(ctx, trs[0], lns[0], netx.Ring{}, 0, map[int]string{1: "replica-1"})
 		if err == nil {
 			t.Fatal("mismatched topologies accepted")
 		}
@@ -434,6 +342,29 @@ func TestFormationNamesMismatchedPeers(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error does not name both fingerprints (%q missing): %v", want, err)
 			}
+		}
+	})
+	t.Run("failed-replica", func(t *testing.T) {
+		// One replica that cannot form fails the whole in-process job at
+		// once, by name, and leaves no listener bound.
+		trs, lns := netx.BindFabric(t, false, 3)
+		lns[1].Close() // replica 1 can accept no peer
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		meshes, err := netx.FormJob(ctx, trs, lns, netx.FullMesh{})
+		if err == nil || !strings.Contains(err.Error(), "replica 1") {
+			t.Fatalf("FormJob with a dead replica: meshes %v, err %v; want an error naming replica 1", meshes, err)
+		}
+		if ctx.Err() != nil {
+			t.Fatal("FormJob waited out the deadline instead of cancelling the other replicas")
+		}
+		for i, ln := range lns {
+			l, err := trs[i].Listen(ln.Addr())
+			if err != nil {
+				t.Errorf("replica %d's listener still bound after the failed formation: %v", i, err)
+				continue
+			}
+			l.Close()
 		}
 	})
 }

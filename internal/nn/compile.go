@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"avgpipe/internal/compiled"
 	"avgpipe/internal/tensor"
@@ -250,14 +249,14 @@ func compileUnaryAct(b *compiled.Builder, name string, stashInput bool,
 // Compile lowers tanh (derivative from the stashed output).
 func (a *Tanh) Compile(b *compiled.Builder) {
 	compileUnaryAct(b, "tanh", false,
-		func(v float32) float32 { return tanh32f(v) },
+		tensor.Tanh32,
 		func(v float32) float32 { return 1 - v*v })
 }
 
 // Compile lowers the logistic activation (derivative from the output).
 func (a *Sigmoid) Compile(b *compiled.Builder) {
 	compileUnaryAct(b, "sigmoid", false,
-		func(v float32) float32 { return sigmoid32f(v) },
+		tensor.Sigmoid32,
 		func(v float32) float32 { return v * (1 - v) })
 }
 
@@ -432,10 +431,3 @@ func (a *MultiHeadSelfAttention) OutShape(in []int) []int { return in }
 
 // OutShape: the encoder layer preserves shape.
 func (t *TransformerEncoderLayer) OutShape(in []int) []int { return in }
-
-// tanh32f and sigmoid32f mirror the tensor package's activation
-// formulas (float64 math, rounded to float32) so standalone lowerings
-// are bit-identical to tensor.Tanh()/tensor.Sigmoid().
-func tanh32f(x float32) float32 { return float32(math.Tanh(float64(x))) }
-
-func sigmoid32f(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }

@@ -237,17 +237,20 @@ func (c *Collector) ingestSnapshot(blob []byte) {
 			reporting++
 		}
 	}
-	stragglers := c.detectStragglersLocked()
-	c.mu.Unlock()
-	for _, ev := range stragglers {
-		c.emit(ev)
-	}
+	// Readiness is set under c.mu: set after unlocking, a racing ingest's
+	// stale "1/2 reporting" could land after the "ready" of the ingest
+	// that completed the set, and stick.
 	if c.cfg.Expect > 0 {
 		if reporting >= c.cfg.Expect {
 			c.health.SetReady()
 		} else {
 			c.health.SetNotReady(fmt.Sprintf("%d/%d replicas reporting", reporting, c.cfg.Expect))
 		}
+	}
+	stragglers := c.detectStragglersLocked()
+	c.mu.Unlock()
+	for _, ev := range stragglers {
+		c.emit(ev)
 	}
 	c.writeJSONL(struct {
 		Kind     string             `json:"kind"`

@@ -24,50 +24,44 @@ import (
 // processes would form.
 func formMeshes(t *testing.T, n int) []*netx.Mesh {
 	t.Helper()
-	trs := make([]*netx.TCP, n)
+	trs := make([]netx.Transport, n)
 	lns := make([]netx.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range lns {
 		trs[i] = netx.NewTCP(obs.NewRegistry())
 		ln, err := trs[i].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		lns[i] = ln
-		addrs[i] = ln.Addr()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	meshes := make([]*netx.Mesh, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers[j] = addrs[j]
-			}
-		}
-		wg.Add(1)
-		go func(i int, peers map[int]string) {
-			defer wg.Done()
-			meshes[i], errs[i] = netx.FormMeshOn(ctx, trs[i], lns[i], i, peers)
-			if errs[i] == nil {
-				errs[i] = meshes[i].SyncClocks(ctx)
-			}
-		}(i, peers)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("replica %d mesh: %v", i, err)
-		}
+	meshes, err := netx.FormJob(ctx, trs, lns, netx.FullMesh{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, m := range meshes {
 			m.Close()
 		}
 	})
+	// Every replica pings its peers while answering theirs, so the syncs
+	// run concurrently.
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, m := range meshes {
+		wg.Add(1)
+		go func(i int, m *netx.Mesh) {
+			defer wg.Done()
+			errs[i] = m.SyncClocks(ctx)
+		}(i, m)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("replica %d clock sync: %v", i, err)
+		}
+	}
 	return meshes
 }
 

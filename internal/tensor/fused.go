@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Fused kernels collapse the dominant op chains of the training hot path
 // into single passes over memory:
@@ -20,9 +17,9 @@ import (
 // and fused-equality tests in fused_test.go enforce this — so fusing
 // never changes training losses.
 
-// Act selects the activation applied by fused kernels. The formulas are
-// the same float64-math ones used by Tanh/Sigmoid/ReLU in ops.go, so a
-// fused kernel is bit-identical to the composed equivalent.
+// Act selects the activation applied by fused kernels. Tanh and sigmoid
+// are Tanh32 and Sigmoid32, the definitions Tanh/Sigmoid in ops.go use,
+// so a fused kernel is bit-identical to the composed equivalent.
 type Act uint8
 
 const (
@@ -30,19 +27,11 @@ const (
 	ActIdentity Act = iota
 	// ActReLU applies max(x, 0).
 	ActReLU
-	// ActTanh applies tanh via float64 math.Tanh.
+	// ActTanh applies Tanh32.
 	ActTanh
-	// ActSigmoid applies the logistic function via float64 math.Exp.
+	// ActSigmoid applies Sigmoid32.
 	ActSigmoid
 )
-
-func sigmoid32(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-func tanh32(x float32) float32 {
-	return float32(math.Tanh(float64(x)))
-}
 
 // MatMulBiasAct returns act(a @ b + bias) in one pass: (m,k) x (k,n) with
 // bias (n) broadcast to every row; bias may be nil to skip the add. This
@@ -97,11 +86,11 @@ func matMulBiasActInto(out, a, b, bias *Tensor, act Act) {
 				}
 			case ActTanh:
 				for j := 0; j < n; j++ {
-					orow[j] = tanh32(orow[j])
+					orow[j] = Tanh32(orow[j])
 				}
 			case ActSigmoid:
 				for j := 0; j < n; j++ {
-					orow[j] = sigmoid32(orow[j])
+					orow[j] = Sigmoid32(orow[j])
 				}
 			}
 		}
@@ -168,12 +157,12 @@ func LSTMCellForward(zx, h, c, wh, bias *Tensor) LSTMGates {
 			for j := 0; j < hidden; j++ {
 				// Same order as the composed path: (zx+zh) elementwise,
 				// then the broadcast bias add.
-				iv := sigmoid32((zxr[j] + zhr[j]) + bias.data[j])
-				fv := sigmoid32((zxr[hidden+j] + zhr[hidden+j]) + bias.data[hidden+j])
-				gv := tanh32((zxr[2*hidden+j] + zhr[2*hidden+j]) + bias.data[2*hidden+j])
-				ov := sigmoid32((zxr[3*hidden+j] + zhr[3*hidden+j]) + bias.data[3*hidden+j])
+				iv := Sigmoid32((zxr[j] + zhr[j]) + bias.data[j])
+				fv := Sigmoid32((zxr[hidden+j] + zhr[hidden+j]) + bias.data[hidden+j])
+				gv := Tanh32((zxr[2*hidden+j] + zhr[2*hidden+j]) + bias.data[2*hidden+j])
+				ov := Sigmoid32((zxr[3*hidden+j] + zhr[3*hidden+j]) + bias.data[3*hidden+j])
 				cv := fv*cr[j] + iv*gv
-				tc := tanh32(cv)
+				tc := Tanh32(cv)
 				g.I.data[base+j] = iv
 				g.F.data[base+j] = fv
 				g.G.data[base+j] = gv

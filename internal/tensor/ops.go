@@ -151,17 +151,20 @@ func Apply(t *Tensor, f func(float32) float32) *Tensor {
 	return out
 }
 
+// Tanh32 is the one definition of tanh on a float32: float64 math.Tanh,
+// rounded once. Tanh, the fused kernels and the compiled lowerings all
+// call it, so every path agrees bit for bit.
+func Tanh32(x float32) float32 { return float32(math.Tanh(float64(x))) }
+
+// Sigmoid32 is the one definition of the logistic function on a
+// float32: float64 math.Exp, rounded once (see Tanh32).
+func Sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
+
 // Tanh returns tanh applied elementwise.
-func Tanh(t *Tensor) *Tensor {
-	return Apply(t, func(x float32) float32 { return float32(math.Tanh(float64(x))) })
-}
+func Tanh(t *Tensor) *Tensor { return Apply(t, Tanh32) }
 
 // Sigmoid returns the logistic function applied elementwise.
-func Sigmoid(t *Tensor) *Tensor {
-	return Apply(t, func(x float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(x))))
-	})
-}
+func Sigmoid(t *Tensor) *Tensor { return Apply(t, Sigmoid32) }
 
 // ReLU returns max(x, 0) elementwise.
 func ReLU(t *Tensor) *Tensor {
