@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
+.PHONY: ci fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
 
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
 # the arm64 cross-build, tests (root module and benchmark/), the race-detector pass over the
 # concurrent packages, the seeded chaos matrix, the self-healing chaos
-# soak, the wire-codec fuzz smoke,
+# soak, the wire-codec fuzz smoke, the exhaustive activation-kernel proof,
 # the metrics-exposition and collector-overhead smoke, the kernel,
 # compiled op-graph, and inference-serving benchmark-regression gates,
 # and the coverage floors. The GitHub workflow (.github/workflows/ci.yml)
 # runs exactly these targets, split across its ci and bench jobs.
-ci: fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
+ci: fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -57,6 +57,16 @@ race:
 # property the mesh relies on).
 fuzz-smoke:
 	$(GO) test ./internal/net/ -run '^FuzzDecodeFrame$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s
+
+# exhaustive-act checks the verified sigmoid/tanh kernels against
+# Sigmoid32/Tanh32 on all 2^32 float32 inputs, spread over GOMAXPROCS,
+# and prints each kernel's fallback share (~75 s on 2 vCPUs). The
+# exhaustive build tag selects that test only; the kernels are the same
+# without it. It also checks the rejected-input tables the tier-1 test
+# reads (internal/tensor/testdata/act-rejects-*.f32); after a change to
+# the kernels, rewrite them with AVGPIPE_WRITE_ACT_REJECTS=1.
+exhaustive-act:
+	$(GO) test -tags exhaustive ./internal/tensor/ -run '^TestActKernelsExhaustive$$' -count=1 -v -timeout 30m
 
 # faults is the robustness tier: first the seeded-determinism check (the
 # same fault seed must produce the identical fault schedule on repeat

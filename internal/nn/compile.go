@@ -221,15 +221,17 @@ func (l *Embedding) Compile(b *compiled.Builder) {
 }
 
 // compileUnaryAct lowers a standalone elementwise activation: forward
-// applies fwd over x into y; backward applies deriv over the stashed
-// tensor (x or y, per the module's stash convention) into dx and
-// multiplies by dy — the interpreter's exact two-pass form.
+// runs the slice kernel fwd over chunks of x into y; backward applies
+// deriv over the stashed tensor (x or y, per the module's stash
+// convention) into dx and multiplies by dy — the interpreter's exact
+// two-pass form.
 func compileUnaryAct(b *compiled.Builder, name string, stashInput bool,
-	fwd, deriv func(float32) float32) {
+	fwd func(dst, src []float32), deriv func(float32) float32) {
 	x := b.Cur()
 	y := b.Slot(b.ShapeOf(x))
 	b.EmitFwd(name, []compiled.Reg{x}, []compiled.Reg{y}, func(e *compiled.Env) {
-		tensor.ApplyInto(e.Reg(y), e.Reg(x), fwd)
+		yd, xd := e.Reg(y).Data(), e.Reg(x).Data()
+		tensor.ParallelFor(len(xd), func(lo, hi int) { fwd(yd[lo:hi], xd[lo:hi]) })
 	})
 	b.SetCur(y)
 	stash := y
@@ -249,21 +251,25 @@ func compileUnaryAct(b *compiled.Builder, name string, stashInput bool,
 // Compile lowers tanh (derivative from the stashed output).
 func (a *Tanh) Compile(b *compiled.Builder) {
 	compileUnaryAct(b, "tanh", false,
-		tensor.Tanh32,
+		tensor.TanhInto,
 		func(v float32) float32 { return 1 - v*v })
 }
 
 // Compile lowers the logistic activation (derivative from the output).
 func (a *Sigmoid) Compile(b *compiled.Builder) {
 	compileUnaryAct(b, "sigmoid", false,
-		tensor.Sigmoid32,
+		tensor.SigmoidInto,
 		func(v float32) float32 { return v * (1 - v) })
 }
 
 // Compile lowers GELU (derivative from the stashed input).
 func (a *GELU) Compile(b *compiled.Builder) {
 	compileUnaryAct(b, "gelu", true,
-		func(v float32) float32 { return float32(geluForward(float64(v))) },
+		func(dst, src []float32) {
+			for i, v := range src {
+				dst[i] = float32(geluForward(float64(v)))
+			}
+		},
 		func(v float32) float32 { return float32(geluDeriv(float64(v))) })
 }
 

@@ -15,7 +15,8 @@ import (
 )
 
 // DefaultStragglerThreshold is the relative slowdown (mean step time vs
-// the cluster median) above which a replica is flagged as a straggler.
+// the median of the other replicas) above which a replica is flagged as a
+// straggler.
 const DefaultStragglerThreshold = 0.5
 
 // CollectorConfig configures the cluster telemetry collector.
@@ -211,11 +212,22 @@ func (c *Collector) disconnect(replica int) {
 
 // emit records a collector-side event and streams it to JSONL.
 func (c *Collector) emit(ev obs.Event) {
+	c.streamEvent(c.record(ev))
+}
+
+// record stamps ev and appends it to the merged event stream. It takes no
+// collector lock, so it may run under c.mu.
+func (c *Collector) record(ev obs.Event) obs.Event {
 	if ev.TimeUnixNano == 0 {
 		ev.TimeUnixNano = time.Now().UnixNano()
 	}
 	c.events.Emit(ev)
 	c.eventsIn.Inc()
+	return ev
+}
+
+// streamEvent writes a recorded event to JSONL.
+func (c *Collector) streamEvent(ev obs.Event) {
 	c.writeJSONL(struct {
 		Kind  string    `json:"kind"`
 		Event obs.Event `json:"event"`
@@ -247,10 +259,15 @@ func (c *Collector) ingestSnapshot(blob []byte) {
 			c.health.SetNotReady(fmt.Sprintf("%d/%d replicas reporting", reporting, c.cfg.Expect))
 		}
 	}
+	// The verdicts are recorded under c.mu too: a reader that sees this
+	// snapshot also sees the straggler_detected events it raised.
 	stragglers := c.detectStragglersLocked()
+	for i, ev := range stragglers {
+		stragglers[i] = c.record(ev)
+	}
 	c.mu.Unlock()
 	for _, ev := range stragglers {
-		c.emit(ev)
+		c.streamEvent(ev)
 	}
 	c.writeJSONL(struct {
 		Kind     string             `json:"kind"`
@@ -341,8 +358,12 @@ func firstValue(snap Snapshot, name string) (float64, bool) {
 }
 
 // stragglerScores returns, per replica, the relative slowdown of its
-// mean step time against the cluster median (0 = at or below median).
-// Callers must hold c.mu.
+// mean step time against the median of the other replicas' means (0 = at
+// or below it). The replica itself is left out of its reference: counted
+// in, a straggler drags the median toward itself — with two replicas the
+// median is the pair's mean, so one running D slower than a peer at m
+// scores D/(2m+D), never 1, and a host slow enough to inflate m pushes a
+// plain straggler under any threshold. Callers must hold c.mu.
 func (c *Collector) stragglerScoresLocked() map[int]float64 {
 	means := make(map[int]float64)
 	for id, st := range c.replicas {
@@ -356,25 +377,21 @@ func (c *Collector) stragglerScoresLocked() map[int]float64 {
 	if len(means) < 2 {
 		return nil
 	}
-	sorted := make([]float64, 0, len(means))
-	for _, m := range means {
-		sorted = append(sorted, m)
-	}
-	sort.Float64s(sorted)
-	median := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	if median <= 0 {
-		return nil
-	}
 	scores := make(map[int]float64, len(means))
+	others := make([]float64, 0, len(means)-1)
 	for id, m := range means {
-		score := m/median - 1
-		if score < 0 {
-			score = 0
+		others = others[:0]
+		for peer, pm := range means {
+			if peer != id {
+				others = append(others, pm)
+			}
 		}
-		scores[id] = score
+		sort.Float64s(others)
+		median := others[len(others)/2]
+		if len(others)%2 == 0 {
+			median = (others[len(others)/2-1] + others[len(others)/2]) / 2
+		}
+		scores[id] = max(m/median-1, 0)
 	}
 	return scores
 }
@@ -567,7 +584,7 @@ func (c *Collector) derivedFamiliesLocked(connected int) []obs.FamilyExport {
 		}
 		fams = append(fams, obs.FamilyExport{
 			Name:   "avgpipe_cluster_straggler_score",
-			Help:   "Relative slowdown of each replica's mean step time vs the cluster median.",
+			Help:   "Relative slowdown of each replica's mean step time vs the median of the other replicas.",
 			Type:   "gauge",
 			Series: series,
 		})

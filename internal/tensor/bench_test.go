@@ -99,6 +99,21 @@ func BenchmarkKernelAxpyInPlace1M(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSigmoid and BenchmarkKernelTanh time the activation
+// kernels over 4096 gate-scale inputs.
+func benchAct(b *testing.B, kernel func(dst, src []float32)) {
+	x := tensor.NewRNG(10).Uniform(-4, 4, 4096).Data()
+	y := make([]float32, len(x))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernel(y, x)
+	}
+}
+
+func BenchmarkKernelSigmoid(b *testing.B) { benchAct(b, tensor.SigmoidInto) }
+func BenchmarkKernelTanh(b *testing.B)    { benchAct(b, tensor.TanhInto) }
+
 func BenchmarkKernelSoftmax(b *testing.B) {
 	rng := tensor.NewRNG(4)
 	x := rng.Uniform(-4, 4, 256, 4600)

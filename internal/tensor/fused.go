@@ -18,8 +18,9 @@ import "fmt"
 // never changes training losses.
 
 // Act selects the activation applied by fused kernels. Tanh and sigmoid
-// are Tanh32 and Sigmoid32, the definitions Tanh/Sigmoid in ops.go use,
-// so a fused kernel is bit-identical to the composed equivalent.
+// run the kernels of TanhInto and SigmoidInto, which Tanh/Sigmoid in
+// ops.go use too, so a fused kernel is bit-identical to the composed
+// equivalent.
 type Act uint8
 
 const (
@@ -71,28 +72,22 @@ func matMulBiasActInto(out, a, b, bias *Tensor, act Act) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	parallelGEMM(m, k, n, matmulRowTile, func(lo, hi int) {
 		gemmAccRows(out.data, a.data, k, 1, b.data, k, n, lo, hi)
-		for i := lo; i < hi; i++ {
-			orow := out.data[i*n : (i+1)*n]
-			if bias != nil {
-				vecAdd(orow, bias.data)
+		if bias != nil {
+			for i := lo; i < hi; i++ {
+				vecAdd(out.data[i*n:(i+1)*n], bias.data)
 			}
-			switch act {
-			case ActIdentity:
-			case ActReLU:
-				for j := 0; j < n; j++ {
-					if orow[j] < 0 {
-						orow[j] = 0
-					}
-				}
-			case ActTanh:
-				for j := 0; j < n; j++ {
-					orow[j] = Tanh32(orow[j])
-				}
-			case ActSigmoid:
-				for j := 0; j < n; j++ {
-					orow[j] = Sigmoid32(orow[j])
+		}
+		rows := out.data[lo*n : hi*n]
+		switch act {
+		case ActIdentity:
+		case ActReLU:
+			for j, v := range rows {
+				if v < 0 {
+					rows[j] = 0
 				}
 			}
+		case ActTanh, ActSigmoid:
+			actInto(act, rows, rows)
 		}
 	})
 }
@@ -129,9 +124,9 @@ func (g *LSTMGates) Release() {
 // sequence in one matmul. h and c are (batch,hidden), wh (hidden,4h), bias
 // (4h). The recurrent pre-activation uses the standard matmul kernel (same
 // accumulation order as the composed version: (xt@wx + h@wh) + bias
-// elementwise), then one pass produces all gate activations and states —
-// bit-identical to the chain of
-// MatMul/Add/AddRowVector/splitCols/Sigmoid/Tanh/Mul ops it replaces.
+// elementwise) and lands in the gate tensors, which the activation kernels
+// then overwrite in place, one slice per gate — bit-identical to the chain
+// of MatMul/Add/AddRowVector/splitCols/Sigmoid/Tanh/Mul ops it replaces.
 func LSTMCellForward(zx, h, c, wh, bias *Tensor) LSTMGates {
 	batch, hidden := h.shape[0], h.shape[1]
 	if len(zx.shape) != 2 || zx.shape[0] != batch || zx.shape[1] != 4*hidden ||
@@ -152,25 +147,33 @@ func LSTMCellForward(zx, h, c, wh, bias *Tensor) LSTMGates {
 		for r := lo; r < hi; r++ {
 			zxr := zx.data[r*4*hidden : (r+1)*4*hidden]
 			zhr := zh.data[r*4*hidden : (r+1)*4*hidden]
-			cr := c.data[r*hidden : (r+1)*hidden]
-			base := r * hidden
+			ir, fr := g.I.data[r*hidden:(r+1)*hidden], g.F.data[r*hidden:(r+1)*hidden]
+			gr, or := g.G.data[r*hidden:(r+1)*hidden], g.O.data[r*hidden:(r+1)*hidden]
 			for j := 0; j < hidden; j++ {
 				// Same order as the composed path: (zx+zh) elementwise,
 				// then the broadcast bias add.
-				iv := Sigmoid32((zxr[j] + zhr[j]) + bias.data[j])
-				fv := Sigmoid32((zxr[hidden+j] + zhr[hidden+j]) + bias.data[hidden+j])
-				gv := Tanh32((zxr[2*hidden+j] + zhr[2*hidden+j]) + bias.data[2*hidden+j])
-				ov := Sigmoid32((zxr[3*hidden+j] + zhr[3*hidden+j]) + bias.data[3*hidden+j])
-				cv := fv*cr[j] + iv*gv
-				tc := Tanh32(cv)
-				g.I.data[base+j] = iv
-				g.F.data[base+j] = fv
-				g.G.data[base+j] = gv
-				g.O.data[base+j] = ov
-				g.C.data[base+j] = cv
-				g.TanhC.data[base+j] = tc
-				g.H.data[base+j] = ov * tc
+				ir[j] = (zxr[j] + zhr[j]) + bias.data[j]
+				fr[j] = (zxr[hidden+j] + zhr[hidden+j]) + bias.data[hidden+j]
+				gr[j] = (zxr[2*hidden+j] + zhr[2*hidden+j]) + bias.data[2*hidden+j]
+				or[j] = (zxr[3*hidden+j] + zhr[3*hidden+j]) + bias.data[3*hidden+j]
 			}
+		}
+		// The chunk's rows are contiguous in every gate: one activation
+		// pass per gate, then the cell update, tanh(c) and h.
+		span := func(t *Tensor) []float32 { return t.data[lo*hidden : hi*hidden] }
+		iv, fv, gv, ov := span(g.I), span(g.F), span(g.G), span(g.O)
+		actInto(ActSigmoid, iv, iv)
+		actInto(ActSigmoid, fv, fv)
+		actInto(ActTanh, gv, gv)
+		actInto(ActSigmoid, ov, ov)
+		cPrev, cv := span(c), span(g.C)
+		for j := range cv {
+			cv[j] = fv[j]*cPrev[j] + iv[j]*gv[j]
+		}
+		tc, hv := span(g.TanhC), span(g.H)
+		actInto(ActTanh, tc, cv)
+		for j := range hv {
+			hv[j] = ov[j] * tc[j]
 		}
 	})
 	zh.Release()

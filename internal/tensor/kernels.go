@@ -189,6 +189,23 @@ func diluteGo(a, b float32, w, r, snap []float32) {
 	}
 }
 
+// actGo sets dst[i] = Tanh32(src[i]) for ActTanh and Sigmoid32(src[i])
+// otherwise: the activation kernels' definition, one scalar call per
+// element. The AVX2 layer computes the same values another way and proves
+// each one (kernels_amd64.s).
+func actGo(act Act, dst, src []float32) {
+	src = src[:len(dst)]
+	if act == ActTanh {
+		for i, v := range src {
+			dst[i] = Tanh32(v)
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = Sigmoid32(v)
+	}
+}
+
 // runsGo packs the coefficients of d = x − s (d = x when s is empty) whose
 // bits are not +0 into vals, in index order, and records the maximal runs
 // they form in spans as (base+start, length). Each coefficient costs the

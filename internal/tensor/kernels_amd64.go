@@ -1,5 +1,7 @@
 package tensor
 
+import "math/bits"
+
 // The amd64 kernel layer: each primitive of kernels.go dispatches to its
 // AVX2 twin in kernels_amd64.s when the CPU and the OS support it, and to
 // the Go loop otherwise. The choice is a hardware fact read once at init —
@@ -80,6 +82,66 @@ func runsAVX2(x, s, vals []float32, spans []Span, base uint32) (nv, ns int)
 //
 //go:noescape
 func dotCols8AVX2(at, b []float32, ldb, kb, n int, out []float32, ldo int, resume bool)
+
+// sigmoidAVX2 and tanhAVX2 are the verified activation kernels: over the
+// whole 8-blocks of src they write Sigmoid32/Tanh32 of every lane whose
+// result passes the rounding test, and return at the first block with a
+// lane that did not — done is the count of elements before it, reject the
+// mask of its lanes, which hold their input unchanged. reject is 0 once
+// every whole block is done.
+//
+//go:noescape
+func sigmoidAVX2(dst, src []float32) (done, reject int)
+
+//go:noescape
+func tanhAVX2(dst, src []float32) (done, reject int)
+
+func actBlocks(act Act, dst, src []float32) (done, reject int) {
+	if act == ActTanh {
+		return tanhAVX2(dst, src)
+	}
+	return sigmoidAVX2(dst, src)
+}
+
+// actInto sets dst = act(src) (ActSigmoid or ActTanh) and returns how many
+// elements the scalar definition computed: each lane the vector kernel
+// rejected, or all of them without AVX2. A tail shorter than a block runs
+// through the kernel from a padded copy; the zero padding is never
+// rejected.
+func actInto(act Act, dst, src []float32) (scalar int) {
+	src = src[:len(dst)]
+	if !useAVX2 {
+		actGo(act, dst, src)
+		return len(dst)
+	}
+	for len(dst) >= 8 {
+		done, reject := actBlocks(act, dst, src)
+		dst, src = dst[done:], src[done:]
+		if reject == 0 {
+			break
+		}
+		scalar += actRedo(act, dst, src, reject)
+		dst, src = dst[8:], src[8:]
+	}
+	if n := len(dst); n > 0 {
+		var buf [8]float32
+		copy(buf[:], src)
+		_, reject := actBlocks(act, buf[:], buf[:])
+		scalar += actRedo(act, buf[:], buf[:], reject)
+		copy(dst, buf[:n])
+	}
+	return scalar
+}
+
+// actRedo recomputes with the scalar definition each lane set in reject.
+// A rejected lane of dst still holds its input, so src may be dst.
+func actRedo(act Act, dst, src []float32, reject int) int {
+	for m := uint(reject); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros(m)
+		actGo(act, dst[i:i+1], src[i:i+1])
+	}
+	return bits.OnesCount(uint(reject))
+}
 
 func axpyAdd(av float32, b, o []float32) {
 	if useAVX2 {

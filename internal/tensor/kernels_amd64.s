@@ -604,3 +604,237 @@ runs_test1:
 	MOVQ R10, ns+112(FP)
 	VZEROUPPER
 	RET
+
+// Verified activations. sigmoidAVX2 and tanhAVX2 are not twins of a Go
+// loop: they compute Sigmoid32 and Tanh32 a different way, in float64, and
+// keep a lane only when its result provably rounds to the float32 the
+// definition returns (DESIGN.md §9, "Verified transcendentals"):
+//
+//   t = −x (sigmoid) or 2|x| (tanh); k = round(t·log2e); r = t − k·ln2,
+//   |r| ≤ ln2/2 (ln2 split in two so k·ln2hi is exact);
+//   q = e^r − 1 as its degree-12 Taylor polynomial, Horner from 1/12!;
+//   sigmoid y = 1/((1+2^k) + 2^k·q), tanh y = m/(m+2), m = (2^k−1) + 2^k·q,
+//   then the sign of x on tanh.
+//
+// The relative error of y is below 2^-48 and Sigmoid32/Tanh32's own float64
+// value is within a few ulps (2^-50) of the true one, so the definition's
+// float64 lies in [y − y·2^-44, y + y·2^-44]. Rounding is monotonic: when
+// both ends of that interval round to the same float32, so does the
+// definition, and the lane keeps that float32. Otherwise — and for NaN,
+// ±Inf and |x| > 128 — the lane keeps x unchanged and is reported, so the
+// caller can recompute it with the scalar definition even in place.
+//
+// Lanes 0–3 and 4–7 of a block run as two float64 chains: A in Y1 (t, then
+// r), Y3 (t·log2e + 1.5·2^52, then 2^k), Y5 (q, then y), Y7 (k, then
+// scratch); B in Y2, Y4, Y6, Y8.
+// Y0 holds the eight inputs, Y11 |x|, Y12 the in-range mask, Y15 = 1.
+
+// C4 is a float64 (or int64) constant in four lanes, C8 a float32 one in
+// eight, each a 32-byte memory operand.
+#define C4(name, bits) \
+	DATA name<>+0(SB)/8, $bits; \
+	DATA name<>+8(SB)/8, $bits; \
+	DATA name<>+16(SB)/8, $bits; \
+	DATA name<>+24(SB)/8, $bits; \
+	GLOBL name<>(SB), RODATA|NOPTR, $32
+#define C8(name, bits) \
+	DATA name<>+0(SB)/4, $bits; \
+	DATA name<>+4(SB)/4, $bits; \
+	DATA name<>+8(SB)/4, $bits; \
+	DATA name<>+12(SB)/4, $bits; \
+	DATA name<>+16(SB)/4, $bits; \
+	DATA name<>+20(SB)/4, $bits; \
+	DATA name<>+24(SB)/4, $bits; \
+	DATA name<>+28(SB)/4, $bits; \
+	GLOBL name<>(SB), RODATA|NOPTR, $32
+
+C4(actLog2e, 0x3ff71547652b82fe)  // log2(e)
+C4(actMagic, 0x4338000000000000)  // 1.5·2^52: adding it rounds to an integer, read from the low bits
+C4(actLn2Hi, 0x3fe62e42fee00000)  // ln2, top 32 bits
+C4(actLn2Lo, 0x3dea39ef35793c76)  // ln2 − actLn2Hi
+C4(actBias, 0x3ff)                // float64 exponent bias, as an int64
+C4(actOne, 0x3ff0000000000000)    // 1 = 1/1!
+C4(actTwo, 0x4000000000000000)    // 2
+C4(actEps, 0x3d30000000000000)    // 2^-44
+C4(actSign, 0x8000000000000000)   // float64 sign bit
+C4(actC2, 0x3fe0000000000000)     // 1/2!
+C4(actC3, 0x3fc5555555555555)     // 1/3!
+C4(actC4, 0x3fa5555555555555)
+C4(actC5, 0x3f81111111111111)
+C4(actC6, 0x3f56c16c16c16c17)
+C4(actC7, 0x3f2a01a01a01a01a)
+C4(actC8, 0x3efa01a01a01a01a)
+C4(actC9, 0x3ec71de3a556c734)
+C4(actC10, 0x3e927e4fb7789f5c)
+C4(actC11, 0x3e5ae64567f544e4)
+C4(actC12, 0x3e21eed8eff8d898)    // 1/12!
+C8(actAbs32, 0x7fffffff)          // float32 magnitude mask
+C8(actSign32, 0x80000000)         // float32 sign bit
+C8(actLim32, 0x43000000)          // 128, the edge of the fast path's range
+
+// Load block AX of src into Y0 and the range mask into Y12: |x| ≤ 128,
+// false for NaN.
+#define ACT_LOAD \
+	VMOVUPS (SI)(AX*4), Y0; \
+	VANDPS actAbs32<>(SB), Y0, Y11; \
+	VCMPPS $2, actLim32<>(SB), Y11, Y12
+
+// Widen the eight float32 in Y of X into chains A (Y1) and B (Y2).
+#define ACT_WIDEN(Y, X) \
+	VCVTPS2PD X, Y1; \
+	VEXTRACTF128 $1, Y, X2; \
+	VCVTPS2PD X2, Y2
+
+#define HORNER2(c) \
+	VADDPD c<>(SB), Y5, Y5; \
+	VADDPD c<>(SB), Y6, Y6; \
+	VMULPD Y1, Y5, Y5; \
+	VMULPD Y2, Y6, Y6
+
+// From t in Y1/Y2 leave r there, 2^k in Y3/Y4 and q = e^r − 1 in Y5/Y6.
+#define ACT_EXPM1 \
+	VMULPD actLog2e<>(SB), Y1, Y3; \
+	VMULPD actLog2e<>(SB), Y2, Y4; \
+	VADDPD actMagic<>(SB), Y3, Y3; \
+	VADDPD actMagic<>(SB), Y4, Y4; \
+	VSUBPD actMagic<>(SB), Y3, Y7; \
+	VSUBPD actMagic<>(SB), Y4, Y8; \
+	VMULPD actLn2Hi<>(SB), Y7, Y5; \
+	VMULPD actLn2Hi<>(SB), Y8, Y6; \
+	VSUBPD Y5, Y1, Y1; \
+	VSUBPD Y6, Y2, Y2; \
+	VMULPD actLn2Lo<>(SB), Y7, Y7; \
+	VMULPD actLn2Lo<>(SB), Y8, Y8; \
+	VSUBPD Y7, Y1, Y1; \
+	VSUBPD Y8, Y2, Y2; \
+	VPADDQ actBias<>(SB), Y3, Y3; \
+	VPADDQ actBias<>(SB), Y4, Y4; \
+	VPSLLQ $52, Y3, Y3; \
+	VPSLLQ $52, Y4, Y4; \
+	VMULPD actC12<>(SB), Y1, Y5; \
+	VMULPD actC12<>(SB), Y2, Y6; \
+	HORNER2(actC11); \
+	HORNER2(actC10); \
+	HORNER2(actC9); \
+	HORNER2(actC8); \
+	HORNER2(actC7); \
+	HORNER2(actC6); \
+	HORNER2(actC5); \
+	HORNER2(actC4); \
+	HORNER2(actC3); \
+	HORNER2(actC2); \
+	HORNER2(actOne)
+
+// The rounding test on y in Y5/Y6: Y9 = float32(y − y·2^-44) for the
+// eight lanes, Y10 = the lanes where that equals float32(y + y·2^-44) and
+// x is in range.
+#define ACT_ROUNDTEST \
+	VMULPD actEps<>(SB), Y5, Y7; \
+	VMULPD actEps<>(SB), Y6, Y8; \
+	VSUBPD Y7, Y5, Y1; \
+	VSUBPD Y8, Y6, Y2; \
+	VADDPD Y7, Y5, Y3; \
+	VADDPD Y8, Y6, Y4; \
+	VCVTPD2PSY Y1, X1; \
+	VCVTPD2PSY Y2, X2; \
+	VCVTPD2PSY Y3, X3; \
+	VCVTPD2PSY Y4, X4; \
+	VINSERTF128 $1, X2, Y1, Y9; \
+	VINSERTF128 $1, X4, Y3, Y3; \
+	VPCMPEQD Y3, Y9, Y10; \
+	VANDPS Y12, Y10, Y10
+
+// Store the kept lanes of Y9 and x in the others, then return at this
+// block if any lane was rejected, or fall through to the next.
+#define ACT_STORE(rejected) \
+	VBLENDVPS Y10, Y9, Y0, Y9; \
+	VMOVUPS Y9, (DI)(AX*4); \
+	VMOVMSKPS Y10, DX; \
+	CMPQ DX, $0xff; \
+	JNE  rejected; \
+	ADDQ $8, AX
+
+// ACT_RET returns (done, reject): the elements before block AX, and the
+// lanes of block AX the caller must recompute (DX, the kept-lane mask, is
+// inverted; all whole blocks are done when AX reached CX).
+#define ACT_RET(rejected) \
+	MOVQ AX, done+48(FP); \
+	MOVQ $0, reject+56(FP); \
+	VZEROUPPER; \
+	RET; \
+rejected: \
+	XORQ $0xff, DX; \
+	MOVQ AX, done+48(FP); \
+	MOVQ DX, reject+56(FP); \
+	VZEROUPPER; \
+	RET
+
+// func sigmoidAVX2(dst, src []float32) (done, reject int)
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	ANDQ $~7, CX
+	XORQ AX, AX
+	VMOVUPD actOne<>(SB), Y15
+	JMP  sig_test
+
+sig_loop:
+	ACT_LOAD
+	ACT_WIDEN(Y0, X0)
+	VXORPD actSign<>(SB), Y1, Y1
+	VXORPD actSign<>(SB), Y2, Y2
+	ACT_EXPM1
+	// y = 1 / ((1 + 2^k) + 2^k·q)
+	VMULPD Y3, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VADDPD Y15, Y3, Y3
+	VADDPD Y15, Y4, Y4
+	VADDPD Y3, Y5, Y5
+	VADDPD Y4, Y6, Y6
+	VDIVPD Y5, Y15, Y5
+	VDIVPD Y6, Y15, Y6
+	ACT_ROUNDTEST
+	ACT_STORE(sig_rejected)
+
+sig_test:
+	CMPQ AX, CX
+	JLT  sig_loop
+	ACT_RET(sig_rejected)
+
+// func tanhAVX2(dst, src []float32) (done, reject int)
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	ANDQ $~7, CX
+	XORQ AX, AX
+	VMOVUPD actOne<>(SB), Y15
+	JMP  tanh_test
+
+tanh_loop:
+	ACT_LOAD
+	ACT_WIDEN(Y11, X11)
+	VADDPD Y1, Y1, Y1
+	VADDPD Y2, Y2, Y2
+	ACT_EXPM1
+	// m = (2^k − 1) + 2^k·q;  y = m / (m + 2)
+	VMULPD Y3, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VSUBPD Y15, Y3, Y3
+	VSUBPD Y15, Y4, Y4
+	VADDPD Y3, Y5, Y5
+	VADDPD Y4, Y6, Y6
+	VADDPD actTwo<>(SB), Y5, Y3
+	VADDPD actTwo<>(SB), Y6, Y4
+	VDIVPD Y3, Y5, Y5
+	VDIVPD Y4, Y6, Y6
+	ACT_ROUNDTEST
+	VANDPS actSign32<>(SB), Y0, Y1
+	VORPS  Y1, Y9, Y9
+	ACT_STORE(tanh_rejected)
+
+tanh_test:
+	CMPQ AX, CX
+	JLT  tanh_loop
+	ACT_RET(tanh_rejected)

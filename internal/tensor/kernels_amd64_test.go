@@ -9,7 +9,7 @@ var avx2Kernels = kernelImpl{
 	axpy: axpyAddAVX2, axpy4: axpy4AddAVX2, axpy42: axpy4Add2AVX2,
 	add: vecAddAVX2, sub: vecSubAVX2, mul: vecMulAVX2, scale: vecScaleAVX2,
 	dilute: diluteAVX2, zeros: zeroBlocksAVX2, runs: runsAVX2,
-	transB: transBRows,
+	transB: transBRows, act: func(a Act, dst, src []float32) { actInto(a, dst, src) },
 }
 
 // TestAVX2KernelsMatchGo is the assembly half of the kernel proof: every

@@ -26,6 +26,13 @@ func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {
 	return runsGo(x, s, vals, spans, base)
 }
 
+// actInto sets dst = act(src) (ActSigmoid or ActTanh) with the scalar
+// definition, which therefore computes every element.
+func actInto(act Act, dst, src []float32) (scalar int) {
+	actGo(act, dst, src)
+	return len(dst)
+}
+
 // vectorOpsPerUnit: the Go loops run at the scalar speed parallel.go's cost
 // unit is defined by.
 const vectorOpsPerUnit = 1

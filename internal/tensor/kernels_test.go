@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,13 +24,14 @@ type kernelImpl struct {
 	zeros  func(x []float32) int
 	runs   func(x, s, vals []float32, spans []Span, base uint32) (int, int)
 	transB func(out, a, b []float32, k, n, lo, hi int)
+	act    func(a Act, dst, src []float32) // ActSigmoid or ActTanh
 }
 
 var goKernels = kernelImpl{
 	axpy: axpyAddGo, axpy4: axpy4AddGo, axpy42: axpy4Add2Go,
 	add: vecAddGo, sub: vecSubGo, mul: vecMulGo, scale: vecScaleGo,
 	dilute: diluteGo, zeros: zeroBlocksGo, runs: runsGo,
-	transB: transBRowsGo,
+	transB: transBRowsGo, act: actGo,
 }
 
 func naiveAxpy(av float32, b, o []float32) {
@@ -82,6 +84,15 @@ var naiveKernels = kernelImpl{
 					s += a[i*k+p] * b[j*k+p]
 				}
 				out[i*n+j] = s
+			}
+		}
+	},
+	act: func(a Act, dst, src []float32) {
+		for i, v := range src {
+			if a == ActTanh {
+				dst[i] = Tanh32(v)
+			} else {
+				dst[i] = Sigmoid32(v)
 			}
 		}
 	},
@@ -224,6 +235,12 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 			run("vecMul", func(k kernelImpl, ox, _ []float32) { k.mul(ox, b[0]) })
 			run("vecScale", func(k kernelImpl, ox, _ []float32) { k.scale(c[0], ox) })
 			run("dilute", func(k kernelImpl, ox, oy []float32) { k.dilute(c[0], c[1], ox, b[0], oy) })
+			for _, a := range []Act{ActSigmoid, ActTanh} {
+				run(fmt.Sprintf("act %d", a), func(k kernelImpl, ox, oy []float32) {
+					k.act(a, ox, ox) // in place
+					k.act(a, oy, b[0])
+				})
+			}
 
 			// Run extraction, with a snapshot to subtract and without.
 			for _, sub := range []bool{true, false} {

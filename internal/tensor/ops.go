@@ -152,19 +152,40 @@ func Apply(t *Tensor, f func(float32) float32) *Tensor {
 }
 
 // Tanh32 is the one definition of tanh on a float32: float64 math.Tanh,
-// rounded once. Tanh, the fused kernels and the compiled lowerings all
-// call it, so every path agrees bit for bit.
+// rounded once. TanhInto returns exactly its value for every input.
 func Tanh32(x float32) float32 { return float32(math.Tanh(float64(x))) }
 
 // Sigmoid32 is the one definition of the logistic function on a
-// float32: float64 math.Exp, rounded once (see Tanh32).
+// float32: float64 math.Exp, rounded once. SigmoidInto returns exactly its
+// value for every input.
 func Sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
 
+// TanhInto sets dst[i] = Tanh32(src[i]) for every i < len(dst): the one
+// vector entry point of tanh, which Tanh, the fused kernels and the
+// compiled lowering all call. dst may be src but must not otherwise
+// overlap it. With AVX2 it runs the verified kernel of kernels_amd64.s,
+// bit-identical to Tanh32 on every float32.
+func TanhInto(dst, src []float32) { actInto(ActTanh, dst, src) }
+
+// SigmoidInto sets dst[i] = Sigmoid32(src[i]) for every i < len(dst); see
+// TanhInto.
+func SigmoidInto(dst, src []float32) { actInto(ActSigmoid, dst, src) }
+
 // Tanh returns tanh applied elementwise.
-func Tanh(t *Tensor) *Tensor { return Apply(t, Tanh32) }
+func Tanh(t *Tensor) *Tensor { return applyAct(t, ActTanh) }
 
 // Sigmoid returns the logistic function applied elementwise.
-func Sigmoid(t *Tensor) *Tensor { return Apply(t, Sigmoid32) }
+func Sigmoid(t *Tensor) *Tensor { return applyAct(t, ActSigmoid) }
+
+// applyAct returns act(t) through the activation kernels, fanned out in
+// chunks of whole 8-blocks.
+func applyAct(t *Tensor, act Act) *Tensor {
+	out := borrowRaw(t.shape...)
+	parallelFor(len(t.data), len(t.data), 8, func(lo, hi int) {
+		actInto(act, out.data[lo:hi], t.data[lo:hi])
+	})
+	return out
+}
 
 // ReLU returns max(x, 0) elementwise.
 func ReLU(t *Tensor) *Tensor {
