@@ -71,7 +71,9 @@ exhaustive-act:
 # faults is the robustness tier: first the seeded-determinism check (the
 # same fault seed must produce the identical fault schedule on repeat
 # runs), then the chaos suite — crash/rejoin a replica with delayed
-# averaging messages — swept over a fixed seed matrix.
+# averaging messages — swept over a fixed seed matrix, then the
+# averaging-protocol explorer over 2000 seeds per scenario, replica
+# count and topology (tier 1 runs 150).
 FAULT_SEEDS ?= 99 7 1234
 faults:
 	$(GO) test ./internal/fault/ -run TestSeededDeterminism -count=2
@@ -81,6 +83,7 @@ faults:
 			-run 'TestTrainerChaosRecovery|TestWatchdogKillsWedgedSchedule|TestAveragerRoundDeadlineExpiresPartialRound|TestCheckpointBitExact' \
 			|| exit 1; \
 	done
+	AVGPIPE_EXPLORE_SEEDS=2000 $(GO) test ./internal/core/ -count=1 -run '^TestExplore'
 
 # faults-soak is the self-healing recovery gate: a 2-process TCP job
 # under seeded drops and stragglers has one replica killed hard and

@@ -14,18 +14,6 @@ import (
 	"avgpipe/internal/tensor"
 )
 
-// Update is one pipeline's local update for one training round: the
-// per-parameter weight deltas produced by its optimizer step (§3.2
-// step ❸), in run form — only the coefficients that moved. Updates
-// travel to the reference model over a net.Transport connection — an
-// in-process loopback for single-process runs, fanned out over a TCP
-// mesh for multi-process jobs — so they never block the pipeline.
-type Update struct {
-	Pipeline int
-	Round    int
-	Deltas   []*tensor.Runs
-}
-
 // Averager implements the elastic-averaging-based framework of §3.2. It
 // maintains the reference model (the centre of the parallel models) and
 // coordinates N parallel pipelines:
@@ -46,21 +34,30 @@ type Update struct {
 // reseeding from the reference; rounds renormalize over the replicas
 // that are actually live; and with SetRoundDeadline a round whose
 // stragglers never report is closed over the updates that did arrive
-// instead of wedging the reference loop forever.
+// instead of wedging the reference loop forever. Which round closes
+// when is the protocol core's decision (protocol.go); the Averager is
+// the shell around it.
 type Averager struct {
 	// Alpha is the dilution coefficient; 1/N empirically (§3.2).
 	Alpha float64
 	// N is the number of parallel pipelines.
 	N int
 
-	mu  sync.RWMutex
-	ref []*tensor.Tensor
+	// mu guards proto, the reference, detachedAt, detachWait and timer.
+	mu    sync.RWMutex
+	proto *protocol[[]*tensor.Runs]
+	ref   []*tensor.Tensor
 	// refMoves[i] records that ref[i] may hold a coefficient adding zero
 	// would move (−0, a signalling NaN): set when a reference is
 	// installed, cleared once an apply pass finds none left. Only then
 	// do the +0 coefficients an update skips need touching (see
 	// tensor.AxpyRuns).
-	refMoves []bool
+	refMoves   []bool
+	detachedAt []time.Time
+	// detachWait[f] receives the outcome of local Detach frame f.
+	detachWait map[*netx.Frame]chan bool
+	// timer fires at proto's next deadline; every event re-arms it.
+	timer *time.Timer
 
 	// The update stream is a transport connection: pipelines submit on
 	// tx, the reference loop receives on loopRx. tx is the composed
@@ -72,38 +69,10 @@ type Averager struct {
 	tx     netx.Conn
 	mesh   *netx.Mesh
 
-	// pending[round] accumulates per-pipeline deltas until every live
-	// pipeline reports (or the round deadline closes the round early).
-	pending map[int]*roundAcc
 	// snapshots[p] is pipeline p's weights after its previous round,
 	// used to derive local update deltas; builders[p] derives them.
 	snapshots [][]*tensor.Tensor
 	builders  []tensor.RunBuilder
-	// live[p] marks replicas currently participating in rounds; liveN
-	// counts them. Detach/Rejoin flip these. liveFrom[p] is the first
-	// round replica p counts toward: a rejoining replica is admitted
-	// from the round after every round already open or closed, so its
-	// return never inflates the quorum of a round it will not submit to.
-	live       []bool
-	liveN      int
-	liveFrom   []int
-	detachedAt []time.Time
-	// lastRound[p] is the newest round replica p has submitted an update
-	// for (-1 before its first); latestRound is the max across replicas.
-	// The heal supervisor reads these to spot replicas falling behind.
-	lastRound   []int
-	latestRound int
-	// doneRounds/doneFloor record closed rounds so a straggler update
-	// arriving after its round was applied (or expired) is discarded
-	// instead of re-opening the round: every round below doneFloor is
-	// closed, plus the out-of-order closures listed in doneRounds.
-	doneRounds map[int]bool
-	doneFloor  int
-	// deadline bounds how long an incomplete round may wait before it is
-	// closed over the arrived updates (0 = wait forever); expiryOn marks
-	// the expiry goroutine as started.
-	deadline time.Duration
-	expiryOn bool
 
 	// faults, when set, decides the fate of each submitted update.
 	faults *fault.Injector
@@ -112,12 +81,10 @@ type Averager struct {
 	// comps holds one error-feedback compressor per submitting pipeline
 	// — residuals are sender state, so they are never shared.
 	codec netx.Codec
-	topk  float64
 	comps []*netx.Compressor
 
 	// drainMu guards the sent/applied counters; drainCond wakes
-	// DrainContext waiters whenever the reference loop processes an
-	// update.
+	// DrainContext and WaitRound waiters (see tally).
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
 	sent      int64
@@ -130,10 +97,7 @@ type Averager struct {
 	done   chan struct{}
 	closed sync.Once
 
-	// Observability: elastic-round latency, update staleness, applied
-	// updates, open rounds, plus the fault surface — detach/rejoin
-	// counts, recovery latency, degraded-mode gauge, expired rounds, and
-	// discarded late updates.
+	// Metrics, described where NewAveragerObs registers them.
 	roundSec    *obs.Histogram
 	staleRounds *obs.Histogram
 	updates     *obs.Counter
@@ -155,17 +119,6 @@ type Averager struct {
 	tracer *obs.Tracer
 }
 
-// roundAcc holds one round's per-pipeline deltas. Keeping them separate
-// (rather than summing on arrival) makes the reference update a
-// deterministic reduction — deltas fold in pipeline order regardless of
-// arrival order — which is what lets a restored checkpoint reproduce an
-// uninterrupted run bit-exactly.
-type roundAcc struct {
-	deltas [][]*tensor.Runs // indexed by pipeline; nil = not arrived
-	got    int
-	first  time.Time
-}
-
 // NewAveragerObs builds the framework around an initial model: the
 // reference model starts as a copy of init, and all N pipelines are
 // assumed to start from weights equal to init (use SeedReplica
@@ -180,15 +133,11 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 	a := &Averager{
 		Alpha:      1 / float64(n),
 		N:          n,
-		pending:    make(map[int]*roundAcc),
+		proto:      newProtocol[[]*tensor.Runs](n),
 		snapshots:  make([][]*tensor.Tensor, n),
 		builders:   make([]tensor.RunBuilder, n),
-		live:       make([]bool, n),
-		liveN:      n,
-		liveFrom:   make([]int, n),
 		detachedAt: make([]time.Time, n),
-		lastRound:  make([]int, n),
-		doneRounds: make(map[int]bool),
+		detachWait: make(map[*netx.Frame]chan bool),
 		refState:   make(chan *netx.Frame, 1),
 		done:       make(chan struct{}),
 		roundSec: reg.Histogram("avgpipe_avg_round_seconds",
@@ -211,7 +160,7 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 		expired: reg.Counter("avgpipe_avg_rounds_expired_total",
 			"Rounds closed at the deadline over a partial update set."),
 		lateUpdates: reg.Counter("avgpipe_avg_late_updates_total",
-			"Updates discarded because their round had already closed."),
+			"Updates discarded because their round had already closed or their replica was not admitted to it."),
 		updateBytes: reg.Counter("avgpipe_avg_update_bytes_total",
 			"Wire bytes of update payloads this process submitted (one delivery each); divide by rounds for bytes-on-wire per round."),
 		coeffsSent: reg.Counter("avgpipe_avg_update_coeffs_total",
@@ -222,35 +171,39 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 			"Update frames dropped because their payload failed to decode or did not fit the model."),
 		events: reg.Events(),
 	}
-	for p := 0; p < n; p++ {
-		a.live[p] = true
-		a.lastRound[p] = -1
-	}
-	a.latestRound = -1
 	// The loopback pipe is the refactored §3.2 update queue: unbounded
 	// (capacity 0), so SubmitContext never blocks a pipeline, and
 	// instrumented under the historical queue name.
 	a.loopTx, a.loopRx = netx.InstrumentedPipe(0, reg, "averager")
 	a.tx = a.loopTx
 	a.drainCond = sync.NewCond(&a.drainMu)
+	a.timer = time.AfterFunc(time.Hour, a.tick) // armed by closeAndUnlock
+	a.timer.Stop()
+	src := make([]*tensor.Tensor, len(init))
 	a.ref = make([]*tensor.Tensor, len(init))
 	for i, p := range init {
-		a.ref[i] = p.W.Clone()
+		src[i], a.ref[i] = p.W, tensor.New(p.W.Shape()...)
 	}
 	a.refMoves = make([]bool, len(a.ref))
-	a.installedRefLocked()
-	for p := 0; p < n; p++ {
+	for p := range a.snapshots {
 		a.snapshots[p] = cloneTensors(a.ref)
 	}
+	a.installRefLocked(src)
 	go a.referenceLoop()
 	return a
 }
 
-// installedRefLocked refreshes refMoves after the reference was
-// overwritten wholesale. Caller holds a.mu (or owns a).
-func (a *Averager) installedRefLocked() {
-	for i, t := range a.ref {
-		a.refMoves[i] = t.ZeroAddMoves()
+// installRefLocked makes src the reference and every pipeline's delta
+// baseline — the one way a whole reference arrives: at construction, on
+// checkpoint restore, and from a peer when a restarted replica resumes.
+// Caller holds a.mu (or owns a).
+func (a *Averager) installRefLocked(src []*tensor.Tensor) {
+	for i, t := range src {
+		a.ref[i].CopyFrom(t)
+		a.refMoves[i] = a.ref[i].ZeroAddMoves()
+		for p := range a.snapshots {
+			a.snapshots[p][i].CopyFrom(t)
+		}
 	}
 }
 
@@ -326,18 +279,17 @@ func (a *Averager) recomposeTx() {
 		// A delayed update finally lost to a closed connection: undo its
 		// drain accounting so Close's drain cannot park on it.
 		a.lateUpdates.Inc()
-		a.addSent(-1)
+		a.tally(-1, 0)
 	})
 }
 
 // AttachMesh joins this averager to a multi-process elastic-averaging
-// job: Submits fan out along the mesh's topology, and peer updates plus
-// detach/rejoin control frames are ingested from the mesh's inbound
-// connections — relayed onward first on sparse topologies, so every
-// frame still reaches all N replicas. Every process applies the same
-// deterministic reduction to its own reference copy, so the N copies
-// stay bit-identical without a coordinator. Call before training
-// starts.
+// job: submits fan out along the mesh's topology, and peer updates and
+// membership frames arrive over its inbound connections, relayed onward
+// on sparse topologies so every frame reaches all N replicas. Every
+// process applies the same deterministic reduction to its own reference
+// copy, so the copies stay bit-identical without a coordinator. Call
+// before training starts.
 func (a *Averager) AttachMesh(m *netx.Mesh) {
 	if m.N != a.N {
 		panic(fmt.Sprintf("core: mesh has %d replicas, averager has %d", m.N, a.N))
@@ -355,12 +307,11 @@ func (a *Averager) AttachMesh(m *netx.Mesh) {
 	})
 }
 
-// inboundLoop ingests the frames one peer sends us until the connection
-// closes. from is the peer the connection belongs to — on a sparse
-// topology, frames that every replica must see (updates, membership
-// announcements, reference requests) are relayed to the topology's next
-// hops before local processing, and a reference-state reply addressed
-// to someone else is routed onward instead of being consumed.
+// inboundLoop ingests the frames peer from sends us until the connection
+// closes. Frames every replica must see are first relayed to the
+// topology's next hops (best effort: a relay lost to a dead link is
+// absorbed by the round deadline), and a reference-state reply addressed
+// to someone else is routed onward.
 func (a *Averager) inboundLoop(from int, c netx.Conn) {
 	for {
 		f, err := c.Recv(context.Background())
@@ -368,27 +319,21 @@ func (a *Averager) inboundLoop(from int, c netx.Conn) {
 			return
 		}
 		switch f.Type {
-		case netx.FrameUpdate, netx.FrameUpdateQ8, netx.FrameUpdateQ16, netx.FrameUpdateTopK:
-			a.relay(from, f)
+		case netx.FrameUpdate, netx.FrameUpdateQ8, netx.FrameUpdateQ16, netx.FrameUpdateTopK,
+			netx.FrameDetach, netx.FrameRejoin:
+			// Updates and membership changes queue behind each other, so
+			// the protocol sees a peer's update before that peer's detach.
+			_ = a.mesh.Forward(context.Background(), from, f)
 			if a.loopTx.Send(context.Background(), f) != nil {
 				return // shutting down; the round deadline absorbs the loss
 			}
-		case netx.FrameDetach:
-			a.relay(from, f)
-			a.Detach(int(f.Replica))
-		case netx.FrameRejoin:
-			// The rejoining process reseeds its own weights from its
-			// reference copy; peers only mark it live again, admitted no
-			// earlier than the join round the announcement carries.
-			a.relay(from, f)
-			a.rejoin(int(f.Replica), nil, int(f.Round))
 		case netx.FrameRefRequest:
 			// A restarted peer asking to reseed: reply with our current
 			// reference state and the round it should join from.
-			a.relay(from, f)
+			_ = a.mesh.Forward(context.Background(), from, f)
 			a.sendRefState(int(f.Replica))
 		case netx.FrameRefState:
-			if to := int(f.Meta); a.mesh != nil && to != a.mesh.Self {
+			if to := int(f.Meta); to != a.mesh.Self {
 				// Addressed to another replica: a routed hop, not ours.
 				_ = a.mesh.Route(context.Background(), to, f)
 				continue
@@ -407,25 +352,13 @@ func (a *Averager) inboundLoop(from int, c netx.Conn) {
 	}
 }
 
-// relay forwards a peer-originated frame along the mesh topology (a
-// no-op on the full mesh). Best effort: a relay lost to a dead link is
-// absorbed by the round deadline, like any lost update.
-func (a *Averager) relay(from int, f *netx.Frame) {
-	if a.mesh != nil {
-		_ = a.mesh.Forward(context.Background(), from, f)
-	}
-}
-
 // SetCompression selects the wire encoding for submitted updates:
-// CodecNone restores exact f32 deltas (the default), any other codec
-// packs each pipeline's deltas through its own error-feedback
-// compressor (net.Compressor), so what compression drops in one round
-// is re-submitted in the next and the update stream still sums to the
-// exact deltas. Every reference copy — including the local one —
+// CodecNone (the default) sends exact f32 deltas; any other codec packs
+// each pipeline's deltas through its own error-feedback compressor
+// (net.Compressor), and every reference copy, the local one included,
 // applies the same dequantized values, so dist-mode copies stay
-// bit-identical to each other. topkFrac is the kept fraction for
-// CodecTopK (0 = net.DefaultTopKFraction). Call before training
-// starts, not concurrently with SubmitContext.
+// bit-identical. topkFrac is the kept fraction for CodecTopK (0 =
+// net.DefaultTopKFraction). Call before training starts.
 func (a *Averager) SetCompression(c netx.Codec, topkFrac float64) error {
 	if c == netx.CodecNone {
 		a.codec, a.comps = c, nil
@@ -439,7 +372,7 @@ func (a *Averager) SetCompression(c netx.Codec, topkFrac float64) error {
 		}
 		comps[p] = comp
 	}
-	a.codec, a.topk, a.comps = c, topkFrac, comps
+	a.codec, a.comps = c, comps
 	return nil
 }
 
@@ -447,145 +380,26 @@ func (a *Averager) SetCompression(c netx.Codec, topkFrac float64) error {
 // wait for stragglers: a round older than d is closed over the updates
 // that did arrive (normalized by their count) and recorded as expired,
 // so a dropped or crashed replica can never wedge the reference loop.
-// d = 0 restores the default (rounds wait forever). Call before
-// training starts; the expiry check runs on a background ticker.
+// d = 0 restores the default (rounds wait forever). Safe to call while
+// training, as the heal supervisor does to retune it.
 func (a *Averager) SetRoundDeadline(d time.Duration) {
-	a.mu.Lock()
-	a.deadline = d
-	start := d > 0 && !a.expiryOn
-	if start {
-		a.expiryOn = true
-	}
-	a.mu.Unlock()
-	if start {
-		go a.expiryLoop()
-	}
-}
-
-// expiryLoop closes over-deadline rounds until the averager shuts down.
-func (a *Averager) expiryLoop() {
-	for {
-		a.mu.RLock()
-		d := a.deadline
-		a.mu.RUnlock()
-		if d <= 0 {
-			d = time.Second // deadline disabled mid-run: idle until re-enabled
-		}
-		tick := d / 4
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		select {
-		case <-a.done:
-			return
-		case <-time.After(tick):
-			a.expireStale()
-		}
-	}
-}
-
-// expireStale applies every pending round older than the deadline over
-// its partial update set and marks it closed.
-func (a *Averager) expireStale() {
 	now := time.Now()
 	a.mu.Lock()
-	d := a.deadline
-	if d <= 0 {
-		a.mu.Unlock()
-		return
-	}
-	type expiredRound struct{ round, got int }
-	var expired []expiredRound
-	for r, acc := range a.pending {
-		if now.Sub(acc.first) >= d {
-			expired = append(expired, expiredRound{r, acc.got})
-			a.applyRoundLocked(r, acc)
-		}
-	}
-	open := len(a.pending)
-	a.mu.Unlock()
-	if len(expired) > 0 {
-		a.expired.Add(float64(len(expired)))
-		a.openRounds.Set(float64(open))
-		for _, e := range expired {
-			a.events.Emit(obs.Event{Type: obs.EventRoundDeadlineMissed,
-				Replica: a.self(), Round: e.round, Value: float64(e.got),
-				Detail: "round closed over a partial update set"})
-		}
-		a.notifyRounds()
-	}
+	a.proto.deadline = d
+	a.closeAndUnlock(now, a.proto.settle(now))
 }
 
-// applyRoundLocked folds the round's arrived deltas into the reference
-// model — in pipeline order, so the reduction is deterministic — with
-// the moving rate renormalized over the updates that actually arrived,
-// then marks the round closed. Caller holds a.mu.
-func (a *Averager) applyRoundLocked(round int, acc *roundAcc) {
-	if acc.got > 0 {
-		start := time.Now()
-		// Each delta touches only its runs; every coefficient still gets
-		// the dense path's adds in pipeline order, so the sum is unchanged.
-		inv := float32(1 / float64(acc.got))
-		for p := 0; p < a.N; p++ {
-			ds := acc.deltas[p]
-			if ds == nil {
-				continue
-			}
-			for i := range a.ref {
-				a.ref[i].AxpyRuns(inv, ds[i], a.refMoves[i])
-			}
-		}
-		for i, moves := range a.refMoves {
-			if moves {
-				a.refMoves[i] = a.ref[i].ZeroAddMoves()
-			}
-		}
-		if a.tracer != nil {
-			// One apply span per contributing delta, so each remote
-			// submit has a span to land its flow arrow on.
-			ts := wallUS(start)
-			dur := float64(time.Since(start).Nanoseconds()) / 1e3
-			for p := 0; p < a.N; p++ {
-				if acc.deltas[p] == nil {
-					continue
-				}
-				a.tracer.Span(avgTracePID, avgTraceApplyTID, "apply", "avg",
-					ts, dur, map[string]any{"round": round, "from": p})
-			}
-		}
-	}
-	delete(a.pending, round)
-	a.doneRounds[round] = true
-	for a.doneRounds[a.doneFloor] {
-		delete(a.doneRounds, a.doneFloor)
-		a.doneFloor++
-	}
-}
-
-// roundClosedLocked reports whether the round has already been applied
-// or expired. Caller holds a.mu.
-func (a *Averager) roundClosedLocked(round int) bool {
-	return round < a.doneFloor || a.doneRounds[round]
-}
-
-// neededLocked is the round's quorum: the live replicas admitted to it.
-// A replica that rejoined mid-round is admitted only from its liveFrom
-// round onward, so an already-open round still closes over the set that
-// was live when it opened. Caller holds a.mu.
-func (a *Averager) neededLocked(round int) int {
-	n := 0
-	for p := 0; p < a.N; p++ {
-		if a.live[p] && a.liveFrom[p] <= round {
-			n++
-		}
-	}
-	return n
+// tick closes the rounds whose deadline has passed.
+func (a *Averager) tick() {
+	now := time.Now()
+	a.mu.Lock()
+	a.closeAndUnlock(now, a.proto.settle(now))
 }
 
 // referenceLoop is the separate reference-model process of §3.2: it
-// drains the update stream — local submits and, in a multi-process job,
-// peer updates forwarded from the mesh — accumulates per round, and
-// applies the normalized update when a round completes (steps ❹ and ❺).
+// drains the update stream — local submits and detaches and, in a
+// multi-process job, peer updates and membership frames forwarded from
+// the mesh — and applies each round as it closes (steps ❹ and ❺).
 func (a *Averager) referenceLoop() {
 	defer close(a.done)
 	for {
@@ -593,13 +407,17 @@ func (a *Averager) referenceLoop() {
 		if err != nil {
 			return // closed and drained
 		}
-		deltas, ok := a.updateDeltas(f)
-		if !ok {
-			a.decodeErrs.Inc()
-			a.bumpApplied() // the frame is accounted for, not applied
-			continue
+		switch f.Type {
+		case netx.FrameDetach:
+			a.detach(f)
+		case netx.FrameRejoin:
+			// The rejoining process reseeds its own weights from its
+			// reference copy; peers only mark it live again, admitted
+			// from the join round the announcement carries.
+			a.rejoin(int(f.Replica), nil, int(f.Round))
+		default:
+			a.ingest(f)
 		}
-		a.ingest(Update{Pipeline: int(f.Replica), Round: int(f.Round), Deltas: deltas})
 	}
 }
 
@@ -633,162 +451,146 @@ func (a *Averager) updateDeltas(f *netx.Frame) ([]*tensor.Runs, bool) {
 	return deltas, true
 }
 
-// ingest accumulates one update, closing its round if every live
-// replica has now reported.
-func (a *Averager) ingest(u Update) {
-	a.mu.Lock()
-	if a.roundClosedLocked(u.Round) {
-		a.mu.Unlock()
-		a.lateUpdates.Inc()
-		a.bumpApplied()
+// ingest hands one update frame — a pipeline's local update for a round
+// (§3.2 step ❸) — to the protocol and applies whatever rounds that
+// closes.
+func (a *Averager) ingest(f *netx.Frame) {
+	deltas, fits := a.updateDeltas(f)
+	if !fits {
+		a.decodeErrs.Inc()
+		a.tally(0, 1) // the frame is accounted for, not applied
 		return
 	}
-	stale := 0
-	for r := range a.pending {
-		if r < u.Round {
-			stale++
+	now := time.Now()
+	a.mu.Lock()
+	cs, ok, stale := a.proto.arrive(now, int(f.Replica), int(f.Round), deltas)
+	a.closeAndUnlock(now, cs)
+	if ok {
+		a.staleRounds.Observe(float64(stale))
+		a.updates.Inc()
+	} else {
+		a.lateUpdates.Inc()
+	}
+	a.tally(0, 1)
+}
+
+// closeAndUnlock finishes a protocol event the caller ran under a.mu:
+// it applies the rounds the event closed to the reference in the order
+// they closed, points the deadline timer at the protocol's next
+// deadline, and releases a.mu. Then it records the closures and wakes
+// waiters, unlocked because event sinks may call back into the averager.
+func (a *Averager) closeAndUnlock(now time.Time, cs []closure[[]*tensor.Runs]) {
+	for _, c := range cs {
+		start := time.Now()
+		applyRound(a.ref, a.refMoves, c.payloads)
+		if a.tracer != nil {
+			// One apply span per contributing delta, so each remote
+			// submit has a span to land its flow arrow on.
+			ts := wallUS(start)
+			dur := float64(time.Since(start).Nanoseconds()) / 1e3
+			for _, p := range c.from {
+				a.tracer.Span(avgTracePID, avgTraceApplyTID, "apply", "avg",
+					ts, dur, map[string]any{"round": c.round, "from": p})
+			}
 		}
 	}
-	acc := a.pending[u.Round]
-	if acc == nil {
-		acc = &roundAcc{deltas: make([][]*tensor.Runs, a.N), first: time.Now()}
-		a.pending[u.Round] = acc
+	if at, ok := a.proto.nextDeadline(); ok {
+		a.timer.Reset(at.Sub(now))
+	} else {
+		a.timer.Stop()
 	}
-	if acc.deltas[u.Pipeline] == nil {
-		acc.deltas[u.Pipeline] = u.Deltas
-		acc.got++
-	}
-	if u.Pipeline >= 0 && u.Pipeline < a.N && u.Round > a.lastRound[u.Pipeline] {
-		a.lastRound[u.Pipeline] = u.Round
-	}
-	if u.Round > a.latestRound {
-		a.latestRound = u.Round
-	}
-	needed := a.neededLocked(u.Round)
-	roundDone := needed > 0 && acc.got >= needed
-	first := acc.first
-	if roundDone {
-		a.applyRoundLocked(u.Round, acc)
-	}
-	open := len(a.pending)
+	open := len(a.proto.open)
 	a.mu.Unlock()
-	a.staleRounds.Observe(float64(stale))
-	a.updates.Inc()
 	a.openRounds.Set(float64(open))
-	if roundDone {
-		a.roundSec.Observe(time.Since(first).Seconds())
+	for _, c := range cs {
+		switch c.why {
+		case closeQuorum:
+			a.roundSec.Observe(time.Since(c.first).Seconds())
+		case closeDeadline, closeEmpty:
+			a.expired.Inc()
+			detail := "round closed over a partial update set"
+			if c.why == closeEmpty {
+				detail = "round closed empty: every update lost in flight"
+			}
+			a.events.Emit(obs.Event{Type: obs.EventRoundDeadlineMissed,
+				Replica: a.self(), Round: c.round, Value: float64(len(c.from)), Detail: detail})
+		}
 	}
-	a.bumpApplied()
+	a.tally(0, 0)
 }
 
-// bumpApplied advances the drain watermark and wakes DrainContext and
-// WaitRound waiters.
-func (a *Averager) bumpApplied() {
+// tally moves the drain watermarks (sent: updates submitted, applied:
+// update frames the reference loop processed) and wakes every
+// DrainContext and WaitRound waiter; tally(0, 0) only wakes them. The
+// lock pairs with a waiter holding drainMu from its check to its Wait, so
+// no wakeup is lost.
+func (a *Averager) tally(sent, applied int64) {
 	a.drainMu.Lock()
-	a.applied++
-	a.drainMu.Unlock()
+	a.sent += sent
+	a.applied += applied
 	a.drainCond.Broadcast()
-}
-
-// notifyRounds wakes WaitRound waiters after a round closed outside the
-// ingest path (deadline expiry, detach renormalization). The lock
-// acquire-release pairs with the waiter holding drainMu between its
-// closed-check and Wait, so the wakeup cannot be missed.
-func (a *Averager) notifyRounds() {
-	a.drainMu.Lock()
-	a.drainCond.Broadcast()
 	a.drainMu.Unlock()
-}
-
-// addSent adjusts the drain send watermark; negative deltas (a delayed
-// update lost to a closed queue) wake waiters so DrainContext cannot
-// park on a send that will never apply.
-func (a *Averager) addSent(d int64) {
-	a.drainMu.Lock()
-	a.sent += d
-	a.drainMu.Unlock()
-	if d < 0 {
-		a.drainCond.Broadcast()
-	}
-}
-
-// roundDeadline reads the configured deadline.
-func (a *Averager) roundDeadline() time.Duration {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.deadline
-}
-
-// expireEmptyRound closes round with zero updates if it is still
-// unopened — the liveness backstop for a WaitRound whose round lost
-// every update in flight. A round with an accumulator is left to the
-// expiry loop, which measures the deadline from the first arrival.
-func (a *Averager) expireEmptyRound(round int) {
-	a.mu.Lock()
-	if a.roundClosedLocked(round) || a.pending[round] != nil {
-		a.mu.Unlock()
-		return
-	}
-	a.doneRounds[round] = true
-	for a.doneRounds[a.doneFloor] {
-		delete(a.doneRounds, a.doneFloor)
-		a.doneFloor++
-	}
-	a.mu.Unlock()
-	a.expired.Inc()
-	a.events.Emit(obs.Event{Type: obs.EventRoundDeadlineMissed,
-		Replica: a.self(), Round: round,
-		Detail: "round closed empty: every update lost in flight"})
-	a.notifyRounds()
 }
 
 // Detach removes pipeline p from elastic averaging — the crash path.
 // Rounds in flight renormalize over the remaining live replicas, so a
 // round waiting only on the detached replica completes immediately and
-// later rounds complete at the reduced strength. Safe to call from the
-// training loop; a second Detach of the same replica is a no-op.
+// later rounds complete at the reduced strength. Like a peer's detach
+// frame it queues behind every frame already received, so an update
+// that arrived first counts here as on a peer that detaches later; it
+// returns once the reference loop has run it, so never call it from an
+// event sink. A second Detach of the same replica is a no-op.
 func (a *Averager) Detach(p int) {
+	f := &netx.Frame{Type: netx.FrameDetach, Replica: uint32(p)}
+	done := make(chan bool, 1)
 	a.mu.Lock()
-	if p < 0 || p >= a.N || !a.live[p] {
-		a.mu.Unlock()
-		return
-	}
-	a.live[p] = false
-	a.liveN--
-	a.detachedAt[p] = time.Now()
-	// Close any round that was waiting only on the departed replica.
-	completed := 0
-	for r, acc := range a.pending {
-		if n := a.neededLocked(r); n > 0 && acc.got >= n {
-			a.applyRoundLocked(r, acc)
-			completed++
-		}
-	}
-	degraded := a.N - a.liveN
-	open := len(a.pending)
+	a.detachWait[f] = done
 	a.mu.Unlock()
-	a.detaches.Inc()
-	a.degraded.Set(float64(degraded))
-	a.events.Emit(obs.Event{Type: obs.EventReplicaDetach, Replica: p, Round: -1,
-		Value: float64(degraded)})
-	if completed > 0 {
-		a.openRounds.Set(float64(open))
-		a.notifyRounds()
+	if a.loopTx.Send(context.Background(), f) != nil {
+		a.detach(f) // the reference loop has stopped: nothing is queued ahead
 	}
-	a.announce(netx.FrameDetach, p, 0)
+	if <-done {
+		a.announce(netx.FrameDetach, p, 0)
+	}
+}
+
+// detach runs a detach frame on the reference loop and hands a waiting
+// local Detach the outcome.
+func (a *Averager) detach(f *netx.Frame) {
+	p, now := int(f.Replica), time.Now()
+	a.mu.Lock()
+	w := a.detachWait[f]
+	delete(a.detachWait, f)
+	cs, ok := a.proto.detach(now, p)
+	if ok {
+		a.detachedAt[p] = now
+		degraded := a.N - a.proto.liveN
+		a.closeAndUnlock(now, cs)
+		a.detaches.Inc()
+		a.degraded.Set(float64(degraded))
+		a.events.Emit(obs.Event{Type: obs.EventReplicaDetach, Replica: p, Round: -1,
+			Value: float64(degraded)})
+	} else {
+		a.mu.Unlock()
+	}
+	if w != nil {
+		w <- ok
+	}
 }
 
 // Rejoin returns a detached pipeline p to elastic averaging: its weights
 // are reseeded from the current reference model (the elastic pull that
 // re-centres a returning replica) and its delta baseline reset to match,
 // so its first update after recovery is measured from the right point.
-func (a *Averager) Rejoin(p int, params []*nn.Param) { a.rejoin(p, params, 0) }
+func (a *Averager) Rejoin(p int, params []*nn.Param) { a.rejoin(p, params, -1) }
 
-// rejoin is Rejoin with a floor on the admission round, used when a
-// peer's rejoin announcement carries the round it joins from.
-func (a *Averager) rejoin(p int, params []*nn.Param, minJoin int) {
+// rejoin is Rejoin from a given round, used when a peer's rejoin
+// announcement carries the round it joins from (join < 0: from the
+// watermark).
+func (a *Averager) rejoin(p int, params []*nn.Param, join int) {
 	a.mu.Lock()
-	if p < 0 || p >= a.N || a.live[p] {
+	join, ok := a.proto.rejoin(p, join)
+	if !ok {
 		a.mu.Unlock()
 		return
 	}
@@ -796,23 +598,8 @@ func (a *Averager) rejoin(p int, params []*nn.Param, minJoin int) {
 		pr.W.CopyFrom(a.ref[i])
 		a.snapshots[p][i].CopyFrom(a.ref[i])
 	}
-	a.live[p] = true
-	a.liveN++
-	// Admit the returning replica from the round after everything
-	// already open or closed: it will not submit to an in-flight round,
-	// so counting it toward one would leave that round one update short
-	// of its (inflated) quorum forever.
-	join := a.joinRoundLocked()
-	if minJoin > join {
-		join = minJoin
-	}
-	a.liveFrom[p] = join
-	// It owes no update before its join round: count it as caught up to
-	// there, or the heal supervisor would measure it against its pre-crash
-	// progress and detach it as behind before its first submit.
-	a.lastRound[p] = max(a.lastRound[p], join-1)
 	det := a.detachedAt[p]
-	degraded := a.N - a.liveN
+	degraded := a.N - a.proto.liveN
 	a.mu.Unlock()
 	a.rejoins.Inc()
 	a.degraded.Set(float64(degraded))
@@ -822,27 +609,6 @@ func (a *Averager) rejoin(p int, params []*nn.Param, minJoin int) {
 		a.recoverySec.Observe(time.Since(det).Seconds())
 	}
 	a.announce(netx.FrameRejoin, p, join)
-}
-
-// joinRoundLocked is the first round a replica (re)joining now may
-// count toward: one past every round already open or closed. Caller
-// holds a.mu.
-func (a *Averager) joinRoundLocked() int {
-	join := a.doneFloor
-	for r := range a.doneRounds {
-		if r+1 > join {
-			join = r + 1
-		}
-	}
-	for r := range a.pending {
-		if r+1 > join {
-			join = r + 1
-		}
-	}
-	if a.latestRound+1 > join {
-		join = a.latestRound + 1
-	}
-	return join
 }
 
 // announce broadcasts a membership change for the LOCAL replica to the
@@ -863,12 +629,12 @@ func (a *Averager) announce(t netx.FrameType, p, round int) {
 // join from. Meta carries the destination so intermediate replicas on a
 // sparse topology can route the reply hop-by-hop (see inboundLoop).
 func (a *Averager) sendRefState(to int) {
-	if a.mesh == nil || to == a.mesh.Self {
+	if to == a.mesh.Self {
 		return
 	}
 	a.mu.RLock()
 	tensors := cloneTensors(a.ref)
-	join := a.joinRoundLocked()
+	join := a.proto.mark
 	a.mu.RUnlock()
 	_ = a.mesh.Route(context.Background(), to, &netx.Frame{
 		Type: netx.FrameRefState, Replica: uint32(a.mesh.Self),
@@ -906,28 +672,14 @@ func (a *Averager) ResumeReplica(ctx context.Context) (int, error) {
 			return 0, errors.New("core: averager closed while waiting for reference state")
 		}
 	}
-	a.mu.Lock()
 	if len(f.Tensors) != len(a.ref) {
-		a.mu.Unlock()
 		return 0, fmt.Errorf("core: peer reference has %d tensors, model has %d", len(f.Tensors), len(a.ref))
 	}
-	for i := range a.ref {
-		a.ref[i].CopyFrom(f.Tensors[i])
-	}
-	a.installedRefLocked()
-	for p := range a.snapshots {
-		for i := range a.snapshots[p] {
-			a.snapshots[p][i].CopyFrom(a.ref[i])
-		}
-	}
-	join := int(f.Round)
-	if local := a.joinRoundLocked(); local > join {
-		join = local
-	}
-	// Updates from rounds older than join were in flight when this
-	// process died; they belong to quorums this replica is not part of.
-	a.liveFrom[self] = join
-	a.mu.Unlock()
+	now := time.Now()
+	a.mu.Lock()
+	a.installRefLocked(f.Tensors)
+	cs, join := a.proto.resume(now, self, int(f.Round))
+	a.closeAndUnlock(now, cs)
 	a.events.Emit(obs.Event{Type: obs.EventReplicaRejoin, Replica: self, Round: join,
 		Detail: fmt.Sprintf("reseeded from replica %d's reference", int(f.Replica))})
 	a.announce(netx.FrameRejoin, self, join)
@@ -939,14 +691,14 @@ func (a *Averager) ResumeReplica(ctx context.Context) (int, error) {
 func (a *Averager) LiveReplicas() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.liveN
+	return a.proto.liveN
 }
 
 // Live reports whether pipeline p currently participates in rounds.
 func (a *Averager) Live(p int) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return p >= 0 && p < a.N && a.live[p]
+	return p >= 0 && p < a.N && a.proto.live[p]
 }
 
 // RoundProgress reports the newest round any replica has submitted an
@@ -956,9 +708,7 @@ func (a *Averager) Live(p int) bool {
 func (a *Averager) RoundProgress() (latest int, last []int) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	last = make([]int, a.N)
-	copy(last, a.lastRound)
-	return a.latestRound, last
+	return a.proto.latestRound, append([]int(nil), a.proto.lastRound...)
 }
 
 // RoundLatencyQuantile reports the q-quantile (0..1) of observed
@@ -1002,7 +752,7 @@ func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn
 	if size, err := netx.FrameWireSize(f); err == nil {
 		a.updateBytes.Add(float64(size))
 	}
-	a.addSent(1)
+	a.tally(1, 0)
 	start := time.Now()
 	retry := netx.Backoff{Base: submitBackoff}
 	for attempt := 0; ; attempt++ {
@@ -1019,15 +769,15 @@ func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn
 			// Lost in flight by the fault layer: not counted as sent, so
 			// DrainContext does not wait for it; the round deadline closes
 			// the round without it.
-			a.addSent(-1)
+			a.tally(-1, 0)
 			return nil
 		}
 		if attempt >= submitRetries {
-			a.addSent(-1)
+			a.tally(-1, 0)
 			return fmt.Errorf("after %d attempts: %w", attempt+1, err)
 		}
 		if err := retry.Sleep(ctx); err != nil {
-			a.addSent(-1)
+			a.tally(-1, 0)
 			return err
 		}
 	}
@@ -1066,29 +816,26 @@ func (a *Averager) updateFrame(p, round int, params []*nn.Param) (*netx.Frame, e
 func (a *Averager) RoundClosed(round int) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.roundClosedLocked(round)
+	return a.proto.isClosed(round)
 }
 
 // WaitRound blocks until the given round closes on THIS process's
 // reference copy — the distributed round barrier. Unlike DrainContext,
-// whose sent/applied watermarks only see local submits, WaitRound
-// observes the round itself, so it also waits for peer updates a
-// multi-process job delivers over the mesh. It returns ctx.Err() if ctx
-// ends first.
+// whose watermarks only see local submits, it also waits for the peer
+// updates a multi-process job delivers over the mesh. It returns
+// ctx.Err() if ctx ends first.
 //
-// With a round deadline armed, WaitRound also bounds a round that never
-// opens: if every replica's update for the round was lost in flight, no
-// accumulator exists for the expiry loop to expire, so the waiter
-// closes the round as empty once the deadline passes. Without a
-// deadline such a round blocks until ctx ends — the same "wait forever"
-// contract the single-process round has.
+// With a round deadline armed, a round whose every update was lost in
+// flight closes empty once the deadline has passed since it was first
+// awaited; without one it blocks until ctx ends, as the single-process
+// round does.
 func (a *Averager) WaitRound(ctx context.Context, round int) error {
-	stop := context.AfterFunc(ctx, a.notifyRounds)
+	stop := context.AfterFunc(ctx, func() { a.tally(0, 0) })
 	defer stop()
-	if d := a.roundDeadline(); d > 0 {
-		timer := time.AfterFunc(d, func() { a.expireEmptyRound(round) })
-		defer timer.Stop()
-	}
+	now := time.Now()
+	a.mu.Lock()
+	a.proto.await(now, round)
+	a.closeAndUnlock(now, nil)
 	a.drainMu.Lock()
 	defer a.drainMu.Unlock()
 	for !a.RoundClosed(round) && ctx.Err() == nil {
@@ -1127,20 +874,16 @@ func (a *Averager) Reference() []*tensor.Tensor {
 // baseline to match, so the next local updates are measured from the
 // restored point. Call before training resumes, not mid-round.
 func (a *Averager) SetReference(src []*nn.Param) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if len(src) != len(a.ref) {
 		panic("core: SetReference length mismatch")
 	}
+	ws := make([]*tensor.Tensor, len(src))
 	for i, p := range src {
-		a.ref[i].CopyFrom(p.W)
+		ws[i] = p.W
 	}
-	a.installedRefLocked()
-	for p := range a.snapshots {
-		for i := range a.snapshots[p] {
-			a.snapshots[p][i].CopyFrom(a.ref[i])
-		}
-	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.installRefLocked(ws)
 }
 
 // WriteReference copies the current reference weights into dst (e.g. a
@@ -1157,18 +900,11 @@ func (a *Averager) WriteReference(dst []*nn.Param) {
 }
 
 // DrainContext blocks until every update sent so far has been applied,
-// so evaluation points observe a consistent reference model. The wait
-// parks on a condition variable signalled by the reference loop — no
-// core is burned while updates are in flight. It returns ctx.Err() when
-// the context is cancelled or its deadline passes first, leaving the
-// averager in a consistent (if not fully drained) state; under a context
-// that never ends it cannot fail.
+// so evaluation points observe a consistent reference model. It returns
+// ctx.Err() if ctx ends first, leaving the averager consistent if not
+// fully drained; under a context that never ends it cannot fail.
 func (a *Averager) DrainContext(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		a.drainMu.Lock()
-		defer a.drainMu.Unlock()
-		a.drainCond.Broadcast()
-	})
+	stop := context.AfterFunc(ctx, func() { a.tally(0, 0) })
 	defer stop()
 	a.drainMu.Lock()
 	defer a.drainMu.Unlock()
@@ -1190,13 +926,14 @@ func (a *Averager) Close() {
 		}
 		a.loopTx.Close()
 		<-a.done
+		a.SetRoundDeadline(0) // stops the deadline timer
 	})
 }
 
 // PendingRounds reports how many rounds are awaiting stragglers, for
 // observability and tests.
 func (a *Averager) PendingRounds() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pending)
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return len(a.proto.open)
 }

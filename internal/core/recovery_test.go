@@ -89,6 +89,26 @@ func TestAveragerDetachClosesWaitingRound(t *testing.T) {
 	}
 }
 
+// A local Detach queues behind the updates already sent, as a peer's
+// detach frame does: replica 2's update, submitted just before its
+// crash, counts toward the still-open round here exactly as it does on a
+// peer that detaches replica 2 later.
+func TestAveragerDetachQueuesBehindSentUpdates(t *testing.T) {
+	a := NewAveragerObs(3, paramsOf(0), nil)
+	defer a.Close()
+	submit(t, a, 0, 0, paramsOf(3))
+	submit(t, a, 2, 0, paramsOf(9))
+	a.Detach(2)
+	if a.PendingRounds() != 1 {
+		t.Fatalf("open rounds = %d, want 1 (round 0 still waits on replica 1)", a.PendingRounds())
+	}
+	submit(t, a, 1, 0, paramsOf(6))
+	drain(t, a)
+	if got := a.Reference()[0].At(0); got != 6 {
+		t.Fatalf("reference = %v, want 6 (mean of all three updates sent before the detach)", got)
+	}
+}
+
 func TestAveragerRejoinReseedsFromReference(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := NewAveragerObs(2, paramsOf(5), reg)

@@ -82,7 +82,7 @@ func TestPropRunFormRoundMatchesDense(t *testing.T) {
 		var sent float64
 		for round := 0; round < 2; round++ {
 			inv := float32(1 / float64(n))
-			ups := make([]Update, n)
+			ups := make([]*netx.Frame, n)
 			for p := 0; p < n; p++ {
 				snaps := plantedParams(r, shapes, true)
 				a.SeedReplica(p, snaps)
@@ -105,11 +105,10 @@ func TestPropRunFormRoundMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				deltas, ok := a.updateDeltas(g)
-				if !ok {
+				if _, ok := a.updateDeltas(g); !ok {
 					t.Fatal("decoded update does not fit the model")
 				}
-				ups[p] = Update{Pipeline: p, Round: round, Deltas: deltas}
+				ups[p] = g
 			}
 			for _, p := range r.Perm(n) {
 				a.ingest(ups[p])

@@ -288,18 +288,7 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 	n := t.cfg.Pipelines
 	round := t.round
 	for p := 0; p < n; p++ {
-		if !t.detached[p] && t.faults.CrashAt(p, round) {
-			t.avg.Detach(p)
-			t.detached[p] = true
-		}
-		if t.detached[p] && t.faults.RejoinAt(p, round) {
-			// A rebooted process, not a resumed one: weights reseed from
-			// the reference (the elastic pull) and optimizer state starts
-			// over.
-			t.avg.Rejoin(p, t.pipelines[p].Params())
-			t.opts[p] = newOptimizer(t.cfg.Task)
-			t.detached[p] = false
-		}
+		t.scriptFaults(p)
 	}
 	losses := make([]float64, n)
 	errs := make([]error, n)
@@ -321,26 +310,7 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 		wg.Add(1)
 		go func(p int, batch *data.Batch) {
 			defer wg.Done()
-			pl := t.pipelines[p]
-			loss, err := pl.RunBatchContext(ctx, batch, t.cfg.Micro)
-			if err != nil {
-				nn.ZeroGrads(pl.Params()) // partial gradients are meaningless
-				errs[p] = fmt.Errorf("pipeline %d: %w", p, err)
-				return
-			}
-			losses[p] = loss
-			if t.cfg.ClipNorm > 0 {
-				optim.ClipGradNorm(pl.Params(), t.cfg.ClipNorm)
-			}
-			t.opts[p].Step(pl.Params())
-			nn.ZeroGrads(pl.Params())
-			if err := t.avg.SubmitContext(ctx, p, round, pl.Params()); err != nil {
-				errs[p] = fmt.Errorf("pipeline %d: %w", p, err)
-				return
-			}
-			if t.cfg.AsyncDilute {
-				t.avg.Dilute(p, pl.Params())
-			}
+			losses[p], errs[p] = t.localStep(ctx, p, batch)
 		}(p, batch)
 	}
 	wg.Wait()
@@ -351,6 +321,8 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 		// Synchronous elastic round: dilute against the reference that
 		// already includes this round's updates, so the pull is pure
 		// variance reduction rather than a drag on the common trajectory.
+		// The barrier is DrainContext, not WaitRound: without a deadline
+		// it returns past a dropped update, where WaitRound would block.
 		if err := t.avg.DrainContext(ctx); err != nil {
 			return 0, err
 		}
@@ -413,39 +385,18 @@ func (t *Trainer) finishStep(start time.Time, rec StepRecord) error {
 func (t *Trainer) stepDist(ctx context.Context) (float64, error) {
 	p := t.cfg.Dist.ReplicaID
 	round := t.round
-	if !t.detached[p] && t.faults.CrashAt(p, round) {
-		t.avg.Detach(p)
-		t.detached[p] = true
-	}
-	if t.detached[p] && t.faults.RejoinAt(p, round) {
-		t.avg.Rejoin(p, t.pipelines[p].Params())
-		t.opts[p] = newOptimizer(t.cfg.Task)
-		t.detached[p] = false
-	}
+	t.scriptFaults(p)
 	start := time.Now()
 	batch := t.gens[p].NextBatch(t.cfg.Task.BatchSize)
 	var loss float64
 	var samples, tokens int64
 	if !t.detached[p] {
 		samples, tokens = int64(batch.Size), int64(len(batch.Targets))
-		pl := t.pipelines[p]
-		l, err := pl.RunBatchContext(ctx, batch, t.cfg.Micro)
+		l, err := t.localStep(ctx, p, batch)
 		if err != nil {
-			nn.ZeroGrads(pl.Params())
-			return 0, fmt.Errorf("pipeline %d: %w", p, err)
-		}
-		loss = l
-		if t.cfg.ClipNorm > 0 {
-			optim.ClipGradNorm(pl.Params(), t.cfg.ClipNorm)
-		}
-		t.opts[p].Step(pl.Params())
-		nn.ZeroGrads(pl.Params())
-		if err := t.avg.SubmitContext(ctx, p, round, pl.Params()); err != nil {
 			return 0, err
 		}
-		if t.cfg.AsyncDilute {
-			t.avg.Dilute(p, pl.Params())
-		}
+		loss = l
 	}
 	if !t.cfg.AsyncDilute {
 		// Synchronous elastic round across processes: wait until this
@@ -464,6 +415,48 @@ func (t *Trainer) stepDist(ctx context.Context) (float64, error) {
 		Round: round, Loss: loss, Samples: int(samples), Tokens: int(tokens),
 		Live: t.avg.LiveReplicas(), Replica: p, ReplicaID: p,
 	})
+}
+
+// scriptFaults fires replica p's scripted crash or rejoin at the start of
+// the round: a crash detaches it from the averaging set (its rounds
+// renormalize over the survivors); a rejoin restarts it as a rebooted
+// process, not a resumed one — weights reseed from the reference (the
+// elastic pull) and optimizer state starts over.
+func (t *Trainer) scriptFaults(p int) {
+	if !t.detached[p] && t.faults.CrashAt(p, t.round) {
+		t.avg.Detach(p)
+		t.detached[p] = true
+	}
+	if t.detached[p] && t.faults.RejoinAt(p, t.round) {
+		t.avg.Rejoin(p, t.pipelines[p].Params())
+		t.opts[p] = newOptimizer(t.cfg.Task)
+		t.detached[p] = false
+	}
+}
+
+// localStep is replica p's share of a round in either mode: the batch
+// runs through its pipeline, the gradients are clipped and stepped, and
+// the update is submitted (§3.2 step ❸) — then, in the asynchronous
+// mode, the replica dilutes against whatever reference is current.
+func (t *Trainer) localStep(ctx context.Context, p int, batch *data.Batch) (float64, error) {
+	pl := t.pipelines[p]
+	loss, err := pl.RunBatchContext(ctx, batch, t.cfg.Micro)
+	if err != nil {
+		nn.ZeroGrads(pl.Params()) // partial gradients are meaningless
+		return 0, fmt.Errorf("pipeline %d: %w", p, err)
+	}
+	if t.cfg.ClipNorm > 0 {
+		optim.ClipGradNorm(pl.Params(), t.cfg.ClipNorm)
+	}
+	t.opts[p].Step(pl.Params())
+	nn.ZeroGrads(pl.Params())
+	if err := t.avg.SubmitContext(ctx, p, t.round, pl.Params()); err != nil {
+		return 0, fmt.Errorf("pipeline %d: %w", p, err)
+	}
+	if t.cfg.AsyncDilute {
+		t.avg.Dilute(p, pl.Params())
+	}
+	return loss, nil
 }
 
 // RejoinMesh re-enters a restarted dist-mode process into a running
