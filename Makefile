@@ -58,9 +58,10 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/net/ -run '^FuzzDecodeFrame$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s
 
-# exhaustive-act checks the verified sigmoid/tanh kernels against
-# Sigmoid32/Tanh32 on all 2^32 float32 inputs, spread over GOMAXPROCS,
-# and prints each kernel's fallback share (~75 s on 2 vCPUs). The
+# exhaustive-act checks the verified sigmoid/tanh/GELU/GELU' kernels
+# against Sigmoid32/Tanh32/Gelu32/GeluDeriv32 on all 2^32 float32 inputs
+# each, spread over GOMAXPROCS, and prints each kernel's fallback share
+# (~3.5 min on 2 vCPUs, inside the 30m test timeout). The
 # exhaustive build tag selects that test only; the kernels are the same
 # without it. It also checks the rejected-input tables the tier-1 test
 # reads (internal/tensor/testdata/act-rejects-*.f32); after a change to

@@ -133,3 +133,15 @@ type Program struct {
 func (p *Program) Ops() (fwd, bwdIn, bwdW int) {
 	return len(p.fwd), len(p.bwdIn), len(p.bwdW)
 }
+
+// OpNames returns every op's name in replay order — forward, grad-input,
+// grad-weight — so tests can see how a stage lowered.
+func (p *Program) OpNames() []string {
+	var names []string
+	for _, ops := range [][]Op{p.fwd, p.bwdIn, p.bwdW} {
+		for _, op := range ops {
+			names = append(names, op.Name)
+		}
+	}
+	return names
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"avgpipe/internal/compiled"
 	"avgpipe/internal/data"
 	"avgpipe/internal/nn"
 	"avgpipe/internal/optim"
@@ -133,6 +134,33 @@ func TestPipelineMatchesInterpreterOracle(t *testing.T) {
 						nn.ZeroGrads(pl.Params())
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestClassificationCompilesWithoutFallback: every module of the
+// BERT-analog model lowers natively — the training program of each stage
+// at K∈{1,2}, and the eval-mode program serving compiles — so no op
+// replays the interpreter through a fallback.
+func TestClassificationCompilesWithoutFallback(t *testing.T) {
+	task := workload.ClassificationTask()
+	for _, k := range []int{1, 2} {
+		pl, err := NewPipelineWith(task.NewModel(1), PipelineConfig{Stages: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, prog := range pl.StagePrograms() {
+			inf, err := nn.CompileStageInference(pl.Stages[s], compiled.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for mode, p := range map[string]*compiled.Program{"train": prog, "inference": inf} {
+				for _, name := range p.OpNames() {
+					if strings.HasPrefix(name, "fallback:") {
+						t.Errorf("K=%d stage %d %s program: op %q", k, s, mode, name)
+					}
+				}
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"avgpipe/internal/tensor"
-)
+import "avgpipe/internal/tensor"
 
 // ReLU is the rectified linear activation.
 type ReLU struct{}
@@ -72,33 +68,27 @@ func (a *Sigmoid) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 func (a *Sigmoid) Params() []*Param { return nil }
 
 // GELU is the Gaussian error linear unit (tanh approximation), the
-// activation used in BERT's feed-forward blocks.
+// activation used in BERT's feed-forward blocks. Its value and derivative
+// are tensor.Gelu32 and tensor.GeluDeriv32, computed through the verified
+// kernels GeluInto and GeluDerivInto.
 type GELU struct{}
-
-const geluC = 0.7978845608028654 // sqrt(2/pi)
-
-func geluForward(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
-}
-
-func geluDeriv(x float64) float64 {
-	inner := geluC * (x + 0.044715*x*x*x)
-	t := math.Tanh(inner)
-	dinner := geluC * (1 + 3*0.044715*x*x)
-	return 0.5*(1+t) + 0.5*x*(1-t*t)*dinner
-}
 
 // Forward applies GELU and stashes the input.
 func (a *GELU) Forward(ctx *Context, x *tensor.Tensor, train bool) *tensor.Tensor {
 	ctx.Push(x)
-	return tensor.Apply(x, func(v float32) float32 { return float32(geluForward(float64(v))) })
+	y := tensor.Borrow(x.Shape()...)
+	tensor.GeluInto(y.Data(), x.Data())
+	return y
 }
 
-// Backward multiplies dy by the analytic GELU derivative at the stashed x.
+// Backward multiplies dy by GELU's derivative at the stashed x.
 func (a *GELU) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	x := ctx.Pop().(*tensor.Tensor)
-	d := tensor.Apply(x, func(v float32) float32 { return float32(geluDeriv(float64(v))) })
-	return tensor.Mul(dy, d)
+	d := tensor.Borrow(x.Shape()...)
+	tensor.GeluDerivInto(d.Data(), x.Data())
+	dx := tensor.Mul(dy, d)
+	d.Release()
+	return dx
 }
 
 // Params returns nil; GELU has no parameters.

@@ -221,17 +221,16 @@ func (l *Embedding) Compile(b *compiled.Builder) {
 }
 
 // compileUnaryAct lowers a standalone elementwise activation: forward
-// runs the slice kernel fwd over chunks of x into y; backward applies
-// deriv over the stashed tensor (x or y, per the module's stash
-// convention) into dx and multiplies by dy — the interpreter's exact
-// two-pass form.
+// runs the activation's slice kernel fwd from x into y; backward writes
+// the derivative at the stashed tensor (x or y, per the module's stash
+// convention) into dx with deriv and multiplies by dy — the interpreter's
+// exact two-pass form.
 func compileUnaryAct(b *compiled.Builder, name string, stashInput bool,
-	fwd func(dst, src []float32), deriv func(float32) float32) {
+	fwd func(dst, src []float32), deriv func(dst, src *tensor.Tensor)) {
 	x := b.Cur()
 	y := b.Slot(b.ShapeOf(x))
 	b.EmitFwd(name, []compiled.Reg{x}, []compiled.Reg{y}, func(e *compiled.Env) {
-		yd, xd := e.Reg(y).Data(), e.Reg(x).Data()
-		tensor.ParallelFor(len(xd), func(lo, hi int) { fwd(yd[lo:hi], xd[lo:hi]) })
+		fwd(e.Reg(y).Data(), e.Reg(x).Data())
 	})
 	b.SetCur(y)
 	stash := y
@@ -241,7 +240,7 @@ func compileUnaryAct(b *compiled.Builder, name string, stashInput bool,
 	b.OnBackward(func(dy compiled.Reg) compiled.Reg {
 		dx := b.Slot(b.ShapeOf(x))
 		b.EmitBwdIn(name+".dx", []compiled.Reg{stash, dy}, []compiled.Reg{dx}, func(e *compiled.Env) {
-			tensor.ApplyInto(e.Reg(dx), e.Reg(stash), deriv)
+			deriv(e.Reg(dx), e.Reg(stash))
 			tensor.MulInto(e.Reg(dx), e.Reg(dy), e.Reg(dx))
 		})
 		return dx
@@ -250,27 +249,23 @@ func compileUnaryAct(b *compiled.Builder, name string, stashInput bool,
 
 // Compile lowers tanh (derivative from the stashed output).
 func (a *Tanh) Compile(b *compiled.Builder) {
-	compileUnaryAct(b, "tanh", false,
-		tensor.TanhInto,
-		func(v float32) float32 { return 1 - v*v })
+	compileUnaryAct(b, "tanh", false, tensor.TanhInto, func(dst, y *tensor.Tensor) {
+		tensor.ApplyInto(dst, y, func(v float32) float32 { return 1 - v*v })
+	})
 }
 
 // Compile lowers the logistic activation (derivative from the output).
 func (a *Sigmoid) Compile(b *compiled.Builder) {
-	compileUnaryAct(b, "sigmoid", false,
-		tensor.SigmoidInto,
-		func(v float32) float32 { return v * (1 - v) })
+	compileUnaryAct(b, "sigmoid", false, tensor.SigmoidInto, func(dst, y *tensor.Tensor) {
+		tensor.ApplyInto(dst, y, func(v float32) float32 { return v * (1 - v) })
+	})
 }
 
 // Compile lowers GELU (derivative from the stashed input).
 func (a *GELU) Compile(b *compiled.Builder) {
-	compileUnaryAct(b, "gelu", true,
-		func(dst, src []float32) {
-			for i, v := range src {
-				dst[i] = float32(geluForward(float64(v)))
-			}
-		},
-		func(v float32) float32 { return float32(geluDeriv(float64(v))) })
+	compileUnaryAct(b, "gelu", true, tensor.GeluInto, func(dst, x *tensor.Tensor) {
+		tensor.GeluDerivInto(dst.Data(), x.Data())
+	})
 }
 
 // Compile lowers ReLU. The backward gates dy on the stashed input's
@@ -431,9 +426,3 @@ func (l *BiLSTM) OutShape(in []int) []int { return []int{in[0], 2 * l.Fwd.Hidden
 
 // OutShape: time reversal preserves shape.
 func (r *Reverse) OutShape(in []int) []int { return in }
-
-// OutShape: self-attention preserves shape.
-func (a *MultiHeadSelfAttention) OutShape(in []int) []int { return in }
-
-// OutShape: the encoder layer preserves shape.
-func (t *TransformerEncoderLayer) OutShape(in []int) []int { return in }

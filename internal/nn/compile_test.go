@@ -18,12 +18,19 @@ func runCompiled(t *testing.T, prog *compiled.Program, env *compiled.Env, x, dy 
 	y = env.Output().Clone()
 	env.BindGradIn(dy)
 	env.BackwardInput()
-	if g := env.GradOut(); g != nil {
-		dx = g.Clone()
-	}
+	dx = cloneGrad(env)
 	env.BackwardWeights()
 	env.EndMicro()
 	return y, dx
+}
+
+// cloneGrad copies the Env's input gradient (nil for a stage that starts
+// with an embedding) before its slot can be reused.
+func cloneGrad(env *compiled.Env) *tensor.Tensor {
+	if g := env.GradOut(); g != nil {
+		return g.Clone()
+	}
+	return nil
 }
 
 func bitEqual(a, b *tensor.Tensor) bool {
@@ -162,13 +169,61 @@ func TestCompileFallbackLSTMBitExact(t *testing.T) {
 	checkEquivalence(t, "lstm", mk, x, 2)
 }
 
+func TestCompileAttentionBitExact(t *testing.T) {
+	const seqLen, batch, dim = 3, 4, 8
+	mk := func(g *tensor.RNG) *Sequential {
+		return NewSequential(
+			NewMultiHeadSelfAttention(g, dim, 2, seqLen),
+			NewLinear(g, dim, 3),
+		)
+	}
+	x := tensor.NewRNG(19).Normal(0, 1, seqLen*batch, dim)
+	checkEquivalence(t, "attention", mk, x, 3)
+}
+
+// encoderModel is a small BERT-analog classifier: the layer stack of
+// ClassificationTask at toy sizes.
+func encoderModel(seqLen int) func(g *tensor.RNG) *Sequential {
+	return func(g *tensor.RNG) *Sequential {
+		return NewSequential(
+			NewEmbedding(g, 12, 8),
+			NewTransformerEncoderLayer(g, 8, 2, 16, seqLen),
+			NewTransformerEncoderLayer(g, 8, 2, 16, seqLen),
+			&MeanPoolTime{SeqLen: seqLen},
+			NewLinear(g, 8, 2),
+		)
+	}
+}
+
+// tokens returns seqLen*batch token IDs below 12 as a (rows, 1) input.
+func tokens(seed int64, seqLen, batch int) *tensor.Tensor {
+	x := tensor.New(seqLen*batch, 1)
+	r := tensor.NewRNG(seed).Uniform(0, 12, seqLen*batch)
+	for i, v := range r.Data() {
+		x.Set(float32(int(v)), i, 0)
+	}
+	return x
+}
+
+func TestCompileEncoderBitExact(t *testing.T) {
+	const seqLen, batch = 4, 3
+	checkEquivalence(t, "encoder", encoderModel(seqLen), tokens(31, seqLen, batch), 3)
+	// An encoder layer alone: its input is the stage's extern and its dx
+	// the stage's input gradient.
+	mk := func(g *tensor.RNG) *Sequential {
+		return NewSequential(NewTransformerEncoderLayer(g, 8, 2, 16, seqLen))
+	}
+	checkEquivalence(t, "encoder layer", mk, tensor.NewRNG(37).Normal(0, 1, seqLen*batch, 8), 3)
+}
+
 // TestCompileInferenceBitExact pins the serving-path contract: a
 // program from CompileStageInference replays the interpreter's
 // *eval-mode* forward (train=false) bit-exactly — dropout is an
 // identity and draws no RNG, and fallback modules (here an LSTM with
-// recurrent DropConnect) run with train=false. Repeated forwards of the
-// same input must also be identical to each other: inference is
-// stateless.
+// recurrent DropConnect) run with train=false — and so does a lowered
+// classification model (embedding, encoder layers, pooling). Repeated
+// forwards of the same input must also be identical to each other:
+// inference is stateless.
 func TestCompileInferenceBitExact(t *testing.T) {
 	const seqLen, batch, dim = 3, 2, 5
 	mk := func(g *tensor.RNG) *Sequential {
@@ -181,32 +236,11 @@ func TestCompileInferenceBitExact(t *testing.T) {
 			NewLinear(g, dim, 3),
 		)
 	}
-	ref, cmp := buildPair(mk)
-	prog, err := CompileStageInference(cmp, compiled.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := tensor.NewRNG(21).Normal(0, 1, seqLen*batch, 4)
-	if err := prog.CheckPlan(x.Shape()); err != nil {
-		t.Fatal(err)
-	}
-	refY := ref.Forward(NewContext(), x, false)
-	env := prog.NewEnv(x.Shape())
-	var first *tensor.Tensor
-	for m := 0; m < 3; m++ {
-		env.BindInput(x)
-		env.Forward()
-		y := env.Output().Clone()
-		env.EndMicro()
-		if !bitEqual(refY, y) {
-			t.Fatalf("micro %d: inference output differs from interpreter eval forward", m)
-		}
-		if first == nil {
-			first = y
-		} else if !bitEqual(first, y) {
-			t.Fatalf("micro %d: repeated inference forward not deterministic", m)
-		}
-	}
+	refY := checkInference(t, "lstm", mk, x)
+
+	checkInference(t, "classification", encoderModel(4), tokens(41, 4, 3))
+
 	// Sanity: the training compile of the same model is NOT the eval
 	// forward (dropout actually drops), so the two modes are really
 	// distinct programs.
@@ -225,110 +259,162 @@ func TestCompileInferenceBitExact(t *testing.T) {
 	}
 }
 
-// TestCompiledReentrancy runs two in-flight micro-batches interleaved
-// (F0, F1, Bi1, Bw1, Bi0, Bw0) through stochastic and stash-heavy
-// layers and checks each against a sequential interpreter reference —
-// the regression test for stash-in-module state: per-micro state must
-// live in the Env, so overlapping micro-batches cannot corrupt each
-// other.
-func TestCompiledReentrancy(t *testing.T) {
-	mk := func(g *tensor.RNG) *Sequential {
-		return NewSequential(
-			NewLinear(g, 6, 8),
-			&Sigmoid{},
-			NewDropout(tensor.NewRNG(42), 0.25),
-			NewLayerNorm(8),
-			NewLinear(g, 8, 3),
-		)
-	}
+// checkInference compiles mk's model for inference and requires three
+// repeated forwards of x to equal the interpreter's eval forward bit for
+// bit; it returns that forward.
+func checkInference(t *testing.T, name string, mk func(g *tensor.RNG) *Sequential, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
 	ref, cmp := buildPair(mk)
-	prog, err := CompileStage(cmp, compiled.Options{})
+	prog, err := CompileStageInference(cmp, compiled.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x0 := tensor.NewRNG(1).Normal(0, 1, 4, 6)
-	x1 := tensor.NewRNG(2).Normal(0, 1, 4, 6)
-
-	// Interpreter reference: contexts interleave the same way so the
-	// dropout RNG stream is consumed in the same order (forward order
-	// F0, F1 in both paths).
-	ctx0, ctx1 := NewContext(), NewContext()
-	refY0 := ref.Forward(ctx0, x0, true)
-	refY1 := ref.Forward(ctx1, x1, true)
-	refDX1 := ref.Backward(ctx1, tensor.Full(0.01, refY1.Shape()...))
-	refDX0 := ref.Backward(ctx0, tensor.Full(0.02, refY0.Shape()...))
-
-	env0 := prog.NewEnv(x0.Shape())
-	env1 := prog.NewEnv(x1.Shape())
-	env0.BindInput(x0)
-	env0.Forward()
-	y0 := env0.Output().Clone()
-	env1.BindInput(x1)
-	env1.Forward()
-	y1 := env1.Output().Clone()
-
-	env1.BindGradIn(tensor.Full(0.01, y1.Shape()...))
-	env1.BackwardInput()
-	dx1 := env1.GradOut().Clone()
-	env1.BackwardWeights()
-	env1.EndMicro()
-
-	env0.BindGradIn(tensor.Full(0.02, y0.Shape()...))
-	env0.BackwardInput()
-	dx0 := env0.GradOut().Clone()
-	env0.BackwardWeights()
-	env0.EndMicro()
-
-	if !bitEqual(refY0, y0) || !bitEqual(refY1, y1) {
-		t.Fatal("in-flight forward outputs corrupted across micro-batches")
+	if err := prog.CheckPlan(x.Shape()); err != nil {
+		t.Fatal(err)
 	}
-	if !bitEqual(refDX1, dx1) || !bitEqual(refDX0, dx0) {
-		t.Fatal("in-flight input gradients corrupted across micro-batches")
+	refY := ref.Forward(NewContext(), x, false)
+	env := prog.NewEnv(x.Shape())
+	var first *tensor.Tensor
+	for m := 0; m < 3; m++ {
+		env.BindInput(x)
+		env.Forward()
+		y := env.Output().Clone()
+		env.EndMicro()
+		if !bitEqual(refY, y) {
+			t.Fatalf("%s micro %d: inference output differs from interpreter eval forward", name, m)
+		}
+		if first == nil {
+			first = y
+		} else if !bitEqual(first, y) {
+			t.Fatalf("%s micro %d: repeated inference forward not deterministic", name, m)
+		}
 	}
-	rp, cp := ref.Params(), cmp.Params()
-	for i := range rp {
-		if !bitEqual(rp[i].G, cp[i].G) {
-			t.Fatalf("grad of %s differs under interleaved micro-batches", rp[i].Name)
+	return refY
+}
+
+// TestCompiledReentrancy runs two in-flight micro-batches interleaved
+// (F0, F1, Bi1, Bw1, Bi0, Bw0) through stochastic and stash-heavy
+// layers — and through encoder layers, whose attention scratch and views
+// live in each Env — and checks each against a sequential interpreter
+// reference: the regression test for stash-in-module state. Per-micro
+// state must live in the Env, so overlapping micro-batches cannot corrupt
+// each other.
+func TestCompiledReentrancy(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mk     func(g *tensor.RNG) *Sequential
+		x0, x1 *tensor.Tensor
+	}{
+		{"mlp", func(g *tensor.RNG) *Sequential {
+			return NewSequential(
+				NewLinear(g, 6, 8),
+				&Sigmoid{},
+				NewDropout(tensor.NewRNG(42), 0.25),
+				NewLayerNorm(8),
+				NewLinear(g, 8, 3),
+			)
+		}, tensor.NewRNG(1).Normal(0, 1, 4, 6), tensor.NewRNG(2).Normal(0, 1, 4, 6)},
+		{"encoder", encoderModel(4), tokens(1, 4, 3), tokens(2, 4, 3)},
+	} {
+		ref, cmp := buildPair(c.mk)
+		prog, err := CompileStage(cmp, compiled.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x0, x1 := c.x0, c.x1
+
+		// Interpreter reference: contexts interleave the same way so the
+		// dropout RNG stream is consumed in the same order (forward order
+		// F0, F1 in both paths).
+		ctx0, ctx1 := NewContext(), NewContext()
+		refY0 := ref.Forward(ctx0, x0, true)
+		refY1 := ref.Forward(ctx1, x1, true)
+		refDX1 := ref.Backward(ctx1, tensor.Full(0.01, refY1.Shape()...))
+		refDX0 := ref.Backward(ctx0, tensor.Full(0.02, refY0.Shape()...))
+
+		env0 := prog.NewEnv(x0.Shape())
+		env1 := prog.NewEnv(x1.Shape())
+		env0.BindInput(x0)
+		env0.Forward()
+		y0 := env0.Output().Clone()
+		env1.BindInput(x1)
+		env1.Forward()
+		y1 := env1.Output().Clone()
+
+		env1.BindGradIn(tensor.Full(0.01, y1.Shape()...))
+		env1.BackwardInput()
+		dx1 := cloneGrad(env1)
+		env1.BackwardWeights()
+		env1.EndMicro()
+
+		env0.BindGradIn(tensor.Full(0.02, y0.Shape()...))
+		env0.BackwardInput()
+		dx0 := cloneGrad(env0)
+		env0.BackwardWeights()
+		env0.EndMicro()
+
+		if !bitEqual(refY0, y0) || !bitEqual(refY1, y1) {
+			t.Fatalf("%s: in-flight forward outputs corrupted across micro-batches", c.name)
+		}
+		if !bitEqual(refDX1, dx1) || !bitEqual(refDX0, dx0) {
+			t.Fatalf("%s: in-flight input gradients corrupted across micro-batches", c.name)
+		}
+		rp, cp := ref.Params(), cmp.Params()
+		for i := range rp {
+			if !bitEqual(rp[i].G, cp[i].G) {
+				t.Fatalf("%s: grad of %s differs under interleaved micro-batches", c.name, rp[i].Name)
+			}
 		}
 	}
 }
 
-// TestCompiledSteadyStateZeroArena verifies the tentpole's allocation
-// contract directly: after warm-up, replaying a fully lowered stage
-// performs zero arena borrows and zero arena releases per micro-batch.
+// TestCompiledSteadyStateZeroArena verifies the allocation contract
+// directly: after warm-up, replaying a fully lowered stage — an MLP, and
+// an encoder layer with its attention — performs zero arena borrows and
+// zero arena releases per micro-batch.
 func TestCompiledSteadyStateZeroArena(t *testing.T) {
 	g := tensor.NewRNG(23)
-	stage := NewSequential(
-		NewLinear(g, 16, 16),
-		&Tanh{},
-		NewLayerNorm(16),
-		NewLinear(g, 16, 8),
-	)
-	prog, err := CompileStage(stage, compiled.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.NewRNG(29).Normal(0, 1, 8, 16)
-	env := prog.NewEnv(x.Shape())
-	dyShape := []int{8, 8}
-	run := func() {
-		env.BindInput(x)
-		env.Forward()
-		env.BindGradIn(tensor.FromSlice(make([]float32, 8*8), dyShape...))
-		env.BackwardInput()
-		env.BackwardWeights()
-		env.EndMicro()
-	}
-	run() // warm-up
-	before := tensor.ReadArenaStats()
-	for i := 0; i < 5; i++ {
-		run()
-	}
-	after := tensor.ReadArenaStats()
-	if got := after.Borrows - before.Borrows; got != 0 {
-		t.Fatalf("steady-state compiled replay made %d arena borrows, want 0", got)
-	}
-	if got := after.Releases - before.Releases; got != 0 {
-		t.Fatalf("steady-state compiled replay made %d arena releases, want 0", got)
+	for _, c := range []struct {
+		name  string
+		stage *Sequential
+		x     *tensor.Tensor
+	}{
+		{"mlp", NewSequential(
+			NewLinear(g, 16, 16),
+			&Tanh{},
+			NewLayerNorm(16),
+			NewLinear(g, 16, 8),
+		), tensor.NewRNG(29).Normal(0, 1, 8, 16)},
+		{"encoder", NewSequential(
+			NewTransformerEncoderLayer(g, 16, 4, 32, 4),
+			NewLinear(g, 16, 8),
+		), tensor.NewRNG(29).Normal(0, 1, 4*2, 16)},
+	} {
+		prog, err := CompileStage(c.stage, compiled.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := prog.NewEnv(c.x.Shape())
+		dyShape := []int{c.x.Dim(0), 8}
+		run := func() {
+			env.BindInput(c.x)
+			env.Forward()
+			env.BindGradIn(tensor.FromSlice(make([]float32, dyShape[0]*dyShape[1]), dyShape...))
+			env.BackwardInput()
+			env.BackwardWeights()
+			env.EndMicro()
+		}
+		run() // warm-up
+		before := tensor.ReadArenaStats()
+		for i := 0; i < 5; i++ {
+			run()
+		}
+		after := tensor.ReadArenaStats()
+		if got := after.Borrows - before.Borrows; got != 0 {
+			t.Fatalf("%s: steady-state compiled replay made %d arena borrows, want 0", c.name, got)
+		}
+		if got := after.Releases - before.Releases; got != 0 {
+			t.Fatalf("%s: steady-state compiled replay made %d arena releases, want 0", c.name, got)
+		}
 	}
 }

@@ -57,13 +57,18 @@ type lstmSaved struct {
 
 // splitCols copies column range [lo,hi) of a 2-D tensor.
 func splitCols(t *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	rows, cols := t.Dim(0), t.Dim(1)
-	out := tensor.New(rows, hi-lo)
-	w := hi - lo
-	for r := 0; r < rows; r++ {
-		copy(out.Data()[r*w:(r+1)*w], t.Data()[r*cols+lo:r*cols+hi])
-	}
+	out := tensor.New(t.Dim(0), hi-lo)
+	splitColsInto(out, t, lo)
 	return out
+}
+
+// splitColsInto copies columns [lo, lo+dst cols) of src into dst.
+func splitColsInto(dst, src *tensor.Tensor, lo int) {
+	rows, cols := src.Dim(0), src.Dim(1)
+	w := dst.Dim(1)
+	for r := 0; r < rows; r++ {
+		copy(dst.Data()[r*w:(r+1)*w], src.Data()[r*cols+lo:r*cols+lo+w])
+	}
 }
 
 // setCols writes src into columns [lo,lo+src cols) of dst.

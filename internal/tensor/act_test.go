@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -14,44 +15,48 @@ import (
 )
 
 // The proof obligations of the verified activation kernels
-// (kernels_amd64.s): SigmoidInto and TanhInto return exactly Sigmoid32
-// and Tanh32, and almost every lane takes the vector path. `make
-// exhaustive-act` (act_exhaustive_test.go) runs the same comparison over
-// all 2^32 inputs and keeps the rejected-input tables in testdata current.
+// (kernels_amd64.s): SigmoidInto, TanhInto, GeluInto and GeluDerivInto
+// return exactly Sigmoid32, Tanh32, Gelu32 and GeluDeriv32, and almost
+// every lane takes the vector path. `make exhaustive-act`
+// (act_exhaustive_test.go) runs the same comparison over all 2^32 inputs
+// and keeps the rejected-input tables in testdata current.
 
+// actDefs lists each verified kernel with its definition, the edge of its
+// fast path (fastLimit: actLim32 or actGeluLim32 in the assembly), the
+// range whose rejected inputs the testdata tables record (rejectLimit),
+// the benchmark inputs sampled for its fast-path share, and the share of
+// lanes that may fall back on them and on uniform inputs over the
+// rejectLimit range.
 var actDefs = []struct {
-	name string
-	act  Act
-	def  func(float32) float32
+	name                   string
+	act                    Act
+	def                    func(float32) float32
+	fastLimit, rejectLimit float64
+	sample                 string
+	maxFallback            float64
 }{
-	{"sigmoid", ActSigmoid, Sigmoid32},
-	{"tanh", ActTanh, Tanh32},
+	{"sigmoid", ActSigmoid, Sigmoid32, 128, 16, "gnmt-n2-sigmoid.f32", 0.001},
+	{"tanh", ActTanh, Tanh32, 128, 16, "gnmt-n2-tanh.f32", 0.001},
+	{"gelu", actGELU, Gelu32, 16, 2, "bert-n1-gelu.f32", 0.01},
+	{"gelu-deriv", actGELUDeriv, GeluDeriv32, 16, 2, "bert-n1-gelu.f32", 0.01},
 }
-
-// actFastLimit is the edge of the kernels' fast path, |x| ≤ 128 (actLim32
-// in the assembly); actRejectLimit bounds the inputs whose rejection the
-// testdata tables record.
-const (
-	actFastLimit   = 128
-	actRejectLimit = 16
-)
 
 // TestActKernelsMatchDefinition checks the activation kernels bit for bit
 // (NaN payloads included) against their scalar definitions on three input
 // sets: every 251st float32 bit pattern (~17M inputs, every exponent); an
-// edge table; and every input in [−16, 16] whose lane the rounding test
-// rejects — the inputs where the vector value lies closest to a float32
-// rounding boundary, so a kernel that skipped the test would round some of
-// them the wrong way.
+// edge table; and every input in [−rejectLimit, rejectLimit] whose lane
+// the rounding test rejects — the inputs where the vector value lies
+// closest to a float32 rounding boundary, so a kernel that skipped the
+// test would round some of them the wrong way.
 func TestActKernelsMatchDefinition(t *testing.T) {
 	for _, a := range actDefs {
 		t.Run(a.name, func(t *testing.T) {
-			r := actSweep(a.act, a.def, 251, false)
+			r := actSweep(a.act, a.def, 251, 0)
 			if r.mismatchCount > 0 {
 				t.Fatalf("strided sweep: %d of %d inputs differ from the definition, first %#x",
 					r.mismatchCount, r.inputs, r.mismatches)
 			}
-			checkActInputs(t, a.act, a.def, "edge", actEdges())
+			checkActInputs(t, a.act, a.def, "edge", actEdges(a.fastLimit, a.rejectLimit))
 
 			rejects := readF32(t, "act-rejects-"+a.name+".f32")
 			if len(rejects) == 0 {
@@ -67,31 +72,38 @@ func TestActKernelsMatchDefinition(t *testing.T) {
 }
 
 // TestActKernelsFastPathShare: a kernel that always fell back would pass
-// every bit check, so at least 99.9% of lanes must take the vector path —
-// on uniform [−16, 16] inputs, and on LSTM inputs sampled from a gnmt-n2
-// benchmark run (testdata/gnmt-n2-*.f32: every 4099th i, f and o gate
-// pre-activation for sigmoid; g pre-activations and cell states for tanh).
+// every bit check, so all but maxFallback of the lanes must take the
+// vector path — on 2^20 uniform inputs over [−rejectLimit, rejectLimit],
+// and on inputs sampled from benchmark runs: for sigmoid and tanh,
+// gnmt-n2's LSTM (testdata/gnmt-n2-*.f32: every 4099th i, f and o gate
+// pre-activation for sigmoid; g pre-activations and cell states for
+// tanh); for GELU and its derivative, bert-n1's FF1 pre-activations
+// (testdata/bert-n1-gelu.f32, the inputs of both).
 func TestActKernelsFastPathShare(t *testing.T) {
 	if zeros := make([]float32, 8); actInto(ActSigmoid, zeros, zeros) == len(zeros) {
 		t.Skip("no vector kernel on this platform: the scalar definition computes every lane")
 	}
 	r := rand.New(rand.NewSource(24))
-	uniform := make([]float32, 1<<20)
-	for i := range uniform {
-		uniform[i] = float32(r.Float64()*32 - 16)
+	unit := make([]float32, 1<<20)
+	for i := range unit {
+		unit[i] = float32(r.Float64()*2 - 1)
 	}
 	for _, a := range actDefs {
+		uniform := make([]float32, len(unit))
+		for i, u := range unit {
+			uniform[i] = u * float32(a.rejectLimit)
+		}
 		for _, set := range []struct {
 			name string
 			in   []float32
 		}{
-			{"uniform [-16,16]", uniform},
-			{"gnmt-n2 LSTM inputs", readF32(t, "gnmt-n2-"+a.name+".f32")},
+			{fmt.Sprintf("uniform [-%g,%g]", a.rejectLimit, a.rejectLimit), uniform},
+			{a.sample, readF32(t, a.sample)},
 		} {
 			n := actInto(a.act, make([]float32, len(set.in)), set.in)
 			t.Logf("%s, %s: %d of %d lanes by the scalar definition", a.name, set.name, n, len(set.in))
-			if float64(n) > 0.001*float64(len(set.in)) {
-				t.Errorf("%s, %s: %d of %d lanes fell back, over 0.1%%", a.name, set.name, n, len(set.in))
+			if float64(n) > a.maxFallback*float64(len(set.in)) {
+				t.Errorf("%s, %s: %d of %d lanes fell back, over %g%%", a.name, set.name, n, len(set.in), 100*a.maxFallback)
 			}
 		}
 	}
@@ -126,7 +138,7 @@ func checkActInputs(t *testing.T, act Act, def func(float32) float32, set string
 // points where the reduction's k first becomes ±1, math.Tanh's branch point,
 // and the saturation points — where Sigmoid32 reaches 1, turns subnormal
 // and reaches 0, and where Tanh32 reaches 1.
-func actEdges() []float32 {
+func actEdges(fastLimit, rejectLimit float64) []float32 {
 	bits := []uint32{
 		0x00000000, 0x80000000, 0x7f800000, 0xff800000, // ±0, ±Inf
 		0x7fc00000, 0xffc00000, 0x7fc12345, 0xffffffff, // quiet NaNs
@@ -152,12 +164,15 @@ func actEdges() []float32 {
 	for _, v := range []float32{
 		math.SmallestNonzeroFloat32, math.Float32frombits(0x007fffff), // subnormals
 		math.Float32frombits(0x00800000), math.MaxFloat32, // normal range
-		actFastLimit, actRejectLimit, 1,
+		float32(fastLimit), float32(rejectLimit), 1,
 		float32(math.Ln2 / 2), float32(math.Ln2 / 4), 0.625,
 		sat(func(x float32) bool { return Sigmoid32(x) == 1 }),
 		sat(func(x float32) bool { return Sigmoid32(-x) < math.Float32frombits(0x00800000) }),
 		sat(func(x float32) bool { return Sigmoid32(-x) == 0 }),
 		sat(func(x float32) bool { return Tanh32(x) == 1 }),
+		sat(func(x float32) bool { return Gelu32(-x) == 0 }),
+		sat(func(x float32) bool { return GeluDeriv32(-x) == 0 }),
+		sat(func(x float32) bool { return GeluDeriv32(x) == 1 }),
 	} {
 		for _, s := range []float32{v, -v} {
 			base = append(base, s)
@@ -177,17 +192,17 @@ type actSweepResult struct {
 	inputs, scalar, mismatchCount uint64
 	mismatches                    []uint32 // the first few mismatching inputs' bits
 	rejects                       []uint32 // with listRejects, ascending
-	rejectRange                   uint64   // inputs in [−16, 16]
+	rejectRange                   uint64   // inputs in [−rejectLimit, rejectLimit]
 }
 
 // actSweep runs the kernel of act over the float32 bit patterns 0,
 // stride, 2·stride, … below 2^32, in chunks spread over GOMAXPROCS
-// goroutines, and compares every result with def bit for bit. With
-// listRejects it also collects every input in [−16, 16] whose lane the
-// rounding test rejected: a block that needed the scalar definition is
-// re-run one input at a time (a lone input is a tail, padded with zeros
-// the test never rejects).
-func actSweep(act Act, def func(float32) float32, stride uint64, listRejects bool) actSweepResult {
+// goroutines, and compares every result with def bit for bit. With a
+// rejectLimit above 0 it also collects every input in [−rejectLimit,
+// rejectLimit] whose lane the rounding test rejected: a block that needed
+// the scalar definition is re-run one input at a time (a lone input is a
+// tail, padded with zeros the test never rejects).
+func actSweep(act Act, def func(float32) float32, stride uint64, rejectLimit float64) actSweepResult {
 	const chunk = 1 << 16
 	total := (1<<32 + stride - 1) / stride
 	var (
@@ -222,14 +237,14 @@ func actSweep(act Act, def func(float32) float32, stride uint64, listRejects boo
 						}
 					}
 				}
-				if !listRejects {
+				if rejectLimit <= 0 {
 					continue
 				}
 				for b := uint64(0); b < n; b += 8 {
 					blk := src[b:min(b+8, n)]
 					inRange := 0
 					for _, x := range blk {
-						if math.Abs(float64(x)) <= actRejectLimit {
+						if math.Abs(float64(x)) <= rejectLimit {
 							inRange++
 						}
 					}
@@ -238,7 +253,7 @@ func actSweep(act Act, def func(float32) float32, stride uint64, listRejects boo
 						continue
 					}
 					for i, x := range blk {
-						if math.Abs(float64(x)) <= actRejectLimit && actInto(act, one[:], blk[i:i+1]) == 1 {
+						if math.Abs(float64(x)) <= rejectLimit && actInto(act, one[:], blk[i:i+1]) == 1 {
 							r.rejects = append(r.rejects, math.Float32bits(x))
 						}
 					}

@@ -99,8 +99,9 @@ func BenchmarkKernelAxpyInPlace1M(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSigmoid and BenchmarkKernelTanh time the activation
-// kernels over 4096 gate-scale inputs.
+// BenchmarkKernelSigmoid, BenchmarkKernelTanh, BenchmarkKernelGELU and
+// BenchmarkKernelGELUDeriv time the activation kernels over 4096
+// gate-scale inputs.
 func benchAct(b *testing.B, kernel func(dst, src []float32)) {
 	x := tensor.NewRNG(10).Uniform(-4, 4, 4096).Data()
 	y := make([]float32, len(x))
@@ -113,6 +114,9 @@ func benchAct(b *testing.B, kernel func(dst, src []float32)) {
 
 func BenchmarkKernelSigmoid(b *testing.B) { benchAct(b, tensor.SigmoidInto) }
 func BenchmarkKernelTanh(b *testing.B)    { benchAct(b, tensor.TanhInto) }
+func BenchmarkKernelGELU(b *testing.B)    { benchAct(b, tensor.GeluInto) }
+
+func BenchmarkKernelGELUDeriv(b *testing.B) { benchAct(b, tensor.GeluDerivInto) }
 
 func BenchmarkKernelSoftmax(b *testing.B) {
 	rng := tensor.NewRNG(4)

@@ -32,6 +32,11 @@ const (
 	ActTanh
 	// ActSigmoid applies Sigmoid32.
 	ActSigmoid
+
+	// actGELU and actGELUDeriv select Gelu32 and GeluDeriv32 in the
+	// activation kernels (actInto); no fused kernel applies them.
+	actGELU
+	actGELUDeriv
 )
 
 // MatMulBiasAct returns act(a @ b + bias) in one pass: (m,k) x (k,n) with
@@ -70,15 +75,17 @@ func checkMatMulBiasAct(a, b, bias *Tensor) {
 // matMulBiasActInto accumulates into out, which must be zeroed.
 func matMulBiasActInto(out, a, b, bias *Tensor, act Act) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	parallelGEMM(m, k, n, matmulRowTile, func(lo, hi int) {
-		gemmAccRows(out.data, a.data, k, 1, b.data, k, n, lo, hi)
-		if bias != nil {
+	g := operands{out: out, a: a, b: b, bias: bias, act: act}
+	parallelGEMM(m, k, n, matmulRowTile, g, func(g operands, lo, hi int) {
+		k, n := g.a.shape[1], g.b.shape[1]
+		gemmAccRows(g.out.data, g.a.data, k, 1, g.b.data, k, n, lo, hi)
+		if g.bias != nil {
 			for i := lo; i < hi; i++ {
-				vecAdd(out.data[i*n:(i+1)*n], bias.data)
+				vecAdd(g.out.data[i*n:(i+1)*n], g.bias.data)
 			}
 		}
-		rows := out.data[lo*n : hi*n]
-		switch act {
+		rows := g.out.data[lo*n : hi*n]
+		switch g.act {
 		case ActIdentity:
 		case ActReLU:
 			for j, v := range rows {
@@ -87,7 +94,7 @@ func matMulBiasActInto(out, a, b, bias *Tensor, act Act) {
 				}
 			}
 		case ActTanh, ActSigmoid:
-			actInto(act, rows, rows)
+			actInto(g.act, rows, rows)
 		}
 	})
 }

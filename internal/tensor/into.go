@@ -14,9 +14,10 @@ import "fmt"
 // ApplyInto sets dst[i] = f(t[i]), fully overwriting dst.
 func ApplyInto(dst, t *Tensor, f func(float32) float32) {
 	checkSameShape("ApplyInto", dst, t)
-	ParallelFor(len(t.data), func(lo, hi int) {
+	n := len(t.data)
+	parallelFor(n, n, 1, vecOperands{o: dst.data, a: t.data, f: f}, func(v vecOperands, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dst.data[i] = f(t.data[i])
+			v.o[i] = v.f(v.a[i])
 		}
 	})
 }
@@ -25,9 +26,10 @@ func ApplyInto(dst, t *Tensor, f func(float32) float32) {
 func MulInto(dst, a, b *Tensor) {
 	checkSameShape("MulInto", a, b)
 	checkSameShape("MulInto", dst, a)
-	ParallelFor(len(a.data), func(lo, hi int) {
+	n := len(a.data)
+	parallelFor(n, n, 1, vecOperands{o: dst.data, a: a.data, b: b.data}, func(v vecOperands, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dst.data[i] = a.data[i] * b.data[i]
+			v.o[i] = v.a[i] * v.b[i]
 		}
 	})
 }

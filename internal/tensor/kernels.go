@@ -189,20 +189,23 @@ func diluteGo(a, b float32, w, r, snap []float32) {
 	}
 }
 
-// actGo sets dst[i] = Tanh32(src[i]) for ActTanh and Sigmoid32(src[i])
-// otherwise: the activation kernels' definition, one scalar call per
-// element. The AVX2 layer computes the same values another way and proves
-// each one (kernels_amd64.s).
+// actGo sets dst[i] to the activation's scalar definition of src[i] —
+// Tanh32, Sigmoid32, Gelu32 or GeluDeriv32 — one call per element: the
+// activation kernels' definition. The AVX2 layer computes the same values
+// another way and proves each one (kernels_amd64.s).
 func actGo(act Act, dst, src []float32) {
 	src = src[:len(dst)]
-	if act == ActTanh {
-		for i, v := range src {
-			dst[i] = Tanh32(v)
-		}
-		return
+	def := Sigmoid32
+	switch act {
+	case ActTanh:
+		def = Tanh32
+	case actGELU:
+		def = Gelu32
+	case actGELUDeriv:
+		def = GeluDeriv32
 	}
 	for i, v := range src {
-		dst[i] = Sigmoid32(v)
+		dst[i] = def(v)
 	}
 }
 

@@ -96,16 +96,31 @@ func sigmoidAVX2(dst, src []float32) (done, reject int)
 //go:noescape
 func tanhAVX2(dst, src []float32) (done, reject int)
 
+// geluAVX2 and geluDerivAVX2 are the verified kernels of Gelu32 and
+// GeluDeriv32, with the same contract; their fast path is |x| ≤ 16.
+//
+//go:noescape
+func geluAVX2(dst, src []float32) (done, reject int)
+
+//go:noescape
+func geluDerivAVX2(dst, src []float32) (done, reject int)
+
 func actBlocks(act Act, dst, src []float32) (done, reject int) {
-	if act == ActTanh {
+	switch act {
+	case ActTanh:
 		return tanhAVX2(dst, src)
+	case actGELU:
+		return geluAVX2(dst, src)
+	case actGELUDeriv:
+		return geluDerivAVX2(dst, src)
 	}
 	return sigmoidAVX2(dst, src)
 }
 
-// actInto sets dst = act(src) (ActSigmoid or ActTanh) and returns how many
-// elements the scalar definition computed: each lane the vector kernel
-// rejected, or all of them without AVX2. A tail shorter than a block runs
+// actInto sets dst = act(src) (ActSigmoid, ActTanh, actGELU or
+// actGELUDeriv) and returns how many elements the scalar definition
+// computed: each lane the vector kernel rejected, or all of them without
+// AVX2. A tail shorter than a block runs
 // through the kernel from a padded copy; the zero padding is never
 // rejected.
 func actInto(act Act, dst, src []float32) (scalar int) {

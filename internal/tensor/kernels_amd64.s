@@ -671,13 +671,20 @@ C4(actC12, 0x3e21eed8eff8d898)    // 1/12!
 C8(actAbs32, 0x7fffffff)          // float32 magnitude mask
 C8(actSign32, 0x80000000)         // float32 sign bit
 C8(actLim32, 0x43000000)          // 128, the edge of the fast path's range
+C8(actGeluLim32, 0x41800000)      // 16, the edge of the GELU kernels' fast path
+C4(actAbs, 0x7fffffffffffffff)    // float64 magnitude mask
+C4(actHalf, 0x3fe0000000000000)   // 0.5
+C4(actTiny, 0x3c20000000000000)   // 2^-61
+C4(actGeluC, 0x3fe9884533d43651)  // geluC = sqrt(2/pi) as Gelu32 rounds it
+C4(actGeluA, 0x3fa6e4e26d4801f7)  // 0.044715
+C4(actGeluA3, 0x3fc12ba9d1f60179) // 3·0.044715, folded as GeluDeriv32's constant is
 
-// Load block AX of src into Y0 and the range mask into Y12: |x| ≤ 128,
+// Load block AX of src into Y0 and the range mask into Y12: |x| ≤ lim,
 // false for NaN.
-#define ACT_LOAD \
+#define ACT_LOAD(lim) \
 	VMOVUPS (SI)(AX*4), Y0; \
 	VANDPS actAbs32<>(SB), Y0, Y11; \
-	VCMPPS $2, actLim32<>(SB), Y11, Y12
+	VCMPPS $2, lim<>(SB), Y11, Y12
 
 // Widen the eight float32 in Y of X into chains A (Y1) and B (Y2).
 #define ACT_WIDEN(Y, X) \
@@ -725,12 +732,29 @@ C8(actLim32, 0x43000000)          // 128, the edge of the fast path's range
 	HORNER2(actC2); \
 	HORNER2(actOne)
 
-// The rounding test on y in Y5/Y6: Y9 = float32(y − y·2^-44) for the
-// eight lanes, Y10 = the lanes where that equals float32(y + y·2^-44) and
-// x is in range.
-#define ACT_ROUNDTEST \
+// From q and 2^k in Y5/Y6 and Y3/Y4 leave tanh(t/2) = m/(m+2) in Y5/Y6,
+// m = (2^k − 1) + 2^k·q.
+#define ACT_TANHRATIO \
+	VMULPD Y3, Y5, Y5; \
+	VMULPD Y4, Y6, Y6; \
+	VSUBPD Y15, Y3, Y3; \
+	VSUBPD Y15, Y4, Y4; \
+	VADDPD Y3, Y5, Y5; \
+	VADDPD Y4, Y6, Y6; \
+	VADDPD actTwo<>(SB), Y5, Y3; \
+	VADDPD actTwo<>(SB), Y6, Y4; \
+	VDIVPD Y3, Y5, Y5; \
+	VDIVPD Y4, Y6, Y6
+
+// ε = y·2^-44 in Y7/Y8 for y in Y5/Y6: the bound of sigmoid and tanh.
+#define ACT_RELEPS \
 	VMULPD actEps<>(SB), Y5, Y7; \
-	VMULPD actEps<>(SB), Y6, Y8; \
+	VMULPD actEps<>(SB), Y6, Y8
+
+// The rounding test on y in Y5/Y6 with ε in Y7/Y8: Y9 = float32(y − ε)
+// for the eight lanes, Y10 = the lanes where that equals float32(y + ε)
+// and x is in range.
+#define ACT_ROUNDTEST \
 	VSUBPD Y7, Y5, Y1; \
 	VSUBPD Y8, Y6, Y2; \
 	VADDPD Y7, Y5, Y3; \
@@ -780,7 +804,7 @@ TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-64
 	JMP  sig_test
 
 sig_loop:
-	ACT_LOAD
+	ACT_LOAD(actLim32)
 	ACT_WIDEN(Y0, X0)
 	VXORPD actSign<>(SB), Y1, Y1
 	VXORPD actSign<>(SB), Y2, Y2
@@ -794,6 +818,7 @@ sig_loop:
 	VADDPD Y4, Y6, Y6
 	VDIVPD Y5, Y15, Y5
 	VDIVPD Y6, Y15, Y6
+	ACT_RELEPS
 	ACT_ROUNDTEST
 	ACT_STORE(sig_rejected)
 
@@ -813,22 +838,13 @@ TEXT ·tanhAVX2(SB), NOSPLIT, $0-64
 	JMP  tanh_test
 
 tanh_loop:
-	ACT_LOAD
+	ACT_LOAD(actLim32)
 	ACT_WIDEN(Y11, X11)
 	VADDPD Y1, Y1, Y1
 	VADDPD Y2, Y2, Y2
 	ACT_EXPM1
-	// m = (2^k − 1) + 2^k·q;  y = m / (m + 2)
-	VMULPD Y3, Y5, Y5
-	VMULPD Y4, Y6, Y6
-	VSUBPD Y15, Y3, Y3
-	VSUBPD Y15, Y4, Y4
-	VADDPD Y3, Y5, Y5
-	VADDPD Y4, Y6, Y6
-	VADDPD actTwo<>(SB), Y5, Y3
-	VADDPD actTwo<>(SB), Y6, Y4
-	VDIVPD Y3, Y5, Y5
-	VDIVPD Y4, Y6, Y6
+	ACT_TANHRATIO
+	ACT_RELEPS
 	ACT_ROUNDTEST
 	VANDPS actSign32<>(SB), Y0, Y1
 	VORPS  Y1, Y9, Y9
@@ -838,3 +854,136 @@ tanh_test:
 	CMPQ AX, CX
 	JLT  tanh_loop
 	ACT_RET(tanh_rejected)
+
+// The GELU kernels evaluate Gelu32/GeluDeriv32's own float64 expressions
+// with the same operations in the same order — the cubic u = geluC·(x +
+// ((0.044715·x)·x)·x), 0.5·x, 1 + t, the products and sums — which VMULPD
+// and VADDPD reproduce exactly (no FMA). Only t = tanh(u) is approximated,
+// by the tanh chain above at 2|u|, with the sign of u (which is the sign
+// of x) put back. The bound ε carries t's error through the rest
+// (DESIGN.md §9): for GELU ε = 2^-44·(|0.5·x| + |y|), for its derivative
+// ε = 2^-44·(1 + |0.5·x·dinner| + |y|). Where 1 + t or 1 − t² cancels —
+// very negative x, or large |x| in the derivative — ε dwarfs y's own
+// float32 spacing and the lane is rejected.
+
+// From the block in Y0 leave 2|u| in Y1/Y2 for ACT_EXPM1.
+#define GELU_ARG \
+	ACT_WIDEN(Y0, X0); \
+	VMULPD actGeluA<>(SB), Y1, Y3; \
+	VMULPD actGeluA<>(SB), Y2, Y4; \
+	VMULPD Y1, Y3, Y3; \
+	VMULPD Y2, Y4, Y4; \
+	VMULPD Y1, Y3, Y3; \
+	VMULPD Y2, Y4, Y4; \
+	VADDPD Y3, Y1, Y1; \
+	VADDPD Y4, Y2, Y2; \
+	VMULPD actGeluC<>(SB), Y1, Y1; \
+	VMULPD actGeluC<>(SB), Y2, Y2; \
+	VANDPD actAbs<>(SB), Y1, Y1; \
+	VANDPD actAbs<>(SB), Y2, Y2; \
+	VADDPD Y1, Y1, Y1; \
+	VADDPD Y2, Y2, Y2
+
+// With |t| in Y5/Y6 leave x in Y1/Y2 and t, signed as x, in Y5/Y6.
+#define GELU_SIGN \
+	ACT_WIDEN(Y0, X0); \
+	VANDPD actSign<>(SB), Y1, Y3; \
+	VANDPD actSign<>(SB), Y2, Y4; \
+	VORPD  Y3, Y5, Y5; \
+	VORPD  Y4, Y6, Y6
+
+// func geluAVX2(dst, src []float32) (done, reject int)
+TEXT ·geluAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	ANDQ $~7, CX
+	XORQ AX, AX
+	VMOVUPD actOne<>(SB), Y15
+	JMP  gelu_test
+
+gelu_loop:
+	ACT_LOAD(actGeluLim32)
+	GELU_ARG
+	ACT_EXPM1
+	ACT_TANHRATIO
+	GELU_SIGN
+	// y = (0.5·x)·(1 + t);  ε = 2^-44·(|0.5·x| + |y|), or 0 where
+	// |0.5·x| < 2^-61: there 1 + t is exactly 1 for the kernel and the
+	// definition alike, so both compute y = 0.5·x exactly.
+	VMULPD actHalf<>(SB), Y1, Y1
+	VMULPD actHalf<>(SB), Y2, Y2
+	VADDPD Y15, Y5, Y5
+	VADDPD Y15, Y6, Y6
+	VMULPD Y5, Y1, Y5
+	VMULPD Y6, Y2, Y6
+	VANDPD actAbs<>(SB), Y1, Y7
+	VANDPD actAbs<>(SB), Y2, Y8
+	VCMPPD $5, actTiny<>(SB), Y7, Y9
+	VCMPPD $5, actTiny<>(SB), Y8, Y10
+	VANDPD actAbs<>(SB), Y5, Y3
+	VANDPD actAbs<>(SB), Y6, Y4
+	VADDPD Y3, Y7, Y7
+	VADDPD Y4, Y8, Y8
+	VMULPD actEps<>(SB), Y7, Y7
+	VMULPD actEps<>(SB), Y8, Y8
+	VANDPD Y9, Y7, Y7
+	VANDPD Y10, Y8, Y8
+	ACT_ROUNDTEST
+	ACT_STORE(gelu_rejected)
+
+gelu_test:
+	CMPQ AX, CX
+	JLT  gelu_loop
+	ACT_RET(gelu_rejected)
+
+// One chain of the derivative: x in X, t in T, scratch D, W and S; leaves
+// y in T and ε in W.
+//   dinner = geluC·(1 + ((3·0.044715)·x)·x);  h = 0.5·x
+//   y = 0.5·(1 + t) + ((h·(1 − t·t))·dinner)
+//   ε = 2^-44·(1 + |h·dinner| + |y|)
+#define GELU_DERIV(X, T, D, W, S) \
+	VMULPD actGeluA3<>(SB), X, D; \
+	VMULPD X, D, D; \
+	VADDPD Y15, D, D; \
+	VMULPD actGeluC<>(SB), D, D; \
+	VMULPD actHalf<>(SB), X, X; \
+	VMULPD T, T, W; \
+	VSUBPD W, Y15, W; \
+	VMULPD X, W, W; \
+	VMULPD D, W, W; \
+	VADDPD Y15, T, T; \
+	VMULPD actHalf<>(SB), T, T; \
+	VADDPD W, T, T; \
+	VMULPD X, D, D; \
+	VANDPD actAbs<>(SB), D, D; \
+	VADDPD Y15, D, D; \
+	VANDPD actAbs<>(SB), T, S; \
+	VADDPD S, D, D; \
+	VMULPD actEps<>(SB), D, W
+
+// func geluDerivAVX2(dst, src []float32) (done, reject int)
+TEXT ·geluDerivAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	ANDQ $~7, CX
+	XORQ AX, AX
+	VMOVUPD actOne<>(SB), Y15
+	JMP  gelud_test
+
+gelud_loop:
+	ACT_LOAD(actGeluLim32)
+	GELU_ARG
+	ACT_EXPM1
+	ACT_TANHRATIO
+	GELU_SIGN
+	GELU_DERIV(Y1, Y5, Y3, Y7, Y9)
+	GELU_DERIV(Y2, Y6, Y4, Y8, Y10)
+	ACT_ROUNDTEST
+	ACT_STORE(gelud_rejected)
+
+gelud_test:
+	CMPQ AX, CX
+	JLT  gelud_loop
+	ACT_RET(gelud_rejected)

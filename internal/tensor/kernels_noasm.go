@@ -26,8 +26,9 @@ func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {
 	return runsGo(x, s, vals, spans, base)
 }
 
-// actInto sets dst = act(src) (ActSigmoid or ActTanh) with the scalar
-// definition, which therefore computes every element.
+// actInto sets dst = act(src) (ActSigmoid, ActTanh, actGELU or
+// actGELUDeriv) with the scalar definition, which therefore computes
+// every element.
 func actInto(act Act, dst, src []float32) (scalar int) {
 	actGo(act, dst, src)
 	return len(dst)

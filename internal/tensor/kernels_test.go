@@ -24,7 +24,7 @@ type kernelImpl struct {
 	zeros  func(x []float32) int
 	runs   func(x, s, vals []float32, spans []Span, base uint32) (int, int)
 	transB func(out, a, b []float32, k, n, lo, hi int)
-	act    func(a Act, dst, src []float32) // ActSigmoid or ActTanh
+	act    func(a Act, dst, src []float32) // ActSigmoid, ActTanh, actGELU or actGELUDeriv
 }
 
 var goKernels = kernelImpl{
@@ -88,11 +88,11 @@ var naiveKernels = kernelImpl{
 		}
 	},
 	act: func(a Act, dst, src []float32) {
-		for i, v := range src {
-			if a == ActTanh {
-				dst[i] = Tanh32(v)
-			} else {
-				dst[i] = Sigmoid32(v)
+		for _, d := range actDefs {
+			if d.act == a {
+				for i, v := range src {
+					dst[i] = d.def(v)
+				}
 			}
 		}
 	},
@@ -235,7 +235,7 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 			run("vecMul", func(k kernelImpl, ox, _ []float32) { k.mul(ox, b[0]) })
 			run("vecScale", func(k kernelImpl, ox, _ []float32) { k.scale(c[0], ox) })
 			run("dilute", func(k kernelImpl, ox, oy []float32) { k.dilute(c[0], c[1], ox, b[0], oy) })
-			for _, a := range []Act{ActSigmoid, ActTanh} {
+			for _, a := range []Act{ActSigmoid, ActTanh, actGELU, actGELUDeriv} {
 				run(fmt.Sprintf("act %d", a), func(k kernelImpl, ox, oy []float32) {
 					k.act(a, ox, ox) // in place
 					k.act(a, oy, b[0])

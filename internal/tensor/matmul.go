@@ -133,9 +133,18 @@ func MatMul(a, b *Tensor) *Tensor {
 // must be zeroed for a plain product.
 func matMulAccInto(out, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	parallelGEMM(m, k, n, matmulRowTile, func(lo, hi int) {
-		gemmAccRows(out.data, a.data, k, 1, b.data, k, n, lo, hi)
+	parallelGEMM(m, k, n, matmulRowTile, operands{out: out, a: a, b: b}, func(g operands, lo, hi int) {
+		k, n := g.a.shape[1], g.b.shape[1]
+		gemmAccRows(g.out.data, g.a.data, k, 1, g.b.data, k, n, lo, hi)
 	})
+}
+
+// operands carries a kernel's tensors to its row function as a value, so
+// the row function captures nothing and a serial call allocates nothing
+// (parallelFor).
+type operands struct {
+	out, a, b, bias *Tensor
+	act             Act
 }
 
 // MatMulTransB returns a @ bᵀ: (m,k) x (n,k) -> (m,n). Used by backward
@@ -167,8 +176,8 @@ func checkTransB(a, b *Tensor) {
 
 func matMulTransBInto(out, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	parallelGEMM(m, k, n, transBRowTile, func(lo, hi int) {
-		transBRows(out.data, a.data, b.data, k, n, lo, hi)
+	parallelGEMM(m, k, n, transBRowTile, operands{out: out, a: a, b: b}, func(g operands, lo, hi int) {
+		transBRows(g.out.data, g.a.data, g.b.data, g.a.shape[1], g.b.shape[0], lo, hi)
 	})
 }
 
@@ -198,6 +207,18 @@ func MatMulTransAAcc(dst, a, b *Tensor) {
 	scratch.Release()
 }
 
+// MatMulTransAInto computes dst = aᵀ @ b, fully overwriting dst: the
+// no-allocation MatMulTransA (dst is cleared first, as the arena borrow
+// is). dst must be (m,n) for a (k,m) and b (k,n).
+func MatMulTransAInto(dst, a, b *Tensor) {
+	checkTransA(a, b)
+	if len(dst.shape) != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransAInto dst %v for %vᵀ x %v", dst.shape, a.shape, b.shape))
+	}
+	dst.Zero()
+	matMulTransAAccInto(dst, a, b)
+}
+
 func checkTransA(a, b *Tensor) {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[0] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes %vᵀ x %v", a.shape, b.shape))
@@ -208,8 +229,9 @@ func checkTransA(a, b *Tensor) {
 // a plain product.
 func matMulTransAAccInto(out, a, b *Tensor) {
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	parallelGEMM(m, k, n, matmulRowTile, func(lo, hi int) {
-		gemmAccRows(out.data, a.data, 1, m, b.data, k, n, lo, hi)
+	parallelGEMM(m, k, n, matmulRowTile, operands{out: out, a: a, b: b}, func(g operands, lo, hi int) {
+		k, m, n := g.a.shape[0], g.a.shape[1], g.b.shape[1]
+		gemmAccRows(g.out.data, g.a.data, 1, m, g.b.data, k, n, lo, hi)
 	})
 }
 

@@ -16,20 +16,29 @@ func checkSameShape(op string, a, b *Tensor) {
 func Add(a, b *Tensor) *Tensor {
 	checkSameShape("Add", a, b)
 	out := borrowRaw(a.shape...)
-	ParallelFor(len(a.data), func(lo, hi int) {
+	AddInto(out, a, b)
+	return out
+}
+
+// AddInto sets dst = a + b elementwise, fully overwriting dst: Add
+// without the allocation.
+func AddInto(dst, a, b *Tensor) {
+	checkSameShape("AddInto", a, b)
+	checkSameShape("AddInto", dst, a)
+	n := len(a.data)
+	parallelFor(n, n, 1, vecOperands{o: dst.data, a: a.data, b: b.data}, func(v vecOperands, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] + b.data[i]
+			v.o[i] = v.a[i] + v.b[i]
 		}
 	})
-	return out
 }
 
 // Sub returns a - b elementwise.
 func Sub(a, b *Tensor) *Tensor {
 	checkSameShape("Sub", a, b)
 	out := borrowRaw(a.shape...)
-	parallelVec(len(a.data), func(lo, hi int) {
-		vecSub(out.data[lo:hi], a.data[lo:hi], b.data[lo:hi])
+	parallelVec(len(a.data), vecOperands{o: out.data, a: a.data, b: b.data}, func(v vecOperands, lo, hi int) {
+		vecSub(v.o[lo:hi], v.a[lo:hi], v.b[lo:hi])
 	})
 	return out
 }
@@ -61,8 +70,8 @@ func Div(a, b *Tensor) *Tensor {
 // AddInPlace sets a += b elementwise and returns a.
 func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
 	checkSameShape("AddInPlace", t, b)
-	parallelVec(len(t.data), func(lo, hi int) {
-		vecAdd(t.data[lo:hi], b.data[lo:hi])
+	parallelVec(len(t.data), vecOperands{o: t.data, b: b.data}, func(v vecOperands, lo, hi int) {
+		vecAdd(v.o[lo:hi], v.b[lo:hi])
 	})
 	return t
 }
@@ -70,8 +79,8 @@ func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
 // SubInPlace sets a -= b elementwise and returns a.
 func (t *Tensor) SubInPlace(b *Tensor) *Tensor {
 	checkSameShape("SubInPlace", t, b)
-	parallelVec(len(t.data), func(lo, hi int) {
-		vecSub(t.data[lo:hi], t.data[lo:hi], b.data[lo:hi])
+	parallelVec(len(t.data), vecOperands{o: t.data, b: b.data}, func(v vecOperands, lo, hi int) {
+		vecSub(v.o[lo:hi], v.o[lo:hi], v.b[lo:hi])
 	})
 	return t
 }
@@ -79,8 +88,8 @@ func (t *Tensor) SubInPlace(b *Tensor) *Tensor {
 // MulInPlace sets a *= b elementwise and returns a.
 func (t *Tensor) MulInPlace(b *Tensor) *Tensor {
 	checkSameShape("MulInPlace", t, b)
-	parallelVec(len(t.data), func(lo, hi int) {
-		vecMul(t.data[lo:hi], b.data[lo:hi])
+	parallelVec(len(t.data), vecOperands{o: t.data, b: b.data}, func(v vecOperands, lo, hi int) {
+		vecMul(v.o[lo:hi], v.b[lo:hi])
 	})
 	return t
 }
@@ -89,8 +98,8 @@ func (t *Tensor) MulInPlace(b *Tensor) *Tensor {
 // core update primitive for optimizers and elastic averaging.
 func (t *Tensor) AxpyInPlace(alpha float32, b *Tensor) *Tensor {
 	checkSameShape("AxpyInPlace", t, b)
-	parallelVec(len(t.data), func(lo, hi int) {
-		axpyAdd(alpha, b.data[lo:hi], t.data[lo:hi])
+	parallelVec(len(t.data), vecOperands{o: t.data, b: b.data, alpha: alpha}, func(v vecOperands, lo, hi int) {
+		axpyAdd(v.alpha, v.b[lo:hi], v.o[lo:hi])
 	})
 	return t
 }
@@ -101,16 +110,16 @@ func (t *Tensor) AxpyInPlace(alpha float32, b *Tensor) *Tensor {
 func Dilute(alpha float32, w, ref, snap *Tensor) {
 	checkSameShape("Dilute", w, ref)
 	checkSameShape("Dilute", w, snap)
-	keep := 1 - alpha
-	parallelVec(len(w.data), func(lo, hi int) {
-		dilute(keep, alpha, w.data[lo:hi], ref.data[lo:hi], snap.data[lo:hi])
+	v := vecOperands{o: w.data, a: ref.data, b: snap.data, alpha: 1 - alpha, beta: alpha}
+	parallelVec(len(w.data), v, func(v vecOperands, lo, hi int) {
+		dilute(v.alpha, v.beta, v.o[lo:hi], v.a[lo:hi], v.b[lo:hi])
 	})
 }
 
 // ScaleInPlace multiplies every element by alpha and returns t.
 func (t *Tensor) ScaleInPlace(alpha float32) *Tensor {
-	parallelVec(len(t.data), func(lo, hi int) {
-		vecScale(alpha, t.data[lo:hi])
+	parallelVec(len(t.data), vecOperands{o: t.data, alpha: alpha}, func(v vecOperands, lo, hi int) {
+		vecScale(v.alpha, v.o[lo:hi])
 	})
 	return t
 }
@@ -160,16 +169,46 @@ func Tanh32(x float32) float32 { return float32(math.Tanh(float64(x))) }
 // value for every input.
 func Sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
 
+// geluC is sqrt(2/pi), the tanh approximation's scale.
+const geluC = 0.7978845608028654
+
+// Gelu32 is the one definition of GELU (tanh approximation) on a float32:
+// the float64 expression below, rounded once. GeluInto returns exactly
+// its value for every input.
+func Gelu32(v float32) float32 {
+	x := float64(v)
+	return float32(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
+}
+
+// GeluDeriv32 is the one definition of GELU's derivative on a float32;
+// GeluDerivInto returns exactly its value for every input.
+func GeluDeriv32(v float32) float32 {
+	x := float64(v)
+	inner := geluC * (x + 0.044715*x*x*x)
+	t := math.Tanh(inner)
+	dinner := geluC * (1 + 3*0.044715*x*x)
+	return float32(0.5*(1+t) + 0.5*x*(1-t*t)*dinner)
+}
+
 // TanhInto sets dst[i] = Tanh32(src[i]) for every i < len(dst): the one
-// vector entry point of tanh, which Tanh, the fused kernels and the
-// compiled lowering all call. dst may be src but must not otherwise
+// vector entry point of tanh, which Tanh, the nn lowering and (through
+// actInto) the fused kernels call. dst may be src but must not otherwise
 // overlap it. With AVX2 it runs the verified kernel of kernels_amd64.s,
-// bit-identical to Tanh32 on every float32.
-func TanhInto(dst, src []float32) { actInto(ActTanh, dst, src) }
+// bit-identical to Tanh32 on every float32. Long slices fan out over the
+// pool in chunks of whole 8-blocks.
+func TanhInto(dst, src []float32) { actChunks(ActTanh, dst, src) }
 
 // SigmoidInto sets dst[i] = Sigmoid32(src[i]) for every i < len(dst); see
 // TanhInto.
-func SigmoidInto(dst, src []float32) { actInto(ActSigmoid, dst, src) }
+func SigmoidInto(dst, src []float32) { actChunks(ActSigmoid, dst, src) }
+
+// GeluInto sets dst[i] = Gelu32(src[i]) for every i < len(dst); see
+// TanhInto.
+func GeluInto(dst, src []float32) { actChunks(actGELU, dst, src) }
+
+// GeluDerivInto sets dst[i] = GeluDeriv32(src[i]) for every i < len(dst);
+// see TanhInto.
+func GeluDerivInto(dst, src []float32) { actChunks(actGELUDeriv, dst, src) }
 
 // Tanh returns tanh applied elementwise.
 func Tanh(t *Tensor) *Tensor { return applyAct(t, ActTanh) }
@@ -177,14 +216,28 @@ func Tanh(t *Tensor) *Tensor { return applyAct(t, ActTanh) }
 // Sigmoid returns the logistic function applied elementwise.
 func Sigmoid(t *Tensor) *Tensor { return applyAct(t, ActSigmoid) }
 
-// applyAct returns act(t) through the activation kernels, fanned out in
-// chunks of whole 8-blocks.
 func applyAct(t *Tensor, act Act) *Tensor {
 	out := borrowRaw(t.shape...)
-	parallelFor(len(t.data), len(t.data), 8, func(lo, hi int) {
-		actInto(act, out.data[lo:hi], t.data[lo:hi])
-	})
+	actChunks(act, out.data, t.data)
 	return out
+}
+
+// actChunks runs the activation kernel over dst, fanned out in chunks of
+// whole 8-blocks, each element costed as one unit.
+func actChunks(act Act, dst, src []float32) {
+	v := vecOperands{o: dst, a: src[:len(dst)], act: act}
+	parallelFor(len(dst), len(dst), 8, v, func(v vecOperands, lo, hi int) {
+		actInto(v.act, v.o[lo:hi], v.a[lo:hi])
+	})
+}
+
+// vecOperands carries an elementwise kernel's slices and scalars to its
+// chunk function as a value (see gemmOperands).
+type vecOperands struct {
+	o, a, b     []float32
+	alpha, beta float32
+	act         Act
+	f           func(float32) float32
 }
 
 // ReLU returns max(x, 0) elementwise.

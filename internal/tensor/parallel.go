@@ -98,7 +98,7 @@ func PoolWorkersBusy() int { return int(poolBusy.Load()) }
 // must only write disjoint output. Falls back to a single serial call for
 // small n.
 func ParallelFor(n int, body func(lo, hi int)) {
-	parallelFor(n, n, 1, body)
+	parallelFor(n, n, 1, body, callRange)
 }
 
 // ParallelForCost is ParallelFor with an explicit per-iteration cost
@@ -109,34 +109,44 @@ func ParallelFor(n int, body func(lo, hi int)) {
 // per-element results are identical to the serial path regardless of
 // cost, worker count, or chunk boundaries.
 func ParallelForCost(n, costPerIter int, body func(lo, hi int)) {
-	parallelFor(n, n*max(costPerIter, 1), 1, body)
+	parallelFor(n, n*max(costPerIter, 1), 1, body, callRange)
 }
 
-// parallelVec is ParallelFor for an elementwise loop over n floats that
+func callRange(body func(lo, hi int), lo, hi int) { body(lo, hi) }
+
+// parallelVec is parallelFor for an elementwise loop over n floats that
 // runs on the vector kernels: costed at their speed, and chunked at whole
 // 8-float vectors so only the last chunk has a scalar tail.
-func parallelVec(n int, body func(lo, hi int)) {
-	parallelFor(n, n/vectorOpsPerUnit, 8, body)
+func parallelVec[A any](n int, args A, body func(args A, lo, hi int)) {
+	parallelFor(n, n/vectorOpsPerUnit, 8, args, body)
 }
 
 // parallelGEMM fans the m output rows of an (m,k)·(k,n) product out in
 // chunks of whole row tiles: a kernel that advances two (or eight) rows
 // together must not have a tile split between chunks.
-func parallelGEMM(m, k, n, rowTile int, body func(lo, hi int)) {
-	parallelFor(m, m*k*n/vectorOpsPerUnit, rowTile, body)
+func parallelGEMM[A any](m, k, n, rowTile int, args A, body func(args A, lo, hi int)) {
+	parallelFor(m, m*k*n/vectorOpsPerUnit, rowTile, args, body)
 }
 
-// parallelFor runs body over [0, n) in chunks whose boundaries are
-// multiples of align, fanning out when work (in cost units) reaches
-// parallelThreshold.
-func parallelFor(n, work, align int, body func(lo, hi int)) {
+// parallelFor runs body(args, lo, hi) over [0, n) in chunks whose
+// boundaries are multiples of align, fanning out when work (in cost
+// units) reaches parallelThreshold. The decision comes before any closure
+// is built: body is a function that captures nothing and args a value, so
+// a serial call — every per-head GEMM of a lowered attention, most
+// per-micro-batch kernels — allocates nothing.
+func parallelFor[A any](n, work, align int, args A, body func(args A, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if maxWorkers <= 1 || n <= align || work < parallelThreshold {
-		body(0, n)
+		body(args, 0, n)
 		return
 	}
+	fanOut(n, align, func(lo, hi int) { body(args, lo, hi) })
+}
+
+// fanOut runs body over [0, n) on the pool in chunks aligned to align.
+func fanOut(n, align int, body func(lo, hi int)) {
 	poolOnce.Do(startPool)
 	chunks := maxWorkers * chunksPerWorker
 	chunk := (n + chunks - 1) / chunks

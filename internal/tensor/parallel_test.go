@@ -54,7 +54,7 @@ func TestParallelForCostFansOutSmallN(t *testing.T) {
 			mu.Lock()
 			got = append(got, span{lo, hi})
 			mu.Unlock()
-		})
+		}, callRange)
 		return got
 	}
 	if got := spans(64, parallelThreshold-1, 8); len(got) != 1 || got[0] != (span{0, 64}) {
@@ -70,6 +70,38 @@ func TestParallelForCostFansOutSmallN(t *testing.T) {
 		}
 		if covered != c.n {
 			t.Fatalf("n=%d align=%d: chunks cover %d rows", c.n, c.align, covered)
+		}
+	}
+}
+
+// TestSerialKernelsAllocateNothing pins the serial path of every kernel a
+// lowered op calls many times per micro-batch (attention runs a dozen
+// small GEMMs per sequence and head): parallelFor decides "serial" before
+// any closure exists, so a serial-sized call makes no heap allocation.
+func TestSerialKernelsAllocateNothing(t *testing.T) {
+	r := NewRNG(3)
+	a, b, bt := r.Normal(0, 1, 8, 8), r.Normal(0, 1, 8, 8), r.Normal(0, 1, 8, 8)
+	out, scr, bias := New(8, 8), New(8, 8), r.Normal(0, 1, 8)
+	x := r.Normal(0, 1, 64)
+	y := New(64)
+	for name, f := range map[string]func(){
+		"matMulAccInto":       func() { matMulAccInto(out, a, b) },
+		"MatMulTransBInto":    func() { MatMulTransBInto(out, a, bt) },
+		"MatMulTransAInto":    func() { MatMulTransAInto(out, a, b) },
+		"MatMulTransAAccWith": func() { MatMulTransAAccWith(out, a, b, scr) },
+		"MatMulBiasActInto":   func() { MatMulBiasActInto(out, a, b, bias, ActTanh) },
+		"SoftmaxRowsInto":     func() { SoftmaxRowsInto(out, a) },
+		"ApplyInto":           func() { ApplyInto(y, x, func(v float32) float32 { return 1 - v*v }) },
+		"MulInto":             func() { MulInto(y, x, x) },
+		"AddInto":             func() { AddInto(y, x, x) },
+		"AddInPlace":          func() { y.AddInPlace(x) },
+		"ScaleInPlace":        func() { y.ScaleInPlace(0.5) },
+		"TanhInto":            func() { TanhInto(y.data, x.data) },
+		"GeluInto":            func() { GeluInto(y.data, x.data) },
+		"GeluDerivInto":       func() { GeluDerivInto(y.data, x.data) },
+	} {
+		if n := testing.AllocsPerRun(20, f); n != 0 {
+			t.Errorf("%s: %v allocations per serial-sized call, want 0", name, n)
 		}
 	}
 }

@@ -170,12 +170,25 @@ func SoftmaxRows(t *Tensor) *Tensor {
 	if len(t.shape) != 2 {
 		panic("tensor: SoftmaxRows requires a 2-D tensor")
 	}
+	out := borrowRaw(t.shape...)
+	SoftmaxRowsInto(out, t)
+	return out
+}
+
+// SoftmaxRowsInto writes the row-wise softmax of the 2-D tensor t into
+// dst (t's shape), fully overwriting it: SoftmaxRows without the
+// allocation.
+func SoftmaxRowsInto(dst, t *Tensor) {
+	if len(t.shape) != 2 {
+		panic("tensor: SoftmaxRowsInto requires a 2-D tensor")
+	}
+	checkSameShape("SoftmaxRowsInto", dst, t)
 	r, c := t.shape[0], t.shape[1]
-	out := borrowRaw(r, c)
-	ParallelForCost(r, c, func(lo, hi int) {
+	parallelFor(r, r*max(c, 1), 1, operands{out: dst, a: t}, func(g operands, lo, hi int) {
+		c := g.a.shape[1]
 		for i := lo; i < hi; i++ {
-			row := t.data[i*c : (i+1)*c]
-			orow := out.data[i*c : (i+1)*c]
+			row := g.a.data[i*c : (i+1)*c]
+			orow := g.out.data[i*c : (i+1)*c]
 			m := row[0]
 			for _, v := range row[1:] {
 				if v > m {
@@ -194,7 +207,6 @@ func SoftmaxRows(t *Tensor) *Tensor {
 			}
 		}
 	})
-	return out
 }
 
 // LogSoftmaxRows returns the row-wise log-softmax of a 2-D tensor.
