@@ -12,7 +12,7 @@ type opRec struct {
 // lowerings emit forward ops immediately (advancing the activation
 // cursor) and register backward thunks; Finish runs the thunks in
 // reverse layer order to build the grad-input/grad-weight lists, then
-// computes register lifetimes and the dynamic-release schedule.
+// computes register lifetimes.
 type Builder struct {
 	regs []regInfo
 	aux  []func(in []int) any
@@ -46,8 +46,7 @@ func (b *Builder) Cur() Reg { return b.cur }
 // input register without emitting any op.
 func (b *Builder) SetCur(r Reg) { b.cur = r }
 
-// ShapeOf returns the shape function of a register (nil for dynamic
-// registers whose shape is determined by the producing op at runtime).
+// ShapeOf returns the shape function of a register.
 func (b *Builder) ShapeOf(r Reg) Shape { return b.regs[r].shape }
 
 func (b *Builder) newReg(class regClass, shape Shape) Reg {
@@ -63,13 +62,6 @@ func (b *Builder) Extern(shape Shape) Reg { return b.newReg(regExtern, shape) }
 // disjoint. Ops writing a slot register must fully overwrite it (or
 // clear it first): slot buffers are not re-zeroed between micro-batches.
 func (b *Builder) Slot(shape Shape) Reg { return b.newReg(regSlot, shape) }
-
-// Dynamic declares a register whose tensor is allocated by the
-// producing op (fallback lowerings calling the reference
-// Forward/Backward). The planner releases it after its last use. shape
-// may be nil when the producing module's output shape is not statically
-// known — downstream lowerings then degrade to fallback themselves.
-func (b *Builder) Dynamic(shape Shape) Reg { return b.newReg(regDynamic, shape) }
 
 // Aux declares a per-Env auxiliary cell. If mk is non-nil it is called
 // once at bind time with the stage-input shape to pre-build the cell
@@ -132,8 +124,8 @@ type Options struct {
 	EmitDX bool
 }
 
-// Finish threads the backward thunks, computes lifetimes and the
-// release schedule, and seals the Program.
+// Finish threads the backward thunks, computes lifetimes, and seals the
+// Program.
 func (b *Builder) Finish(opts Options) (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -144,8 +136,7 @@ func (b *Builder) Finish(opts Options) (*Program, error) {
 	outReg := b.cur
 	outShape := b.regs[outReg].shape
 
-	// The incoming gradient matches the forward output's shape (dynamic
-	// outputs leave it dynamic-shaped too: bound by the runtime).
+	// The incoming gradient matches the forward output's shape.
 	dIn := b.Extern(outShape)
 	d := dIn
 	for i := len(b.bwdThunks) - 1; i >= 0; i-- {
@@ -233,23 +224,6 @@ func (b *Builder) Finish(opts Options) (*Program, error) {
 		} else {
 			p.regs[dOut].class = regBorrowOut
 		}
-	}
-
-	// Release schedule for dynamic registers: returned to the arena
-	// right after their last use. Boundary tensors are excluded — the
-	// output and emitted dx pass ownership downstream/upstream, externs
-	// are released by EndMicro with pointer-identity guards.
-	p.release = make([][]Reg, pos)
-	for r := range p.regs {
-		ri := &p.regs[r]
-		if ri.class != regDynamic || ri.lastUse < 0 {
-			continue
-		}
-		reg := Reg(r)
-		if reg == p.outReg || reg == p.dOutReg || reg == p.inReg || reg == p.dInReg {
-			continue
-		}
-		p.release[ri.lastUse] = append(p.release[ri.lastUse], reg)
 	}
 
 	for _, rec := range recs {

@@ -8,9 +8,8 @@ import (
 
 func ident(in []int) []int { return in }
 
-// buildChain lowers a synthetic three-layer stage where the middle
-// layer's output is dynamic (borrowed per micro-batch by its op) and the
-// others are slot-backed. Exercises the full builder path without
+// buildChain lowers a synthetic three-layer stage, the middle layer a
+// passthrough in backward. Exercises the full builder path without
 // depending on internal/nn.
 func buildChain(t *testing.T, opts Options) *Program {
 	t.Helper()
@@ -36,15 +35,13 @@ func buildChain(t *testing.T, opts Options) *Program {
 		return dx
 	})
 
-	y2 := b.Dynamic(ident)
+	y2 := b.Slot(ident)
 	x2 := b.Cur()
-	b.EmitFwd("dynadd1", []Reg{x2}, []Reg{y2}, func(e *Env) {
-		out := tensor.Borrow(e.Reg(x2).Shape()...)
-		dst, src := out.Data(), e.Reg(x2).Data()
+	b.EmitFwd("add1", []Reg{x2}, []Reg{y2}, func(e *Env) {
+		dst, src := e.Reg(y2).Data(), e.Reg(x2).Data()
 		for i := range dst {
 			dst[i] = src[i] + 1
 		}
-		e.SetReg(y2, out)
 	})
 	b.SetCur(y2)
 	b.OnBackward(func(dy Reg) Reg { return dy })
@@ -76,50 +73,14 @@ func buildChain(t *testing.T, opts Options) *Program {
 	return p
 }
 
-// TestBuilderReleaseExactlyOnce runs a program containing a dynamic
-// register and checks, via the arena counters, that each micro-batch's
-// borrowed tensor is released exactly once — neither leaked nor
-// double-freed.
-func TestBuilderReleaseExactlyOnce(t *testing.T) {
-	p := buildChain(t, Options{})
-	in := []int{4, 3}
-	if err := p.CheckPlan(in); err != nil {
-		t.Fatalf("CheckPlan: %v", err)
-	}
-	env := p.NewEnv(in)
-	x := tensor.Full(1.5, in...)
-	run := func() {
-		env.BindInput(x)
-		env.Forward()
-		env.BindGradIn(tensor.FromSlice(make([]float32, 12), in...))
-		env.BackwardInput()
-		env.BackwardWeights()
-		env.EndMicro()
-	}
-	run() // warm-up
-	before := tensor.ReadArenaStats()
-	const micros = 4
-	for i := 0; i < micros; i++ {
-		run()
-	}
-	after := tensor.ReadArenaStats()
-	borrows := after.Borrows - before.Borrows
-	// EndMicro also drops the unpooled FromSlice dy (a Discard); the
-	// pooled Releases counter isolates the dynamic register's lifecycle.
-	releases := after.Releases - before.Releases
-	if borrows != micros {
-		t.Fatalf("dynamic register borrowed %d times over %d micros, want %d", borrows, micros, micros)
-	}
-	if releases != borrows {
-		t.Fatalf("%d borrows but %d releases: dynamic register leaked or double-freed", borrows, releases)
-	}
-}
-
 // TestBuilderChainValues sanity-checks the lowered chain's arithmetic:
 // y = -(2x+1), dx = -2·dy.
 func TestBuilderChainValues(t *testing.T) {
 	p := buildChain(t, Options{})
 	in := []int{2, 2}
+	if err := p.CheckPlan(in); err != nil {
+		t.Fatalf("CheckPlan: %v", err)
+	}
 	env := p.NewEnv(in)
 	env.BindInput(tensor.Full(3, in...))
 	env.Forward()

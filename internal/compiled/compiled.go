@@ -18,7 +18,7 @@
 // backing buffer. Slots are allocated once per Env and reused across
 // micro-batches; each in-flight micro-batch owns one Env, which is what
 // makes compiled stages reentrant — per-micro state (dropout masks,
-// layer-norm statistics, fallback stashes) lives in the Env, never in
+// layer-norm statistics, recurrent stashes) lives in the Env, never in
 // the module.
 //
 // Register classes:
@@ -27,9 +27,6 @@
 //     and the incoming output-gradient).
 //   - slot: planned, slot-backed, written in place by Into-kernels;
 //     zero arena traffic in steady state.
-//   - dynamic: produced by an op that allocates (fallback layers that
-//     call the reference Forward/Backward). The planner's release
-//     schedule returns each one to the arena right after its last use.
 //
 // Ownership at stage boundaries: a tensor sent to another stage
 // (forward activation, upstream gradient) is borrowed per micro-batch
@@ -76,7 +73,7 @@ const NoReg Reg = -1
 type Shape func(in []int) []int
 
 // AuxID identifies a per-Env auxiliary cell for non-tensor per-micro
-// state (index lists, normalization statistics, fallback stashes).
+// state (index lists, normalization statistics, cached row views).
 type AuxID int
 
 // Op is one compiled node: a phase tag, a diagnostic name, and the
@@ -94,7 +91,6 @@ type regClass uint8
 const (
 	regExtern regClass = iota
 	regSlot
-	regDynamic
 	// regBorrowOut is a slot register promoted to per-micro arena borrow
 	// because its tensor crosses the stage boundary (ownership transfers
 	// to the consuming stage, so its storage cannot be a reused slot).
@@ -122,10 +118,6 @@ type Program struct {
 	// ops after shipping, so the Env ships a per-micro borrowed copy and
 	// keeps the slot intact.
 	outCopy, dxCopy bool
-
-	// release[p] lists the dynamic registers whose last use is linear
-	// position p; the Env returns them to the arena right after op p.
-	release [][]Reg
 }
 
 // Ops returns the op count of each phase (forward, grad-input,

@@ -9,7 +9,7 @@ import (
 // Env is the per-micro-batch execution state of a compiled Program.
 // Each in-flight micro-batch owns one Env (the stage worker pools and
 // reuses them across batches), which is what makes compiled stages
-// reentrant: dropout masks, normalization statistics, and fallback
+// reentrant: dropout masks, normalization statistics, and recurrent
 // stashes live here, never in module fields.
 //
 // Binding — shape inference, slot planning, and buffer allocation —
@@ -22,7 +22,7 @@ type Env struct {
 
 	// regs[r] is the current tensor of register r. Slot registers keep
 	// their header (a view over slot storage) across micro-batches;
-	// extern and dynamic registers are reset by EndMicro.
+	// extern and borrow-out registers are reset by EndMicro.
 	regs []*tensor.Tensor
 	aux  []any
 
@@ -65,15 +65,8 @@ func (e *Env) InShape() []int { return e.inShape }
 // Reg returns the tensor currently held by register r.
 func (e *Env) Reg(r Reg) *tensor.Tensor { return e.regs[r] }
 
-// SetReg stores a tensor into a dynamic register (fallback ops use
-// this for their freshly allocated outputs).
-func (e *Env) SetReg(r Reg, t *tensor.Tensor) { e.regs[r] = t }
-
 // Aux returns auxiliary cell a.
 func (e *Env) Aux(a AuxID) any { return e.aux[a] }
-
-// SetAux stores a per-micro-batch value into auxiliary cell a.
-func (e *Env) SetAux(a AuxID, v any) { e.aux[a] = v }
 
 // BindInput binds the stage input for this micro-batch. The input is
 // owned by the caller; the Env never releases it (an activation shipped
@@ -84,15 +77,9 @@ func (e *Env) BindInput(x *tensor.Tensor) {
 	e.regs[e.prog.inReg] = x
 }
 
-func (e *Env) run(ops []Op, base int) {
+func (e *Env) run(ops []Op) {
 	for i := range ops {
 		ops[i].Fn(e)
-		for _, r := range e.prog.release[base+i] {
-			if t := e.regs[r]; t != nil {
-				t.Release()
-				e.regs[r] = nil
-			}
-		}
 	}
 }
 
@@ -103,7 +90,7 @@ func (e *Env) Forward() {
 	if p.outReg != NoReg && p.regs[p.outReg].class == regBorrowOut {
 		e.regs[p.outReg] = tensor.Borrow(p.regs[p.outReg].shape(e.inShape)...)
 	}
-	e.run(p.fwd, 0)
+	e.run(p.fwd)
 }
 
 // Output returns the forward output tensor. When the output register is
@@ -122,22 +109,19 @@ func (e *Env) Output() *tensor.Tensor {
 }
 
 // ReleaseOutput releases the forward output if this Env owns it per
-// micro-batch (dynamic or borrow-out). The last stage calls this after
-// the loss consumes the logits; slot-backed outputs are kept (they are
-// reused storage, mirroring nothing the interpreter would free).
+// micro-batch (borrow-out). The last stage calls this after the loss
+// consumes the logits; slot-backed outputs are kept (they are reused
+// storage, mirroring nothing the interpreter would free).
 func (e *Env) ReleaseOutput() {
 	p := e.prog
 	t := e.regs[p.outReg]
-	if t == nil {
+	if t == nil || p.regs[p.outReg].class != regBorrowOut {
 		return
 	}
-	switch p.regs[p.outReg].class {
-	case regDynamic, regBorrowOut:
-		if t != e.x {
-			t.Release()
-		}
-		e.regs[p.outReg] = nil
+	if t != e.x {
+		t.Release()
 	}
+	e.regs[p.outReg] = nil
 }
 
 // BindGradIn binds the incoming output-gradient for this micro-batch.
@@ -154,7 +138,7 @@ func (e *Env) BackwardInput() {
 	if p.dOutReg != NoReg && p.regs[p.dOutReg].class == regBorrowOut {
 		e.regs[p.dOutReg] = tensor.Borrow(p.regs[p.dOutReg].shape(e.inShape)...)
 	}
-	e.run(p.bwdIn, len(p.fwd))
+	e.run(p.bwdIn)
 }
 
 // GradOut returns the input-gradient tensor (nil when the stage's first
@@ -185,24 +169,21 @@ func (e *Env) rawGradOut() *tensor.Tensor {
 // BackwardWeights replays the grad-weight ops (local parameter
 // accumulation; no cross-stage consumers).
 func (e *Env) BackwardWeights() {
-	p := e.prog
-	e.run(p.bwdW, len(p.fwd)+len(p.bwdIn))
+	e.run(e.prog.bwdW)
 }
 
 // EndMicro finishes the micro-batch: releases the incoming gradient and
-// any non-emitted input gradient, guarded by pointer identity against
-// passthrough layers that return their argument, then resets extern and
-// dynamic registers so the Env can be rebound. Slot headers persist.
+// any non-emitted borrowed input gradient, guarded by pointer identity
+// against passthrough layers that return their argument, then resets
+// extern and borrow-out registers so the Env can be rebound. Slot headers
+// persist.
 func (e *Env) EndMicro() {
 	p := e.prog
 	dx := e.rawGradOut()
 	// A gradient that never leaves the stage (stage 0's dx has no
 	// consumer) retires here (guard: a passthrough may alias dx == dy).
-	if !p.emitDX && dx != nil && dx != e.dy {
-		switch p.regs[p.dOutReg].class {
-		case regDynamic, regBorrowOut:
-			dx.Release()
-		}
+	if !p.emitDX && dx != nil && dx != e.dy && p.regs[p.dOutReg].class == regBorrowOut {
+		dx.Release()
 	}
 	// The incoming gradient retires with its micro-batch unless it was
 	// passed through as dx: dy was borrowed by the downstream stage (or
@@ -210,32 +191,25 @@ func (e *Env) EndMicro() {
 	if e.dy != nil && dx != e.dy {
 		e.dy.Release()
 	}
-	for r := range p.regs {
-		switch p.regs[r].class {
-		case regExtern, regDynamic, regBorrowOut:
-			e.regs[r] = nil
-		}
-	}
-	e.x, e.dy = nil, nil
+	e.ResetMicro()
 }
 
-// ResetMicro drops per-micro references without any releases — used on
-// abort paths where ownership of in-flight tensors is indeterminate.
+// ResetMicro drops per-micro references without any releases — EndMicro
+// after its releases, and abort paths where ownership of in-flight
+// tensors is indeterminate.
 func (e *Env) ResetMicro() {
 	for r := range e.prog.regs {
-		switch e.prog.regs[r].class {
-		case regExtern, regDynamic, regBorrowOut:
+		if e.prog.regs[r].class != regSlot {
 			e.regs[r] = nil
 		}
 	}
 	e.x, e.dy = nil, nil
 }
 
-// CheckPlan validates the plan's safety invariants for an input shape:
-// no two slot registers with overlapping live ranges share storage, and
-// every dynamic register is released at most once (appears in at most
-// one release list) and never after a subsequent read. It is the
-// property the planner tests assert on randomized graphs.
+// CheckPlan validates the plan's safety invariant for an input shape:
+// every slot register gets storage of its size, and no two slot
+// registers with overlapping live ranges share it. It is the property
+// the planner tests assert on randomized graphs.
 func (p *Program) CheckPlan(in []int) error {
 	ivs := p.slotIntervals(in)
 	slotOf, sizes := assignSlots(ivs)
@@ -252,18 +226,6 @@ func (p *Program) CheckPlan(in []int) error {
 			if a.def <= b.use && b.def <= a.use {
 				return fmt.Errorf("regs %d [%d,%d] and %d [%d,%d] share slot %d while live",
 					a.reg, a.def, a.use, b.reg, b.def, b.use, slotOf[i])
-			}
-		}
-	}
-	seen := make(map[Reg]int)
-	for pos, regs := range p.release {
-		for _, r := range regs {
-			if prev, ok := seen[r]; ok {
-				return fmt.Errorf("reg %d released at both op %d and op %d", r, prev, pos)
-			}
-			seen[r] = pos
-			if pos < p.regs[r].lastUse {
-				return fmt.Errorf("reg %d released at op %d before last use %d", r, pos, p.regs[r].lastUse)
 			}
 		}
 	}

@@ -139,27 +139,32 @@ func TestPipelineMatchesInterpreterOracle(t *testing.T) {
 	}
 }
 
-// TestClassificationCompilesWithoutFallback: every module of the
-// BERT-analog model lowers natively — the training program of each stage
+// TestEveryTaskCompilesWithoutFallback: every module of all three
+// workload models lowers natively — the training program of each stage
 // at K∈{1,2}, and the eval-mode program serving compiles — so no op
-// replays the interpreter through a fallback.
-func TestClassificationCompilesWithoutFallback(t *testing.T) {
-	task := workload.ClassificationTask()
-	for _, k := range []int{1, 2} {
-		pl, err := NewPipelineWith(task.NewModel(1), PipelineConfig{Stages: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s, prog := range pl.StagePrograms() {
-			inf, err := nn.CompileStageInference(pl.Stages[s], compiled.Options{})
+// replays the interpreter, and every training stage (each holds weights)
+// has grad-weight ops for the 2BP split to move.
+func TestEveryTaskCompilesWithoutFallback(t *testing.T) {
+	for _, task := range workload.Tasks() {
+		for _, k := range []int{1, 2} {
+			pl, err := NewPipelineWith(task.NewModel(1), PipelineConfig{Stages: k})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s K=%d: %v", task.Name, k, err)
 			}
-			for mode, p := range map[string]*compiled.Program{"train": prog, "inference": inf} {
-				for _, name := range p.OpNames() {
-					if strings.HasPrefix(name, "fallback:") {
-						t.Errorf("K=%d stage %d %s program: op %q", k, s, mode, name)
+			for s, prog := range pl.StagePrograms() {
+				inf, err := nn.CompileStageInference(pl.Stages[s], compiled.Options{})
+				if err != nil {
+					t.Fatalf("%s K=%d stage %d inference: %v", task.Name, k, s, err)
+				}
+				for mode, p := range map[string]*compiled.Program{"train": prog, "inference": inf} {
+					for _, name := range p.OpNames() {
+						if strings.HasPrefix(name, "fallback:") {
+							t.Errorf("%s K=%d stage %d %s program: op %q", task.Name, k, s, mode, name)
+						}
 					}
+				}
+				if _, _, bw := prog.Ops(); bw == 0 {
+					t.Errorf("%s K=%d stage %d: no grad-weight op", task.Name, k, s)
 				}
 			}
 		}

@@ -13,18 +13,22 @@ type Reverse struct {
 }
 
 func reverseTime(x *tensor.Tensor, seqLen int) *tensor.Tensor {
+	out := tensor.New(x.Shape()...)
+	reverseTimeInto(out, x, seqLen)
+	return out
+}
+
+// reverseTimeInto writes x's time steps into dst in reverse order: one
+// row-block copy per step.
+func reverseTimeInto(dst, x *tensor.Tensor, seqLen int) {
 	rows, dim := x.Dim(0), x.Dim(1)
 	if rows%seqLen != 0 {
 		panic(fmt.Sprintf("nn: Reverse rows %d not divisible by seqLen %d", rows, seqLen))
 	}
-	batch := rows / seqLen
-	out := tensor.New(rows, dim)
+	step := rows / seqLen * dim
 	for t := 0; t < seqLen; t++ {
-		src := x.Data()[t*batch*dim : (t+1)*batch*dim]
-		dst := out.Data()[(seqLen-1-t)*batch*dim : (seqLen-t)*batch*dim]
-		copy(dst, src)
+		copy(dst.Data()[(seqLen-1-t)*step:(seqLen-t)*step], x.Data()[t*step:(t+1)*step])
 	}
-	return out
 }
 
 // Forward reverses the sequence.

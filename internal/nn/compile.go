@@ -10,9 +10,10 @@ import (
 // Compiler is implemented by modules that can lower themselves into a
 // compiled op graph. The lowering must be bit-identical to the module's
 // Forward/Backward (the reference interpreter): same kernels, same
-// float expressions, same evaluation order per element. Modules without
-// a lowering are wrapped by a fallback that calls the interpreter per
-// op (see compileFallback), so every stage compiles.
+// float expressions, same evaluation order per element. Every module of
+// this package lowers natively (the LSTMs through compileLSTM and
+// compileBiLSTM, which also take the train/eval mode); a stage holding a
+// module without a lowering does not compile.
 type Compiler interface {
 	Compile(b *compiled.Builder)
 }
@@ -27,10 +28,10 @@ func CompileStage(stage *Sequential, opts compiled.Options) (*compiled.Program, 
 }
 
 // CompileStageInference lowers a stage for eval-mode forward replay:
-// dropout layers compile to identities (no ops, no RNG draws) and
-// fallback-wrapped modules run their reference Forward with train=false
-// — so the compiled forward is bit-identical to the interpreter's eval
-// path (workload.Evaluate). Training compiles must keep using
+// dropout layers compile to identities (no ops, no RNG draws) and LSTMs
+// run without DropConnect and stash nothing for a backward — so the
+// compiled forward is bit-identical to the interpreter's eval path
+// (workload.Evaluate). Training compiles must keep using
 // CompileStage; the two modes draw RNG differently and are not
 // interchangeable mid-run.
 func CompileStageInference(stage *Sequential, opts compiled.Options) (*compiled.Program, error) {
@@ -57,37 +58,36 @@ func flattenLayers(layers []Module) []Module {
 
 func compileLayers(b *compiled.Builder, layers []Module, inference bool) {
 	for i := 0; i < len(layers); i++ {
-		// Eval mode: dropout is an identity, same as the interpreter's
-		// train=false path — and crucially it draws no RNG.
-		if _, ok := layers[i].(*Dropout); ok && inference {
-			b.OnBackward(func(dy compiled.Reg) compiled.Reg { return dy })
-			continue
-		}
-		// A lowering needs the static shape of its input; if the cursor
-		// flows out of a module with no shape function, degrade to
-		// fallback until shapes are known again.
-		shaped := b.ShapeOf(b.Cur()) != nil
-		if lin, ok := layers[i].(*Linear); ok && shaped && i+1 < len(layers) {
-			if act, fuse := fusedActOf(layers[i+1]); fuse {
-				compileLinearAct(b, lin, act)
-				i++
+		switch l := layers[i].(type) {
+		case *Dropout:
+			// Eval mode: dropout is an identity, same as the interpreter's
+			// train=false path — and crucially it draws no RNG.
+			if inference {
+				b.OnBackward(func(dy compiled.Reg) compiled.Reg { return dy })
 				continue
 			}
-		}
-		if c, ok := layers[i].(Compiler); ok && shaped {
-			c.Compile(b)
+		case *Linear:
+			if i+1 < len(layers) {
+				if act, fuse := fusedActOf(layers[i+1]); fuse {
+					compileLinearAct(b, l, act)
+					i++
+					continue
+				}
+			}
+		case *LSTM:
+			compileLSTM(b, l, !inference)
+			continue
+		case *BiLSTM:
+			compileBiLSTM(b, l, !inference)
 			continue
 		}
-		compileFallback(b, layers[i], !inference)
+		c, ok := layers[i].(Compiler)
+		if !ok {
+			b.Errorf("nn: %T has no lowering", layers[i])
+			return
+		}
+		c.Compile(b)
 	}
-}
-
-// StaticOutShape is implemented by modules whose output shape is a
-// static function of the input shape. Fallback lowering uses it to keep
-// shape inference flowing through non-lowered layers, so layers after a
-// fallback can still compile natively.
-type StaticOutShape interface {
-	OutShape(in []int) []int
 }
 
 // fusedActOf reports whether m is an activation the fused
@@ -120,6 +120,26 @@ func sizeOf(s compiled.Shape) func(in []int) int {
 	}
 }
 
+// viewCache is one Env's row views of slot registers: a slot register's
+// tensor is the same for the Env's whole life, so each view list is built
+// on first use and the steady-state replay allocates nothing.
+type viewCache map[compiled.Reg][]*tensor.Tensor
+
+// blocks returns register r's rows split into n equal views.
+func (v viewCache) blocks(e *compiled.Env, r compiled.Reg, n int) []*tensor.Tensor {
+	if vs, ok := v[r]; ok {
+		return vs
+	}
+	t := e.Reg(r)
+	rows := t.Dim(0) / n
+	vs := make([]*tensor.Tensor, n)
+	for i := range vs {
+		vs[i] = t.SliceRows(i*rows, (i+1)*rows)
+	}
+	v[r] = vs
+	return vs
+}
+
 // Compile lowers the dense layer (identity activation).
 func (l *Linear) Compile(b *compiled.Builder) { compileLinearAct(b, l, tensor.ActIdentity) }
 
@@ -127,9 +147,8 @@ func (l *Linear) Compile(b *compiled.Builder) { compileLinearAct(b, l, tensor.Ac
 // recovers the pre-activation gradient dpre from the stashed
 // post-activation y (for ReLU, y>0 iff the pre-activation is >0, so
 // gating on y is bit-identical to the interpreter's gate on x), then
-// computes dx; the grad-weight half accumulates into W.G/B.G through
-// caller-scratch slots with the same rounding as the interpreter's
-// fused accumulate kernels.
+// computes dx; the grad-weight half accumulates into W.G/B.G with the
+// interpreter's accumulate kernels.
 func compileLinearAct(b *compiled.Builder, l *Linear, act tensor.Act) {
 	x := b.Cur()
 	xRows := rowsOf(b.ShapeOf(x))
@@ -143,8 +162,6 @@ func compileLinearAct(b *compiled.Builder, l *Linear, act tensor.Act) {
 	})
 	b.SetCur(y)
 
-	wScr := b.Slot(func(in []int) []int { return []int{l.In, l.Out} })
-	bScr := b.Slot(func(in []int) []int { return []int{l.Out} })
 	b.OnBackward(func(dy compiled.Reg) compiled.Reg {
 		dpre := dy
 		if act != tensor.ActIdentity {
@@ -155,9 +172,9 @@ func compileLinearAct(b *compiled.Builder, l *Linear, act tensor.Act) {
 		b.EmitBwdIn(name+".dx", []compiled.Reg{dpre}, []compiled.Reg{dx}, func(e *compiled.Env) {
 			tensor.MatMulTransBInto(e.Reg(dx), e.Reg(dpre), l.W.W)
 		})
-		b.EmitBwdW(name+".dw", []compiled.Reg{x, dpre}, []compiled.Reg{wScr, bScr}, func(e *compiled.Env) {
-			tensor.MatMulTransAAccWith(l.W.G, e.Reg(x), e.Reg(dpre), e.Reg(wScr))
-			tensor.SumRowsAccWith(l.B.G, e.Reg(dpre), e.Reg(bScr))
+		b.EmitBwdW(name+".dw", []compiled.Reg{x, dpre}, nil, func(e *compiled.Env) {
+			tensor.MatMulTransAAcc(l.W.G, e.Reg(x), e.Reg(dpre))
+			tensor.SumRowsAcc(l.B.G, e.Reg(dpre))
 		})
 		return dx
 	})
@@ -382,47 +399,3 @@ func (m *MeanPoolTime) Compile(b *compiled.Builder) {
 		return dx
 	})
 }
-
-// compileFallback wraps a module without a lowering: the forward op
-// runs the reference Forward with a per-Env Context (per micro-batch,
-// so the stash discipline — and reentrancy — is preserved), and the
-// grad-input op runs the combined reference Backward; there is no
-// grad-weight op (parameter gradients accumulate inside Backward, which
-// only coarsens the schedule's overlap, never the values). Lifetimes
-// are conservative: the module may stash views of its input or output,
-// so both are declared read by the backward op.
-func compileFallback(b *compiled.Builder, m Module, train bool) {
-	x := b.Cur()
-	var yShape compiled.Shape
-	if so, ok := m.(StaticOutShape); ok {
-		if inShape := b.ShapeOf(x); inShape != nil {
-			yShape = func(in []int) []int { return so.OutShape(inShape(in)) }
-		}
-	}
-	y := b.Dynamic(yShape)
-	ctxAux := b.Aux(nil)
-	name := fmt.Sprintf("fallback:%T", m)
-	b.EmitFwd(name, []compiled.Reg{x}, []compiled.Reg{y}, func(e *compiled.Env) {
-		c := NewContext()
-		e.SetAux(ctxAux, c)
-		e.SetReg(y, m.Forward(c, e.Reg(x), train))
-	})
-	b.SetCur(y)
-	b.OnBackward(func(dy compiled.Reg) compiled.Reg {
-		dx := b.Dynamic(b.ShapeOf(x))
-		b.EmitBwdIn(name+".dx", []compiled.Reg{x, y, dy}, []compiled.Reg{dx}, func(e *compiled.Env) {
-			c := e.Aux(ctxAux).(*Context)
-			e.SetReg(dx, m.Backward(c, e.Reg(dy)))
-		})
-		return dx
-	})
-}
-
-// OutShape reports the LSTM's (seqLen*batch, hidden) output shape.
-func (l *LSTM) OutShape(in []int) []int { return []int{in[0], l.Hidden} }
-
-// OutShape reports the BiLSTM's concatenated (rows, 2*hidden) shape.
-func (l *BiLSTM) OutShape(in []int) []int { return []int{in[0], 2 * l.Fwd.Hidden} }
-
-// OutShape: time reversal preserves shape.
-func (r *Reverse) OutShape(in []int) []int { return in }

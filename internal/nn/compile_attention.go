@@ -22,9 +22,9 @@ import (
 //     the softmax backward and dq/dk/dv; then dx = dq·Wqᵀ + dk·Wkᵀ + dv·Wvᵀ,
 //     summed in that order.
 //   - Grad-weight: dWq, dWk, dWv and dWo accumulate one sequence at a
-//     time, b ascending, through scratch — the interpreter's "shard, then
-//     AddGrad in batch order". One GEMM over all rows would regroup the
-//     sum over the batch.
+//     time, b ascending — the interpreter's "shard, then AddGrad in
+//     batch order". One GEMM over all rows would regroup the sum over the
+//     batch.
 func (a *MultiHeadSelfAttention) Compile(b *compiled.Builder) {
 	x := b.Cur()
 	shape := b.ShapeOf(x)
@@ -38,7 +38,7 @@ func (a *MultiHeadSelfAttention) Compile(b *compiled.Builder) {
 		if rows(in)%seqLen != 0 {
 			panic(fmt.Sprintf("nn: attention rows %d not divisible by seqLen %d", rows(in), seqLen))
 		}
-		return newAttnEnv(seqLen, dh, a.Dim)
+		return newAttnEnv(seqLen, dh)
 	})
 	work := func(e *compiled.Env) *attnEnv { return e.Aux(w).(*attnEnv) }
 
@@ -53,7 +53,7 @@ func (a *MultiHeadSelfAttention) Compile(b *compiled.Builder) {
 	b.EmitFwd(name+".heads", []compiled.Reg{q, k, v}, []compiled.Reg{probs, cat}, func(e *compiled.Env) {
 		s := work(e)
 		qb, kb, vb, cb := s.seqs(e, q), s.seqs(e, k), s.seqs(e, v), s.seqs(e, cat)
-		pb := s.blocks(e, probs, len(qb)*heads)
+		pb := s.views.blocks(e, probs, len(qb)*heads)
 		for i := range qb {
 			for h := 0; h < heads; h++ {
 				splitColsInto(s.qh, qb[i], h*dh)
@@ -86,7 +86,7 @@ func (a *MultiHeadSelfAttention) Compile(b *compiled.Builder) {
 			s := work(e)
 			qb, kb, vb, db := s.seqs(e, q), s.seqs(e, k), s.seqs(e, v), s.seqs(e, dcat)
 			dqb, dkb, dvb := s.seqs(e, dq), s.seqs(e, dk), s.seqs(e, dv)
-			pb := s.blocks(e, probs, len(qb)*heads)
+			pb := s.views.blocks(e, probs, len(qb)*heads)
 			for i := range qb {
 				for h := 0; h < heads; h++ {
 					p := pb[i*heads+h]
@@ -121,10 +121,10 @@ func (a *MultiHeadSelfAttention) Compile(b *compiled.Builder) {
 			xb, cb, dyb := s.seqs(e, xs), s.seqs(e, cat), s.seqs(e, dys)
 			dqb, dkb, dvb := s.seqs(e, dq), s.seqs(e, dk), s.seqs(e, dv)
 			for i := range xb {
-				tensor.MatMulTransAAccWith(a.Wq.G, xb[i], dqb[i], s.dw)
-				tensor.MatMulTransAAccWith(a.Wk.G, xb[i], dkb[i], s.dw)
-				tensor.MatMulTransAAccWith(a.Wv.G, xb[i], dvb[i], s.dw)
-				tensor.MatMulTransAAccWith(a.Wo.G, cb[i], dyb[i], s.dw)
+				tensor.MatMulTransAAcc(a.Wq.G, xb[i], dqb[i])
+				tensor.MatMulTransAAcc(a.Wk.G, xb[i], dkb[i])
+				tensor.MatMulTransAAcc(a.Wv.G, xb[i], dvb[i])
+				tensor.MatMulTransAAcc(a.Wo.G, cb[i], dyb[i])
 			}
 		})
 		return dx
@@ -133,23 +133,16 @@ func (a *MultiHeadSelfAttention) Compile(b *compiled.Builder) {
 
 // attnEnv is one Env's working set for the attention lowering: scratch
 // for one (sequence, head) at a time, and row views of the slot registers
-// the ops address block by block. A slot register's tensor is the same for
-// the Env's whole life, so each view list is built on first use.
+// the ops address block by block.
 type attnEnv struct {
 	seqLen             int
 	qh, kh, vh, oh, do *tensor.Tensor // (seqLen, dh) head columns
 	s                  *tensor.Tensor // (seqLen, seqLen) scores, then dP and dS
-	dw                 *tensor.Tensor // (dim, dim) grad-weight scratch
-	views              map[compiled.Reg][]*tensor.Tensor
+	views              viewCache
 }
 
-func newAttnEnv(seqLen, dh, dim int) *attnEnv {
-	w := &attnEnv{
-		seqLen: seqLen,
-		s:      tensor.New(seqLen, seqLen),
-		dw:     tensor.New(dim, dim),
-		views:  make(map[compiled.Reg][]*tensor.Tensor),
-	}
+func newAttnEnv(seqLen, dh int) *attnEnv {
+	w := &attnEnv{seqLen: seqLen, s: tensor.New(seqLen, seqLen), views: viewCache{}}
 	for _, h := range []**tensor.Tensor{&w.qh, &w.kh, &w.vh, &w.oh, &w.do} {
 		*h = tensor.New(seqLen, dh)
 	}
@@ -158,22 +151,7 @@ func newAttnEnv(seqLen, dh, dim int) *attnEnv {
 
 // seqs returns one row view per sequence of a sequence-major register.
 func (w *attnEnv) seqs(e *compiled.Env, r compiled.Reg) []*tensor.Tensor {
-	return w.blocks(e, r, e.Reg(r).Dim(0)/w.seqLen)
-}
-
-// blocks returns register r's rows split into n equal views.
-func (w *attnEnv) blocks(e *compiled.Env, r compiled.Reg, n int) []*tensor.Tensor {
-	if v, ok := w.views[r]; ok {
-		return v
-	}
-	t := e.Reg(r)
-	rows := t.Dim(0) / n
-	v := make([]*tensor.Tensor, n)
-	for i := range v {
-		v[i] = t.SliceRows(i*rows, (i+1)*rows)
-	}
-	w.views[r] = v
-	return v
+	return w.views.blocks(e, r, e.Reg(r).Dim(0)/w.seqLen)
 }
 
 // seqMajor copies the time-major rows of src (row t·batch + b) into dst in

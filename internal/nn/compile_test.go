@@ -157,16 +157,50 @@ func TestCompileDropoutBitExact(t *testing.T) {
 	checkEquivalence(t, "dropout", mk, x, 3)
 }
 
-func TestCompileFallbackLSTMBitExact(t *testing.T) {
+// TestCompileLSTMBitExact: the recurrent lowerings — an LSTM (hidden 16,
+// whole vector blocks), one with recurrent DropConnect (hidden 9, a block
+// and a tail) feeding a second LSTM, a BiLSTM, and Reverse alone — match
+// the interpreter's output, dx and every gradient bit for bit over three
+// micro-batches, each drawing a fresh DropConnect mask.
+func TestCompileLSTMBitExact(t *testing.T) {
 	const seqLen, batch, dim = 3, 2, 5
-	mk := func(g *tensor.RNG) *Sequential {
-		return NewSequential(
-			NewLSTM(g, dim, dim, seqLen),
-			NewLinear(g, dim, 4),
-		)
-	}
 	x := tensor.NewRNG(17).Normal(0, 1, seqLen*batch, dim)
-	checkEquivalence(t, "lstm", mk, x, 2)
+	for _, c := range []struct {
+		name string
+		mk   func(g *tensor.RNG) *Sequential
+	}{
+		{"lstm", func(g *tensor.RNG) *Sequential {
+			return NewSequential(NewLSTM(g, dim, 16, seqLen), NewLinear(g, 16, 4))
+		}},
+		{"lstm dropconnect", func(g *tensor.RNG) *Sequential {
+			l := NewLSTM(g, dim, 9, seqLen)
+			l.RecurrentDropP = 0.1
+			return NewSequential(l, NewLSTM(g, 9, dim, seqLen))
+		}},
+		{"bilstm", func(g *tensor.RNG) *Sequential {
+			return NewSequential(NewBiLSTM(g, dim, 4, seqLen), NewLinear(g, 8, 3))
+		}},
+		{"reverse", func(g *tensor.RNG) *Sequential {
+			return NewSequential(NewLinear(g, dim, 4), &Reverse{SeqLen: seqLen}, NewLinear(g, 4, 3))
+		}},
+	} {
+		checkEquivalence(t, c.name, c.mk, x, 3)
+	}
+}
+
+// recurrentModel is a toy translation (BiLSTM encoder, as in the
+// translation example) or language model (recurrent DropConnect on the
+// first LSTM) over tokens below 12.
+func recurrentModel(seqLen int, lm bool) func(g *tensor.RNG) *Sequential {
+	return func(g *tensor.RNG) *Sequential {
+		first := Module(NewBiLSTM(g, 8, 4, seqLen))
+		if lm {
+			l := NewLSTM(g, 8, 8, seqLen)
+			l.RecurrentDropP = 0.2
+			first = l
+		}
+		return NewSequential(NewEmbedding(g, 12, 8), first, NewLSTM(g, 8, 8, seqLen), NewLinear(g, 8, 12))
+	}
 }
 
 func TestCompileAttentionBitExact(t *testing.T) {
@@ -219,11 +253,10 @@ func TestCompileEncoderBitExact(t *testing.T) {
 // TestCompileInferenceBitExact pins the serving-path contract: a
 // program from CompileStageInference replays the interpreter's
 // *eval-mode* forward (train=false) bit-exactly — dropout is an
-// identity and draws no RNG, and fallback modules (here an LSTM with
-// recurrent DropConnect) run with train=false — and so does a lowered
-// classification model (embedding, encoder layers, pooling). Repeated
-// forwards of the same input must also be identical to each other:
-// inference is stateless.
+// identity and draws no RNG, and an LSTM with recurrent DropConnect runs
+// without its mask — and so do lowered classification, translation and
+// language models. Repeated forwards of the same input must also be
+// identical to each other: inference is stateless.
 func TestCompileInferenceBitExact(t *testing.T) {
 	const seqLen, batch, dim = 3, 2, 5
 	mk := func(g *tensor.RNG) *Sequential {
@@ -240,6 +273,8 @@ func TestCompileInferenceBitExact(t *testing.T) {
 	refY := checkInference(t, "lstm", mk, x)
 
 	checkInference(t, "classification", encoderModel(4), tokens(41, 4, 3))
+	checkInference(t, "translation", recurrentModel(4, false), tokens(43, 4, 3))
+	checkInference(t, "langmodel", recurrentModel(4, true), tokens(47, 4, 3))
 
 	// Sanity: the training compile of the same model is NOT the eval
 	// forward (dropout actually drops), so the two modes are really
@@ -315,6 +350,7 @@ func TestCompiledReentrancy(t *testing.T) {
 			)
 		}, tensor.NewRNG(1).Normal(0, 1, 4, 6), tensor.NewRNG(2).Normal(0, 1, 4, 6)},
 		{"encoder", encoderModel(4), tokens(1, 4, 3), tokens(2, 4, 3)},
+		{"lstm", recurrentModel(4, true), tokens(3, 4, 3), tokens(4, 4, 3)},
 	} {
 		ref, cmp := buildPair(c.mk)
 		prog, err := CompileStage(cmp, compiled.Options{})
@@ -387,6 +423,11 @@ func TestCompiledSteadyStateZeroArena(t *testing.T) {
 		), tensor.NewRNG(29).Normal(0, 1, 8, 16)},
 		{"encoder", NewSequential(
 			NewTransformerEncoderLayer(g, 16, 4, 32, 4),
+			NewLinear(g, 16, 8),
+		), tensor.NewRNG(29).Normal(0, 1, 4*2, 16)},
+		{"lstm", NewSequential(
+			NewBiLSTM(g, 16, 8, 4),
+			NewLSTM(g, 16, 16, 4),
 			NewLinear(g, 16, 8),
 		), tensor.NewRNG(29).Normal(0, 1, 4*2, 16)},
 	} {

@@ -50,18 +50,7 @@ func replayMicro(env *compiled.Env, x *tensor.Tensor) {
 func BenchmarkGraphMLPMicro(b *testing.B) {
 	rng := tensor.NewRNG(21)
 	stage := benchStage(rng)
-	prog, err := CompileStage(stage, compiled.Options{EmitOut: true, EmitDX: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := rng.Uniform(-1, 1, 32, 64)
-	env := prog.NewEnv(x.Shape())
-	replayMicro(env, x) // warm the arena free lists
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		replayMicro(env, x)
-	}
+	benchReplay(b, stage, rng.Uniform(-1, 1, 32, 64))
 }
 
 // BenchmarkGraphDropoutMicro exercises the per-micro aux path: Dropout
@@ -76,18 +65,7 @@ func BenchmarkGraphDropoutMicro(b *testing.B) {
 		NewLinear(rng, 64, 64),
 		&Sigmoid{},
 	)
-	prog, err := CompileStage(stage, compiled.Options{EmitOut: true, EmitDX: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := rng.Uniform(-1, 1, 32, 64)
-	env := prog.NewEnv(x.Shape())
-	replayMicro(env, x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		replayMicro(env, x)
-	}
+	benchReplay(b, stage, rng.Uniform(-1, 1, 32, 64))
 }
 
 // BenchmarkGraphMLPMicroInterp is the interpreter running the identical
@@ -96,7 +74,48 @@ func BenchmarkGraphDropoutMicro(b *testing.B) {
 func BenchmarkGraphMLPMicroInterp(b *testing.B) {
 	rng := tensor.NewRNG(21)
 	stage := benchStage(rng)
-	x := rng.Uniform(-1, 1, 32, 64)
+	benchInterp(b, stage, rng.Uniform(-1, 1, 32, 64))
+}
+
+// lstmStage is gnmt-n2's second stage at its micro-batch shape (5 steps
+// of 8 rows): an LSTM 48→48 and the output Linear.
+func lstmStage(rng *tensor.RNG) *Sequential {
+	return NewSequential(NewLSTM(rng, 48, 48, 5), NewLinear(rng, 48, 10))
+}
+
+// BenchmarkGraphLSTMMicro and BenchmarkGraphLSTMMicroInterp are the same
+// pair for the lowered LSTM: per-step cell ops on slots and per-step
+// grad-weight accumulates against the interpreter's LSTM.
+func BenchmarkGraphLSTMMicro(b *testing.B) {
+	rng := tensor.NewRNG(23)
+	stage := lstmStage(rng)
+	benchReplay(b, stage, rng.Uniform(-1, 1, 5*8, 48))
+}
+
+func BenchmarkGraphLSTMMicroInterp(b *testing.B) {
+	rng := tensor.NewRNG(23)
+	stage := lstmStage(rng)
+	benchInterp(b, stage, rng.Uniform(-1, 1, 5*8, 48))
+}
+
+// benchReplay compiles stage as a middle stage and times replayMicro.
+func benchReplay(b *testing.B, stage *Sequential, x *tensor.Tensor) {
+	prog, err := CompileStage(stage, compiled.Options{EmitOut: true, EmitDX: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := prog.NewEnv(x.Shape())
+	replayMicro(env, x) // warm the arena free lists
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replayMicro(env, x)
+	}
+}
+
+// benchInterp times the interpreter's forward and backward of stage with
+// replayMicro's ownership moves.
+func benchInterp(b *testing.B, stage *Sequential, x *tensor.Tensor) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -22,7 +22,9 @@ func CrossEntropy(logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor
 		if t < 0 {
 			continue
 		}
-		loss -= float64(ls.At(i, t))
+		// Indexed directly: At's variadic index list costs an allocation
+		// per row.
+		loss -= float64(ls.Data()[i*cols+t])
 		active++
 	}
 	ls.Release()

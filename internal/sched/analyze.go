@@ -60,6 +60,9 @@ func (a *Analysis) TotalOps() int {
 //     deadlock — e.g. an AFP advance vector where a downstream stage
 //     out-runs its upstream — as an error naming the stuck ops.
 //
+// It also rejects a GPU whose grad-weight ops retire micro-batches in a
+// different order than its grad-input ops (accumulationOrder).
+//
 // A schedule that passes Analyze runs to completion on both the real
 // runtime and the simulator.
 func Analyze(s *Schedule) (*Analysis, error) {
@@ -80,6 +83,9 @@ func Analyze(s *Schedule) (*Analysis, error) {
 		WeightVersions: make([]int, k),
 	}
 	for g, ops := range s.PerGPU {
+		if err := accumulationOrder(s.Name, g, ops); err != nil {
+			return nil, err
+		}
 		if s.WeightVersions != nil {
 			a.WeightVersions[g] = s.WeightVersions(g, k)
 		} else {
@@ -185,4 +191,33 @@ func Analyze(s *Schedule) (*Analysis, error) {
 		}
 	}
 	return a, nil
+}
+
+// accumulationOrder requires GPU g's parameter gradients to accumulate
+// micro-batches in the order its backward passes consumed them: the
+// micros of its BwdW (and combined Bwd) ops, in program order, must be
+// the micros of its BwdIn (and Bwd) ops. Every lowered layer adds one
+// micro-batch's gradient to the parameters' running sums, so this order
+// fixes their rounding, and SplitBackward's bitwise identity with the
+// combined schedule (and with the interpreter oracle) holds only under
+// it. The error names the first grad-weight op out of that order.
+func accumulationOrder(name string, g int, ops []Op) error {
+	var order []int
+	for _, op := range ops {
+		if op.Kind == Bwd || op.Kind == BwdIn {
+			order = append(order, op.Micro)
+		}
+	}
+	i := 0
+	for _, op := range ops {
+		if op.Kind != Bwd && op.Kind != BwdW {
+			continue
+		}
+		if i < len(order) && op.Micro != order[i] {
+			return fmt.Errorf("sched %s: GPU %d runs %s out of accumulation order: the next grad-weight op must be %s, as the grad-input order has it",
+				name, g, op, Op{BwdW, order[i]})
+		}
+		i++
+	}
+	return nil
 }

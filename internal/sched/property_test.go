@@ -137,6 +137,35 @@ func TestAnalyzeRejectsPermutedSchedules(t *testing.T) {
 	if _, err := Analyze(mismatch); err == nil {
 		t.Fatal("Analyze accepted GPUs covering different micros")
 	}
+	// (d) A swapped grad-weight pair: structurally valid and deadlock-free,
+	// but micro 1's gradients would accumulate before micro 0's.
+	swapped := &Schedule{Name: "swapped", PerGPU: [][]Op{
+		{{Fwd, 0}, {Fwd, 1}, {BwdIn, 0}, {BwdIn, 1}, {BwdW, 1}, {BwdW, 0}},
+	}}
+	if swapped.Validate() != nil {
+		t.Fatal("per-GPU structure should be valid")
+	}
+	_, err = Analyze(swapped)
+	if err == nil || !strings.Contains(err.Error(), "runs Bw2 out of accumulation order") {
+		t.Fatalf("want the out-of-order Bw2 named, got %v", err)
+	}
+}
+
+// TestBuiltinPlansKeepAccumulationOrder: every built-in schedule family,
+// split the way the runtime runs it, passes the accumulation-order check.
+func TestBuiltinPlansKeepAccumulationOrder(t *testing.T) {
+	for k := 1; k <= 4; k++ {
+		for _, m := range []int{1, 3, 4, 8} {
+			for _, s := range []*Schedule{
+				AFAB(k, m, 2), GPipe(k, m, 2), OneFOneB(k, m, 2), Dapple(k, m, 2),
+				PipeDream(k, m, 2), PipeDream2BW(k, m, 2), AFP(k, m, 2, make([]int, k)),
+			} {
+				if _, err := Analyze(SplitBackward(s)); err != nil {
+					t.Errorf("K=%d M=%d split %s: %v", k, m, s.Name, err)
+				}
+			}
+		}
+	}
 }
 
 func TestPlanByName(t *testing.T) {

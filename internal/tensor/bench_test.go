@@ -53,8 +53,9 @@ func BenchmarkKernelMatMulTransB(b *testing.B) {
 // BenchmarkKernelGEMMSmall times the three GEMM variants at the per-micro-
 // batch shapes the end-to-end workloads actually run (m×k×n of the forward
 // product; TransA and TransB are the weight- and input-gradient products of
-// the same layer), where call overhead and fan-out policy matter as much
-// as the inner loop.
+// the same layer, TransAAcc the weight-gradient accumulate every lowered
+// layer runs), where call overhead and fan-out policy matter as much as
+// the inner loop.
 func BenchmarkKernelGEMMSmall(b *testing.B) {
 	for _, sh := range []struct {
 		name    string
@@ -68,6 +69,7 @@ func BenchmarkKernelGEMMSmall(b *testing.B) {
 		x := rng.Uniform(-1, 1, sh.m, sh.k)
 		w := rng.Uniform(-1, 1, sh.k, sh.n)
 		dy := rng.Uniform(-1, 1, sh.m, sh.n)
+		acc := tensor.New(sh.k, sh.n)
 		for _, v := range []struct {
 			name string
 			run  func() *tensor.Tensor
@@ -75,6 +77,7 @@ func BenchmarkKernelGEMMSmall(b *testing.B) {
 			{"MatMul", func() *tensor.Tensor { return tensor.MatMul(x, w) }},
 			{"TransA", func() *tensor.Tensor { return tensor.MatMulTransA(x, dy) }},
 			{"TransB", func() *tensor.Tensor { return tensor.MatMulTransB(dy, w) }},
+			{"TransAAcc", func() *tensor.Tensor { tensor.MatMulTransAAcc(acc, x, dy); return acc }},
 		} {
 			b.Run(sh.name+"/"+v.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -99,97 +99,119 @@ func matMulBiasActInto(out, a, b, bias *Tensor, act Act) {
 	})
 }
 
-// LSTMGates is the per-step activation bundle produced by LSTMCellForward.
-// All tensors are (batch, hidden), arena-backed, and owned by the caller
-// (the LSTM layer stashes them for backward and releases them there).
+// LSTMGates is the per-step activation bundle of the LSTM cell. Z holds
+// the four gate activations packed per row as [input|forget|cell|output],
+// (batch, 4·hidden) — the layout of the pre-activation they are computed
+// over in place; C, TanhC and H are (batch, hidden). LSTMCellForward's
+// gates are arena-backed and owned by the caller (the interpreter stashes
+// them for backward and releases them there); a lowered LSTM points them
+// at rows of its slots instead.
 type LSTMGates struct {
-	I, F, G, O *Tensor // gate activations
-	C          *Tensor // new cell state
-	TanhC      *Tensor // tanh of the new cell state
-	H          *Tensor // new hidden state
+	Z     *Tensor // gate activations [i|f|g|o]
+	C     *Tensor // new cell state
+	TanhC *Tensor // tanh of the new cell state
+	H     *Tensor // new hidden state
 }
 
 // Release returns every gate buffer to the arena.
 func (g *LSTMGates) Release() {
-	g.I.Release()
-	g.F.Release()
-	g.G.Release()
-	g.O.Release()
+	g.Z.Release()
 	g.C.Release()
 	g.TanhC.Release()
 	g.H.Release()
 }
 
-// LSTMCellForward runs one LSTM time step in a single fused pass:
-//
-//	z = zx + h@wh + bias               (packed gates [input|forget|cell|output])
-//	i,f,o = sigmoid(z…), g = tanh(z…)
-//	c' = f*c + i*g;  h' = o * tanh(c')
-//
+// LSTMCellForward runs one LSTM time step into freshly borrowed gates:
+// zh = h@wh with the standard matmul kernel, then LSTMCellForwardInto.
 // zx is the step's rows of the input projection x@wx (batch,4h) — it does
 // not depend on the recurrence, so the caller computes it for the whole
-// sequence in one matmul. h and c are (batch,hidden), wh (hidden,4h), bias
-// (4h). The recurrent pre-activation uses the standard matmul kernel (same
-// accumulation order as the composed version: (xt@wx + h@wh) + bias
-// elementwise) and lands in the gate tensors, which the activation kernels
-// then overwrite in place, one slice per gate — bit-identical to the chain
-// of MatMul/Add/AddRowVector/splitCols/Sigmoid/Tanh/Mul ops it replaces.
+// sequence in one matmul. h and c are (batch,hidden), wh (hidden,4h).
 func LSTMCellForward(zx, h, c, wh, bias *Tensor) LSTMGates {
 	batch, hidden := h.shape[0], h.shape[1]
-	if len(zx.shape) != 2 || zx.shape[0] != batch || zx.shape[1] != 4*hidden ||
-		len(c.shape) != 2 || c.shape[0] != batch || c.shape[1] != hidden ||
-		wh.shape[0] != hidden || wh.shape[1] != 4*hidden ||
-		len(bias.shape) != 1 || bias.shape[0] != 4*hidden {
-		panic(fmt.Sprintf("tensor: LSTMCellForward shapes zx=%v h=%v c=%v wh=%v bias=%v",
-			zx.shape, h.shape, c.shape, wh.shape, bias.shape))
+	if len(wh.shape) != 2 || wh.shape[0] != hidden || wh.shape[1] != 4*hidden {
+		panic(fmt.Sprintf("tensor: LSTMCellForward h=%v wh=%v", h.shape, wh.shape))
 	}
 	zh := MatMul(h, wh)
 	g := LSTMGates{
-		I: borrowRaw(batch, hidden), F: borrowRaw(batch, hidden),
-		G: borrowRaw(batch, hidden), O: borrowRaw(batch, hidden),
-		C: borrowRaw(batch, hidden), TanhC: borrowRaw(batch, hidden),
-		H: borrowRaw(batch, hidden),
+		Z: borrowRaw(batch, 4*hidden), C: borrowRaw(batch, hidden),
+		TanhC: borrowRaw(batch, hidden), H: borrowRaw(batch, hidden),
 	}
-	ParallelForCost(batch, 4*hidden, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			zxr := zx.data[r*4*hidden : (r+1)*4*hidden]
-			zhr := zh.data[r*4*hidden : (r+1)*4*hidden]
-			ir, fr := g.I.data[r*hidden:(r+1)*hidden], g.F.data[r*hidden:(r+1)*hidden]
-			gr, or := g.G.data[r*hidden:(r+1)*hidden], g.O.data[r*hidden:(r+1)*hidden]
-			for j := 0; j < hidden; j++ {
-				// Same order as the composed path: (zx+zh) elementwise,
-				// then the broadcast bias add.
-				ir[j] = (zxr[j] + zhr[j]) + bias.data[j]
-				fr[j] = (zxr[hidden+j] + zhr[hidden+j]) + bias.data[hidden+j]
-				gr[j] = (zxr[2*hidden+j] + zhr[2*hidden+j]) + bias.data[2*hidden+j]
-				or[j] = (zxr[3*hidden+j] + zhr[3*hidden+j]) + bias.data[3*hidden+j]
-			}
-		}
-		// The chunk's rows are contiguous in every gate: one activation
-		// pass per gate, then the cell update, tanh(c) and h.
-		span := func(t *Tensor) []float32 { return t.data[lo*hidden : hi*hidden] }
-		iv, fv, gv, ov := span(g.I), span(g.F), span(g.G), span(g.O)
-		actInto(ActSigmoid, iv, iv)
-		actInto(ActSigmoid, fv, fv)
-		actInto(ActTanh, gv, gv)
-		actInto(ActSigmoid, ov, ov)
-		cPrev, cv := span(c), span(g.C)
-		for j := range cv {
-			cv[j] = fv[j]*cPrev[j] + iv[j]*gv[j]
-		}
-		tc, hv := span(g.TanhC), span(g.H)
-		actInto(ActTanh, tc, cv)
-		for j := range hv {
-			hv[j] = ov[j] * tc[j]
-		}
-	})
+	LSTMCellForwardInto(g, zx, zh, c, bias)
 	zh.Release()
 	return g
 }
 
-// LSTMCellBackward computes, in one fused pass, the packed-gate
-// pre-activation gradient dz (batch, 4*hidden) and the cell-state
-// gradient dcPrev (batch, hidden) flowing to the previous time step:
+// LSTMCellForwardInto runs one LSTM time step into g's storage, given the
+// step's input projection zx and recurrent product zh (both (batch,4h)),
+// the previous cell state c and the bias (4h):
+//
+//	z = (zx + zh) + bias             (two vector adds, in that order)
+//	i,f,o = sigmoid(z…), g = tanh(z…) (in place in g.Z)
+//	c' = f*c + i*g;  h' = o * tanh(c')
+//
+// g.Z may be zx itself. Every element gets the float expressions of the
+// composed MatMul/Add/AddRowVector/splitCols/Sigmoid/Tanh/Mul chain in the
+// same order, so the cell is bit-identical to it.
+func LSTMCellForwardInto(g LSTMGates, zx, zh, c, bias *Tensor) {
+	batch, hidden := c.shape[0], c.shape[1]
+	if !sameDims(zx, batch, 4*hidden) || !sameDims(zh, batch, 4*hidden) || !sameDims(g.Z, batch, 4*hidden) ||
+		!sameDims(g.C, batch, hidden) || !sameDims(g.TanhC, batch, hidden) || !sameDims(g.H, batch, hidden) ||
+		len(bias.shape) != 1 || bias.shape[0] != 4*hidden {
+		panic(fmt.Sprintf("tensor: LSTMCellForwardInto shapes zx=%v zh=%v c=%v bias=%v z=%v c'=%v tanh=%v h'=%v",
+			zx.shape, zh.shape, c.shape, bias.shape, g.Z.shape, g.C.shape, g.TanhC.shape, g.H.shape))
+	}
+	v := lstmOperands{g: g, zx: zx, zh: zh, c: c, bias: bias}
+	parallelFor(batch, batch*4*hidden, 1, v, lstmCellForwardRows)
+}
+
+// lstmOperands carries the LSTM cell kernels' tensors to their row
+// functions as a value (see operands).
+type lstmOperands struct {
+	g                              LSTMGates
+	zx, zh, c, bias                *Tensor
+	dz, dcPrev, dy, dhNext, dcNext *Tensor
+}
+
+func lstmCellForwardRows(v lstmOperands, lo, hi int) {
+	h := v.c.shape[1]
+	z := v.g.Z.data[lo*4*h : hi*4*h]
+	vecAddTo(z, v.zx.data[lo*4*h:hi*4*h], v.zh.data[lo*4*h:hi*4*h])
+	for r := lo; r < hi; r++ {
+		zr := z[(r-lo)*4*h : (r-lo+1)*4*h]
+		vecAdd(zr, v.bias.data)
+		actInto(ActSigmoid, zr[:2*h], zr[:2*h])
+		actInto(ActTanh, zr[2*h:3*h], zr[2*h:3*h])
+		actInto(ActSigmoid, zr[3*h:], zr[3*h:])
+		iv, fv, gv := zr[:h], zr[h:2*h], zr[2*h:3*h]
+		cPrev, cv := v.c.data[r*h:(r+1)*h], v.g.C.data[r*h:(r+1)*h]
+		for j := range cv {
+			cv[j] = fv[j]*cPrev[j] + iv[j]*gv[j]
+		}
+	}
+	tc, cv := v.g.TanhC.data[lo*h:hi*h], v.g.C.data[lo*h:hi*h]
+	actInto(ActTanh, tc, cv)
+	for r := lo; r < hi; r++ {
+		ov, tr, hr := z[(r-lo)*4*h+3*h:(r-lo+1)*4*h], tc[(r-lo)*h:(r-lo+1)*h], v.g.H.data[r*h:(r+1)*h]
+		for j := range hr {
+			hr[j] = ov[j] * tr[j]
+		}
+	}
+}
+
+// LSTMCellBackward computes the packed-gate pre-activation gradient dz
+// (batch, 4*hidden) and the cell-state gradient dcPrev (batch, hidden)
+// flowing to the previous time step into freshly borrowed tensors the
+// caller owns (LSTMCellBackwardInto).
+func LSTMCellBackward(dyt, dhNext, dcNext, cPrev *Tensor, g LSTMGates) (dz, dcPrev *Tensor) {
+	batch, hidden := g.C.shape[0], g.C.shape[1]
+	dz = borrowRaw(batch, 4*hidden)
+	dcPrev = borrowRaw(batch, hidden)
+	LSTMCellBackwardInto(dz, dcPrev, dyt, dhNext, dcNext, cPrev, g)
+	return dz, dcPrev
+}
+
+// LSTMCellBackwardInto computes, in one pass per row (lstmCellBwd), the
+// cell backward into dz and dcPrev:
 //
 //	dh = dyt + dhNext
 //	do = dh * tanhC;      dc = dcNext + (dh*o) * (1 - tanhC²)
@@ -199,37 +221,31 @@ func LSTMCellForward(zx, h, c, wh, bias *Tensor) LSTMGates {
 // Each expression is evaluated in exactly the order shown, matching the
 // chain of elementwise ops in the composed backward, so gradients are
 // bit-identical. The caller finishes the step with matmuls over dz
-// (weight-gradient accumulates, dx, dhPrev). Both outputs are
-// arena-backed and owned by the caller.
-func LSTMCellBackward(dyt, dhNext, dcNext, cPrev *Tensor, g LSTMGates) (dz, dcPrev *Tensor) {
-	batch, hidden := g.I.shape[0], g.I.shape[1]
-	for _, t := range []*Tensor{dyt, dhNext, dcNext, cPrev} {
-		if len(t.shape) != 2 || t.shape[0] != batch || t.shape[1] != hidden {
+// (weight-gradient accumulates, dx, dhPrev). dcPrev must not alias dcNext.
+func LSTMCellBackwardInto(dz, dcPrev, dyt, dhNext, dcNext, cPrev *Tensor, g LSTMGates) {
+	batch, hidden := g.C.shape[0], g.C.shape[1]
+	for _, t := range []*Tensor{dyt, dhNext, dcNext, cPrev, dcPrev, g.TanhC} {
+		if !sameDims(t, batch, hidden) {
 			panic(fmt.Sprintf("tensor: LSTMCellBackward carry shape %v, want [%d %d]", t.shape, batch, hidden))
 		}
 	}
-	dz = borrowRaw(batch, 4*hidden)
-	dcPrev = borrowRaw(batch, hidden)
-	ParallelForCost(batch, 4*hidden, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r * hidden
-			dzr := dz.data[r*4*hidden : (r+1)*4*hidden]
-			for j := 0; j < hidden; j++ {
-				iv := g.I.data[base+j]
-				fv := g.F.data[base+j]
-				gv := g.G.data[base+j]
-				ov := g.O.data[base+j]
-				tc := g.TanhC.data[base+j]
-				dh := dyt.data[base+j] + dhNext.data[base+j]
-				do := dh * tc
-				dc := dcNext.data[base+j] + (dh*ov)*(1-tc*tc)
-				dzr[j] = (dc * gv) * (iv * (1 - iv))
-				dzr[hidden+j] = (dc * cPrev.data[base+j]) * (fv * (1 - fv))
-				dzr[2*hidden+j] = (dc * iv) * (1 - gv*gv)
-				dzr[3*hidden+j] = do * (ov * (1 - ov))
-				dcPrev.data[base+j] = dc * fv
-			}
-		}
-	})
-	return dz, dcPrev
+	if !sameDims(dz, batch, 4*hidden) || !sameDims(g.Z, batch, 4*hidden) {
+		panic(fmt.Sprintf("tensor: LSTMCellBackward dz %v, gates %v, want [%d %d]", dz.shape, g.Z.shape, batch, 4*hidden))
+	}
+	v := lstmOperands{g: g, c: cPrev, dz: dz, dcPrev: dcPrev, dy: dyt, dhNext: dhNext, dcNext: dcNext}
+	parallelFor(batch, batch*4*hidden, 1, v, lstmCellBackwardRows)
+}
+
+func lstmCellBackwardRows(v lstmOperands, lo, hi int) {
+	h := v.c.shape[1]
+	for r := lo; r < hi; r++ {
+		a, b := r*h, (r+1)*h
+		lstmCellBwd(v.dz.data[4*a:4*b], v.g.Z.data[4*a:4*b], h, v.g.TanhC.data[a:b],
+			v.c.data[a:b], v.dy.data[a:b], v.dhNext.data[a:b], v.dcNext.data[a:b], v.dcPrev.data[a:b])
+	}
+}
+
+// sameDims reports whether t is the 2-D tensor (rows, cols).
+func sameDims(t *Tensor, rows, cols int) bool {
+	return len(t.shape) == 2 && t.shape[0] == rows && t.shape[1] == cols
 }

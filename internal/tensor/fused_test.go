@@ -105,10 +105,10 @@ func TestLSTMCellForwardMatchesComposed(t *testing.T) {
 
 	gates := tensor.LSTMCellForward(tensor.MatMul(xt, wx), h, c, wh, bias)
 	i, f, g, o, cNew, tc, hNew := composedLSTMCell(xt, h, c, wx, wh, bias)
-	bitEqual(t, "LSTM i", gates.I, i)
-	bitEqual(t, "LSTM f", gates.F, f)
-	bitEqual(t, "LSTM g", gates.G, g)
-	bitEqual(t, "LSTM o", gates.O, o)
+	bitEqual(t, "LSTM i", splitCols(gates.Z, 0, hd), i)
+	bitEqual(t, "LSTM f", splitCols(gates.Z, hd, 2*hd), f)
+	bitEqual(t, "LSTM g", splitCols(gates.Z, 2*hd, 3*hd), g)
+	bitEqual(t, "LSTM o", splitCols(gates.Z, 3*hd, 4*hd), o)
 	bitEqual(t, "LSTM c", gates.C, cNew)
 	bitEqual(t, "LSTM tanhC", gates.TanhC, tc)
 	bitEqual(t, "LSTM h", gates.H, hNew)
@@ -138,18 +138,20 @@ func TestLSTMCellBackwardMatchesComposed(t *testing.T) {
 	sigD := func(t *tensor.Tensor) *tensor.Tensor {
 		return tensor.Apply(t, func(v float32) float32 { return v * (1 - v) })
 	}
+	gi, gf := splitCols(gates.Z, 0, hd), splitCols(gates.Z, hd, 2*hd)
+	gg, gO := splitCols(gates.Z, 2*hd, 3*hd), splitCols(gates.Z, 3*hd, 4*hd)
 	dh := tensor.Add(dyt, dhNext)
 	do := tensor.Mul(dh, gates.TanhC)
-	dc := tensor.Add(dcNext, tensor.Mul(tensor.Mul(dh, gates.O), one(gates.TanhC)))
-	di := tensor.Mul(dc, gates.G)
-	dg := tensor.Mul(dc, gates.I)
+	dc := tensor.Add(dcNext, tensor.Mul(tensor.Mul(dh, gO), one(gates.TanhC)))
+	di := tensor.Mul(dc, gg)
+	dg := tensor.Mul(dc, gi)
 	df := tensor.Mul(dc, cPrev)
-	wantDcPrev := tensor.Mul(dc, gates.F)
+	wantDcPrev := tensor.Mul(dc, gf)
 
-	bitEqual(t, "dz[i]", splitCols(dz, 0, hd), tensor.Mul(di, sigD(gates.I)))
-	bitEqual(t, "dz[f]", splitCols(dz, hd, 2*hd), tensor.Mul(df, sigD(gates.F)))
-	bitEqual(t, "dz[g]", splitCols(dz, 2*hd, 3*hd), tensor.Mul(dg, one(gates.G)))
-	bitEqual(t, "dz[o]", splitCols(dz, 3*hd, 4*hd), tensor.Mul(do, sigD(gates.O)))
+	bitEqual(t, "dz[i]", splitCols(dz, 0, hd), tensor.Mul(di, sigD(gi)))
+	bitEqual(t, "dz[f]", splitCols(dz, hd, 2*hd), tensor.Mul(df, sigD(gf)))
+	bitEqual(t, "dz[g]", splitCols(dz, 2*hd, 3*hd), tensor.Mul(dg, one(gg)))
+	bitEqual(t, "dz[o]", splitCols(dz, 3*hd, 4*hd), tensor.Mul(do, sigD(gO)))
 	bitEqual(t, "dcPrev", dcPrev, wantDcPrev)
 }
 

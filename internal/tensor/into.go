@@ -55,40 +55,6 @@ func GatherInto(dst, table *Tensor, idx []int) {
 	})
 }
 
-// MatMulTransAAccWith is MatMulTransAAcc with caller-provided scratch
-// of dst's shape: the product still forms in zeroed scratch and is
-// added in one pass, so rounding is bit-identical to MatMulTransAAcc —
-// only the per-call arena borrow is gone.
-func MatMulTransAAccWith(dst, a, b, scratch *Tensor) {
-	checkTransA(a, b)
-	if len(dst.shape) != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccWith dst %v for %vᵀ x %v", dst.shape, a.shape, b.shape))
-	}
-	if !scratch.SameShape(dst) {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccWith scratch %v, want %v", scratch.shape, dst.shape))
-	}
-	scratch.Zero()
-	matMulTransAAccInto(scratch, a, b)
-	dst.AddInPlace(scratch)
-}
-
-// SumRowsAccWith is SumRowsAcc with caller-provided scratch of dst's
-// shape; same rounding, no arena borrow.
-func SumRowsAccWith(dst, t, scratch *Tensor) {
-	if len(t.shape) != 2 {
-		panic("tensor: SumRowsAccWith requires a 2-D tensor")
-	}
-	if len(dst.shape) != 1 || dst.shape[0] != t.shape[1] {
-		panic(fmt.Sprintf("tensor: SumRowsAccWith dst %v for %v", dst.shape, t.shape))
-	}
-	if !scratch.SameShape(dst) {
-		panic(fmt.Sprintf("tensor: SumRowsAccWith scratch %v, want %v", scratch.shape, dst.shape))
-	}
-	scratch.Zero()
-	sumRowsAccInto(scratch, t)
-	dst.AddInPlace(scratch)
-}
-
 // BernoulliInto fills t with a {0,1} mask where each element is 1 with
 // probability p, consuming the generator in the exact element order of
 // Bernoulli. Zeros are written explicitly: the destination is reused

@@ -82,6 +82,58 @@ func axpy4Add2Go(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy 
 	}
 }
 
+// transAAccCols is how many output columns transAAccGo carries in its
+// accumulator block (the AVX2 twin keeps as many in eight registers).
+const transAAccCols = 64
+
+// transAAccGo adds one k-chain to every element of the output row o:
+// s = +0, then s += a[p*ps]*b[p*n+j] for p ascending, skipping a zero
+// coefficient exactly as axpyRange does, then o[j] += s. b is (k,n) with
+// n = len(o). The chain is the one a zeroed scratch row receives from
+// the GEMM, and the final add is the scratch form's AddInPlace, so
+// accumulating this way is bit-identical to "scratch = aᵀb; o += scratch"
+// while each accumulator stays put across all of k.
+func transAAccGo(a []float32, ps int, b []float32, k int, o []float32) {
+	n := len(o)
+	var acc [transAAccCols]float32
+	for j0 := 0; j0 < n; j0 += transAAccCols {
+		s := acc[:min(transAAccCols, n-j0)]
+		clear(s)
+		for p := 0; p < k; p++ {
+			av := a[p*ps]
+			if av == 0 {
+				continue
+			}
+			brow := b[p*n+j0 : p*n+j0+len(s)]
+			for j := range s {
+				s[j] += av * brow[j]
+			}
+		}
+		vecAddGo(o[j0:j0+len(s)], s)
+	}
+}
+
+// lstmCellBwdGo is the LSTM cell backward over len(tc) elements of one
+// row: z holds the row's gate activations packed [i|f|g|o] with gate
+// stride h, dz receives the pre-activation gradient in the same layout,
+// and tc, cPrev, dy, dhNext, dcNext and dcPrev are the row's hidden
+// vectors. Each expression is evaluated in exactly the order written:
+// this loop is the definition the AVX2 twin is tested against.
+func lstmCellBwdGo(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32) {
+	for j := range tc {
+		iv, fv, gv, ov := z[j], z[h+j], z[2*h+j], z[3*h+j]
+		t := tc[j]
+		dh := dy[j] + dhNext[j]
+		do := dh * t
+		dc := dcNext[j] + (dh*ov)*(1-t*t)
+		dz[j] = (dc * gv) * (iv * (1 - iv))
+		dz[h+j] = (dc * cPrev[j]) * (fv * (1 - fv))
+		dz[2*h+j] = (dc * iv) * (1 - gv*gv)
+		dz[3*h+j] = do * (ov * (1 - ov))
+		dcPrev[j] = dc * fv
+	}
+}
+
 // dotSeq computes the in-order dot product of a and b with a single
 // accumulator, unrolled 4-wide purely to amortize loop overhead: the adds
 // into sum stay in ascending index order, so rounding matches the plain
@@ -148,6 +200,15 @@ func vecAddGo(o, b []float32) {
 	b = b[:len(o)]
 	for i := range o {
 		o[i] += b[i]
+	}
+}
+
+// vecAddToGo sets o[i] = a[i] + b[i]; o may alias a.
+func vecAddToGo(o, a, b []float32) {
+	a = a[:len(o)]
+	b = b[:len(o)]
+	for i := range o {
+		o[i] = a[i] + b[i]
 	}
 }
 

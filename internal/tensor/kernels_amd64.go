@@ -49,6 +49,9 @@ func axpy4Add2AVX2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, o
 func vecAddAVX2(o, b []float32)
 
 //go:noescape
+func vecAddToAVX2(o, a, b []float32)
+
+//go:noescape
 func vecSubAVX2(o, a, b []float32)
 
 //go:noescape
@@ -82,6 +85,20 @@ func runsAVX2(x, s, vals []float32, spans []Span, base uint32) (nv, ns int)
 //
 //go:noescape
 func dotCols8AVX2(at, b []float32, ldb, kb, n int, out []float32, ldo int, resume bool)
+
+// transAAccAVX2 is transAAccGo with each output element a lane: blocks of
+// 64 columns keep their accumulators in eight registers across all of k,
+// then blocks of 8 in one, then single lanes. b must hold k rows of
+// len(o), and a the coefficient a[(k-1)*ps].
+//
+//go:noescape
+func transAAccAVX2(a []float32, ps int, b []float32, k int, o []float32)
+
+// lstmCellBwdAVX2 is lstmCellBwdGo eight elements at a time; len(tc)
+// must be a multiple of 8, and every other hidden vector at least as long.
+//
+//go:noescape
+func lstmCellBwdAVX2(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32)
 
 // sigmoidAVX2 and tanhAVX2 are the verified activation kernels: over the
 // whole 8-blocks of src they write Sigmoid32/Tanh32 of every lane whose
@@ -192,6 +209,14 @@ func vecAdd(o, b []float32) {
 	vecAddGo(o, b)
 }
 
+func vecAddTo(o, a, b []float32) {
+	if useAVX2 {
+		vecAddToAVX2(o, a[:len(o)], b[:len(o)])
+		return
+	}
+	vecAddToGo(o, a, b)
+}
+
 func vecSub(o, a, b []float32) {
 	if useAVX2 {
 		vecSubAVX2(o, a[:len(o)], b[:len(o)])
@@ -279,6 +304,31 @@ func transBRows(out, a, b []float32, k, n, lo, hi int) {
 		}
 	}
 	transBRowsGo(out, a, b, k, n, lo, hi)
+}
+
+// transAAcc adds to the output row o one k-chain per element
+// (transAAccGo).
+func transAAcc(a []float32, ps int, b []float32, k int, o []float32) {
+	if useAVX2 {
+		if k > 0 {
+			_ = a[(k-1)*ps]
+		}
+		transAAccAVX2(a, ps, b[:k*len(o)], k, o)
+		return
+	}
+	transAAccGo(a, ps, b, k, o)
+}
+
+// lstmCellBwd runs the cell backward of one row (lstmCellBwdGo): the
+// whole 8-blocks on the AVX2 kernel, the tail in Go.
+func lstmCellBwd(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32) {
+	if n := len(tc) &^ 7; useAVX2 && n > 0 {
+		_, _ = dz[3*h+n-1], z[3*h+n-1]
+		lstmCellBwdAVX2(dz, z, h, tc[:n], cPrev[:n], dy[:n], dhNext[:n], dcNext[:n], dcPrev[:n])
+		dz, z, tc, cPrev, dy = dz[n:], z[n:], tc[n:], cPrev[n:], dy[n:]
+		dhNext, dcNext, dcPrev = dhNext[n:], dcNext[n:], dcPrev[n:]
+	}
+	lstmCellBwdGo(dz, z, h, tc, cPrev, dy, dhNext, dcNext, dcPrev)
 }
 
 // packTrans8 writes the first len(at)/8 columns of the eight rows in a

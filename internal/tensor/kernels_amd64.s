@@ -230,6 +230,15 @@ TEXT ·vecAddAVX2(SB), NOSPLIT, $0-48
 	MOVQ DI, SI
 	ELEMENTWISE(VADDPS, VADDSS, vadd_loop8, vadd_test8, vadd_loop1, vadd_test1)
 
+// func vecAddToAVX2(o, a, b []float32)
+// o[i] = a[i] + b[i]
+TEXT ·vecAddToAVX2(SB), NOSPLIT, $0-72
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	ELEMENTWISE(VADDPS, VADDSS, vaddto_loop8, vaddto_test8, vaddto_loop1, vaddto_test1)
+
 // func vecSubAVX2(o, a, b []float32)
 // o[i] = a[i] - b[i]
 TEXT ·vecSubAVX2(SB), NOSPLIT, $0-72
@@ -411,6 +420,151 @@ dot8_loop1:
 dot8_test1:
 	TESTQ DX, DX
 	JNZ  dot8_rows1
+	VZEROUPPER
+	RET
+
+// One k-step of an accumulator: acc += coef(Y8) * b[BX+off], the
+// coefficient the first operand as in STEP8.
+#define TACC(off, acc) \
+	VMULPS off(BX), Y8, Y9; \
+	VADDPS Y9, acc, acc
+// o[AX+off] += acc, o the first operand as in vecAdd.
+#define TACCOUT(off, acc) \
+	VMOVUPS off(DI)(AX*1), Y9; \
+	VADDPS acc, Y9, Y9; \
+	VMOVUPS Y9, off(DI)(AX*1)
+// Start a column block at AX: coefficient pointer R11, b pointer BX,
+// step count CX.
+#define TACCSTART \
+	MOVQ SI, R11; \
+	LEAQ (R8)(AX*1), BX; \
+	MOVQ R10, CX
+// Load the step's coefficient into X8 and jump to skip when it is ±0
+// (ZF set, PF clear); a NaN compares unordered and is not skipped.
+#define TACCCOEF(skip) \
+	VMOVSS (R11), X8; \
+	VUCOMISS X15, X8; \
+	JNE  2(PC); \
+	JPC  skip
+// Advance to the next step; fall through when none is left.
+#define TACCNEXT(loop) \
+	ADDQ R9, R11; \
+	ADDQ DX, BX; \
+	DECQ CX; \
+	JNZ  loop
+
+// func transAAccAVX2(a []float32, ps int, b []float32, k int, o []float32)
+// o[j] += (+0 + Σ_p a[p*ps]*b[p*n+j]) for n = len(o), p ascending, zero
+// coefficients skipped. Registers: SI coefficient base, R9 its stride, R8
+// b, R10 k, DI o, DX n bytes (b's row stride), AX column byte offset, R13
+// end of the current block size, X15 zero.
+TEXT ·transAAccAVX2(SB), NOSPLIT, $0-88
+	MOVQ a_base+0(FP), SI
+	MOVQ ps+24(FP), R9
+	SHLQ $2, R9
+	MOVQ b_base+32(FP), R8
+	MOVQ k+56(FP), R10
+	MOVQ o_base+64(FP), DI
+	MOVQ o_len+72(FP), DX
+	SHLQ $2, DX
+	VXORPS X15, X15, X15
+	XORQ AX, AX
+	MOVQ DX, R13
+	ANDQ $~255, R13
+	JMP  tacc_test64
+
+tacc_block64:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TACCSTART
+	TESTQ CX, CX
+	JZ   tacc_out64
+
+tacc_k64:
+	TACCCOEF(tacc_next64)
+	VBROADCASTSS X8, Y8
+	TACC(0, Y0)
+	TACC(32, Y1)
+	TACC(64, Y2)
+	TACC(96, Y3)
+	TACC(128, Y4)
+	TACC(160, Y5)
+	TACC(192, Y6)
+	TACC(224, Y7)
+
+tacc_next64:
+	TACCNEXT(tacc_k64)
+
+tacc_out64:
+	TACCOUT(0, Y0)
+	TACCOUT(32, Y1)
+	TACCOUT(64, Y2)
+	TACCOUT(96, Y3)
+	TACCOUT(128, Y4)
+	TACCOUT(160, Y5)
+	TACCOUT(192, Y6)
+	TACCOUT(224, Y7)
+	ADDQ $256, AX
+
+tacc_test64:
+	CMPQ AX, R13
+	JLT  tacc_block64
+	MOVQ DX, R13
+	ANDQ $~31, R13
+	JMP  tacc_test8
+
+tacc_block8:
+	VXORPS Y0, Y0, Y0
+	TACCSTART
+	TESTQ CX, CX
+	JZ   tacc_out8
+
+tacc_k8:
+	TACCCOEF(tacc_next8)
+	VBROADCASTSS X8, Y8
+	TACC(0, Y0)
+
+tacc_next8:
+	TACCNEXT(tacc_k8)
+
+tacc_out8:
+	TACCOUT(0, Y0)
+	ADDQ $32, AX
+
+tacc_test8:
+	CMPQ AX, R13
+	JLT  tacc_block8
+	JMP  tacc_test1
+
+tacc_col1:
+	VXORPS X0, X0, X0
+	TACCSTART
+	TESTQ CX, CX
+	JZ   tacc_out1
+
+tacc_k1:
+	TACCCOEF(tacc_next1)
+	VMULSS (BX), X8, X9
+	VADDSS X9, X0, X0
+
+tacc_next1:
+	TACCNEXT(tacc_k1)
+
+tacc_out1:
+	VMOVSS (DI)(AX*1), X9
+	VADDSS X0, X9, X9
+	VMOVSS X9, (DI)(AX*1)
+	ADDQ $4, AX
+
+tacc_test1:
+	CMPQ AX, DX
+	JLT  tacc_col1
 	VZEROUPPER
 	RET
 
@@ -987,3 +1141,75 @@ gelud_test:
 	CMPQ AX, CX
 	JLT  gelud_loop
 	ACT_RET(gelud_rejected)
+
+// func lstmCellBwdAVX2(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32)
+// lstmCellBwdGo, one lane per element, each product, sum and difference
+// its own instruction with the Go expression's operand order. Registers:
+// SI z and DI dz, advanced per block, with the gates at +0, +h (BX),
+// +2h and +3h (DX) bytes; R8 tc, R9 cPrev, R10 dy, R11 dhNext, R12
+// dcNext and R13 dcPrev indexed by AX; CX end; Y15 = 1.
+TEXT ·lstmCellBwdAVX2(SB), NOSPLIT, $0-200
+	MOVQ dz_base+0(FP), DI
+	MOVQ z_base+24(FP), SI
+	MOVQ h+48(FP), BX
+	SHLQ $2, BX
+	LEAQ (BX)(BX*2), DX
+	MOVQ tc_base+56(FP), R8
+	MOVQ tc_len+64(FP), CX
+	SHLQ $2, CX
+	MOVQ cPrev_base+80(FP), R9
+	MOVQ dy_base+104(FP), R10
+	MOVQ dhNext_base+128(FP), R11
+	MOVQ dcNext_base+152(FP), R12
+	MOVQ dcPrev_base+176(FP), R13
+	MOVL $0x3f800000, AX
+	MOVQ AX, X15
+	VPBROADCASTD X15, Y15
+	XORQ AX, AX
+	JMP  cellb_test
+
+cellb_loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(BX*1), Y1
+	VMOVUPS (SI)(BX*2), Y2
+	VMOVUPS (SI)(DX*1), Y3
+	VMOVUPS (R8)(AX*1), Y4
+	VMOVUPS (R10)(AX*1), Y5
+	VADDPS (R11)(AX*1), Y5, Y5 // dh = dy + dhNext
+	VMULPS Y4, Y5, Y6          // do = dh*tc
+	VMULPS Y3, Y5, Y7          // dh*o
+	VMULPS Y4, Y4, Y8
+	VSUBPS Y8, Y15, Y8         // 1 - tc*tc
+	VMULPS Y8, Y7, Y7
+	VMOVUPS (R12)(AX*1), Y9
+	VADDPS Y7, Y9, Y9          // dc = dcNext + (dh*o)*(1 - tc*tc)
+	VMULPS Y2, Y9, Y10         // dc*g
+	VSUBPS Y0, Y15, Y11
+	VMULPS Y11, Y0, Y11        // i*(1 - i)
+	VMULPS Y11, Y10, Y10
+	VMOVUPS Y10, (DI)
+	VMULPS (R9)(AX*1), Y9, Y10 // dc*cPrev
+	VSUBPS Y1, Y15, Y11
+	VMULPS Y11, Y1, Y11        // f*(1 - f)
+	VMULPS Y11, Y10, Y10
+	VMOVUPS Y10, (DI)(BX*1)
+	VMULPS Y0, Y9, Y10         // dc*i
+	VMULPS Y2, Y2, Y11
+	VSUBPS Y11, Y15, Y11       // 1 - g*g
+	VMULPS Y11, Y10, Y10
+	VMOVUPS Y10, (DI)(BX*2)
+	VSUBPS Y3, Y15, Y11
+	VMULPS Y11, Y3, Y11        // o*(1 - o)
+	VMULPS Y11, Y6, Y11
+	VMOVUPS Y11, (DI)(DX*1)
+	VMULPS Y1, Y9, Y10         // dcPrev = dc*f
+	VMOVUPS Y10, (R13)(AX*1)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, AX
+
+cellb_test:
+	CMPQ AX, CX
+	JLT  cellb_loop
+	VZEROUPPER
+	RET

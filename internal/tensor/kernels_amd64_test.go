@@ -10,6 +10,7 @@ var avx2Kernels = kernelImpl{
 	add: vecAddAVX2, sub: vecSubAVX2, mul: vecMulAVX2, scale: vecScaleAVX2,
 	dilute: diluteAVX2, zeros: zeroBlocksAVX2, runs: runsAVX2,
 	transB: transBRows, act: func(a Act, dst, src []float32) { actInto(a, dst, src) },
+	addTo: vecAddToAVX2, transAAcc: transAAcc, cellBwd: lstmCellBwd,
 }
 
 // TestAVX2KernelsMatchGo is the assembly half of the kernel proof: every
@@ -48,4 +49,13 @@ func TestAVX2KernelsMatchGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAccumulateMatchesScratchFormGoLayer repeats
+// TestAccumulateMatchesScratchForm with the AVX2 layer off, so both
+// layers are held to the scratch form.
+func TestAccumulateMatchesScratchFormGoLayer(t *testing.T) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	useAVX2 = false
+	checkAccumulateMatchesScratchForm(t, rand.New(rand.NewSource(28)))
 }

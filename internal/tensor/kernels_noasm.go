@@ -15,6 +15,7 @@ func axpy4Add2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []
 }
 
 func vecAdd(o, b []float32)               { vecAddGo(o, b) }
+func vecAddTo(o, a, b []float32)          { vecAddToGo(o, a, b) }
 func vecSub(o, a, b []float32)            { vecSubGo(o, a, b) }
 func vecMul(o, b []float32)               { vecMulGo(o, b) }
 func vecScale(alpha float32, o []float32) { vecScaleGo(alpha, o) }
@@ -44,4 +45,12 @@ const transBRowTile = 1
 
 func transBRows(out, a, b []float32, k, n, lo, hi int) {
 	transBRowsGo(out, a, b, k, n, lo, hi)
+}
+
+func transAAcc(a []float32, ps int, b []float32, k int, o []float32) {
+	transAAccGo(a, ps, b, k, o)
+}
+
+func lstmCellBwd(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32) {
+	lstmCellBwdGo(dz, z, h, tc, cPrev, dy, dhNext, dcNext, dcPrev)
 }

@@ -25,13 +25,19 @@ type kernelImpl struct {
 	runs   func(x, s, vals []float32, spans []Span, base uint32) (int, int)
 	transB func(out, a, b []float32, k, n, lo, hi int)
 	act    func(a Act, dst, src []float32) // ActSigmoid, ActTanh, actGELU or actGELUDeriv
+	addTo  func(o, a, b []float32)
+	// transAAcc and cellBwd have the signatures of transAAccGo and
+	// lstmCellBwdGo.
+	transAAcc func(a []float32, ps int, b []float32, k int, o []float32)
+	cellBwd   func(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32)
 }
 
 var goKernels = kernelImpl{
 	axpy: axpyAddGo, axpy4: axpy4AddGo, axpy42: axpy4Add2Go,
 	add: vecAddGo, sub: vecSubGo, mul: vecMulGo, scale: vecScaleGo,
 	dilute: diluteGo, zeros: zeroBlocksGo, runs: runsGo,
-	transB: transBRowsGo, act: actGo,
+	transB: transBRowsGo, act: actGo, addTo: vecAddToGo,
+	transAAcc: transAAccGo, cellBwd: lstmCellBwdGo,
 }
 
 func naiveAxpy(av float32, b, o []float32) {
@@ -96,6 +102,20 @@ var naiveKernels = kernelImpl{
 			}
 		}
 	},
+	addTo: vecAddToGo,
+	// One chain per element from +0 into a scratch value, added once.
+	transAAcc: func(a []float32, ps int, b []float32, k int, o []float32) {
+		for j := range o {
+			var s float32
+			for p := 0; p < k; p++ {
+				if av := a[p*ps]; av != 0 {
+					s += av * b[p*len(o)+j]
+				}
+			}
+			o[j] += s
+		}
+	},
+	cellBwd: lstmCellBwdGo,
 }
 
 // naiveRuns forms the dense difference first, then scans it for runs.
@@ -228,6 +248,26 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 				k.axpy42(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], b[0], b[1], b[2], b[3], ox, oy)
 			})
 			run("vecAdd", func(k kernelImpl, ox, _ []float32) { k.add(ox, b[0]) })
+			run("vecAddTo", func(k kernelImpl, ox, oy []float32) {
+				k.addTo(ox, ox, b[0])   // in place
+				k.addTo(oy, b[1], b[2]) // three operands
+			})
+			// The LSTM cell backward over one row of n elements: gates
+			// packed with stride n, six carries, two outputs.
+			z := specialSlice(r, 4*n, off, 5)
+			var carry [5][]float32
+			for q := range carry {
+				carry[q] = specialSlice(r, n, (off+q)%8, 5)
+			}
+			gz, wz := make([]float32, 4*n), make([]float32, 4*n)
+			gc, wc := make([]float32, n), make([]float32, n)
+			got.cellBwd(gz, z, n, carry[0], carry[1], carry[2], carry[3], carry[4], gc)
+			want.cellBwd(wz, z, n, carry[0], carry[1], carry[2], carry[3], carry[4], wc)
+			for _, p := range [][2][]float32{{gz, wz}, {gc, wc}} {
+				if i, ok := sameBits(p[0], p[1]); !ok {
+					t.Fatalf("lstmCellBwd n=%d off=%d: element %d = %v, want %v", n, off, i, p[0][i], p[1][i])
+				}
+			}
 			run("vecSub", func(k kernelImpl, ox, oy []float32) {
 				k.sub(ox, ox, b[0])   // in place
 				k.sub(oy, b[1], b[2]) // three operands
@@ -285,6 +325,84 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 		want.transB(w, a, b, sh.k, sh.n, 0, sh.m)
 		if i, ok := sameBits(g, w); !ok {
 			t.Fatalf("transB %dx%dx%d: element %d = %v, want %v", sh.m, sh.k, sh.n, i, g[i], w[i])
+		}
+	}
+
+	// One output row of aᵀb accumulated: k around the 4-step unroll and
+	// the 64-step block, n around the 64- and 8-column register blocks,
+	// a coefficient stride, dense ±0 coefficients, and NaN in b and o.
+	nan := float32(math.NaN())
+	for _, sh := range []struct{ k, ps, n int }{
+		{0, 1, 9}, {1, 1, 1}, {3, 2, 7}, {8, 48, 192}, {64, 1, 65}, {65, 3, 130}, {5, 1, 64}, {9, 5, 71},
+	} {
+		a := specialSlice(r, max(sh.k*sh.ps, 1), 1, 3)
+		b := specialSlice(r, sh.k*sh.n, 2, 5)
+		if len(b) > 0 {
+			b[r.Intn(len(b))] = nan
+		}
+		g := specialSlice(r, sh.n, 3, 5)
+		g[r.Intn(sh.n)] = nan
+		w := append([]float32(nil), g...)
+		got.transAAcc(a, sh.ps, b, sh.k, g)
+		want.transAAcc(a, sh.ps, b, sh.k, w)
+		if i, ok := sameBits(g, w); !ok {
+			t.Fatalf("transAAcc k=%d ps=%d n=%d: element %d = %v, want %v", sh.k, sh.ps, sh.n, i, g[i], w[i])
+		}
+	}
+}
+
+// TestAccumulateMatchesScratchForm: MatMulTransAAcc and SumRowsAcc
+// equal the scratch form they replace — the product formed in zeroed
+// scratch by the GEMM, then added with AddInPlace — bit for bit, through
+// the kernel layer this platform selected (kernels_amd64_test.go repeats
+// it on the Go loops).
+func TestAccumulateMatchesScratchForm(t *testing.T) {
+	checkAccumulateMatchesScratchForm(t, rand.New(rand.NewSource(27)))
+}
+
+// checkAccumulateMatchesScratchForm runs the accumulate kernels against
+// the scratch form on operands with dense zero coefficients, −0, ±Inf and
+// NaN in dst and b, k around the 4-step unroll and the 64-step block, and
+// odd row counts.
+func checkAccumulateMatchesScratchForm(t *testing.T, r *rand.Rand) {
+	t.Helper()
+	nan := float32(math.NaN())
+	sprinkle := func(x []float32) {
+		x[r.Intn(len(x))] = nan
+		x[r.Intn(len(x))] = float32(math.Copysign(0, -1))
+	}
+	for _, k := range []int{1, 3, 8, 64, 65} {
+		for _, sh := range []struct{ m, n int }{{1, 1}, {3, 7}, {5, 64}, {7, 65}, {9, 192}, {33, 130}} {
+			a := FromSlice(specialSlice(r, k*sh.m, 1, 3), k, sh.m)
+			for i := range a.data {
+				if r.Intn(4) == 0 {
+					a.data[i] = 0
+				}
+			}
+			b := FromSlice(specialSlice(r, k*sh.n, 2, 5*k), k, sh.n)
+			sprinkle(b.data)
+			dst := FromSlice(specialSlice(r, sh.m*sh.n, 3, 5), sh.m, sh.n)
+			sprinkle(dst.data)
+
+			want, scratch := dst.Clone(), New(sh.m, sh.n)
+			matMulTransAAccInto(scratch, a, b)
+			want.AddInPlace(scratch)
+			MatMulTransAAcc(dst, a, b)
+			if i, ok := sameBits(dst.data, want.data); !ok {
+				t.Fatalf("MatMulTransAAcc %dx%dx%d: element %d = %v, want %v",
+					k, sh.m, sh.n, i, dst.data[i], want.data[i])
+			}
+
+			bias := FromSlice(specialSlice(r, sh.n, 4, 5), sh.n)
+			sprinkle(bias.data)
+			wantB, scratchB := bias.Clone(), New(sh.n)
+			sumRowsAccInto(scratchB, b)
+			wantB.AddInPlace(scratchB)
+			SumRowsAcc(bias, b)
+			if i, ok := sameBits(bias.data, wantB.data); !ok {
+				t.Fatalf("SumRowsAcc %dx%d: element %d = %v, want %v",
+					k, sh.n, i, bias.data[i], wantB.data[i])
+			}
 		}
 	}
 }

@@ -191,20 +191,26 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulTransAAcc sets dst += aᵀ @ b without allocating the product — the
-// fused weight-gradient accumulate. To keep results bit-identical to
-// dst.AddInPlace(MatMulTransA(a, b)), the product is formed in zeroed
-// arena scratch first (accumulating directly into a non-zero dst would
-// change each element's rounding sequence) and added in one pass.
+// MatMulTransAAcc sets dst += aᵀ @ b without forming the product — the
+// weight-gradient accumulate of every lowered layer. Each element of dst
+// gets one accumulator that starts at +0, takes the product's chain (p
+// ascending, zero coefficients skipped) and is then added to dst once
+// (transAAcc): the rounding sequence of a zeroed scratch product added
+// with AddInPlace, so the result is bit-identical to
+// dst.AddInPlace(MatMulTransA(a, b)) with no scratch at all. Accumulating
+// straight into a non-zero dst would change that sequence.
 func MatMulTransAAcc(dst, a, b *Tensor) {
 	checkTransA(a, b)
 	if len(dst.shape) != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransAAcc dst %v for %vᵀ x %v", dst.shape, a.shape, b.shape))
 	}
-	scratch := Borrow(dst.shape[0], dst.shape[1])
-	matMulTransAAccInto(scratch, a, b)
-	dst.AddInPlace(scratch)
-	scratch.Release()
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	parallelGEMM(m, k, n, 1, operands{out: dst, a: a, b: b}, func(g operands, lo, hi int) {
+		k, m, n := g.a.shape[0], g.a.shape[1], g.b.shape[1]
+		for i := lo; i < hi; i++ {
+			transAAcc(g.a.data[i:], m, g.b.data, k, g.out.data[i*n:(i+1)*n])
+		}
+	})
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b, fully overwriting dst: the

@@ -25,11 +25,8 @@ func Add(a, b *Tensor) *Tensor {
 func AddInto(dst, a, b *Tensor) {
 	checkSameShape("AddInto", a, b)
 	checkSameShape("AddInto", dst, a)
-	n := len(a.data)
-	parallelFor(n, n, 1, vecOperands{o: dst.data, a: a.data, b: b.data}, func(v vecOperands, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v.o[i] = v.a[i] + v.b[i]
-		}
+	parallelVec(len(a.data), vecOperands{o: dst.data, a: a.data, b: b.data}, func(v vecOperands, lo, hi int) {
+		vecAddTo(v.o[lo:hi], v.a[lo:hi], v.b[lo:hi])
 	})
 }
 

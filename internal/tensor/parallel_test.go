@@ -81,24 +81,31 @@ func TestParallelForCostFansOutSmallN(t *testing.T) {
 func TestSerialKernelsAllocateNothing(t *testing.T) {
 	r := NewRNG(3)
 	a, b, bt := r.Normal(0, 1, 8, 8), r.Normal(0, 1, 8, 8), r.Normal(0, 1, 8, 8)
-	out, scr, bias := New(8, 8), New(8, 8), r.Normal(0, 1, 8)
+	out, bias := New(8, 8), r.Normal(0, 1, 8)
 	x := r.Normal(0, 1, 64)
 	y := New(64)
+	// One LSTM cell step of batch 2, hidden 4 (8 carries, 32 gates).
+	zx, zh, c, lb := r.Normal(0, 1, 2, 16), r.Normal(0, 1, 2, 16), r.Normal(0, 1, 2, 4), r.Normal(0, 1, 16)
+	gates := LSTMGates{Z: New(2, 16), C: New(2, 4), TanhC: New(2, 4), H: New(2, 4)}
+	dz, dc := New(2, 16), New(2, 4)
 	for name, f := range map[string]func(){
-		"matMulAccInto":       func() { matMulAccInto(out, a, b) },
-		"MatMulTransBInto":    func() { MatMulTransBInto(out, a, bt) },
-		"MatMulTransAInto":    func() { MatMulTransAInto(out, a, b) },
-		"MatMulTransAAccWith": func() { MatMulTransAAccWith(out, a, b, scr) },
-		"MatMulBiasActInto":   func() { MatMulBiasActInto(out, a, b, bias, ActTanh) },
-		"SoftmaxRowsInto":     func() { SoftmaxRowsInto(out, a) },
-		"ApplyInto":           func() { ApplyInto(y, x, func(v float32) float32 { return 1 - v*v }) },
-		"MulInto":             func() { MulInto(y, x, x) },
-		"AddInto":             func() { AddInto(y, x, x) },
-		"AddInPlace":          func() { y.AddInPlace(x) },
-		"ScaleInPlace":        func() { y.ScaleInPlace(0.5) },
-		"TanhInto":            func() { TanhInto(y.data, x.data) },
-		"GeluInto":            func() { GeluInto(y.data, x.data) },
-		"GeluDerivInto":       func() { GeluDerivInto(y.data, x.data) },
+		"matMulAccInto":        func() { matMulAccInto(out, a, b) },
+		"MatMulTransBInto":     func() { MatMulTransBInto(out, a, bt) },
+		"MatMulTransAInto":     func() { MatMulTransAInto(out, a, b) },
+		"MatMulTransAAcc":      func() { MatMulTransAAcc(out, a, b) },
+		"SumRowsAcc":           func() { SumRowsAcc(bias, a) },
+		"MatMulBiasActInto":    func() { MatMulBiasActInto(out, a, b, bias, ActTanh) },
+		"SoftmaxRowsInto":      func() { SoftmaxRowsInto(out, a) },
+		"ApplyInto":            func() { ApplyInto(y, x, func(v float32) float32 { return 1 - v*v }) },
+		"MulInto":              func() { MulInto(y, x, x) },
+		"AddInto":              func() { AddInto(y, x, x) },
+		"AddInPlace":           func() { y.AddInPlace(x) },
+		"ScaleInPlace":         func() { y.ScaleInPlace(0.5) },
+		"TanhInto":             func() { TanhInto(y.data, x.data) },
+		"GeluInto":             func() { GeluInto(y.data, x.data) },
+		"GeluDerivInto":        func() { GeluDerivInto(y.data, x.data) },
+		"LSTMCellForwardInto":  func() { LSTMCellForwardInto(gates, zx, zh, c, lb) },
+		"LSTMCellBackwardInto": func() { LSTMCellBackwardInto(dz, dc, c, c, c, c, gates) },
 	} {
 		if n := testing.AllocsPerRun(20, f); n != 0 {
 			t.Errorf("%s: %v allocations per serial-sized call, want 0", name, n)

@@ -97,10 +97,11 @@ func SumRows(t *Tensor) *Tensor {
 	return out
 }
 
-// SumRowsAcc sets dst += column-wise sum of t without allocating the
-// intermediate — the fused bias-gradient accumulate. The column sums are
-// formed in zeroed arena scratch first so each element's rounding
-// sequence matches dst.AddInPlace(SumRows(t)) exactly.
+// SumRowsAcc sets dst += column-wise sum of t without forming the sum —
+// the bias-gradient accumulate. It is MatMulTransAAcc's kernel with a
+// coefficient of 1 for every row: one accumulator per column starting at
+// +0, rows added in ascending order, then added to dst once, so each
+// element's rounding sequence matches dst.AddInPlace(SumRows(t)) exactly.
 func SumRowsAcc(dst, t *Tensor) {
 	if len(t.shape) != 2 {
 		panic("tensor: SumRowsAcc requires a 2-D tensor")
@@ -108,10 +109,8 @@ func SumRowsAcc(dst, t *Tensor) {
 	if len(dst.shape) != 1 || dst.shape[0] != t.shape[1] {
 		panic(fmt.Sprintf("tensor: SumRowsAcc dst %v for %v", dst.shape, t.shape))
 	}
-	scratch := Borrow(t.shape[1])
-	sumRowsAccInto(scratch, t)
-	dst.AddInPlace(scratch)
-	scratch.Release()
+	one := [1]float32{1}
+	transAAcc(one[:], 0, t.data, t.shape[0], dst.data)
 }
 
 func sumRowsAccInto(out, t *Tensor) {
