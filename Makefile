@@ -1,17 +1,18 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
+.PHONY: ci fmt vet vet-obs build cross test test-benchmark selfcheck race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
 
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
-# the arm64 cross-build, tests (root module and benchmark/), the race-detector pass over the
+# the arm64 cross-build, tests (root module and benchmark/), the
+# benchmark's end-to-end self-check, the race-detector pass over the
 # concurrent packages, the seeded chaos matrix, the self-healing chaos
 # soak, the wire-codec fuzz smoke, the exhaustive activation-kernel proof,
 # the metrics-exposition and collector-overhead smoke, the kernel,
 # compiled op-graph, and inference-serving benchmark-regression gates,
 # and the coverage floors. The GitHub workflow (.github/workflows/ci.yml)
 # runs exactly these targets, split across its ci and bench jobs.
-ci: fmt vet vet-obs build cross test test-benchmark race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
+ci: fmt vet vet-obs build cross test test-benchmark selfcheck race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -46,6 +47,13 @@ test:
 # is its own module (benchmark/go.mod), so ./... above does not reach it.
 test-benchmark:
 	cd benchmark && $(GO) test ./...
+
+# selfcheck runs the benchmark's end-to-end self-check (benchmark
+# -selfcheck): among other things, an injected straggler delay must show
+# up in the pipeline's measured stage busy time (core.stage_busy_ms).
+# About 20 s; it prints "selfcheck: ok".
+selfcheck:
+	cd benchmark && $(GO) run . -selfcheck -seconds 4
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/...

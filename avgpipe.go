@@ -205,7 +205,7 @@ type FaultConfig = fault.Config
 
 // StallError is the diagnosable failure a runtime watchdog raises when
 // a pipeline schedule live-locks: it names the schedule and dumps each
-// stage worker's in-flight position.
+// stage's in-flight position.
 type StallError = core.StallError
 
 // Averager is the elastic-averaging coordinator (reference model plus
@@ -216,8 +216,9 @@ type Averager = core.Averager
 // recording metrics into the default registry.
 func NewAverager(n int, init []*Param) *Averager { return core.NewAveragerObs(n, init, nil) }
 
-// Pipeline executes one partitioned model with goroutine stage workers,
-// each interpreting its per-GPU op sequence from a Schedule.
+// Pipeline executes one partitioned model by its Schedule: each stage
+// runs its per-GPU op sequence, an op dispatched once the dependency
+// rule the simulator and AnalyzeSchedule share says its input is ready.
 type Pipeline = core.Pipeline
 
 // PipelineConfig selects the schedule plan, partition policy, and

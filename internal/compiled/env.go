@@ -7,8 +7,8 @@ import (
 )
 
 // Env is the per-micro-batch execution state of a compiled Program.
-// Each in-flight micro-batch owns one Env (the stage worker pools and
-// reuses them across batches), which is what makes compiled stages
+// Each in-flight micro-batch owns one Env (the pipeline pools them per
+// stage and reuses them across batches), which is what makes compiled stages
 // reentrant: dropout masks, normalization statistics, and recurrent
 // stashes live here, never in module fields.
 //

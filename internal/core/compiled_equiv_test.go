@@ -76,8 +76,8 @@ func requireOccupancy(t *testing.T, pl *Pipeline, m int) {
 }
 
 // dropoutTask is the classification data stream under a small model with
-// a Dropout layer in each stage of a K=2 split, so both stage workers
-// draw masks while micro-batches overlap.
+// a Dropout layer in each stage of a K=2 split, so both stages draw
+// masks while micro-batches overlap.
 func dropoutTask() *workload.Task {
 	const vocab, seqLen, dim = 16, 8, 12
 	base := workload.ClassificationTask()

@@ -262,8 +262,8 @@ func TestAveragerSetReference(t *testing.T) {
 // --- pipelined runtime ---
 
 func TestPipelineMatchesSequentialExecution(t *testing.T) {
-	// The pipelined runtime (K stage workers, M micro-batches, channel
-	// messaging) must compute exactly the gradients of plain sequential
+	// The pipelined runtime (K stages, M micro-batches, dependency-driven
+	// dispatch) must compute exactly the gradients of plain sequential
 	// training on the same batch.
 	task := workload.TranslationTask()
 	seq := task.NewModel(7)

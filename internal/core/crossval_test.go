@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"avgpipe/internal/autograd"
 	"avgpipe/internal/cluster"
@@ -228,47 +229,93 @@ func TestPipelineTraceMatchesSchedule(t *testing.T) {
 	task := workload.TranslationTask()
 	gen := task.NewGen(5)
 	batch := gen.NextBatch(8)
-	const k, m = 2, 4
-	pl, err := NewPipelineWith(task.NewModel(2), PipelineConfig{Stages: k, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBatch(t, pl, batch, m)
-	schedule, an := pl.ScheduleFor(m)
-	for s, met := range pl.Metrics() {
-		if len(met.Ops) != len(schedule.PerGPU[s]) {
-			t.Fatalf("stage %d traced %d ops, schedule has %d", s, len(met.Ops), len(schedule.PerGPU[s]))
+	const m = 4
+	for _, k := range []int{2, 3} {
+		taper := make([]int, k)
+		for s := range taper {
+			taper[s] = k - 1 - s
 		}
-		for i, ev := range met.Ops {
-			op := schedule.PerGPU[s][i]
-			if ev.Index != i || ev.Kind != op.Kind || ev.Micro != op.Micro {
-				t.Fatalf("stage %d op %d: traced %v%d, schedule %s", s, i, ev.Kind, ev.Micro+1, op)
+		for _, plan := range []sched.Plan{sched.AFABPlan(), sched.OneFOneBPlan(), sched.AFPPlan(taper)} {
+			pl, err := NewPipelineWith(task.NewModel(2), PipelineConfig{Stages: k, Plan: plan, Trace: true})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ev.Dur <= 0 {
-				t.Fatalf("stage %d op %d: no duration recorded", s, i)
+			runBatch(t, pl, batch, m)
+			schedule, an := pl.ScheduleFor(m)
+			for s, met := range pl.Metrics() {
+				if len(met.Ops) != len(schedule.PerGPU[s]) {
+					t.Fatalf("%s K=%d: stage %d traced %d ops, schedule has %d", plan.Name, k, s, len(met.Ops), len(schedule.PerGPU[s]))
+				}
+				for i, ev := range met.Ops {
+					op := schedule.PerGPU[s][i]
+					if ev.Index != i || ev.Kind != op.Kind || ev.Micro != op.Micro {
+						t.Fatalf("%s K=%d: stage %d op %d: traced %v%d, schedule %s", plan.Name, k, s, i, ev.Kind, ev.Micro+1, op)
+					}
+					if ev.Dur <= 0 {
+						t.Fatalf("%s K=%d: stage %d op %d: no duration recorded", plan.Name, k, s, i)
+					}
+				}
+			}
+			checkDispatchOrder(t, plan.Name, pl.Metrics())
+			var buf bytes.Buffer
+			if err := pl.WriteTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []pipesim.TraceEvent `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatalf("trace not valid JSON: %v", err)
+			}
+			// One process row, k thread rows, and per scheduled op one span plus
+			// one flow point (the arrow chain linking each micro across stages).
+			if want := 1 + k + 2*an.TotalOps(); len(doc.TraceEvents) != want {
+				t.Fatalf("%s K=%d: trace has %d events, want %d", plan.Name, k, len(doc.TraceEvents), want)
 			}
 		}
-	}
-	var buf bytes.Buffer
-	if err := pl.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []pipesim.TraceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace not valid JSON: %v", err)
-	}
-	// One process row, k thread rows, and per scheduled op one span plus
-	// one flow point (the arrow chain linking each micro across stages).
-	if want := 1 + k + 2*an.TotalOps(); len(doc.TraceEvents) != want {
-		t.Fatalf("trace has %d events, want %d", len(doc.TraceEvents), want)
 	}
 	// Untraced runs record no per-op events.
-	pl2 := newTestPipeline(t, task.NewModel(2), k, nil)
+	pl2 := newTestPipeline(t, task.NewModel(2), 2, nil)
 	runBatch(t, pl2, batch, m)
 	if n := len(pl2.Metrics()[0].Ops); n != 0 {
 		t.Fatalf("untraced run recorded %d op events", n)
+	}
+}
+
+// checkDispatchOrder asserts, from a traced batch, that every op started
+// no earlier than the end of its stage predecessor and of the op that
+// produced the event it consumes (sched.Op.Deps).
+func checkDispatchOrder(t *testing.T, name string, mets []StageMetrics) {
+	t.Helper()
+	k := len(mets)
+	produced := map[sched.Event]time.Duration{}
+	for s, met := range mets {
+		for _, ev := range met.Ops {
+			if _, out := (sched.Op{Kind: ev.Kind, Micro: ev.Micro}).Deps(s, k); out.Kind != sched.NoEvent {
+				produced[out] = ev.Start + ev.Dur
+			}
+		}
+	}
+	for s, met := range mets {
+		for i, ev := range met.Ops {
+			op := sched.Op{Kind: ev.Kind, Micro: ev.Micro}
+			if i > 0 {
+				if prev := met.Ops[i-1]; ev.Start < prev.Start+prev.Dur {
+					t.Fatalf("%s K=%d: stage %d %s started %v before its predecessor ended", name, k, s, op, prev.Start+prev.Dur-ev.Start)
+				}
+			}
+			in, _ := op.Deps(s, k)
+			if in.Kind == sched.NoEvent {
+				continue
+			}
+			end, ok := produced[in]
+			if !ok {
+				t.Fatalf("%s K=%d: stage %d %s consumes %+v, which no op produced", name, k, s, op, in)
+			}
+			if ev.Start < end {
+				t.Fatalf("%s K=%d: stage %d %s started %v before its input %+v was produced", name, k, s, op, end-ev.Start, in)
+			}
+		}
 	}
 }
 

@@ -601,7 +601,7 @@ func TestWatchdogKillsWedgedSchedule(t *testing.T) {
 }
 
 // TestRunBatchContextCancel checks the other abort path: cancelling the
-// context unwinds a blocked batch instead of leaking its stage workers.
+// context unwinds a blocked batch instead of leaking its goroutines.
 func TestRunBatchContextCancel(t *testing.T) {
 	task := workload.TranslationTask()
 	pl, err := NewPipelineWith(task.NewModel(1), PipelineConfig{Stages: 2, Obs: obs.NewRegistry()})

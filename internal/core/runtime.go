@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"avgpipe/internal/compiled"
@@ -21,17 +20,17 @@ import (
 	"avgpipe/internal/tensor"
 )
 
-// Pipeline executes one model partitioned into stages, with a goroutine
-// per stage connected by buffered channels — the process-per-GPU runtime
-// of §6 mapped onto goroutines. It is a schedule interpreter: each stage
-// worker walks its ordered sched.Op list, receiving, computing, and
-// sending exactly as the op sequence dictates, so a sched.Schedule is
-// the single source of truth for what every stage does. AFAB/GPipe,
-// 1F1B/Dapple, AFP, and any future schedule run on real tensors with
-// zero runtime changes, and the runtime's measured occupancy equals the
-// schedule's analytic occupancy (sched.Analyze) exactly. The compute
-// inside each op is a replay of the stage's compiled program (lowered
-// once, when the pipeline is built).
+// Pipeline executes one model partitioned into stages — the
+// process-per-GPU runtime of §6 — as a schedule executor: each stage
+// runs its ordered sched.Op list verbatim, and an op is dispatched when
+// the dependency rule shared with sched.Analyze and the simulator
+// (sched.Op.Deps) says its input has been produced, so a sched.Schedule
+// is the single source of truth for what every stage does and when it
+// may do it. AFAB/GPipe, 1F1B/Dapple, AFP, and any future schedule run
+// on real tensors with zero runtime changes, and the runtime's measured
+// occupancy equals the schedule's analytic occupancy (sched.Analyze)
+// exactly. The compute inside each op is a replay of the stage's
+// compiled program (lowered once, when the pipeline is built).
 type Pipeline struct {
 	Stages []*nn.Sequential
 	// Advance is the per-stage AFP run-ahead the pipeline was built with
@@ -45,14 +44,15 @@ type Pipeline struct {
 	fixed *sched.Schedule // non-nil when built from one explicit schedule
 	cur   *sched.Schedule // schedule in effect for curM micro-batches
 	curAn *sched.Analysis
+	curEx *executor // runs cur; rebuilt when cur changes
 	curM  int
 
 	// progs[s] is stage s lowered at build time into a static op graph
-	// that the stage worker replays per micro-batch, with the backward
-	// pass split 2BP-style into grad-input and grad-weight ops. envFree[s]
+	// that the executor replays per micro-batch, with the backward pass
+	// split 2BP-style into grad-input and grad-weight ops. envFree[s]
 	// recycles per-micro execution environments across batches; a stage
 	// sees one or two input shapes, so the free list is scanned by shape.
-	// Each list is touched only by stage s's worker goroutine.
+	// Each list is touched only by the goroutine running stage s's op.
 	progs   []*compiled.Program
 	envFree [][]*compiled.Env
 
@@ -74,7 +74,7 @@ type Pipeline struct {
 	watchdog time.Duration
 }
 
-// stageInstr caches one stage's obs metric handles so the stage worker's
+// stageInstr caches one stage's obs metric handles so the executor's
 // hot path is pure atomic updates — no registry lookups per op.
 type stageInstr struct {
 	fwdSec, bwdSec *obs.Histogram
@@ -84,14 +84,15 @@ type stageInstr struct {
 	peakInFlight   *obs.Gauge
 }
 
-// StageMetrics instruments one stage worker's most recent batch: wall
-// time spent computing vs waiting on channels, the peak number of live
-// activation contexts, op counts, and (with Pipeline.Trace) the per-op
-// timeline — the runtime counterpart of the simulator's busy/idle/stash
-// accounting, cross-validated against sched.Analyze.
+// StageMetrics instruments one stage's most recent batch: wall time
+// spent computing vs sitting idle waiting for input, the peak number of
+// live activation contexts, op counts, and (with Pipeline.Trace) the
+// per-op timeline — the runtime counterpart of the simulator's
+// busy/idle/stash accounting, cross-validated against sched.Analyze.
 type StageMetrics struct {
-	// Busy is time inside Forward/Backward; Wait is time blocked on
-	// channel receives.
+	// Busy is time inside Forward/Backward; Wait is the time the stage
+	// sat idle before an op, waiting for its input (from when it ran
+	// out of ready ops to when its next op started).
 	Busy, Wait time.Duration
 	// FwdTime and BwdTime split Busy by pass direction — the per-stage
 	// compute costs the paper's tuner profiles (§5).
@@ -108,9 +109,10 @@ type StageMetrics struct {
 	Ops []OpEvent
 }
 
-// BubbleFraction is the share of the stage's wall clock spent waiting on
-// channel receives rather than computing — the runtime analogue of the
-// simulator's (bubble + comm-blocked) / makespan.
+// BubbleFraction is Wait / (Busy + Wait): the share of the stage's wall
+// clock spent idle waiting for input rather than computing — the
+// runtime analogue of the simulator's (bubble + comm-blocked) /
+// makespan.
 func (m StageMetrics) BubbleFraction() float64 {
 	wall := m.Busy + m.Wait
 	if wall <= 0 {
@@ -163,7 +165,7 @@ type PipelineConfig struct {
 	Obs *obs.Registry
 }
 
-// NewPipelineWith builds a schedule-interpreting pipeline with explicit
+// NewPipelineWith builds a schedule-executing pipeline with explicit
 // partitioning and schedule choices. A malformed config (non-positive
 // stage count, advance vector of the wrong length) is an error, not a
 // panic, so callers can degrade gracefully.
@@ -248,7 +250,7 @@ func (p *Pipeline) SetObs(reg *obs.Registry) {
 			bwdSec: reg.Histogram("avgpipe_stage_bwd_seconds",
 				"Per-micro-batch backward compute time by stage.", nil, "stage", st),
 			waitSec: reg.Counter("avgpipe_stage_wait_seconds_total",
-				"Cumulative time a stage worker blocked on channel receives.", "stage", st),
+				"Cumulative time a stage sat idle waiting for its input.", "stage", st),
 			fwdOps: reg.Counter("avgpipe_stage_fwd_ops_total",
 				"Forward micro-batch passes executed by stage.", "stage", st),
 			bwdOps: reg.Counter("avgpipe_stage_bwd_ops_total",
@@ -261,7 +263,7 @@ func (p *Pipeline) SetObs(reg *obs.Registry) {
 	}
 }
 
-// NewPipelineFromSchedule builds a schedule interpreter over an explicit
+// NewPipelineFromSchedule builds a schedule executor over an explicit
 // execution plan: stage s runs schedule.PerGPU[s] verbatim — a combined
 // Bwd op stays combined (both backward halves run inline), so the
 // measured occupancy equals the analysis of the schedule as given. The
@@ -321,7 +323,7 @@ func (p *Pipeline) scheduleFor(m int) (*sched.Schedule, *sched.Analysis, error) 
 	}
 	// The runtime executes the finer-grained 2BP split: each combined
 	// backward becomes an adjacent BwdIn/BwdW pair, so the analysis (and
-	// the simulator) see the same op stream the stage workers retire.
+	// the simulator) see the same op stream the executor retires.
 	s := sched.SplitBackward(p.plan.Make(len(p.Stages), m))
 	an, err := sched.Analyze(s)
 	if err != nil {
@@ -334,332 +336,353 @@ func (p *Pipeline) scheduleFor(m int) (*sched.Schedule, *sched.Analysis, error) 
 	return s, an, nil
 }
 
-// microMsg carries one micro-batch's activations (forward) or gradient
-// (backward) between stage workers.
-type microMsg struct {
-	micro int
-	t     *tensor.Tensor
-}
-
-// batchRun is the shared state of one RunBatchContext execution: the channels
-// wiring the stage workers, the abort machinery the watchdog uses to
-// unwind a live-locked batch, and the liveness clock it reads.
-type batchRun struct {
-	micros       []*data.Batch
-	fwdCh, bwdCh []chan microMsg
-	losses       []float64
-	epoch        time.Time
-
-	// abort, once closed, unwinds every stage worker at its next receive
-	// or op boundary. kill records the first failure and closes it.
-	abort    chan struct{}
-	killOnce sync.Once
-	errMu    sync.Mutex
-	err      error
-
-	// last is the unix-nano timestamp of the most recent retired op —
-	// the liveness signal the watchdog monitors. pos[s] is the index of
-	// the op stage s is currently executing (len(ops) once done), read
-	// by the watchdog to dump in-flight state.
-	last atomic.Int64
-	pos  []atomic.Int32
-}
-
-// kill records the first failure and aborts the run; later calls lose.
-func (r *batchRun) kill(err error) {
-	r.killOnce.Do(func() {
-		r.errMu.Lock()
-		r.err = err
-		r.errMu.Unlock()
-		close(r.abort)
-	})
-}
-
-// failure returns the recorded abort cause, nil if the run completed.
-func (r *batchRun) failure() error {
-	r.errMu.Lock()
-	defer r.errMu.Unlock()
-	return r.err
-}
-
 // RunBatchContext pipelines the batch through the stages as M
 // micro-batches, each stage executing its schedule's op order, and
 // returns the mean training loss across micro-batches. Parameter
 // gradients are accumulated (summed over micro-batches) and then scaled
 // to a batch mean; the caller owns the optimizer step.
 //
-// The batch runs under supervision: it is aborted — every stage worker
-// unwound, per-stage metrics still recorded, no goroutine leaked — when
-// ctx is cancelled, or when the watchdog window (SetWatchdog) elapses
-// with no op retired. A watchdog kill returns a *StallError dumping each
-// stage's in-flight schedule position. On error the partially
-// accumulated gradients are meaningless; discard them before the next
-// step. A micro count an explicit schedule does not cover is an error
-// before any stage runs.
+// The batch runs under supervision: it is aborted — no further op
+// dispatched, the ops in flight finished, per-stage metrics still
+// recorded, no goroutine leaked — when ctx is cancelled, or when the
+// watchdog window (SetWatchdog) elapses with no op retired. A watchdog
+// kill returns a *StallError dumping each stage's in-flight schedule
+// position. On error the partially accumulated gradients are
+// meaningless; discard them before the next step. A micro count an
+// explicit schedule does not cover is an error before any stage runs.
 func (p *Pipeline) RunBatchContext(ctx context.Context, batch *data.Batch, micro int) (float64, error) {
-	k := len(p.Stages)
 	micros := batch.Slice(micro)
 	m := len(micros)
 	schedule, _, err := p.scheduleFor(m)
 	if err != nil {
 		return 0, err
 	}
-
-	run := &batchRun{
-		micros: micros,
-		fwdCh:  make([]chan microMsg, k),
-		bwdCh:  make([]chan microMsg, k),
-		losses: make([]float64, m),
-		epoch:  time.Now(),
-		abort:  make(chan struct{}),
-		pos:    make([]atomic.Int32, k),
+	if p.curEx == nil || p.curEx.schedule != schedule {
+		p.curEx = newExecutor(p, schedule, m)
 	}
-	// fwdCh[s] feeds stage s its inputs (s ≥ 1; stage 0 reads the batch
-	// slice directly); bwdCh[s] feeds stage s its output gradients.
-	// Capacity m means senders never block — all sequencing comes from
-	// the receivers following their op order, and an aborted receiver
-	// can never strand a sender.
-	for s := 0; s < k; s++ {
-		run.fwdCh[s] = make(chan microMsg, m)
-		run.bwdCh[s] = make(chan microMsg, m)
-	}
-	run.last.Store(run.epoch.UnixNano())
-
-	stopMon := make(chan struct{})
-	if p.watchdog > 0 || ctx.Done() != nil {
-		go p.monitor(ctx, schedule, run, stopMon)
-	}
-
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			p.stageWorker(s, k, schedule.PerGPU[s], run)
-		}(s)
-	}
-	wg.Wait()
-	close(stopMon)
-	p.batchSec.Observe(time.Since(run.epoch).Seconds())
+	e := p.curEx
+	err = e.run(ctx, micros)
+	p.batchSec.Observe(time.Since(e.epoch).Seconds())
 	p.batches.Inc()
-	if err := run.failure(); err != nil {
+	if err != nil {
 		return 0, err
 	}
-
 	optim.ScaleGrads(p.params, m)
 	var total float64
-	for _, l := range run.losses {
+	for _, l := range e.losses {
 		total += l
 	}
 	return total / float64(m), nil
 }
 
-// monitor is the per-batch watchdog goroutine: it aborts the run when
-// ctx fires or when no op has retired within the watchdog window.
-func (p *Pipeline) monitor(ctx context.Context, schedule *sched.Schedule, run *batchRun, stop chan struct{}) {
-	tick := p.watchdog / 4
-	if tick <= 0 || tick > 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			run.kill(ctx.Err())
-			return
-		case <-time.After(tick):
-			if p.watchdog <= 0 {
-				continue
-			}
-			idle := time.Since(time.Unix(0, run.last.Load()))
-			if idle >= p.watchdog {
-				p.stalls.Inc()
-				err := p.stallError(schedule, run, idle)
-				p.obs.Events().Emit(obs.Event{Type: obs.EventWatchdogStall,
-					Replica: p.pipeID, Round: -1, Value: idle.Seconds(),
-					Detail: err.Error()})
-				run.kill(err)
-				return
-			}
-		}
-	}
+// executor runs one schedule on the pipeline's stages by the dependency
+// rule: a stage's next op is dispatched once sched.Walker says its input
+// has been produced. At most one op per stage is in flight, so program
+// order and the stash bound hold by construction while stages overlap.
+// There are no stage goroutines: the goroutine that retires an op goes
+// on with the next ready op — its own stage's first — and starts a
+// goroutine for each other stage that was idle and is now ready. The
+// caller drives from stage 0, so with one stage every op runs on the
+// caller's goroutine. It is built once per schedule and reused.
+type executor struct {
+	p        *Pipeline
+	schedule *sched.Schedule
+	k, m     int
+
+	mu   sync.Mutex // guards the fields down to last
+	walk *sched.Walker
+	busy []bool // stage has an op in flight
+	// transit[e] holds cross-stage event e's tensor (by Event.Index)
+	// until its consumer, which owns it, is dispatched.
+	transit []*tensor.Tensor
+	// idle[s] is when stage s found its next op not ready; the gap to
+	// that op's start is Wait.
+	idle    []time.Time
+	running int
+	aborted bool
+	last    time.Time // latest retire: the watchdog's clock
+
+	done  chan struct{} // one token per batch, once nothing runs or will
+	timer *time.Timer   // the watchdog, armed per batch
+
+	// Per-batch state; a stage's part is touched only by the goroutine
+	// running that stage's op.
+	epoch    time.Time
+	micros   []*data.Batch
+	losses   []float64
+	envs     []*compiled.Env // [s·m + micro]; nil = not in flight
+	inflight []int
+	mets     []StageMetrics
 }
 
-// stageWorker interprets stage s's op list by replaying the stage's
-// compiled program: no kernel dispatch, no lifetime decisions, no arena
-// traffic in steady state — those were all resolved when the pipeline
-// was built. A Fwd op receives the micro-batch's activations from
-// upstream, replays the forward ops, and ships the output downstream.
-// Backward is split 2BP-style: BwdIn receives the output gradient from
-// downstream (the last stage derives it locally from the loss), replays
-// the grad-input ops and ships dx upstream immediately; BwdW replays the
-// grad-weight ops afterwards, which is when the micro-batch's Env (its
-// activation stash) retires. Combined Bwd ops (explicit unsplit
-// schedules) run both halves inline. Because the worker follows the
-// schedule verbatim, its measured PeakInFlight equals the schedule's
-// analytic MaxInFlight exactly.
-func (p *Pipeline) stageWorker(s, k int, ops []sched.Op, run *batchRun) {
-	prog, free := p.progs[s], &p.envFree[s]
-	envs := make([]*compiled.Env, len(run.micros)) // by micro; nil = not in flight
-	pendF := make(map[int]*tensor.Tensor)
-	pendB := make(map[int]*tensor.Tensor)
-	inflight := 0
-	met := StageMetrics{}
-	instr := p.stageInstr[s]
-	defer func() {
+// task is one claimed op, stage s's op number i, with its input taken
+// from transit (nil when the input is local) and the time its stage had
+// been idle since (zero if it was not).
+type task struct {
+	s, i int
+	op   sched.Op
+	x    *tensor.Tensor
+	idle time.Time
+}
+
+func newExecutor(p *Pipeline, schedule *sched.Schedule, m int) *executor {
+	k := len(p.Stages)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	return &executor{p: p, schedule: schedule, k: k, m: m, timer: timer,
+		walk: sched.NewWalker(schedule), busy: make([]bool, k),
+		transit: make([]*tensor.Tensor, 2*k*m), idle: make([]time.Time, k),
+		done: make(chan struct{}, 1), losses: make([]float64, m),
+		envs: make([]*compiled.Env, k*m), inflight: make([]int, k), mets: make([]StageMetrics, k)}
+}
+
+// run executes one batch and returns once no op is in flight: the
+// schedule ran to its end, ctx was cancelled, or the watchdog fired.
+func (e *executor) run(ctx context.Context, micros []*data.Batch) error {
+	p := e.p
+	e.epoch, e.micros = time.Now(), micros
+	clear(e.transit)
+	clear(e.idle)
+	clear(e.inflight)
+	clear(e.mets)
+	e.walk.Reset()
+	e.aborted, e.last = false, e.epoch
+	e.mu.Lock()
+	e.drive(0, e.epoch)
+	err := e.wait(ctx)
+
+	for s := 0; s < e.k; s++ {
 		// Recycle the Envs stranded by an abort: the ownership of their
 		// in-flight tensors is indeterminate, so ResetMicro drops the
 		// references without releasing.
-		for _, env := range envs {
+		for i, env := range e.envs[s*e.m : (s+1)*e.m] {
 			if env != nil {
 				env.ResetMicro()
-				*free = append(*free, env)
+				p.envFree[s] = append(p.envFree[s], env)
+				e.envs[s*e.m+i] = nil
 			}
 		}
+		met, instr := e.mets[s], p.stageInstr[s]
 		p.metrics[s] = met
 		instr.waitSec.Add(met.Wait.Seconds())
 		instr.bubbleFrac.Set(met.BubbleFraction())
 		instr.peakInFlight.SetMax(float64(met.PeakInFlight))
-	}()
+	}
+	return err
+}
 
-	getEnv := func(shape []int) *compiled.Env {
-		for i, env := range *free {
-			if slices.Equal(env.InShape(), shape) {
-				last := len(*free) - 1
-				(*free)[i], (*free)[last] = (*free)[last], nil
-				*free = (*free)[:last]
-				return env
+// drive, entered with mu held, runs ready ops until no idle stage has
+// one, then sends the batch's token if nothing runs or will; it returns
+// with mu released. Each round scans the stages from stage from: the
+// first ready op is this goroutine's, each other one gets a goroutine.
+func (e *executor) drive(from int, now time.Time) {
+	for {
+		mine, ok := task{}, false
+		for j := 0; j < e.k && !e.aborted; j++ {
+			s := (from + j) % e.k
+			op, ready := e.walk.Next(s)
+			if !e.busy[s] && !ready && e.idle[s].IsZero() {
+				e.idle[s] = now
 			}
-		}
-		return prog.NewEnv(shape)
-	}
-	// retire runs the grad-weight half and returns the micro's Env to
-	// the free list; this is where the schedule's in-flight count drops.
-	retire := func(micro int) {
-		env := envs[micro]
-		env.BackwardWeights()
-		env.EndMicro()
-		envs[micro] = nil
-		*free = append(*free, env)
-		inflight--
-	}
-
-	// recv returns the payload for the requested micro, stashing any
-	// earlier arrivals the op order has not demanded yet (upstream may
-	// produce in a different order than this stage consumes). ok is
-	// false when the run was aborted while waiting.
-	recv := func(ch chan microMsg, pending map[int]*tensor.Tensor, micro int) (*tensor.Tensor, bool) {
-		if t, ok := pending[micro]; ok {
-			delete(pending, micro)
-			return t, true
-		}
-		start := time.Now()
-		for {
-			select {
-			case msg := <-ch:
-				if msg.micro == micro {
-					met.Wait += time.Since(start)
-					return msg.t, true
-				}
-				pending[msg.micro] = msg.t
-			case <-run.abort:
-				met.Wait += time.Since(start)
-				return nil, false
+			if e.busy[s] || !ready {
+				continue
 			}
-		}
-	}
-
-	for i, op := range ops {
-		run.pos[s].Store(int32(i))
-		select {
-		case <-run.abort:
-			return
-		default:
-		}
-		var x *tensor.Tensor
-		ok := true
-		switch op.Kind {
-		case sched.Fwd:
-			if s == 0 {
-				x = run.micros[op.Micro].X
+			e.busy[s] = true
+			e.running++
+			t := task{s: s, i: e.walk.Pos(s), op: op, idle: e.idle[s]}
+			e.idle[s] = time.Time{}
+			if in, _ := op.Deps(s, e.k); in.Kind != sched.NoEvent && in.Stage != s {
+				i := in.Index(e.k, e.m)
+				t.x, e.transit[i] = e.transit[i], nil
+			}
+			if ok {
+				go func() { e.drive(e.do(t)) }()
 			} else {
-				x, ok = recv(run.fwdCh[s], pendF, op.Micro)
-			}
-		case sched.Bwd, sched.BwdIn:
-			if s < k-1 {
-				x, ok = recv(run.bwdCh[s], pendB, op.Micro)
+				mine, ok = t, true
 			}
 		}
 		if !ok {
+			last := e.running == 0 && (e.aborted || e.walk.Left() == 0)
+			e.mu.Unlock()
+			if last {
+				e.done <- struct{}{}
+			}
 			return
 		}
-		busyStart := time.Now()
-		if d := p.faults.StageDelay(p.pipeID, s, i); d > 0 {
-			// Injected straggler: the op still computes, just slowly, so
-			// the slowdown shows up in Busy and the per-op trace.
-			time.Sleep(d)
-		}
-		switch op.Kind {
-		case sched.Fwd:
-			env := getEnv(x.Shape())
-			env.BindInput(x)
-			env.Forward()
-			envs[op.Micro] = env
-			inflight++
-			met.Fwd++
-			if inflight > met.PeakInFlight {
-				met.PeakInFlight = inflight
+		e.mu.Unlock()
+		from, now = e.do(mine)
+	}
+}
+
+// do runs t, then retires it under mu, which it returns holding, with
+// t's stage and end time.
+func (e *executor) do(t task) (int, time.Time) {
+	out, end := e.exec(t)
+	e.mu.Lock()
+	if out != nil {
+		_, ev := t.op.Deps(t.s, e.k)
+		e.transit[ev.Index(e.k, e.m)] = out
+	}
+	e.walk.Retire(t.s)
+	e.busy[t.s] = false
+	e.running--
+	e.last = end
+	return t.s, end
+}
+
+// wait blocks until the batch's token arrives, aborting the batch when
+// ctx is done or no op has retired for the watchdog window.
+func (e *executor) wait(ctx context.Context) error {
+	p := e.p
+	var tick <-chan time.Time
+	if p.watchdog > 0 {
+		// A tick left over from an earlier batch only makes the first
+		// check early.
+		e.timer.Reset(p.watchdog)
+		tick = e.timer.C
+	}
+	for {
+		select {
+		case <-e.done:
+			return nil
+		case <-ctx.Done():
+			return e.abort(ctx.Err())
+		case <-tick:
+			e.mu.Lock()
+			idle := time.Since(e.last)
+			var stall *StallError
+			if idle >= p.watchdog {
+				stall = p.stallError(e.schedule, e.walk, idle)
 			}
-			if s < k-1 {
-				run.fwdCh[s+1] <- microMsg{micro: op.Micro, t: env.Output()}
+			e.mu.Unlock()
+			if stall == nil {
+				e.timer.Reset(p.watchdog - idle)
+				continue
 			}
-		case sched.Bwd, sched.BwdIn:
-			env := envs[op.Micro]
-			if s == k-1 {
-				// The loss gradient is local. The logits live in the Env
-				// (slot storage, or a dynamic tensor ReleaseOutput frees).
-				loss, dlogits := nn.CrossEntropy(env.Output(), run.micros[op.Micro].Targets)
-				env.ReleaseOutput()
-				run.losses[op.Micro] = loss
-				x = dlogits
-			}
-			env.BindGradIn(x)
-			env.BackwardInput()
-			// Ship dx the moment the grad-input half finishes — the 2BP
-			// payoff: upstream unblocks before our grad-weight work runs.
-			if s > 0 {
-				run.bwdCh[s-1] <- microMsg{micro: op.Micro, t: env.GradOut()}
-			}
-			met.Bwd++
-			if op.Kind == sched.Bwd {
-				retire(op.Micro)
-			}
-		case sched.BwdW:
-			retire(op.Micro)
-			met.BwdW++
-		}
-		dur := time.Since(busyStart)
-		met.Busy += dur
-		run.last.Store(time.Now().UnixNano())
-		if op.Kind == sched.Fwd {
-			met.FwdTime += dur
-			instr.fwdSec.Observe(dur.Seconds())
-			instr.fwdOps.Inc()
-		} else {
-			met.BwdTime += dur
-			instr.bwdSec.Observe(dur.Seconds())
-			instr.bwdOps.Inc()
-		}
-		if p.Trace {
-			met.Ops = append(met.Ops, OpEvent{Index: i, Kind: op.Kind, Micro: op.Micro,
-				Start: busyStart.Sub(run.epoch), Dur: dur})
+			p.stalls.Inc()
+			p.obs.Events().Emit(obs.Event{Type: obs.EventWatchdogStall,
+				Replica: p.pipeID, Round: -1, Value: idle.Seconds(),
+				Detail: stall.Error()})
+			return e.abort(stall)
 		}
 	}
-	run.pos[s].Store(int32(len(ops)))
+}
+
+// abort stops dispatch and waits for the ops in flight to finish. It
+// returns err, or nil when every op had already retired.
+func (e *executor) abort(err error) error {
+	e.mu.Lock()
+	e.aborted = true
+	idle, finished := e.running == 0, e.walk.Left() == 0
+	e.mu.Unlock()
+	if !idle || finished {
+		<-e.done // sent by the last op in flight, or already at finish
+	}
+	if finished {
+		return nil
+	}
+	return err
+}
+
+// exec runs one op by replaying its stage's compiled program, outside
+// mu: no kernel dispatch, no lifetime decisions, no arena traffic in
+// steady state. A Fwd binds the micro-batch's input, replays the forward
+// ops and returns the output for the next stage. Backward is split
+// 2BP-style: BwdIn binds the output gradient (the last stage derives it
+// from the loss), replays the grad-input ops and returns dx for the
+// stage before; BwdW replays the grad-weight ops, which is when the
+// micro-batch's Env (its activation stash) retires. A combined Bwd runs
+// both halves. exec returns the tensor shipped to another stage, if
+// any, and when the op ended.
+func (e *executor) exec(t task) (*tensor.Tensor, time.Time) {
+	p, s, op := e.p, t.s, t.op
+	met, instr := &e.mets[s], p.stageInstr[s]
+	start := time.Now()
+	if !t.idle.IsZero() {
+		met.Wait += start.Sub(t.idle)
+	}
+	if d := p.faults.StageDelay(p.pipeID, s, t.i); d > 0 {
+		// Injected straggler: the op still computes, just slowly, so
+		// the slowdown shows up in Busy and the per-op trace.
+		time.Sleep(d)
+	}
+	var out *tensor.Tensor
+	envs := e.envs[s*e.m : (s+1)*e.m]
+	env := envs[op.Micro]
+	switch op.Kind {
+	case sched.Fwd:
+		x := t.x
+		if s == 0 {
+			x = e.micros[op.Micro].X
+		}
+		env = p.getEnv(s, x.Shape())
+		env.BindInput(x)
+		env.Forward()
+		envs[op.Micro] = env
+		e.inflight[s]++
+		met.Fwd++
+		met.PeakInFlight = max(met.PeakInFlight, e.inflight[s])
+		if s < e.k-1 {
+			out = env.Output()
+		}
+	case sched.Bwd, sched.BwdIn:
+		dy := t.x
+		if s == e.k-1 {
+			// The loss gradient is local. The logits live in the Env
+			// (slot storage, or a dynamic tensor ReleaseOutput frees).
+			loss, dlogits := nn.CrossEntropy(env.Output(), e.micros[op.Micro].Targets)
+			env.ReleaseOutput()
+			e.losses[op.Micro] = loss
+			dy = dlogits
+		}
+		env.BindGradIn(dy)
+		env.BackwardInput()
+		if s > 0 {
+			out = env.GradOut()
+		}
+		met.Bwd++
+	case sched.BwdW:
+		met.BwdW++
+	}
+	if op.Kind == sched.Bwd || op.Kind == sched.BwdW {
+		// The grad-weight half retires the micro's Env to the free list:
+		// this is where the schedule's in-flight count drops.
+		env.BackwardWeights()
+		env.EndMicro()
+		envs[op.Micro] = nil
+		p.envFree[s] = append(p.envFree[s], env)
+		e.inflight[s]--
+	}
+	end := time.Now()
+	dur := end.Sub(start)
+	met.Busy += dur
+	pass, hist, ops := &met.BwdTime, instr.bwdSec, instr.bwdOps
+	if op.Kind == sched.Fwd {
+		pass, hist, ops = &met.FwdTime, instr.fwdSec, instr.fwdOps
+	}
+	*pass += dur
+	hist.Observe(dur.Seconds())
+	ops.Inc()
+	if p.Trace {
+		met.Ops = append(met.Ops, OpEvent{Index: t.i, Kind: op.Kind, Micro: op.Micro,
+			Start: start.Sub(e.epoch), Dur: dur})
+	}
+	return out, end
+}
+
+// getEnv takes a free Env of stage s bound to the input shape, or
+// builds one; a stage sees one or two input shapes.
+func (p *Pipeline) getEnv(s int, shape []int) *compiled.Env {
+	free := p.envFree[s]
+	for i, env := range free {
+		if slices.Equal(env.InShape(), shape) {
+			last := len(free) - 1
+			free[i], free[last] = free[last], nil
+			p.envFree[s] = free[:last]
+			return env
+		}
+	}
+	return p.progs[s].NewEnv(shape)
 }
 
 // ErrNoTrace reports a WriteTrace call with nothing to write: Trace was

@@ -9,7 +9,7 @@ import (
 	"avgpipe/internal/sched"
 )
 
-// SetFaults installs the fault injector the stage workers consult for
+// SetFaults installs the fault injector the executor consults for
 // straggler delays, identifying this pipeline as id in the injector's
 // coordinates (nil injector = no faults). Call before RunBatchContext, not
 // concurrently with it.
@@ -31,26 +31,26 @@ func (p *Pipeline) SetWatchdog(window time.Duration) {
 // StallError reports a batch killed by the runtime watchdog: no op
 // retired within the window, so the schedule was live-locked (typically
 // a cross-stage dependency cycle or a peer that stopped producing). The
-// per-stage positions say exactly which op each worker was parked on.
+// per-stage positions say exactly which op each stage was parked on.
 type StallError struct {
 	// Schedule names the schedule that wedged.
 	Schedule string
 	// Window is the configured liveness window; Idle is how long the
 	// pipeline had actually been inactive when the watchdog fired.
 	Window, Idle time.Duration
-	// Stages dumps each stage worker's position at kill time.
+	// Stages dumps each stage's position at kill time.
 	Stages []StallStage
 }
 
-// StallStage is one stage worker's in-flight state at watchdog kill.
+// StallStage is one stage's in-flight state at watchdog kill.
 type StallStage struct {
 	Stage int
-	// NextOp indexes the op the worker was executing or waiting to
+	// NextOp indexes the op the stage was executing or waiting to
 	// execute; Ops is the stage's total op count.
 	NextOp, Ops int
 	// Waiting is that op (meaningful only when !Done).
 	Waiting sched.Op
-	// Done marks a worker that had already retired its whole op list.
+	// Done marks a stage that had already retired its whole op list.
 	Done bool
 }
 
@@ -68,19 +68,14 @@ func (e *StallError) Error() string {
 	return b.String()
 }
 
-// stallError snapshots the run's per-stage positions into a StallError.
-func (p *Pipeline) stallError(schedule *sched.Schedule, run *batchRun, idle time.Duration) *StallError {
+// stallError snapshots the walk's per-stage positions into a
+// StallError. Called with the executor's mutex held.
+func (p *Pipeline) stallError(schedule *sched.Schedule, walk *sched.Walker, idle time.Duration) *StallError {
 	e := &StallError{Schedule: schedule.Name, Window: p.watchdog, Idle: idle}
-	for s := range schedule.PerGPU {
-		ops := schedule.PerGPU[s]
-		i := int(run.pos[s].Load())
-		st := StallStage{Stage: s, NextOp: i, Ops: len(ops)}
-		if i >= len(ops) {
-			st.Done = true
-		} else {
-			st.Waiting = ops[i]
-		}
-		e.Stages = append(e.Stages, st)
+	for s, ops := range schedule.PerGPU {
+		i := walk.Pos(s)
+		op, _ := walk.Next(s) // the zero Op once the stage is done
+		e.Stages = append(e.Stages, StallStage{Stage: s, NextOp: i, Ops: len(ops), Waiting: op, Done: i == len(ops)})
 	}
 	return e
 }

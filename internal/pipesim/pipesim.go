@@ -36,10 +36,10 @@ import (
 	"avgpipe/internal/workload"
 )
 
-// ErrDeadlock reports that a schedule's per-GPU op orders form a
-// dependency cycle (e.g. an AFP advance vector where a downstream stage
-// runs further ahead than its upstream can feed).
-var ErrDeadlock = errors.New("schedule deadlock")
+// ErrDeadlock is sched.ErrDeadlock: the schedule's per-GPU op orders
+// form a dependency cycle (e.g. an AFP advance vector where a downstream
+// stage runs further ahead than its upstream can feed).
+var ErrDeadlock = sched.ErrDeadlock
 
 // Config describes one simulated training configuration.
 type Config struct {
@@ -229,14 +229,15 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The shared legality/occupancy layer: schedules that fail the
-	// cross-stage dependency check are rejected up front (the event loop
-	// below keeps its own deadlock detection as a backstop), and the
-	// analysis drives the memory accounting.
+	// The shared legality/occupancy layer: illegal schedules are rejected
+	// up front, and the analysis drives the memory accounting. Only a
+	// dependency cycle counts as a deadlock.
 	analysis, err := sched.Analyze(cfg.Schedule)
 	if err != nil {
-		deadlocks.Inc()
-		return nil, fmt.Errorf("pipesim: %v: %w", err, ErrDeadlock)
+		if errors.Is(err, ErrDeadlock) {
+			deadlocks.Inc()
+		}
+		return nil, fmt.Errorf("pipesim: %w", err)
 	}
 	runs.Inc()
 	k := len(cfg.Stages)
@@ -247,31 +248,29 @@ func Run(cfg Config) (*Result, error) {
 	sim := expandSchedule(cfg.Schedule, n)
 	total := cfg.Micro * cfg.Batches * n
 
-	// Per-unit durations (seconds). Co-running pipelines raise the
-	// kernel efficiency: every unit executes at eff(N·b).
-	fwdDur := make([]float64, k)
-	bwdDur := make([]float64, k)
-	bwdInDur := make([]float64, k)
-	bwdWDur := make([]float64, k)
+	// Per-unit durations (seconds), by op kind and stage. Co-running
+	// pipelines raise the kernel efficiency: every unit executes at
+	// eff(N·b).
+	dur := [4][]float64{make([]float64, k), make([]float64, k), make([]float64, k), make([]float64, k)}
 	util := make([]float64, k)
 	for s := 0; s < k; s++ {
 		gpu := cfg.Cluster.GPUs[s]
 		gpu.SatSamples = cfg.Workload.SatSamples
 		eff := gpu.Efficiency(float64(n * b))
-		fwdDur[s] = cfg.Stages[s].FwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
-		bwdDur[s] = cfg.Stages[s].BwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
+		fwd := cfg.Stages[s].FwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
+		bwd := cfg.Stages[s].BwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
 		// A split backward's halves are modeled as an even split of the
 		// combined cost (dx = dy·Wᵀ and dW = xᵀ·dy are the same GEMM
 		// shape transposed), so Bi + Bw sums exactly to B and split vs
 		// combined simulations stay makespan-comparable.
-		bwdInDur[s] = bwdDur[s] / 2
-		bwdWDur[s] = bwdDur[s] / 2
+		dur[sched.Fwd][s], dur[sched.Bwd][s] = fwd, bwd
+		dur[sched.BwdIn][s], dur[sched.BwdW][s] = bwd/2, bwd/2
 		if cfg.Recompute {
 			// The backward pass replays the forward first; for a split
 			// backward the replay precedes the grad-input half (it rebuilds
 			// the activations both halves read).
-			bwdDur[s] += fwdDur[s]
-			bwdInDur[s] += fwdDur[s]
+			dur[sched.Bwd][s] += fwd
+			dur[sched.BwdIn][s] += fwd
 		}
 		util[s] = eff
 	}
@@ -283,163 +282,93 @@ func Run(cfg Config) (*Result, error) {
 		xfer[s] = cfg.Cluster.Link(s).TransferTime(bytes).Seconds()
 	}
 
-	const unset = -1.0
-	mk := func() []float64 {
-		v := make([]float64, total)
-		for i := range v {
-			v[i] = unset
-		}
-		return v
-	}
-	// fwdArrive[s][m]: when micro m's input is available at stage s.
-	// bwdArrive[s][m]: when micro m's output-gradient is available at s.
-	fwdArrive := make([][]float64, k)
-	bwdArrive := make([][]float64, k)
-	fwdEnd := make([][]float64, k) // compute completion times
-	bwdEnd := make([][]float64, k)
-	// depEnd tracks the *compute* completion that produced an arrival, to
-	// split waiting time into bubble (upstream still computing) and
-	// comm-blocked (transfer in flight).
-	fwdDepEnd := make([][]float64, k)
-	bwdDepEnd := make([][]float64, k)
-	for s := 0; s < k; s++ {
-		fwdArrive[s], bwdArrive[s] = mk(), mk()
-		fwdEnd[s], bwdEnd[s] = mk(), mk()
-		fwdDepEnd[s], bwdDepEnd[s] = mk(), mk()
-	}
-	for m := 0; m < total; m++ {
-		fwdArrive[0][m] = 0 // input data is always resident
-		fwdDepEnd[0][m] = 0
-	}
-	linkFwdFree := make([]float64, k-1)
-	linkBwdFree := make([]float64, k-1)
-
+	// Per event (sched.Event.Index): when[e] is when its producer
+	// finished, arrive[e] when a cross-stage event reached its consumer.
+	// The producer's finish splits a consumer's wait into bubble
+	// (upstream still computing) and comm-blocked (transfer in flight).
+	when := make([]float64, 2*k*total)
+	arrive := make([]float64, 2*k*total)
+	// linkFree[0][l] and linkFree[1][l] are when link l is next free
+	// downstream and upstream.
+	linkFree := [2][]float64{make([]float64, k-1), make([]float64, k-1)}
 	gpuFree := make([]float64, k)
-	idx := make([]int, k)
 	inflight := make([]int, k)
 	stats := make([]GPUStats, k)
 	for s := range stats {
 		stats[s].PeakUtil = util[s]
 	}
 
-	// ready returns when the op's dependency is satisfied (or unset) and
-	// the compute-completion time behind it.
-	ready := func(s int, op sched.Op) (at, depEnd float64, ok bool) {
-		switch op.Kind {
-		case sched.Fwd:
-			at = fwdArrive[s][op.Micro]
-			depEnd = fwdDepEnd[s][op.Micro]
-		case sched.BwdW:
-			// Grad-weight consumes only local state: the gradient received
-			// (and stash read) by this GPU's own grad-input op.
-			at = bwdEnd[s][op.Micro]
-			depEnd = at
-		default:
-			if s == k-1 {
-				// Loss gradient is local: ready when own forward is done.
-				at = fwdEnd[s][op.Micro]
-				depEnd = at
-			} else {
-				at = bwdArrive[s][op.Micro]
-				depEnd = bwdDepEnd[s][op.Micro]
+	walk := sched.NewWalker(sim)
+	err = walk.Run(func(ready []int) int {
+		// Run the ready op with the earliest feasible start time, so link
+		// FIFO order matches simulated time order. An op's input is there
+		// at `at`, behind a compute completion at depEnd; input data is
+		// always resident, so an op with no input event has it at 0.
+		s, op, begin, at, depEnd := -1, sched.Op{}, math.Inf(1), 0.0, 0.0
+		for _, g := range ready {
+			o, _ := walk.Next(g)
+			a, d := 0.0, 0.0
+			if in, _ := o.Deps(g, k); in.Kind != sched.NoEvent {
+				i := in.Index(k, total)
+				a, d = when[i], when[i]
+				if in.Stage != g {
+					a = arrive[i]
+				}
+			}
+			if b := math.Max(gpuFree[g], a); b < begin {
+				s, op, begin, at, depEnd = g, o, b, a, d
 			}
 		}
-		return at, depEnd, at != unset
-	}
-
-	remaining := 0
-	for s := 0; s < k; s++ {
-		remaining += len(sim.PerGPU[s])
-	}
-	for remaining > 0 {
-		// Pick the eligible op with the earliest feasible start time, so
-		// link FIFO order matches simulated time order.
-		best := -1
-		bestStart, bestAt, bestDep := math.Inf(1), 0.0, 0.0
-		for s := 0; s < k; s++ {
-			if idx[s] >= len(sim.PerGPU[s]) {
-				continue
-			}
-			op := sim.PerGPU[s][idx[s]]
-			at, depEnd, ok := ready(s, op)
-			if !ok {
-				continue
-			}
-			start := math.Max(gpuFree[s], at)
-			if start < bestStart || (start == bestStart && (best == -1 || s < best)) {
-				best, bestStart, bestAt, bestDep = s, start, at, depEnd
-			}
-		}
-		if best == -1 {
-			deadlocks.Inc()
-			return nil, fmt.Errorf("pipesim: schedule %s with %d ops remaining: %w", cfg.Schedule.Name, remaining, ErrDeadlock)
-		}
-		s := best
-		op := sim.PerGPU[s][idx[s]]
-		idx[s]++
-		remaining--
 
 		// Attribute the wait preceding this op.
-		if wait := bestStart - gpuFree[s]; wait > 0 {
-			commPart := math.Min(wait, math.Max(bestAt-bestDep, 0))
+		if wait := begin - gpuFree[s]; wait > 0 {
+			commPart := math.Min(wait, math.Max(at-depEnd, 0))
 			// Only the tail of the wait can overlap the transfer.
-			commPart = math.Min(commPart, math.Max(bestAt-gpuFree[s], 0))
+			commPart = math.Min(commPart, math.Max(at-gpuFree[s], 0))
 			stats[s].CommBlocked += commPart
 			stats[s].Bubble += wait - commPart
 		}
 
-		var dur float64
-		switch op.Kind {
-		case sched.Fwd:
-			dur = fwdDur[s]
-		case sched.BwdIn:
-			dur = bwdInDur[s]
-		case sched.BwdW:
-			dur = bwdWDur[s]
-		default:
-			dur = bwdDur[s]
-		}
-		end := bestStart + dur
+		d := dur[op.Kind][s]
+		end := begin + d
 		gpuFree[s] = end
-		stats[s].Busy += dur
-		stats[s].Timeline = append(stats[s].Timeline, Interval{Start: bestStart, End: end, Util: util[s], Label: op.String()})
+		stats[s].Busy += d
+		stats[s].Timeline = append(stats[s].Timeline, Interval{Start: begin, End: end, Util: util[s], Label: op.String()})
 
 		switch op.Kind {
 		case sched.Fwd:
 			stats[s].Fwd++
 			inflight[s]++
-			if inflight[s] > stats[s].PeakInFlight {
-				stats[s].PeakInFlight = inflight[s]
-			}
-			fwdEnd[s][op.Micro] = end
-			if s < k-1 {
-				depart := math.Max(end, linkFwdFree[s])
-				arrive := depart + xfer[s]
-				linkFwdFree[s] = arrive
-				fwdArrive[s+1][op.Micro] = arrive
-				fwdDepEnd[s+1][op.Micro] = end
-				stats[s+1].CommTotal += xfer[s]
-			}
-		case sched.Bwd, sched.BwdIn:
+			stats[s].PeakInFlight = max(stats[s].PeakInFlight, inflight[s])
+		case sched.BwdIn:
+			// A split backward keeps the stash live until the grad-weight
+			// op reads it.
 			stats[s].Bwd++
-			if op.Kind == sched.Bwd {
-				// A combined backward retires the stash here; a split one
-				// keeps it live until the grad-weight op reads it.
-				inflight[s]--
-			}
-			bwdEnd[s][op.Micro] = end
-			if s > 0 {
-				depart := math.Max(end, linkBwdFree[s-1])
-				arrive := depart + xfer[s-1]
-				linkBwdFree[s-1] = arrive
-				bwdArrive[s-1][op.Micro] = arrive
-				bwdDepEnd[s-1][op.Micro] = end
-				stats[s-1].CommTotal += xfer[s-1]
-			}
+		case sched.Bwd:
+			stats[s].Bwd++
+			inflight[s]--
 		case sched.BwdW:
 			stats[s].BwdW++
 			inflight[s]--
 		}
+
+		if _, out := op.Deps(s, k); out.Kind != sched.NoEvent {
+			i := out.Index(k, total)
+			when[i] = end
+			if to, ok := out.Remote(k); ok {
+				dir, l := 0, s
+				if to < s {
+					dir, l = 1, to
+				}
+				arrive[i] = math.Max(end, linkFree[dir][l]) + xfer[l]
+				linkFree[dir][l] = arrive[i]
+				stats[to].CommTotal += xfer[l]
+			}
+		}
+		return s
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipesim: %w", err)
 	}
 
 	makespan := 0.0

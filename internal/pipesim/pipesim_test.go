@@ -1,6 +1,7 @@
 package pipesim
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"avgpipe/internal/cluster"
 	"avgpipe/internal/comm"
 	"avgpipe/internal/device"
+	"avgpipe/internal/obs"
 	"avgpipe/internal/sched"
 	"avgpipe/internal/workload"
 )
@@ -344,5 +346,38 @@ func TestAvgUtilAndTimelineConsistency(t *testing.T) {
 	}
 	if r.AvgUtilization() <= 0 {
 		t.Fatal("cluster utilization must be positive")
+	}
+}
+
+// TestOnlyDeadlocksCountAsDeadlocks: a schedule Analyze rejects for
+// another reason (here grad-weight ops out of accumulation order) fails
+// Run with an error that is not ErrDeadlock and leaves the deadlock
+// counter alone; an illegal AFP advance still is a deadlock.
+func TestOnlyDeadlocksCountAsDeadlocks(t *testing.T) {
+	w := testWorkload(2, 8, 64)
+	simulate := func(k int, s *sched.Schedule) (float64, error) {
+		reg := obs.NewRegistry()
+		_, err := Run(Config{Workload: w, Cluster: testCluster(k, fastLink()), Stages: evenStages(w, k),
+			Micro: 4, Pipelines: 1, Schedule: s, Batches: 1, Obs: reg})
+		return reg.Counter("avgpipe_sim_deadlocks_total", "").Value(), err
+	}
+	swapped := sched.SplitBackward(sched.AFAB(1, 4, 1))
+	// F1..F4 Bi1 Bw1 Bi2 Bw2 Bi3 Bw3 Bi4 Bw4 → ... Bi2 Bi3 Bw3 Bw2 ...
+	ops := swapped.PerGPU[0]
+	ops[7], ops[8], ops[9] = ops[8], ops[9], ops[7]
+	deadlocks, err := simulate(1, swapped)
+	if err == nil || errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "accumulation order") {
+		t.Fatalf("swapped grad-weight pair: got %v, want a non-deadlock accumulation-order error", err)
+	}
+	if deadlocks != 0 {
+		t.Fatalf("swapped grad-weight pair counted %v deadlocks, want 0", deadlocks)
+	}
+	advance := []int{0, 3}
+	if sched.LegalAdvance(2, 4, advance) {
+		t.Fatal("advance {0, 3} should be illegal at K=2 M=4")
+	}
+	deadlocks, err = simulate(2, sched.AFP(2, 4, 1, advance))
+	if !errors.Is(err, ErrDeadlock) || deadlocks != 1 {
+		t.Fatalf("illegal advance: got %v with %v deadlocks counted, want ErrDeadlock counted once", err, deadlocks)
 	}
 }

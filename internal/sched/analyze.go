@@ -1,16 +1,15 @@
 package sched
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Analysis summarizes a schedule's legality and resource demands. It is
-// the single occupancy model shared by the real runtime (core.Pipeline
-// asserts its measured StageMetrics against it) and the simulator
-// (pipesim derives activation-stash memory from it), which is what makes
-// sim-vs-real cross-validation possible: both consumers answer "what
-// should stage s do, and what does that cost" from the same object.
+// the occupancy model shared by the real runtime (core.Pipeline asserts
+// its measured StageMetrics against it) and the simulator (pipesim
+// derives activation-stash memory from it). Together with the
+// dependency rule (Op.Deps), which all three walk the schedule by, it is
+// what makes sim-vs-real cross-validation possible: every consumer
+// answers "what should stage s do, when may it do it, and what does that
+// cost" from the same code.
 type Analysis struct {
 	// Stages is the pipeline depth K.
 	Stages int
@@ -52,13 +51,11 @@ func (a *Analysis) TotalOps() int {
 //
 //  1. per-GPU structure (Schedule.Validate): each micro's forward and
 //     backward appear exactly once, in that order;
-//  2. cross-stage dependencies: stage s's forward of micro m consumes
-//     stage s−1's forward output, and stage s's backward of micro m
-//     consumes stage s+1's backward output (the last stage's loss
-//     gradient is local). Analyze executes the schedule as a zero-cost
-//     event simulation over that dependency graph and reports a
-//     deadlock — e.g. an AFP advance vector where a downstream stage
-//     out-runs its upstream — as an error naming the stuck ops.
+//  2. cross-stage dependencies: Analyze walks the schedule under the
+//     dependency rule (Op.Deps) at zero cost and reports a deadlock —
+//     e.g. an AFP advance vector where a downstream stage out-runs its
+//     upstream — as an error wrapping ErrDeadlock that names the stuck
+//     ops.
 //
 // It also rejects a GPU whose grad-weight ops retire micro-batches in a
 // different order than its grad-input ops (accumulationOrder).
@@ -86,18 +83,15 @@ func Analyze(s *Schedule) (*Analysis, error) {
 		if err := accumulationOrder(s.Name, g, ops); err != nil {
 			return nil, err
 		}
+		a.WeightVersions[g] = 1
 		if s.WeightVersions != nil {
 			a.WeightVersions[g] = s.WeightVersions(g, k)
-		} else {
-			a.WeightVersions[g] = 1
 		}
 		for _, op := range ops {
 			if op.Micro < 0 {
 				return nil, fmt.Errorf("sched %s: GPU %d has negative micro index %d", s.Name, g, op.Micro)
 			}
-			if op.Micro > a.MaxMicro {
-				a.MaxMicro = op.Micro
-			}
+			a.MaxMicro = max(a.MaxMicro, op.Micro)
 			switch op.Kind {
 			case Fwd:
 				a.Fwd[g]++
@@ -129,66 +123,10 @@ func Analyze(s *Schedule) (*Analysis, error) {
 		}
 	}
 
-	// Zero-cost event execution over the cross-stage dependency graph.
-	idx := make([]int, k)
-	fwdDone := make([]map[int]bool, k)
-	bwdDone := make([]map[int]bool, k)
-	for g := range fwdDone {
-		fwdDone[g] = make(map[int]bool, a.Micros)
-		bwdDone[g] = make(map[int]bool, a.Micros)
-	}
-	remaining := 0
-	for _, ops := range s.PerGPU {
-		remaining += len(ops)
-	}
-	for remaining > 0 {
-		progressed := false
-		for g := 0; g < k; g++ {
-			for idx[g] < len(s.PerGPU[g]) {
-				op := s.PerGPU[g][idx[g]]
-				var ready bool
-				switch op.Kind {
-				case Fwd:
-					ready = g == 0 || fwdDone[g-1][op.Micro]
-				case Bwd, BwdIn:
-					if g == k-1 {
-						// Loss gradient is local; Validate plus program
-						// order guarantee the forward already ran.
-						ready = fwdDone[g][op.Micro]
-					} else {
-						ready = bwdDone[g+1][op.Micro]
-					}
-				case BwdW:
-					// Grad-weight needs only the local gradient received at
-					// this GPU's BwdIn; Validate guarantees the Bi precedes
-					// the Bw in program order, so by execution here it ran.
-					ready = bwdDone[g][op.Micro]
-				}
-				if !ready {
-					break
-				}
-				switch op.Kind {
-				case Fwd:
-					fwdDone[g][op.Micro] = true
-				case Bwd, BwdIn:
-					// The upstream stage's backward consumes the gradient
-					// emitted here: a split backward emits it at BwdIn.
-					bwdDone[g][op.Micro] = true
-				}
-				idx[g]++
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed {
-			var stuck []string
-			for g := 0; g < k; g++ {
-				if idx[g] < len(s.PerGPU[g]) {
-					stuck = append(stuck, fmt.Sprintf("GPU %d waits on %s", g, s.PerGPU[g][idx[g]]))
-				}
-			}
-			return nil, fmt.Errorf("sched %s: dependency deadlock: %s", s.Name, strings.Join(stuck, "; "))
-		}
+	// Zero-cost execution under the dependency rule: any ready op will
+	// do, since running one never makes another unready.
+	if err := NewWalker(s).Run(func(ready []int) int { return ready[0] }); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

@@ -3,14 +3,19 @@
 // truth for what every stage does. A schedule fixes, for every GPU, the
 // total order in which it runs forward and backward passes of
 // micro-batches; the simulator (internal/pipesim) and the real runtime
-// (core.Pipeline, a schedule interpreter) both execute these sequences
+// (core.Pipeline, a schedule executor) both execute these sequences
 // verbatim, so any schedule added here runs end-to-end on real tensors
 // and in simulation with zero runtime changes.
 //
-// Analyze provides the shared legality and occupancy layer: per-GPU
-// structural validation, a cross-stage dependency (deadlock) check, and
-// the analytic per-stage op counts, stash high-water marks, and weight
-// version demands that both consumers are cross-validated against.
+// Op.Deps is the op-dependency rule: the one event (a micro-batch's
+// activation or gradient at a stage) each op waits for and the one it
+// produces. Walker steps a schedule through that rule, and Analyze, the
+// simulator and the runtime's executor all decide when an op may run
+// with it. Analyze provides the shared legality and occupancy layer:
+// per-GPU structural validation, the cross-stage deadlock check (the
+// only source of ErrDeadlock), and the analytic per-stage op counts,
+// stash high-water marks, and weight version demands that both
+// consumers are cross-validated against.
 // Plan wraps a schedule family as a (k, m) → Schedule generator so
 // callers can pick a schedule before the pipeline geometry is fixed.
 //
