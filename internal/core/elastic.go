@@ -36,14 +36,17 @@ import (
 // stragglers never report is closed over the updates that did arrive
 // instead of wedging the reference loop forever. Which round closes
 // when is the protocol core's decision (protocol.go); the Averager is
-// the shell around it.
+// the shell around it: a handler per inbound frame (receive) and per
+// frame the reference loop dequeues (run), on one clock. Production
+// runs the handlers from receive loops; the explorer calls them itself.
 type Averager struct {
 	// Alpha is the dilution coefficient; 1/N empirically (§3.2).
 	Alpha float64
 	// N is the number of parallel pipelines.
 	N int
 
-	// mu guards proto, the reference, detachedAt, detachWait and timer.
+	// mu guards proto, the reference, detachedAt, detachWait, resumeWait
+	// and timer.
 	mu    sync.RWMutex
 	proto *protocol[[]*tensor.Runs]
 	ref   []*tensor.Tensor
@@ -54,10 +57,17 @@ type Averager struct {
 	// tensor.AxpyRuns).
 	refMoves   []bool
 	detachedAt []time.Time
-	// detachWait[f] receives the outcome of local Detach frame f.
-	detachWait map[*netx.Frame]chan bool
-	// timer fires at proto's next deadline; every event re-arms it.
+	// detachWait[f] is signalled once the loop has run local Detach frame
+	// f; resumeWait receives the outcome of a waiting ResumeReplica.
+	detachWait map[*netx.Frame]chan struct{}
+	resumeWait chan resumed
+	// clock is the one time source; timer fires tick at proto's next
+	// deadline, and every event re-arms it (nil on a virtual clock).
+	clock clock
 	timer *time.Timer
+	// observe, when set, sees each closure right after it is applied,
+	// under mu: the explorer's view of the rounds (explore_test.go).
+	observe func(closure[[]*tensor.Runs])
 
 	// The update stream is a transport connection: pipelines submit on
 	// tx, the reference loop receives on loopRx. tx is the composed
@@ -90,10 +100,6 @@ type Averager struct {
 	sent      int64
 	applied   int64
 
-	// refState hands a peer's FrameRefState reply from the inbound loop
-	// to a waiting ResumeReplica.
-	refState chan *netx.Frame
-
 	done   chan struct{}
 	closed sync.Once
 
@@ -122,13 +128,26 @@ type Averager struct {
 // NewAveragerObs builds the framework around an initial model: the
 // reference model starts as a copy of init, and all N pipelines are
 // assumed to start from weights equal to init (use SeedReplica
-// otherwise). Metrics go to reg (nil = obs.Default()).
+// otherwise). Metrics go to reg (nil = obs.Default()). It starts the
+// reference loop.
 func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
-	if n <= 0 {
-		panic("core: need at least one pipeline")
-	}
 	if reg == nil {
 		reg = obs.Default()
+	}
+	// The loopback pipe is the refactored §3.2 update queue: unbounded
+	// (capacity 0), so SubmitContext never blocks a pipeline, and
+	// instrumented under the historical queue name.
+	tx, rx := netx.InstrumentedPipe(0, reg, "averager")
+	a := newAverager(n, init, reg, wallClock{}, tx, rx)
+	go a.referenceLoop()
+	return a
+}
+
+// newAverager builds an Averager whose update queue is the connection
+// pair loopTx → loopRx, on clock clk. It starts no goroutine.
+func newAverager(n int, init []*nn.Param, reg *obs.Registry, clk clock, loopTx, loopRx netx.Conn) *Averager {
+	if n <= 0 {
+		panic("core: need at least one pipeline")
 	}
 	a := &Averager{
 		Alpha:      1 / float64(n),
@@ -137,8 +156,11 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 		snapshots:  make([][]*tensor.Tensor, n),
 		builders:   make([]tensor.RunBuilder, n),
 		detachedAt: make([]time.Time, n),
-		detachWait: make(map[*netx.Frame]chan bool),
-		refState:   make(chan *netx.Frame, 1),
+		detachWait: make(map[*netx.Frame]chan struct{}),
+		clock:      clk,
+		loopTx:     loopTx,
+		loopRx:     loopRx,
+		tx:         loopTx,
 		done:       make(chan struct{}),
 		roundSec: reg.Histogram("avgpipe_avg_round_seconds",
 			"Elastic-averaging round latency: first update arriving to round applied.", nil),
@@ -171,14 +193,10 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 			"Update frames dropped because their payload failed to decode or did not fit the model."),
 		events: reg.Events(),
 	}
-	// The loopback pipe is the refactored §3.2 update queue: unbounded
-	// (capacity 0), so SubmitContext never blocks a pipeline, and
-	// instrumented under the historical queue name.
-	a.loopTx, a.loopRx = netx.InstrumentedPipe(0, reg, "averager")
-	a.tx = a.loopTx
 	a.drainCond = sync.NewCond(&a.drainMu)
-	a.timer = time.AfterFunc(time.Hour, a.tick) // armed by closeAndUnlock
-	a.timer.Stop()
+	if a.timer = clk.AfterFunc(time.Hour, a.tick); a.timer != nil {
+		a.timer.Stop() // armed by closeAndUnlock
+	}
 	src := make([]*tensor.Tensor, len(init))
 	a.ref = make([]*tensor.Tensor, len(init))
 	for i, p := range init {
@@ -189,9 +207,22 @@ func NewAveragerObs(n int, init []*nn.Param, reg *obs.Registry) *Averager {
 		a.snapshots[p] = cloneTensors(a.ref)
 	}
 	a.installRefLocked(src)
-	go a.referenceLoop()
 	return a
 }
+
+// clock is the shell's one time source: every reading the protocol gets,
+// the deadline timer and the ref-request retry. Production uses the wall
+// clock. The explorer's virtual clock has no timers (AfterFunc returns
+// nil): it calls tick itself when the protocol's next deadline falls due.
+type clock interface {
+	Now() time.Time
+	AfterFunc(d time.Duration, f func()) *time.Timer
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                                  { return time.Now() }
+func (wallClock) AfterFunc(d time.Duration, f func()) *time.Timer { return time.AfterFunc(d, f) }
 
 // installRefLocked makes src the reference and every pipeline's delta
 // baseline — the one way a whole reference arrives: at construction, on
@@ -291,11 +322,7 @@ func (a *Averager) recomposeTx() {
 // copy, so the copies stay bit-identical without a coordinator. Call
 // before training starts.
 func (a *Averager) AttachMesh(m *netx.Mesh) {
-	if m.N != a.N {
-		panic(fmt.Sprintf("core: mesh has %d replicas, averager has %d", m.N, a.N))
-	}
-	a.mesh = m
-	a.recomposeTx()
+	a.attach(m)
 	for _, id := range m.Inbound() {
 		go a.inboundLoop(id, m.Recv(id))
 	}
@@ -307,49 +334,58 @@ func (a *Averager) AttachMesh(m *netx.Mesh) {
 	})
 }
 
-// inboundLoop ingests the frames peer from sends us until the connection
-// closes. Frames every replica must see are first relayed to the
-// topology's next hops (best effort: a relay lost to a dead link is
-// absorbed by the round deadline), and a reference-state reply addressed
-// to someone else is routed onward.
+// attach is AttachMesh without the receive loops.
+func (a *Averager) attach(m *netx.Mesh) {
+	if m.N != a.N {
+		panic(fmt.Sprintf("core: mesh has %d replicas, averager has %d", m.N, a.N))
+	}
+	a.mesh = m
+	a.recomposeTx()
+}
+
+// inboundLoop receives the frames peer from sends us until the
+// connection closes.
 func (a *Averager) inboundLoop(from int, c netx.Conn) {
 	for {
 		f, err := c.Recv(context.Background())
-		if err != nil {
+		if err != nil || a.receive(from, c, f) != nil {
 			return
 		}
-		switch f.Type {
-		case netx.FrameUpdate, netx.FrameUpdateQ8, netx.FrameUpdateQ16, netx.FrameUpdateTopK,
-			netx.FrameDetach, netx.FrameRejoin:
-			// Updates and membership changes queue behind each other, so
-			// the protocol sees a peer's update before that peer's detach.
-			_ = a.mesh.Forward(context.Background(), from, f)
-			if a.loopTx.Send(context.Background(), f) != nil {
-				return // shutting down; the round deadline absorbs the loss
-			}
-		case netx.FrameRefRequest:
-			// A restarted peer asking to reseed: reply with our current
-			// reference state and the round it should join from.
-			_ = a.mesh.Forward(context.Background(), from, f)
-			a.sendRefState(int(f.Replica))
-		case netx.FrameRefState:
-			if to := int(f.Meta); to != a.mesh.Self {
-				// Addressed to another replica: a routed hop, not ours.
-				_ = a.mesh.Route(context.Background(), to, f)
-				continue
-			}
-			select {
-			case a.refState <- f:
-			default: // no ResumeReplica waiting (duplicate reply): drop
-			}
-		case netx.FrameClockPing:
-			// A peer re-measuring its clock offset mid-run (see
-			// Mesh.ResyncClock); answer on the same connection.
-			if netx.AnswerClockPing(context.Background(), c, a.self(), f) != nil {
-				return
-			}
-		}
 	}
+}
+
+// receive handles one frame from peer from on connection c. Frames every
+// replica must see are first relayed to the topology's next hops (best
+// effort: a relay lost to a dead link is absorbed by the round deadline),
+// and a reference-state reply addressed to someone else is routed
+// onward. An error means the connection or the reference loop is gone.
+func (a *Averager) receive(from int, c netx.Conn, f *netx.Frame) error {
+	ctx := context.Background()
+	switch f.Type {
+	case netx.FrameUpdate, netx.FrameUpdateQ8, netx.FrameUpdateQ16, netx.FrameUpdateTopK,
+		netx.FrameDetach, netx.FrameRejoin:
+		// Updates and membership changes queue behind each other, so the
+		// protocol sees a peer's update before that peer's detach. A send
+		// error means shutdown; the round deadline absorbs the loss.
+		_ = a.mesh.Forward(ctx, from, f)
+		return a.loopTx.Send(ctx, f)
+	case netx.FrameRefRequest:
+		// A restarted peer asking to reseed: reply with our current
+		// reference state and the round it should join from.
+		_ = a.mesh.Forward(ctx, from, f)
+		a.sendRefState(int(f.Replica))
+	case netx.FrameRefState:
+		if to := int(f.Meta); to != a.mesh.Self {
+			_ = a.mesh.Route(ctx, to, f) // a routed hop, not ours
+		} else {
+			_ = a.resume(f) // a misfit reaches a waiting ResumeReplica
+		}
+	case netx.FrameClockPing:
+		// A peer re-measuring its clock offset mid-run (see
+		// Mesh.ResyncClock); answer on the same connection.
+		return netx.AnswerClockPing(ctx, c, a.self(), f)
+	}
+	return nil
 }
 
 // SetCompression selects the wire encoding for submitted updates:
@@ -383,15 +419,15 @@ func (a *Averager) SetCompression(c netx.Codec, topkFrac float64) error {
 // d = 0 restores the default (rounds wait forever). Safe to call while
 // training, as the heal supervisor does to retune it.
 func (a *Averager) SetRoundDeadline(d time.Duration) {
-	now := time.Now()
 	a.mu.Lock()
 	a.proto.deadline = d
-	a.closeAndUnlock(now, a.proto.settle(now))
+	a.mu.Unlock()
+	a.tick()
 }
 
 // tick closes the rounds whose deadline has passed.
 func (a *Averager) tick() {
-	now := time.Now()
+	now := a.clock.Now()
 	a.mu.Lock()
 	a.closeAndUnlock(now, a.proto.settle(now))
 }
@@ -407,24 +443,28 @@ func (a *Averager) referenceLoop() {
 		if err != nil {
 			return // closed and drained
 		}
-		switch f.Type {
-		case netx.FrameDetach:
-			a.detach(f)
-		case netx.FrameRejoin:
-			// The rejoining process reseeds its own weights from its
-			// reference copy; peers only mark it live again, admitted
-			// from the join round the announcement carries.
-			a.rejoin(int(f.Replica), nil, int(f.Round))
-		default:
-			a.ingest(f)
-		}
+		a.run(f)
+	}
+}
+
+// run handles one frame the reference loop dequeued.
+func (a *Averager) run(f *netx.Frame) {
+	switch f.Type {
+	case netx.FrameDetach:
+		a.detach(f)
+	case netx.FrameRejoin:
+		// The rejoining process reseeds its own weights from its
+		// reference copy; peers only mark it live again, admitted from
+		// the join round the announcement carries.
+		a.rejoin(int(f.Replica), nil, int(f.Round))
+	default:
+		a.ingest(f)
 	}
 }
 
 // updateDeltas returns an update frame's deltas in run form, or false
 // when they failed to decode or do not fit the model tensor for tensor (a
-// peer running another model): such a frame is dropped, not applied. The
-// reference's shapes never change, so no lock is needed.
+// peer running another model): such a frame is dropped, not applied.
 func (a *Averager) updateDeltas(f *netx.Frame) ([]*tensor.Runs, bool) {
 	deltas := f.Runs
 	if c, ok := netx.UpdateCodec(f.Type); ok && c != netx.CodecNone {
@@ -440,28 +480,38 @@ func (a *Averager) updateDeltas(f *netx.Frame) ([]*tensor.Runs, bool) {
 			deltas[i] = tensor.RunsOf(d)
 		}
 	}
-	if len(deltas) != len(a.ref) {
-		return nil, false
+	return deltas, fits(a.ref, deltas)
+}
+
+// fits reports whether ts match the reference tensor for tensor in size.
+// The reference's shapes never change, so no lock is needed.
+func fits[T interface{ Size() int }](ref []*tensor.Tensor, ts []T) bool {
+	if len(ts) != len(ref) {
+		return false
 	}
-	for i, d := range deltas {
-		if d.Size() != a.ref[i].Size() {
-			return nil, false
+	for i, t := range ts {
+		if t.Size() != ref[i].Size() {
+			return false
 		}
 	}
-	return deltas, true
+	return true
 }
 
 // ingest hands one update frame — a pipeline's local update for a round
 // (§3.2 step ❸) — to the protocol and applies whatever rounds that
-// closes.
+// closes. A local update then counts as processed in the drain
+// watermark, accepted or not; a peer's was never counted as sent here,
+// so it moves no watermark.
 func (a *Averager) ingest(f *netx.Frame) {
-	deltas, fits := a.updateDeltas(f)
-	if !fits {
+	if a.mesh == nil || int(f.Replica) == a.mesh.Self {
+		defer a.tally(0, 1)
+	}
+	deltas, ok := a.updateDeltas(f)
+	if !ok {
 		a.decodeErrs.Inc()
-		a.tally(0, 1) // the frame is accounted for, not applied
 		return
 	}
-	now := time.Now()
+	now := a.clock.Now()
 	a.mu.Lock()
 	cs, ok, stale := a.proto.arrive(now, int(f.Replica), int(f.Round), deltas)
 	a.closeAndUnlock(now, cs)
@@ -471,7 +521,6 @@ func (a *Averager) ingest(f *netx.Frame) {
 	} else {
 		a.lateUpdates.Inc()
 	}
-	a.tally(0, 1)
 }
 
 // closeAndUnlock finishes a protocol event the caller ran under a.mu:
@@ -483,6 +532,9 @@ func (a *Averager) closeAndUnlock(now time.Time, cs []closure[[]*tensor.Runs]) {
 	for _, c := range cs {
 		start := time.Now()
 		applyRound(a.ref, a.refMoves, c.payloads)
+		if a.observe != nil {
+			a.observe(c)
+		}
 		if a.tracer != nil {
 			// One apply span per contributing delta, so each remote
 			// submit has a span to land its flow arrow on.
@@ -494,9 +546,9 @@ func (a *Averager) closeAndUnlock(now time.Time, cs []closure[[]*tensor.Runs]) {
 			}
 		}
 	}
-	if at, ok := a.proto.nextDeadline(); ok {
+	if at, ok := a.proto.nextDeadline(); ok && a.timer != nil {
 		a.timer.Reset(at.Sub(now))
-	} else {
+	} else if a.timer != nil {
 		a.timer.Stop()
 	}
 	open := len(a.proto.open)
@@ -505,7 +557,7 @@ func (a *Averager) closeAndUnlock(now time.Time, cs []closure[[]*tensor.Runs]) {
 	for _, c := range cs {
 		switch c.why {
 		case closeQuorum:
-			a.roundSec.Observe(time.Since(c.first).Seconds())
+			a.roundSec.Observe(a.clock.Now().Sub(c.first).Seconds())
 		case closeDeadline, closeEmpty:
 			a.expired.Inc()
 			detail := "round closed over a partial update set"
@@ -537,29 +589,33 @@ func (a *Averager) tally(sent, applied int64) {
 // round waiting only on the detached replica completes immediately and
 // later rounds complete at the reduced strength. Like a peer's detach
 // frame it queues behind every frame already received, so an update
-// that arrived first counts here as on a peer that detaches later; it
-// returns once the reference loop has run it, so never call it from an
-// event sink. A second Detach of the same replica is a no-op.
-func (a *Averager) Detach(p int) {
+// that arrived first counts here as on a peer that detaches later. The
+// reference loop runs it and announces a self-detach to the peers;
+// Detach returns once it has, so never call it from an event sink. A
+// second Detach of the same replica is a no-op.
+func (a *Averager) Detach(p int) { <-a.queueDetach(p) }
+
+// queueDetach is Detach's non-blocking half: it queues the detach frame
+// on the reference loop, which signals ran once it has run it.
+func (a *Averager) queueDetach(p int) (ran chan struct{}) {
 	f := &netx.Frame{Type: netx.FrameDetach, Replica: uint32(p)}
-	done := make(chan bool, 1)
+	ran = make(chan struct{}, 1)
 	a.mu.Lock()
-	a.detachWait[f] = done
+	a.detachWait[f] = ran
 	a.mu.Unlock()
 	if a.loopTx.Send(context.Background(), f) != nil {
 		a.detach(f) // the reference loop has stopped: nothing is queued ahead
 	}
-	if <-done {
-		a.announce(netx.FrameDetach, p, 0)
-	}
+	return ran
 }
 
-// detach runs a detach frame on the reference loop and hands a waiting
-// local Detach the outcome.
+// detach runs a detach frame on the reference loop and releases a local
+// Detach. A self-detach that took effect is announced to the peers; a
+// peer's frame never names this replica.
 func (a *Averager) detach(f *netx.Frame) {
-	p, now := int(f.Replica), time.Now()
+	p, now := int(f.Replica), a.clock.Now()
 	a.mu.Lock()
-	w := a.detachWait[f]
+	ran := a.detachWait[f]
 	delete(a.detachWait, f)
 	cs, ok := a.proto.detach(now, p)
 	if ok {
@@ -570,11 +626,12 @@ func (a *Averager) detach(f *netx.Frame) {
 		a.degraded.Set(float64(degraded))
 		a.events.Emit(obs.Event{Type: obs.EventReplicaDetach, Replica: p, Round: -1,
 			Value: float64(degraded)})
+		a.announce(netx.FrameDetach, p, 0)
 	} else {
 		a.mu.Unlock()
 	}
-	if w != nil {
-		w <- ok
+	if ran != nil {
+		ran <- struct{}{}
 	}
 }
 
@@ -606,13 +663,13 @@ func (a *Averager) rejoin(p int, params []*nn.Param, join int) {
 	a.events.Emit(obs.Event{Type: obs.EventReplicaRejoin, Replica: p, Round: join,
 		Value: float64(degraded)})
 	if !det.IsZero() {
-		a.recoverySec.Observe(time.Since(det).Seconds())
+		a.recoverySec.Observe(a.clock.Now().Sub(det).Seconds())
 	}
 	a.announce(netx.FrameRejoin, p, join)
 }
 
 // announce broadcasts a membership change for the LOCAL replica to the
-// mesh. Remote membership changes (applied via inboundLoop) are never
+// mesh. Remote membership changes (applied via receive) are never
 // re-announced — they are only relayed along the topology, whose relay
 // rule is loop-free by construction — so the coordinator-free protocol
 // cannot echo.
@@ -627,7 +684,7 @@ func (a *Averager) announce(t netx.FrameType, p, round int) {
 // sendRefState answers a restarted peer's FrameRefRequest with a copy
 // of the current reference weights and the round the requester should
 // join from. Meta carries the destination so intermediate replicas on a
-// sparse topology can route the reply hop-by-hop (see inboundLoop).
+// sparse topology can route the reply hop-by-hop (see receive).
 func (a *Averager) sendRefState(to int) {
 	if to == a.mesh.Self {
 		return
@@ -644,46 +701,94 @@ func (a *Averager) sendRefState(to int) {
 
 // ResumeReplica re-enters a fully restarted process into a running
 // elastic-averaging job: it asks the mesh peers for the current
-// reference state, installs the first reply as this process's
-// reference copy (reseeding every delta baseline), and announces the
-// rejoin so peers re-admit this replica from the returned join round.
-// It returns that round — the round the caller should resume training
-// at. Call after AttachMesh and before training starts.
+// reference state and waits for the first reply, which the receive
+// handler installs as this process's reference copy (reseeding every
+// delta baseline) before it announces the rejoin, so peers re-admit this
+// replica from the reply's join round. It returns that round — the round
+// the caller should resume training at — or why the reply did not fit
+// the model. Call after AttachMesh and before training starts.
 func (a *Averager) ResumeReplica(ctx context.Context) (int, error) {
-	if a.mesh == nil {
-		return 0, errors.New("core: ResumeReplica needs an attached mesh")
-	}
-	self := a.mesh.Self
-	req := &netx.Frame{Type: netx.FrameRefRequest, Replica: uint32(self)}
-	if err := a.mesh.Broadcast(ctx, req); err != nil {
-		return 0, fmt.Errorf("core: requesting reference state: %w", err)
+	defer func() { // a reply after we return must not install anything
+		a.mu.Lock()
+		a.resumeWait = nil
+		a.mu.Unlock()
+	}()
+	req, wait, err := a.requestRef(ctx)
+	if err != nil {
+		return 0, err
 	}
 	// Re-ask periodically: the request or the reply may be lost while a
 	// peer's self-healing connection back to us is still re-dialing.
-	var f *netx.Frame
-	for f == nil {
+	again := make(chan struct{}, 1)
+	retry := a.clock.AfterFunc(refRequestRetry, func() { again <- struct{}{} })
+	defer retry.Stop()
+	for {
 		select {
-		case f = <-a.refState:
-		case <-time.After(refRequestRetry):
+		case r := <-wait:
+			return r.join, r.err
+		case <-again:
 			_ = a.mesh.Broadcast(ctx, req)
+			retry.Reset(refRequestRetry)
 		case <-ctx.Done():
 			return 0, fmt.Errorf("core: waiting for reference state: %w", ctx.Err())
 		case <-a.done:
 			return 0, errors.New("core: averager closed while waiting for reference state")
 		}
 	}
-	if len(f.Tensors) != len(a.ref) {
-		return 0, fmt.Errorf("core: peer reference has %d tensors, model has %d", len(f.Tensors), len(a.ref))
+}
+
+// resumed is what a reference-state reply gave a waiting ResumeReplica.
+type resumed struct {
+	join int
+	err  error
+}
+
+// requestRef is ResumeReplica's non-blocking half: it asks the peers for
+// reference state; resume hands wait the outcome of the first reply.
+func (a *Averager) requestRef(ctx context.Context) (req *netx.Frame, wait chan resumed, err error) {
+	if a.mesh == nil {
+		return nil, nil, errors.New("core: ResumeReplica needs an attached mesh")
 	}
-	now := time.Now()
+	wait = make(chan resumed, 1)
 	a.mu.Lock()
+	a.resumeWait = wait
+	a.mu.Unlock()
+	req = &netx.Frame{Type: netx.FrameRefRequest, Replica: uint32(a.mesh.Self)}
+	if err := a.mesh.Broadcast(ctx, req); err != nil {
+		return nil, nil, fmt.Errorf("core: requesting reference state: %w", err)
+	}
+	return req, wait, nil
+}
+
+// resume handles a reference-state reply addressed to this replica. While
+// ResumeReplica waits, it installs the peer's reference, admits this
+// replica from the reply's join round and announces the rejoin; a reply
+// that does not fit the model is refused, and nothing is touched. A reply
+// nobody waits for (a duplicate) is dropped.
+func (a *Averager) resume(f *netx.Frame) error {
+	var err error
+	if !fits(a.ref, f.Tensors) {
+		err = fmt.Errorf("core: replica %d's reference does not fit the model", f.Replica)
+	}
+	a.mu.Lock()
+	wait := a.resumeWait
+	a.resumeWait = nil
+	if wait == nil || err != nil {
+		a.mu.Unlock()
+		if wait != nil {
+			wait <- resumed{err: err}
+		}
+		return err
+	}
+	self, now := a.mesh.Self, a.clock.Now()
 	a.installRefLocked(f.Tensors)
 	cs, join := a.proto.resume(now, self, int(f.Round))
 	a.closeAndUnlock(now, cs)
 	a.events.Emit(obs.Event{Type: obs.EventReplicaRejoin, Replica: self, Round: join,
 		Detail: fmt.Sprintf("reseeded from replica %d's reference", int(f.Replica))})
 	a.announce(netx.FrameRejoin, self, join)
-	return join, nil
+	wait <- resumed{join: join}
+	return nil
 }
 
 // LiveReplicas reports how many pipelines currently participate in
@@ -825,23 +930,30 @@ func (a *Averager) RoundClosed(round int) bool {
 // updates a multi-process job delivers over the mesh. It returns
 // ctx.Err() if ctx ends first.
 //
-// With a round deadline armed, a round whose every update was lost in
+// The wait starts the round's empty-round clock (the await event):
+// with a round deadline armed, a round whose every update was lost in
 // flight closes empty once the deadline has passed since it was first
 // awaited; without one it blocks until ctx ends, as the single-process
 // round does.
 func (a *Averager) WaitRound(ctx context.Context, round int) error {
 	stop := context.AfterFunc(ctx, func() { a.tally(0, 0) })
 	defer stop()
-	now := time.Now()
-	a.mu.Lock()
-	a.proto.await(now, round)
-	a.closeAndUnlock(now, nil)
+	a.await(round)
 	a.drainMu.Lock()
 	defer a.drainMu.Unlock()
 	for !a.RoundClosed(round) && ctx.Err() == nil {
 		a.drainCond.Wait()
 	}
 	return ctx.Err()
+}
+
+// await is WaitRound's event half: it starts the wait for round, from
+// which its empty-round deadline runs.
+func (a *Averager) await(round int) {
+	now := a.clock.Now()
+	a.mu.Lock()
+	a.proto.await(now, round)
+	a.closeAndUnlock(now, nil)
 }
 
 // Dilute performs step ❷ for pipeline p: its weights are mixed with the

@@ -11,9 +11,11 @@ import (
 	"time"
 
 	"avgpipe/internal/fault"
+	netx "avgpipe/internal/net"
 	"avgpipe/internal/nn"
 	"avgpipe/internal/obs"
 	"avgpipe/internal/sched"
+	"avgpipe/internal/tensor"
 	"avgpipe/internal/workload"
 )
 
@@ -163,6 +165,28 @@ func TestAveragerRejoinReseedsFromReference(t *testing.T) {
 	a.Rejoin(0, r0)
 	if a.LiveReplicas() != 2 {
 		t.Fatal("no-op detach/rejoin changed the live set")
+	}
+}
+
+// A peer's reference state with the right tensor count but a wrong-sized
+// tensor is refused by the ref_state handler before it touches anything:
+// the waiting ResumeReplica gets the error and the reference is as it
+// was. It used to panic in Tensor.CopyFrom with the averager's lock held.
+func TestAveragerRefusesMisfitRefState(t *testing.T) {
+	a := NewAveragerObs(2, paramsOf(4), obs.NewRegistry())
+	defer a.Close()
+	wait := make(chan resumed, 1)
+	a.resumeWait = wait // as requestRef leaves it
+	misfit := &netx.Frame{Type: netx.FrameRefState, Replica: 1, Round: 3,
+		Tensors: []*tensor.Tensor{tensor.Full(9, 5)}}
+	if err := a.resume(misfit); err == nil {
+		t.Fatal("a misfit reference state was accepted")
+	}
+	if r := <-wait; r.err == nil {
+		t.Fatalf("ResumeReplica got join %d, want the misfit's error", r.join)
+	}
+	if got := a.Reference()[0].Data(); got[0] != 4 || got[1] != 4 {
+		t.Fatalf("reference = %v after a refused reference state, want [4 4]", got)
 	}
 }
 

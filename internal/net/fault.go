@@ -7,11 +7,11 @@ import (
 	"avgpipe/internal/fault"
 )
 
-// faultConn injects message faults at the transport seam: every
-// FrameUpdate consults the injector's deterministic schedule and is
-// delivered, delayed, or dropped accordingly. Control frames (hello,
-// detach, rejoin) always pass through — the fault model loses data
-// messages, not membership changes.
+// faultConn injects message faults at the transport seam: every update
+// frame, exact or compressed, consults the injector's deterministic
+// schedule and is delivered, delayed, or dropped accordingly. Control
+// frames (hello, detach, rejoin) always pass through — the fault model
+// loses data messages, not membership changes.
 type faultConn struct {
 	Conn
 	in *fault.Injector
@@ -37,7 +37,7 @@ func Faulty(c Conn, in *fault.Injector, onLost func()) Conn {
 }
 
 func (c *faultConn) Send(ctx context.Context, f *Frame) error {
-	if f.Type != FrameUpdate {
+	if _, update := UpdateCodec(f.Type); !update {
 		return c.Conn.Send(ctx, f)
 	}
 	switch fate, d := c.in.UpdateFate(int(f.Replica), int(f.Round)); fate {
