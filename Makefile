@@ -56,7 +56,7 @@ selfcheck:
 	cd benchmark && $(GO) run . -selfcheck -seconds 4
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/... ./internal/nn/... ./internal/optim/...
 
 # fuzz-smoke runs the wire-codec fuzz target for 30 seconds on top of
 # its checked-in regression corpus (internal/net/testdata/fuzz): decode

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"avgpipe/internal/fault"
@@ -81,8 +82,13 @@ type Averager struct {
 
 	// snapshots[p] is pipeline p's weights after its previous round,
 	// used to derive local update deltas; builders[p] derives them.
+	// snapGen names the snapshots' state: every install of a snapshot
+	// other than Dilute's bumps it under mu, so a row-tracked
+	// parameter's record that Dilute synced to an older state proves
+	// nothing (see updateFrame).
 	snapshots [][]*tensor.Tensor
 	builders  []tensor.RunBuilder
+	snapGen   atomic.Uint64
 
 	// faults, when set, decides the fate of each submitted update.
 	faults *fault.Injector
@@ -229,6 +235,7 @@ func (wallClock) AfterFunc(d time.Duration, f func()) *time.Timer { return time.
 // checkpoint restore, and from a peer when a restarted replica resumes.
 // Caller holds a.mu (or owns a).
 func (a *Averager) installRefLocked(src []*tensor.Tensor) {
+	a.snapGen.Add(1)
 	for i, t := range src {
 		a.ref[i].CopyFrom(t)
 		a.refMoves[i] = a.ref[i].ZeroAddMoves()
@@ -249,6 +256,9 @@ func cloneTensors(ts []*tensor.Tensor) []*tensor.Tensor {
 // SeedReplica records pipeline p's actual starting weights so its first
 // local update is measured from the right point.
 func (a *Averager) SeedReplica(p int, params []*nn.Param) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.snapGen.Add(1)
 	for i, pr := range params {
 		a.snapshots[p][i].CopyFrom(pr.W)
 	}
@@ -651,6 +661,7 @@ func (a *Averager) rejoin(p int, params []*nn.Param, join int) {
 		a.mu.Unlock()
 		return
 	}
+	a.snapGen.Add(1)
 	for i, pr := range params {
 		pr.W.CopyFrom(a.ref[i])
 		a.snapshots[p][i].CopyFrom(a.ref[i])
@@ -836,7 +847,9 @@ const refRequestRetry = 250 * time.Millisecond
 
 // SubmitContext performs step ❸ for pipeline p after its optimizer has
 // applied a local update for the given round: it derives the update
-// delta from the previous snapshot, in run form, and sends it to the
+// delta from the previous snapshot, in run form — for a row-tracked
+// parameter scanning only the rows its steps wrote, when its record
+// proves the rest unchanged (see updateFrame) — and sends it to the
 // reference model without blocking. A transient send failure is retried
 // with exponential backoff (bounded by submitRetries) until ctx is done;
 // a pipeline out of range, or submitting after Close, returns an error
@@ -890,12 +903,21 @@ func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn
 
 // updateFrame derives pipeline p's update for round as the frame
 // SubmitContext sends: the run-form deltas against its snapshot, or their
-// compressed blob under a compression codec.
+// compressed blob under a compression codec. A row-tracked parameter's
+// delta scans only the rows its steps wrote when its record proves W
+// equals the snapshot bit for bit everywhere else: this pipeline's last
+// Dilute synced it to this snapshot in its current state and found W
+// finite, so each w − snapshot outside the rows is x − x = +0.
 func (a *Averager) updateFrame(p, round int, params []*nn.Param) (*netx.Frame, error) {
 	deltas := make([]*tensor.Runs, len(params))
 	var sent, total int
+	gen := a.snapGen.Load()
 	for i, pr := range params {
-		deltas[i] = a.builders[p].Sub(pr.W, a.snapshots[p][i])
+		if rows, ok := pr.SteppedRows(a.snapshots[p][i], gen); ok {
+			deltas[i] = a.builders[p].SubRows(pr.W, a.snapshots[p][i], rows)
+		} else {
+			deltas[i] = a.builders[p].Sub(pr.W, a.snapshots[p][i])
+		}
 		sent += len(deltas[i].Vals)
 		total += pr.W.Size()
 	}
@@ -963,12 +985,20 @@ func (a *Averager) await(round int) {
 // WaitRound across processes) between SubmitContext and Dilute so the
 // reference already includes the round's updates; the fully asynchronous
 // mode Dilutes right after SubmitContext against whatever reference is
-// current, never blocking the pipeline.
+// current, never blocking the pipeline. Each row-tracked parameter whose
+// diluted weights are all finite is synced to its new baseline
+// (nn.Param.SyncRows), so the next delta can skip the rows no step
+// writes.
 func (a *Averager) Dilute(p int, params []*nn.Param) {
 	alpha := float32(a.Alpha)
 	a.mu.RLock()
+	gen := a.snapGen.Load()
 	for i, pr := range params {
-		tensor.Dilute(alpha, pr.W, a.ref[i], a.snapshots[p][i])
+		snap := a.snapshots[p][i]
+		if !tensor.Dilute(alpha, pr.W, a.ref[i], snap) {
+			snap = nil
+		}
+		pr.SyncRows(snap, gen)
 	}
 	a.mu.RUnlock()
 }
@@ -1008,6 +1038,7 @@ func (a *Averager) WriteReference(dst []*nn.Param) {
 	}
 	for i, p := range dst {
 		p.W.CopyFrom(a.ref[i])
+		p.MarkDense()
 	}
 }
 

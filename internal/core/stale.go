@@ -67,6 +67,7 @@ func (st *StaleTrainer) Step() float64 {
 	shadowParams := st.shadow.Params()
 	for i, p := range shadowParams {
 		p.W.CopyFrom(old[i])
+		p.MarkDense()
 	}
 	nn.ZeroGrads(shadowParams)
 	batch := st.gen.NextBatch(st.task.BatchSize)
@@ -76,6 +77,7 @@ func (st *StaleTrainer) Step() float64 {
 	modelParams := st.model.Params()
 	for i, p := range modelParams {
 		p.G.CopyFrom(shadowParams[i].G)
+		p.MarkDense()
 	}
 	st.opt.Step(modelParams)
 	nn.ZeroGrads(modelParams)

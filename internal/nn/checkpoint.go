@@ -117,6 +117,7 @@ func LoadParams(r io.Reader, ps []*Param) error {
 	}
 	for i, p := range ps {
 		p.W.CopyFrom(staged[i])
+		p.MarkDense()
 	}
 	return nil
 }

@@ -231,7 +231,7 @@ func (l *Embedding) Compile(b *compiled.Builder) {
 	b.SetCur(y)
 	b.OnBackward(func(dy compiled.Reg) compiled.Reg {
 		b.EmitBwdW(name+".dw", []compiled.Reg{dy}, nil, func(e *compiled.Env) {
-			tensor.ScatterAddRows(l.Table.G, e.Aux(idxAux).([]int), e.Reg(dy))
+			l.Table.ScatterAddGrad(e.Aux(idxAux).([]int), e.Reg(dy))
 		})
 		return compiled.NoReg
 	})

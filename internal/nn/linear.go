@@ -44,7 +44,8 @@ func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
 // Embedding maps integer token IDs to dense vectors. The input tensor
 // carries token IDs as float32 values (exact for the vocab sizes used
-// here), shaped (rows, 1) or (rows).
+// here), shaped (rows, 1) or (rows). Its table is row-tracked (see
+// Param).
 type Embedding struct {
 	Vocab, Dim int
 	Table      *Param
@@ -55,7 +56,7 @@ func NewEmbedding(rng *tensor.RNG, vocab, dim int) *Embedding {
 	return &Embedding{
 		Vocab: vocab,
 		Dim:   dim,
-		Table: NewParam(fmt.Sprintf("embedding[%dx%d]", vocab, dim), rng.Normal(0, 0.1, vocab, dim)),
+		Table: NewParam(fmt.Sprintf("embedding[%dx%d]", vocab, dim), rng.Normal(0, 0.1, vocab, dim)).trackRows(),
 	}
 }
 
@@ -76,7 +77,7 @@ func (e *Embedding) Forward(ctx *Context, x *tensor.Tensor, train bool) *tensor.
 // with respect to discrete token IDs, so it returns nil.
 func (e *Embedding) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 	idx := ctx.Pop().([]int)
-	tensor.ScatterAddRows(e.Table.G, idx, dy)
+	e.Table.ScatterAddGrad(idx, dy)
 	return nil
 }
 

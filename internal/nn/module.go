@@ -23,10 +23,20 @@ import (
 // Param is a trainable tensor with its accumulated gradient. Gradients
 // accumulate across micro-batches; the training loop scales and clears
 // them at optimizer-step boundaries.
+//
+// An embedding table is row-tracked: a batch writes a few of its rows,
+// and the parameter records which (rows.go). Its gradient scatter
+// records the rows of G it writes, plain SGD the rows of W it steps, and
+// clip, step, zero-grad and the averager's delta then visit only those
+// rows wherever that is bit-identical to the dense pass. Other writes
+// mark the record dense (MarkDense); every parameter without a record
+// takes the dense pass.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
 	G    *tensor.Tensor
+
+	rows *rowRecord // nil: not row-tracked
 }
 
 // NewParam allocates a parameter around an initialized weight tensor.
@@ -34,11 +44,27 @@ func NewParam(name string, w *tensor.Tensor) *Param {
 	return &Param{Name: name, W: w, G: tensor.New(w.Shape()...)}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+// ZeroGrad clears the accumulated gradient: on a row-tracked parameter
+// only its recorded rows, outside which G is already +0.
+func (p *Param) ZeroGrad() {
+	if rows, ok := p.GradRows(); ok {
+		p.G.ZeroRows(rows)
+	} else {
+		p.G.Zero()
+	}
+	if r := p.rows; r != nil {
+		r.grad.clear()
+		r.gradDense = false
+	}
+}
 
 // AddGrad accumulates g into the parameter gradient.
-func (p *Param) AddGrad(g *tensor.Tensor) { p.G.AddInPlace(g) }
+func (p *Param) AddGrad(g *tensor.Tensor) {
+	p.G.AddInPlace(g)
+	if r := p.rows; r != nil {
+		r.gradDense = true
+	}
+}
 
 // NumElements returns the parameter's element count.
 func (p *Param) NumElements() int { return p.W.Size() }
@@ -162,6 +188,7 @@ func CloneParams(dst, src []*Param) {
 	}
 	for i := range dst {
 		dst[i].W.CopyFrom(src[i].W)
+		dst[i].MarkDense()
 	}
 }
 

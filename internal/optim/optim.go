@@ -41,12 +41,24 @@ func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "sgd" }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Plain SGD (no momentum, no weight decay)
+// steps a row-tracked parameter at its recorded gradient rows only and
+// records them (nn.Param.RecordStep): outside them G is +0, and the
+// dense step would add (−LR)·(+0) = −0 there, which leaves every w but a
+// signalling NaN — which no arithmetic produces — as it is. Any other
+// step is dense.
 func (s *SGD) Step(params []*nn.Param) {
 	if s.Momentum != 0 && s.velocity == nil {
 		s.velocity = make(map[*nn.Param]*tensor.Tensor)
 	}
+	alpha := float32(-s.LR)
+	plain := s.Momentum == 0 && s.WeightDecay == 0 && alpha < 0 && !math.IsInf(float64(alpha), 0)
 	for _, p := range params {
+		if rows, ok := p.GradRows(); ok && plain {
+			p.W.AxpyRows(alpha, p.G, rows)
+			p.RecordStep(rows, true)
+			continue
+		}
 		g := p.G
 		if s.WeightDecay != 0 {
 			g = g.Clone().AxpyInPlace(float32(s.WeightDecay), p.W)
@@ -61,7 +73,8 @@ func (s *SGD) Step(params []*nn.Param) {
 			v.AddInPlace(g)
 			g = v
 		}
-		p.W.AxpyInPlace(float32(-s.LR), g)
+		p.W.AxpyInPlace(alpha, g)
+		p.RecordStep(nil, false)
 	}
 }
 
@@ -193,6 +206,7 @@ func (a *ASGD) Average(params []*nn.Param) {
 	for _, p := range params {
 		if avg, ok := a.avg[p]; ok {
 			p.W.CopyFrom(avg)
+			p.MarkDense()
 		}
 	}
 }
@@ -247,24 +261,50 @@ func ScaleGrads(params []*nn.Param, n int) {
 	}
 	inv := float32(1 / float64(n))
 	for _, p := range params {
-		p.G.ScaleInPlace(inv)
+		scaleGrad(p, inv)
 	}
 }
 
 // ClipGradNorm rescales gradients so their global L2 norm is at most
-// maxNorm, returning the pre-clip norm. Standard for RNN workloads.
+// maxNorm, returning the pre-clip norm. Standard for RNN workloads. A
+// row-tracked parameter's norm is summed over its recorded gradient rows,
+// in the index order L2Norm sums in — the other coefficients are +0, and
+// adding their squares to L2Norm's sum changes nothing — and only those
+// rows are scaled.
 func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	var total float64
 	for _, p := range params {
-		n := p.G.L2Norm()
+		var n float64
+		if rows, ok := p.GradRows(); ok {
+			n = p.G.L2NormRows(rows)
+		} else {
+			n = p.G.L2Norm()
+		}
 		total += n * n
 	}
 	total = math.Sqrt(total)
 	if total > maxNorm && total > 0 {
 		scale := float32(maxNorm / total)
 		for _, p := range params {
-			p.G.ScaleInPlace(scale)
+			scaleGrad(p, scale)
 		}
 	}
 	return total
+}
+
+// scaleGrad multiplies p.G by s: on a row-tracked parameter's recorded
+// rows only when +0·s is +0 — s finite with its sign bit clear, i.e. its
+// bits below +Inf's — so the +0s outside them stay as they are. Any other
+// scale leaves the record dense.
+func scaleGrad(p *nn.Param, s float32) {
+	rows, ok := p.GradRows()
+	switch {
+	case ok && math.Float32bits(s) < 0x7f800000:
+		p.G.ScaleRows(s, rows)
+	case ok:
+		p.G.ScaleInPlace(s)
+		p.MarkDense()
+	default:
+		p.G.ScaleInPlace(s)
+	}
 }

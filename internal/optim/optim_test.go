@@ -182,3 +182,56 @@ func TestOptimizerStatePerParamIdentity(t *testing.T) {
 		t.Fatal("per-param state crossed between parameters")
 	}
 }
+
+// TestRowTrackedMatchesDense: on a row-tracked embedding table and its
+// untracked twin, clip (with a scale that flips +0 to −0 among others),
+// batch-mean scaling and every SGD variant leave W and G bit-identical,
+// and the record stays sound for the next batch.
+func TestRowTrackedMatchesDense(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name    string
+		maxNorm float64
+		opt     func() Optimizer
+	}{
+		{"plain", 0.5, func() Optimizer { return NewSGD(0.3) }},
+		{"no-clip", 1e9, func() Optimizer { return NewSGD(0.3) }},
+		{"negative-clip", -1, func() Optimizer { return NewSGD(0.3) }},
+		{"negzero-clip", negZero, func() Optimizer { return NewSGD(0.3) }},
+		{"negative-lr", 0.5, func() Optimizer { return NewSGD(-0.3) }},
+		{"momentum", 0.5, func() Optimizer { return &SGD{LR: 0.3, Momentum: 0.9} }},
+		{"weight-decay", 0.5, func() Optimizer { return &SGD{LR: 0.3, WeightDecay: 0.1} }},
+		{"adam", 0.5, func() Optimizer { return NewAdam(0.3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracked := nn.NewEmbedding(tensor.NewRNG(1), 50, 4).Table
+			plain := nn.NewParam(tracked.Name, tracked.W.Clone())
+			tracked.W.Data()[7] = float32(negZero) // a −0 that adding +0 would move
+			plain.W.Data()[7] = float32(negZero)
+			opts := []Optimizer{tc.opt(), tc.opt()}
+			for step := 0; step < 4; step++ {
+				src := tensor.NewRNG(int64(step)).Normal(0, 1, 3, 4)
+				idx := []int{40 - step, 3, 40 - step}
+				for v, p := range []*nn.Param{tracked, plain} {
+					ps := []*nn.Param{p}
+					if v == 0 {
+						p.ScatterAddGrad(idx, src)
+					} else {
+						tensor.ScatterAddRows(p.G, idx, src)
+					}
+					ScaleGrads(ps, 2)
+					ClipGradNorm(ps, tc.maxNorm)
+					opts[v].Step(ps)
+				}
+				for what, pair := range map[string][2]*tensor.Tensor{"W": {tracked.W, plain.W}, "G": {tracked.G, plain.G}} {
+					for i, w := range pair[1].Data() {
+						if g := pair[0].Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+							t.Fatalf("step %d: %s[%d] = %v, dense path %v", step, what, i, g, w)
+						}
+					}
+				}
+				nn.ZeroGrads([]*nn.Param{tracked, plain})
+			}
+		})
+	}
+}

@@ -238,16 +238,21 @@ func vecScaleGo(alpha float32, o []float32) {
 
 // diluteGo sets w[i] = a*w[i] + b*r[i] and snap[i] = w[i]: the two
 // products rounded separately, then their sum — vecScale followed by
-// axpyAdd, and the copy, in one pass.
-func diluteGo(a, b float32, w, r, snap []float32) {
+// axpyAdd, and the copy, in one pass. It reports whether every value it
+// wrote is finite: adding one to the top of the exponent field carries
+// into the sign bit exactly when that field is all ones (±Inf, NaN).
+func diluteGo(a, b float32, w, r, snap []float32) (finite bool) {
 	r = r[:len(w)]
 	snap = snap[:len(w)]
+	var carry uint32
 	for i := range w {
 		v := a * w[i]
 		v += b * r[i]
 		w[i] = v
 		snap[i] = v
+		carry |= math.Float32bits(v)&0x7f800000 + 0x00800000
 	}
+	return carry&(1<<31) == 0
 }
 
 // actGo sets dst[i] to the activation's scalar definition of src[i] —
@@ -298,20 +303,4 @@ func runsGo(x, s, vals []float32, spans []Span, base uint32) (nv, ns int) {
 		nv++
 	}
 	return nv, ns
-}
-
-// zeroBlocksGo returns how many leading coefficients of x lie in whole
-// blocks of eight that are all ±0.
-func zeroBlocksGo(x []float32) int {
-	i := 0
-	for ; i+8 <= len(x); i += 8 {
-		var bits uint32
-		for _, v := range x[i : i+8] {
-			bits |= math.Float32bits(v)
-		}
-		if bits&^(1<<31) != 0 {
-			break
-		}
-	}
-	return i
 }

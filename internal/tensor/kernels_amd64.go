@@ -61,10 +61,7 @@ func vecMulAVX2(o, b []float32)
 func vecScaleAVX2(alpha float32, o []float32)
 
 //go:noescape
-func diluteAVX2(a, b float32, w, r, snap []float32)
-
-//go:noescape
-func zeroBlocksAVX2(x []float32) int
+func diluteAVX2(a, b float32, w, r, snap []float32) (finite bool)
 
 // runsAVX2 is runsGo eight coefficients at a time: each block is stored
 // to vals where the next value belongs, kept as is when all eight lanes
@@ -241,19 +238,11 @@ func vecScale(alpha float32, o []float32) {
 	vecScaleGo(alpha, o)
 }
 
-func dilute(a, b float32, w, r, snap []float32) {
+func dilute(a, b float32, w, r, snap []float32) bool {
 	if useAVX2 {
-		diluteAVX2(a, b, w, r[:len(w)], snap[:len(w)])
-		return
+		return diluteAVX2(a, b, w, r[:len(w)], snap[:len(w)])
 	}
-	diluteGo(a, b, w, r, snap)
-}
-
-func zeroBlocks(x []float32) int {
-	if useAVX2 {
-		return zeroBlocksAVX2(x)
-	}
-	return zeroBlocksGo(x)
+	return diluteGo(a, b, w, r, snap)
 }
 
 func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {

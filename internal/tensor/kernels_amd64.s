@@ -568,15 +568,23 @@ tacc_test1:
 	VZEROUPPER
 	RET
 
-// func diluteAVX2(a, b float32, w, r, snap []float32)
-// w[i] = a*w[i] + b*r[i]; snap[i] = w[i]
-TEXT ·diluteAVX2(SB), NOSPLIT, $0-80
+// func diluteAVX2(a, b float32, w, r, snap []float32) (finite bool)
+// w[i] = a*w[i] + b*r[i]; snap[i] = w[i]; finite: no w[i] written has an
+// all-ones exponent. Y10 collects, lane by lane, whether a block's
+// exponent field compared equal to the mask in Y11; the tail checks each
+// stored value in a general register.
+TEXT ·diluteAVX2(SB), NOSPLIT, $0-81
 	VBROADCASTSS a+0(FP), Y8
 	VBROADCASTSS b+4(FP), Y9
 	MOVQ w_base+8(FP), DI
 	MOVQ w_len+16(FP), CX
 	MOVQ r_base+32(FP), R8
 	MOVQ snap_base+56(FP), SI
+	MOVL $0x7f800000, AX
+	MOVQ AX, X11
+	VPBROADCASTD X11, Y11
+	VPXOR Y10, Y10, Y10
+	XORQ R9, R9
 	SHLQ $2, CX
 	XORQ AX, AX
 	MOVQ CX, DX
@@ -589,6 +597,9 @@ dilute_loop8:
 	VADDPS Y1, Y0, Y0
 	VMOVUPS Y0, (DI)(AX*1)
 	VMOVUPS Y0, (SI)(AX*1)
+	VANDPS Y11, Y0, Y2
+	VPCMPEQD Y11, Y2, Y2
+	VPOR Y2, Y10, Y10
 	ADDQ $32, AX
 
 dilute_test8:
@@ -602,41 +613,25 @@ dilute_loop1:
 	VADDSS X1, X0, X0
 	VMOVSS X0, (DI)(AX*1)
 	VMOVSS X0, (SI)(AX*1)
+	VMOVD X0, BX
+	ANDL $0x7f800000, BX
+	CMPL BX, $0x7f800000
+	JNE  dilute_next1
+	MOVL $1, R9
+
+dilute_next1:
 	ADDQ $4, AX
 
 dilute_test1:
 	CMPQ AX, CX
 	JLT  dilute_loop1
-	VZEROUPPER
-	RET
+	VPTEST Y10, Y10
+	JZ   dilute_tail
+	MOVL $1, R9
 
-// func zeroBlocksAVX2(x []float32) int
-// The count of leading coefficients in whole 8-blocks of ±0: VPTEST
-// against the magnitude mask sets ZF exactly when a block has no bit
-// outside the sign bits.
-TEXT ·zeroBlocksAVX2(SB), NOSPLIT, $0-32
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	ANDQ $~7, CX
-	SHLQ $2, CX
-	MOVL $0x7fffffff, AX
-	MOVQ AX, X8
-	VPBROADCASTD X8, Y8
-	XORQ AX, AX
-	JMP  zblk_test
-
-zblk_loop:
-	VPTEST (SI)(AX*1), Y8
-	JNZ  zblk_done
-	ADDQ $32, AX
-
-zblk_test:
-	CMPQ AX, CX
-	JLT  zblk_loop
-
-zblk_done:
-	SHRQ $2, AX
-	MOVQ AX, ret+24(FP)
+dilute_tail:
+	XORL $1, R9
+	MOVB R9, finite+80(FP)
 	VZEROUPPER
 	RET
 

@@ -8,7 +8,7 @@ import (
 var avx2Kernels = kernelImpl{
 	axpy: axpyAddAVX2, axpy4: axpy4AddAVX2, axpy42: axpy4Add2AVX2,
 	add: vecAddAVX2, sub: vecSubAVX2, mul: vecMulAVX2, scale: vecScaleAVX2,
-	dilute: diluteAVX2, zeros: zeroBlocksAVX2, runs: runsAVX2,
+	dilute: diluteAVX2, runs: runsAVX2,
 	transB: transBRows, act: func(a Act, dst, src []float32) { actInto(a, dst, src) },
 	addTo: vecAddToAVX2, transAAcc: transAAcc, cellBwd: lstmCellBwd,
 }

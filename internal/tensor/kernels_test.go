@@ -20,8 +20,7 @@ type kernelImpl struct {
 	sub    func(o, a, b []float32)
 	mul    func(o, b []float32)
 	scale  func(alpha float32, o []float32)
-	dilute func(a, b float32, w, r, snap []float32)
-	zeros  func(x []float32) int
+	dilute func(a, b float32, w, r, snap []float32) (finite bool)
 	runs   func(x, s, vals []float32, spans []Span, base uint32) (int, int)
 	transB func(out, a, b []float32, k, n, lo, hi int)
 	act    func(a Act, dst, src []float32) // ActSigmoid, ActTanh, actGELU or actGELUDeriv
@@ -35,7 +34,7 @@ type kernelImpl struct {
 var goKernels = kernelImpl{
 	axpy: axpyAddGo, axpy4: axpy4AddGo, axpy42: axpy4Add2Go,
 	add: vecAddGo, sub: vecSubGo, mul: vecMulGo, scale: vecScaleGo,
-	dilute: diluteGo, zeros: zeroBlocksGo, runs: runsGo,
+	dilute: diluteGo, runs: runsGo,
 	transB: transBRowsGo, act: actGo, addTo: vecAddToGo,
 	transAAcc: transAAccGo, cellBwd: lstmCellBwdGo,
 }
@@ -66,20 +65,16 @@ var naiveKernels = kernelImpl{
 	sub:   vecSubGo,
 	mul:   vecMulGo,
 	scale: vecScaleGo,
-	dilute: func(a, b float32, w, r, snap []float32) {
+	dilute: func(a, b float32, w, r, snap []float32) bool {
 		vecScaleGo(a, w)
 		naiveAxpy(b, r, w)
 		copy(snap, w)
-	},
-	zeros: func(x []float32) int {
-		for i := 0; i+8 <= len(x); i += 8 {
-			for _, v := range x[i : i+8] {
-				if v != 0 {
-					return i
-				}
+		for _, v := range w {
+			if math.IsInf(float64(v), 0) || v != v {
+				return false
 			}
 		}
-		return len(x) &^ 7
+		return true
 	},
 	runs: naiveRuns,
 	transB: func(out, a, b []float32, k, n, lo, hi int) {
@@ -275,6 +270,21 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 			run("vecMul", func(k kernelImpl, ox, _ []float32) { k.mul(ox, b[0]) })
 			run("vecScale", func(k kernelImpl, ox, _ []float32) { k.scale(c[0], ox) })
 			run("dilute", func(k kernelImpl, ox, oy []float32) { k.dilute(c[0], c[1], ox, b[0], oy) })
+			// dilute's finite flag: on finite inputs, and with one ±Inf or
+			// NaN, or a product that overflows, planted at each position.
+			for i := -1; i < n; i++ {
+				w0, rr := specialSlice(r, n, off, 1<<30), specialSlice(r, n, 7-off, 1<<30)
+				if i >= 0 {
+					w0[i] = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.MaxFloat32}[i%4]
+				}
+				a := []float32{0.5, 2}[max(i, 0)%2]
+				gw, ww := append([]float32(nil), w0...), append([]float32(nil), w0...)
+				gf := got.dilute(a, 0.5, gw, rr, make([]float32, n))
+				wf := want.dilute(a, 0.5, ww, rr, make([]float32, n))
+				if gf != wf {
+					t.Fatalf("dilute n=%d off=%d planted %d: finite %v, want %v", n, off, i, gf, wf)
+				}
+			}
 			for _, a := range []Act{ActSigmoid, ActTanh, actGELU, actGELUDeriv} {
 				run(fmt.Sprintf("act %d", a), func(k kernelImpl, ox, oy []float32) {
 					k.act(a, ox, ox) // in place
@@ -303,10 +313,6 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 					if gs[i] != ws[i] {
 						t.Fatalf("runs n=%d off=%d sub=%v: span %d = %v, want %v", n, off, sub, i, gs[i], ws[i])
 					}
-				}
-				plantZeros(r, x, nil)
-				if g, w := got.zeros(x), want.zeros(x); g != w {
-					t.Fatalf("zeroBlocks n=%d off=%d: %d, want %d", n, off, g, w)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // checkSameShape panics unless a and b have identical shapes.
@@ -104,13 +105,22 @@ func (t *Tensor) AxpyInPlace(alpha float32, b *Tensor) *Tensor {
 // Dilute sets w = (1−alpha)·w + alpha·ref and snap = w in one pass, each
 // product rounded on its own and then summed — exactly
 // w.ScaleInPlace(1−alpha); w.AxpyInPlace(alpha, ref); snap.CopyFrom(w).
-func Dilute(alpha float32, w, ref, snap *Tensor) {
+// It reports whether every coefficient of the new w is finite, which the
+// same pass finds out.
+func Dilute(alpha float32, w, ref, snap *Tensor) (finite bool) {
 	checkSameShape("Dilute", w, ref)
 	checkSameShape("Dilute", w, snap)
-	v := vecOperands{o: w.data, a: ref.data, b: snap.data, alpha: 1 - alpha, beta: alpha}
-	parallelVec(len(w.data), v, func(v vecOperands, lo, hi int) {
-		dilute(v.alpha, v.beta, v.o[lo:hi], v.a[lo:hi], v.b[lo:hi])
+	a, b, n := 1-alpha, alpha, len(w.data)
+	if !fansOut(n, n/vectorOpsPerUnit, 8) {
+		return dilute(a, b, w.data, ref.data, snap.data)
+	}
+	var nonFinite atomic.Bool
+	fanOut(n, 8, func(lo, hi int) {
+		if !dilute(a, b, w.data[lo:hi], ref.data[lo:hi], snap.data[lo:hi]) {
+			nonFinite.Store(true)
+		}
 	})
+	return !nonFinite.Load()
 }
 
 // ScaleInPlace multiplies every element by alpha and returns t.

@@ -138,11 +138,17 @@ func parallelFor[A any](n, work, align int, args A, body func(args A, lo, hi int
 	if n <= 0 {
 		return
 	}
-	if maxWorkers <= 1 || n <= align || work < parallelThreshold {
+	if !fansOut(n, work, align) {
 		body(args, 0, n)
 		return
 	}
 	fanOut(n, align, func(lo, hi int) { body(args, lo, hi) })
+}
+
+// fansOut reports whether parallelFor fans n iterations of the given work
+// out rather than running them serially.
+func fansOut(n, work, align int) bool {
+	return maxWorkers > 1 && n > align && work >= parallelThreshold
 }
 
 // fanOut runs body over [0, n) on the pool in chunks aligned to align.

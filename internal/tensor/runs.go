@@ -55,18 +55,24 @@ func PackRuns(x, vals []float32, spans []Span) (int, []Span) {
 // packRuns is PackRuns of x − s (s nil: of x).
 func packRuns(x, s, vals []float32, spans []Span) (int, []Span) {
 	var buf [runChunk/2 + 1]Span
-	spans = spans[:0]
-	nv := 0
-	for lo := 0; lo < len(x); lo += runChunk {
-		hi := min(lo+runChunk, len(x))
+	return packRange(x, s, 0, len(x), vals, 0, spans[:0], buf[:])
+}
+
+// packRange appends to spans the runs of x − s (s nil: of x) within
+// [lo, hi), packing their values into vals from vals[nv], and returns the
+// new value count and spans. buf is the kernel's span scratch, room for
+// runChunk/2+1 spans. A run that continues one already in spans — across
+// a chunk boundary, or from the range before — extends it.
+func packRange(x, s []float32, lo, hi int, vals []float32, nv int, spans, buf []Span) (int, []Span) {
+	for ; lo < hi; lo += runChunk {
+		end := min(lo+runChunk, hi)
 		var sc []float32
 		if s != nil {
-			sc = s[lo:hi]
+			sc = s[lo:end]
 		}
-		n, ns := runs(x[lo:hi], sc, vals[nv:], buf[:], uint32(lo))
+		n, ns := runs(x[lo:end], sc, vals[nv:], buf, uint32(lo))
 		nv += n
 		chunk := buf[:ns]
-		// A run crossing the chunk boundary arrives as two halves.
 		if ns > 0 && len(spans) > 0 {
 			if last := &spans[len(spans)-1]; last.Start+last.Len == chunk[0].Start {
 				last.Len += chunk[0].Len
@@ -105,6 +111,11 @@ func (b *RunBuilder) build(shape []int, x, s []float32) *Runs {
 	}
 	var nv int
 	nv, b.spans = packRuns(x, s, b.vals[:len(x)], b.spans)
+	return b.runs(shape, nv)
+}
+
+// runs copies the builder's spans and first nv values out as a Runs.
+func (b *RunBuilder) runs(shape []int, nv int) *Runs {
 	return &Runs{
 		Shape: shape, // immutable, like the tensor's own
 		Spans: append([]Span(nil), b.spans...),

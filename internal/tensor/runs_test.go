@@ -140,8 +140,8 @@ func TestAxpyRunsGapsMatter(t *testing.T) {
 	}
 }
 
-// TestL2NormSkipsZerosExactly: the zero-skipping L2Norm equals the plain
-// float64 chain bit for bit, specials included.
+// TestL2NormSkipsZerosExactly: L2Norm of a mostly-zero tensor equals the
+// plain float64 chain bit for bit, specials included.
 func TestL2NormSkipsZerosExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1000, 4099} {
@@ -176,11 +176,22 @@ func TestDiluteMatchesComposed(t *testing.T) {
 		want.ScaleInPlace(1 - 0.3)
 		want.AxpyInPlace(0.3, ref)
 		snap := New(n)
-		Dilute(0.3, w, ref, snap)
+		finite := Dilute(0.3, w, ref, snap)
 		for _, got := range []*Tensor{w, snap} {
 			if i, ok := sameBits(got.data, want.data); !ok {
 				t.Fatalf("n=%d: element %d = %v, want %v", n, i, got.data[i], want.data[i])
 			}
+		}
+		if finite == want.HasNaN() {
+			t.Fatalf("n=%d: finite %v, non-finite coefficients %v", n, finite, want.HasNaN())
+		}
+	}
+	// One non-finite coefficient in the last chunk of a fanned-out pass.
+	for _, bad := range []float32{float32(math.Inf(-1)), float32(math.NaN()), 0} {
+		w, ref := Full(1, 1<<21), Full(2, 1<<21)
+		w.data[len(w.data)-3] = bad
+		if got := Dilute(0.3, w, ref, New(1<<21)); got != (bad == 0) {
+			t.Fatalf("planted %v: finite %v", bad, got)
 		}
 	}
 }
