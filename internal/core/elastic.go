@@ -89,6 +89,10 @@ type Averager struct {
 	snapshots [][]*tensor.Tensor
 	builders  []tensor.RunBuilder
 	snapGen   atomic.Uint64
+	// settled[p][i] is what pipeline p's Dilute of row-tracked parameter
+	// i keeps to skip settled rows, made by its first call; applyRound
+	// writes its touched rows under mu.
+	settled [][]*rowSettle
 
 	// faults, when set, decides the fate of each submitted update.
 	faults *fault.Injector
@@ -123,6 +127,9 @@ type Averager struct {
 	updateBytes *obs.Counter
 	coeffsSent  *obs.Counter
 	coeffsSkip  *obs.Counter
+	rowsDiluted *obs.Counter
+	rowsSettled *obs.Counter
+	rowsChanged *obs.Counter
 	decodeErrs  *obs.Counter
 	// events receives membership and round-health events (the registry's
 	// event log); tracer, when set, records submit/apply spans on wall-
@@ -160,6 +167,7 @@ func newAverager(n int, init []*nn.Param, reg *obs.Registry, clk clock, loopTx, 
 		N:          n,
 		proto:      newProtocol[[]*tensor.Runs](n),
 		snapshots:  make([][]*tensor.Tensor, n),
+		settled:    make([][]*rowSettle, n),
 		builders:   make([]tensor.RunBuilder, n),
 		detachedAt: make([]time.Time, n),
 		detachWait: make(map[*netx.Frame]chan struct{}),
@@ -195,6 +203,12 @@ func newAverager(n int, init []*nn.Param, reg *obs.Registry, clk clock, loopTx, 
 			"Delta coefficients of submitted updates, by whether they were sent (bits not +0) or skipped (+0).", "kind", "sent"),
 		coeffsSkip: reg.Counter("avgpipe_avg_update_coeffs_total",
 			"Delta coefficients of submitted updates, by whether they were sent (bits not +0) or skipped (+0).", "kind", "skipped"),
+		rowsDiluted: reg.Counter("avgpipe_avg_dilute_rows_total",
+			"Rows of row-tracked parameters Dilute visited, or skipped as settled (their dilution would rewrite the same bits).", "kind", "visited"),
+		rowsSettled: reg.Counter("avgpipe_avg_dilute_rows_total",
+			"Rows of row-tracked parameters Dilute visited, or skipped as settled (their dilution would rewrite the same bits).", "kind", "skipped"),
+		rowsChanged: reg.Counter("avgpipe_avg_dilute_changed_rows_total",
+			"Rows of row-tracked parameters whose bits Dilute changed."),
 		decodeErrs: reg.Counter("avgpipe_avg_decode_errors_total",
 			"Update frames dropped because their payload failed to decode or did not fit the model."),
 		events: reg.Events(),
@@ -211,6 +225,7 @@ func newAverager(n int, init []*nn.Param, reg *obs.Registry, clk clock, loopTx, 
 	a.refMoves = make([]bool, len(a.ref))
 	for p := range a.snapshots {
 		a.snapshots[p] = cloneTensors(a.ref)
+		a.settled[p] = make([]*rowSettle, len(a.ref))
 	}
 	a.installRefLocked(src)
 	return a
@@ -541,7 +556,7 @@ func (a *Averager) ingest(f *netx.Frame) {
 func (a *Averager) closeAndUnlock(now time.Time, cs []closure[[]*tensor.Runs]) {
 	for _, c := range cs {
 		start := time.Now()
-		applyRound(a.ref, a.refMoves, c.payloads)
+		applyRound(a.ref, a.refMoves, c.payloads, a.settled)
 		if a.observe != nil {
 			a.observe(c)
 		}
@@ -985,22 +1000,42 @@ func (a *Averager) await(round int) {
 // WaitRound across processes) between SubmitContext and Dilute so the
 // reference already includes the round's updates; the fully asynchronous
 // mode Dilutes right after SubmitContext against whatever reference is
-// current, never blocking the pipeline. Each row-tracked parameter whose
-// diluted weights are all finite is synced to its new baseline
-// (nn.Param.SyncRows), so the next delta can skip the rows no step
-// writes.
+// current, never blocking the pipeline. A row-tracked parameter's
+// dilution visits only its rows that are not settled (rowSettle), and
+// each row-tracked parameter whose diluted weights are all finite is
+// synced to its new baseline (nn.Param.SyncRows), so the next delta can
+// skip the rows no step writes.
 func (a *Averager) Dilute(p int, params []*nn.Param) {
 	alpha := float32(a.Alpha)
+	var visited, skipped, changed int
 	a.mu.RLock()
 	gen := a.snapGen.Load()
 	for i, pr := range params {
 		snap := a.snapshots[p][i]
-		if !tensor.Dilute(alpha, pr.W, a.ref[i], snap) {
+		var finite bool
+		if pr.RowTracked() {
+			s := a.settled[p][i]
+			if s == nil {
+				s = newRowSettle(pr.W.Dim(0))
+				a.settled[p][i] = s
+			}
+			var v int
+			finite, v = s.dilute(alpha, pr, a.ref[i], snap, gen)
+			visited, skipped, changed = visited+v, skipped+pr.W.Dim(0)-v, changed+s.changed.Len()
+		} else {
+			finite = tensor.Dilute(alpha, pr.W, a.ref[i], snap)
+		}
+		if !finite {
 			snap = nil
 		}
 		pr.SyncRows(snap, gen)
 	}
 	a.mu.RUnlock()
+	if visited+skipped > 0 {
+		a.rowsDiluted.Add(float64(visited))
+		a.rowsSettled.Add(float64(skipped))
+		a.rowsChanged.Add(float64(changed))
+	}
 }
 
 // Reference returns a snapshot (deep copy) of the current reference

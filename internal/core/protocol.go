@@ -243,8 +243,10 @@ func (s *protocol[P]) nextDeadline() (at time.Time, ok bool) {
 // applyRound folds one closed round's deltas into ref in pipeline order,
 // renormalized over the arrivals, so the result does not depend on the
 // order they arrived in. moves is ref's tensor.ZeroAddMoves state,
-// refreshed here.
-func applyRound(ref []*tensor.Tensor, moves []bool, deltas [][]*tensor.Runs) {
+// refreshed here. Each delta's coverage of ref is recorded in every
+// row-settle record of settled ([pipeline][tensor], nil where there is
+// none).
+func applyRound(ref []*tensor.Tensor, moves []bool, deltas [][]*tensor.Runs, settled [][]*rowSettle) {
 	if len(deltas) == 0 {
 		return
 	}
@@ -252,6 +254,11 @@ func applyRound(ref []*tensor.Tensor, moves []bool, deltas [][]*tensor.Runs) {
 	for _, ds := range deltas {
 		for i := range ref {
 			ref[i].AxpyRuns(inv, ds[i], moves[i])
+			for _, ss := range settled {
+				if s := ss[i]; s != nil {
+					s.touch(ds[i], moves[i], ref[i].Dim(1))
+				}
+			}
 		}
 	}
 	for i, m := range moves {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -81,12 +83,13 @@ func untracked(task *workload.Task) *workload.Task {
 }
 
 // trace is what one replica's run leaves to compare: per round, its
-// loss, its reference copy, and the update frames of the round it
-// applied, in pipeline order.
+// loss, its reference copy, a hash of every snapshot, and the update
+// frames of the round it applied, in pipeline order.
 type trace struct {
 	mu     sync.Mutex
 	losses []float64
 	refs   [][]*tensor.Tensor
+	snaps  [][]uint64       // [round][pipeline·param]
 	frames [][]*tensor.Runs // [round][pipeline·param]
 }
 
@@ -107,6 +110,19 @@ func (tr *trace) step(t *Trainer) error {
 	loss, err := t.StepContext(context.Background())
 	tr.losses = append(tr.losses, loss)
 	tr.refs = append(tr.refs, t.avg.Reference())
+	var hs []uint64
+	var b [4]byte
+	for _, snap := range t.avg.snapshots {
+		for _, x := range snap {
+			h := fnv.New64a()
+			for _, v := range x.Data() {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+			hs = append(hs, h.Sum64())
+		}
+	}
+	tr.snaps = append(tr.snaps, hs)
 	return err
 }
 
@@ -129,6 +145,9 @@ func requireSameTrace(t *testing.T, what string, got, want *trace) {
 			if j, ok := sameTensorBits(got.refs[r][i], ref); !ok {
 				t.Fatalf("%s round %d: reference %d coefficient %d differs", what, r, i, j)
 			}
+		}
+		if !slices.Equal(got.snaps[r], want.snaps[r]) {
+			t.Fatalf("%s round %d: snapshots differ", what, r)
 		}
 		if len(got.frames[r]) != len(want.frames[r]) {
 			t.Fatalf("%s round %d: %d deltas, dense path %d", what, r, len(got.frames[r]), len(want.frames[r]))
@@ -162,20 +181,52 @@ func requireSameRuns(t *testing.T, what string, got, want *tensor.Runs) {
 	}
 }
 
-const recordRounds = 30
+// recordRounds is long enough for rows to settle: at α = 1/2 an
+// untouched row's dilution reaches its fixed point within about 40
+// calls.
+const recordRounds = 60
 
 // TestRowRecordMatchesDense is the equivalence gate for row-tracked
 // parameters: two same-seed trainers, one of them with its embedding
 // records stripped, must agree bit for bit over recordRounds rounds —
-// losses, references, and every update frame's runs — for a wide SGD
-// task (the sparse clip, step, zero-grad and delta) and a wide Adam task
-// (sparse clip and zero-grad, dense step and delta), in process with
-// N=2.
+// losses, references, snapshots, and every update frame's runs — in
+// process with N=2. The cases: a wide SGD task (the sparse clip, step,
+// zero-grad and delta, and the row-settled Dilute); a wide Adam task
+// (sparse clip and zero-grad, dense step, delta and Dilute); the SGD task
+// with a snapshot install mid-run (a new generation: Dilute must reseed);
+// and the SGD task with −0s planted in W and then installed as the
+// reference, which sets refMoves.
 func TestRowRecordMatchesDense(t *testing.T) {
-	for _, task := range []*workload.Task{wideTask(4096, false), wideTask(4096, true)} {
-		t.Run(task.Name, func(t *testing.T) {
+	sgd, adam := wideTask(4096, false), wideTask(4096, true)
+	cases := []struct {
+		name string
+		task *workload.Task
+		mid  func(tr *Trainer) // run after round recordRounds/2
+	}{
+		{sgd.Name, sgd, nil},
+		{adam.Name, adam, nil},
+		{sgd.Name + "-install", sgd, func(tr *Trainer) { tr.avg.SetReference(tr.pipelines[1].Params()) }},
+		{sgd.Name + "-negzero", sgd, func(tr *Trainer) {
+			for _, pl := range tr.pipelines {
+				for _, p := range pl.Params() {
+					if p.W.Dim(0) == 4096 {
+						for _, c := range []int{4000*16 + 3, 4090*16 + 7, 4095*16 + 15} {
+							p.W.Data()[c] = float32(math.Copysign(0, -1))
+						}
+						p.MarkDense()
+					}
+				}
+			}
+			tr.avg.SetReference(tr.pipelines[0].Params())
+			if !slices.Contains(tr.avg.refMoves, true) {
+				t.Fatal("a reference holding −0 did not set refMoves")
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			var traces [2]*trace
-			for v, tk := range []*workload.Task{task, untracked(task)} {
+			for v, tk := range []*workload.Task{c.task, untracked(c.task)} {
 				tr, err := NewTrainer(TrainerConfig{Task: tk, Pipelines: 2, Micro: 2, StageCount: 2,
 					Seed: 5, ClipNorm: 0.05, Obs: obs.NewRegistry()})
 				if err != nil {
@@ -187,10 +238,18 @@ func TestRowRecordMatchesDense(t *testing.T) {
 					if err := traces[v].step(tr); err != nil {
 						t.Fatal(err)
 					}
+					if r == recordRounds/2 && c.mid != nil {
+						c.mid(tr)
+					}
 				}
 				tr.Close()
+				// The tracked SGD twin must have skipped settled rows, or
+				// this test compares the dense path with itself.
+				if skipped := tr.avg.rowsSettled.Value(); v == 0 && (skipped > 0) != c.task.UseSGD {
+					t.Fatalf("tracked twin skipped %v rows (SGD %v)", skipped, c.task.UseSGD)
+				}
 			}
-			requireSameTrace(t, task.Name, traces[0], traces[1])
+			requireSameTrace(t, c.name, traces[0], traces[1])
 		})
 	}
 }
@@ -379,6 +438,43 @@ func TestRowRecordNonFiniteFallsBack(t *testing.T) {
 	}
 }
 
+// TestRowRecordRefMoves: installing a reference that holds a −0 sets
+// refMoves, and the first round applied after it adds +0 to every gap,
+// turning that −0 into +0 without a span covering it. A Dilute that ran
+// before the round — the AsyncDilute order — settled the row holding the
+// −0, so the round must count as touching every row: the next Dilute
+// turns W's −0 into +0 there, as the dense path does.
+func TestRowRecordRefMoves(t *testing.T) {
+	const c = 50*8 + 3 // row 50: no step writes it
+	tw := newRowTwins(t)
+	ctx := context.Background()
+	var ws, snaps [2]*tensor.Tensor
+	for v, side := range tw {
+		side.ps[0].W.Data()[c] = float32(math.Copysign(0, -1))
+		side.ps[0].MarkDense()
+		nn.ZeroGrads(side.ps) // MarkDense covers G too, until a zero-grad
+		side.a.SetReference(side.ps)
+		side.a.Dilute(0, side.ps)
+		side.backward([]int{1, 2}, 1)
+		if err := side.a.SubmitContext(ctx, 0, 0, side.ps); err != nil {
+			t.Fatal(err)
+		}
+		if err := side.a.WaitRound(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		side.a.Dilute(0, side.ps)
+		ws[v], snaps[v] = side.ps[0].W.Clone(), side.a.snapshots[0][0].Clone()
+	}
+	if math.Float32bits(ws[1].Data()[c]) != 0 {
+		t.Fatalf("dense path: W[%d] = %v, want +0", c, ws[1].Data()[c])
+	}
+	for _, p := range [][2]*tensor.Tensor{ws, snaps} {
+		if j, ok := sameTensorBits(p[0], p[1]); !ok {
+			t.Fatalf("coefficient %d = %v, dense path %v", j, p[0].Data()[j], p[1].Data()[j])
+		}
+	}
+}
+
 // TestRowRecordSnapshotInstall: a snapshot install between Dilute and
 // SubmitContext — a reference installed with SetReference, a replica
 // reseeded with SeedReplica — leaves W differing from the new snapshot
@@ -419,6 +515,24 @@ func TestStaleTrainerRowRecord(t *testing.T) {
 	for i, p := range dense.model.Params() {
 		if j, ok := sameTensorBits(tracked.model.Params()[i].W, p.W); !ok {
 			t.Fatalf("%s: coefficient %d differs", p.Name, j)
+		}
+	}
+}
+
+// TestApplyRoundTouchesRows: applyRound records, in each pipeline's
+// row-settle record, the ref rows a round's runs cover — and every row
+// when refMoves is set, because the round then adds +0 to the gaps too.
+func TestApplyRoundTouchesRows(t *testing.T) {
+	for _, moves := range []bool{false, true} {
+		ref := []*tensor.Tensor{tensor.New(10, 4)}
+		d := tensor.New(10, 4)
+		for c := 5; c < 10; c++ {
+			d.Data()[c] = 1
+		}
+		s := newRowSettle(10)
+		applyRound(ref, []bool{moves}, [][]*tensor.Runs{{tensor.RunsOf(d)}}, [][]*rowSettle{{nil}, {s}})
+		if got := s.touched.Ascending(); s.all != moves || !moves && !slices.Equal(got, []int{1, 2}) {
+			t.Fatalf("moves %v: touched %v, all %v", moves, got, s.all)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func (p *Param) ZeroGrad() {
 		p.G.Zero()
 	}
 	if r := p.rows; r != nil {
-		r.grad.clear()
+		r.grad.Clear()
 		r.gradDense = false
 	}
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"slices"
-
-	"avgpipe/internal/tensor"
-)
+import "avgpipe/internal/tensor"
 
 // rowRecord is what a row-tracked parameter knows about where its
 // tensors can differ from a known state, one row at a time:
@@ -20,60 +16,24 @@ import (
 // during a batch, then the training loop's clip, step, zero-grad and
 // averaging calls, each ordered after the last.
 type rowRecord struct {
-	grad      rowSet
+	grad      tensor.RowSet
 	gradDense bool
 
-	step    rowSet
+	step    tensor.RowSet
 	base    *tensor.Tensor // nil: W is not known to equal any baseline
 	gen     uint64
 	stepped bool // a recording step ran since SyncRows
 }
 
-// rowSet is a set of rows: a bitmap for membership, and the members in
-// the order they were added, sorted on demand.
-type rowSet struct {
-	mark   []uint64
-	rows   []int
-	sorted bool
-}
-
-func newRowSet(n int) rowSet { return rowSet{mark: make([]uint64, (n+63)/64), sorted: true} }
-
-func (s *rowSet) add(r int) {
-	w, b := r>>6, uint64(1)<<(r&63)
-	if s.mark[w]&b != 0 {
-		return
-	}
-	s.mark[w] |= b
-	if n := len(s.rows); n > 0 && s.rows[n-1] > r {
-		s.sorted = false
-	}
-	s.rows = append(s.rows, r)
-}
-
-// ascending returns the members in ascending order.
-func (s *rowSet) ascending() []int {
-	if !s.sorted {
-		slices.Sort(s.rows)
-		s.sorted = true
-	}
-	return s.rows
-}
-
-func (s *rowSet) clear() {
-	for _, r := range s.rows {
-		s.mark[r>>6] = 0
-	}
-	s.rows = s.rows[:0]
-	s.sorted = true
-}
-
 // trackRows makes p row-tracked. Its G must be +0 everywhere.
 func (p *Param) trackRows() *Param {
 	n := p.W.Dim(0)
-	p.rows = &rowRecord{grad: newRowSet(n), step: newRowSet(n)}
+	p.rows = &rowRecord{grad: tensor.NewRowSet(n), step: tensor.NewRowSet(n)}
 	return p
 }
+
+// RowTracked reports whether p keeps a row record.
+func (p *Param) RowTracked() bool { return p.rows != nil }
 
 // ScatterAddGrad adds each row of src into G at row idx[i] (see
 // tensor.ScatterAddRows) and, on a row-tracked parameter, records the
@@ -82,7 +42,7 @@ func (p *Param) trackRows() *Param {
 func (p *Param) ScatterAddGrad(idx []int, src *tensor.Tensor) {
 	if r := p.rows; r != nil && !r.gradDense {
 		for _, i := range idx {
-			r.grad.add(i)
+			r.grad.Add(i)
 		}
 	}
 	tensor.ScatterAddRows(p.G, idx, src)
@@ -94,7 +54,7 @@ func (p *Param) ScatterAddGrad(idx []int, src *tensor.Tensor) {
 // before G's next write.
 func (p *Param) GradRows() ([]int, bool) {
 	if r := p.rows; r != nil && !r.gradDense {
-		return r.grad.ascending(), true
+		return r.grad.Ascending(), true
 	}
 	return nil, false
 }
@@ -125,7 +85,7 @@ func (p *Param) RecordStep(rows []int, sparse bool) {
 		return
 	}
 	for _, i := range rows {
-		r.step.add(i)
+		r.step.Add(i)
 	}
 	r.stepped = true
 }
@@ -138,7 +98,7 @@ func (p *Param) SyncRows(base *tensor.Tensor, gen uint64) {
 	if r == nil {
 		return
 	}
-	r.step.clear()
+	r.step.Clear()
 	r.base, r.gen, r.stepped = base, gen, false
 }
 
@@ -152,5 +112,5 @@ func (p *Param) SteppedRows(base *tensor.Tensor, gen uint64) ([]int, bool) {
 	if r == nil || r.base != base || base == nil || r.gen != gen || !r.stepped {
 		return nil, false
 	}
-	return r.step.ascending(), true
+	return r.step.Ascending(), true
 }

@@ -400,16 +400,10 @@ func (s *Server) worker(id int) {
 // exactly once; every request in the batch is answered from it — the
 // no-torn-reads half of the hot-swap contract.
 func (s *Server) runBatch(id int, batch []*request) {
-	defer func() {
-		for _, r := range batch {
-			s.latency.Observe(time.Since(r.start).Seconds())
-			s.inflight.Add(-1)
-			s.requests.Inc()
-		}
-	}()
 	v := s.cur.Load()
 	if v == nil {
 		for _, r := range batch {
+			s.answer(r)
 			r.errc <- ErrNoModel
 		}
 		return
@@ -419,6 +413,7 @@ func (s *Server) runBatch(id int, batch []*request) {
 	env, x, err := wm.bind(n, s.seqLen)
 	if err != nil {
 		for _, r := range batch {
+			s.answer(r)
 			r.errc <- err
 		}
 		return
@@ -449,11 +444,21 @@ func (s *Server) runBatch(id int, batch []*request) {
 			res.Logits[j] = append([]float32(nil), row...)
 			res.Predictions[j] = argmax(row)
 		}
+		s.answer(r)
 		r.resp <- res
 	}
 	env.ReleaseOutput()
 	env.EndMicro()
 	s.occupancy.Observe(float64(n))
+}
+
+// answer counts r as served — its latency, the in-flight gauge, the
+// request total — just before its reply is sent, so a caller holding its
+// reply always finds itself counted.
+func (s *Server) answer(r *request) {
+	s.latency.Observe(time.Since(r.start).Seconds())
+	s.inflight.Add(-1)
+	s.requests.Inc()
 }
 
 // bind returns the worker's Env and input buffer for a batch size,

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +151,44 @@ func TestPredictMatchesInterpreterEval(t *testing.T) {
 	}
 	if n := s.latency.Count(); int(n) != len(seqs) {
 		t.Fatalf("latency observations = %d, want %d", n, len(seqs))
+	}
+}
+
+// TestRequestCountedBeforeReply: a request is counted in
+// requests_total before its reply is sent, so every caller reading the
+// counter right after Predict returns finds at least every reply
+// received so far counted. Batches of 16 make the worker answer several
+// callers in turn; counting after the replies leaves the first callers
+// of each batch reading a short total.
+func TestRequestCountedBeforeReply(t *testing.T) {
+	s := newTestServer(t, Config{MaxBatch: 16, MaxLinger: 20 * time.Millisecond, Workers: 1})
+	if err := s.InstallSnapshot(snapFrame(workload.TranslationTask().NewModel(7).Params(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	total := s.Registry().Counter("avgpipe_serve_requests_total", "")
+	seqs := testTokens(t, s, 5)
+	var replied atomic.Int64
+	for range 64 {
+		var wg sync.WaitGroup
+		short := make(chan string, len(seqs))
+		for _, toks := range seqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Predict(context.Background(), toks); err != nil {
+					short <- err.Error()
+					return
+				}
+				if n, c := replied.Add(1), total.Value(); c < float64(n) {
+					short <- fmt.Sprintf("requests_total %v after %d replies", c, n)
+				}
+			}()
+		}
+		wg.Wait()
+		close(short)
+		for msg := range short {
+			t.Fatal(msg)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"avgpipe/internal/tensor"
@@ -129,5 +130,50 @@ func BenchmarkKernelSoftmax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out := tensor.SoftmaxRows(x)
 		out.Release()
+	}
+}
+
+// diluteTable is the awd-dist embedding as Dilute meets it: a 32768×32
+// table, its reference and its snapshot.
+func diluteTable() (w, ref, snap *tensor.Tensor) {
+	rng := tensor.NewRNG(11)
+	return rng.Normal(0, 0.1, 32768, 32), rng.Normal(0, 0.1, 32768, 32), tensor.New(32768, 32)
+}
+
+// BenchmarkKernelDilute is one dense dilution of the awd-dist embedding:
+// w and ref read, w and the snapshot written, 16 MB in all.
+func BenchmarkKernelDilute(b *testing.B) {
+	w, ref, snap := diluteTable()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.Dilute(0.5, w, ref, snap)
+	}
+}
+
+// BenchmarkKernelDiluteRows is BenchmarkKernelDilute on the rows a
+// steady-state awd-dist Dilute visits: 19% of the table (the fraction
+// its row counters read), drawn as the workload's tokens fall — skewed
+// toward low rows, so most of them form long runs — with the changed
+// rows collected.
+func BenchmarkKernelDiluteRows(b *testing.B) {
+	const rows, states = 32768, 16
+	w, ref, snap := diluteTable()
+	set := tensor.NewRowSet(rows)
+	r := rand.New(rand.NewSource(11))
+	for set.Len() < rows*19/100 {
+		u := r.Float64()
+		u *= u
+		u *= u
+		set.Add(r.Intn(states) + states*int(u*u*rows/states))
+	}
+	visit := set.Ascending()
+	changed := tensor.NewRowSet(rows)
+	tensor.DiluteRows(0.5, w, ref, snap, visit, &changed) // sizes changed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		changed.Clear()
+		tensor.DiluteRows(0.5, w, ref, snap, visit, &changed)
 	}
 }

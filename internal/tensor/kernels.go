@@ -241,18 +241,53 @@ func vecScaleGo(alpha float32, o []float32) {
 // axpyAdd, and the copy, in one pass. It reports whether every value it
 // wrote is finite: adding one to the top of the exponent field carries
 // into the sign bit exactly when that field is all ones (±Inf, NaN).
-func diluteGo(a, b float32, w, r, snap []float32) (finite bool) {
+// With out empty it passes over all of w. Otherwise w is a table of rows
+// of width values, the pass visits the listed rows (ascending, each
+// once) or, with rows empty, every row, and it lists in out, ascending,
+// each visited row whose new bits differ from its old ones; n counts
+// them. out needs room for every visited row.
+func diluteGo(a, b float32, w, r, snap []float32, width int, rows, out []int) (finite bool, n int) {
 	r = r[:len(w)]
 	snap = snap[:len(w)]
+	if len(out) == 0 {
+		carry, _ := diluteSpan(a, b, w, r, snap)
+		return carry&(1<<31) == 0, 0
+	}
+	count := len(rows)
+	if count == 0 {
+		count = len(w) / width
+	}
 	var carry uint32
+	for i := 0; i < count; i++ {
+		k := i
+		if len(rows) > 0 {
+			k = rows[i]
+		}
+		lo, hi := k*width, (k+1)*width
+		c, diff := diluteSpan(a, b, w[lo:hi], r[lo:hi], snap[lo:hi])
+		carry |= c
+		if diff != 0 {
+			out[n] = k
+			n++
+		}
+	}
+	return carry&(1<<31) == 0, n
+}
+
+// diluteSpan is diluteGo's pass over one span: it returns the OR of the
+// written values' exponent carries, and of their bits XOR the old ones.
+func diluteSpan(a, b float32, w, r, snap []float32) (carry, diff uint32) {
+	r = r[:len(w)]
+	snap = snap[:len(w)]
 	for i := range w {
 		v := a * w[i]
 		v += b * r[i]
+		diff |= math.Float32bits(v) ^ math.Float32bits(w[i])
 		w[i] = v
 		snap[i] = v
 		carry |= math.Float32bits(v)&0x7f800000 + 0x00800000
 	}
-	return carry&(1<<31) == 0
+	return carry, diff
 }
 
 // actGo sets dst[i] to the activation's scalar definition of src[i] —

@@ -1,6 +1,9 @@
 package tensor
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // The amd64 kernel layer: each primitive of kernels.go dispatches to its
 // AVX2 twin in kernels_amd64.s when the CPU and the OS support it, and to
@@ -61,7 +64,7 @@ func vecMulAVX2(o, b []float32)
 func vecScaleAVX2(alpha float32, o []float32)
 
 //go:noescape
-func diluteAVX2(a, b float32, w, r, snap []float32) (finite bool)
+func diluteAVX2(a, b float32, w, r, snap []float32, width int, rows, out []int) (finite bool, n int)
 
 // runsAVX2 is runsGo eight coefficients at a time: each block is stored
 // to vals where the next value belongs, kept as is when all eight lanes
@@ -238,11 +241,34 @@ func vecScale(alpha float32, o []float32) {
 	vecScaleGo(alpha, o)
 }
 
-func dilute(a, b float32, w, r, snap []float32) bool {
+func dilute(a, b float32, w, r, snap []float32, width int, rows, out []int) (bool, int) {
 	if useAVX2 {
-		return diluteAVX2(a, b, w, r[:len(w)], snap[:len(w)])
+		if len(out) > 0 {
+			checkDiluteRows(len(w), width, rows, out)
+		}
+		return diluteAVX2(a, b, w, r[:len(w)], snap[:len(w)], width, rows, out)
 	}
-	return diluteGo(a, b, w, r, snap)
+	return diluteGo(a, b, w, r, snap, width, rows, out)
+}
+
+// checkDiluteRows panics unless the n values are whole rows, every row
+// the assembly visits lies in the table and out has room for each, as
+// indexing does in diluteGo.
+func checkDiluteRows(n, width int, rows, out []int) {
+	total := n / width
+	if total*width != n {
+		panic(fmt.Sprintf("tensor: dilute over %d values in rows of %d", n, width))
+	}
+	if len(rows) == 0 {
+		_ = out[:total]
+		return
+	}
+	_ = out[:len(rows)]
+	for _, k := range rows {
+		if uint(k) >= uint(total) {
+			panic(fmt.Sprintf("tensor: dilute row %d outside a table of %d rows", k, total))
+		}
+	}
 }
 
 func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {

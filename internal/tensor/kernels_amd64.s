@@ -568,35 +568,71 @@ tacc_test1:
 	VZEROUPPER
 	RET
 
-// func diluteAVX2(a, b float32, w, r, snap []float32) (finite bool)
+// func diluteAVX2(a, b float32, w, r, snap []float32, width int, rows, out []int) (finite bool, n int)
 // w[i] = a*w[i] + b*r[i]; snap[i] = w[i]; finite: no w[i] written has an
 // all-ones exponent. Y10 collects, lane by lane, whether a block's
 // exponent field compared equal to the mask in Y11; the tail checks each
-// stored value in a general register.
-TEXT ·diluteAVX2(SB), NOSPLIT, $0-81
+// stored value in a general register. With out empty (R11 = 0) the whole
+// slice is one row. Otherwise the pass goes row by row — width floats,
+// R10 bytes, each — over every row (R15 = 0) or over the rows listed
+// from R15 to CX, touching the listed row dilutePrefetch entries ahead,
+// and appends to out, through R11, the index (R14) of each row whose new
+// bits differ from its old ones: Y12 ORs the blocks' old ^ new, R12 the
+// tail's. AX is the byte offset, R13 the row's end, DX its blocks' end.
+#define dilutePrefetch 8
+TEXT ·diluteAVX2(SB), NOSPLIT, $0-152
 	VBROADCASTSS a+0(FP), Y8
 	VBROADCASTSS b+4(FP), Y9
-	MOVQ w_base+8(FP), DI
-	MOVQ w_len+16(FP), CX
-	MOVQ r_base+32(FP), R8
-	MOVQ snap_base+56(FP), SI
 	MOVL $0x7f800000, AX
-	MOVQ AX, X11
+	VMOVD AX, X11
 	VPBROADCASTD X11, Y11
 	VPXOR Y10, Y10, Y10
-	XORQ R9, R9
+	MOVQ w_base+8(FP), DI
+	MOVQ w_len+16(FP), CX
 	SHLQ $2, CX
+	MOVQ r_base+32(FP), R8
+	MOVQ snap_base+56(FP), SI
+	MOVQ width+80(FP), R10
+	SHLQ $2, R10
+	MOVQ out_base+112(FP), R11
+	XORQ R9, R9
+	XORQ R14, R14
+	XORQ R15, R15
 	XORQ AX, AX
-	MOVQ CX, DX
+	MOVQ out_len+120(FP), DX
+	TESTQ DX, DX
+	JNZ  dilute_report
+	XORQ R11, R11
+	MOVQ CX, R10
+	JMP  dilute_testrow
+
+dilute_report:
+	MOVQ rows_len+96(FP), DX
+	TESTQ DX, DX
+	JZ   dilute_testrow
+	MOVQ rows_base+88(FP), R15
+	LEAQ (R15)(DX*8), CX
+	JMP  dilute_nextlisted
+
+dilute_row:
+	MOVQ AX, R13
+	ADDQ R10, R13
+	MOVQ R10, DX
 	ANDQ $~31, DX
+	ADDQ AX, DX
+	VPXOR Y12, Y12, Y12
+	XORL R12, R12
 	JMP  dilute_test8
 
 dilute_loop8:
-	VMULPS (DI)(AX*1), Y8, Y0
+	VMOVUPS (DI)(AX*1), Y3
+	VMULPS Y3, Y8, Y0
 	VMULPS (R8)(AX*1), Y9, Y1
 	VADDPS Y1, Y0, Y0
 	VMOVUPS Y0, (DI)(AX*1)
 	VMOVUPS Y0, (SI)(AX*1)
+	VPXOR Y0, Y3, Y3
+	VPOR Y3, Y12, Y12
 	VANDPS Y11, Y0, Y2
 	VPCMPEQD Y11, Y2, Y2
 	VPOR Y2, Y10, Y10
@@ -611,6 +647,9 @@ dilute_loop1:
 	VMULSS (DI)(AX*1), X8, X0
 	VMULSS (R8)(AX*1), X9, X1
 	VADDSS X1, X0, X0
+	VMOVD X0, BX
+	XORL (DI)(AX*1), BX
+	ORL  BX, R12
 	VMOVSS X0, (DI)(AX*1)
 	VMOVSS X0, (SI)(AX*1)
 	VMOVD X0, BX
@@ -623,15 +662,69 @@ dilute_next1:
 	ADDQ $4, AX
 
 dilute_test1:
-	CMPQ AX, CX
+	CMPQ AX, R13
 	JLT  dilute_loop1
+	TESTQ R11, R11
+	JZ   dilute_rowdone
+	VPTEST Y12, Y12
+	JNZ  dilute_changed
+	TESTL R12, R12
+	JZ   dilute_rowdone
+
+dilute_changed:
+	MOVQ R14, (R11)
+	ADDQ $8, R11
+
+dilute_rowdone:
+	TESTQ R15, R15
+	JNZ  dilute_nextlisted
+	INCQ R14
+
+dilute_testrow:
+	CMPQ AX, CX
+	JLT  dilute_row
+	JMP  dilute_done
+
+dilute_nextlisted:
+	CMPQ R15, CX
+	JGE  dilute_done
+	MOVQ (R15), R14
+	ADDQ $8, R15
+	LEAQ (dilutePrefetch-1)*8(R15), R13
+	CMPQ R13, CX
+	JGE  dilute_offset
+	MOVQ (R13), AX
+	IMULQ R10, AX
+	PREFETCHT0 (DI)(AX*1)
+	PREFETCHT0 (R8)(AX*1)
+	PREFETCHT0 (SI)(AX*1)
+	LEAQ -4(AX)(R10*1), AX
+	PREFETCHT0 (DI)(AX*1)
+	PREFETCHT0 (R8)(AX*1)
+	PREFETCHT0 (SI)(AX*1)
+
+dilute_offset:
+	MOVQ R14, AX
+	IMULQ R10, AX
+	JMP  dilute_row
+
+dilute_done:
+	XORQ AX, AX
+	TESTQ R11, R11
+	JZ   dilute_count
+	MOVQ R11, AX
+	SUBQ out_base+112(FP), AX
+	SHRQ $3, AX
+
+dilute_count:
+	MOVQ AX, n+144(FP)
 	VPTEST Y10, Y10
 	JZ   dilute_tail
 	MOVL $1, R9
 
 dilute_tail:
 	XORL $1, R9
-	MOVB R9, finite+80(FP)
+	MOVB R9, finite+136(FP)
 	VZEROUPPER
 	RET
 
@@ -1208,3 +1301,4 @@ cellb_test:
 	JLT  cellb_loop
 	VZEROUPPER
 	RET
+

@@ -59,3 +59,11 @@ func TestAccumulateMatchesScratchFormGoLayer(t *testing.T) {
 	useAVX2 = false
 	checkAccumulateMatchesScratchForm(t, rand.New(rand.NewSource(28)))
 }
+
+// TestPropDiluteRowsMatchesDiluteGoLayer repeats
+// TestPropDiluteRowsMatchesDilute with the AVX2 layer off.
+func TestPropDiluteRowsMatchesDiluteGoLayer(t *testing.T) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	useAVX2 = false
+	checkDiluteRowsMatchesDilute(t)
+}

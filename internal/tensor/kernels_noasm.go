@@ -20,7 +20,9 @@ func vecSub(o, a, b []float32)            { vecSubGo(o, a, b) }
 func vecMul(o, b []float32)               { vecMulGo(o, b) }
 func vecScale(alpha float32, o []float32) { vecScaleGo(alpha, o) }
 
-func dilute(a, b float32, w, r, snap []float32) bool { return diluteGo(a, b, w, r, snap) }
+func dilute(a, b float32, w, r, snap []float32, width int, rows, out []int) (bool, int) {
+	return diluteGo(a, b, w, r, snap, width, rows, out)
+}
 
 func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {
 	return runsGo(x, s, vals, spans, base)

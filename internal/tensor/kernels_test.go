@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,7 +21,7 @@ type kernelImpl struct {
 	sub    func(o, a, b []float32)
 	mul    func(o, b []float32)
 	scale  func(alpha float32, o []float32)
-	dilute func(a, b float32, w, r, snap []float32) (finite bool)
+	dilute func(a, b float32, w, r, snap []float32, width int, rows, out []int) (finite bool, n int)
 	runs   func(x, s, vals []float32, spans []Span, base uint32) (int, int)
 	transB func(out, a, b []float32, k, n, lo, hi int)
 	act    func(a Act, dst, src []float32) // ActSigmoid, ActTanh, actGELU or actGELUDeriv
@@ -65,16 +66,30 @@ var naiveKernels = kernelImpl{
 	sub:   vecSubGo,
 	mul:   vecMulGo,
 	scale: vecScaleGo,
-	dilute: func(a, b float32, w, r, snap []float32) bool {
-		vecScaleGo(a, w)
-		naiveAxpy(b, r, w)
-		copy(snap, w)
-		for _, v := range w {
-			if math.IsInf(float64(v), 0) || v != v {
-				return false
+	dilute: func(a, b float32, w, r, snap []float32, width int, rows, out []int) (bool, int) {
+		if len(out) == 0 {
+			width = len(w)
+		}
+		if len(rows) == 0 && width > 0 {
+			for k := 0; k < len(w)/width; k++ {
+				rows = append(rows, k)
 			}
 		}
-		return true
+		finite, n := true, 0
+		for _, k := range rows {
+			o, x, rr, sn := append([]float32(nil), w[k*width:(k+1)*width]...), w[k*width:(k+1)*width], r[k*width:], snap[k*width:]
+			vecScaleGo(a, x)
+			naiveAxpy(b, rr[:width], x)
+			copy(sn[:width], x)
+			if _, same := bitsEqual(x, o); !same && len(out) > 0 {
+				out[n] = k
+				n++
+			}
+			for _, v := range x {
+				finite = finite && !math.IsInf(float64(v), 0) && v == v
+			}
+		}
+		return finite, n
 	},
 	runs: naiveRuns,
 	transB: func(out, a, b []float32, k, n, lo, hi int) {
@@ -269,7 +284,7 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 			})
 			run("vecMul", func(k kernelImpl, ox, _ []float32) { k.mul(ox, b[0]) })
 			run("vecScale", func(k kernelImpl, ox, _ []float32) { k.scale(c[0], ox) })
-			run("dilute", func(k kernelImpl, ox, oy []float32) { k.dilute(c[0], c[1], ox, b[0], oy) })
+			run("dilute", func(k kernelImpl, ox, oy []float32) { k.dilute(c[0], c[1], ox, b[0], oy, 0, nil, nil) })
 			// dilute's finite flag: on finite inputs, and with one ±Inf or
 			// NaN, or a product that overflows, planted at each position.
 			for i := -1; i < n; i++ {
@@ -279,10 +294,56 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 				}
 				a := []float32{0.5, 2}[max(i, 0)%2]
 				gw, ww := append([]float32(nil), w0...), append([]float32(nil), w0...)
-				gf := got.dilute(a, 0.5, gw, rr, make([]float32, n))
-				wf := want.dilute(a, 0.5, ww, rr, make([]float32, n))
+				gf, _ := got.dilute(a, 0.5, gw, rr, make([]float32, n), 0, nil, nil)
+				wf, _ := want.dilute(a, 0.5, ww, rr, make([]float32, n), 0, nil, nil)
 				if gf != wf {
 					t.Fatalf("dilute n=%d off=%d planted %d: finite %v, want %v", n, off, i, gf, wf)
+				}
+			}
+			// dilute's changed rows, for every row width dividing n, over
+			// every row and over a list of them: rows whose reference
+			// equals w are fixed points at α = 1/2, and a fixed row with
+			// one coefficient off changes. A listed row's neighbours stay.
+			for width := 1; width <= n; width++ {
+				if n%width != 0 {
+					continue
+				}
+				rows := n / width
+				w0, rr := specialSlice(r, n, off, 5), specialSlice(r, n, 7-off, 5)
+				var list []int
+				for k := 0; k < rows; k++ {
+					if r.Intn(3) > 0 {
+						copy(rr[k*width:(k+1)*width], w0[k*width:(k+1)*width])
+						if r.Intn(4) == 0 {
+							rr[k*width+r.Intn(width)] = float32(r.NormFloat64())
+						}
+					}
+					if r.Intn(2) == 0 {
+						list = append(list, k)
+					}
+				}
+				for _, visit := range [][]int{nil, list} {
+					if visit != nil && len(visit) == 0 {
+						continue
+					}
+					var outs [2][]int
+					var ns [2]int
+					var ws, ss [2][]float32
+					for v, k := range []kernelImpl{got, want} {
+						ws[v], ss[v] = append([]float32(nil), w0...), make([]float32, n)
+						outs[v] = make([]int, rows)
+						_, ns[v] = k.dilute(0.5, 0.5, ws[v], rr, ss[v], width, visit, outs[v])
+					}
+					if !slices.Equal(outs[0][:ns[0]], outs[1][:ns[1]]) {
+						t.Fatalf("dilute n=%d off=%d width %d rows %v: changed rows %v, want %v", n, off, width, visit,
+							outs[0][:ns[0]], outs[1][:ns[1]])
+					}
+					for _, p := range [][2][]float32{{ws[0], ws[1]}, {ss[0], ss[1]}} {
+						if i, ok := sameBits(p[0], p[1]); !ok {
+							t.Fatalf("dilute n=%d off=%d width %d rows %v: element %d = %v, want %v", n, off, width, visit,
+								i, p[0][i], p[1][i])
+						}
+					}
 				}
 			}
 			for _, a := range []Act{ActSigmoid, ActTanh, actGELU, actGELUDeriv} {

@@ -112,11 +112,12 @@ func Dilute(alpha float32, w, ref, snap *Tensor) (finite bool) {
 	checkSameShape("Dilute", w, snap)
 	a, b, n := 1-alpha, alpha, len(w.data)
 	if !fansOut(n, n/vectorOpsPerUnit, 8) {
-		return dilute(a, b, w.data, ref.data, snap.data)
+		finite, _ = dilute(a, b, w.data, ref.data, snap.data, 0, nil, nil)
+		return finite
 	}
 	var nonFinite atomic.Bool
 	fanOut(n, 8, func(lo, hi int) {
-		if !dilute(a, b, w.data[lo:hi], ref.data[lo:hi], snap.data[lo:hi]) {
+		if ok, _ := dilute(a, b, w.data[lo:hi], ref.data[lo:hi], snap.data[lo:hi], 0, nil, nil); !ok {
 			nonFinite.Store(true)
 		}
 	})

@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Row-range passes: the dense passes of ops.go, reduce.go and runs.go
@@ -13,6 +15,92 @@ import (
 // coefficient gets exactly the operation, on the same kernel, that the
 // dense pass gives it — whether the unvisited ones could be skipped is
 // the caller's proof, stated on each function.
+
+// RowSet is a set of the rows of a table: a bitmap for membership, and
+// the members in the order they were added, put in ascending order on
+// demand.
+type RowSet struct {
+	mark   []uint64
+	rows   []int
+	sorted bool
+}
+
+// NewRowSet returns an empty set of rows below n.
+func NewRowSet(n int) RowSet { return RowSet{mark: make([]uint64, (n+63)/64), sorted: true} }
+
+// Add puts row r in the set.
+func (s *RowSet) Add(r int) {
+	w, b := r>>6, uint64(1)<<(r&63)
+	if s.mark[w]&b != 0 {
+		return
+	}
+	s.mark[w] |= b
+	if n := len(s.rows); n > 0 && s.rows[n-1] > r {
+		s.sorted = false
+	}
+	s.rows = append(s.rows, r)
+}
+
+// AddSet puts every member of o in the set.
+func (s *RowSet) AddSet(o *RowSet) {
+	for _, r := range o.rows {
+		s.Add(r)
+	}
+}
+
+// AddCovered puts in the set every row, of width coefficients, that a
+// span of rs covers.
+func (s *RowSet) AddCovered(rs *Runs, width int) {
+	for _, sp := range rs.Spans {
+		for r := int(sp.Start) / width; r <= int(sp.Start+sp.Len-1)/width; r++ {
+			s.Add(r)
+		}
+	}
+}
+
+// Len returns the number of members.
+func (s *RowSet) Len() int { return len(s.rows) }
+
+// Ascending returns the members in ascending order, read off the bitmap
+// when they were added out of order. The slice is s's: read it before s
+// next changes.
+func (s *RowSet) Ascending() []int {
+	if !s.sorted {
+		s.rows = s.rows[:0]
+		for w, m := range s.mark {
+			for ; m != 0; m &= m - 1 {
+				s.rows = append(s.rows, w<<6|bits.TrailingZeros64(m))
+			}
+		}
+		s.sorted = true
+	}
+	return s.rows
+}
+
+// Clear empties the set.
+func (s *RowSet) Clear() {
+	for _, r := range s.rows {
+		s.mark[r>>6] = 0
+	}
+	s.rows = s.rows[:0]
+	s.sorted = true
+}
+
+// spare returns room for k more members, past the current ones, for a
+// kernel to write rows into.
+func (s *RowSet) spare(k int) []int {
+	s.rows = slices.Grow(s.rows, k)
+	return s.rows[len(s.rows) : len(s.rows)+k]
+}
+
+// addSpare adds the first n rows written to spare. Add stores each
+// member at or before the slot it was read from, so the rows not yet
+// read are intact.
+func (s *RowSet) addSpare(n int) {
+	for _, r := range s.rows[len(s.rows) : len(s.rows)+n] {
+		s.Add(r)
+	}
+}
 
 // rowRange returns the coefficient range [lo, hi) of the run of
 // consecutive rows starting at rows[i], and the index after it.
@@ -103,4 +191,25 @@ func (b *RunBuilder) SubRows(w, s *Tensor, rows []int) *Runs {
 	}
 	b.spans = spans
 	return b.runs(w.shape, nv)
+}
+
+// DiluteRows is Dilute on the given rows of 2-D tensors (ascending, each
+// once) — every row when rows is nil, none when it is empty — leaving
+// every other coefficient as it is: each visited coefficient gets exactly Dilute's arithmetic, on
+// the same kernel. The same pass adds to changed each visited row whose
+// new bits differ from its old ones. It runs serially.
+func DiluteRows(alpha float32, w, ref, snap *Tensor, rows []int, changed *RowSet) (finite bool) {
+	checkSameShape("DiluteRows", w, ref)
+	checkSameShape("DiluteRows", w, snap)
+	width := rowWidth("DiluteRows", w)
+	n := w.shape[0]
+	if rows != nil {
+		n = len(rows)
+	}
+	if n == 0 || width == 0 {
+		return true
+	}
+	finite, k := dilute(1-alpha, alpha, w.data, ref.data, snap.data, width, rows, changed.spare(n))
+	changed.addSpare(k)
+	return finite
 }

@@ -133,3 +133,93 @@ func TestRowPassesNeedRows(t *testing.T) {
 		t.Fatalf("got %v, want %v", x.data, want)
 	}
 }
+
+// TestPropDiluteRowsMatchesDilute: DiluteRows equals Dilute on the
+// listed rows, leaves every other row of w and snap untouched, and lists
+// as changed exactly the visited rows whose bits moved — at α = 1/2, 1/3
+// and 1/4, on tables run to their fixed point and then disturbed. On
+// amd64, TestPropDiluteRowsMatchesDiluteGoLayer repeats it on the Go
+// loops.
+func TestPropDiluteRowsMatchesDilute(t *testing.T) { checkDiluteRowsMatchesDilute(t) }
+
+func checkDiluteRowsMatchesDilute(t *testing.T) {
+	t.Helper()
+	prop := func(seed int64, shape uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		sh := rowShapes[int(shape)%len(rowShapes)]
+		alpha := []float32{1.0 / 2, 1.0 / 3, 1.0 / 4}[r.Intn(3)]
+		w, ref, snap := New(sh[0], sh[1]), New(sh[0], sh[1]), New(sh[0], sh[1])
+		for i := range w.data {
+			w.data[i], ref.data[i], snap.data[i] = float32(r.NormFloat64()), float32(r.NormFloat64()), float32(r.NormFloat64())
+			if r.Intn(9) == 0 {
+				w.data[i] = specials[r.Intn(5)] // ±0 and denormals: finite
+			}
+		}
+		if r.Intn(2) == 0 { // settle every row, then move a few
+			for range 100 {
+				Dilute(alpha, w, ref, New(sh[0], sh[1]))
+			}
+			for range 1 + r.Intn(4) {
+				i := r.Intn(len(w.data))
+				[]*Tensor{w, ref}[r.Intn(2)].data[i] = float32(r.NormFloat64())
+			}
+		}
+		rows := someRows(r, sh[0])
+		if r.Intn(5) == 0 {
+			rows = nil // every row
+		}
+		wd, sd := w.Clone(), snap.Clone()
+		denseFinite := Dilute(alpha, wd, ref, sd)
+		wr, sr := w.Clone(), snap.Clone()
+		changed := NewRowSet(sh[0])
+		finite := DiluteRows(alpha, wr, ref, sr, rows, &changed)
+		visited := func(row int) bool {
+			_, in := slices.BinarySearch(rows, row)
+			return rows == nil || in
+		}
+		var wantChanged []int
+		for row := 0; row < sh[0]; row++ {
+			lo, hi := row*sh[1], (row+1)*sh[1]
+			want := [2]*Tensor{w, snap}
+			if visited(row) {
+				want = [2]*Tensor{wd, sd}
+				if _, same := bitsEqual(wd.data[lo:hi], w.data[lo:hi]); !same {
+					wantChanged = append(wantChanged, row)
+				}
+			}
+			for v, got := range []*Tensor{wr, sr} {
+				if i, ok := bitsEqual(got.data[lo:hi], want[v].data[lo:hi]); !ok {
+					t.Logf("shape %v α %v row %d (visited %v): tensor %d coefficient %d = %v, want %v",
+						sh, alpha, row, visited(row), v, i, got.data[lo+i], want[v].data[lo+i])
+					return false
+				}
+			}
+		}
+		if got := changed.Ascending(); !slices.Equal(got, wantChanged) {
+			t.Logf("shape %v α %v: changed %v, want %v", sh, alpha, got, wantChanged)
+			return false
+		}
+		return finite == denseFinite || rows != nil
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRowSet: members come back ascending, once each, however they were
+// added, and the set empties.
+func TestRowSet(t *testing.T) {
+	s := NewRowSet(200)
+	for _, r := range []int{5, 3, 130, 5, 64, 0, 199, 63} {
+		s.Add(r)
+	}
+	want := []int{0, 3, 5, 63, 64, 130, 199}
+	if got := s.Ascending(); !slices.Equal(got, want) || s.Len() != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	s.Clear()
+	s.AddCovered(&Runs{Spans: []Span{{Start: 7, Len: 2}, {Start: 9, Len: 12}, {Start: 40, Len: 1}}}, 10)
+	if got := s.Ascending(); !slices.Equal(got, []int{0, 1, 2, 4}) {
+		t.Fatalf("covered rows %v, want [0 1 2 4]", got)
+	}
+}
