@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -219,6 +220,15 @@ func TestNewPipelineFromScheduleRejectsIllegal(t *testing.T) {
 	}}
 	if _, err := NewPipelineFromSchedule(task.NewModel(1), offset); err == nil {
 		t.Fatal("interpreter accepted non-contiguous micro indices")
+	}
+	// A reversed pipeline is legal to Analyze but would run stage K−1−g's
+	// ops on stage g's layers.
+	bidi := sched.Interleave(sched.OneFOneB(2, 2, 1), 2, true)
+	if _, err := sched.Analyze(bidi); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPipelineFromSchedule(task.NewModel(1), bidi); err == nil || !strings.Contains(err.Error(), "reverse") {
+		t.Fatalf("runtime accepted a reversed pipeline: %v", err)
 	}
 }
 

@@ -269,8 +269,13 @@ func (p *Pipeline) SetObs(reg *obs.Registry) {
 // measured occupancy equals the analysis of the schedule as given. The
 // schedule must pass sched.Analyze (per-GPU structure plus cross-stage
 // dependency legality) and cover exactly one flush whose micro set is
-// 0..m−1; RunBatchContext then accepts only that m.
+// 0..m−1; RunBatchContext then accepts only that m. A schedule with a
+// reversed pipeline (sched.Interleave) is rejected: stage s holds only
+// its own layers, so it cannot run another stage's ops.
 func NewPipelineFromSchedule(model *nn.Sequential, schedule *sched.Schedule) (*Pipeline, error) {
+	if schedule.Reversed() {
+		return nil, fmt.Errorf("core: schedule %s places a pipeline in reverse; the runtime runs stage s on stage s's layers only", schedule.Name)
+	}
 	an, err := sched.Analyze(schedule)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package pipesim
 
 import (
 	"fmt"
-	"math"
 
 	"avgpipe/internal/sched"
 )
@@ -21,15 +20,10 @@ type ChimeraConfig struct {
 	Base Config
 }
 
-// chTask identifies one unit of Chimera work.
-type chTask struct {
-	up    bool // which direction's pipeline
-	kind  sched.Kind
-	micro int
-}
-
 // RunChimera simulates the bidirectional schedule and returns a Result
-// comparable with Run's.
+// comparable with Run's, whose Config echoes cfg.Base. It is Run's
+// simulation of two 1F1B pipelines of Micro/2 micro-batches, each on
+// half the batch, with the second placed in reverse (sched.Interleave).
 func RunChimera(cfg ChimeraConfig) (*Result, error) {
 	base := cfg.Base
 	k := len(base.Stages)
@@ -39,239 +33,19 @@ func RunChimera(cfg ChimeraConfig) (*Result, error) {
 	if base.Micro%2 != 0 {
 		return nil, fmt.Errorf("pipesim: chimera needs an even micro-batch count, got %d", base.Micro)
 	}
-	if base.Batches <= 0 || base.Workload.BatchSize%base.Micro != 0 {
+	if base.Micro <= 0 || base.Batches <= 0 || base.Workload.BatchSize%base.Micro != 0 {
 		return nil, fmt.Errorf("pipesim: invalid chimera config")
 	}
-	b := base.Workload.BatchSize / base.Micro
-	half := base.Micro / 2 * base.Batches // micros per direction
-
-	// gpuOf maps (direction, stage) to a GPU.
-	gpuOf := func(up bool, s int) int {
-		if up {
-			return k - 1 - s
-		}
-		return s
+	half := *base.Workload
+	half.BatchSize /= 2
+	pair := base
+	pair.Workload, pair.Micro, pair.Pipelines = &half, base.Micro/2, 2
+	pair.Schedule = sched.OneFOneB(k, pair.Micro, base.Batches)
+	pair.Schedule.Name = "Chimera"
+	res, err := simulate(pair, true)
+	if err != nil {
+		return nil, err
 	}
-
-	// Durations: each GPU time-shares two resident stage replicas; the
-	// concurrent sample count is 2b when both directions are active, so
-	// kernels run at eff(2b) as in the N=2 parallel-pipeline case.
-	fwdDur := make([]float64, k)
-	bwdDur := make([]float64, k)
-	util := make([]float64, k)
-	for s := 0; s < k; s++ {
-		gpu := base.Cluster.GPUs[s]
-		gpu.SatSamples = base.Workload.SatSamples
-		eff := gpu.Efficiency(float64(2 * b))
-		fwdDur[s] = base.Stages[s].FwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
-		bwdDur[s] = base.Stages[s].BwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
-		util[s] = eff
-	}
-	xfer := make([]float64, k-1)
-	for s := 0; s < k-1; s++ {
-		xfer[s] = base.Cluster.Link(s).TransferTime(base.Stages[s].OutActBytes * int64(b)).Seconds()
-	}
-
-	// Per-GPU op order: interleave the two directions' 1F1B sequences.
-	ofob := sched.OneFOneB(k, base.Micro/2, base.Batches)
-	perGPU := make([][]chTask, k)
-	for g := 0; g < k; g++ {
-		down := ofob.PerGPU[g]      // this GPU is stage g of the down pipeline
-		upOps := ofob.PerGPU[k-1-g] // and stage k-1-g of the up pipeline
-		merged := make([]chTask, 0, len(down)+len(upOps))
-		for i := 0; i < len(down) || i < len(upOps); i++ {
-			if i < len(down) {
-				merged = append(merged, chTask{up: false, kind: down[i].Kind, micro: down[i].Micro})
-			}
-			if i < len(upOps) {
-				merged = append(merged, chTask{up: true, kind: upOps[i].Kind, micro: upOps[i].Micro})
-			}
-		}
-		perGPU[g] = merged
-	}
-
-	const unset = -1.0
-	mk := func() [][]float64 {
-		v := make([][]float64, k)
-		for s := range v {
-			v[s] = make([]float64, half)
-			for i := range v[s] {
-				v[s][i] = unset
-			}
-		}
-		return v
-	}
-	// Indexed [stage][micro] per direction.
-	type dirState struct {
-		fwdArrive, bwdArrive [][]float64
-		fwdEnd, bwdEnd       [][]float64
-		fwdDep, bwdDep       [][]float64
-	}
-	mkDir := func() *dirState {
-		d := &dirState{fwdArrive: mk(), bwdArrive: mk(), fwdEnd: mk(), bwdEnd: mk(), fwdDep: mk(), bwdDep: mk()}
-		for m := 0; m < half; m++ {
-			d.fwdArrive[0][m] = 0
-			d.fwdDep[0][m] = 0
-		}
-		return d
-	}
-	dirs := map[bool]*dirState{false: mkDir(), true: mkDir()}
-
-	// Physical link FIFO per direction: down-forward and up-backward both
-	// travel "rightward" over link l; up-forward and down-backward travel
-	// "leftward".
-	linkRight := make([]float64, k-1)
-	linkLeft := make([]float64, k-1)
-
-	gpuFree := make([]float64, k)
-	idx := make([]int, k)
-	stats := make([]GPUStats, k)
-	for s := range stats {
-		stats[s].PeakUtil = util[s]
-	}
-
-	ready := func(g int, t chTask) (at, dep float64, stage int, ok bool) {
-		d := dirs[t.up]
-		// Translate GPU g to the task's pipeline stage.
-		stage = g
-		if t.up {
-			stage = k - 1 - g
-		}
-		switch t.kind {
-		case sched.Fwd:
-			at, dep = d.fwdArrive[stage][t.micro], d.fwdDep[stage][t.micro]
-		default:
-			if stage == k-1 {
-				at = d.fwdEnd[stage][t.micro]
-				dep = at
-			} else {
-				at, dep = d.bwdArrive[stage][t.micro], d.bwdDep[stage][t.micro]
-			}
-		}
-		return at, dep, stage, at != unset
-	}
-
-	remaining := 0
-	for g := 0; g < k; g++ {
-		remaining += len(perGPU[g])
-	}
-	for remaining > 0 {
-		bestG := -1
-		bestStart, bestAt, bestDep, bestStage := math.Inf(1), 0.0, 0.0, 0
-		for g := 0; g < k; g++ {
-			if idx[g] >= len(perGPU[g]) {
-				continue
-			}
-			at, dep, stage, ok := ready(g, perGPU[g][idx[g]])
-			if !ok {
-				continue
-			}
-			start := math.Max(gpuFree[g], at)
-			if start < bestStart || (start == bestStart && (bestG == -1 || g < bestG)) {
-				bestG, bestStart, bestAt, bestDep, bestStage = g, start, at, dep, stage
-			}
-		}
-		if bestG == -1 {
-			return nil, fmt.Errorf("pipesim: chimera schedule: %w", ErrDeadlock)
-		}
-		g := bestG
-		t := perGPU[g][idx[g]]
-		idx[g]++
-		remaining--
-
-		if wait := bestStart - gpuFree[g]; wait > 0 {
-			commPart := math.Min(wait, math.Max(bestAt-bestDep, 0))
-			commPart = math.Min(commPart, math.Max(bestAt-gpuFree[g], 0))
-			stats[g].CommBlocked += commPart
-			stats[g].Bubble += wait - commPart
-		}
-
-		stage := bestStage
-		var dur float64
-		if t.kind == sched.Fwd {
-			dur = fwdDur[stage]
-		} else {
-			dur = bwdDur[stage]
-		}
-		end := bestStart + dur
-		gpuFree[g] = end
-		stats[g].Busy += dur
-		stats[g].Timeline = append(stats[g].Timeline, Interval{Start: bestStart, End: end, Util: util[g]})
-
-		d := dirs[t.up]
-		switch t.kind {
-		case sched.Fwd:
-			d.fwdEnd[stage][t.micro] = end
-			if stage < k-1 {
-				// Down-forward uses link[stage] rightward; up-forward uses
-				// link between GPUs (k-1-stage) and (k-2-stage) leftward.
-				var li int
-				var pool []float64
-				if t.up {
-					li = k - 2 - stage
-					pool = linkLeft
-				} else {
-					li = stage
-					pool = linkRight
-				}
-				depart := math.Max(end, pool[li])
-				arrive := depart + xfer[li]
-				pool[li] = arrive
-				d.fwdArrive[stage+1][t.micro] = arrive
-				d.fwdDep[stage+1][t.micro] = end
-				stats[gpuOf(t.up, stage+1)].CommTotal += xfer[li]
-			}
-		default:
-			d.bwdEnd[stage][t.micro] = end
-			if stage > 0 {
-				var li int
-				var pool []float64
-				if t.up {
-					li = k - 1 - stage
-					pool = linkRight
-				} else {
-					li = stage - 1
-					pool = linkLeft
-				}
-				depart := math.Max(end, pool[li])
-				arrive := depart + xfer[li]
-				pool[li] = arrive
-				d.bwdArrive[stage-1][t.micro] = arrive
-				d.bwdDep[stage-1][t.micro] = end
-				stats[gpuOf(t.up, stage-1)].CommTotal += xfer[li]
-			}
-		}
-	}
-
-	makespan := 0.0
-	for g := 0; g < k; g++ {
-		if gpuFree[g] > makespan {
-			makespan = gpuFree[g]
-		}
-	}
-	res := &Result{Makespan: makespan, BatchTime: makespan / float64(base.Batches), PerGPU: stats, Config: base}
-	for g := 0; g < k; g++ {
-		res.PerGPU[g].Bubble += makespan - gpuFree[g]
-	}
-
-	// Memory: every GPU hosts two stage replicas (its down stage g and up
-	// stage k-1-g) with optimizer state and gradients for both, plus both
-	// directions' 1F1B stashes.
-	var oom error
-	for g := 0; g < k; g++ {
-		down := base.Stages[g]
-		up := base.Stages[k-1-g]
-		params := down.ParamBytes + up.ParamBytes
-		inflightDown := int64(k - g) // down pipeline: 1F1B bound K−s
-		inflightUp := int64(g + 1)   // up pipeline: stage k−1−g ⇒ K−(k−1−g)
-		mb := MemoryOf(params, base.Workload.OptimStateFactor,
-			down.StashBytes*int64(b)*inflightDown+up.StashBytes*int64(b)*inflightUp,
-			2*(down.OutActBytes+up.OutActBytes)*int64(b))
-		res.PerGPU[g].Memory = mb
-		if err := base.Cluster.GPUs[g].CheckFit(mb); err != nil && oom == nil {
-			oom = fmt.Errorf("chimera stage pair %d: %w", g, err)
-		}
-	}
-	res.OOM = oom
+	res.Config = base
 	return res, nil
 }

@@ -13,15 +13,22 @@
 //     lets AFAB overlap communication with computation while 1F1B, whose
 //     critical path crosses the links once per micro-batch in each
 //     direction, stalls repeatedly (§4.1).
-//   - The N parallel pipelines are simulated explicitly by expanding the
-//     per-pipeline schedule: micro-batch m of pipeline p becomes global
-//     unit m·N+p, with the N pipelines' units interleaved on every GPU.
-//     Each kernel runs at efficiency eff(N·b) (co-running pipelines raise
-//     arithmetic intensity), and each pipeline's transfers are separate
-//     link messages. This captures the paper's key overlap effect: while
-//     one pipeline waits for a transfer, the other pipelines' compute
-//     fills the gap. Total per-GPU communication still scales with N
-//     (matching (𝕋^k)* = (n*/n)·𝕋^k, Eq. 4).
+//   - The N parallel pipelines are simulated explicitly by interleaving
+//     the per-pipeline schedule (sched.Interleave): micro-batch m of
+//     pipeline p becomes global unit m·N+p, with the N pipelines' units
+//     interleaved on every GPU. Each kernel runs at efficiency eff(N·b)
+//     (co-running pipelines raise arithmetic intensity), and each
+//     pipeline's transfers are separate link messages. This captures the
+//     paper's key overlap effect: while one pipeline waits for a
+//     transfer, the other pipelines' compute fills the gap. Total per-GPU
+//     communication still scales with N (matching (𝕋^k)* = (n*/n)·𝕋^k,
+//     Eq. 4).
+//   - Each pipeline has a placement (sched.Schedule.Stage): stage s runs
+//     on GPU s, or on GPU K−1−s for a pipeline placed in reverse.
+//     Chimera (RunChimera) is two 1F1B pipelines, the second reversed.
+//     Dependencies and op costs are in stage space; GPU occupancy, link
+//     FIFOs and CommTotal are in GPU space; memory sums the stages each
+//     GPU hosts. There is one event loop for every configuration.
 package pipesim
 
 import (
@@ -196,33 +203,13 @@ func (c *Config) Validate() error {
 // microSamples returns the per-micro-batch sample count b = B/M.
 func (c *Config) microSamples() int { return c.Workload.BatchSize / c.Micro }
 
-// expandSchedule interleaves n symmetric pipelines: every op on micro m
-// becomes n consecutive ops on global units m·n+p, preserving each GPU's
-// op order. With n = 1 the schedule is returned unchanged.
-func expandSchedule(s *sched.Schedule, n int) *sched.Schedule {
-	if n == 1 {
-		return s
-	}
-	out := &sched.Schedule{
-		Name:           s.Name,
-		Continuous:     s.Continuous,
-		WeightVersions: s.WeightVersions,
-		PerGPU:         make([][]sched.Op, len(s.PerGPU)),
-	}
-	for k, ops := range s.PerGPU {
-		exp := make([]sched.Op, 0, len(ops)*n)
-		for _, op := range ops {
-			for p := 0; p < n; p++ {
-				exp = append(exp, sched.Op{Kind: op.Kind, Micro: op.Micro*n + p})
-			}
-		}
-		out.PerGPU[k] = exp
-	}
-	return out
-}
-
 // Run simulates the configuration.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return simulate(cfg, false) }
+
+// simulate runs cfg.Pipelines copies of cfg.Schedule interleaved on the
+// cluster (sched.Interleave), every odd one placed in reverse when
+// reverse is set.
+func simulate(cfg Config, reverse bool) (*Result, error) {
 	reg := cfg.registry()
 	runs := reg.Counter("avgpipe_sim_runs_total", "Pipeline simulations executed.")
 	deadlocks := reg.Counter("avgpipe_sim_deadlocks_total", "Simulations rejected for schedule deadlock.")
@@ -245,7 +232,7 @@ func Run(cfg Config) (*Result, error) {
 	b := cfg.microSamples()
 	// Expand the per-pipeline schedule into the N-pipeline interleaving:
 	// unit m of pipeline p is global unit m·N+p.
-	sim := expandSchedule(cfg.Schedule, n)
+	sim := sched.Interleave(cfg.Schedule, n, reverse)
 	total := cfg.Micro * cfg.Batches * n
 
 	// Per-unit durations (seconds), by op kind and stage. Co-running
@@ -298,74 +285,82 @@ func Run(cfg Config) (*Result, error) {
 		stats[s].PeakUtil = util[s]
 	}
 
+	// Deps, events and durations are in stage space; GPU occupancy, link
+	// FIFOs and the wait accounting are in GPU space. sim.Stage maps
+	// between them, both ways.
 	walk := sched.NewWalker(sim)
 	err = walk.Run(func(ready []int) int {
 		// Run the ready op with the earliest feasible start time, so link
 		// FIFO order matches simulated time order. An op's input is there
 		// at `at`, behind a compute completion at depEnd; input data is
 		// always resident, so an op with no input event has it at 0.
-		s, op, begin, at, depEnd := -1, sched.Op{}, math.Inf(1), 0.0, 0.0
-		for _, g := range ready {
-			o, _ := walk.Next(g)
+		g, op, begin, at, depEnd := -1, sched.Op{}, math.Inf(1), 0.0, 0.0
+		for _, h := range ready {
+			o, _ := walk.Next(h)
 			a, d := 0.0, 0.0
-			if in, _ := o.Deps(g, k); in.Kind != sched.NoEvent {
+			st := sim.Stage(h, o.Micro)
+			if in, _ := o.Deps(st, k); in.Kind != sched.NoEvent {
 				i := in.Index(k, total)
 				a, d = when[i], when[i]
-				if in.Stage != g {
+				if in.Stage != st {
 					a = arrive[i]
 				}
 			}
-			if b := math.Max(gpuFree[g], a); b < begin {
-				s, op, begin, at, depEnd = g, o, b, a, d
+			if b := math.Max(gpuFree[h], a); b < begin {
+				g, op, begin, at, depEnd = h, o, b, a, d
 			}
 		}
 
 		// Attribute the wait preceding this op.
-		if wait := begin - gpuFree[s]; wait > 0 {
+		if wait := begin - gpuFree[g]; wait > 0 {
 			commPart := math.Min(wait, math.Max(at-depEnd, 0))
 			// Only the tail of the wait can overlap the transfer.
-			commPart = math.Min(commPart, math.Max(at-gpuFree[s], 0))
-			stats[s].CommBlocked += commPart
-			stats[s].Bubble += wait - commPart
+			commPart = math.Min(commPart, math.Max(at-gpuFree[g], 0))
+			stats[g].CommBlocked += commPart
+			stats[g].Bubble += wait - commPart
 		}
 
+		s := sim.Stage(g, op.Micro)
 		d := dur[op.Kind][s]
 		end := begin + d
-		gpuFree[s] = end
-		stats[s].Busy += d
-		stats[s].Timeline = append(stats[s].Timeline, Interval{Start: begin, End: end, Util: util[s], Label: op.String()})
+		gpuFree[g] = end
+		stats[g].Busy += d
+		stats[g].Timeline = append(stats[g].Timeline, Interval{Start: begin, End: end, Util: util[g], Label: op.String()})
 
 		switch op.Kind {
 		case sched.Fwd:
-			stats[s].Fwd++
-			inflight[s]++
-			stats[s].PeakInFlight = max(stats[s].PeakInFlight, inflight[s])
+			stats[g].Fwd++
+			inflight[g]++
+			stats[g].PeakInFlight = max(stats[g].PeakInFlight, inflight[g])
 		case sched.BwdIn:
 			// A split backward keeps the stash live until the grad-weight
 			// op reads it.
-			stats[s].Bwd++
+			stats[g].Bwd++
 		case sched.Bwd:
-			stats[s].Bwd++
-			inflight[s]--
+			stats[g].Bwd++
+			inflight[g]--
 		case sched.BwdW:
-			stats[s].BwdW++
-			inflight[s]--
+			stats[g].BwdW++
+			inflight[g]--
 		}
 
 		if _, out := op.Deps(s, k); out.Kind != sched.NoEvent {
 			i := out.Index(k, total)
 			when[i] = end
 			if to, ok := out.Remote(k); ok {
-				dir, l := 0, s
-				if to < s {
-					dir, l = 1, to
+				// The event travels to h, the GPU that runs stage to,
+				// over the link between them (indexed by the lower GPU).
+				h := sim.Stage(to, op.Micro)
+				dir, l := 0, g
+				if h < g {
+					dir, l = 1, h
 				}
 				arrive[i] = math.Max(end, linkFree[dir][l]) + xfer[l]
 				linkFree[dir][l] = arrive[i]
-				stats[to].CommTotal += xfer[l]
+				stats[h].CommTotal += xfer[l]
 			}
 		}
-		return s
+		return g
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pipesim: %w", err)
@@ -388,43 +383,47 @@ func Run(cfg Config) (*Result, error) {
 	for s := 0; s < k; s++ {
 		res.PerGPU[s].Bubble += makespan - gpuFree[s]
 	}
-	res.computeMemory(analysis)
+	res.computeMemory(analysis, sim)
 	return res, nil
 }
 
-// computeMemory fills in per-GPU memory breakdowns and the OOM check,
-// from the schedule's analytic occupancy.
-func (r *Result) computeMemory(an *sched.Analysis) {
+// computeMemory fills in per-GPU memory breakdowns and the OOM check.
+// GPU g hosts one stage of every pipeline (placed by sim.Stage), and
+// each hosted stage is charged at its own analytic occupancy in an, the
+// analysis of one pipeline's schedule.
+func (r *Result) computeMemory(an *sched.Analysis, sim *sched.Schedule) {
 	cfg := r.Config
-	n := int64(cfg.Pipelines)
 	b := int64(cfg.microSamples())
-	inflight := an.MaxInFlight
 	// For multi-batch flushed simulations the schedule-wide in-flight
 	// bound equals the single-batch bound; continuous schedules are
 	// already steady-state bounded.
 	var oom error
-	for s := range cfg.Stages {
-		st := cfg.Stages[s]
-		versions := int64(an.WeightVersions[s])
-		mb := device.MemoryBreakdown{}
-		mb.Weights = st.ParamBytes * versions * n
+	for g := range cfg.Stages {
+		var mb device.MemoryBreakdown
+		var params int64
+		for p := 0; p < cfg.Pipelines; p++ {
+			s := sim.Stage(g, p)
+			st := cfg.Stages[s]
+			params += st.ParamBytes
+			mb.Weights += st.ParamBytes * int64(an.WeightVersions[s])
+			stashPerSample := st.StashBytes
+			if cfg.Recompute {
+				// Only the stage-boundary input survives until the
+				// backward; the replayed forward rebuilds the rest.
+				stashPerSample = st.OutActBytes
+			}
+			mb.Activations += stashPerSample * b * int64(an.MaxInFlight[s])
+			// Boundary send/receive buffers for activations and gradients.
+			mb.Buffers += 2 * st.OutActBytes * b
+		}
 		if cfg.RefModel {
-			mb.Weights += st.ParamBytes
+			mb.Weights += cfg.Stages[g].ParamBytes
 		}
-		mb.OptimizerState = int64(float64(st.ParamBytes) * cfg.Workload.OptimStateFactor * float64(n))
-		mb.Gradients = st.ParamBytes * n
-		stashPerSample := st.StashBytes
-		if cfg.Recompute {
-			// Only the stage-boundary input survives until the backward;
-			// everything else is rebuilt by the replayed forward.
-			stashPerSample = st.OutActBytes
-		}
-		mb.Activations = stashPerSample * b * n * int64(inflight[s])
-		// Boundary send/receive buffers for activations and gradients.
-		mb.Buffers = 2 * st.OutActBytes * b * n
-		r.PerGPU[s].Memory = mb
-		if err := cfg.Cluster.GPUs[s].CheckFit(mb); err != nil && oom == nil {
-			oom = fmt.Errorf("stage %d (%s): %w", s, cfg.Schedule.Name, err)
+		mb.OptimizerState = int64(float64(params) * cfg.Workload.OptimStateFactor)
+		mb.Gradients = params
+		r.PerGPU[g].Memory = mb
+		if err := cfg.Cluster.GPUs[g].CheckFit(mb); err != nil && oom == nil {
+			oom = fmt.Errorf("stage %d (%s): %w", g, cfg.Schedule.Name, err)
 		}
 	}
 	r.OOM = oom
@@ -457,18 +456,6 @@ func (r *Result) RecordDrift(reg *obs.Registry, fwd, bwd, peak []int) int {
 	check("bwd", bwd, func(g GPUStats) int { return g.Bwd })
 	check("peak_inflight", peak, func(g GPUStats) int { return g.PeakInFlight })
 	return drift
-}
-
-// MemoryOf assembles a memory breakdown from its components; shared by
-// the pipeline and Chimera simulators.
-func MemoryOf(paramBytes int64, optimFactor float64, activations, buffers int64) device.MemoryBreakdown {
-	return device.MemoryBreakdown{
-		Weights:        paramBytes,
-		OptimizerState: int64(float64(paramBytes) * optimFactor),
-		Gradients:      paramBytes,
-		Activations:    activations,
-		Buffers:        buffers,
-	}
 }
 
 // DataParallel analytically models the PyTorch data-parallel baseline:

@@ -158,40 +158,6 @@ func TestPropMakespanBounds(t *testing.T) {
 	}
 }
 
-// Property: expanded schedules remain valid and scale op counts by N.
-func TestPropExpandSchedule(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(5)
-		m := 1 + r.Intn(8)
-		n := 1 + r.Intn(4)
-		s := sched.OneFOneB(k, m, 1)
-		e := expandSchedule(s, n)
-		if err := e.Validate(); err != nil {
-			t.Log(err)
-			return false
-		}
-		for g := range e.PerGPU {
-			if len(e.PerGPU[g]) != n*len(s.PerGPU[g]) {
-				return false
-			}
-		}
-		// In-flight bound scales by exactly N.
-		orig := s.MaxInFlight()
-		exp := e.MaxInFlight()
-		for g := range orig {
-			if exp[g] != n*orig[g] {
-				t.Logf("gpu %d inflight %d, want %d", g, exp[g], n*orig[g])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: memory accounting is monotone in pipelines and versions.
 func TestPropMemoryMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {

@@ -198,3 +198,84 @@ func TestPlanByName(t *testing.T) {
 		t.Fatalf("AFP advance ignored: stash peak %d, want 4", an.MaxInFlight[0])
 	}
 }
+
+// Property: Interleave keeps every op of every pipeline exactly once, on
+// the GPU its placement names and in its own order; each GPU cycles
+// through the pipelines 0..n−1; the placement is its own inverse; and
+// the result is a legal schedule whose in-flight bound is n times the
+// original's when no pipeline is reversed.
+func TestPropInterleave(t *testing.T) {
+	type key struct {
+		stage int
+		op    Op
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		k, m, n := 1+r.Intn(5), 1+r.Intn(8), 1+r.Intn(4)
+		reverse := r.Intn(2) == 1
+		s := OneFOneB(k, m, 1+r.Intn(2))
+		if r.Intn(2) == 1 {
+			s = SplitBackward(s)
+		}
+		e := Interleave(s, n, reverse)
+		if _, err := Analyze(e); err != nil {
+			t.Log(err)
+			return false
+		}
+		count := map[key]int{}
+		for st, ops := range s.PerGPU {
+			for _, op := range ops {
+				for p := 0; p < n; p++ {
+					count[key{st, Op{op.Kind, op.Micro*n + p}}]++
+				}
+			}
+		}
+		for g, ops := range e.PerGPU {
+			for i, op := range ops {
+				if op.Micro%n != i%n {
+					t.Logf("GPU %d op %d is %s, of pipeline %d, want %d", g, i, op, op.Micro%n, i%n)
+					return false
+				}
+				st := e.Stage(g, op.Micro)
+				if e.Stage(st, op.Micro) != g {
+					t.Logf("placement of %s is not its own inverse", op)
+					return false
+				}
+				want := g
+				if reverse && op.Micro%n%2 == 1 {
+					want = k - 1 - g
+				}
+				if st != want {
+					t.Logf("GPU %d runs %s as stage %d, want %d", g, op, st, want)
+					return false
+				}
+				// Per GPU, each pipeline's ops keep their source order.
+				if src := s.PerGPU[st][i/n]; src.Kind != op.Kind || src.Micro*n+op.Micro%n != op.Micro {
+					t.Logf("GPU %d op %d is %s, want %s of stage %d", g, i, op, src, st)
+					return false
+				}
+				count[key{st, op}]--
+			}
+		}
+		for kk, c := range count {
+			if c != 0 {
+				t.Logf("stage %d op %s appears %d times too few", kk.stage, kk.op, c)
+				return false
+			}
+		}
+		if reverse && n > 1 {
+			return e.Reversed()
+		}
+		orig, exp := s.MaxInFlight(), e.MaxInFlight()
+		for g := range orig {
+			if exp[g] != n*orig[g] {
+				t.Logf("gpu %d inflight %d, want %d", g, exp[g], n*orig[g])
+				return false
+			}
+		}
+		return !e.Reversed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -18,6 +18,10 @@
 // consumers are cross-validated against.
 // Plan wraps a schedule family as a (k, m) → Schedule generator so
 // callers can pick a schedule before the pipeline geometry is fixed.
+// Interleave runs N copies of a schedule on the same GPUs, and is the
+// only place that sets a placement: which stage a GPU runs each
+// pipeline's ops as (Schedule.Stage). Chimera's second pipeline is
+// placed in reverse; every other schedule runs stage g on GPU g.
 //
 // Implemented schedules, following §4 of the paper:
 //
@@ -100,6 +104,61 @@ type Schedule struct {
 	// resident (1 for synchronous schedules, K−s for PipeDream, 2 for
 	// PipeDream-2BW).
 	WeightVersions func(s, k int) int
+	// reversed[p] places pipeline p of an Interleave result in reverse
+	// (see Stage); nil when every pipeline runs stage g on GPU g.
+	reversed []bool
+}
+
+// Stage returns the pipeline stage GPU g runs micro's ops as: g itself,
+// or K−1−g when micro's pipeline (micro mod N under Interleave's
+// numbering) is placed in reverse. The placement is its own inverse, so
+// Stage also maps a stage to the GPU that runs it.
+func (s *Schedule) Stage(g, micro int) int {
+	if s.reversed != nil && s.reversed[micro%len(s.reversed)] {
+		return len(s.PerGPU) - 1 - g
+	}
+	return g
+}
+
+// Reversed reports whether some pipeline of s is placed in reverse.
+func (s *Schedule) Reversed() bool { return s.reversed != nil }
+
+// Interleave runs n copies of s side by side on the same GPUs: every op
+// on micro m becomes n consecutive ops on global units m·n+p, one per
+// pipeline p, preserving each GPU's op order. With reverse set, every
+// odd pipeline is placed in reverse — on GPU g it runs stage K−1−g's
+// ops — which is Chimera's bidirectional pipeline pair. With n = 1 the
+// schedule is returned unchanged.
+func Interleave(s *Schedule, n int, reverse bool) *Schedule {
+	if n == 1 {
+		return s
+	}
+	out := &Schedule{
+		Name:           s.Name,
+		Continuous:     s.Continuous,
+		WeightVersions: s.WeightVersions,
+		PerGPU:         make([][]Op, len(s.PerGPU)),
+	}
+	if reverse {
+		out.reversed = make([]bool, n)
+		for p := 1; p < n; p += 2 {
+			out.reversed[p] = true
+		}
+	}
+	for g := range out.PerGPU {
+		long := 0
+		for p := 0; p < n; p++ {
+			long = max(long, len(s.PerGPU[out.Stage(g, p)]))
+		}
+		for i := 0; i < long; i++ {
+			for p := 0; p < n; p++ {
+				if ops := s.PerGPU[out.Stage(g, p)]; i < len(ops) {
+					out.PerGPU[g] = append(out.PerGPU[g], Op{ops[i].Kind, ops[i].Micro*n + p})
+				}
+			}
+		}
+	}
+	return out
 }
 
 func oneVersion(s, k int) int { return 1 }
@@ -265,6 +324,7 @@ func SplitBackward(s *Schedule) *Schedule {
 		Continuous:     s.Continuous,
 		WeightVersions: s.WeightVersions,
 		PerGPU:         make([][]Op, len(s.PerGPU)),
+		reversed:       s.reversed,
 	}
 	for g, ops := range s.PerGPU {
 		split := make([]Op, 0, 2*len(ops))

@@ -76,8 +76,9 @@ func (o Op) Deps(s, k int) (in, out Event) {
 
 // Walker steps a schedule through the dependency rule, holding each
 // GPU's position in its op list and the set of events produced so far.
-// Analyze, the simulator and the runtime decide when an op may run
-// through it.
+// It calls Deps with each op's stage under the schedule's placement
+// (Schedule.Stage), so events live in stage space. Analyze, the
+// simulator and the runtime decide when an op may run through it.
 type Walker struct {
 	s      *Schedule
 	micros int
@@ -124,14 +125,15 @@ func (w *Walker) Next(g int) (Op, bool) {
 		return Op{}, false
 	}
 	op := ops[w.pos[g]]
-	in, _ := op.Deps(g, len(w.pos))
+	in, _ := op.Deps(w.s.Stage(g, op.Micro), len(w.pos))
 	return op, in.Kind == NoEvent || w.done[in.Index(len(w.pos), w.micros)]
 }
 
 // Retire records that GPU g ran its next op, producing its output.
 func (w *Walker) Retire(g int) {
 	k := len(w.pos)
-	if _, out := w.s.PerGPU[g][w.pos[g]].Deps(g, k); out.Kind != NoEvent {
+	op := w.s.PerGPU[g][w.pos[g]]
+	if _, out := op.Deps(w.s.Stage(g, op.Micro), k); out.Kind != NoEvent {
 		w.done[out.Index(k, w.micros)] = true
 	}
 	w.pos[g]++
