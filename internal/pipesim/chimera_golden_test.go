@@ -110,9 +110,11 @@ func TestChimeraGolden(t *testing.T) {
 }
 
 // chimeraGolden was recorded from the dedicated Chimera event loop that
-// RunChimera once had. Its timing bits still hold. Memory differs where
-// a direction's M/2 micro-batches are fewer than K: the schedule's own
-// occupancy, min(K−s, M/2), replaced the fixed K−s stash.
+// RunChimera once had. Two corrections moved entries since, each noted
+// at its entry. Memory differs where a direction's M/2 micro-batches
+// are fewer than K: the schedule's own occupancy, min(K−s, M/2),
+// replaced the fixed K−s stash. AWD's timing differs because the
+// reversed pipeline's transfers are now priced by the stage they carry.
 var chimeraGolden = map[string]goldenResult{
 	// Memory differs from the old Chimera loop: M/2 = 1 < K = 4: each direction's 1F1B stashes min(K−s, M/2) = 1
 	// micro-batch per stage, not the K−s the old formula assumed.
@@ -174,10 +176,14 @@ var chimeraGolden = map[string]goldenResult{
 		{0x3ff209f2e6f59481, 0x400c12c19867d264, 0x3fdc114a6666cd78, 0x3fe16c3b22d1f840, device.MemoryBreakdown{Weights: 402784256, OptimizerState: 805568512, Gradients: 402784256, Activations: 12884901888, Buffers: 16777216}},
 		{0x3ff20a371a0d8a89, 0x400f897bfd43dea8, 0x3f76999cc9a4c9e0, 0x3f7bd0c0f82d4dc1, device.MemoryBreakdown{Weights: 529858560, OptimizerState: 1059717120, Gradients: 529858560, Activations: 10871652352, Buffers: 8421376}},
 	}},
-	"AWD/M=10": {makespan: 0x3fe33812fc8f90af, gpus: []goldenGPU{
-		{0x3fb86994185058dd, 0x3fe02388966fa129, 0x3f4d5f8c5791b200, 0x3f505186db50f40f, device.MemoryBreakdown{Weights: 41926400, OptimizerState: 41926400, Gradients: 41926400, Activations: 135744000, Buffers: 23296000}},
-		{0x3fd0a95c853c1483, 0x3fcd67fb7e886884, 0x3fbc4b2ed27b626a, 0x3fcaa23bff8a8f3a, device.MemoryBreakdown{Weights: 70876800, OptimizerState: 70876800, Gradients: 70876800, Activations: 340480000, Buffers: 5152000}},
-		{0x3fd0a95c853c1482, 0x3fc9db693d056ef2, 0x3fc1b229aac0aac6, 0x3fcad948b11ec669, device.MemoryBreakdown{Weights: 70876800, OptimizerState: 70876800, Gradients: 70876800, Activations: 340480000, Buffers: 5152000}},
-		{0x3fb86994185058de, 0x3fe01725bb47e18c, 0x3f63babe3da40a78, 0x3f65ebefd2b645cd, device.MemoryBreakdown{Weights: 41926400, OptimizerState: 41926400, Gradients: 41926400, Activations: 135744000, Buffers: 23296000}},
+	// Timing differs from the old Chimera loop: AWD's stages differ in
+	// output size, and the old loop priced the reversed pipeline's
+	// transfers by the link's index instead of by the stage whose output
+	// crosses it (the up pipeline's stage s crosses link K−2−s).
+	"AWD/M=10": {makespan: 0x3fe33762d3f0e996, gpus: []goldenGPU{
+		{0x3fb86994185058dd, 0x3fe01d5728dbc158, 0x3f59b250163a48e0, 0x3f5e14b3405ebfd5, device.MemoryBreakdown{Weights: 41926400, OptimizerState: 41926400, Gradients: 41926400, Activations: 135744000, Buffers: 23296000}},
+		{0x3fd0a95c853c1483, 0x3fcd5fb99718936c, 0x3fbc56315c65d3da, 0x3fcabdc25854aad1, device.MemoryBreakdown{Weights: 70876800, OptimizerState: 70876800, Gradients: 70876800, Activations: 340480000, Buffers: 5152000}},
+		{0x3fd0a95c853c1482, 0x3fc9de29df800b4a, 0x3fc1aca865cb720e, 0x3fcabdc25854aad1, device.MemoryBreakdown{Weights: 70876800, OptimizerState: 70876800, Gradients: 70876800, Activations: 340480000, Buffers: 5152000}},
+		{0x3fb86994185058de, 0x3fe01d5728dbc158, 0x3f59b250163a48f0, 0x3f5e14b3405ebfd5, device.MemoryBreakdown{Weights: 41926400, OptimizerState: 41926400, Gradients: 41926400, Activations: 135744000, Buffers: 23296000}},
 	}},
 }

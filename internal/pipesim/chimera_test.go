@@ -139,3 +139,52 @@ func TestRecomputeTradesTimeForMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestChimeraPricesEachOpWhereItRuns runs Chimera where stages differ
+// in output size and FLOPs and GPUs differ in speed. Every op must be
+// timed on the GPU that runs it, and every transfer priced by the stage
+// whose output (or its gradient) crosses the link: GPU g hosts stage g
+// of the down pipeline and stage K−1−g of the up one.
+func TestChimeraPricesEachOpWhereItRuns(t *testing.T) {
+	const k, micro, batches = 4, 4, 2
+	w := testWorkload(k, 8, 64)
+	for i := range w.Layers {
+		w.Layers[i].OutActBytes = int64(16<<i) << 10
+		w.Layers[i].FwdFLOPs *= float64(i + 1)
+	}
+	c := testCluster(k, slowLink())
+	for g := range c.GPUs {
+		c.GPUs[g].PeakFLOPs *= float64(g + 1)
+	}
+	cfg := ChimeraConfig{Base: Config{Workload: w, Cluster: c, Stages: evenStages(w, k),
+		Micro: micro, Pipelines: 1, Batches: batches}}
+	r, err := RunChimera(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := int64(w.BatchSize / micro)
+	perDir := float64(micro / 2 * batches)
+	out := func(s int) int64 { return cfg.Base.Stages[s].OutActBytes * b }
+	xfer := func(l int, bytes int64) float64 { return c.Link(l).TransferTime(bytes).Seconds() }
+	for g, st := range r.PerGPU {
+		u := k - 1 - g
+		var busy, comm float64
+		for _, s := range []int{g, u} {
+			stage := cfg.Base.Stages[s]
+			busy += (stage.FwdFLOPs + stage.BwdFLOPs) * float64(b) / c.GPUs[g].PeakFLOPs
+		}
+		if g > 0 { // down activation of stage g−1, up gradient of stage u
+			comm += xfer(g-1, out(g-1)) + xfer(g-1, out(u))
+		}
+		if g < k-1 { // down gradient of stage g, up activation of stage u−1
+			comm += xfer(g, out(g)) + xfer(g, out(u-1))
+		}
+		busy, comm = busy*perDir, comm*perDir
+		if math.Abs(st.Busy-busy) > 1e-12*busy {
+			t.Errorf("GPU %d busy %v, want %v", g, st.Busy, busy)
+		}
+		if math.Abs(st.CommTotal-comm) > 1e-12*comm {
+			t.Errorf("GPU %d receives %v of transfers, want %v", g, st.CommTotal, comm)
+		}
+	}
+}

@@ -235,38 +235,46 @@ func simulate(cfg Config, reverse bool) (*Result, error) {
 	sim := sched.Interleave(cfg.Schedule, n, reverse)
 	total := cfg.Micro * cfg.Batches * n
 
-	// Per-unit durations (seconds), by op kind and stage. Co-running
-	// pipelines raise the kernel efficiency: every unit executes at
-	// eff(N·b).
-	dur := [4][]float64{make([]float64, k), make([]float64, k), make([]float64, k), make([]float64, k)}
+	// Per-op durations (seconds) by GPU, stage and op kind, dur[g·k+s]:
+	// an op costs its stage's FLOPs at the speed of the GPU that runs it.
+	// Co-running pipelines raise the kernel efficiency: every op executes
+	// at eff(N·b).
+	dur := make([][4]float64, k*k)
 	util := make([]float64, k)
-	for s := 0; s < k; s++ {
-		gpu := cfg.Cluster.GPUs[s]
+	for g := 0; g < k; g++ {
+		gpu := cfg.Cluster.GPUs[g]
 		gpu.SatSamples = cfg.Workload.SatSamples
 		eff := gpu.Efficiency(float64(n * b))
-		fwd := cfg.Stages[s].FwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
-		bwd := cfg.Stages[s].BwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
-		// A split backward's halves are modeled as an even split of the
-		// combined cost (dx = dy·Wᵀ and dW = xᵀ·dy are the same GEMM
-		// shape transposed), so Bi + Bw sums exactly to B and split vs
-		// combined simulations stay makespan-comparable.
-		dur[sched.Fwd][s], dur[sched.Bwd][s] = fwd, bwd
-		dur[sched.BwdIn][s], dur[sched.BwdW][s] = bwd/2, bwd/2
-		if cfg.Recompute {
-			// The backward pass replays the forward first; for a split
-			// backward the replay precedes the grad-input half (it rebuilds
-			// the activations both halves read).
-			dur[sched.Bwd][s] += fwd
-			dur[sched.BwdIn][s] += fwd
+		util[g] = eff
+		for s := 0; s < k; s++ {
+			fwd := cfg.Stages[s].FwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
+			bwd := cfg.Stages[s].BwdFLOPs * float64(b) / (gpu.PeakFLOPs * eff)
+			// A split backward's halves are modeled as an even split of
+			// the combined cost (dx = dy·Wᵀ and dW = xᵀ·dy are the same
+			// GEMM shape transposed), so Bi + Bw sums exactly to B and
+			// split vs combined simulations stay makespan-comparable.
+			d := &dur[g*k+s]
+			d[sched.Fwd], d[sched.Bwd] = fwd, bwd
+			d[sched.BwdIn], d[sched.BwdW] = bwd/2, bwd/2
+			if cfg.Recompute {
+				// The backward pass replays the forward first; for a split
+				// backward the replay precedes the grad-input half (it
+				// rebuilds the activations both halves read).
+				d[sched.Bwd] += fwd
+				d[sched.BwdIn] += fwd
+			}
 		}
-		util[s] = eff
 	}
-	// Per-link transfer durations: stage s → s+1 carries one pipeline's
-	// micro-batch activation; the backward gradient has the same size.
-	xfer := make([]float64, k-1)
-	for s := 0; s < k-1; s++ {
-		bytes := cfg.Stages[s].OutActBytes * int64(b)
-		xfer[s] = cfg.Cluster.Link(s).TransferTime(bytes).Seconds()
+	// Transfer durations, xfer[l][s]: stage s's output activation for one
+	// pipeline's micro-batch over link l. The gradient stage s+1 sends
+	// back has the same size, so a transfer between stages s and s+1 is
+	// priced by stage s, whichever link the placement puts it on.
+	xfer := make([][]float64, k-1)
+	for l := range xfer {
+		xfer[l] = make([]float64, k-1)
+		for s := range xfer[l] {
+			xfer[l][s] = cfg.Cluster.Link(l).TransferTime(cfg.Stages[s].OutActBytes * int64(b)).Seconds()
+		}
 	}
 
 	// Per event (sched.Event.Index): when[e] is when its producer
@@ -321,7 +329,7 @@ func simulate(cfg Config, reverse bool) (*Result, error) {
 		}
 
 		s := sim.Stage(g, op.Micro)
-		d := dur[op.Kind][s]
+		d := dur[g*k+s][op.Kind]
 		end := begin + d
 		gpuFree[g] = end
 		stats[g].Busy += d
@@ -355,9 +363,10 @@ func simulate(cfg Config, reverse bool) (*Result, error) {
 				if h < g {
 					dir, l = 1, h
 				}
-				arrive[i] = math.Max(end, linkFree[dir][l]) + xfer[l]
+				x := xfer[l][min(s, to)]
+				arrive[i] = math.Max(end, linkFree[dir][l]) + x
 				linkFree[dir][l] = arrive[i]
-				stats[h].CommTotal += xfer[l]
+				stats[h].CommTotal += x
 			}
 		}
 		return g
