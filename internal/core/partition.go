@@ -23,17 +23,34 @@ import (
 // activation transfer, weighted by commWeight seconds-per-byte-FLOPs
 // equivalence (pass 0 to balance compute only).
 func Partition(w *workload.Workload, k int, commWeight float64) []workload.Stage {
+	return partition(w, k, commWeight, func(flops float64, _ int) float64 { return flops })
+}
+
+// PartitionHetero splits the workload's layers across a heterogeneous
+// cluster: stage s always runs on GPU s, so the dynamic program minimizes
+// the maximum *time* per stage — compute cost divided by that GPU's
+// throughput — rather than raw FLOPs. On a homogeneous cluster it reduces
+// to Partition. This extends the paper toward HetPipe-style deployments.
+func PartitionHetero(w *workload.Workload, c *cluster.Cluster, commWeight float64) []workload.Stage {
+	return partition(w, c.Size(), commWeight, func(flops float64, s int) float64 { return flops / c.GPUs[s].PeakFLOPs })
+}
+
+// partition is the min-max dynamic program both partitioners share:
+// layers [i, j) as stage s cost compute(their FLOPs, s), plus
+// commWeight times the boundary activation bytes when the stage is not
+// the last.
+func partition(w *workload.Workload, k int, commWeight float64, compute func(flops float64, s int) float64) []workload.Stage {
 	n := len(w.Layers)
 	if k <= 0 || k > n {
 		panic(fmt.Sprintf("core: cannot partition %d layers into %d stages", n, k))
 	}
-	// prefix[i] = total compute cost of layers [0, i).
+	// prefix[i] = total FLOPs of layers [0, i).
 	prefix := make([]float64, n+1)
 	for i, l := range w.Layers {
 		prefix[i+1] = prefix[i] + l.FwdFLOPs + l.BwdFLOPs
 	}
-	cost := func(i, j int) float64 { // layers [i, j)
-		c := prefix[j] - prefix[i]
+	cost := func(i, j, s int) float64 { // layers [i, j) as stage s
+		c := compute(prefix[j]-prefix[i], s)
 		if j < n && commWeight > 0 {
 			c += commWeight * float64(w.Layers[j-1].OutActBytes)
 		}
@@ -52,13 +69,13 @@ func Partition(w *workload.Workload, k int, commWeight float64) []workload.Stage
 		}
 	}
 	for i := 1; i <= n; i++ {
-		dp[0][i] = cost(0, i)
+		dp[0][i] = cost(0, i, 0)
 	}
 	for s := 1; s < k; s++ {
 		for i := s + 1; i <= n; i++ {
 			for j := s; j < i; j++ {
 				c := dp[s-1][j]
-				if lc := cost(j, i); lc > c {
+				if lc := cost(j, i, s); lc > c {
 					c = lc
 				}
 				if c < dp[s][i] {
@@ -70,70 +87,6 @@ func Partition(w *workload.Workload, k int, commWeight float64) []workload.Stage
 	}
 	if dp[k-1][n] >= inf {
 		panic("core: partition DP failed")
-	}
-	bounds := make([]int, k+1)
-	bounds[k] = n
-	for s := k - 1; s > 0; s-- {
-		bounds[s] = cut[s][bounds[s+1]]
-	}
-	stages := make([]workload.Stage, k)
-	for s := 0; s < k; s++ {
-		stages[s] = w.MakeStage(bounds[s], bounds[s+1]-1)
-	}
-	return stages
-}
-
-// PartitionHetero splits the workload's layers across a heterogeneous
-// cluster: stage s always runs on GPU s, so the dynamic program minimizes
-// the maximum *time* per stage — compute cost divided by that GPU's
-// throughput — rather than raw FLOPs. On a homogeneous cluster it reduces
-// to Partition. This extends the paper toward HetPipe-style deployments.
-func PartitionHetero(w *workload.Workload, c *cluster.Cluster, commWeight float64) []workload.Stage {
-	n := len(w.Layers)
-	k := c.Size()
-	if k <= 0 || k > n {
-		panic(fmt.Sprintf("core: cannot partition %d layers into %d stages", n, k))
-	}
-	prefix := make([]float64, n+1)
-	for i, l := range w.Layers {
-		prefix[i+1] = prefix[i] + l.FwdFLOPs + l.BwdFLOPs
-	}
-	cost := func(i, j, s int) float64 { // layers [i, j) on GPU s
-		t := (prefix[j] - prefix[i]) / c.GPUs[s].PeakFLOPs
-		if j < n && commWeight > 0 {
-			t += commWeight * float64(w.Layers[j-1].OutActBytes)
-		}
-		return t
-	}
-	const inf = 1e300
-	dp := make([][]float64, k)
-	cut := make([][]int, k)
-	for s := range dp {
-		dp[s] = make([]float64, n+1)
-		cut[s] = make([]int, n+1)
-		for i := range dp[s] {
-			dp[s][i] = inf
-		}
-	}
-	for i := 1; i <= n; i++ {
-		dp[0][i] = cost(0, i, 0)
-	}
-	for s := 1; s < k; s++ {
-		for i := s + 1; i <= n; i++ {
-			for j := s; j < i; j++ {
-				v := dp[s-1][j]
-				if lc := cost(j, i, s); lc > v {
-					v = lc
-				}
-				if v < dp[s][i] {
-					dp[s][i] = v
-					cut[s][i] = j
-				}
-			}
-		}
-	}
-	if dp[k-1][n] >= inf {
-		panic("core: heterogeneous partition DP failed")
 	}
 	bounds := make([]int, k+1)
 	bounds[k] = n
