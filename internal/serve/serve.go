@@ -317,12 +317,15 @@ func (s *Server) Predict(ctx context.Context, tokens []int) (*Result, error) {
 		s.rejected.Inc()
 		return nil, ErrClosed
 	}
+	// Count the request in before the send: once it is sent, a worker
+	// may answer it (and count it out) before this goroutine runs again.
+	s.inflight.Add(1)
 	select {
 	case s.reqCh <- r:
 		s.closeMu.RUnlock()
-		s.inflight.Add(1)
 	case <-ctx.Done():
 		s.closeMu.RUnlock()
+		s.inflight.Add(-1)
 		s.rejected.Inc()
 		return nil, ctx.Err()
 	}

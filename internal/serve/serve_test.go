@@ -459,3 +459,52 @@ func TestDispatcherLinger(t *testing.T) {
 		t.Fatalf("lone request waited %v — linger flush broken", wait)
 	}
 }
+
+// TestInflightGaugeNeverNegative samples avgpipe_serve_inflight while
+// 32 callers contend for a one-slot queue. A request must be counted in
+// before it is enqueued: a caller blocked on the full queue is only
+// woken after the dispatcher took its request, so counting it after the
+// send let the worker answer it first and the gauge read −1.
+func TestInflightGaugeNeverNegative(t *testing.T) {
+	s := newTestServer(t, Config{MaxBatch: 1, MaxLinger: time.Microsecond, QueueDepth: 1, Workers: 1})
+	if err := s.InstallSnapshot(snapFrame(workload.TranslationTask().NewModel(7).Params(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	gauge := s.Registry().Gauge("avgpipe_serve_inflight", "")
+	seqs := testTokens(t, s, 3)
+	done := make(chan struct{})
+	low := make(chan float64, 1)
+	go func() {
+		lowest := 0.0
+		for {
+			select {
+			case <-done:
+				low <- lowest
+				return
+			default:
+				lowest = min(lowest, gauge.Value())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, toks := range seqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 40 {
+				if _, err := s.Predict(context.Background(), toks); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	if v := <-low; v < 0 {
+		t.Fatalf("in-flight gauge read %v", v)
+	}
+	if v := gauge.Value(); v != 0 {
+		t.Fatalf("in-flight gauge reads %v with every request answered", v)
+	}
+}
