@@ -174,13 +174,15 @@ bench-serve-baseline: bench-baseline-serve
 # cover reports per-package coverage and enforces a 70% floor on the
 # kernel hot path (internal/tensor), the op-graph compiler
 # (internal/compiled), the inference server (internal/serve), the
-# wire/topology/compression layer (internal/net), and the trainer and
+# wire/topology/compression layer (internal/net), the trainer and
 # averaging shell whose protocol the seeded explorer proves
-# (internal/core), whose correctness claims lean on exhaustive tests
+# (internal/core), and the schedule layer and simulator that hold the
+# dependency rule's consumers outside the runtime (internal/sched,
+# internal/pipesim), whose correctness claims lean on exhaustive tests
 # rather than review.
 cover:
 	@$(GO) test -cover ./... | grep -v '\[no test files\]'
-	@for pkg in ./internal/tensor/ ./internal/compiled/ ./internal/serve/ ./internal/net/ ./internal/core/; do \
+	@for pkg in ./internal/tensor/ ./internal/compiled/ ./internal/serve/ ./internal/net/ ./internal/core/ ./internal/sched/ ./internal/pipesim/; do \
 		pct="$$($(GO) test -cover $$pkg | grep -o 'coverage: [0-9.]*' | grep -o '[0-9.]*')"; \
 		ok="$$(echo "$$pct 70" | awk '{print ($$1 >= $$2) ? 1 : 0}')"; \
 		if [ "$$ok" != 1 ]; then \
