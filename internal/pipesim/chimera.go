@@ -16,7 +16,8 @@ import (
 type ChimeraConfig struct {
 	// Base carries the workload, cluster, stages, Micro (total
 	// micro-batches per batch; must be even), and Batches. Pipelines and
-	// Schedule are ignored; Chimera's structure fixes both.
+	// Schedule are ignored; Chimera's structure fixes both. Recompute,
+	// RefModel and Obs apply as in Run.
 	Base Config
 }
 

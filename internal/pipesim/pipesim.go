@@ -284,13 +284,13 @@ func simulate(cfg Config, reverse bool) (*Result, error) {
 	when := make([]float64, 2*k*total)
 	arrive := make([]float64, 2*k*total)
 	// linkFree[0][l] and linkFree[1][l] are when link l is next free
-	// downstream and upstream.
+	// toward the higher and the lower GPU.
 	linkFree := [2][]float64{make([]float64, k-1), make([]float64, k-1)}
 	gpuFree := make([]float64, k)
 	inflight := make([]int, k)
 	stats := make([]GPUStats, k)
-	for s := range stats {
-		stats[s].PeakUtil = util[s]
+	for g := range stats {
+		stats[g].PeakUtil = util[g]
 	}
 
 	// Deps, events and durations are in stage space; GPU occupancy, link
