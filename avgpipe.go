@@ -32,10 +32,8 @@ import (
 	"net/http"
 
 	"avgpipe/internal/cluster"
-	"avgpipe/internal/comm"
 	"avgpipe/internal/core"
 	"avgpipe/internal/data"
-	"avgpipe/internal/device"
 	"avgpipe/internal/fault"
 	"avgpipe/internal/heal"
 	netx "avgpipe/internal/net"
@@ -69,48 +67,26 @@ type (
 	Module     = nn.Module
 	Sequential = nn.Sequential
 	Param      = nn.Param
-	Context    = nn.Context
 )
 
 // Layer constructors.
 var (
-	NewSequential              = nn.NewSequential
-	NewLinear                  = nn.NewLinear
-	NewEmbedding               = nn.NewEmbedding
-	NewLSTM                    = nn.NewLSTM
-	NewLayerNorm               = nn.NewLayerNorm
-	NewDropout                 = nn.NewDropout
-	NewMultiHeadSelfAttention  = nn.NewMultiHeadSelfAttention
-	NewTransformerEncoderLayer = nn.NewTransformerEncoderLayer
-	NewBiLSTM                  = nn.NewBiLSTM
-	NewContext                 = nn.NewContext
+	NewSequential = nn.NewSequential
+	NewLinear     = nn.NewLinear
+	NewEmbedding  = nn.NewEmbedding
+	NewLSTM       = nn.NewLSTM
+	NewBiLSTM     = nn.NewBiLSTM
+	NewContext    = nn.NewContext
 )
 
 // Reverse flips a time-major sequence tensor along time (its own adjoint).
 func Reverse(seqLen int) Module { return &nn.Reverse{SeqLen: seqLen} }
 
-// Activation and utility layers.
-func ReLU() Module    { return &nn.ReLU{} }
-func Tanh() Module    { return &nn.Tanh{} }
-func Sigmoid() Module { return &nn.Sigmoid{} }
-func GELU() Module    { return &nn.GELU{} }
-
-// MeanPoolTime averages a time-major sequence tensor over time.
-func MeanPoolTime(seqLen int) Module { return &nn.MeanPoolTime{SeqLen: seqLen} }
-
-// FromSlice wraps data in a tensor of the given shape.
-func FromSlice(data []float32, shape ...int) *Tensor { return tensor.FromSlice(data, shape...) }
+// Tanh is the tanh activation layer.
+func Tanh() Module { return &nn.Tanh{} }
 
 // NewTensor returns a zero tensor of the given shape.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
-
-// CrossEntropy computes mean softmax cross-entropy and its gradient.
-func CrossEntropy(logits *Tensor, targets []int) (float64, *Tensor) {
-	return nn.CrossEntropy(logits, targets)
-}
-
-// Accuracy returns the argmax accuracy of logits against targets.
-func Accuracy(logits *Tensor, targets []int) float64 { return nn.Accuracy(logits, targets) }
 
 // SaveParams and LoadParams checkpoint model weights to a stable binary
 // format.
@@ -156,19 +132,6 @@ type (
 	Generator = data.Generator
 )
 
-// Corpus is a tokenized text stream for language modeling on user data;
-// CorpusLM turns one into a Generator.
-type (
-	Corpus   = data.Corpus
-	CorpusLM = data.CorpusLM
-)
-
-// ReadCorpus tokenizes user text with a frequency-capped vocabulary.
-var ReadCorpus = data.ReadCorpus
-
-// NewCorpusLM builds a next-token-prediction generator over a corpus.
-var NewCorpusLM = data.NewCorpusLM
-
 // Task bundles a model builder, data stream, and convergence target.
 type Task = workload.Task
 
@@ -209,38 +172,23 @@ type FaultConfig = fault.Config
 type StallError = core.StallError
 
 // Averager is the elastic-averaging coordinator (reference model plus
-// asynchronous update queues), usable directly with custom training loops.
+// asynchronous update queues) behind Trainer.Averager.
 type Averager = core.Averager
-
-// NewAverager builds the framework around an initial parameter set,
-// recording metrics into the default registry.
-func NewAverager(n int, init []*Param) *Averager { return core.NewAveragerObs(n, init, nil) }
 
 // Pipeline executes one partitioned model by its Schedule: each stage
 // runs its per-GPU op sequence, an op dispatched once the dependency
 // rule the simulator and AnalyzeSchedule share says its input is ready.
 type Pipeline = core.Pipeline
 
-// PipelineConfig selects the schedule plan, partition policy, and
-// tracing for a pipeline; PartitionMode chooses between equal layer
-// counts and the cost-aware PipeDream DP.
-type (
-	PipelineConfig = core.PipelineConfig
-	PartitionMode  = core.PartitionMode
-)
+// PartitionMode chooses between equal layer counts and the cost-aware
+// PipeDream DP.
+type PartitionMode = core.PartitionMode
 
 // Partition policy constants.
 const (
 	PartitionEqualLayers = core.PartitionEqualLayers
 	PartitionCostAware   = core.PartitionCostAware
 )
-
-// NewPipelineWith builds a pipeline with full control over schedule
-// plan, partitioning, and tracing. A malformed config is an error, not
-// a panic.
-func NewPipelineWith(model *Sequential, cfg PipelineConfig) (*Pipeline, error) {
-	return core.NewPipelineWith(model, cfg)
-}
 
 // NewPipelineFromSchedule builds a pipeline that executes one explicit
 // schedule verbatim — the same Schedule value the simulator accepts.
@@ -265,10 +213,6 @@ type DistConfig = core.DistConfig
 // cancellation contract).
 type Mesh = netx.Mesh
 
-// Replica names one process of a multi-process job: its pipeline index
-// and the TCP address its transport listens on.
-type Replica = cluster.Replica
-
 // ParseReplicaPeers parses the -peers flag syntax,
 // "1=host:port,2=host:port", into an id → address map.
 var ParseReplicaPeers = cluster.ParsePeers
@@ -284,37 +228,18 @@ type Topology = netx.Topology
 // connections, every broadcast one direct hop.
 type FullMesh = netx.FullMesh
 
-// RingTopology connects each replica to its successor only: O(N)
-// connections, frames relayed around the ring.
-type RingTopology = netx.Ring
-
-// HierarchicalTopology is two-level averaging: contiguous groups with
-// the lowest id as leader, members connected to their leader and
-// leaders to each other. O(N) connections at the default group size
-// ceil(sqrt(N)).
-type HierarchicalTopology = netx.Hierarchical
-
 // TopologyByName resolves a -topology flag value ("mesh", "ring",
 // "hier"); group is the hierarchical group size (0 = ceil(sqrt(N))).
+// The ring connects each replica to its successor only; the
+// hierarchical fabric connects group members to their leader (the
+// lowest id) and leaders to each other. Both hold O(N) connections.
 var TopologyByName = netx.TopologyByName
 
-// UpdateCodec selects how update deltas are encoded on the wire:
-// CodecNone (exact f32), CodecQ8/CodecQ16 (linear quantization), or
-// CodecTopK (sparsification). The compressed codecs accumulate their
-// per-round error into a residual that is folded into the next update,
-// so the averaged model still converges to the exact trajectory.
-type UpdateCodec = netx.Codec
-
-// Update wire codecs, resolvable by UpdateCodecByName.
-const (
-	CodecNone = netx.CodecNone
-	CodecQ8   = netx.CodecQ8
-	CodecQ16  = netx.CodecQ16
-	CodecTopK = netx.CodecTopK
-)
-
-// UpdateCodecByName resolves a -compress flag value ("none", "q8",
-// "q16", "topk").
+// UpdateCodecByName resolves a -compress flag value: "none" (exact
+// f32), "q8"/"q16" (linear quantization), or "topk" (sparsification).
+// The compressed codecs accumulate their per-round error into a
+// residual that is folded into the next update, so the averaged model
+// still converges to the exact trajectory.
 var UpdateCodecByName = netx.CodecByName
 
 // MeshConfig places this process in a multi-process job for DialMesh.
@@ -434,26 +359,9 @@ var (
 	AWD  = workload.AWD
 )
 
-// Cluster describes a multi-node GPU topology; GPU and Link are its
-// elements.
-type (
-	Cluster = cluster.Cluster
-	GPU     = device.GPU
-	Link    = comm.Link
-)
-
-// Topology constructors. NewClusterChecked is NewCluster with topology
-// and link validation surfaced as an error instead of a panic.
-var (
-	NewCluster        = cluster.New
-	NewClusterChecked = cluster.NewChecked
-	PaperTestbed      = cluster.PaperTestbed
-	TwoNodeTestbed    = cluster.TwoNodeTestbed
-	V100              = device.V100
-	PCIe3             = comm.PCIe3
-	Ethernet1G        = comm.Ethernet1G
-	Ethernet10G       = comm.Ethernet10G
-)
+// Cluster describes a multi-node GPU topology; each Workload carries
+// the cluster the paper measured it on.
+type Cluster = cluster.Cluster
 
 // Schedule is a per-GPU pipeline execution plan — the one plan
 // abstraction both the simulator and the real runtime execute.
@@ -472,16 +380,13 @@ var (
 	LegalAdvance = sched.LegalAdvance
 )
 
-// SchedulePlan generates a Schedule for any (stages, micro) geometry;
 // ScheduleAnalysis is the static legality and occupancy report both
 // execution engines trust.
-type (
-	SchedulePlan     = sched.Plan
-	ScheduleAnalysis = sched.Analysis
-)
+type ScheduleAnalysis = sched.Analysis
 
 // PlanByName resolves a -schedule flag value ("afab", "gpipe", "1f1b",
-// "dapple", "afp"; advance feeds AFP) to its plan.
+// "dapple", "afp") to its plan. advance feeds AFP; with any other
+// schedule a non-nil advance is an error.
 var PlanByName = sched.PlanByName
 
 // AnalyzeSchedule statically checks a schedule (dependency deadlocks,
@@ -580,23 +485,13 @@ func NewReferenceSnapshotPublisher(tr netx.Transport, addr string) *ReferenceSna
 	return serve.NewSnapshotPublisher(tr, addr)
 }
 
-// CheckpointInfo is a checkpoint directory's commit-marker metadata.
-type CheckpointInfo = core.CheckpointInfo
-
-// ReadCheckpointInfo reads a checkpoint directory's commit marker;
-// LoadReference loads the checkpointed reference model into ps.
-var (
-	ReadCheckpointInfo = core.ReadCheckpointInfo
-	LoadReference      = core.LoadReference
-)
-
 // --- observability ---------------------------------------------------------
 
 // MetricsRegistry is a concurrent registry of counters, gauges, and
 // histograms. Every subsystem (pipelines, queues, the averager, the
 // trainer, the simulator) records into one; pass it via the Obs fields
-// of TrainerConfig, PipelineConfig, and SimConfig, or leave those nil to
-// use the process-wide default registry.
+// of TrainerConfig and SimConfig, or leave those nil to use the
+// process-wide default registry.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty registry.
@@ -606,25 +501,16 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // fields resolve to).
 func DefaultMetrics() *MetricsRegistry { return obs.Default() }
 
-// DiscardMetrics returns a registry whose updates are no-ops — the
-// zero-overhead baseline for benchmarks.
-func DiscardMetrics() *MetricsRegistry { return obs.Discard() }
-
-// MetricsHandler serves a registry over HTTP: Prometheus text on
-// /metrics, liveness/readiness on /healthz and /readyz, expvar JSON on
-// /debug/vars, and net/http/pprof profiles under /debug/pprof.
-func MetricsHandler(reg *MetricsRegistry, opts ...MetricsOption) http.Handler {
-	return obs.Handler(reg, opts...)
-}
-
-// ServeMetrics starts MetricsHandler on addr (":0" picks a free port)
-// and returns the server plus the bound address.
+// ServeMetrics serves reg over HTTP on addr (":0" picks a free port):
+// Prometheus text on /metrics, liveness/readiness on /healthz and
+// /readyz, expvar JSON on /debug/vars, and net/http/pprof profiles
+// under /debug/pprof. It returns the server plus the bound address.
 func ServeMetrics(addr string, reg *MetricsRegistry, opts ...MetricsOption) (*http.Server, string, error) {
 	return obs.Serve(addr, reg, opts...)
 }
 
-// MetricsOption customizes MetricsHandler and ServeMetrics; Health and
-// WithHealth wire the /readyz probe to real process state.
+// MetricsOption customizes ServeMetrics; Health and WithHealth wire the
+// /readyz probe to real process state.
 type (
 	MetricsOption = obs.HandlerOption
 	Health        = obs.Health
@@ -635,12 +521,6 @@ func NewHealth() *Health { return obs.NewHealth() }
 
 // WithHealth serves h behind /healthz and /readyz.
 func WithHealth(h *Health) MetricsOption { return obs.WithHealth(h) }
-
-// ClusterEvent is one structured health event (straggler detected,
-// round deadline missed, replica detach/rejoin, watchdog stall, ...)
-// from the event stream every registry carries (see internal/obs for
-// the taxonomy).
-type ClusterEvent = obs.Event
 
 // TelemetryCollector ingests per-replica telemetry sessions and serves
 // the merged cluster view: one /metrics exposition with a `replica`
@@ -679,9 +559,6 @@ func NewTCPTransport(reg *MetricsRegistry) netx.Transport { return netx.NewTCP(r
 // envelope. Pipeline.Tracer and SimResult.Tracer both return one, so a
 // real run and its simulation render identically in Perfetto.
 type Tracer = obs.Tracer
-
-// TraceEvent is one Chrome-trace event.
-type TraceEvent = obs.TraceEvent
 
 // NewTracer returns an empty tracer labeled with a source name. Attach
 // one to an Averager (SetTracer) to record wall-clock submit/apply

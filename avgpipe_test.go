@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"avgpipe/internal/core"
 	netx "avgpipe/internal/net"
+	"avgpipe/internal/nn"
 )
 
 // TestPublicAPITrainQuickstart exercises the training path end to end
@@ -41,20 +43,20 @@ func TestPublicAPICustomModel(t *testing.T) {
 	m := NewSequential(
 		NewEmbedding(g, 8, 16),
 		NewLSTM(g, 16, 16, 4),
-		ReLU(),
+		Tanh(),
 		NewLinear(g, 16, 8),
 	)
 	x := NewTensor(8, 1) // T=4, B=2 tokens (all zero => token 0)
 	ctx := NewContext()
 	logits := m.Forward(ctx, x, true)
-	loss, dlogits := CrossEntropy(logits, []int{1, 2, 3, 4, 5, 6, 7, 0})
+	loss, dlogits := nn.CrossEntropy(logits, []int{1, 2, 3, 4, 5, 6, 7, 0})
 	if loss <= 0 {
 		t.Fatal("expected positive loss")
 	}
 	m.Backward(ctx, dlogits)
 	opt := NewAdam(1e-3)
 	opt.Step(m.Params())
-	if Accuracy(logits, []int{1, 2, 3, 4, 5, 6, 7, 0}) < 0 {
+	if nn.Accuracy(logits, []int{1, 2, 3, 4, 5, 6, 7, 0}) < 0 {
 		t.Fatal("accuracy broken")
 	}
 }
@@ -181,16 +183,16 @@ func TestPublicAPIBiLSTM(t *testing.T) {
 	if y.Dim(1) != 6 {
 		t.Fatalf("output shape %v", y.Shape())
 	}
-	_, dy := CrossEntropy(y, []int{0, 1, 2, 3, 4, 5})
+	_, dy := nn.CrossEntropy(y, []int{0, 1, 2, 3, 4, 5})
 	m.Backward(ctx, dy)
 }
 
-// TestPublicAPIElasticAverager drives the Averager directly with a custom
-// loop, as a downstream user with their own training code would.
+// TestPublicAPIElasticAverager drives an Averager directly with a custom
+// loop, as a training loop of its own would.
 func TestPublicAPIElasticAverager(t *testing.T) {
 	g := NewRNG(3)
 	model := NewSequential(NewLinear(g, 4, 2))
-	avg := NewAverager(2, model.Params())
+	avg := core.NewAveragerObs(2, model.Params(), nil)
 	defer avg.Close()
 	replicas := []*Sequential{
 		NewSequential(NewLinear(g, 4, 2)),
@@ -262,7 +264,11 @@ func dialPair(t *testing.T, cfg MeshConfig) (meshes [2]*Mesh, addrs [2]string) {
 // restarted replica re-entering with Rejoin — and checks the two
 // configurations it refuses.
 func TestDialMesh(t *testing.T) {
-	ring, _ := dialPair(t, MeshConfig{Topology: RingTopology{}})
+	ringTopo, err := TopologyByName("ring", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, _ := dialPair(t, MeshConfig{Topology: ringTopo})
 	for p, m := range ring {
 		if _, ok := m.ClockOffset(1 - p); m.Topology().Name() != "ring" || !ok {
 			t.Errorf("replica %d formed %s, clock synced %v; want ring, synced", p, m.Topology().Name(), ok)
@@ -317,7 +323,7 @@ func TestDialMesh(t *testing.T) {
 		cfg  MeshConfig
 		want string
 	}{
-		{MeshConfig{Topology: RingTopology{}, SelfHeal: true}, "self-heal re-dials the full mesh only"},
+		{MeshConfig{Topology: ringTopo, SelfHeal: true}, "self-heal re-dials the full mesh only"},
 		{MeshConfig{Rejoin: true}, "rejoin needs self-heal"},
 	} {
 		tc.cfg.Listen, tc.cfg.Peers = "127.0.0.1:0", map[int]string{1: "127.0.0.1:1"}

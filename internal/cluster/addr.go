@@ -2,25 +2,16 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Replica names one process of a multi-process elastic-averaging job:
-// its pipeline index and the TCP address its transport listens on.
-// Replica ids are the same pipeline indices the averager folds in, so
-// the deterministic reduction order is fixed by the job spec, not by
-// connection order.
-type Replica struct {
-	ID   int
-	Addr string
-}
-
 // ParsePeers parses a peer list of the form "1=host:port,2=host:port"
 // (the -peers flag): comma-separated id=address pairs, one per remote
 // replica. Whitespace around pairs is ignored. Duplicate ids and
-// malformed pairs are errors.
+// malformed pairs are errors. Replica ids are the same pipeline indices
+// the averager folds in, so the deterministic reduction order is fixed
+// by the job spec, not by connection order.
 func ParsePeers(s string) (map[int]string, error) {
 	peers := make(map[int]string)
 	if strings.TrimSpace(s) == "" {
@@ -52,19 +43,4 @@ func ParsePeers(s string) (map[int]string, error) {
 		peers[n] = addr
 	}
 	return peers, nil
-}
-
-// FormatPeers renders a peer map back to the -peers flag syntax in
-// ascending id order — the inverse of ParsePeers, for logs and tests.
-func FormatPeers(peers map[int]string) string {
-	ids := make([]int, 0, len(peers))
-	for id := range peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprintf("%d=%s", id, peers[id])
-	}
-	return strings.Join(parts, ",")
 }

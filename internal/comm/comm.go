@@ -67,11 +67,6 @@ func Ethernet1G() Link {
 	return Link{Name: "ethernet-1gbps", Latency: 50 * time.Microsecond, BytesPerSec: 125e6}
 }
 
-// Ethernet10G returns a faster inter-node profile for sensitivity studies.
-func Ethernet10G() Link {
-	return Link{Name: "ethernet-10gbps", Latency: 20 * time.Microsecond, BytesPerSec: 1.25e9}
-}
-
 // ErrClosed is returned by Queue.Send once the queue has been closed.
 var ErrClosed = errors.New("comm: send on closed queue")
 
@@ -122,18 +117,6 @@ func NewBounded[T any](capacity int) *Queue[T] {
 	if capacity > 0 {
 		q.capn = capacity
 	}
-	return q
-}
-
-// Cap returns the queue's capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.capn }
-
-// NewInstrumentedQueue returns an open queue registered under the given
-// name in reg: avgpipe_queue_depth{queue}, blocked-receive seconds, and
-// send/rejected counters.
-func NewInstrumentedQueue[T any](reg *obs.Registry, name string) *Queue[T] {
-	q := NewQueue[T]()
-	q.Instrument(reg, name)
 	return q
 }
 

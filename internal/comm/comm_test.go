@@ -25,9 +25,6 @@ func TestLinkProfilesOrdering(t *testing.T) {
 	if PCIe3().TransferTime(small) >= Ethernet1G().TransferTime(small) {
 		t.Fatal("PCIe must beat 1G Ethernet")
 	}
-	if Ethernet10G().TransferTime(small) >= Ethernet1G().TransferTime(small) {
-		t.Fatal("10G must beat 1G")
-	}
 }
 
 func TestQueueFIFO(t *testing.T) {
@@ -157,7 +154,8 @@ func TestQueueSendCloseRace(t *testing.T) {
 
 func TestInstrumentedQueueMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	q := NewInstrumentedQueue[int](reg, "test")
+	q := NewQueue[int]()
+	q.Instrument(reg, "test")
 	q.Send(1)
 	q.Send(2)
 	if d := reg.Gauge("avgpipe_queue_depth", "", "queue", "test").Value(); d != 2 {

@@ -317,7 +317,6 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 // Workload shorthands keep the figure files terse.
 func gnmt() *workload.Workload { return workload.GNMT() }
 func bert() *workload.Workload { return workload.BERT() }
-func awd() *workload.Workload  { return workload.AWD() }
 
 // twoGPUSlowCluster builds the K=2 didactic topology of Fig. 7 with a
 // link slow enough to expose 1F1B's communication stalls.

@@ -436,16 +436,6 @@ func appendSpans(dst []byte, spans []tensor.Span) []byte {
 	return dst
 }
 
-// EncodeFrame writes f's canonical encoding to w.
-func EncodeFrame(w io.Writer, f *Frame) error {
-	buf, err := AppendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // DecodeFrameBytes decodes one frame from the front of b, returning the
 // frame and the number of bytes consumed. It never panics: any
 // malformed input — bad magic, unknown version or type, non-zero

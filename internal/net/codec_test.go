@@ -168,14 +168,15 @@ func denseTensors(f *Frame) []*tensor.Tensor {
 }
 
 func TestCodecStream(t *testing.T) {
-	var buf bytes.Buffer
+	var buf []byte
 	frames := sampleFrames()
 	for _, f := range frames {
-		if err := EncodeFrame(&buf, f); err != nil {
+		var err error
+		if buf, err = AppendFrame(buf, f); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 	}
-	r := bytes.NewReader(buf.Bytes())
+	r := bytes.NewReader(buf)
 	for i, want := range frames {
 		got, err := DecodeFrame(r)
 		if err != nil {

@@ -50,20 +50,6 @@ func CrossEntropy(logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor
 	return loss, grad
 }
 
-// MSE computes the mean squared error and its gradient with respect to
-// the prediction.
-func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	diff := tensor.Sub(pred, target)
-	var loss float64
-	for _, v := range diff.Data() {
-		loss += float64(v) * float64(v)
-	}
-	n := float64(diff.Size())
-	loss /= n
-	grad := tensor.Scale(float32(2/n), diff)
-	return loss, grad
-}
-
 // Accuracy returns the fraction of rows whose argmax matches the target;
 // targets of -1 are skipped.
 func Accuracy(logits *tensor.Tensor, targets []int) float64 {

@@ -180,18 +180,6 @@ func NumParams(ps []*Param) int {
 	return n
 }
 
-// CloneParams deep-copies parameter weights into dst (shapes must match).
-// Used to replicate models across parallel pipelines.
-func CloneParams(dst, src []*Param) {
-	if len(dst) != len(src) {
-		panic("nn: CloneParams length mismatch")
-	}
-	for i := range dst {
-		dst[i].W.CopyFrom(src[i].W)
-		dst[i].MarkDense()
-	}
-}
-
 // ZeroGrads clears every gradient in ps.
 func ZeroGrads(ps []*Param) {
 	for _, p := range ps {

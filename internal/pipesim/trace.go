@@ -13,30 +13,6 @@ import (
 // simulated and measured traces are directly diff-able.
 type TraceEvent = obs.TraceEvent
 
-// MetadataEvent names a trace track (one per GPU/stage).
-func MetadataEvent(name string, tid int) TraceEvent {
-	return TraceEvent{
-		Name: "thread_name", Cat: "__metadata", Phase: "M",
-		PID: 1, TID: tid,
-		Args: map[string]any{"name": name},
-	}
-}
-
-// WriteTraceEvents encodes events in the Chrome-trace JSON envelope,
-// with otherData carried alongside for run-level metadata. Encoder
-// failures are propagated with context, not swallowed.
-func WriteTraceEvents(w io.Writer, events []TraceEvent, otherData map[string]any) error {
-	t := obs.NewTracer("")
-	t.Add(events...)
-	for k, v := range otherData {
-		t.SetMeta(k, v)
-	}
-	if err := t.Write(w); err != nil {
-		return fmt.Errorf("pipesim: write trace events: %w", err)
-	}
-	return nil
-}
-
 // Tracer renders the simulation's per-GPU timelines into an obs.Tracer:
 // each GPU is a track; busy intervals become spans named after the op
 // they executed, annotated with the utilization level, and the gaps read

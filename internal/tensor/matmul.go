@@ -272,22 +272,3 @@ func MatVec(m, v *Tensor) *Tensor {
 	})
 	return out
 }
-
-// Outer returns the outer product of vectors a (m) and b (n) as (m,n).
-func Outer(a, b *Tensor) *Tensor {
-	if len(a.shape) != 1 || len(b.shape) != 1 {
-		panic("tensor: Outer requires 1-D tensors")
-	}
-	m, n := a.shape[0], b.shape[0]
-	out := borrowRaw(m, n)
-	ParallelForCost(m, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			av := a.data[i]
-			row := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				row[j] = av * b.data[j]
-			}
-		}
-	})
-	return out
-}

@@ -53,18 +53,6 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	checkSameShape("Div", a, b)
-	out := borrowRaw(a.shape...)
-	ParallelFor(len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] / b.data[i]
-		}
-	})
-	return out
-}
-
 // AddInPlace sets a += b elementwise and returns a.
 func (t *Tensor) AddInPlace(b *Tensor) *Tensor {
 	checkSameShape("AddInPlace", t, b)
@@ -268,11 +256,6 @@ func Log(t *Tensor) *Tensor {
 	return Apply(t, func(x float32) float32 { return float32(math.Log(float64(x))) })
 }
 
-// Sqrt returns the elementwise square root.
-func Sqrt(t *Tensor) *Tensor {
-	return Apply(t, func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
-}
-
 // AddRowVector returns m with v added to every row. m is (rows, cols),
 // v is (cols). This is the bias-broadcast primitive.
 func AddRowVector(m, v *Tensor) *Tensor {
@@ -287,25 +270,6 @@ func AddRowVector(m, v *Tensor) *Tensor {
 			or := out.data[r*cols : (r+1)*cols]
 			for c := 0; c < cols; c++ {
 				or[c] = mr[c] + v.data[c]
-			}
-		}
-	})
-	return out
-}
-
-// MulRowVector returns m with each row multiplied elementwise by v.
-func MulRowVector(m, v *Tensor) *Tensor {
-	if len(m.shape) != 2 || len(v.shape) != 1 || m.shape[1] != v.shape[0] {
-		panic(fmt.Sprintf("tensor: MulRowVector shapes %v, %v", m.shape, v.shape))
-	}
-	rows, cols := m.shape[0], m.shape[1]
-	out := borrowRaw(rows, cols)
-	ParallelFor(rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			mr := m.data[r*cols : (r+1)*cols]
-			or := out.data[r*cols : (r+1)*cols]
-			for c := 0; c < cols; c++ {
-				or[c] = mr[c] * v.data[c]
 			}
 		}
 	})

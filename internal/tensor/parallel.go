@@ -88,10 +88,6 @@ func startPool() {
 	}
 }
 
-// PoolWorkersBusy reports how many pool goroutines are currently running
-// kernel chunks (excluding submitters working on their own tasks).
-func PoolWorkersBusy() int { return int(poolBusy.Load()) }
-
 // ParallelFor splits [0, n) into chunks executed by the worker pool, with
 // each iteration costing roughly one unit of work. The ranges partition
 // [0, n) exactly; bodies on different ranges run concurrently, so they

@@ -163,7 +163,7 @@ func TestParallelForConcurrentSubmitters(t *testing.T) {
 
 func TestPoolWorkersBusyNonNegative(t *testing.T) {
 	ParallelFor(1<<15, func(lo, hi int) {})
-	if PoolWorkersBusy() < 0 {
-		t.Fatalf("busy workers %d < 0", PoolWorkersBusy())
+	if n := poolBusy.Load(); n < 0 {
+		t.Fatalf("busy workers %d < 0", n)
 	}
 }

@@ -41,14 +41,6 @@ func (g *RNG) Xavier(shape ...int) *Tensor {
 	return g.Uniform(-limit, limit, shape...)
 }
 
-// He returns a tensor initialized with Kaiming-normal scaling, suited to
-// ReLU layers.
-func (g *RNG) He(shape ...int) *Tensor {
-	fanIn, _ := fans(shape)
-	std := float32(math.Sqrt(2 / float64(fanIn)))
-	return g.Normal(0, std, shape...)
-}
-
 func fans(shape []int) (fanIn, fanOut int) {
 	switch len(shape) {
 	case 0:

@@ -109,26 +109,6 @@ func sumRowsAccInto(out, t *Tensor) {
 	}
 }
 
-// SumCols returns the row-wise sum of a 2-D tensor: (r,c) -> (r).
-func SumCols(t *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: SumCols requires a 2-D tensor")
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := borrowRaw(r)
-	ParallelForCost(r, c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.data[i*c : (i+1)*c]
-			var s float32
-			for j := 0; j < c; j++ {
-				s += row[j]
-			}
-			out.data[i] = s
-		}
-	})
-	return out
-}
-
 // ArgMaxRows returns, for each row of a 2-D tensor, the index of its
 // maximum element.
 func ArgMaxRows(t *Tensor) []int {

@@ -218,31 +218,6 @@ func (t *Tensor) SliceRows(lo, hi int) *Tensor {
 	return &Tensor{data: t.data[lo*inner : hi*inner], shape: shape}
 }
 
-// ConcatRows concatenates tensors along the leading dimension. All inputs
-// must agree on the trailing dimensions.
-func ConcatRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: ConcatRows requires at least one tensor")
-	}
-	rows := 0
-	for _, t := range ts {
-		rows += t.shape[0]
-	}
-	shape := append([]int{rows}, ts[0].shape[1:]...)
-	out := New(shape...)
-	off := 0
-	for _, t := range ts {
-		for i, d := range t.shape[1:] {
-			if d != ts[0].shape[1+i] {
-				panic("tensor: ConcatRows trailing dimension mismatch")
-			}
-		}
-		copy(out.data[off:], t.data)
-		off += len(t.data)
-	}
-	return out
-}
-
 // String renders small tensors fully and large tensors by shape summary.
 func (t *Tensor) String() string {
 	if len(t.data) <= 16 {

@@ -109,15 +109,6 @@ func TestSliceRowsAndRow(t *testing.T) {
 	}
 }
 
-func TestConcatRows(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 1, 2)
-	b := FromSlice([]float32{3, 4, 5, 6}, 2, 2)
-	c := ConcatRows(a, b)
-	if c.Dim(0) != 3 || c.At(2, 1) != 6 {
-		t.Fatalf("ConcatRows wrong: %v", c)
-	}
-}
-
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{4, 3, 2, 1}, 2, 2)
@@ -129,9 +120,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 	if got := Mul(a, b).Sum(); got != 4+6+6+4 {
 		t.Fatalf("Mul sum = %v", got)
-	}
-	if got := Div(a, b).At(1, 1); got != 4 {
-		t.Fatalf("Div = %v", got)
 	}
 	if got := Neg(a).Sum(); got != -10 {
 		t.Fatalf("Neg sum = %v", got)
@@ -195,9 +183,6 @@ func TestActivations(t *testing.T) {
 	if !almostEq(float64(Log(Scalar(math.E)).At()), 1, 1e-5) {
 		t.Fatal("Log")
 	}
-	if !almostEq(float64(Sqrt(Scalar(9)).At()), 3, 1e-6) {
-		t.Fatal("Sqrt")
-	}
 }
 
 func TestRowVectorBroadcast(t *testing.T) {
@@ -206,10 +191,6 @@ func TestRowVectorBroadcast(t *testing.T) {
 	a := AddRowVector(m, v)
 	if a.At(0, 0) != 11 || a.At(1, 1) != 24 {
 		t.Fatalf("AddRowVector: %v", a)
-	}
-	mm := MulRowVector(m, v)
-	if mm.At(0, 1) != 40 || mm.At(1, 0) != 30 {
-		t.Fatalf("MulRowVector: %v", mm)
 	}
 }
 
@@ -249,10 +230,6 @@ func TestMatVecAndOuter(t *testing.T) {
 	if mv.At(0) != 3 || mv.At(1) != 7 {
 		t.Fatalf("MatVec: %v", mv)
 	}
-	o := Outer(FromSlice([]float32{1, 2}, 2), FromSlice([]float32{3, 4}, 2))
-	if o.At(1, 1) != 8 {
-		t.Fatalf("Outer: %v", o)
-	}
 }
 
 func TestTranspose2D(t *testing.T) {
@@ -283,10 +260,6 @@ func TestReductions(t *testing.T) {
 	sr := SumRows(x)
 	if sr.At(0) != 1 || sr.At(1) != 1 {
 		t.Fatalf("SumRows: %v", sr)
-	}
-	sc := SumCols(x)
-	if sc.At(0) != 3 || sc.At(1) != -1 {
-		t.Fatalf("SumCols: %v", sc)
 	}
 	am := ArgMaxRows(x)
 	if am[0] != 1 || am[1] != 0 {
@@ -362,10 +335,6 @@ func TestRNGInitializers(t *testing.T) {
 	limit := math.Sqrt(6.0 / 200.0)
 	if float64(x.Max()) > limit || float64(x.Min()) < -limit {
 		t.Fatal("Xavier out of bounds")
-	}
-	h := g.He(100, 100)
-	if math.Abs(h.Mean()) > 0.02 {
-		t.Fatalf("He mean = %v", h.Mean())
 	}
 	m := g.Bernoulli(0.5, 10000)
 	frac := m.Sum() / 10000
