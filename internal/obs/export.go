@@ -68,9 +68,10 @@ func (r *Registry) Export() []FamilyExport {
 }
 
 // WritePrometheusFamilies renders exported (possibly merged and
-// relabeled) families as Prometheus text, in the same deterministic
-// format as Registry.WritePrometheus: families sorted by name, series
-// by label string, histograms expanded into cumulative buckets.
+// relabeled) families as Prometheus text; Registry.WritePrometheus is
+// this writer over Export. Families are sorted by name, series by label
+// string, histograms expanded into cumulative buckets, and a NaN or
+// ±Inf value is written as 0.
 func WritePrometheusFamilies(w io.Writer, fams []FamilyExport) error {
 	sorted := append([]FamilyExport(nil), fams...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })

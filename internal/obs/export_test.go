@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,42 @@ func TestExportAndRenderFamilies(t *testing.T) {
 	// And it survives the strict parser used across the obs tests.
 	if _, err := ParsePrometheus(strings.NewReader(viaExport.String())); err != nil {
 		t.Fatalf("rendered export does not parse: %v", err)
+	}
+}
+
+// TestWritePrometheusIsFamiliesWriter pins the live exposition to the
+// export path's writer, non-finite gauges included: both print a NaN or
+// ±Inf gauge as 0, so a scrape never carries a value the collector's
+// merged view would not.
+func TestWritePrometheusIsFamiliesWriter(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("sent_total", "Frames sent.", "peer", "1").Add(4)
+	reg.Counter("sent_total", "Frames sent.", "peer", "2").Add(7)
+	h := reg.Histogram("rtt_seconds", "Round trip.", []float64{0.01, 0.1}, "peer", "1")
+	h.Observe(0.005)
+	h.Observe(0.5)
+	reg.Gauge("ratio", "A ratio.", "kind", "nan").Set(math.NaN())
+	reg.Gauge("ratio", "A ratio.", "kind", "inf").Set(math.Inf(-1))
+
+	var live, families bytes.Buffer
+	if err := reg.WritePrometheus(&live); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePrometheusFamilies(&families, reg.Export()); err != nil {
+		t.Fatal(err)
+	}
+	if live.String() != families.String() {
+		t.Fatalf("live exposition diverges:\n--- live ---\n%s--- families ---\n%s",
+			live.String(), families.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(live.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("sample %q is not a finite value", line)
+		}
 	}
 }
 

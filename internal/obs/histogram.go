@@ -121,18 +121,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.bounds[len(h.bounds)-1]
 }
-
-// forBuckets iterates cumulative bucket counts in exposition order,
-// calling fn with each upper bound (math.Inf(1) last) and the cumulative
-// count up to it.
-func (h *Histogram) forBuckets(fn func(le float64, cumulative uint64)) {
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := math.Inf(1)
-		if i < len(h.bounds) {
-			le = h.bounds[i]
-		}
-		fn(le, cum)
-	}
-}

@@ -4,51 +4,18 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): # HELP and # TYPE lines per family, one sample
-// line per series, histograms expanded into _bucket/_sum/_count. Output
-// is deterministic (families and series sorted) so golden tests can
-// compare it byte-for-byte.
+// line per series, histograms expanded into _bucket/_sum/_count. It is
+// WritePrometheusFamilies over Export, so a live registry and a merged
+// collector view print alike: output is deterministic (families and
+// series sorted) and every value finite.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range r.view() {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		for i, ls := range f.labels {
-			switch m := f.metrics[i].(type) {
-			case *Counter:
-				fmt.Fprintf(bw, "%s %s\n", seriesRef(f.name, ls), fmtFloat(m.Value()))
-			case *Gauge:
-				fmt.Fprintf(bw, "%s %s\n", seriesRef(f.name, ls), fmtFloat(m.Value()))
-			case *Histogram:
-				m.forBuckets(func(le float64, cum uint64) {
-					leStr := "+Inf"
-					if !math.IsInf(le, 1) {
-						leStr = fmtFloat(le)
-					}
-					withLE := ls
-					if withLE != "" {
-						withLE += ","
-					}
-					withLE += fmt.Sprintf("le=%q", leStr)
-					fmt.Fprintf(bw, "%s %d\n", seriesRef(f.name+"_bucket", withLE), cum)
-				})
-				fmt.Fprintf(bw, "%s %s\n", seriesRef(f.name+"_sum", ls), fmtFloat(m.Sum()))
-				fmt.Fprintf(bw, "%s %d\n", seriesRef(f.name+"_count", ls), m.Count())
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("obs: write prometheus text: %w", err)
-	}
-	return nil
+	return WritePrometheusFamilies(w, r.Export())
 }
 
 func seriesRef(name, labels string) string {
