@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -136,5 +137,18 @@ func TestTwoProcessLoopbackMatchesSingleProcess(t *testing.T) {
 					p, rec.Round, rec.Loss, math.Float64bits(rec.Loss), w, math.Float64bits(w))
 			}
 		}
+	}
+}
+
+// TestAdvanceOffAFPFails checks that -advance with a schedule other than
+// afp stops the run with an error instead of training without it.
+func TestAdvanceOffAFPFails(t *testing.T) {
+	bin := buildBinary(t)
+	out, err := exec.Command(bin, "-schedule", "1f1b", "-advance", "1,0", "-rounds", "1").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-schedule 1f1b -advance 1,0 exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "applies to the afp schedule only") {
+		t.Fatalf("want the afp-only error, got:\n%s", out)
 	}
 }

@@ -80,7 +80,7 @@ func main() {
 		rounds    = flag.Int("rounds", 500, "maximum training rounds")
 		seed      = flag.Int64("seed", 1, "seed for models and data")
 		schedule  = flag.String("schedule", "afp", "pipeline schedule: afab, gpipe, 1f1b, dapple, or afp")
-		advance   = flag.String("advance", "", "per-stage AFP advance, comma-separated (e.g. 2,0); empty = 1F1B")
+		advance   = flag.String("advance", "", "per-stage AFP advance, comma-separated (e.g. 2,0), afp schedule only; empty = 1F1B")
 		partition = flag.String("partition", "equal", "layer partitioning: equal or cost")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/vars, and /debug/pprof on this address (e.g. :9090)")
@@ -139,13 +139,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if adv != nil && !avgpipe.LegalAdvance(*stageN, *micro, adv) {
-		log.Fatalf("advance %v is not legal for K=%d stages, M=%d micro-batches"+
-			" (need len K and clamped warmup non-increasing across stages)", adv, *stageN, *micro)
-	}
 	plan, err := avgpipe.PlanByName(*schedule, adv)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if adv != nil && !avgpipe.LegalAdvance(*stageN, *micro, adv) {
+		log.Fatalf("advance %v is not legal for K=%d stages, M=%d micro-batches"+
+			" (need len K and clamped warmup non-increasing across stages)", adv, *stageN, *micro)
 	}
 	var part avgpipe.PartitionMode
 	switch *partition {

@@ -52,19 +52,26 @@ func AFPPlan(advance []int) Plan {
 }
 
 // PlanByName resolves a schedule family from its common names, for CLI
-// flags and config files. advance is consumed only by the AFP family.
+// flags and config files. advance is consumed only by the AFP family; a
+// non-nil advance with any other family is an error, not dropped.
 func PlanByName(name string, advance []int) (Plan, error) {
+	var p Plan
 	switch strings.ToLower(name) {
 	case "afab":
-		return AFABPlan(), nil
+		p = AFABPlan()
 	case "gpipe":
-		return GPipePlan(), nil
+		p = GPipePlan()
 	case "1f1b", "onefoneb":
-		return OneFOneBPlan(), nil
+		p = OneFOneBPlan()
 	case "dapple":
-		return DapplePlan(), nil
+		p = DapplePlan()
 	case "", "afp":
 		return AFPPlan(advance), nil
+	default:
+		return Plan{}, fmt.Errorf("sched: unknown schedule %q (want afab, gpipe, 1f1b, dapple, or afp)", name)
 	}
-	return Plan{}, fmt.Errorf("sched: unknown schedule %q (want afab, gpipe, 1f1b, dapple, or afp)", name)
+	if advance != nil {
+		return Plan{}, fmt.Errorf("sched: advance %v applies to the afp schedule only, not %q", advance, name)
+	}
+	return p, nil
 }

@@ -188,6 +188,11 @@ func TestPlanByName(t *testing.T) {
 	if _, err := PlanByName("chimera", nil); err == nil {
 		t.Fatal("unknown plan name accepted")
 	}
+	for _, name := range []string{"afab", "gpipe", "1f1b", "dapple"} {
+		if _, err := PlanByName(name, []int{1, 0}); err == nil || !strings.Contains(err.Error(), "afp schedule only") {
+			t.Fatalf("%q with an advance vector: got error %v, want it refused", name, err)
+		}
+	}
 	// The AFP plan threads its advance vector through.
 	p, _ := PlanByName("afp", []int{2, 0})
 	an, err := Analyze(p.Make(2, 8))
