@@ -8,10 +8,11 @@
 //
 // Two modes share the flags:
 //
-//   - Open loop (-rate > 0): requests are fired on a fixed schedule
+//   - Open loop (-rate > 0): request i is due at start + i/rate,
 //     regardless of completions — the offered-load model behind the
-//     serve gate's p99 numbers. A server slower than the schedule shows
-//     up as queueing latency, exactly as it would for real traffic.
+//     serve gate's p99 numbers. Latency is timed from each request's due
+//     time, so a server slower than the schedule, or a late generator,
+//     shows up as queueing latency, exactly as it would for real traffic.
 //   - Closed loop (-rate 0): -concurrency workers fire back-to-back
 //     requests, measuring saturated throughput.
 //
@@ -49,6 +50,9 @@ func main() {
 		seed        = flag.Int64("seed", 1, "token stream seed")
 	)
 	flag.Parse()
+	if *concurrency < 1 {
+		log.Fatalf("-concurrency %d: want at least 1", *concurrency)
+	}
 
 	base := "http://" + *addr
 	var inf info
@@ -70,13 +74,14 @@ func main() {
 		sent      atomic.Int64
 		failed    atomic.Int64
 	)
-	fire := func(rng *rand.Rand) {
+	// fire sends one request and times it from start: its due time in
+	// the open loop, the moment it is sent in the closed loop.
+	fire := func(rng *rand.Rand, start time.Time) {
 		tokens := make([]int, inf.SeqLen)
 		for i := range tokens {
 			tokens[i] = rng.Intn(inf.Vocab)
 		}
 		body, _ := json.Marshal(map[string][]int{"tokens": tokens})
-		start := time.Now()
 		resp, err := client.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
 		lat := time.Since(start)
 		sent.Add(1)
@@ -100,35 +105,10 @@ func main() {
 	begin := time.Now()
 	var wg sync.WaitGroup
 	if *rate > 0 {
-		// Open loop: a ticker paces admission; a semaphore caps
-		// outstanding requests so a dying server cannot leak goroutines.
 		interval := time.Duration(float64(time.Second) / *rate)
-		sem := make(chan struct{}, *concurrency)
-		deadline := time.After(*duration)
-		tick := time.NewTicker(interval)
-		rng := rand.New(rand.NewSource(*seed))
-	loop:
-		for {
-			select {
-			case <-deadline:
-				break loop
-			case <-tick.C:
-				select {
-				case sem <- struct{}{}:
-					seq := rng.Int63()
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						defer func() { <-sem }()
-						fire(rand.New(rand.NewSource(seq)))
-					}()
-				default:
-					failed.Add(1) // shed: server is beyond the concurrency cap
-					sent.Add(1)
-				}
-			}
-		}
-		tick.Stop()
+		openLoop(int(*rate*duration.Seconds()), interval, *concurrency, func(i int, due time.Time) {
+			fire(rand.New(rand.NewSource(*seed+int64(i))), due)
+		})
 	} else {
 		stop := time.Now().Add(*duration)
 		for w := 0; w < *concurrency; w++ {
@@ -137,7 +117,7 @@ func main() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(*seed + int64(w)))
 				for time.Now().Before(stop) {
-					fire(rng)
+					fire(rng, time.Now())
 				}
 			}(w)
 		}
@@ -160,4 +140,28 @@ func main() {
 	fmt.Printf("latency p50=%v p90=%v p99=%v max=%v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
 		pct(0.99).Round(time.Microsecond), latencies[ok-1].Round(time.Microsecond))
+}
+
+// openLoop sends n requests from one pacing goroutine, request i due at
+// start + i·interval. A late pacer neither skips a request nor re-times
+// it: it sends the overdue ones at once, and fire(i, due) times request
+// i from due, so a stall of the pacer or of the server shows in the
+// latency. At most limit requests are outstanding; when all are, the
+// pacer waits for one to finish, and that wait counts too.
+func openLoop(n int, interval time.Duration, limit int, fire func(i int, due time.Time)) {
+	slots := make(chan struct{}, limit)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		due := start.Add(time.Duration(i) * interval)
+		time.Sleep(time.Until(due))
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fire(i, due)
+			<-slots
+		}()
+	}
+	wg.Wait()
 }
