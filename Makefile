@@ -135,10 +135,10 @@ bench-smoke:
 #            zero allocation decisions on slot registers, so a new
 #            per-micro-batch allocation means the compiler or planner
 #            regressed.
-#   serve:   a deterministic full-batch forward through the worker path,
-#            the closed-loop saturation number (1/ns_per_op = sustained
-#            req/s through the real dispatcher), and the p99 latency at a
-#            fixed offered load (reported as that benchmark's ns/op).
+#   serve:   a deterministic full-batch forward through runBatch, the
+#            closed-loop saturation number (1/ns_per_op = sustained req/s
+#            through Predict), and the p99 latency at a fixed offered
+#            load (reported as that benchmark's ns/op).
 BENCH_kernels = Kernel ./internal/tensor/ ./internal/nn/
 BENCH_graph   = Graph ./internal/nn/
 BENCH_serve   = Serve ./internal/serve/

@@ -461,17 +461,18 @@ func DecideAdvance(cfg AFPConfig) ([]int, *SimResult, error) { return core.Decid
 // --- serving (batched inference on the averaged model) --------------------
 
 // InferenceServer serves the elastic averager's reference model — the
-// statistically meaningful copy — behind a dynamic batcher with
-// zero-downtime model hot-swap (see internal/serve and DESIGN.md §14).
+// statistically meaningful copy — with work-conserving batching on the
+// callers' goroutines and zero-downtime model hot-swap (see
+// internal/serve and DESIGN.md §14).
 type (
 	InferenceServer = serve.Server
 	ServeConfig     = serve.Config
 	ServeResult     = serve.Result
 )
 
-// NewInferenceServer builds a Server and starts its batcher and
-// workers; install a model via InstallCheckpoint, InstallSnapshot, or a
-// watcher before the first Predict.
+// NewInferenceServer builds a Server (it starts no goroutine); install
+// a model via InstallCheckpoint, InstallSnapshot, or a watcher before
+// the first Predict.
 func NewInferenceServer(cfg ServeConfig) (*InferenceServer, error) { return serve.New(cfg) }
 
 // ReferenceSnapshotPublisher is the training-side push path: it streams

@@ -16,9 +16,11 @@
 // weights arrive over the wire codec and swap in with zero downtime;
 // requests in flight finish on the version they started on.
 //
-// The batching knob: requests queue into a dynamic batch that flushes
-// at -max-batch requests or when the oldest has waited -max-linger,
-// whichever comes first. /metrics exposes per-request latency and
+// Batching is work-conserving: a request that finds one of the -workers
+// model replicas idle runs at once; while every replica is busy,
+// requests queue, and the next replica to come free takes up to
+// -max-batch of them as one batch. No timer holds a request back.
+// /metrics exposes per-request latency and
 // batch-occupancy histograms; /healthz and /readyz serve probes
 // (readiness flips once the first model version is installed).
 package main
@@ -43,9 +45,8 @@ func main() {
 		watch         = flag.Bool("watch", false, "keep polling -checkpoint-dir and hot-swap newer rounds")
 		watchEvery    = flag.Duration("watch-every", 200*time.Millisecond, "checkpoint poll interval (needs -watch)")
 		snapshotAddr  = flag.String("snapshot-listen", "", "accept pushed reference snapshots from avgpipe-train -publish on this TCP address")
-		maxBatch      = flag.Int("max-batch", 8, "flush a dynamic batch at this many requests")
-		maxLinger     = flag.Duration("max-linger", 2*time.Millisecond, "flush a dynamic batch once its oldest request has waited this long")
-		workers       = flag.Int("workers", 2, "executor goroutines, each with a private model replica")
+		maxBatch      = flag.Int("max-batch", 8, "run at most this many queued requests as one batch")
+		workers       = flag.Int("workers", 2, "model replicas that may run a batch at once")
 	)
 	flag.Parse()
 
@@ -66,8 +67,7 @@ func main() {
 
 	reg := avgpipe.NewMetricsRegistry()
 	srv, err := avgpipe.NewInferenceServer(avgpipe.ServeConfig{
-		Task: task, MaxBatch: *maxBatch, MaxLinger: *maxLinger,
-		Workers: *workers, Obs: reg,
+		Task: task, MaxBatch: *maxBatch, Workers: *workers, Obs: reg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -105,7 +105,7 @@ func main() {
 		log.Fatalf("listen %s: %v", *addr, err)
 	}
 	fmt.Printf("inference API: http://%s/v1/predict (POST), /v1/info, /metrics, /healthz, /readyz\n", ln.Addr())
-	fmt.Printf("batching: max-batch %d, max-linger %v, %d workers (seq_len %d, vocab %d)\n",
-		*maxBatch, *maxLinger, *workers, srv.SeqLen(), srv.Vocab())
+	fmt.Printf("batching: max-batch %d, %d workers (seq_len %d, vocab %d)\n",
+		*maxBatch, *workers, srv.SeqLen(), srv.Vocab())
 	log.Fatal(http.Serve(ln, srv.Handler()))
 }

@@ -195,21 +195,30 @@ func TestAveragerConservation(t *testing.T) {
 	a := NewAveragerObs(3, init, nil)
 	defer a.Close()
 	reps := [][]*nn.Param{paramsOf(5), paramsOf(5), paramsOf(5)}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	for round := 0; round < 10; round++ {
 		for p, r := range reps {
 			r[0].W.AddInPlace(tensor.Full(1, 2))
 			submit(t, a, p, round, r)
+		}
+		// Every replica dilutes toward the same closed round; diluting
+		// while the reference loop is still applying it makes their
+		// agreement depend on timing.
+		if err := a.WaitRound(ctx, round); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for p, r := range reps {
 			a.Dilute(p, r)
 		}
-		drain(t, a)
 	}
+	drain(t, a)
 	ref := a.Reference()
 	if got := float64(ref[0].At(0)); math.Abs(got-15) > 1e-3 {
 		t.Fatalf("reference %v, want 15", got)
 	}
-	// Replicas track the reference with a bounded steady-state lag (the
-	// dilution sees the reference as of the previous round), but all
-	// replicas must agree since their updates are identical.
+	// Replicas track the reference, and all replicas must agree since
+	// their updates are identical.
 	for p, r := range reps {
 		got := float64(r[0].W.At(0))
 		if math.Abs(got-15) > 2 {

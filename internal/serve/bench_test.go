@@ -19,8 +19,9 @@ import (
 //     that moves when the compiled forward path or the per-request
 //     copy-out regresses.
 //   - ServeSaturatedPredict is the closed-loop saturation number:
-//     parallel clients fire back-to-back through the real dispatcher,
-//     so 1/ns_per_op is the sustained throughput the gate records.
+//     parallel clients fire back-to-back through Predict, batching on
+//     their own goroutines, so 1/ns_per_op is the sustained throughput
+//     the gate records.
 //   - ServeOfferedLoadP99 paces requests at a fixed offered load and
 //     reports the p99 latency as its ns/op — the tail-latency contract
 //     at a load the server can comfortably sustain.
@@ -32,11 +33,10 @@ func benchServer(b *testing.B, maxBatch, workers int) *Server {
 	b.Helper()
 	task := workload.TranslationTask()
 	s, err := New(Config{
-		Task:      task,
-		MaxBatch:  maxBatch,
-		MaxLinger: time.Millisecond,
-		Workers:   workers,
-		Obs:       obs.NewRegistry(),
+		Task:     task,
+		MaxBatch: maxBatch,
+		Workers:  workers,
+		Obs:      obs.NewRegistry(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -45,27 +45,37 @@ func benchServer(b *testing.B, maxBatch, workers int) *Server {
 	if err := s.InstallSnapshot(snapFrame(task.NewModel(11).Params(), 1)); err != nil {
 		b.Fatal(err)
 	}
-	// Warm every (worker, batch-size) Env: repeated concurrent bursts of
-	// each size make it overwhelmingly likely both workers have bound
-	// every plan before the timer starts.
-	ctx := context.Background()
+	// Warm every (replica, batch-size) Env with one batch of each size.
 	toks := benchTokens(s)
-	for rep := 0; rep < 4*workers; rep++ {
-		for size := 1; size <= maxBatch; size++ {
-			var wg sync.WaitGroup
-			for i := 0; i < size; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := s.Predict(ctx, toks); err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			wg.Wait()
+	for id := 0; id < workers; id++ {
+		for n := 1; n <= maxBatch; n++ {
+			runBenchBatch(b, s, id, newBenchBatch(toks, n))
 		}
 	}
 	return s
+}
+
+// newBenchBatch builds n requests for runBatch, each with its reply
+// channel.
+func newBenchBatch(toks []int, n int) []*request {
+	batch := make([]*request, n)
+	for i := range batch {
+		batch[i] = &request{tokens: toks, reply: make(chan reply, 1)}
+	}
+	return batch
+}
+
+// runBenchBatch runs batch on replica id and collects its replies.
+func runBenchBatch(b *testing.B, s *Server, id int, batch []*request) {
+	for _, r := range batch {
+		r.start = time.Now()
+	}
+	s.runBatch(id, batch)
+	for _, r := range batch {
+		if rep := <-r.reply; rep.err != nil {
+			b.Fatal(rep.err)
+		}
+	}
 }
 
 func benchTokens(s *Server) []int {
@@ -76,43 +86,24 @@ func benchTokens(s *Server) []int {
 	return toks
 }
 
-// BenchmarkServeBatchForward8 measures one full dynamic batch through
-// the worker path — bind, time-major fill, compiled forward, logits
-// copy-out, reply — with no dispatcher or client goroutines in the
-// loop. ns/op is per batch of 8, not per request.
+// BenchmarkServeBatchForward8 measures one full batch through runBatch
+// — bind, time-major fill, compiled forward, logits copy-out, reply —
+// with no queue or client goroutines in the loop. ns/op is per batch
+// of 8, not per request.
 func BenchmarkServeBatchForward8(b *testing.B) {
-	const n = 8
-	s := benchServer(b, n, 1)
-	toks := benchTokens(s)
-	batch := make([]*request, n)
-	for i := range batch {
-		batch[i] = &request{
-			tokens: toks,
-			resp:   make(chan *Result, 1),
-			errc:   make(chan error, 1),
-		}
-	}
+	s := benchServer(b, 8, 1)
+	batch := newBenchBatch(benchTokens(s), 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range batch {
-			r.start = time.Now()
-		}
-		s.runBatch(0, batch)
-		for _, r := range batch {
-			select {
-			case <-r.resp:
-			case err := <-r.errc:
-				b.Fatal(err)
-			}
-		}
+		runBenchBatch(b, s, 0, batch)
 	}
 }
 
 // BenchmarkServeSaturatedPredict is the closed-loop saturation
-// benchmark: parallel clients issue back-to-back Predict calls through
-// the real dispatcher and batcher. ns/op is wall time per completed
-// request, so sustained throughput = 1e9 / ns_per_op req/s — the
+// benchmark: parallel clients issue back-to-back Predict calls, each
+// running batches on its own goroutine while a replica is idle. ns/op
+// is wall time per completed request, so sustained throughput = 1e9 / ns_per_op req/s — the
 // "sustained throughput" number BENCH_serve.json commits to.
 func BenchmarkServeSaturatedPredict(b *testing.B) {
 	s := benchServer(b, 8, 2)

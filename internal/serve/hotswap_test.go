@@ -20,7 +20,7 @@ import (
 // version B) would match neither.
 func TestHotSwapNoTornReads(t *testing.T) {
 	task := workload.TranslationTask()
-	s := newTestServer(t, Config{Task: task, MaxBatch: 4, MaxLinger: 500 * time.Microsecond, Workers: 2})
+	s := newTestServer(t, Config{Task: task, MaxBatch: 4, Workers: 2})
 
 	// Distinct versions with distinct weights; round = model seed + 1 so
 	// round uniquely names the weights.
@@ -126,7 +126,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 // go backwards across swaps.
 func TestHotSwapRoundsMonotone(t *testing.T) {
 	task := workload.TranslationTask()
-	s := newTestServer(t, Config{Task: task, MaxBatch: 2, MaxLinger: 500 * time.Microsecond, Workers: 1})
+	s := newTestServer(t, Config{Task: task, MaxBatch: 2, Workers: 1})
 	m := task.NewModel(1)
 	if err := s.InstallSnapshot(snapFrame(m.Params(), 1)); err != nil {
 		t.Fatal(err)

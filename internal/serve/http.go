@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"avgpipe/internal/obs"
@@ -51,12 +52,17 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(PredictResponse{
+		err = json.NewEncoder(w).Encode(PredictResponse{
 			Predictions: res.Predictions,
 			Logits:      res.Logits,
 			Round:       res.Round,
 			BatchSize:   res.BatchSize,
 		})
+		// A NaN logit fails to encode before anything is written.
+		var unsupported *json.UnsupportedValueError
+		if errors.As(err, &unsupported) {
+			http.Error(w, "serve: encode response: "+err.Error(), http.StatusInternalServerError)
+		}
 	})
 	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

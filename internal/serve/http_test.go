@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -74,7 +76,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if pr.Round != 7 || len(pr.Predictions) != s.SeqLen() {
 		t.Fatalf("predict response %+v: want round 7, %d predictions", pr, s.SeqLen())
 	}
-	direct, err := s.Predict(t.Context(), toks)
+	direct, err := s.Predict(context.Background(), toks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +113,30 @@ func TestHTTPEndToEnd(t *testing.T) {
 		!strings.Contains(body, "avgpipe_serve_batch_occupancy") ||
 		!strings.Contains(body, "avgpipe_serve_model_round 7") {
 		t.Fatalf("/metrics missing serve families:\n%.600s", body)
+	}
+}
+
+// TestPredictNaNLogitsIs500: JSON has no NaN, so a model whose logits
+// are NaN cannot be encoded; /v1/predict must say so with a 500, not
+// answer 200 with an empty body.
+func TestPredictNaNLogitsIs500(t *testing.T) {
+	task := workload.TranslationTask()
+	s := newTestServer(t, Config{Task: task, Workers: 1})
+	ps := task.NewModel(6).Params()
+	ps[len(ps)-1].W.Data()[0] = float32(math.NaN())
+	if err := s.InstallSnapshot(snapFrame(ps, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(PredictRequest{Tokens: testTokens(t, s, 4)[0]})
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "NaN") {
+		t.Fatalf("NaN logits: %d %q, want 500 naming the NaN", resp.StatusCode, msg)
 	}
 }

@@ -1,25 +1,26 @@
 // Package serve is the inference tier: it puts the elastic averager's
 // reference model — the statistically meaningful copy the paper
-// evaluates — in front of traffic. A Server owns a dynamic batcher
-// (requests queue into a batch that flushes on a size cap or a
-// max-linger deadline) feeding worker goroutines that replay the
-// compiled eval-mode op graph (nn.CompileStageInference), and supports
-// zero-downtime hot-swap of model snapshots from two sources: polling a
-// checkpoint directory's commit marker (WatchCheckpoints) and receiving
-// FrameSnapshot pushes over the internal/net codec from a live training
-// job (ServeSnapshots / SnapshotPublisher).
+// evaluates — in front of traffic. A Server batches on its callers'
+// goroutines: a caller that finds a model replica idle runs the oldest
+// queued requests on it, replaying the compiled eval-mode op graph
+// (nn.CompileStageInference), and supports zero-downtime hot-swap of
+// model snapshots from two sources: polling a checkpoint directory's
+// commit marker (WatchCheckpoints) and receiving FrameSnapshot pushes
+// over the internal/net codec from a live training job (ServeSnapshots
+// / SnapshotPublisher).
 //
 // Swap correctness contract: a model version is immutable once
-// installed, a worker loads the current version exactly once per batch,
-// and every request in that batch is answered from that one version —
-// a swap never tears a response across versions. Close drains: every
-// request accepted before Close is answered.
+// installed, a batch loads the current version exactly once, and every
+// request in that batch is answered from that one version — a swap
+// never tears a response across versions. Close drains: every request
+// accepted before Close is answered.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,20 +46,12 @@ type Config struct {
 	// architecture checkpoints and snapshots are loaded into, and its
 	// PerPosition flag fixes the output layout.
 	Task *workload.Task
-	// MaxBatch is the batch-size flush threshold (default 8).
+	// MaxBatch caps how many queued requests one batch takes
+	// (default 8).
 	MaxBatch int
-	// MaxLinger is how long the first queued request may wait for
-	// companions before the batch flushes anyway (default 2ms). Smaller
-	// favors latency, larger favors occupancy/throughput — this is the
-	// one knob.
-	MaxLinger time.Duration
-	// Workers is the number of executor goroutines, each with its own
-	// model replica and compiled Env pool (default 2).
+	// Workers is the number of model replicas that may run a batch at
+	// once, each with its own compiled Env pool (default 2).
 	Workers int
-	// QueueDepth bounds the accepted-but-unbatched request queue;
-	// Predict blocks (context-cancellably) when it is full
-	// (default 4*MaxBatch).
-	QueueDepth int
 	// Obs receives the serving metrics (a private registry is created
 	// when nil).
 	Obs *obs.Registry
@@ -81,28 +74,35 @@ type Result struct {
 type request struct {
 	tokens []int
 	start  time.Time
-	resp   chan *Result // cap 1: the worker never blocks replying
-	errc   chan error   // cap 1
+	reply  chan reply    // cap 1: the batch never blocks replying
+	wake   chan struct{} // cap 1: a replica is idle, come and run a batch
+	taken  bool          // under Server.mu: a batch has taken it off the queue
+	busy   bool          // under Server.mu: its caller is running a batch
 }
 
-// workerModel is one worker's private copy of a model version: its own
+type reply struct {
+	res *Result
+	err error
+}
+
+// replicaModel is one replica's private copy of a model version: its own
 // parameter tensors, its own compiled program, and a pool of Envs keyed
-// by batch size. Nothing here is shared across workers, so forward
-// replay needs no locks.
-type workerModel struct {
+// by batch size. A replica runs one batch at a time, so forward replay
+// needs no locks.
+type replicaModel struct {
 	model *nn.Sequential
 	prog  *compiled.Program
 	envs  map[int]*compiled.Env
 	xbuf  map[int]*tensor.Tensor
 }
 
-// modelVersion is an immutable installed snapshot. Workers load the
-// pointer once per batch; installs publish a fully built replacement
-// with a single atomic store.
+// modelVersion is an immutable installed snapshot. A batch loads the
+// pointer once; installs publish a fully built replacement with a
+// single atomic store.
 type modelVersion struct {
-	round     int
-	source    string // "checkpoint" | "snapshot"
-	perWorker []*workerModel
+	round    int
+	source   string // "checkpoint" | "snapshot"
+	replicas []*replicaModel
 }
 
 // Server is the batched inference server. Create with New, install a
@@ -113,13 +113,16 @@ type Server struct {
 	seqLen int
 	vocab  int // -1 when the model has no leading Embedding (no range check)
 
-	cur     atomic.Pointer[modelVersion]
-	swapMu  sync.Mutex // serializes installs (watch + push may race)
-	reqCh   chan *request
-	batchCh chan []*request
-	closeMu sync.RWMutex
+	cur    atomic.Pointer[modelVersion]
+	swapMu sync.Mutex // serializes installs (watch + push may race)
+
+	// mu guards the batching state below; see handoff for its invariant.
+	mu      sync.Mutex
+	queue   []*request   // FIFO of accepted, not yet batched requests
+	idle    []int        // replica ids free to run a batch
+	batches [][]*request // per replica: its reusable batch slice
 	closed  bool
-	wg      sync.WaitGroup
+	freed   sync.Cond // on mu: a replica went idle after Close began
 
 	health *obs.Health
 
@@ -132,9 +135,9 @@ type Server struct {
 	occupancy *obs.Histogram
 }
 
-// New builds a Server and starts its batcher and workers. No model is
-// installed yet: Predict fails with ErrNoModel and /readyz reports 503
-// until the first install.
+// New builds a Server; it starts no goroutine. No model is installed
+// yet: Predict fails with ErrNoModel and /readyz reports 503 until the
+// first install.
 func New(cfg Config) (*Server, error) {
 	if cfg.Task == nil {
 		return nil, errors.New("serve: Config.Task is required")
@@ -142,14 +145,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 8
 	}
-	if cfg.MaxLinger <= 0 {
-		cfg.MaxLinger = 2 * time.Millisecond
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.MaxBatch
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
@@ -164,12 +161,10 @@ func New(cfg Config) (*Server, error) {
 		vocab = emb.Vocab
 	}
 	s := &Server{
-		cfg:     cfg,
-		seqLen:  seqLen,
-		vocab:   vocab,
-		reqCh:   make(chan *request, cfg.QueueDepth),
-		batchCh: make(chan []*request, cfg.Workers),
-		health:  obs.NewHealth(),
+		cfg:    cfg,
+		seqLen: seqLen,
+		vocab:  vocab,
+		health: obs.NewHealth(),
 
 		requests: cfg.Obs.Counter("avgpipe_serve_requests_total",
 			"requests answered (including errors)"),
@@ -190,12 +185,12 @@ func New(cfg Config) (*Server, error) {
 		occupancy: cfg.Obs.Histogram("avgpipe_serve_batch_occupancy",
 			"examples per executed batch", obs.LinearBuckets(1, 1, cfg.MaxBatch)),
 	}
-	s.health.SetNotReady("no model installed")
-	s.wg.Add(1 + cfg.Workers)
-	go s.dispatch()
-	for w := 0; w < cfg.Workers; w++ {
-		go s.worker(w)
+	for id := range cfg.Workers {
+		s.idle = append(s.idle, id)
+		s.batches = append(s.batches, make([]*request, 0, cfg.MaxBatch))
 	}
+	s.freed.L = &s.mu
+	s.health.SetNotReady("no model installed")
 	return s, nil
 }
 
@@ -235,14 +230,14 @@ func (s *Server) Round() int {
 }
 
 // installParams builds an immutable model version from master weights —
-// one private replica per worker, each compiled for eval-mode replay —
-// and publishes it with one atomic store. Requests in flight keep the
+// Workers private replicas, each compiled for eval-mode replay — and
+// publishes it with one atomic store. Requests in flight keep the
 // version their batch loaded; new batches see the new one.
 func (s *Server) installParams(master []*nn.Param, round int, source string) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	per := make([]*workerModel, s.cfg.Workers)
-	for w := range per {
+	per := make([]*replicaModel, s.cfg.Workers)
+	for id := range per {
 		m := s.cfg.Task.NewModel(1) // init seed irrelevant: weights overwritten
 		ps := m.Params()
 		if len(ps) != len(master) {
@@ -259,10 +254,10 @@ func (s *Server) installParams(master []*nn.Param, round int, source string) err
 		if err != nil {
 			return fmt.Errorf("serve: compile: %w", err)
 		}
-		per[w] = &workerModel{model: m, prog: prog,
+		per[id] = &replicaModel{model: m, prog: prog,
 			envs: make(map[int]*compiled.Env), xbuf: make(map[int]*tensor.Tensor)}
 	}
-	s.cur.Store(&modelVersion{round: round, source: source, perWorker: per})
+	s.cur.Store(&modelVersion{round: round, source: source, replicas: per})
 	s.swaps[source].Inc()
 	s.roundG.Set(float64(round))
 	s.health.SetReady()
@@ -282,9 +277,11 @@ func sameShape(a, b []int) bool {
 }
 
 // Predict answers one request: tokens must be exactly SeqLen ids in
-// [0, Vocab). It blocks until the dynamic batcher flushes the batch the
-// request landed in (at most MaxLinger plus execution), the context
-// fires, or the server reports an error.
+// [0, Vocab). It queues the request, then, while a replica is idle and
+// the request is still queued, runs the oldest queued requests as a
+// batch on the calling goroutine. It returns once the request has been
+// answered (by its own batch or another caller's), the context fires,
+// or the server reports an error.
 func (s *Server) Predict(ctx context.Context, tokens []int) (*Result, error) {
 	if len(tokens) != s.seqLen {
 		s.rejected.Inc()
@@ -305,119 +302,109 @@ func (s *Server) Predict(ctx context.Context, tokens []int) (*Result, error) {
 	r := &request{
 		tokens: tokens,
 		start:  time.Now(),
-		resp:   make(chan *Result, 1),
-		errc:   make(chan error, 1),
+		reply:  make(chan reply, 1),
+		wake:   make(chan struct{}, 1),
 	}
-	// The RLock spans the send so Close cannot close reqCh midway; the
-	// dispatcher keeps draining until the channel closes, so a sender
-	// blocked on backpressure always makes progress and releases it.
-	s.closeMu.RLock()
+	s.mu.Lock()
 	if s.closed {
-		s.closeMu.RUnlock()
+		s.mu.Unlock()
 		s.rejected.Inc()
 		return nil, ErrClosed
 	}
-	// Count the request in before the send: once it is sent, a worker
-	// may answer it (and count it out) before this goroutine runs again.
+	// Count r in before queueing it: once queued, another caller's
+	// batch may answer it (and count it out).
 	s.inflight.Add(1)
-	select {
-	case s.reqCh <- r:
-		s.closeMu.RUnlock()
-	case <-ctx.Done():
-		s.closeMu.RUnlock()
-		s.inflight.Add(-1)
-		s.rejected.Inc()
-		return nil, ctx.Err()
-	}
-	// Accepted: the reply always arrives (Close drains), so a caller
-	// abandoning via ctx only abandons the wait, never the work.
-	select {
-	case res := <-r.resp:
-		return res, nil
-	case err := <-r.errc:
-		return nil, err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// dispatch is the dynamic batcher: it accumulates requests and flushes
-// when the batch hits MaxBatch or the oldest queued request has
-// lingered MaxLinger.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	defer close(s.batchCh)
-	var (
-		pending []*request
-		timer   = time.NewTimer(time.Hour)
-		timerC  <-chan time.Time
-	)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	flush := func() {
-		if timerC != nil {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timerC = nil
-		}
-		if len(pending) > 0 {
-			s.batchCh <- pending
-			pending = nil
-		}
-	}
+	s.queue = append(s.queue, r)
 	for {
+		for !r.taken && len(s.idle) > 0 {
+			r.busy = true
+			s.runOldest()
+			r.busy = false
+		}
+		s.handoff()
+		s.mu.Unlock()
 		select {
-		case r, ok := <-s.reqCh:
-			if !ok {
-				flush() // Close: hand the tail to the workers
-				return
+		case rep := <-r.reply:
+			return rep.res, rep.err
+		case <-r.wake:
+			s.mu.Lock()
+		case <-ctx.Done():
+			// Withdraw r if still queued; a taken r is answered unread.
+			s.mu.Lock()
+			if !r.taken {
+				s.queue = slices.DeleteFunc(s.queue, func(q *request) bool { return q == r })
+				s.inflight.Add(-1)
+				s.rejected.Inc()
+				s.handoff() // r may have held the only wake
 			}
-			pending = append(pending, r)
-			if len(pending) == 1 {
-				timer.Reset(s.cfg.MaxLinger)
-				timerC = timer.C
-			}
-			if len(pending) >= s.cfg.MaxBatch {
-				flush()
-			}
-		case <-timerC:
-			timerC = nil
-			if len(pending) > 0 {
-				s.batchCh <- pending
-				pending = nil
-			}
+			s.mu.Unlock()
+			return nil, ctx.Err()
 		}
 	}
 }
 
-func (s *Server) worker(id int) {
-	defer s.wg.Done()
-	for batch := range s.batchCh {
-		s.runBatch(id, batch)
+// runOldest runs the oldest ≤ MaxBatch queued requests as one batch on
+// an idle replica and the calling goroutine. Called with s.mu held, a
+// replica idle and a request queued; returns with s.mu held.
+func (s *Server) runOldest() {
+	id := s.idle[len(s.idle)-1]
+	s.idle = s.idle[:len(s.idle)-1]
+	n := min(len(s.queue), s.cfg.MaxBatch)
+	batch := append(s.batches[id], s.queue[:n]...)
+	for _, r := range batch {
+		r.taken = true
+	}
+	s.queue = slices.Delete(s.queue, 0, n)
+	s.handoff()
+	s.mu.Unlock()
+	s.runBatch(id, batch)
+	clear(batch)
+	s.mu.Lock()
+	s.batches[id] = batch[:0]
+	s.idle = append(s.idle, id)
+	if s.closed {
+		s.freed.Signal()
 	}
 }
 
-// runBatch executes one dynamic batch. The version pointer is loaded
-// exactly once; every request in the batch is answered from it — the
+// handoff keeps s.mu's invariant, and runs before every release: while a
+// replica is idle and a request is queued, the oldest queued caller not
+// running a batch is woken to take over. A woken caller's request can
+// only leave the queue under s.mu, whose holder then hands off again.
+func (s *Server) handoff() {
+	if len(s.idle) == 0 {
+		return
+	}
+	for _, r := range s.queue {
+		if !r.busy {
+			select {
+			case r.wake <- struct{}{}:
+			default: // already woken
+			}
+			return
+		}
+	}
+}
+
+// runBatch executes one batch on replica id. The version pointer is
+// loaded exactly once; every request in the batch is answered from it — the
 // no-torn-reads half of the hot-swap contract.
 func (s *Server) runBatch(id int, batch []*request) {
 	v := s.cur.Load()
 	if v == nil {
 		for _, r := range batch {
 			s.answer(r)
-			r.errc <- ErrNoModel
+			r.reply <- reply{err: ErrNoModel}
 		}
 		return
 	}
-	wm := v.perWorker[id]
+	wm := v.replicas[id]
 	n := len(batch)
 	env, x, err := wm.bind(n, s.seqLen)
 	if err != nil {
 		for _, r := range batch {
 			s.answer(r)
-			r.errc <- err
+			r.reply <- reply{err: err}
 		}
 		return
 	}
@@ -448,7 +435,7 @@ func (s *Server) runBatch(id int, batch []*request) {
 			res.Predictions[j] = argmax(row)
 		}
 		s.answer(r)
-		r.resp <- res
+		r.reply <- reply{res: res}
 	}
 	env.ReleaseOutput()
 	env.EndMicro()
@@ -464,10 +451,10 @@ func (s *Server) answer(r *request) {
 	s.requests.Inc()
 }
 
-// bind returns the worker's Env and input buffer for a batch size,
-// building them on first use. Both live in the version's workerModel,
+// bind returns the replica's Env and input buffer for a batch size,
+// building them on first use. Both live in the version's replicaModel,
 // so a hot swap naturally retires them with the old weights.
-func (wm *workerModel) bind(n, seqLen int) (*compiled.Env, *tensor.Tensor, error) {
+func (wm *replicaModel) bind(n, seqLen int) (*compiled.Env, *tensor.Tensor, error) {
 	env, ok := wm.envs[n]
 	if !ok {
 		shape := []int{seqLen * n, 1}
@@ -491,18 +478,22 @@ func argmax(row []float32) int {
 	return best
 }
 
-// Close stops accepting requests, waits for every accepted request to
-// be answered (the batcher flushes its tail, the workers drain the
-// batch queue), and releases the goroutines. Idempotent.
+// Close stops accepting requests, runs the queued ones on the calling
+// goroutine and waits for every replica to go idle: every request
+// accepted before Close is answered. Idempotent.
 func (s *Server) Close() {
-	s.closeMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.closeMu.Unlock()
 		return
 	}
 	s.closed = true
-	close(s.reqCh)
-	s.closeMu.Unlock()
-	s.wg.Wait()
+	for len(s.queue) > 0 || len(s.idle) < s.cfg.Workers {
+		if len(s.queue) > 0 && len(s.idle) > 0 {
+			s.runOldest()
+		} else {
+			s.freed.Wait()
+		}
+	}
 	s.health.SetNotReady("closed")
 }

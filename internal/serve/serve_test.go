@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,7 +104,7 @@ func refLogits(y *tensor.Tensor) []float32 {
 // equivalence, asserted end to end through the batcher.
 func TestPredictMatchesInterpreterEval(t *testing.T) {
 	task := workload.TranslationTask()
-	s := newTestServer(t, Config{Task: task, MaxBatch: 4, MaxLinger: 5 * time.Millisecond, Workers: 2})
+	s := newTestServer(t, Config{Task: task, MaxBatch: 4, Workers: 2})
 	model := task.NewModel(7)
 	if err := s.InstallSnapshot(snapFrame(model.Params(), 3)); err != nil {
 		t.Fatal(err)
@@ -157,11 +158,12 @@ func TestPredictMatchesInterpreterEval(t *testing.T) {
 // TestRequestCountedBeforeReply: a request is counted in
 // requests_total before its reply is sent, so every caller reading the
 // counter right after Predict returns finds at least every reply
-// received so far counted. Batches of 16 make the worker answer several
-// callers in turn; counting after the replies leaves the first callers
-// of each batch reading a short total.
+// received so far counted. 32 callers on one replica pile up into
+// batches of up to 16 that answer several callers in turn; counting
+// after the replies leaves the first callers of each batch reading a
+// short total.
 func TestRequestCountedBeforeReply(t *testing.T) {
-	s := newTestServer(t, Config{MaxBatch: 16, MaxLinger: 20 * time.Millisecond, Workers: 1})
+	s := newTestServer(t, Config{MaxBatch: 16, Workers: 1})
 	if err := s.InstallSnapshot(snapFrame(workload.TranslationTask().NewModel(7).Params(), 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ func TestInstallSnapshotRejectsMalformed(t *testing.T) {
 // requests arriving after Close fail fast with ErrClosed.
 func TestCloseDrains(t *testing.T) {
 	task := workload.TranslationTask()
-	s, err := New(Config{Task: task, MaxBatch: 4, MaxLinger: time.Millisecond, Workers: 2})
+	s, err := New(Config{Task: task, MaxBatch: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,36 +439,207 @@ func TestSnapshotPush(t *testing.T) {
 	}
 }
 
-// TestDispatcherLinger pins the latency half of the batching knob: a
-// lone request must not wait for a full batch — it flushes at the
-// linger deadline.
-func TestDispatcherLinger(t *testing.T) {
-	task := workload.TranslationTask()
-	s := newTestServer(t, Config{Task: task, MaxBatch: 64, MaxLinger: 5 * time.Millisecond, Workers: 1})
-	model := task.NewModel(3)
-	if err := s.InstallSnapshot(snapFrame(model.Params(), 1)); err != nil {
-		t.Fatal(err)
+// settle retries cond for up to a second, so goroutines that are
+// winding down get their chance to exit.
+func settle(cond func() bool) bool {
+	for range 1000 {
+		if cond() {
+			return true
+		}
+		time.Sleep(time.Millisecond)
 	}
-	start := time.Now()
-	res, err := s.Predict(context.Background(), make([]int, s.SeqLen()))
+	return cond()
+}
+
+// TestNoServerGoroutines pins that batching runs on the callers'
+// goroutines: New starts none, and Close leaves none behind.
+func TestNoServerGoroutines(t *testing.T) {
+	task := workload.TranslationTask()
+	base := runtime.NumGoroutine()
+	s, err := New(Config{Task: task, MaxBatch: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BatchSize != 1 {
-		t.Fatalf("lone request got batch size %d", res.BatchSize)
+	if !settle(func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Fatalf("New: %d goroutines, %d before", runtime.NumGoroutine(), base)
 	}
-	if wait := time.Since(start); wait > 2*time.Second {
-		t.Fatalf("lone request waited %v — linger flush broken", wait)
+	if err := s.InstallSnapshot(snapFrame(task.NewModel(3).Params(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, toks := range testTokens(t, s, 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Predict(context.Background(), toks); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	if !settle(func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Fatalf("Close: %d goroutines, %d before New", runtime.NumGoroutine(), base)
+	}
+}
+
+// takeReplica takes a replica out of the idle set, as a running batch
+// does, so requests queue behind it, and returns its id.
+func takeReplica(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id := s.idle[len(s.idle)-1]
+	s.idle = s.idle[:len(s.idle)-1]
+	return id
+}
+
+// returnReplica puts replica id back and wakes a queued caller, as the
+// end of a running batch does.
+func returnReplica(s *Server, id int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.idle = append(s.idle, id)
+	s.handoff()
+}
+
+func queued(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
+
+// TestBusyReplicaBatchesQueue: a lone request runs at once in a batch
+// of one, while requests that arrive when every replica is busy pile up
+// and the replica that comes free takes them all as one batch.
+func TestBusyReplicaBatchesQueue(t *testing.T) {
+	task := workload.TranslationTask()
+	s := newTestServer(t, Config{Task: task, MaxBatch: 8, Workers: 1})
+	if err := s.InstallSnapshot(snapFrame(task.NewModel(3).Params(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Predict(context.Background(), testTokens(t, s, 4)[0]); err != nil || res.BatchSize != 1 {
+		t.Fatalf("lone request: %v, %+v; want a batch of 1", err, res)
+	}
+	id := takeReplica(s)
+	const n = 5
+	seqs := testTokens(t, s, 4)[:n]
+	got := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, toks := range seqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Predict(context.Background(), toks)
+		}()
+	}
+	if !settle(func() bool { return queued(s) == n }) {
+		t.Fatalf("%d requests queued, want %d", queued(s), n)
+	}
+	returnReplica(s, id)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if got[i].BatchSize != n {
+			t.Fatalf("request %d answered in a batch of %d, want %d", i, got[i].BatchSize, n)
+		}
+	}
+	if c := s.occupancy.Count(); c != 2 {
+		t.Fatalf("%d batches ran, want 2", c)
+	}
+}
+
+// TestCancelWhileQueued: a caller whose context fires while its request
+// is queued withdraws it, gets ctx.Err(), and is counted out of the
+// in-flight gauge and into the rejected total.
+func TestCancelWhileQueued(t *testing.T) {
+	task := workload.TranslationTask()
+	s := newTestServer(t, Config{Task: task, MaxBatch: 8, Workers: 1})
+	if err := s.InstallSnapshot(snapFrame(task.NewModel(3).Params(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	toks := testTokens(t, s, 4)[0]
+	id := takeReplica(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Predict(ctx, toks)
+		errc <- err
+	}()
+	if !settle(func() bool { return queued(s) == 1 }) {
+		t.Fatal("request never queued")
+	}
+	cancel()
+	if err := <-errc; err != context.Canceled {
+		t.Fatalf("cancelled while queued: got %v, want %v", err, context.Canceled)
+	}
+	if n := queued(s); n != 0 {
+		t.Fatalf("%d requests still queued", n)
+	}
+	if v := s.Registry().Gauge("avgpipe_serve_inflight", "").Value(); v != 0 {
+		t.Fatalf("in-flight gauge reads %v", v)
+	}
+	if v := s.Registry().Counter("avgpipe_serve_rejected_total", "").Value(); v != 1 {
+		t.Fatalf("rejected_total = %v, want 1", v)
+	}
+	returnReplica(s, id)
+	if _, err := s.Predict(context.Background(), toks); err != nil {
+		t.Fatalf("after the withdrawal: %v", err)
+	}
+}
+
+// TestCancelPassesWake: a caller woken to run a batch whose context
+// fires first must pass the wake on as it withdraws, or the request
+// queued behind it strands beside an idle replica. The woken caller
+// sees its wake and its cancellation at once and picks either, so the
+// scenario runs 20 times.
+func TestCancelPassesWake(t *testing.T) {
+	task := workload.TranslationTask()
+	s := newTestServer(t, Config{Task: task, MaxBatch: 8, Workers: 1})
+	if err := s.InstallSnapshot(snapFrame(task.NewModel(3).Params(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	toks := testTokens(t, s, 4)[0]
+	for range 20 {
+		id := takeReplica(s)
+		ctx, cancel := context.WithCancel(context.Background())
+		first, second := make(chan error, 1), make(chan error, 1)
+		go func() { _, err := s.Predict(ctx, toks); first <- err }()
+		if !settle(func() bool { return queued(s) == 1 }) {
+			t.Fatal("first request never queued")
+		}
+		go func() { _, err := s.Predict(context.Background(), toks); second <- err }()
+		if !settle(func() bool { return queued(s) == 2 }) {
+			t.Fatal("second request never queued")
+		}
+		s.mu.Lock()
+		s.idle = append(s.idle, id)
+		cancel()
+		s.handoff() // wakes the first caller
+		s.mu.Unlock()
+		if err := <-first; err != nil && err != context.Canceled {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-second:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("request stranded behind a withdrawn caller's wake")
+		}
 	}
 }
 
 // TestInflightGaugeNeverNegative samples avgpipe_serve_inflight while
-// 32 callers contend for a one-slot queue. A request must be counted in
-// before it is enqueued: a caller blocked on the full queue is only
-// woken after the dispatcher took its request, so counting it after the
-// send let the worker answer it first and the gauge read −1.
+// 32 callers contend for one replica running batches of one. A request
+// must be counted in before it is queued: once queued, another caller's
+// batch may answer it (and count it out) before its own caller counts
+// it in, and the gauge would read −1.
 func TestInflightGaugeNeverNegative(t *testing.T) {
-	s := newTestServer(t, Config{MaxBatch: 1, MaxLinger: time.Microsecond, QueueDepth: 1, Workers: 1})
+	s := newTestServer(t, Config{MaxBatch: 1, Workers: 1})
 	if err := s.InstallSnapshot(snapFrame(workload.TranslationTask().NewModel(7).Params(), 1)); err != nil {
 		t.Fatal(err)
 	}
