@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-obs build cross test test-benchmark selfcheck race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
+.PHONY: ci fmt vet vet-obs build cross test test-benchmark selfcheck figures race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
 
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
 # the arm64 cross-build, tests (root module and benchmark/), the
-# benchmark's end-to-end self-check, the race-detector pass over the
-# concurrent packages, the seeded chaos matrix, the self-healing chaos
-# soak, the wire-codec fuzz smoke, the exhaustive activation-kernel proof,
-# the metrics-exposition and collector-overhead smoke, the kernel,
-# compiled op-graph, and inference-serving benchmark-regression gates,
-# and the coverage floors. The GitHub workflow (.github/workflows/ci.yml)
-# runs exactly these targets, split across its ci and bench jobs.
-ci: fmt vet vet-obs build cross test test-benchmark selfcheck race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
+# benchmark's end-to-end self-check, the Fig. 14 golden, the
+# race-detector pass over the concurrent packages, the seeded chaos
+# matrix, the self-healing chaos soak, the wire-codec fuzz smoke, the
+# exhaustive activation-kernel proof, the metrics-exposition and
+# collector-overhead smoke, the kernel, compiled op-graph, and
+# inference-serving benchmark-regression gates, and the coverage floors.
+# The GitHub workflow (.github/workflows/ci.yml) runs exactly these
+# targets, split across its ci and bench jobs.
+ci: fmt vet vet-obs build cross test test-benchmark selfcheck figures race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -54,6 +55,15 @@ test-benchmark:
 # About 20 s; it prints "selfcheck: ok".
 selfcheck:
 	cd benchmark && $(GO) run . -selfcheck -seconds 4
+
+# figures diffs `avgpipe-bench fig14` — real training of the four
+# systems Fig. 14 compares, the same bytes on every run and at any
+# GOMAXPROCS — against its golden, internal/exp/testdata/fig14.txt
+# (about 30 s). A change that moves a trainer's arithmetic moves it;
+# rewrite the golden only for a change meant to. The other figure
+# commands are not pinned (ablations' async row varies run to run).
+figures:
+	$(GO) run ./cmd/avgpipe-bench fig14 | diff -u internal/exp/testdata/fig14.txt -
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/... ./internal/nn/... ./internal/optim/...

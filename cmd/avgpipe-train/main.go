@@ -114,7 +114,7 @@ func main() {
 		faultSeed       = flag.Int64("fault-seed", 0, "fault-injection seed (0 = faults off)")
 		faultDelayProb  = flag.Float64("fault-delay-prob", 0, "probability an averaging update is delayed")
 		faultDelay      = flag.Duration("fault-delay", 5*time.Millisecond, "delay applied to delayed averaging updates")
-		faultDropProb   = flag.Float64("fault-drop-prob", 0, "probability an averaging update is dropped")
+		faultDropProb   = flag.Float64("fault-drop-prob", 0, "probability an averaging update is dropped (needs -round-deadline)")
 		faultStragProb  = flag.Float64("fault-straggler-prob", 0, "probability a stage op runs slow")
 		faultStragDelay = flag.Duration("fault-straggler-delay", 2*time.Millisecond, "extra latency for straggler ops")
 		crashPipeline   = flag.Int("crash-pipeline", 0, "pipeline to crash (with -crash-round)")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -119,12 +118,10 @@ func readCheckpointMeta(dir string) (*checkpointMeta, error) {
 // the same round; checkpoint at a round boundary (after WaitRound has
 // closed the round on every process) so the N reference copies agree.
 func (t *Trainer) SaveCheckpoint(dir string) error {
-	_ = t.avg.DrainContext(context.Background())
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	t.avg.WriteReference(t.evalModel.Params())
-	if err := saveParamsFile(filepath.Join(dir, "reference.bin"), t.evalModel.Params()); err != nil {
+	if err := saveParamsFile(filepath.Join(dir, "reference.bin"), t.ReferenceSnapshot()); err != nil {
 		return err
 	}
 	for p, pl := range t.pipelines {
@@ -231,19 +228,7 @@ func (t *Trainer) Restore(dir string) error {
 		}
 	}
 	t.round = meta.Round
-	// Fast-forward the data streams: each generator's state is a pure
-	// function of how many batches it has drawn, which is one per round
-	// (drawn-and-discarded for detached replicas).
-	for p := range t.gens {
-		if !t.local(p) {
-			continue
-		}
-		t.gens[p] = t.cfg.Task.NewGen(t.cfg.Seed + 100 + int64(p))
-		for r := 0; r < meta.Round; r++ {
-			t.gens[p].NextBatch(t.cfg.Task.BatchSize)
-		}
-	}
-	t.evalGen = t.cfg.Task.NewGen(t.cfg.Seed + 999)
+	t.seekStreams(meta.Round)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -212,6 +213,42 @@ func TestDistConcurrentMembership(t *testing.T) {
 	wg.Wait()
 	for p := 0; p < n; p++ {
 		avgs[p].Close()
+	}
+}
+
+// TestSubmitSendsOnce submits one update while the only peer's mesh is
+// closed and nothing redials it: the broadcast fails, and the submit
+// returns that error without sending again — a resend would deliver the
+// update to the local reference loop once more. The local loop applies
+// it once, the drain watermark counts it once, and round 0 holds it
+// while it waits for the peer.
+func TestSubmitSendsOnce(t *testing.T) {
+	meshes := formTestMeshes(t, false, netx.FullMesh{}, 2)
+	params := workload.TranslationTask().NewModel(1).Params()
+	reg := obs.NewRegistry()
+	a := NewAveragerObs(2, params, reg)
+	defer a.Close()
+	a.AttachMesh(meshes[0])
+	meshes[1].Close()
+	if err := a.SubmitContext(context.Background(), 0, 0, params); !errors.Is(err, netx.ErrClosed) {
+		t.Fatalf("submit past a closed peer returned %v, want %v", err, netx.ErrClosed)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.DrainContext(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	a.drainMu.Lock()
+	sent, applied := a.sent, a.applied
+	a.drainMu.Unlock()
+	if sent != 1 || applied != 1 {
+		t.Errorf("sent=%d applied=%d, want 1 and 1", sent, applied)
+	}
+	if got := reg.Counter("avgpipe_avg_updates_total", "").Value(); got != 1 {
+		t.Errorf("local loop took the update %v times, want 1", got)
+	}
+	if a.RoundClosed(0) || a.PendingRounds() != 1 {
+		t.Errorf("round 0 closed=%v, %d open rounds: want it open, holding the update", a.RoundClosed(0), a.PendingRounds())
 	}
 }
 

@@ -174,7 +174,6 @@ func newAverager(n int, init []*nn.Param, reg *obs.Registry, clk clock, loopTx, 
 		clock:      clk,
 		loopTx:     loopTx,
 		loopRx:     loopRx,
-		tx:         loopTx,
 		done:       make(chan struct{}),
 		roundSec: reg.Histogram("avgpipe_avg_round_seconds",
 			"Elastic-averaging round latency: first update arriving to round applied.", nil),
@@ -214,6 +213,7 @@ func newAverager(n int, init []*nn.Param, reg *obs.Registry, clk clock, loopTx, 
 		events: reg.Events(),
 	}
 	a.drainCond = sync.NewCond(&a.drainMu)
+	a.recomposeTx()
 	if a.timer = clk.AfterFunc(time.Hour, a.tick); a.timer != nil {
 		a.timer.Stop() // armed by closeAndUnlock
 	}
@@ -328,15 +328,29 @@ func (a *Averager) SetFaults(in *fault.Injector) {
 // recomposeTx rebuilds the submit path from its layers: the local
 // loopback, fanned out to mesh peers when attached, with the fault
 // layer outermost so one fate verdict governs the local and every
-// remote delivery of an update.
+// remote delivery of an update. A delayed update finally lost to a
+// closed connection counts as late.
 func (a *Averager) recomposeTx() {
-	base := netx.FanOut(a.loopTx, a.mesh)
-	a.tx = netx.Faulty(base, a.faults, func() {
-		// A delayed update finally lost to a closed connection: undo its
-		// drain accounting so Close's drain cannot park on it.
-		a.lateUpdates.Inc()
-		a.tally(-1, 0)
-	})
+	base := netx.FanOut(loopback{Conn: a.loopTx, a: a}, a.mesh)
+	a.tx = netx.Faulty(base, a.faults, a.lateUpdates.Inc)
+}
+
+// loopback is the local end of the submit path, the reference loop's
+// queue. SubmitContext counts an update as sent before it sends it;
+// loopback un-counts it exactly when the queue refuses it — at once or,
+// for a delayed update, when its hold ends — so the drain watermark
+// counts what the local loop will apply, whatever the peers' links do.
+type loopback struct {
+	netx.Conn
+	a *Averager
+}
+
+func (l loopback) Send(ctx context.Context, f *netx.Frame) error {
+	err := l.Conn.Send(ctx, f)
+	if err != nil {
+		l.a.tally(-1, 0)
+	}
+	return err
 }
 
 // AttachMesh joins this averager to a multi-process elastic-averaging
@@ -849,14 +863,6 @@ func (a *Averager) RoundLatencyQuantile(q float64) float64 {
 	return a.roundSec.Quantile(q)
 }
 
-// submitRetries bounds SubmitContext's retry loop; the delays between
-// attempts follow the shared transport backoff (exponential with
-// jitter) starting from submitBackoff.
-const (
-	submitRetries = 3
-	submitBackoff = time.Millisecond
-)
-
 // refRequestRetry paces ResumeReplica's re-asks for reference state.
 const refRequestRetry = 250 * time.Millisecond
 
@@ -865,12 +871,16 @@ const refRequestRetry = 250 * time.Millisecond
 // delta from the previous snapshot, in run form — for a row-tracked
 // parameter scanning only the rows its steps wrote, when its record
 // proves the rest unchanged (see updateFrame) — and sends it to the
-// reference model without blocking. A transient send failure is retried
-// with exponential backoff (bounded by submitRetries) until ctx is done;
-// a pipeline out of range, or submitting after Close, returns an error
-// instead of wedging a later DrainContext. When a fault injector is
-// installed the update may be delayed or dropped in flight — a dropped
-// update is absorbed by the round deadline, never an error.
+// reference model without blocking. The update is sent once: no error
+// the send can meet is transient (a closed averager or peer link, a
+// cancelled context; a self-healing link drops the frame during an
+// outage), and a resend would deliver it to the local loop again. A
+// pipeline out of range, or submitting after Close, returns an error
+// instead of wedging a later DrainContext; a peer link that fails
+// returns its error after the local loop received the update. When a
+// fault injector is installed the update may be delayed or dropped in
+// flight — a dropped update is absorbed by the round deadline, never an
+// error.
 func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn.Param) error {
 	if p < 0 || p >= a.N {
 		return fmt.Errorf("pipeline %d out of range [0, %d)", p, a.N)
@@ -887,33 +897,20 @@ func (a *Averager) SubmitContext(ctx context.Context, p, round int, params []*nn
 	}
 	a.tally(1, 0)
 	start := time.Now()
-	retry := netx.Backoff{Base: submitBackoff}
-	for attempt := 0; ; attempt++ {
-		err := a.tx.Send(ctx, f)
-		if err == nil {
-			if a.tracer != nil {
-				a.tracer.Span(avgTracePID, avgTraceSubmitTID, "submit", "avg",
-					wallUS(start), float64(time.Since(start).Nanoseconds())/1e3,
-					map[string]any{"round": round, "replica": p})
-			}
-			return nil
-		}
-		if errors.Is(err, netx.ErrDropped) {
-			// Lost in flight by the fault layer: not counted as sent, so
-			// DrainContext does not wait for it; the round deadline closes
-			// the round without it.
-			a.tally(-1, 0)
-			return nil
-		}
-		if attempt >= submitRetries {
-			a.tally(-1, 0)
-			return fmt.Errorf("after %d attempts: %w", attempt+1, err)
-		}
-		if err := retry.Sleep(ctx); err != nil {
-			a.tally(-1, 0)
-			return err
-		}
+	switch err := a.tx.Send(ctx, f); {
+	case errors.Is(err, netx.ErrDropped):
+		// Lost in flight by the fault layer, before any delivery: not
+		// counted as sent, so DrainContext does not wait for it; the round
+		// deadline closes the round without it.
+		a.tally(-1, 0)
+	case err != nil:
+		return err // the loopback un-counted it if the local loop did not get it
+	case a.tracer != nil:
+		a.tracer.Span(avgTracePID, avgTraceSubmitTID, "submit", "avg",
+			wallUS(start), float64(time.Since(start).Nanoseconds())/1e3,
+			map[string]any{"round": round, "replica": p})
 	}
+	return nil
 }
 
 // updateFrame derives pipeline p's update for round as the frame
@@ -962,16 +959,15 @@ func (a *Averager) RoundClosed(round int) bool {
 }
 
 // WaitRound blocks until the given round closes on THIS process's
-// reference copy — the distributed round barrier. Unlike DrainContext,
-// whose watermarks only see local submits, it also waits for the peer
-// updates a multi-process job delivers over the mesh. It returns
-// ctx.Err() if ctx ends first.
+// reference copy — the round barrier of a training round, in one
+// process or many. Unlike DrainContext, whose watermarks only see local
+// submits, it also waits for the peer updates a multi-process job
+// delivers over the mesh. It returns ctx.Err() if ctx ends first.
 //
 // The wait starts the round's empty-round clock (the await event):
 // with a round deadline armed, a round whose every update was lost in
 // flight closes empty once the deadline has passed since it was first
-// awaited; without one it blocks until ctx ends, as the single-process
-// round does.
+// awaited; without one it blocks until ctx ends.
 func (a *Averager) WaitRound(ctx context.Context, round int) error {
 	stop := context.AfterFunc(ctx, func() { a.tally(0, 0) })
 	defer stop()
@@ -996,10 +992,10 @@ func (a *Averager) await(round int) {
 // Dilute performs step ❷ for pipeline p: its weights are mixed with the
 // current reference model in ratio (1−α):α, and the post-dilution weights
 // become the baseline for the next round's delta. Callers that want exact
-// synchronous elastic-averaging semantics drain (DrainContext, or
-// WaitRound across processes) between SubmitContext and Dilute so the
-// reference already includes the round's updates; the fully asynchronous
-// mode Dilutes right after SubmitContext against whatever reference is
+// synchronous elastic-averaging semantics call WaitRound between
+// SubmitContext and Dilute, so the reference already includes the
+// round's updates, in one process or many; the fully asynchronous mode
+// Dilutes right after SubmitContext against whatever reference is
 // current, never blocking the pipeline. A row-tracked parameter's
 // dilution visits only its rows that are not settled (rowSettle), and
 // each row-tracked parameter whose diluted weights are all finite is

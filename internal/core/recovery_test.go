@@ -419,6 +419,8 @@ func TestTrainerRejectsBadConfig(t *testing.T) {
 			Faults: fault.Config{MsgDropProb: 2}},
 		{Task: task, Pipelines: 2, Micro: 2, StageCount: 2,
 			Advance: []int{1, 2, 3}}, // wrong length for K=2
+		{Task: task, Pipelines: 2, Micro: 2, StageCount: 2, // a drop never closes its round
+			Faults: fault.Config{Seed: 1, MsgDropProb: 0.2}},
 	}
 	for i, cfg := range cases {
 		if _, err := NewTrainer(cfg); err == nil {
@@ -427,6 +429,45 @@ func TestTrainerRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NewPipelineWith(task.NewModel(1), PipelineConfig{Stages: 0}); err == nil {
 		t.Error("NewPipelineWith accepted zero stages")
+	}
+	tr, err := NewTrainer(TrainerConfig{Task: task, Pipelines: 2, Micro: 2, StageCount: 2,
+		Faults: fault.Config{Seed: 1, MsgDropProb: 0.2}, RoundDeadline: time.Second})
+	if err != nil {
+		t.Fatalf("NewTrainer refused drops with a round deadline: %v", err)
+	}
+	tr.Close()
+}
+
+// TestTrainerLoneReplicaCrashRejoinNoDeadline crashes the only replica of
+// a run without a round deadline. While it is detached no replica is
+// live and nothing is sent, so the round must not wait for an update
+// that never comes (nothing would close it); once it rejoins, each
+// round closes on its update again.
+func TestTrainerLoneReplicaCrashRejoinNoDeadline(t *testing.T) {
+	const crashRound, rejoinAfter, rounds = 3, 2, 8
+	tr, err := NewTrainer(TrainerConfig{
+		Task: workload.TranslationTask(), Pipelines: 1, Micro: 2, StageCount: 2,
+		Seed: 5, Obs: obs.NewRegistry(),
+		Faults: fault.Config{Seed: 1, CrashRound: crashRound, RejoinAfter: rejoinAfter},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for r := 0; r < rounds; r++ {
+		if _, err := tr.StepContext(ctx); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		detached := r >= crashRound && r < crashRound+rejoinAfter
+		if detached {
+			if live := tr.Averager().LiveReplicas(); live != 0 {
+				t.Errorf("round %d: %d live replicas, want the crash to leave none", r, live)
+			}
+		} else if !tr.Averager().RoundClosed(r) {
+			t.Errorf("round %d trained but did not close", r)
+		}
 	}
 }
 

@@ -59,8 +59,8 @@ type TrainerConfig struct {
 	Faults fault.Config
 	// RoundDeadline bounds how long an averaging round waits for
 	// stragglers before closing over the updates that arrived (0 = wait
-	// forever). Required for training to make progress past dropped
-	// updates.
+	// forever). A round missing a dropped update closes only at the
+	// deadline, so NewTrainer rejects Faults.MsgDropProb > 0 without one.
 	RoundDeadline time.Duration
 	// Watchdog arms every pipeline's liveness monitor: a batch during
 	// which no op retires for this window fails with a *StallError
@@ -68,9 +68,10 @@ type TrainerConfig struct {
 	Watchdog time.Duration
 	// Dist, when set, runs this process as ONE replica of a multi-process
 	// elastic-averaging job: only Dist.ReplicaID's pipeline is built
-	// locally, updates fan out to the peers over Dist.Mesh, and each
-	// round ends with the distributed round barrier instead of a local
-	// drain. Pipelines is still the job's TOTAL replica count N.
+	// locally and updates fan out to the peers over Dist.Mesh; each
+	// round ends on the same barrier as a single-process run, the round
+	// closing on this process's reference copy. Pipelines is still the
+	// job's TOTAL replica count N.
 	Dist *DistConfig
 	// Compress selects the update wire codec (net.CodecNone = exact f32
 	// deltas, the default; q8/q16/topk compress each update with error
@@ -152,8 +153,8 @@ type StepRecord struct {
 // reference model. All replicas start from the same initialization (the
 // usual elastic-averaging warm start). A malformed config — missing
 // task, non-positive dimensions, invalid fault schedule, bad pipeline
-// geometry — is an error, not a panic, so callers can degrade
-// gracefully.
+// geometry, dropped updates without a RoundDeadline — is an error, not
+// a panic, so callers can degrade gracefully.
 func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if cfg.Task == nil {
 		return nil, errors.New("core: trainer config needs a Task")
@@ -173,6 +174,9 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 			return nil, fmt.Errorf("core: mesh is replica %d of %d, config says replica %d of %d",
 				d.Mesh.Self, d.Mesh.N, d.ReplicaID, cfg.Pipelines)
 		}
+	}
+	if cfg.Faults.MsgDropProb > 0 && cfg.RoundDeadline <= 0 {
+		return nil, errors.New("core: dropped averaging updates (Faults.MsgDropProb > 0) need a RoundDeadline, or their rounds never close")
 	}
 	t := &Trainer{cfg: cfg, detached: make([]bool, cfg.Pipelines)}
 	reg := cfg.Obs
@@ -220,7 +224,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		pl.SetFaults(t.faults, p)
 		pl.SetWatchdog(cfg.Watchdog)
 		t.pipelines[p] = pl
-		t.gens[p] = cfg.Task.NewGen(cfg.Seed + 100 + int64(p))
 		t.opts[p] = newOptimizer(cfg.Task)
 	}
 	t.avg = NewAveragerObs(cfg.Pipelines, base.Params(), cfg.Obs)
@@ -243,8 +246,25 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		t.avg.SetRoundDeadline(cfg.RoundDeadline)
 	}
 	t.evalModel = base
-	t.evalGen = cfg.Task.NewGen(cfg.Seed + 999)
+	t.seekStreams(0)
 	return t, nil
+}
+
+// seekStreams rebuilds every data stream of this process as it stands
+// after round rounds: each local replica's training stream has drawn
+// one batch per round (drawn and discarded while detached), so it is
+// reseeded and fast-forwarded; the eval stream's held-out batch is fixed.
+func (t *Trainer) seekStreams(round int) {
+	for p := range t.gens {
+		if !t.local(p) {
+			continue
+		}
+		t.gens[p] = t.cfg.Task.NewGen(t.cfg.Seed + 100 + int64(p))
+		for r := 0; r < round; r++ {
+			t.gens[p].NextBatch(t.cfg.Task.BatchSize)
+		}
+	}
+	t.evalGen = t.cfg.Task.NewGen(t.cfg.Seed + 999)
 }
 
 // local reports whether pipeline p runs in this process (always true
@@ -281,14 +301,23 @@ func (t *Trainer) Step() float64 {
 // arrived detaches from the averaging set (its rounds renormalize over
 // the survivors), and a replica whose rejoin round has arrived restarts
 // from the reference model with fresh optimizer state.
+//
+// The round is the same with one process or many (§3.2): every local
+// replica — all N in a single-process run, Dist.ReplicaID's pipeline in
+// dist mode — trains on its batch and submits its update; then the
+// trainer waits for the round to close on this process's reference copy
+// and dilutes every live local replica against it, so the pull is pure
+// variance reduction rather than a drag on the common trajectory.
+// Because every process applies the same deterministic reduction, a
+// dist-mode replica's losses are bit-identical to the same replica's in
+// a single-process run of the same job.
 func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
-	if t.cfg.Dist != nil {
-		return t.stepDist(ctx)
-	}
 	n := t.cfg.Pipelines
 	round := t.round
 	for p := 0; p < n; p++ {
-		t.scriptFaults(p)
+		if t.local(p) {
+			t.scriptFaults(p)
+		}
 	}
 	losses := make([]float64, n)
 	errs := make([]error, n)
@@ -297,6 +326,9 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
+		if !t.local(p) {
+			continue
+		}
 		batch := t.gens[p].NextBatch(t.cfg.Task.BatchSize)
 		if t.detached[p] {
 			// The batch is drawn and discarded so every generator's state
@@ -317,20 +349,16 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 	if err := errors.Join(errs...); err != nil {
 		return 0, err
 	}
-	if !t.cfg.AsyncDilute {
-		// Synchronous elastic round: dilute against the reference that
-		// already includes this round's updates, so the pull is pure
-		// variance reduction rather than a drag on the common trajectory.
-		// The barrier is DrainContext, not WaitRound: without a deadline
-		// it returns past a dropped update, where WaitRound would block.
-		if err := t.avg.DrainContext(ctx); err != nil {
+	// With no replica live no update was sent, and without a deadline an
+	// empty round never closes: there is nothing to wait for or dilute.
+	if !t.cfg.AsyncDilute && t.avg.LiveReplicas() > 0 {
+		if err := t.avg.WaitRound(ctx, round); err != nil {
 			return 0, err
 		}
 		for p := 0; p < n; p++ {
-			if t.detached[p] {
-				continue
+			if t.local(p) && !t.detached[p] {
+				t.avg.Dilute(p, t.pipelines[p].Params())
 			}
-			t.avg.Dilute(p, t.pipelines[p].Params())
 		}
 	}
 	t.round++
@@ -342,18 +370,20 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 	if live > 0 {
 		loss = total / float64(live)
 	}
-
-	return loss, t.finishStep(start, StepRecord{
-		Round: round, Loss: loss, Samples: int(samples), Tokens: int(tokens),
-		Live: live, Losses: losses, ReplicaID: -1,
-	})
+	rec := StepRecord{Round: round, Loss: loss, Samples: int(samples), Tokens: int(tokens)}
+	if d := t.cfg.Dist; d != nil {
+		rec.Live, rec.Replica, rec.ReplicaID = t.avg.LiveReplicas(), d.ReplicaID, d.ReplicaID
+	} else {
+		rec.Live, rec.Losses, rec.ReplicaID = live, losses, -1
+	}
+	return loss, t.finishStep(start, rec)
 }
 
-// finishStep is the epilogue every round ends in, in-process or dist:
-// it times the round, updates the trainer's throughput and loss
-// metrics, and logs the StepRecord. The caller fills the fields that
-// differ by mode (Live, Losses, Replica, ReplicaID); everything derived
-// from the clock or the averager is decided here.
+// finishStep is the round's epilogue: it times the round, updates the
+// trainer's throughput and loss metrics, and logs the StepRecord. The
+// caller fills the fields that differ by mode (Live, Losses, Replica,
+// ReplicaID); everything derived from the clock or the averager is
+// decided here.
 func (t *Trainer) finishStep(start time.Time, rec StepRecord) error {
 	dur := time.Since(start).Seconds()
 	t.stepSec.Observe(dur)
@@ -372,49 +402,6 @@ func (t *Trainer) finishStep(start time.Time, rec StepRecord) error {
 		return fmt.Errorf("core: step log: %w", err)
 	}
 	return nil
-}
-
-// stepDist runs one training round of a multi-process job: the local
-// replica processes its batch, applies its local optimizer update,
-// submits the delta (which fans out to every peer's reference copy),
-// waits for the round to close on the local reference copy — the
-// distributed barrier that replaces DrainContext, whose watermarks only
-// see local submits — and dilutes. Because every process applies the same
-// deterministic reduction, the local loss sequence is bit-identical to
-// the same replica's losses in a single-process run of the same job.
-func (t *Trainer) stepDist(ctx context.Context) (float64, error) {
-	p := t.cfg.Dist.ReplicaID
-	round := t.round
-	t.scriptFaults(p)
-	start := time.Now()
-	batch := t.gens[p].NextBatch(t.cfg.Task.BatchSize)
-	var loss float64
-	var samples, tokens int64
-	if !t.detached[p] {
-		samples, tokens = int64(batch.Size), int64(len(batch.Targets))
-		l, err := t.localStep(ctx, p, batch)
-		if err != nil {
-			return 0, err
-		}
-		loss = l
-	}
-	if !t.cfg.AsyncDilute {
-		// Synchronous elastic round across processes: wait until this
-		// round has been applied to the local reference copy (all live
-		// replicas' updates arrived, or the round deadline expired it).
-		if err := t.avg.WaitRound(ctx, round); err != nil {
-			return 0, err
-		}
-		if !t.detached[p] {
-			t.avg.Dilute(p, t.pipelines[p].Params())
-		}
-	}
-	t.round++
-
-	return loss, t.finishStep(start, StepRecord{
-		Round: round, Loss: loss, Samples: int(samples), Tokens: int(tokens),
-		Live: t.avg.LiveReplicas(), Replica: p, ReplicaID: p,
-	})
 }
 
 // scriptFaults fires replica p's scripted crash or rejoin at the start of
@@ -479,10 +466,7 @@ func (t *Trainer) RejoinMesh(ctx context.Context) (int, error) {
 	t.avg.WriteReference(pl.Params())
 	t.avg.SeedReplica(p, pl.Params())
 	t.opts[p] = newOptimizer(t.cfg.Task)
-	t.gens[p] = t.cfg.Task.NewGen(t.cfg.Seed + 100 + int64(p))
-	for r := 0; r < join; r++ {
-		t.gens[p].NextBatch(t.cfg.Task.BatchSize)
-	}
+	t.seekStreams(join)
 	t.round = join
 	// Re-measure peer clock offsets now that our inbound loops answer
 	// pings: a rejoiner skips the quiescent formation-time sync (its
@@ -511,8 +495,7 @@ func (t *Trainer) Round() int { return t.round }
 // Eval evaluates the reference model on the held-out batch and returns
 // loss and accuracy.
 func (t *Trainer) Eval() (loss, acc float64) {
-	_ = t.avg.DrainContext(context.Background())
-	t.avg.WriteReference(t.evalModel.Params())
+	t.ReferenceSnapshot()
 	return workload.Evaluate(t.evalModel, t.evalGen.EvalBatch(), t.cfg.Task.PerPosition)
 }
 
@@ -520,7 +503,8 @@ func (t *Trainer) Eval() (loss, acc float64) {
 // reference parameters — the averaged model a serving tier publishes.
 // The returned slice aliases the trainer's eval model; callers that
 // ship it elsewhere (e.g. a snapshot frame) should copy the data before
-// the next round mutates it.
+// the next round mutates it. Eval and SaveCheckpoint read the reference
+// through it.
 func (t *Trainer) ReferenceSnapshot() []*nn.Param {
 	_ = t.avg.DrainContext(context.Background())
 	t.avg.WriteReference(t.evalModel.Params())

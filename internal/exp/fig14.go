@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"avgpipe/internal/core"
-	"avgpipe/internal/nn"
-	"avgpipe/internal/optim"
 	"avgpipe/internal/workload"
 )
 
@@ -35,13 +33,11 @@ type StatEffRun struct {
 
 // measure runs `step` (which consumes and reports data batches per call)
 // until the eval closure reports the target, or the cap is hit.
-func measure(system string, cap int, batchesPerStep int, step func() error, eval func() (loss, acc float64, reached bool)) StatEffRun {
+func measure(system string, cap int, batchesPerStep int, step func(), eval func() (loss, acc float64, reached bool)) StatEffRun {
 	run := StatEffRun{System: system}
 	for run.Batches < cap {
 		for i := 0; i < 5; i++ {
-			if err := step(); err != nil {
-				panic(err)
-			}
+			step()
 			run.Batches += batchesPerStep
 		}
 		loss, acc, reached := eval()
@@ -64,44 +60,19 @@ func StatEff(task *workload.Task, pipeDreamDelay int, avgPipeN int, seed int64) 
 	cap := Fig14Caps[task.Name]
 	var runs []StatEffRun
 
-	// Synchronous baseline (PyTorch / GPipe / Dapple semantics).
-	{
-		m := task.NewModel(seed)
-		gen := task.NewGen(seed + 100)
-		var opt optim.Optimizer
-		if task.UseSGD {
-			opt = optim.NewSGD(task.LR)
-		} else {
-			opt = optim.NewAdam(task.LR)
-		}
-		eval := func() (float64, float64, bool) {
-			l, a := workload.Evaluate(m, gen.EvalBatch(), task.PerPosition)
-			return l, a, task.Reached(l, a)
-		}
-		runs = append(runs, measure(SysPyTorch, cap, 1, func() error {
-			b := gen.NextBatch(task.BatchSize)
-			workload.TrainStep(m, b)
-			optim.ClipGradNorm(m.Params(), 5)
-			opt.Step(m.Params())
-			nn.ZeroGrads(m.Params())
-			return nil
-		}, eval))
-	}
-
-	// PipeDream: deep staleness (K−1 versions).
+	// The synchronous baseline (PyTorch / GPipe / Dapple semantics) is
+	// the stale trainer at delay 0; PipeDream computes gradients K−1
+	// versions stale, PipeDream-2BW one.
 	for _, sys := range []struct {
 		name  string
 		delay int
-	}{{SysPipeDream, pipeDreamDelay}, {Sys2BW, 1}} {
+	}{{SysPyTorch, 0}, {SysPipeDream, pipeDreamDelay}, {Sys2BW, 1}} {
 		st := core.NewStaleTrainer(task, seed, sys.delay)
 		eval := func() (float64, float64, bool) {
 			l, a := st.Eval()
 			return l, a, task.Reached(l, a)
 		}
-		runs = append(runs, measure(sys.name, cap, 1, func() error {
-			st.Step()
-			return nil
-		}, eval))
+		runs = append(runs, measure(sys.name, cap, 1, func() { st.Step() }, eval))
 	}
 
 	// AvgPipe: N elastic-averaged pipelines, each consuming a batch per
@@ -119,10 +90,7 @@ func StatEff(task *workload.Task, pipeDreamDelay int, avgPipeN int, seed int64) 
 			l, a := tr.Eval()
 			return l, a, task.Reached(l, a)
 		}
-		runs = append(runs, measure(SysAvgPipe, cap, avgPipeN, func() error {
-			tr.Step()
-			return nil
-		}, eval))
+		runs = append(runs, measure(SysAvgPipe, cap, avgPipeN, func() { tr.Step() }, eval))
 	}
 	return runs
 }

@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,41 +154,26 @@ func TestPredictMatchesInterpreterEval(t *testing.T) {
 }
 
 // TestRequestCountedBeforeReply: a request is counted in
-// requests_total before its reply is sent, so every caller reading the
-// counter right after Predict returns finds at least every reply
-// received so far counted. 32 callers on one replica pile up into
-// batches of up to 16 that answer several callers in turn; counting
-// after the replies leaves the first callers of each batch reading a
-// short total.
+// requests_total before its reply is sent, so a caller holding its reply
+// always finds itself counted. runBatch answers one request whose reply
+// channel is unbuffered, so the reply waits until the test receives it:
+// the count must reach 1 first. Counting after the send would leave it
+// at 0 for as long as the reply waits.
 func TestRequestCountedBeforeReply(t *testing.T) {
-	s := newTestServer(t, Config{MaxBatch: 16, Workers: 1})
+	s := newTestServer(t, Config{MaxBatch: 1, Workers: 1})
 	if err := s.InstallSnapshot(snapFrame(workload.TranslationTask().NewModel(7).Params(), 1)); err != nil {
 		t.Fatal(err)
 	}
 	total := s.Registry().Counter("avgpipe_serve_requests_total", "")
-	seqs := testTokens(t, s, 5)
-	var replied atomic.Int64
-	for range 64 {
-		var wg sync.WaitGroup
-		short := make(chan string, len(seqs))
-		for _, toks := range seqs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := s.Predict(context.Background(), toks); err != nil {
-					short <- err.Error()
-					return
-				}
-				if n, c := replied.Add(1), total.Value(); c < float64(n) {
-					short <- fmt.Sprintf("requests_total %v after %d replies", c, n)
-				}
-			}()
+	r := &request{tokens: testTokens(t, s, 5)[0], start: time.Now(), reply: make(chan reply)}
+	go s.runBatch(0, []*request{r})
+	for deadline := time.Now().Add(5 * time.Second); total.Value() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("requests_total %v while the reply waits to be received", total.Value())
 		}
-		wg.Wait()
-		close(short)
-		for msg := range short {
-			t.Fatal(msg)
-		}
+	}
+	if rep := <-r.reply; rep.err != nil {
+		t.Fatal(rep.err)
 	}
 }
 
