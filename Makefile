@@ -5,7 +5,7 @@ GO ?= go
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
 # the arm64 cross-build, tests (root module and benchmark/), the
-# benchmark's end-to-end self-check, the Fig. 14 golden, the
+# benchmark's end-to-end self-check, the Fig. 14, 18 and 19 goldens, the
 # race-detector pass over the concurrent packages, the seeded chaos
 # matrix, the self-healing chaos soak, the wire-codec fuzz smoke, the
 # exhaustive activation-kernel proof, the metrics-exposition and
@@ -56,14 +56,18 @@ test-benchmark:
 selfcheck:
 	cd benchmark && $(GO) run . -selfcheck -seconds 4
 
-# figures diffs `avgpipe-bench fig14` — real training of the four
-# systems Fig. 14 compares, the same bytes on every run and at any
-# GOMAXPROCS — against its golden, internal/exp/testdata/fig14.txt
-# (about 30 s). A change that moves a trainer's arithmetic moves it;
-# rewrite the golden only for a change meant to. The other figure
-# commands are not pinned (ablations' async row varies run to run).
+# figures diffs three figure commands, each the same bytes on every run
+# and at any GOMAXPROCS, against their goldens in internal/exp/testdata
+# (about 30 s each): `fig14` — real training of the four systems Fig. 14
+# compares — and `fig18`/`fig19`, the tuning cost and tuning result of
+# the configuration search. A change that moves a trainer's or the
+# tuner's arithmetic moves them; rewrite a golden only for a change
+# meant to. The other figure commands are not pinned (ablations' async
+# row varies run to run).
 figures:
-	$(GO) run ./cmd/avgpipe-bench fig14 | diff -u internal/exp/testdata/fig14.txt -
+	@for fig in fig14 fig18 fig19; do \
+		$(GO) run ./cmd/avgpipe-bench $$fig | diff -u internal/exp/testdata/$$fig.txt - || exit 1; \
+	done
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/... ./internal/nn/... ./internal/optim/...
@@ -186,13 +190,14 @@ bench-serve-baseline: bench-baseline-serve
 # (internal/compiled), the inference server (internal/serve), the
 # wire/topology/compression layer (internal/net), the trainer and
 # averaging shell whose protocol the seeded explorer proves
-# (internal/core), and the schedule layer and simulator that hold the
+# (internal/core), the schedule layer and simulator that hold the
 # dependency rule's consumers outside the runtime (internal/sched,
 # internal/pipesim), whose correctness claims lean on exhaustive tests
-# rather than review.
+# rather than review, and the modules and optimizers whose saved state
+# goes through the one checkpoint codec (internal/nn, internal/optim).
 cover:
 	@$(GO) test -cover ./... | grep -v '\[no test files\]'
-	@for pkg in ./internal/tensor/ ./internal/compiled/ ./internal/serve/ ./internal/net/ ./internal/core/ ./internal/sched/ ./internal/pipesim/; do \
+	@for pkg in ./internal/tensor/ ./internal/compiled/ ./internal/serve/ ./internal/net/ ./internal/core/ ./internal/sched/ ./internal/pipesim/ ./internal/nn/ ./internal/optim/; do \
 		pct="$$($(GO) test -cover $$pkg | grep -o 'coverage: [0-9.]*' | grep -o '[0-9.]*')"; \
 		ok="$$(echo "$$pct 70" | awk '{print ($$1 >= $$2) ? 1 : 0}')"; \
 		if [ "$$ok" != 1 ]; then \

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -13,23 +14,28 @@ import (
 // Checkpoint layout inside a directory:
 //
 //	reference.bin   reference model weights (nn.SaveParams format)
-//	replica-P.bin   pipeline P's post-dilution weights
+//	replica-P.bin   pipeline P's post-dilution weights (same format)
 //	optim-P.bin     pipeline P's optimizer state (only for Stateful optimizers)
-//	meta.json       round counter, geometry, detached set — written last,
-//	                so its presence marks the checkpoint complete
+//	meta.json       CheckpointInfo — written last, so its presence marks
+//	                the checkpoint complete
 //
-// Restore reverses it bit-exactly: weights and optimizer moments are
-// stored as raw float32 bits, the averager's delta baselines are re-seeded
-// to the saved replica weights, and the data streams are fast-forwarded by
-// replaying the round counter — so the round after a restore produces
-// parameters identical to the round the uninterrupted run would have
-// produced.
+// Every .bin file is written by one codec (nn.StateWriter): a magic, then
+// strings and tensor records, each record a u32 rank, u32 dims and the
+// coefficients' little-endian f32 bits. Restore reverses it bit-exactly:
+// the averager's delta baselines are re-seeded to the saved replica
+// weights, every round below the saved one is closed, and the data
+// streams are fast-forwarded by replaying the round counter — so the
+// round after a restore produces parameters identical to the round the
+// uninterrupted run would have produced.
 
 // checkpointMetaName is the commit marker; a directory without it is not
 // a complete checkpoint.
 const checkpointMetaName = "meta.json"
 
-type checkpointMeta struct {
+// CheckpointInfo is a checkpoint's commit marker, meta.json: the round
+// counter, geometry, optimizer and detached set — what a reader (resume,
+// serving tier) needs to decide whether and how to load it.
+type CheckpointInfo struct {
 	Round     int    `json:"round"`
 	Pipelines int    `json:"pipelines"`
 	Seed      int64  `json:"seed"`
@@ -42,38 +48,20 @@ type checkpointMeta struct {
 	ReplicaID int  `json:"replica_id,omitempty"`
 }
 
-// IsCheckpoint reports whether dir holds a complete checkpoint (its
-// commit marker exists).
-func IsCheckpoint(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, checkpointMetaName))
-	return err == nil
-}
-
-// CheckpointInfo is the commit-marker metadata of a completed
-// checkpoint — what a reader (resume, serving tier) needs to decide
-// whether and how to load it.
-type CheckpointInfo struct {
-	Round     int
-	Pipelines int
-	Seed      int64
-	Optimizer string
-	Dist      bool
-	ReplicaID int
-}
-
 // ReadCheckpointInfo reads dir's commit marker. A directory without one
 // is not a complete checkpoint and returns an error, which is what
 // makes polling a directory a live training job writes into safe: a
 // crash mid-save never yields a readable marker.
 func ReadCheckpointInfo(dir string) (*CheckpointInfo, error) {
-	meta, err := readCheckpointMeta(dir)
+	buf, err := os.ReadFile(filepath.Join(dir, checkpointMetaName))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: not a complete checkpoint (missing %s): %w", checkpointMetaName, err)
 	}
-	return &CheckpointInfo{
-		Round: meta.Round, Pipelines: meta.Pipelines, Seed: meta.Seed,
-		Optimizer: meta.Optimizer, Dist: meta.Dist, ReplicaID: meta.ReplicaID,
-	}, nil
+	var info CheckpointInfo
+	if err := json.Unmarshal(buf, &info); err != nil {
+		return nil, fmt.Errorf("core: checkpoint meta: %w", err)
+	}
+	return &info, nil
 }
 
 // LoadReference loads the shared reference model — the elastic
@@ -87,22 +75,10 @@ func LoadReference(dir string, ps []*nn.Param) (*CheckpointInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := loadParamsFile(filepath.Join(dir, "reference.bin"), ps); err != nil {
+	if err := readFile(dir, "reference.bin", nn.LoadParams, ps); err != nil {
 		return nil, err
 	}
 	return info, nil
-}
-
-func readCheckpointMeta(dir string) (*checkpointMeta, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, checkpointMetaName))
-	if err != nil {
-		return nil, fmt.Errorf("core: not a complete checkpoint (missing %s): %w", checkpointMetaName, err)
-	}
-	var meta checkpointMeta
-	if err := json.Unmarshal(buf, &meta); err != nil {
-		return nil, fmt.Errorf("core: checkpoint meta: %w", err)
-	}
-	return &meta, nil
 }
 
 // SaveCheckpoint serializes the full training state — reference model,
@@ -110,7 +86,7 @@ func readCheckpointMeta(dir string) (*checkpointMeta, error) {
 // into dir (created if needed). The averager is drained first so the
 // saved reference includes every submitted update. meta.json is written
 // last as the commit marker: a crash mid-save leaves a directory that
-// IsCheckpoint rejects rather than a corrupt resume point.
+// ReadCheckpointInfo rejects rather than a corrupt resume point.
 //
 // In dist mode each process writes a per-replica checkpoint: its
 // reference copy plus the local pipeline's weights and optimizer state.
@@ -121,18 +97,18 @@ func (t *Trainer) SaveCheckpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	if err := saveParamsFile(filepath.Join(dir, "reference.bin"), t.ReferenceSnapshot()); err != nil {
+	if err := writeFile(dir, "reference.bin", nn.SaveParams, t.ReferenceSnapshot()); err != nil {
 		return err
 	}
 	for p, pl := range t.pipelines {
 		if !t.local(p) {
 			continue // a peer process checkpoints this replica
 		}
-		if err := saveParamsFile(filepath.Join(dir, fmt.Sprintf("replica-%d.bin", p)), pl.Params()); err != nil {
+		if err := writeFile(dir, fmt.Sprintf("replica-%d.bin", p), nn.SaveParams, pl.Params()); err != nil {
 			return err
 		}
 		if st, ok := t.opts[p].(optim.Stateful); ok {
-			if err := saveStateFile(filepath.Join(dir, fmt.Sprintf("optim-%d.bin", p)), st, pl.Params()); err != nil {
+			if err := writeFile(dir, fmt.Sprintf("optim-%d.bin", p), st.SaveState, pl.Params()); err != nil {
 				return err
 			}
 		}
@@ -141,7 +117,7 @@ func (t *Trainer) SaveCheckpoint(dir string) error {
 	if t.cfg.Dist != nil {
 		self = t.cfg.Dist.ReplicaID
 	}
-	meta := checkpointMeta{
+	meta := CheckpointInfo{
 		Round:     t.round,
 		Pipelines: t.cfg.Pipelines,
 		Seed:      t.cfg.Seed,
@@ -172,7 +148,7 @@ func (t *Trainer) SaveCheckpoint(dir string) error {
 // round with every process restored to the same boundary, so rounds
 // after the resume reproduce an uninterrupted run.
 func (t *Trainer) Restore(dir string) error {
-	meta, err := readCheckpointMeta(dir)
+	meta, err := ReadCheckpointInfo(dir)
 	if err != nil {
 		return err
 	}
@@ -195,23 +171,25 @@ func (t *Trainer) Restore(dir string) error {
 	if meta.Optimizer != t.opts[self].Name() {
 		return fmt.Errorf("core: checkpoint optimizer %q, trainer uses %q", meta.Optimizer, t.opts[self].Name())
 	}
-	if err := loadParamsFile(filepath.Join(dir, "reference.bin"), t.evalModel.Params()); err != nil {
+	if err := readFile(dir, "reference.bin", nn.LoadParams, t.evalModel.Params()); err != nil {
 		return err
 	}
 	// SetReference re-seeds every delta baseline to the reference; the
 	// per-replica SeedReplica below then restores each baseline to the
-	// replica's true post-dilution weights.
+	// replica's true post-dilution weights. The reference holds every
+	// round below the saved one, so those close unapplied.
 	t.avg.SetReference(t.evalModel.Params())
+	t.avg.closeBelow(meta.Round)
 	for p, pl := range t.pipelines {
 		if !t.local(p) {
 			continue
 		}
-		if err := loadParamsFile(filepath.Join(dir, fmt.Sprintf("replica-%d.bin", p)), pl.Params()); err != nil {
+		if err := readFile(dir, fmt.Sprintf("replica-%d.bin", p), nn.LoadParams, pl.Params()); err != nil {
 			return err
 		}
 		t.avg.SeedReplica(p, pl.Params())
 		if st, ok := t.opts[p].(optim.Stateful); ok {
-			if err := loadStateFile(filepath.Join(dir, fmt.Sprintf("optim-%d.bin", p)), st, pl.Params()); err != nil {
+			if err := readFile(dir, fmt.Sprintf("optim-%d.bin", p), st.LoadState, pl.Params()); err != nil {
 				return err
 			}
 		}
@@ -232,50 +210,31 @@ func (t *Trainer) Restore(dir string) error {
 	return nil
 }
 
-func saveParamsFile(path string, ps []*nn.Param) error {
-	f, err := os.Create(path)
+// writeFile creates dir/name and writes ps into it with save: their
+// weights (nn.SaveParams) or an optimizer's state over them.
+func writeFile(dir, name string, save func(io.Writer, []*nn.Param) error, ps []*nn.Param) error {
+	f, err := os.Create(filepath.Join(dir, name))
+	if err == nil {
+		err = save(f, ps)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
-	}
-	if err := nn.SaveParams(f, ps); err != nil {
-		f.Close()
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
-	}
-	return f.Close()
-}
-
-func loadParamsFile(path string, ps []*nn.Param) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
-	}
-	defer f.Close()
-	if err := nn.LoadParams(f, ps); err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("core: checkpoint %s: %w", name, err)
 	}
 	return nil
 }
 
-func saveStateFile(path string, st optim.Stateful, ps []*nn.Param) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
-	}
-	if err := st.SaveState(f, ps); err != nil {
+// readFile reads dir/name into ps with load, writeFile's counterpart.
+func readFile(dir, name string, load func(io.Reader, []*nn.Param) error, ps []*nn.Param) error {
+	f, err := os.Open(filepath.Join(dir, name))
+	if err == nil {
+		err = load(f, ps)
 		f.Close()
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
 	}
-	return f.Close()
-}
-
-func loadStateFile(path string, st optim.Stateful, ps []*nn.Param) error {
-	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
-	}
-	defer f.Close()
-	if err := st.LoadState(f, ps); err != nil {
-		return fmt.Errorf("core: checkpoint %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("core: checkpoint %s: %w", name, err)
 	}
 	return nil
 }

@@ -967,7 +967,8 @@ func (a *Averager) RoundClosed(round int) bool {
 // The wait starts the round's empty-round clock (the await event):
 // with a round deadline armed, a round whose every update was lost in
 // flight closes empty once the deadline has passed since it was first
-// awaited; without one it blocks until ctx ends.
+// awaited; without one it blocks until ctx ends. A round that no live
+// replica is admitted to closes at once.
 func (a *Averager) WaitRound(ctx context.Context, round int) error {
 	stop := context.AfterFunc(ctx, func() { a.tally(0, 0) })
 	defer stop()
@@ -981,12 +982,21 @@ func (a *Averager) WaitRound(ctx context.Context, round int) error {
 }
 
 // await is WaitRound's event half: it starts the wait for round, from
-// which its empty-round deadline runs.
+// which its empty-round deadline runs, and settles, which closes the
+// round at once if no replica is admitted to it.
 func (a *Averager) await(round int) {
 	now := a.clock.Now()
 	a.mu.Lock()
 	a.proto.await(now, round)
-	a.closeAndUnlock(now, nil)
+	a.closeAndUnlock(now, a.proto.settle(now))
+}
+
+// closeBelow closes every round below round unapplied, for a checkpoint
+// restore: the restored reference already holds them.
+func (a *Averager) closeBelow(round int) {
+	a.mu.Lock()
+	a.proto.closeBelow(round)
+	a.mu.Unlock()
 }
 
 // Dilute performs step ❷ for pipeline p: its weights are mixed with the

@@ -46,7 +46,7 @@ type closeWhy int
 
 const (
 	closeQuorum   closeWhy = iota // every admitted replica reported
-	closeDetach                   // a detach left only replicas that had reported
+	closeDetach                   // a detach left only replicas that had reported, or none admitted
 	closeDeadline                 // the deadline passed since the first arrival
 	closeEmpty                    // awaited, never opened, deadline passed since the await
 )
@@ -161,16 +161,24 @@ func (s *protocol[P]) rejoin(p, join int) (int, bool) {
 // admitted from join, or from the watermark if later rounds opened here
 // already; that round, where self resumes training, is returned.
 func (s *protocol[P]) resume(now time.Time, self, join int) ([]closure[P], int) {
-	for s.floor < join {
-		s.markClosed(s.floor)
-	}
+	s.closeBelow(join)
 	join = max(join, s.mark)
 	s.liveFrom[self] = join
 	return s.settle(now), join
 }
 
-// await records that a caller waits for round r: once the deadline has
-// passed since the await, a round that never opened closes empty.
+// closeBelow closes every round below r unapplied: the reference
+// installed here already holds them, so a late update for one is
+// discarded rather than applied twice.
+func (s *protocol[P]) closeBelow(r int) {
+	for s.floor < r {
+		s.markClosed(s.floor)
+	}
+}
+
+// await records that a caller waits for round r: a round that never
+// opened closes at the next settle when no replica is admitted to it,
+// and empty once the deadline has passed since the await.
 func (s *protocol[P]) await(now time.Time, r int) {
 	if _, ok := s.since[r]; !ok && !s.isClosed(r) {
 		s.since[r] = now
@@ -179,10 +187,11 @@ func (s *protocol[P]) await(now time.Time, r int) {
 }
 
 // settle is the one closing rule, and the tick event. A round closes
-// when it is open and every replica admitted to it has reported; when it
-// is open and the deadline has passed since its first arrival; or, empty,
-// when it was awaited, never opened, and the deadline has passed since
-// the await. Rounds close in ascending order, so an event closing
+// when it is open and every replica admitted to it has reported; empty,
+// when it was awaited, never opened, and no replica is admitted to it;
+// when it is open and the deadline has passed since its first arrival;
+// or, empty, when it was awaited, never opened, and the deadline has
+// passed since the await. Rounds close in ascending order, so an event closing
 // several applies them in the same order on every replica.
 func (s *protocol[P]) settle(now time.Time) []closure[P] {
 	var cs []closure[P]
@@ -191,6 +200,8 @@ func (s *protocol[P]) settle(now time.Time) []closure[P] {
 		switch o := s.open[r]; {
 		case o != nil && s.complete(r, o):
 			c.why = closeQuorum
+		case o == nil && s.complete(r, nil):
+			c.why = closeDetach
 		case s.deadline <= 0 || now.Sub(since) < s.deadline:
 			continue
 		case o != nil:

@@ -77,6 +77,11 @@ func TestProtocolEvents(t *testing.T) {
 			next, _ := s.nextDeadline()
 			return fmt.Sprintf("due %v|", next.Sub(t0)) + show(s.settle(t0.Add(d)))
 		}, "due 10ms|0 empty [] [];"},
+		{"awaited round no replica is admitted to closes at once", 2, func(s *protocol[string]) string {
+			out := detach(s, 0) + detach(s, 1)
+			s.await(t0, 0)
+			return out + show(s.settle(t0))
+		}, "0 detach [] [];"},
 		{"an awaited round that opens counts from its first arrival", 2, func(s *protocol[string]) string {
 			s.deadline = d
 			s.await(t0, 0)
@@ -97,6 +102,10 @@ func TestProtocolEvents(t *testing.T) {
 			out += show(cs) + fmt.Sprintf("join %d|", join) + arrive(s, t0, 1, 1)
 			return out + arrive(s, t0, 1, 2) + "|" + arrive(s, t0, 0, 2)
 		}, "join 2|discarded;|2 quorum [0 1] [a2 b2];"},
+		{"closeBelow floors the rounds a restored reference holds", 2, func(s *protocol[string]) string {
+			s.closeBelow(3)
+			return arrive(s, t0, 0, 2) + fmt.Sprintf("floor %d|", s.floor) + arrive(s, t0, 0, 3) + arrive(s, t0, 1, 3)
+		}, "discarded;floor 3|3 quorum [0 1] [a3 b3];"},
 		{"resume admits from the watermark past an already open round", 2, func(s *protocol[string]) string {
 			out := arrive(s, t0, 1, 3)
 			cs, join := s.resume(t0, 0, 2)

@@ -445,9 +445,10 @@ func TestTrainerRejectsBadConfig(t *testing.T) {
 // round closes on its update again.
 func TestTrainerLoneReplicaCrashRejoinNoDeadline(t *testing.T) {
 	const crashRound, rejoinAfter, rounds = 3, 2, 8
+	reg := obs.NewRegistry()
 	tr, err := NewTrainer(TrainerConfig{
 		Task: workload.TranslationTask(), Pipelines: 1, Micro: 2, StageCount: 2,
-		Seed: 5, Obs: obs.NewRegistry(),
+		Seed: 5, Obs: reg,
 		Faults: fault.Config{Seed: 1, CrashRound: crashRound, RejoinAfter: rejoinAfter},
 	})
 	if err != nil {
@@ -469,6 +470,26 @@ func TestTrainerLoneReplicaCrashRejoinNoDeadline(t *testing.T) {
 			t.Errorf("round %d trained but did not close", r)
 		}
 	}
+	// The rounds no replica was admitted to closed when they were
+	// awaited, so the floor kept up and no closed round is left behind.
+	if floor, closed := protocolFloor(tr.Averager()); floor != rounds || closed != 0 {
+		t.Errorf("floor %d with %d closed rounds above it, want floor %d and none", floor, closed, rounds)
+	}
+	// Such a closure is neither a missed deadline nor a timed round.
+	if got := reg.Counter("avgpipe_avg_rounds_expired_total", "").Value(); got != 0 {
+		t.Errorf("%v rounds counted as expired, want 0", got)
+	}
+	if got := reg.Histogram("avgpipe_avg_round_seconds", "", nil).Count(); got != rounds-rejoinAfter {
+		t.Errorf("%d rounds timed, want the %d that closed on an update", got, rounds-rejoinAfter)
+	}
+}
+
+// protocolFloor reads a's protocol floor and how many closed rounds it
+// still keeps above it.
+func protocolFloor(a *Averager) (floor, closed int) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.proto.floor, len(a.proto.closed)
 }
 
 // --- checkpoint/restore ---
@@ -506,7 +527,7 @@ func TestCheckpointBitExact(t *testing.T) {
 	if err := a.SaveCheckpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	if !IsCheckpoint(dir) {
+	if _, err := ReadCheckpointInfo(dir); err != nil {
 		t.Fatal("saved directory not recognized as a checkpoint")
 	}
 	a.Step() // the uninterrupted run's round r+1
@@ -544,6 +565,44 @@ func TestCheckpointBitExact(t *testing.T) {
 	bl, ba := b.Eval()
 	if al != bl || aa != ba {
 		t.Fatalf("restored eval (%v, %v) != uninterrupted eval (%v, %v)", bl, ba, al, aa)
+	}
+}
+
+// TestRestoreResumesRoundProtocol restores a checkpoint taken at round
+// 5 and trains 30 rounds: the rounds below 5 are closed at the restore
+// (a late update for one is discarded, not applied again), so the floor
+// follows the rounds and no closed round piles up above it.
+func TestRestoreResumesRoundProtocol(t *testing.T) {
+	cfg := TrainerConfig{Task: workload.TranslationTask(), Pipelines: 2, Micro: 2, StageCount: 2,
+		Seed: 5, ClipNorm: 5}
+	dir := t.TempDir()
+	a, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for r := 0; r < 5; r++ {
+		a.Step()
+	}
+	if err := a.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 30; r++ {
+		b.Step()
+	}
+	if floor, closed := protocolFloor(b.Averager()); floor != 35 || closed != 0 {
+		t.Errorf("floor %d with %d closed rounds above it, want floor 35 and none", floor, closed)
+	}
+	if !b.Averager().RoundClosed(2) {
+		t.Error("round 2, below the restored round, is still open to late updates")
 	}
 }
 

@@ -349,9 +349,8 @@ func (t *Trainer) StepContext(ctx context.Context) (float64, error) {
 	if err := errors.Join(errs...); err != nil {
 		return 0, err
 	}
-	// With no replica live no update was sent, and without a deadline an
-	// empty round never closes: there is nothing to wait for or dilute.
-	if !t.cfg.AsyncDilute && t.avg.LiveReplicas() > 0 {
+	// With no replica admitted to the round, WaitRound closes it at once.
+	if !t.cfg.AsyncDilute {
 		if err := t.avg.WaitRound(ctx, round); err != nil {
 			return 0, err
 		}

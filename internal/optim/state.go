@@ -1,11 +1,8 @@
 package optim
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"avgpipe/internal/nn"
 	"avgpipe/internal/tensor"
@@ -26,309 +23,128 @@ type Stateful interface {
 // checkpoint magic so the two cannot be confused.
 const stateMagic = uint32(0x4156474f) // "AVGO"
 
-func writeHeader(w io.Writer, name string) error {
-	if err := binary.Write(w, binary.LittleEndian, stateMagic); err != nil {
-		return err
-	}
-	return writeString(w, name)
+// stateMap is a per-param tensor map an optimizer keeps.
+type stateMap = map[*nn.Param]*tensor.Tensor
+
+// optState declares what an optimizer saves, in file order: its name,
+// its step counter if it keeps one, then its per-param maps. lazy marks
+// an optimizer whose maps exist only once a step needs them (SGD's
+// velocity): a file with no entry for one leaves it as it is.
+type optState struct {
+	name string
+	step *int
+	maps []*stateMap
+	lazy bool
 }
 
-func readHeader(r io.Reader, name string) error {
+// saveState writes st: the magic, the name, the step counter as a u64,
+// then for each map one optional tensor per param in params order — a
+// presence byte, then the tensor record.
+func saveState(w io.Writer, params []*nn.Param, st optState) error {
+	s := nn.NewStateWriter(w)
+	s.Put(stateMagic)
+	s.String(st.name)
+	if st.step != nil {
+		s.Put(uint64(*st.step))
+	}
+	for _, m := range st.maps {
+		for _, p := range params {
+			t, ok := (*m)[p]
+			s.Put(ok)
+			if ok {
+				s.Tensor(t)
+			}
+		}
+	}
+	return s.Flush()
+}
+
+// loadState reads what saveState wrote for st and installs it only once
+// all of it has been read, so a truncated or mismatched file leaves the
+// optimizer as it was.
+func loadState(r io.Reader, params []*nn.Param, st optState) error {
+	s := nn.NewStateReader(r)
 	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return fmt.Errorf("optim: reading state header: %w", err)
+	if s.Get(&magic); s.Err() != nil {
+		return fmt.Errorf("optim: reading state header: %w", s.Err())
 	}
 	if magic != stateMagic {
 		return fmt.Errorf("optim: not an optimizer state file (magic %#x)", magic)
 	}
-	got, err := readString(r)
-	if err != nil {
-		return err
+	if got := s.String(); s.Err() == nil && got != st.name {
+		return fmt.Errorf("optim: state file is for %q, optimizer is %q", got, st.name)
 	}
-	if got != name {
-		return fmt.Errorf("optim: state file is for %q, optimizer is %q", got, name)
+	var step uint64
+	if st.step != nil {
+		s.Get(&step)
 	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func writeTensor(w io.Writer, t *tensor.Tensor) error {
-	shape := t.Shape()
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(shape))); err != nil {
-		return err
-	}
-	for _, d := range shape {
-		if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-			return err
-		}
-	}
-	for _, v := range t.Data() {
-		if err := binary.Write(w, binary.LittleEndian, math.Float32bits(v)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readTensor(r io.Reader, want []int) (*tensor.Tensor, error) {
-	var dims uint32
-	if err := binary.Read(r, binary.LittleEndian, &dims); err != nil {
-		return nil, err
-	}
-	shape := make([]int, dims)
-	for i := range shape {
-		var d uint32
-		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return nil, err
-		}
-		shape[i] = int(d)
-	}
-	if len(shape) != len(want) {
-		return nil, fmt.Errorf("optim: state tensor rank %d, param has %d", len(shape), len(want))
-	}
-	for i := range shape {
-		if shape[i] != want[i] {
-			return nil, fmt.Errorf("optim: state tensor shape %v, param has %v", shape, want)
-		}
-	}
-	t := tensor.New(shape...)
-	data := t.Data()
-	for i := range data {
-		var bits uint32
-		if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("optim: state tensor truncated: %w", err)
-		}
-		data[i] = math.Float32frombits(bits)
-	}
-	return t, nil
-}
-
-// writeTensorMap writes one optional tensor per param in params order —
-// a presence byte, then the tensor. Lazily populated maps (a velocity
-// that only exists after the first momentum step) round-trip exactly.
-func writeTensorMap(w io.Writer, params []*nn.Param, m map[*nn.Param]*tensor.Tensor) error {
-	for _, p := range params {
-		t, ok := m[p]
-		present := byte(0)
-		if ok {
-			present = 1
-		}
-		if _, err := w.Write([]byte{present}); err != nil {
-			return err
-		}
-		if ok {
-			if err := writeTensor(w, t); err != nil {
-				return err
+	maps := make([]stateMap, len(st.maps))
+	for i := range maps {
+		maps[i] = make(stateMap, len(params))
+		for _, p := range params {
+			var present bool
+			if s.Get(&present); present {
+				maps[i][p] = s.Tensor(p)
 			}
 		}
 	}
+	if s.Err() != nil {
+		return fmt.Errorf("optim: %w", s.Err())
+	}
+	if st.step != nil {
+		*st.step = int(step)
+	}
+	for i, m := range maps {
+		if len(m) > 0 || !st.lazy {
+			*st.maps[i] = m
+		}
+	}
 	return nil
 }
 
-// readTensorMap reads what writeTensorMap wrote into a fresh map keyed
-// by the given params.
-func readTensorMap(r io.Reader, params []*nn.Param) (map[*nn.Param]*tensor.Tensor, error) {
-	m := make(map[*nn.Param]*tensor.Tensor, len(params))
-	buf := make([]byte, 1)
-	for _, p := range params {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		if buf[0] == 0 {
-			continue
-		}
-		t, err := readTensor(r, p.W.Shape())
-		if err != nil {
-			return nil, fmt.Errorf("optim: param %q: %w", p.Name, err)
-		}
-		m[p] = t
-	}
-	return m, nil
+func (s *SGD) state() optState {
+	return optState{name: s.Name(), maps: []*stateMap{&s.velocity}, lazy: true}
 }
 
-func writeU64(w io.Writer, v uint64) error {
-	return binary.Write(w, binary.LittleEndian, v)
+func (a *Adam) state() optState {
+	return optState{name: a.Name(), step: &a.t, maps: []*stateMap{&a.m, &a.v}}
 }
 
-func readU64(r io.Reader) (uint64, error) {
-	var v uint64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
+func (a *AdaGrad) state() optState { return optState{name: a.Name(), maps: []*stateMap{&a.g2}} }
+
+func (a *ASGD) state() optState {
+	return optState{name: a.Name(), step: &a.t, maps: []*stateMap{&a.avg}}
 }
+
+func (e *EASGD) state() optState { return optState{name: e.Name(), maps: []*stateMap{&e.center}} }
 
 // SaveState implements Stateful: per-param momentum velocities.
-func (s *SGD) SaveState(w io.Writer, params []*nn.Param) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, s.Name()); err != nil {
-		return err
-	}
-	vel := s.velocity
-	if vel == nil {
-		vel = map[*nn.Param]*tensor.Tensor{}
-	}
-	if err := writeTensorMap(bw, params, vel); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+func (s *SGD) SaveState(w io.Writer, ps []*nn.Param) error { return saveState(w, ps, s.state()) }
 
 // LoadState implements Stateful.
-func (s *SGD) LoadState(r io.Reader, params []*nn.Param) error {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, s.Name()); err != nil {
-		return err
-	}
-	m, err := readTensorMap(br, params)
-	if err != nil {
-		return err
-	}
-	if len(m) > 0 {
-		s.velocity = m
-	}
-	return nil
-}
+func (s *SGD) LoadState(r io.Reader, ps []*nn.Param) error { return loadState(r, ps, s.state()) }
 
 // SaveState implements Stateful: the step counter and both moment
 // estimates, so bias correction resumes where it left off.
-func (a *Adam) SaveState(w io.Writer, params []*nn.Param) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, a.Name()); err != nil {
-		return err
-	}
-	if err := writeU64(bw, uint64(a.t)); err != nil {
-		return err
-	}
-	if err := writeTensorMap(bw, params, a.m); err != nil {
-		return err
-	}
-	if err := writeTensorMap(bw, params, a.v); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+func (a *Adam) SaveState(w io.Writer, ps []*nn.Param) error { return saveState(w, ps, a.state()) }
 
 // LoadState implements Stateful.
-func (a *Adam) LoadState(r io.Reader, params []*nn.Param) error {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, a.Name()); err != nil {
-		return err
-	}
-	t, err := readU64(br)
-	if err != nil {
-		return err
-	}
-	m, err := readTensorMap(br, params)
-	if err != nil {
-		return err
-	}
-	v, err := readTensorMap(br, params)
-	if err != nil {
-		return err
-	}
-	a.t, a.m, a.v = int(t), m, v
-	return nil
-}
+func (a *Adam) LoadState(r io.Reader, ps []*nn.Param) error { return loadState(r, ps, a.state()) }
 
 // SaveState implements Stateful: the accumulated squared gradients.
-func (a *AdaGrad) SaveState(w io.Writer, params []*nn.Param) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, a.Name()); err != nil {
-		return err
-	}
-	if err := writeTensorMap(bw, params, a.g2); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+func (a *AdaGrad) SaveState(w io.Writer, ps []*nn.Param) error { return saveState(w, ps, a.state()) }
 
 // LoadState implements Stateful.
-func (a *AdaGrad) LoadState(r io.Reader, params []*nn.Param) error {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, a.Name()); err != nil {
-		return err
-	}
-	m, err := readTensorMap(br, params)
-	if err != nil {
-		return err
-	}
-	a.g2 = m
-	return nil
-}
+func (a *AdaGrad) LoadState(r io.Reader, ps []*nn.Param) error { return loadState(r, ps, a.state()) }
 
 // SaveState implements Stateful: the step counter and iterate averages.
-func (a *ASGD) SaveState(w io.Writer, params []*nn.Param) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, a.Name()); err != nil {
-		return err
-	}
-	if err := writeU64(bw, uint64(a.t)); err != nil {
-		return err
-	}
-	if err := writeTensorMap(bw, params, a.avg); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+func (a *ASGD) SaveState(w io.Writer, ps []*nn.Param) error { return saveState(w, ps, a.state()) }
 
 // LoadState implements Stateful.
-func (a *ASGD) LoadState(r io.Reader, params []*nn.Param) error {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, a.Name()); err != nil {
-		return err
-	}
-	t, err := readU64(br)
-	if err != nil {
-		return err
-	}
-	m, err := readTensorMap(br, params)
-	if err != nil {
-		return err
-	}
-	a.t, a.avg = int(t), m
-	return nil
-}
+func (a *ASGD) LoadState(r io.Reader, ps []*nn.Param) error { return loadState(r, ps, a.state()) }
 
 // SaveState implements Stateful: the per-param center variables.
-func (e *EASGD) SaveState(w io.Writer, params []*nn.Param) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, e.Name()); err != nil {
-		return err
-	}
-	if err := writeTensorMap(bw, params, e.center); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+func (e *EASGD) SaveState(w io.Writer, ps []*nn.Param) error { return saveState(w, ps, e.state()) }
 
 // LoadState implements Stateful.
-func (e *EASGD) LoadState(r io.Reader, params []*nn.Param) error {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, e.Name()); err != nil {
-		return err
-	}
-	m, err := readTensorMap(br, params)
-	if err != nil {
-		return err
-	}
-	e.center = m
-	return nil
-}
+func (e *EASGD) LoadState(r io.Reader, ps []*nn.Param) error { return loadState(r, ps, e.state()) }
