@@ -5,7 +5,7 @@ GO ?= go
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
 # the arm64 cross-build, tests (root module and benchmark/), the
-# benchmark's end-to-end self-check, the Fig. 14, 18 and 19 goldens, the
+# benchmark's end-to-end self-check, the figure goldens, the
 # race-detector pass over the concurrent packages, the seeded chaos
 # matrix, the self-healing chaos soak, the wire-codec fuzz smoke, the
 # exhaustive activation-kernel proof, the metrics-exposition and
@@ -56,16 +56,18 @@ test-benchmark:
 selfcheck:
 	cd benchmark && $(GO) run . -selfcheck -seconds 4
 
-# figures diffs three figure commands, each the same bytes on every run
-# and at any GOMAXPROCS, against their goldens in internal/exp/testdata
-# (about 30 s each): `fig14` — real training of the four systems Fig. 14
-# compares — and `fig18`/`fig19`, the tuning cost and tuning result of
-# the configuration search. A change that moves a trainer's or the
-# tuner's arithmetic moves them; rewrite a golden only for a change
-# meant to. The other figure commands are not pinned (ablations' async
-# row varies run to run).
+# figures diffs every deterministic figure command, each the same bytes
+# on every run and at any GOMAXPROCS, against its golden in
+# internal/exp/testdata/<fig>.txt: the simulated figures `fig02`,
+# `fig07`, `fig11`-`fig13`, `fig15`-`fig17` (under 1 s to about 7 s
+# each, about 36 s together), `fig14` — real training of the four
+# systems Fig. 14 compares — and `fig18`/`fig19`, the tuning cost and
+# tuning result of the configuration search (about 30 s each). A change
+# that moves the cost model's, a trainer's or the tuner's arithmetic
+# moves them; rewrite a golden only for a change meant to. `ablations`
+# (its async row varies run to run) and `topology` are not pinned.
 figures:
-	@for fig in fig14 fig18 fig19; do \
+	@for fig in fig02 fig07 fig11 fig12 fig13 fig15 fig16 fig17 fig14 fig18 fig19; do \
 		$(GO) run ./cmd/avgpipe-bench $$fig | diff -u internal/exp/testdata/$$fig.txt - || exit 1; \
 	done
 
@@ -114,8 +116,8 @@ faults:
 # supervisor must auto-detach and re-admit the replica, and the
 # recovered job must reach >=90% of its fault-free throughput (see
 # internal/heal and the Self-healing section of DESIGN.md). Runs once
-# on the default full mesh and once on the ring fabric, whose restarted
-# sessions must also re-negotiate the topology group hello (§15).
+# on the default full mesh and once on the ring fabric; on both, every
+# restarted session re-sends and re-checks the mesh handshake (§15).
 faults-soak:
 	AVGPIPE_SOAK=1 $(GO) test ./internal/heal/ -run '^TestChaosSoakRecovery(Ring)?$$' -count=1 -v
 

@@ -251,7 +251,9 @@ type MeshConfig struct {
 	Self   int
 	Listen string
 	Peers  map[int]string
-	// Topology shapes the fabric (nil = FullMesh).
+	// Topology shapes the fabric (nil = FullMesh). Every connection's
+	// handshake carries it with the job size, and a peer that disagrees
+	// about either fails formation on both sides.
 	Topology Topology
 	// Registry receives the transport's metrics and, with SelfHeal, its
 	// connection health events (nil = DefaultMetrics()).
@@ -271,9 +273,9 @@ type MeshConfig struct {
 
 // DialMesh forms the TCP averaging fabric of replica cfg.Self: it
 // listens on cfg.Listen, dials the topology's neighbours in cfg.Peers
-// with retry until ctx expires, and verifies the job geometry (sparse
-// topologies also cross-check a group hello). Peer processes may start
-// in any order. Unless cfg.Rejoin, it then measures every neighbour's
+// with retry until ctx expires, and checks every connection's handshake
+// (the sender's place in the topology, the job size, the topology
+// fingerprint) on every topology. Peer processes may start in any order. Unless cfg.Rejoin, it then measures every neighbour's
 // clock offset (round-trip midpoint) so distributed traces can be
 // aligned onto one timeline; with cfg.SelfHeal it finally arms
 // self-healing. SelfHeal off the full mesh, and Rejoin without

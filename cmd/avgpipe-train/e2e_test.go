@@ -85,15 +85,29 @@ func TestTwoProcessLoopbackMatchesSingleProcess(t *testing.T) {
 		"-stages", "2", "-rounds", "3", "-seed", "9",
 	}
 
-	// Reference: the whole job in one process.
+	// Reference: the whole job in one process. -rounds 3 trains exactly
+	// three rounds, and the final checkpoint is saved at round 3.
 	singleLog := filepath.Join(dir, "single.jsonl")
-	single := exec.Command(bin, append([]string{"-stats-jsonl", singleLog}, common...)...)
-	if out, err := single.CombinedOutput(); err != nil {
+	ckpt := filepath.Join(dir, "ckpt")
+	single := exec.Command(bin, append([]string{"-stats-jsonl", singleLog, "-checkpoint-dir", ckpt}, common...)...)
+	out, err := single.CombinedOutput()
+	if err != nil {
 		t.Fatalf("single-process run: %v\n%s", err, out)
 	}
 	want := readRecords(t, singleLog)
-	if len(want) == 0 {
-		t.Fatal("single-process run logged no rounds")
+	if len(want) != 3 {
+		t.Fatalf("single-process run with -rounds 3 logged %d rounds", len(want))
+	}
+	meta, err := os.ReadFile(filepath.Join(ckpt, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info struct{ Round int }
+	if err := json.Unmarshal(meta, &info); err != nil || info.Round != 3 {
+		t.Fatalf("checkpoint after -rounds 3: meta.json round %d (%v), want 3", info.Round, err)
+	}
+	if line := fmt.Sprintf("checkpoint saved to %s at round 3", ckpt); !strings.Contains(string(out), line) {
+		t.Fatalf("output lacks %q:\n%s", line, out)
 	}
 
 	// The same job as two OS processes over TCP loopback.

@@ -369,11 +369,14 @@ func main() {
 				return
 			}
 		}
-		if round > startRound && *checkpointEvery > 0 && round%*checkpointEvery == 0 {
-			checkpoint(round)
-		}
 		if round > startRound {
 			publish(round)
+		}
+		if round == *rounds {
+			break
+		}
+		if round > startRound && *checkpointEvery > 0 && round%*checkpointEvery == 0 {
+			checkpoint(round)
 		}
 		if _, err := trainer.StepContext(context.Background()); err != nil {
 			var stall *avgpipe.StallError
@@ -388,5 +391,5 @@ func main() {
 		}
 	}
 	fmt.Println("round budget exhausted before target")
-	checkpoint(*rounds)
+	checkpoint(trainer.Round())
 }

@@ -71,12 +71,12 @@ func Ethernet1G() Link {
 var ErrClosed = errors.New("comm: send on closed queue")
 
 // Queue is a FIFO used by the runtime to send local updates from
-// parallel pipelines to the reference-model process. The default queue
-// is unbounded and senders never block (preventing inter-process
-// communication from stalling a pipeline); NewBounded builds a
-// capacity-limited queue whose senders block while it is full — the
+// parallel pipelines to the reference-model process. NewBounded(0)
+// builds an unbounded queue whose senders never block (preventing
+// inter-process communication from stalling a pipeline); a positive
+// capacity builds one whose senders block while it is full — the
 // backpressure primitive the in-process network transport is built on.
-// The receiver drains with Recv, RecvContext, or TryRecv.
+// The receiver drains with RecvContext.
 // Sending after Close is safe under any interleaving: the item is
 // rejected with ErrClosed, never dropped silently and never a panic.
 //
@@ -103,20 +103,11 @@ type Queue[T any] struct {
 	rejected   *obs.Counter
 }
 
-// NewQueue returns an open, unbounded queue.
-func NewQueue[T any]() *Queue[T] {
-	q := &Queue[T]{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
 // NewBounded returns an open queue holding at most capacity items;
 // senders block while it is full. capacity <= 0 means unbounded.
 func NewBounded[T any](capacity int) *Queue[T] {
-	q := NewQueue[T]()
-	if capacity > 0 {
-		q.capn = capacity
-	}
+	q := &Queue[T]{capn: max(capacity, 0)}
+	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
@@ -178,35 +169,10 @@ func (q *Queue[T]) SendContext(ctx context.Context, v T) error {
 	return nil
 }
 
-// Recv blocks until an item is available or the queue is closed. The
-// second result is false once the queue is closed and drained.
-func (q *Queue[T]) Recv() (T, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 && !q.closed && q.blockedSec != nil {
-		start := time.Now()
-		defer func() { q.blockedSec.Add(time.Since(start).Seconds()) }()
-	}
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	q.depth.Set(float64(len(q.items)))
-	if q.capn > 0 {
-		q.cond.Broadcast() // wake senders parked on a full bounded queue
-	}
-	return v, true
-}
-
-// RecvContext blocks like Recv but gives up when ctx is cancelled or
-// its deadline passes: it returns (zero, false, ctx.Err()) without
-// consuming an item. ok is false with a nil error once the queue is
-// closed and drained — the same terminal condition Recv reports.
+// RecvContext blocks until an item is available or the queue is
+// closed, and gives up when ctx is cancelled or its deadline passes: it
+// then returns (zero, false, ctx.Err()) without consuming an item. ok is
+// false with a nil error once the queue is closed and drained.
 // These are the transport cancellation semantics specified (once, for
 // both the queue and the wire transports) in package avgpipe/internal/net.
 func (q *Queue[T]) RecvContext(ctx context.Context) (T, bool, error) {
@@ -241,30 +207,6 @@ func (q *Queue[T]) RecvContext(ctx context.Context) (T, bool, error) {
 		q.cond.Broadcast()
 	}
 	return v, true, nil
-}
-
-// TryRecv dequeues without blocking; ok is false if nothing was pending.
-func (q *Queue[T]) TryRecv() (T, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	q.depth.Set(float64(len(q.items)))
-	if q.capn > 0 {
-		q.cond.Broadcast()
-	}
-	return v, true
-}
-
-// Len returns the number of pending items.
-func (q *Queue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
 }
 
 // Close marks the queue closed, waking blocked receivers. Pending items

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,30 +28,35 @@ func TestLinkProfilesOrdering(t *testing.T) {
 	}
 }
 
+// recv is a blocking receive with no way out but Close.
+func recv[T any](q *Queue[T]) (T, bool) {
+	v, ok, _ := q.RecvContext(context.Background())
+	return v, ok
+}
+
 func TestQueueFIFO(t *testing.T) {
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	for i := 0; i < 5; i++ {
 		q.Send(i)
 	}
-	if q.Len() != 5 {
-		t.Fatalf("Len %d", q.Len())
-	}
 	for i := 0; i < 5; i++ {
-		v, ok := q.Recv()
+		v, ok := recv(q)
 		if !ok || v != i {
 			t.Fatalf("Recv %v %v, want %d", v, ok, i)
 		}
 	}
-	if _, ok := q.TryRecv(); ok {
-		t.Fatal("TryRecv on empty must fail")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, ok, err := q.RecvContext(cancelled); ok || err != context.Canceled {
+		t.Fatalf("receive on empty queue = (ok=%v, err=%v), want nothing pending", ok, err)
 	}
 }
 
 func TestQueueBlockingRecvAndClose(t *testing.T) {
-	q := NewQueue[string]()
+	q := NewBounded[string](0)
 	got := make(chan string, 1)
 	go func() {
-		v, _ := q.Recv()
+		v, _ := recv(q)
 		got <- v
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -64,25 +70,25 @@ func TestQueueBlockingRecvAndClose(t *testing.T) {
 		t.Fatal("Recv never woke")
 	}
 	q.Close()
-	if _, ok := q.Recv(); ok {
+	if _, ok := recv(q); ok {
 		t.Fatal("Recv after close+drain must report closed")
 	}
 }
 
 func TestQueueCloseDrainsPending(t *testing.T) {
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	q.Send(1)
 	q.Close()
-	if v, ok := q.Recv(); !ok || v != 1 {
+	if v, ok := recv(q); !ok || v != 1 {
 		t.Fatal("pending items must remain receivable after Close")
 	}
-	if _, ok := q.Recv(); ok {
+	if _, ok := recv(q); ok {
 		t.Fatal("queue must then be exhausted")
 	}
 }
 
 func TestQueueSendAfterClose(t *testing.T) {
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	if err := q.Send(1); err != nil {
 		t.Fatalf("Send on open queue: %v", err)
 	}
@@ -91,10 +97,10 @@ func TestQueueSendAfterClose(t *testing.T) {
 		t.Fatalf("Send after Close = %v, want ErrClosed", err)
 	}
 	// The rejected item must not have been enqueued.
-	if v, ok := q.Recv(); !ok || v != 1 {
+	if v, ok := recv(q); !ok || v != 1 {
 		t.Fatalf("Recv = %v %v, want 1 true", v, ok)
 	}
-	if _, ok := q.Recv(); ok {
+	if _, ok := recv(q); ok {
 		t.Fatal("rejected send leaked into the queue")
 	}
 }
@@ -105,7 +111,7 @@ func TestQueueSendAfterClose(t *testing.T) {
 // is received) or returns ErrClosed.
 func TestQueueSendCloseRace(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		q := NewQueue[int]()
+		q := NewBounded[int](0)
 		const senders = 8
 		var accepted, rejected int64
 		var wg sync.WaitGroup
@@ -138,7 +144,7 @@ func TestQueueSendCloseRace(t *testing.T) {
 		wg.Wait()
 		var received int64
 		for {
-			if _, ok := q.TryRecv(); !ok {
+			if _, ok := recv(q); !ok {
 				break
 			}
 			received++
@@ -154,22 +160,22 @@ func TestQueueSendCloseRace(t *testing.T) {
 
 func TestInstrumentedQueueMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	q.Instrument(reg, "test")
 	q.Send(1)
 	q.Send(2)
 	if d := reg.Gauge("avgpipe_queue_depth", "", "queue", "test").Value(); d != 2 {
 		t.Fatalf("depth gauge %v, want 2", d)
 	}
-	q.Recv()
+	recv(q)
 	if d := reg.Gauge("avgpipe_queue_depth", "", "queue", "test").Value(); d != 1 {
 		t.Fatalf("depth gauge %v after Recv, want 1", d)
 	}
 	// A blocked Recv must accrue blocked time.
 	done := make(chan struct{})
 	go func() {
-		q.Recv() // drains the remaining item immediately
-		q.Recv() // blocks until the late send
+		recv(q) // drains the remaining item immediately
+		recv(q) // blocks until the late send
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -189,7 +195,7 @@ func TestInstrumentedQueueMetrics(t *testing.T) {
 }
 
 func TestQueueConcurrentSenders(t *testing.T) {
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	const n = 100
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -202,7 +208,7 @@ func TestQueueConcurrentSenders(t *testing.T) {
 	wg.Wait()
 	seen := map[int]bool{}
 	for i := 0; i < n; i++ {
-		v, ok := q.TryRecv()
+		v, ok := recv(q)
 		if !ok {
 			t.Fatal("missing item")
 		}

@@ -39,7 +39,7 @@ func TestTransferTimeDegradedLinks(t *testing.T) {
 }
 
 func TestRecvContextDeliversAndDrains(t *testing.T) {
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	q.Send(7)
 	v, ok, err := q.RecvContext(context.Background())
 	if v != 7 || !ok || err != nil {
@@ -56,7 +56,7 @@ func TestRecvContextDeliversAndDrains(t *testing.T) {
 }
 
 func TestRecvContextCancelWhileBlocked(t *testing.T) {
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -85,7 +85,7 @@ func TestRecvContextCancelWhileBlocked(t *testing.T) {
 }
 
 func TestRecvContextDeadline(t *testing.T) {
-	q := NewQueue[int]()
+	q := NewBounded[int](0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -16,9 +16,9 @@ import (
 type FrameType uint8
 
 const (
-	// FrameHello opens a mesh connection: Replica names the sender and
-	// Meta carries the total replica count, so a mis-assembled job
-	// fails at handshake instead of mid-round.
+	// FrameHello is the telemetry publisher's greeting to a collector
+	// (obs/collect): Replica names the sender. Mesh connections open
+	// with FrameGroupHello instead.
 	FrameHello FrameType = iota + 1
 	// FrameUpdate carries one replica's parameter deltas for one
 	// averaging round (§3.2 step ❸) in run form (Runs).
@@ -60,10 +60,13 @@ const (
 	// count the sender believes the model has — a cheap geometry
 	// cross-check before the receiver walks the payload.
 	FrameSnapshot
-	// FrameGroupHello follows the hello on non-mesh topologies: its blob
-	// carries the sender's topology fingerprint and supported-codec mask
-	// (see GroupHello), so a topology or compression mis-configuration
-	// fails at handshake instead of stranding frames mid-round.
+	// FrameGroupHello is the mesh handshake, the first frame of every
+	// mesh connection on every topology: Replica names the sender, Round
+	// carries the session epoch (0 at formation), and the blob carries
+	// the sender's fingerprint — topology, group size, job size — and
+	// supported-codec mask (see GroupHello), so a mis-assembled job or a
+	// topology or compression mis-configuration fails at handshake
+	// instead of stranding frames mid-round.
 	FrameGroupHello
 	// FrameUpdateQ8 is FrameUpdate with the deltas int8-linear-quantized
 	// (see compress.go): the blob is a PackedDeltas encoding, Replica
@@ -130,7 +133,8 @@ func (t FrameType) String() string {
 
 // Frame is one wire message. Replica and Round locate it in the
 // elastic-averaging protocol; Meta is per-type scalar payload (the
-// replica count for FrameHello, 0 otherwise); Tensors is the parameter
+// destination replica of FrameRefState, the tensor count of
+// FrameSnapshot, 0 otherwise); Tensors is the parameter
 // payload of the dense tensor frames (reference state, snapshots; empty
 // for control frames). An update's deltas travel in run form: Runs on
 // the frames the averager builds and every decoded FrameUpdate, while a

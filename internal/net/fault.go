@@ -10,7 +10,7 @@ import (
 // faultConn injects message faults at the transport seam: every update
 // frame, exact or compressed, consults the injector's deterministic
 // schedule and is delivered, delayed, or dropped accordingly. Control
-// frames (hello, detach, rejoin) always pass through — the fault model
+// frames (handshake, detach, rejoin) always pass through — the fault model
 // loses data messages, not membership changes.
 type faultConn struct {
 	Conn

@@ -44,7 +44,7 @@ func (t *InProc) Listen(addr string) (Listener, error) {
 	if _, ok := t.listeners[addr]; ok {
 		return nil, fmt.Errorf("net: inproc address %q already bound", addr)
 	}
-	ln := &inprocListener{tr: t, addr: addr, backlog: comm.NewQueue[Conn]()}
+	ln := &inprocListener{tr: t, addr: addr, backlog: comm.NewBounded[Conn](0)}
 	t.listeners[addr] = ln
 	return ln, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -25,15 +26,16 @@ type Mesh struct {
 	Self int
 	N    int
 
-	topo      Topology     // connection/flow shape (nil = FullMesh)
-	acceptSet map[int]bool // peers allowed to hold an inbound connection
+	topo    Topology // connection/flow shape
+	accepts []int    // peers allowed to hold an inbound connection, ascending
+	hello   []byte   // this replica's handshake blob (see dialer)
 
 	sends map[int]Conn // outbound, keyed by peer id (dialed by us)
 	recvs map[int]Conn // inbound, keyed by peer id (accepted by us)
 	ln    Listener
 
 	// codecMasks records each dialed-in peer's supported-compression
-	// bitmask from its group hello (sparse topologies only).
+	// bitmask from its handshake.
 	codecMasks map[int]uint32
 
 	mu      sync.Mutex
@@ -65,68 +67,40 @@ const (
 // its dial address; topo (nil = FullMesh) decides which of them this
 // replica dials and accepts, so a Ring or Hierarchical fabric forms
 // with O(N) connections instead of O(N²). Dials retry until ctx
-// expires, so peer processes may start in any order; every hello is
-// checked for the job size.
+// expires, so peer processes may start in any order.
 //
-// On non-mesh topologies every dialed connection sends a
-// FrameGroupHello after the hello — the topology name, effective group
-// size, job size, and supported-compression mask — and the acceptor
-// cross-checks it, so two processes configured with different fabrics
-// fail at handshake instead of stranding frames mid-round.
+// Every connection, on every topology, opens with the one mesh
+// handshake (dialer sends it, admit checks it): the sender's id and
+// fingerprint — topology, group size, job size — and its
+// supported-compression mask. Two processes that disagree about the
+// fabric both fail formation, each naming both fingerprints, instead
+// of one forming and stranding frames mid-round.
 func FormTopologyOn(ctx context.Context, tr Transport, ln Listener, topo Topology, self int, peers map[int]string) (*Mesh, error) {
 	n := len(peers) + 1
-	if self < 0 || self >= n {
-		ln.Close()
-		return nil, fmt.Errorf("net: replica id %d outside [0, %d)", self, n)
-	}
-	for id := range peers {
-		if id == self {
-			ln.Close()
-			return nil, fmt.Errorf("net: peer list contains self (replica %d)", self)
-		}
-		if id < 0 || id >= n {
-			ln.Close()
-			return nil, fmt.Errorf("net: peer id %d outside [0, %d) — ids must be contiguous", id, n)
-		}
-	}
 	if topo == nil {
 		topo = FullMesh{}
 	}
-	if err := topo.Validate(n); err != nil {
-		ln.Close()
-		return nil, err
-	}
-	accepts := AcceptsFrom(topo, self, n)
-	m := &Mesh{
-		Self: self, N: n, topo: topo,
-		sends: make(map[int]Conn), recvs: make(map[int]Conn), ln: ln,
-		acceptSet:  make(map[int]bool, len(accepts)),
-		codecMasks: make(map[int]uint32),
-	}
-	for _, id := range accepts {
-		m.acceptSet[id] = true
-	}
-
-	// Non-mesh fabrics exchange a group hello after the hello; the full
-	// mesh handshake is the hello alone.
-	grouped := topo.Name() != "mesh"
-	ghBlob, err := groupHelloBlob(topo, n)
+	hello, err := jobHello(topo, self, peers)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []error
-	fail := func(err error) {
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
+	m := &Mesh{
+		Self: self, N: n, topo: topo, accepts: AcceptsFrom(topo, self, n), hello: hello,
+		sends: make(map[int]Conn), recvs: make(map[int]Conn), ln: ln,
+		codecMasks: make(map[int]uint32),
 	}
 
-	// Dial the topology's outbound peers, announcing ourselves with a
-	// hello (and the topology fingerprint on sparse fabrics).
+	var wg sync.WaitGroup
+	var errs []error
+	fail := func(err error) {
+		m.mu.Lock()
+		errs = append(errs, err)
+		m.mu.Unlock()
+	}
+
+	// Dial the topology's outbound peers, each connection opening with
+	// the handshake at session epoch 0.
 	for _, id := range topo.Dials(self, n) {
 		addr, ok := peers[id]
 		if !ok {
@@ -136,96 +110,38 @@ func FormTopologyOn(ctx context.Context, tr Transport, ln Listener, topo Topolog
 		wg.Add(1)
 		go func(id int, addr string) {
 			defer wg.Done()
-			c, err := dialRetry(ctx, tr, addr)
+			c, err := dialRetry(ctx, m.dialer(tr, addr))
 			if err != nil {
 				fail(fmt.Errorf("net: dial replica %d at %s: %w", id, addr, err))
 				return
 			}
-			hello := &Frame{Type: FrameHello, Replica: uint32(self), Meta: uint32(n)}
-			if err := c.Send(ctx, hello); err != nil {
-				c.Close()
-				fail(fmt.Errorf("net: hello to replica %d: %w", id, err))
-				return
-			}
-			if grouped {
-				gh := &Frame{Type: FrameGroupHello, Replica: uint32(self), Blob: ghBlob}
-				if err := c.Send(ctx, gh); err != nil {
-					c.Close()
-					fail(fmt.Errorf("net: group hello to replica %d: %w", id, err))
-					return
-				}
-			}
-			mu.Lock()
+			m.mu.Lock()
 			m.sends[id] = c
-			mu.Unlock()
+			m.mu.Unlock()
 		}(id, addr)
 	}
 
-	// Accept one connection from every inbound peer; its hello tells us
-	// who it is and lets us cross-check the job geometry.
+	// Accept one connection from every inbound peer; its handshake says
+	// who it is and must match this replica's view of the job.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < len(accepts); i++ {
+		for range m.accepts {
 			c, err := ln.Accept(ctx)
 			if err != nil {
 				fail(fmt.Errorf("net: accept: %w", err))
 				return
 			}
-			f, err := c.Recv(ctx)
-			if err != nil || f.Type != FrameHello {
+			id, _, err := m.admit(ctx, c)
+			if err == nil && m.recvs[id] != nil {
+				err = fmt.Errorf("net: duplicate connection from replica %d", id)
+			}
+			if err != nil {
 				c.Close()
-				fail(fmt.Errorf("net: handshake: want hello, got (%v, %v)", f, err))
+				fail(err)
 				return
 			}
-			id := int(f.Replica)
-			if !m.acceptSet[id] {
-				c.Close()
-				fail(fmt.Errorf("net: hello from replica %d, but replica %d only accepts connections from replicas %v under topology %s",
-					id, self, accepts, topo.Name()))
-				return
-			}
-			if int(f.Meta) != n {
-				c.Close()
-				fail(fmt.Errorf("net: replica %d believes the job has %d replicas, replica %d has %d (peers %v)",
-					id, f.Meta, self, n, sortedIDs(peers)))
-				return
-			}
-			if grouped {
-				gf, err := c.Recv(ctx)
-				if err != nil || gf.Type != FrameGroupHello {
-					c.Close()
-					fail(fmt.Errorf("net: handshake with replica %d: want group hello, got (%v, %v)", id, gf, err))
-					return
-				}
-				gh, err := ParseGroupHello(gf.Blob)
-				if err != nil {
-					c.Close()
-					fail(fmt.Errorf("net: group hello from replica %d: %w", id, err))
-					return
-				}
-				group := groupSize(topo, n)
-				if gh.Topology != topo.Name() || gh.Group != group || gh.N != n {
-					c.Close()
-					fail(fmt.Errorf("net: replica %d runs topology %s (group %d, %d replicas), replica %d runs %s (group %d, %d replicas)",
-						id, gh.Topology, gh.Group, gh.N, self, topo.Name(), group, n))
-					return
-				}
-				mu.Lock()
-				m.codecMasks[id] = gh.Codecs
-				mu.Unlock()
-			}
-			mu.Lock()
-			dup := m.recvs[id] != nil
-			if !dup {
-				m.recvs[id] = c
-			}
-			mu.Unlock()
-			if dup {
-				c.Close()
-				fail(fmt.Errorf("net: duplicate connection from replica %d", id))
-				return
-			}
+			m.recvs[id] = c
 		}
 	}()
 	wg.Wait()
@@ -234,6 +150,85 @@ func FormTopologyOn(ctx context.Context, tr Transport, ln Listener, topo Topolog
 		return nil, errors.Join(errs...)
 	}
 	return m, nil
+}
+
+// jobHello checks replica self's view of the job — its id, its peers'
+// ids, the topology's parameters — and encodes the fingerprint its
+// handshake carries.
+func jobHello(topo Topology, self int, peers map[int]string) ([]byte, error) {
+	n := len(peers) + 1
+	if self < 0 || self >= n {
+		return nil, fmt.Errorf("net: replica id %d outside [0, %d)", self, n)
+	}
+	for id := range peers {
+		if id == self {
+			return nil, fmt.Errorf("net: peer list contains self (replica %d)", self)
+		}
+		if id < 0 || id >= n {
+			return nil, fmt.Errorf("net: peer id %d outside [0, %d) — ids must be contiguous", id, n)
+		}
+	}
+	if err := topo.Validate(n); err != nil {
+		return nil, err
+	}
+	return AppendGroupHello(nil, GroupHello{
+		Topology: topo.Name(), Group: groupSize(topo, n), N: n, Codecs: AllCodecsMask(),
+	})
+}
+
+// dialer returns the DialFunc of this replica's connections to addr:
+// dial once, then send the mesh handshake — a FrameGroupHello whose
+// Replica is this replica, whose Round is the session epoch (0 at
+// formation, bumped by every self-heal re-dial), and whose blob is this
+// replica's fingerprint and codec mask. Formation and self-heal both
+// dial through it; admit is its one reader.
+func (m *Mesh) dialer(tr Transport, addr string) DialFunc {
+	return func(ctx context.Context, epoch uint32) (Conn, error) {
+		c, err := tr.Dial(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		hello := &Frame{Type: FrameGroupHello, Replica: uint32(m.Self), Round: epoch, Blob: m.hello}
+		if err := c.Send(ctx, hello); err != nil {
+			c.Close()
+			return nil, err
+		}
+		return c, nil
+	}
+}
+
+// admit reads and checks the mesh handshake a freshly accepted
+// connection opens with, for formation and self-heal alike, in this
+// order: the sender is a peer this replica accepts under its topology,
+// it believes the same job size, and it runs the same topology and
+// group size. It then records the sender's codec mask and returns the
+// sender's id and session epoch. Each error names both sides.
+func (m *Mesh) admit(ctx context.Context, c Conn) (id int, epoch uint32, err error) {
+	f, err := c.Recv(ctx)
+	if err != nil || f.Type != FrameGroupHello {
+		return 0, 0, fmt.Errorf("net: handshake: want group hello, got (%v, %v)", f, err)
+	}
+	id = int(f.Replica)
+	if !slices.Contains(m.accepts, id) {
+		return 0, 0, fmt.Errorf("net: hello from replica %d, but replica %d only accepts connections from replicas %v under topology %s",
+			id, m.Self, m.accepts, m.topo.Name())
+	}
+	gh, err := ParseGroupHello(f.Blob)
+	if err != nil {
+		return 0, 0, fmt.Errorf("net: group hello from replica %d: %w", id, err)
+	}
+	if gh.N != m.N {
+		return 0, 0, fmt.Errorf("net: replica %d believes the job has %d replicas, replica %d has %d (and accepts replicas %v)",
+			id, gh.N, m.Self, m.N, m.accepts)
+	}
+	if group := groupSize(m.topo, m.N); gh.Topology != m.topo.Name() || gh.Group != group {
+		return 0, 0, fmt.Errorf("net: replica %d runs topology %s (group %d, %d replicas), replica %d runs %s (group %d, %d replicas)",
+			id, gh.Topology, gh.Group, gh.N, m.Self, m.topo.Name(), group, m.N)
+	}
+	m.mu.Lock()
+	m.codecMasks[id] = gh.Codecs
+	m.mu.Unlock()
+	return id, f.Round, nil
 }
 
 // FormJob forms every replica of an n-replica job inside one process,
@@ -296,35 +291,12 @@ func groupSize(topo Topology, n int) int {
 	return 0
 }
 
-// groupHelloBlob encodes the topology fingerprint non-mesh fabrics
-// exchange after the hello — nil for the mesh, whose handshake is the
-// hello alone.
-func groupHelloBlob(topo Topology, n int) ([]byte, error) {
-	if topo == nil || topo.Name() == "mesh" {
-		return nil, nil
-	}
-	return AppendGroupHello(nil, GroupHello{
-		Topology: topo.Name(), Group: groupSize(topo, n), N: n, Codecs: AllCodecsMask(),
-	})
-}
-
-// sortedIDs lists a peer map's replica ids in ascending order, for
-// diagnosable geometry errors.
-func sortedIDs(peers map[int]string) []int {
-	ids := make([]int, 0, len(peers))
-	for id := range peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// dialRetry redials until the peer's listener is up or ctx expires,
-// paced by the shared transport backoff.
-func dialRetry(ctx context.Context, tr Transport, addr string) (Conn, error) {
+// dialRetry runs dial at session epoch 0 until the peer's listener is
+// up or ctx expires, paced by the shared transport backoff.
+func dialRetry(ctx context.Context, dial DialFunc) (Conn, error) {
 	backoff := Backoff{Base: dialRetryBase, Max: dialRetryMax}
 	for {
-		c, err := tr.Dial(ctx, addr)
+		c, err := dial(ctx, 0)
 		if err == nil {
 			return c, nil
 		}
@@ -456,18 +428,12 @@ func (m *Mesh) Inbound() []int {
 }
 
 // Topology returns the fabric shape the mesh was formed under.
-func (m *Mesh) Topology() Topology {
-	if m.topo == nil {
-		return FullMesh{}
-	}
-	return m.topo
-}
+func (m *Mesh) Topology() Topology { return m.topo }
 
-// SupportsCodec reports whether every connected peer advertised support
-// for compression codec c. Full-mesh formation exchanges no codec
-// masks (its handshake is the hello alone), so it reports true — all
-// first-party builds understand all codecs; the mask exists to fail fast
-// on sparse fabrics mixing builds.
+// SupportsCodec reports whether every dialed-in peer advertised support
+// for compression codec c in its handshake, on every topology: a job
+// mixing builds that do not all understand c fails fast instead of
+// sending frames a peer cannot decode.
 func (m *Mesh) SupportsCodec(c Codec) bool {
 	if c == CodecNone {
 		return true
@@ -520,20 +486,12 @@ func (m *Mesh) Send(ctx context.Context, id int, f *Frame) error {
 // updates, and the round deadline closes rounds over whatever arrived.
 func (m *Mesh) Broadcast(ctx context.Context, f *Frame) error {
 	var errs []error
-	for _, id := range m.firstHops() {
+	for _, id := range m.topo.FirstHops(m.Self, m.N) {
 		if err := m.sends[id].Send(ctx, f); err != nil && !errors.Is(err, ErrDropped) {
 			errs = append(errs, fmt.Errorf("net: broadcast to replica %d: %w", id, err))
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// firstHops is the ascending id list Broadcast sends to.
-func (m *Mesh) firstHops() []int {
-	if m.topo == nil {
-		return m.Peers()
-	}
-	return m.topo.FirstHops(m.Self, m.N)
 }
 
 // Forward relays a peer-originated frame onward along the topology:
@@ -543,9 +501,6 @@ func (m *Mesh) firstHops() []int {
 // mesh, where the origin reached everyone directly. Dropped frames are
 // tolerated for the same reason Broadcast tolerates them.
 func (m *Mesh) Forward(ctx context.Context, from int, f *Frame) error {
-	if m.topo == nil {
-		return nil
-	}
 	var errs []error
 	for _, id := range m.topo.Relays(m.Self, m.N, int(f.Replica), from) {
 		c, ok := m.sends[id]
@@ -570,9 +525,6 @@ func (m *Mesh) Route(ctx context.Context, to int, f *Frame) error {
 	}
 	if _, ok := m.sends[to]; ok {
 		return m.Send(ctx, to, f)
-	}
-	if m.topo == nil {
-		return fmt.Errorf("net: no connection to replica %d", to)
 	}
 	hop, err := m.topo.NextHopTo(m.Self, m.N, to)
 	if err != nil {

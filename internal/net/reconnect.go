@@ -11,9 +11,9 @@ import (
 
 // DialFunc establishes one fresh connection for a reconnect session:
 // dial the peer and run whatever handshake the session needs (the mesh
-// dial re-sends the hello carrying the new epoch so the acceptor can
-// re-run its geometry check). epoch is the session the connection will
-// serve.
+// dial sends formation's handshake carrying the new epoch, so the
+// acceptor re-runs formation's checks). epoch is the session the
+// connection will serve.
 type DialFunc func(ctx context.Context, epoch uint32) (Conn, error)
 
 // ReconnConfig tunes one self-healing connection.

@@ -31,13 +31,16 @@ type SelfHealConfig struct {
 }
 
 // EnableSelfHeal turns the mesh's fixed connections into self-healing
-// ones. Outbound: every send connection is wrapped in a Reconn that
-// re-dials with exponential backoff + jitter when the link breaks and
-// re-runs the hello handshake under a bumped session epoch. Inbound:
-// the formation listener keeps accepting after formation; a hello from
-// a known peer with a newer session epoch (or epoch 0 — a fully
-// restarted process starting a fresh session) replaces that peer's
-// inbound connection and is announced through SetInboundHandler.
+// ones, on every topology. Outbound: every send connection is wrapped
+// in a Reconn that re-dials with exponential backoff + jitter when the
+// link breaks and opens the new session with formation's handshake,
+// whose Round is the bumped session epoch. Inbound: the formation
+// listener keeps accepting after formation; a connection whose
+// handshake passes formation's checks (the peer is a topology
+// neighbour with the same fingerprint) and carries a newer session
+// epoch (or epoch 0 — a fully restarted process starting a fresh
+// session) replaces that peer's inbound connection and is announced
+// through SetInboundHandler. Any other connection is closed silently.
 //
 // Call it after FormTopologyOn and SyncClocks and before the averager
 // attaches: it rewrites the send table, which is only safe while the
@@ -51,13 +54,6 @@ func (m *Mesh) EnableSelfHeal(cfg SelfHealConfig) error {
 			return fmt.Errorf("net: self-heal has no dial address for replica %d", id)
 		}
 	}
-	// A sparse fabric re-runs its topology fingerprint on every new
-	// session, exactly as formation does — a restarted peer re-forms
-	// with FormTopologyOn and expects the group hello after the hello.
-	ghBlob, err := groupHelloBlob(m.topo, m.N)
-	if err != nil {
-		return err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m.mu.Lock()
 	if m.healCancel != nil {
@@ -70,29 +66,7 @@ func (m *Mesh) EnableSelfHeal(cfg SelfHealConfig) error {
 	m.mu.Unlock()
 
 	for _, id := range m.Peers() {
-		id, addr := id, cfg.Peers[id]
-		dial := func(dctx context.Context, epoch uint32) (Conn, error) {
-			c, err := cfg.Transport.Dial(dctx, addr)
-			if err != nil {
-				return nil, err
-			}
-			// Re-run the formation hello so the acceptor can re-verify
-			// the job geometry; Round carries the session epoch.
-			hello := &Frame{Type: FrameHello, Replica: uint32(m.Self), Meta: uint32(m.N), Round: epoch}
-			if err := c.Send(dctx, hello); err != nil {
-				c.Close()
-				return nil, err
-			}
-			if ghBlob != nil {
-				gh := &Frame{Type: FrameGroupHello, Replica: uint32(m.Self), Blob: ghBlob}
-				if err := c.Send(dctx, gh); err != nil {
-					c.Close()
-					return nil, err
-				}
-			}
-			return c, nil
-		}
-		m.sends[id] = NewReconn(m.sends[id], dial, ReconnConfig{
+		m.sends[id] = NewReconn(m.sends[id], m.dialer(cfg.Transport, cfg.Peers[id]), ReconnConfig{
 			Peer:        id,
 			MaxAttempts: cfg.MaxAttempts,
 			Backoff:     cfg.Backoff,
@@ -115,48 +89,17 @@ func (m *Mesh) acceptReconnects(ctx context.Context, cfg SelfHealConfig) {
 	}
 }
 
-// admitReconnect validates one freshly accepted connection's hello and,
-// if it is a legitimate new session from a known peer, swaps it in as
+// admitReconnect checks one freshly accepted connection's handshake
+// (admit) and, if it is a new session of a known peer, swaps it in as
 // that peer's inbound connection.
 func (m *Mesh) admitReconnect(ctx context.Context, cfg SelfHealConfig, c Conn) {
 	hctx, cancel := context.WithTimeout(ctx, reconnectHelloTimeout)
 	defer cancel()
-	f, err := c.Recv(hctx)
-	if err != nil || f.Type != FrameHello {
+	id, epoch, err := m.admit(hctx, c)
+	if err != nil {
 		c.Close()
 		return
 	}
-	id := int(f.Replica)
-	if id == m.Self || id < 0 || id >= m.N || int(f.Meta) != m.N {
-		c.Close()
-		return
-	}
-	// Under a sparse topology only topology neighbors may hold an
-	// inbound connection; a stray dial from a non-neighbor is refused.
-	if m.acceptSet != nil && !m.acceptSet[id] {
-		c.Close()
-		return
-	}
-	// A sparse fabric's new session must re-prove the same topology
-	// fingerprint formation checked — a restarted process configured
-	// with a different fabric is refused, not averaged with.
-	if m.topo != nil && m.topo.Name() != "mesh" {
-		gf, err := c.Recv(hctx)
-		if err != nil || gf.Type != FrameGroupHello {
-			c.Close()
-			return
-		}
-		gh, err := ParseGroupHello(gf.Blob)
-		if err != nil || gh.Topology != m.topo.Name() ||
-			gh.Group != groupSize(m.topo, m.N) || gh.N != m.N {
-			c.Close()
-			return
-		}
-		m.mu.Lock()
-		m.codecMasks[id] = gh.Codecs
-		m.mu.Unlock()
-	}
-	epoch := f.Round
 	m.mu.Lock()
 	// A session must move forward: a replayed or crossed dial from an
 	// epoch we already admitted is refused. Epoch 0 is the exception —

@@ -33,7 +33,7 @@ import (
 // untouched by the choice of topology; only the frame flow changes.
 type Topology interface {
 	// Name is the topology's wire name ("mesh", "ring", "hier"), carried
-	// in the group hello so mis-configured jobs fail at handshake.
+	// in the mesh handshake so mis-configured jobs fail at formation.
 	Name() string
 	// Validate rejects topology parameters that cannot address an
 	// n-replica job.

@@ -2,6 +2,7 @@ package net_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -344,6 +345,48 @@ func TestFormationNamesMismatchedPeers(t *testing.T) {
 			}
 		}
 	})
+	t.Run("mesh-vs-ring", func(t *testing.T) {
+		// At N=2 the full mesh and the ring make the same connections, so
+		// only the handshake's fingerprint tells them apart: both sides
+		// must fail at once, each naming both fingerprints.
+		trs, lns := netx.BindFabric(t, false, 2)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		topos := []netx.Topology{netx.FullMesh{}, netx.Ring{}}
+		errs := make([]error, 2)
+		took := make([]time.Duration, 2)
+		var wg sync.WaitGroup
+		for i, topo := range topos {
+			wg.Add(1)
+			go func(i int, topo netx.Topology) {
+				defer wg.Done()
+				start := time.Now()
+				m, err := netx.FormTopologyOn(ctx, trs[i], lns[i], topo, i, map[int]string{1 - i: fmt.Sprintf("replica-%d", 1-i)})
+				errs[i], took[i] = err, time.Since(start)
+				if m != nil {
+					m.Close()
+				}
+			}(i, topo)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err == nil {
+				t.Errorf("replica %d (%s) formed with a %s peer", i, topos[i].Name(), topos[1-i].Name())
+				continue
+			}
+			if took[i] > time.Second {
+				t.Errorf("replica %d took %v to fail, want under 1s: %v", i, took[i], err)
+			}
+			for _, want := range []string{
+				fmt.Sprintf("replica %d runs topology %s", 1-i, topos[1-i].Name()),
+				fmt.Sprintf("replica %d runs %s", i, topos[i].Name()),
+			} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("replica %d: error does not name both fingerprints (%q missing): %v", i, want, err)
+				}
+			}
+		}
+	})
 	t.Run("failed-replica", func(t *testing.T) {
 		// One replica that cannot form fails the whole in-process job at
 		// once, by name, and leaves no listener bound.
@@ -367,4 +410,132 @@ func TestFormationNamesMismatchedPeers(t *testing.T) {
 			l.Close()
 		}
 	})
+}
+
+// handshake builds the frame a mesh dialer opens a connection with, for
+// hand-dialed connections: sender from, session epoch, fingerprint gh.
+func handshake(t *testing.T, from int, epoch uint32, gh netx.GroupHello) *netx.Frame {
+	t.Helper()
+	blob, err := netx.AppendGroupHello(nil, gh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &netx.Frame{Type: netx.FrameGroupHello, Replica: uint32(from), Round: epoch, Blob: blob}
+}
+
+// handDial opens a connection to addr that sends f, and reports whether
+// the mesh listening there admitted it (its inbound handler, which
+// writes to inbound, fired) or refused it (closed the connection).
+func handDial(t *testing.T, tr netx.Transport, addr string, f *netx.Frame, inbound <-chan int) bool {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := tr.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(ctx, f); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		_, err := c.Recv(ctx)
+		closed <- err
+	}()
+	select {
+	case id := <-inbound:
+		if id != int(f.Replica) {
+			t.Fatalf("inbound handler fired for replica %d, dialed as %d", id, f.Replica)
+		}
+		return true
+	case err := <-closed:
+		if !errors.Is(err, netx.ErrClosed) {
+			t.Fatalf("handshake neither admitted nor refused: %v", err)
+		}
+		return false
+	}
+}
+
+// TestSelfHealAdmission drives the accept loop EnableSelfHeal keeps
+// running with hand-dialed handshakes: admission checks the sender's
+// place in the topology and its fingerprint on every topology, and
+// moves each peer's session epoch forward, with epoch 0 as the reset.
+func TestSelfHealAdmission(t *testing.T) {
+	heal := func(t *testing.T, topo netx.Topology, n int) ([]netx.Transport, *netx.Mesh, chan int) {
+		trs, meshes := netx.FormTestJob(t, false, topo, n)
+		peers := map[int]string{}
+		for id, m := range meshes[1:] {
+			peers[id+1] = m.Addr()
+		}
+		if err := meshes[0].EnableSelfHeal(netx.SelfHealConfig{Transport: trs[0], Peers: peers}); err != nil {
+			t.Fatal(err)
+		}
+		inbound := make(chan int, 1)
+		meshes[0].SetInboundHandler(func(id int, c netx.Conn) { inbound <- id })
+		return trs, meshes[0], inbound
+	}
+	t.Run("mesh", func(t *testing.T) {
+		trs, m, inbound := heal(t, netx.FullMesh{}, 2)
+		mesh := netx.GroupHello{Topology: "mesh", N: 2, Codecs: netx.AllCodecsMask()}
+		for _, c := range []struct {
+			name  string
+			epoch uint32
+			gh    netx.GroupHello
+			admit bool
+		}{
+			{"newer epoch", 2, mesh, true},
+			{"stale epoch", 1, mesh, false},
+			{"same epoch", 2, mesh, false},
+			{"epoch 0 resets", 0, mesh, true},
+			{"wrong fingerprint", 3, netx.GroupHello{Topology: "ring", N: 2, Codecs: netx.AllCodecsMask()}, false},
+			{"wrong job size", 3, netx.GroupHello{Topology: "mesh", N: 3, Codecs: netx.AllCodecsMask()}, false},
+			{"after the reset", 1, mesh, true},
+		} {
+			if got := handDial(t, trs[0], m.Addr(), handshake(t, 1, c.epoch, c.gh), inbound); got != c.admit {
+				t.Errorf("%s (epoch %d, %s n=%d): admitted %v, want %v", c.name, c.epoch, c.gh.Topology, c.gh.N, got, c.admit)
+			}
+		}
+	})
+	t.Run("ring", func(t *testing.T) {
+		// Replica 0 of a 3-ring accepts only its predecessor, replica 2.
+		trs, m, inbound := heal(t, netx.Ring{}, 3)
+		ring := netx.GroupHello{Topology: "ring", N: 3, Codecs: netx.AllCodecsMask()}
+		if handDial(t, trs[0], m.Addr(), handshake(t, 1, 1, ring), inbound) {
+			t.Error("a non-neighbour's session was admitted")
+		}
+		if !handDial(t, trs[0], m.Addr(), handshake(t, 2, 1, ring), inbound) {
+			t.Error("the predecessor's new session was refused")
+		}
+	})
+}
+
+// TestMeshRecordsPeerCodecs forms replica 0 of a 2-replica full mesh
+// against a hand-played replica 1 that advertises q16 only: the full
+// mesh reads codec masks like every other topology.
+func TestMeshRecordsPeerCodecs(t *testing.T) {
+	trs, lns := netx.BindFabric(t, false, 2)
+	defer lns[1].Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// InProc queues both dials and their handshakes without waiting for
+	// an accept, so replica 1 needs no goroutine.
+	c, err := trs[1].Dial(ctx, lns[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(ctx, handshake(t, 1, 0, netx.GroupHello{Topology: "mesh", N: 2, Codecs: netx.CodecMask(netx.CodecQ16)})); err != nil {
+		t.Fatal(err)
+	}
+	m, err := netx.FormTopologyOn(ctx, trs[0], lns[0], netx.FullMesh{}, 0, map[int]string{1: lns[1].Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.SupportsCodec(netx.CodecQ8) {
+		t.Error("SupportsCodec(q8) with a peer that advertises no q8")
+	}
+	if !m.SupportsCodec(netx.CodecQ16) || !m.SupportsCodec(netx.CodecNone) {
+		t.Error("SupportsCodec refuses a codec every peer advertises")
+	}
 }
