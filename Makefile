@@ -195,11 +195,12 @@ bench-serve-baseline: bench-baseline-serve
 # (internal/core), the schedule layer and simulator that hold the
 # dependency rule's consumers outside the runtime (internal/sched,
 # internal/pipesim), whose correctness claims lean on exhaustive tests
-# rather than review, and the modules and optimizers whose saved state
-# goes through the one checkpoint codec (internal/nn, internal/optim).
+# rather than review, the modules and optimizers whose saved state
+# goes through the one checkpoint codec (internal/nn, internal/optim),
+# and the recovery supervisor (internal/heal).
 cover:
 	@$(GO) test -cover ./... | grep -v '\[no test files\]'
-	@for pkg in ./internal/tensor/ ./internal/compiled/ ./internal/serve/ ./internal/net/ ./internal/core/ ./internal/sched/ ./internal/pipesim/ ./internal/nn/ ./internal/optim/; do \
+	@for pkg in ./internal/tensor/ ./internal/compiled/ ./internal/serve/ ./internal/net/ ./internal/core/ ./internal/sched/ ./internal/pipesim/ ./internal/nn/ ./internal/optim/ ./internal/heal/; do \
 		pct="$$($(GO) test -cover $$pkg | grep -o 'coverage: [0-9.]*' | grep -o '[0-9.]*')"; \
 		ok="$$(echo "$$pct 70" | awk '{print ($$1 >= $$2) ? 1 : 0}')"; \
 		if [ "$$ok" != 1 ]; then \

@@ -324,17 +324,22 @@ func DialMesh(ctx context.Context, cfg MeshConfig) (*Mesh, error) {
 // --- self-healing (supervision and automatic recovery) --------------------
 
 // HealConfig tunes the recovery supervisor: detach thresholds and the
-// adaptive round-deadline controller (see DESIGN.md, Self-healing).
+// adaptive round-deadline controller (see DESIGN.md, Self-healing). It
+// has no polling interval: the supervisor's round checks run on the
+// averager's reference loop, after each frame it handles.
 type HealConfig = heal.Config
 
 // HealSupervisor closes the loop from health events to recovery
 // actions: it subscribes to a registry's event log and auto-detaches
-// stalled, disconnected, or lagging replicas, and retunes the averaging
-// round deadline from the observed round-latency tail.
+// stalled or disconnected replicas, and after each frame the averager's
+// reference loop handles it detaches lagging replicas and retunes the
+// averaging round deadline from the observed round-latency tail.
 type HealSupervisor = heal.Supervisor
 
 // NewHealSupervisor builds a supervisor for an averager, watching reg's
-// health events. Call Start to begin supervision and Stop to end it.
+// health events. Start installs its event sink and its round checks on
+// the averager; Stop removes the checks and makes the sink inert. It
+// starts no goroutine.
 func NewHealSupervisor(a *Averager, reg *MetricsRegistry, cfg HealConfig) *HealSupervisor {
 	if reg == nil {
 		reg = DefaultMetrics()

@@ -69,6 +69,8 @@ type Averager struct {
 	// observe, when set, sees each closure right after it is applied,
 	// under mu: the explorer's view of the rounds (explore_test.go).
 	observe func(closure[[]*tensor.Runs])
+	// pass, when set, runs after each frame run handles (SetRoundPass).
+	pass atomic.Pointer[func()]
 
 	// The update stream is a transport connection: pipelines submit on
 	// tx, the reference loop receives on loopRx. tx is the composed
@@ -456,7 +458,7 @@ func (a *Averager) SetCompression(c netx.Codec, topkFrac float64) error {
 // that did arrive (normalized by their count) and recorded as expired,
 // so a dropped or crashed replica can never wedge the reference loop.
 // d = 0 restores the default (rounds wait forever). Safe to call while
-// training, as the heal supervisor does to retune it.
+// training, as the heal supervisor's round pass does to retune it.
 func (a *Averager) SetRoundDeadline(d time.Duration) {
 	a.mu.Lock()
 	a.proto.deadline = d
@@ -498,6 +500,23 @@ func (a *Averager) run(f *netx.Frame) {
 		a.rejoin(int(f.Replica), nil, int(f.Round))
 	default:
 		a.ingest(f)
+	}
+	if pass := a.pass.Load(); pass != nil {
+		(*pass)()
+	}
+}
+
+// SetRoundPass installs fn to run on the reference loop after each frame
+// it handles, with a.mu released (nil removes it): the heal supervisor's
+// round checks. A replica's lag grows only when an update arrives, and a
+// round closes on quorum only inside a frame, so the checks need no clock
+// of their own. fn may call back into the averager, but not Detach, which
+// waits for the reference loop.
+func (a *Averager) SetRoundPass(fn func()) {
+	if fn == nil {
+		a.pass.Store(nil)
+	} else {
+		a.pass.Store(&fn)
 	}
 }
 
@@ -630,8 +649,11 @@ func (a *Averager) tally(sent, applied int64) {
 // frame it queues behind every frame already received, so an update
 // that arrived first counts here as on a peer that detaches later. The
 // reference loop runs it and announces a self-detach to the peers;
-// Detach returns once it has, so never call it from an event sink. A
-// second Detach of the same replica is a no-op.
+// Detach returns once it has, so never call it from code the reference
+// loop runs: a round pass (SetRoundPass), or an event sink for an event
+// the loop emits. The heal supervisor's sink calls it for events from
+// pipeline and reconnect goroutines. A second Detach of the same replica
+// is a no-op.
 func (a *Averager) Detach(p int) { <-a.queueDetach(p) }
 
 // queueDetach is Detach's non-blocking half: it queues the detach frame
@@ -649,29 +671,54 @@ func (a *Averager) queueDetach(p int) (ran chan struct{}) {
 }
 
 // detach runs a detach frame on the reference loop and releases a local
-// Detach. A self-detach that took effect is announced to the peers; a
-// peer's frame never names this replica.
+// Detach.
 func (a *Averager) detach(f *netx.Frame) {
-	p, now := int(f.Replica), a.clock.Now()
+	now := a.clock.Now()
 	a.mu.Lock()
 	ran := a.detachWait[f]
 	delete(a.detachWait, f)
-	cs, ok := a.proto.detach(now, p)
-	if ok {
-		a.detachedAt[p] = now
-		degraded := a.N - a.proto.liveN
-		a.closeAndUnlock(now, cs)
-		a.detaches.Inc()
-		a.degraded.Set(float64(degraded))
-		a.events.Emit(obs.Event{Type: obs.EventReplicaDetach, Replica: p, Round: -1,
-			Value: float64(degraded)})
-		a.announce(netx.FrameDetach, p, 0)
-	} else {
-		a.mu.Unlock()
-	}
+	a.detachAndUnlock(now, int(f.Replica))
 	if ran != nil {
 		ran <- struct{}{}
 	}
+}
+
+// DetachLagging detaches every live replica other than self whose newest
+// update is missed or more rounds behind the newest any replica submitted
+// (a rejoined replica counts as caught up to the round before its join),
+// and returns them. The check and the detach are one critical section, so
+// a rejoin cannot fall between them. The heal supervisor calls it from its
+// round pass.
+func (a *Averager) DetachLagging(missed, self int) []int {
+	now := a.clock.Now()
+	a.mu.Lock()
+	return a.detachAndUnlock(now, a.proto.lagging(missed, self)...)
+}
+
+// detachAndUnlock is every detach, by frame or by lag: it removes ps from
+// the rounds under a.mu, which the caller holds, applies what that closes
+// and releases a.mu. Then it records the replicas that were live and
+// announces a self-detach to the peers; a peer's frame never names this
+// replica.
+func (a *Averager) detachAndUnlock(now time.Time, ps ...int) []int {
+	cs, gone := a.proto.detach(now, ps...)
+	if gone == nil {
+		a.mu.Unlock()
+		return nil
+	}
+	for _, p := range gone {
+		a.detachedAt[p] = now
+	}
+	degraded := a.N - a.proto.liveN
+	a.closeAndUnlock(now, cs)
+	a.detaches.Add(float64(len(gone)))
+	a.degraded.Set(float64(degraded))
+	for _, p := range gone {
+		a.events.Emit(obs.Event{Type: obs.EventReplicaDetach, Replica: p, Round: -1,
+			Value: float64(degraded)})
+		a.announce(netx.FrameDetach, p, 0)
+	}
+	return gone
 }
 
 // Rejoin returns a detached pipeline p to elastic averaging: its weights
@@ -844,16 +891,6 @@ func (a *Averager) Live(p int) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return p >= 0 && p < a.N && a.proto.live[p]
-}
-
-// RoundProgress reports the newest round any replica has submitted an
-// update for, and per replica the newest round it submitted (-1 before
-// its first). The heal supervisor compares the two to spot a replica
-// falling a streak of rounds behind the pack.
-func (a *Averager) RoundProgress() (latest int, last []int) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.proto.latestRound, append([]int(nil), a.proto.lastRound...)
 }
 
 // RoundLatencyQuantile reports the q-quantile (0..1) of observed

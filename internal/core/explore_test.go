@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"avgpipe/internal/heal"
 	netx "avgpipe/internal/net"
 	"avgpipe/internal/nn"
 	"avgpipe/internal/obs"
@@ -44,6 +45,10 @@ type exploreScenario struct {
 	// a broken connection. restart brings it back through the
 	// ref_request / ref_state / rejoin exchange.
 	crash, restart bool
+	// supervised runs a heal.Supervisor on every replica: survivors then
+	// detach a crashed replica only through its round pass, and the
+	// restart waits until every survivor has.
+	supervised bool
 	// quiet asserts what holds without drops: at quiescence no round is
 	// left open and every local update was applied (Drain terminates);
 	// identical adds that every replica's reference is bit-identical
@@ -62,12 +67,16 @@ var exploreScenarios = []exploreScenario{
 	{name: "rejoin", detach: true, rejoin: true, quiet: true},
 	{name: "restart", deadline: true, crash: true, restart: true},
 	{name: "faults", faults: true, deadline: true, detach: true, rejoin: true, crash: true, restart: true},
+	{name: "supervised", deadline: true, crash: true, restart: true, supervised: true},
 }
 
 const (
 	exploreRounds   = 6
 	exploreDeadline = 20 * time.Millisecond
 	exploreMaxSteps = 50000
+	// exploreMissed is the supervisors' MissedRounds, low enough for
+	// exploreRounds to reach.
+	exploreMissed = 2
 )
 
 // simMsg is a frame on a link, stamped with the receiver's incarnation
@@ -108,9 +117,11 @@ type simReplica struct {
 	hist    uint64
 	// out and from shadow the membership frames this replica's reference
 	// loop ran (detached, and admitted from which round), to judge
-	// admission independently of the core's quorum.
-	out  []bool
-	from []int
+	// admission independently of the core's quorum; after a restart,
+	// resumed is the join round of the reference state it adopted.
+	out     []bool
+	from    []int
+	resumed int
 }
 
 type explorer struct {
@@ -253,7 +264,35 @@ func (x *explorer) start(id int) *simReplica {
 	if x.sc.deadline {
 		r.avg.SetRoundDeadline(exploreDeadline)
 	}
+	if x.sc.supervised {
+		reg := obs.NewRegistry() // the supervisor's own actions and events
+		reg.Events().AddSink(func(e obs.Event) {
+			if e.Type == obs.EventHealAction {
+				x.lagDetached(r, id, e.Replica)
+			}
+		})
+		heal.New(r.avg, reg.Events(), heal.Config{Self: id, MissedRounds: exploreMissed, Registry: reg,
+			Deadline: exploreDeadline, MinDeadline: exploreDeadline / 2, MaxDeadline: 2 * exploreDeadline}).Start()
+	}
 	return r
+}
+
+// lagDetached checks a detach for lag that replica id's supervisor made:
+// the copy's newest round must be exploreMissed past the round before p's
+// join, as this replica's reference loop admitted it, or, on a restarted
+// copy, before the round the adopted reference state holds every update
+// below.
+func (x *explorer) lagDetached(r *simReplica, id, p int) {
+	latest, join := r.avg.proto.latestRound, max(r.from[p], r.resumed)
+	x.note("replica %d's supervisor detaches %d at round %d", id, p, latest)
+	x.hash(3, id, p, latest)
+	if latest < join-1+exploreMissed {
+		x.fail("replica %d detached %d for lag at round %d, which its join round %d does not reach", id, p, latest, join)
+	}
+	r.out[p] = true
+	if p == x.crashed {
+		x.detachPending[id] = false
+	}
 }
 
 // send is every Send after formation: f joins the link from → to. An
@@ -355,6 +394,7 @@ func (x *explorer) deliver(from, to int) {
 	if from != to {
 		if st := x.state[f]; st != nil && int(f.Meta) == to && r.resuming != nil {
 			r.applied, r.hist = maps.Clone(st.applied), st.hist // the adopted reference's rounds
+			r.resumed = int(f.Round)
 		}
 		if _ = r.avg.receive(from, nil, f); len(r.resuming) > 0 {
 			res := <-r.resuming
@@ -363,8 +403,9 @@ func (x *explorer) deliver(from, to int) {
 		}
 		return
 	}
-	accepted := r.avg.updates.Value()
-	r.avg.run(f)
+	// The shadow moves before run, whose supervisor pass may detach; an
+	// update is judged against the shadow before its frame.
+	wasOut, wasFrom := r.out[p], r.from[p]
 	switch f.Type {
 	case netx.FrameDetach:
 		r.out[p] = true
@@ -374,10 +415,11 @@ func (x *explorer) deliver(from, to int) {
 			r.out[p], r.from[p] = false, int(f.Round)
 			x.note("replica %d readmits %d from round %d", to, p, f.Round)
 		}
-	default:
-		if r.avg.updates.Value() > accepted && (r.out[p] || r.from[p] > int(f.Round)) {
-			x.fail("replica %d counted replica %d's update toward round %d, which does not admit it", to, p, f.Round)
-		}
+	}
+	accepted := r.avg.updates.Value()
+	r.avg.run(f)
+	if r.avg.updates.Value() > accepted && (wasOut || wasFrom > int(f.Round)) {
+		x.fail("replica %d counted replica %d's update toward round %d, which does not admit it", to, p, f.Round)
 	}
 }
 
@@ -407,7 +449,7 @@ func (x *explorer) step(id int) {
 		x.crashed, r.up = id, false
 		x.held = slices.DeleteFunc(x.held, func(h simHeld) bool { return h.from == id })
 		for s, q := range x.reps {
-			x.detachPending[s] = q.up
+			x.detachPending[s] = q.up && (!x.sc.supervised || q.avg.Live(id))
 		}
 		return
 	}
@@ -474,7 +516,7 @@ func (x *explorer) actions() (acts []func(), wake time.Time) {
 		if at, ok := r.avg.proto.nextDeadline(); ok && due(at) {
 			acts = append(acts, r.avg.tick)
 		}
-		if x.detachPending[id] && !x.inFlightFrom(x.crashed, id) {
+		if x.detachPending[id] && !x.sc.supervised && !x.inFlightFrom(x.crashed, id) {
 			acts = append(acts, func() { x.detachPending[id] = false; r.avg.queueDetach(x.crashed) })
 		}
 	}
@@ -640,6 +682,13 @@ func TestExplorePinnedSeeds(t *testing.T) {
 		// One detach closed two rounds in map order (the seed fails only
 		// on the map orders that put the later round first).
 		{"ClosesInRoundOrder", "detach", 3, netx.FullMesh{}, 982},
+		// The supervisor judged a replica's lag on progress read before
+		// the frame that re-admitted it: detached at once after its rejoin.
+		{"LagJudgedAfterTheFrame", "supervised", 2, netx.FullMesh{}, 0},
+		// A restarted replica's copy counted its peers at round -1, and its
+		// supervisor detached the survivor as soon as its own first update
+		// arrived.
+		{"ResumeCountsPeersCaughtUp", "supervised", 2, netx.FullMesh{}, 5},
 	})
 }
 

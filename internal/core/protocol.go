@@ -24,7 +24,9 @@ type protocol[P any] struct {
 	liveN    int
 	liveFrom []int
 	// lastRound[p] is the newest round p submitted to (-1 before its
-	// first); latestRound the newest across replicas.
+	// first), raised on re-admission past the rounds it owes nothing
+	// (rejoin, resume); latestRound the newest across replicas. lagging
+	// compares the two.
 	lastRound   []int
 	latestRound int
 	// open[r] holds round r's payloads by pipeline; the first arrival wins.
@@ -114,22 +116,40 @@ func (s *protocol[P]) arrive(now time.Time, p, round int, payload P) (cs []closu
 	return s.settle(now), true, stale
 }
 
-// detach removes replica p from the rounds; a round that was waiting only
-// on p closes over the updates that arrived. ok is false if p was not
-// live.
-func (s *protocol[P]) detach(now time.Time, p int) (cs []closure[P], ok bool) {
-	if p < 0 || p >= s.n || !s.live[p] {
-		return nil, false
+// detach removes replicas ps from the rounds, then settles once: a round
+// that was waiting only on them closes over the updates that arrived.
+// gone lists those of ps that were live.
+func (s *protocol[P]) detach(now time.Time, ps ...int) (cs []closure[P], gone []int) {
+	for _, p := range ps {
+		if p >= 0 && p < s.n && s.live[p] {
+			s.live[p] = false
+			s.liveN--
+			gone = append(gone, p)
+		}
 	}
-	s.live[p] = false
-	s.liveN--
+	if len(gone) == 0 {
+		return nil, nil
+	}
 	cs = s.settle(now)
 	for i := range cs {
 		if cs[i].why == closeQuorum {
 			cs[i].why = closeDetach
 		}
 	}
-	return cs, true
+	return cs, gone
+}
+
+// lagging lists the live replicas other than self whose newest update is
+// missed or more rounds behind the newest any replica submitted. A
+// re-admitted replica counts as caught up to the round before the first
+// it can count toward here (rejoin, resume).
+func (s *protocol[P]) lagging(missed, self int) (ps []int) {
+	for p, last := range s.lastRound {
+		if p != self && s.live[p] && s.latestRound-last >= missed {
+			ps = append(ps, p)
+		}
+	}
+	return ps
 }
 
 // rejoin readmits a detached replica p from round join, or from the
@@ -149,9 +169,11 @@ func (s *protocol[P]) rejoin(p, join int) (int, bool) {
 		join = s.mark
 	}
 	s.liveFrom[p] = join
-	// It owes no update before its join round: count it as caught up to
-	// there, or a supervisor comparing progress would see it as behind.
-	s.lastRound[p] = max(s.lastRound[p], join-1)
+	// It owes no update before its join round, nor to a round closed here
+	// already: count it as caught up to there, or lagging would judge it
+	// on its progress before the detach, or on rounds it can no longer
+	// count toward.
+	s.lastRound[p] = max(s.lastRound[p], join-1, s.floor-1)
 	return join, true
 }
 
@@ -162,6 +184,12 @@ func (s *protocol[P]) rejoin(p, join int) (int, bool) {
 // already; that round, where self resumes training, is returned.
 func (s *protocol[P]) resume(now time.Time, self, join int) ([]closure[P], int) {
 	s.closeBelow(join)
+	// The adopted reference holds every replica's updates below join:
+	// count each caught up to there, as rejoin counts a rejoiner.
+	for p := range s.lastRound {
+		s.lastRound[p] = max(s.lastRound[p], join-1)
+	}
+	s.latestRound = max(s.latestRound, join-1)
 	join = max(join, s.mark)
 	s.liveFrom[self] = join
 	return s.settle(now), join

@@ -96,6 +96,11 @@ func TestProtocolEvents(t *testing.T) {
 		{"one event closes rounds in ascending order", 3, func(s *protocol[string]) string {
 			return arrive(s, t0, 0, 1) + arrive(s, t0, 1, 1) + arrive(s, t0, 0, 0) + arrive(s, t0, 1, 0) + detach(s, 2)
 		}, "0 detach [0 1] [a0 b0];1 detach [0 1] [a1 b1];"},
+		{"detaching several settles once, in round order", 3, func(s *protocol[string]) string {
+			out := arrive(s, t0, 0, 0) + arrive(s, t0, 1, 0) + arrive(s, t0, 0, 1) + arrive(s, t0, 2, 1)
+			cs, gone := s.detach(t0, 1, 2, 1)
+			return out + show(cs) + fmt.Sprint(gone)
+		}, "0 detach [0 1] [a0 b0];1 detach [0 2] [a1 c1];[1 2]"},
 		{"resume(join) floors the rounds the adopted reference holds", 2, func(s *protocol[string]) string {
 			out := arrive(s, t0, 1, 1) // a peer's update before the reference state arrives
 			cs, join := s.resume(t0, 0, 2)
@@ -134,5 +139,82 @@ func TestProtocolWatermark(t *testing.T) {
 	s.resume(t0, 1, 9)
 	if s.mark != 9 || !s.isClosed(8) || s.isClosed(9) {
 		t.Fatalf("after resume(9): mark %d, closed(8) %v, closed(9) %v", s.mark, s.isClosed(8), s.isClosed(9))
+	}
+}
+
+// TestProtocolLagging drives the heal supervisor's lag rule, one case per
+// clause, with missed = 2.
+func TestProtocolLagging(t *testing.T) {
+	const missed = 2
+	t0 := time.Unix(0, 0)
+	// reach has each of ps submit rounds from..to; lag lists the laggards.
+	reach := func(s *protocol[string], from, to int, ps ...int) {
+		for r := from; r <= to; r++ {
+			for _, p := range ps {
+				s.arrive(t0, p, r, "")
+			}
+		}
+	}
+	lag := func(s *protocol[string], self int) string { return fmt.Sprint(s.lagging(missed, self)) }
+	cases := []struct {
+		name string
+		run  func(s *protocol[string]) string
+		want string
+	}{
+		{"a lag of missed-1 is kept", func(s *protocol[string]) string {
+			reach(s, 0, 0, 0, 1)
+			reach(s, 1, 1, 0)
+			return lag(s, -1)
+		}, "[]"},
+		{"a lag of missed is returned", func(s *protocol[string]) string {
+			reach(s, 0, 0, 0, 1)
+			reach(s, 1, 2, 0)
+			return lag(s, -1)
+		}, "[1]"},
+		{"self is never returned", func(s *protocol[string]) string {
+			reach(s, 0, 0, 0, 1)
+			reach(s, 1, 2, 0)
+			return lag(s, 1)
+		}, "[]"},
+		{"a detached replica is never returned", func(s *protocol[string]) string {
+			reach(s, 0, 0, 0, 1)
+			reach(s, 1, 2, 0)
+			s.detach(t0, 1)
+			return lag(s, -1)
+		}, "[]"},
+		{"a replica rejoined from J is judged from J-1", func(s *protocol[string]) string {
+			reach(s, 0, 0, 0, 1)
+			reach(s, 1, 4, 0)
+			s.detach(t0, 1)
+			join, _ := s.rejoin(1, 5)
+			out := fmt.Sprintf("join %d:", join) + lag(s, -1)
+			reach(s, 5, 5, 0)
+			out += lag(s, -1)
+			reach(s, 6, 6, 0) // latestRound = J-1+missed
+			return out + lag(s, -1)
+		}, "join 5:[][][1]"},
+		{"a rejoin announced below the closed rounds is judged from the floor", func(s *protocol[string]) string {
+			reach(s, 0, 0, 0, 1)
+			s.detach(t0, 1)
+			reach(s, 1, 6, 0) // closed solo: the floor is 7
+			join, _ := s.rejoin(1, 3)
+			out := fmt.Sprintf("join %d:", join) + lag(s, -1)
+			reach(s, 7, 8, 0)
+			return out + lag(s, -1)
+		}, "join 3:[][1]"},
+		{"a restarted copy judges every replica from the adopted join", func(s *protocol[string]) string {
+			_, join := s.resume(t0, 1, 5)
+			reach(s, 5, 5, 1)
+			out := fmt.Sprintf("join %d:", join) + lag(s, 1)
+			reach(s, 6, 6, 1)
+			return out + lag(s, -1)
+		}, "join 5:[][0]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.run(newProtocol[string](2)); got != tc.want {
+				t.Fatalf("got  %q\nwant %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -1,16 +1,18 @@
 // Package heal closes the loop from health events to automatic
-// recovery: a supervision loop subscribes to the registry's health
-// events and the averager's live round metrics, and drives the
-// recovery seams the runtime already exposes — Detach for replicas that
-// stall, fall behind, or lose their mesh connection for good, and
-// SetRoundDeadline retuned from observed round latency — so a faulty
-// replica degrades the job instead of wedging it, without operator
-// input.
+// recovery: a supervisor reacts to the registry's health events and runs
+// its round checks on the averager's reference loop, after each frame the
+// loop handles. It drives the recovery seams the runtime already exposes
+// — Detach for replicas that stall, fall behind, or lose their mesh
+// connection for good, and SetRoundDeadline retuned from observed round
+// latency — so a faulty replica degrades the job instead of wedging it,
+// without operator input. It keeps no clock, timer or goroutine of its
+// own.
 package heal
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"avgpipe/internal/obs"
@@ -21,15 +23,18 @@ import (
 type Averager interface {
 	// Live reports whether replica p currently participates in rounds.
 	Live(p int) bool
-	// LiveReplicas counts the participating replicas.
-	LiveReplicas() int
 	// Detach removes replica p from elastic averaging.
 	Detach(p int)
+	// DetachLagging detaches, in one step, every live replica other than
+	// self whose newest update is missed or more rounds behind the newest
+	// any replica submitted, counted from its join round, and returns
+	// them.
+	DetachLagging(missed, self int) []int
+	// SetRoundPass installs fn to run after each frame the reference
+	// loop handles (nil removes it).
+	SetRoundPass(fn func())
 	// SetRoundDeadline bounds how long an incomplete round waits.
 	SetRoundDeadline(d time.Duration)
-	// RoundProgress reports the newest submitted round overall and per
-	// replica (-1 before a replica's first update).
-	RoundProgress() (latest int, last []int)
 	// RoundLatencyQuantile reports the q-quantile of round latency in
 	// seconds (0 before any round closed).
 	RoundLatencyQuantile(q float64) float64
@@ -37,7 +42,6 @@ type Averager interface {
 
 // Defaults for the zero-valued Config fields.
 const (
-	DefaultInterval          = 50 * time.Millisecond
 	DefaultMissedRounds      = 3
 	DefaultReconnectFailures = 5
 	DefaultDeadlineMultiple  = 4.0
@@ -61,8 +65,6 @@ type Config struct {
 	// auto-detaches for falling behind (its own silence is visible to
 	// peers, not to itself); -1 (or out of range) protects nobody.
 	Self int
-	// Interval paces the supervision loop.
-	Interval time.Duration
 	// MissedRounds is the detach threshold: a live replica whose newest
 	// update is this many rounds behind the pack is considered gone.
 	MissedRounds int
@@ -88,9 +90,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
 	if c.MissedRounds <= 0 {
 		c.MissedRounds = DefaultMissedRounds
 	}
@@ -111,19 +110,14 @@ func (c Config) withDefaults() Config {
 
 // Supervisor watches one process's health signals and drives recovery.
 type Supervisor struct {
-	cfg    Config
-	avg    Averager
-	events *obs.EventLog
+	cfg     Config
+	avg     Averager
+	events  *obs.EventLog
+	stopped atomic.Bool
 
 	mu       sync.Mutex
 	deadline time.Duration
 	counters map[string]*obs.Counter
-	started  bool
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-	wake     chan chan struct{} // Kick's pass requests, closed once the pass ran
 }
 
 // New builds a supervisor over avg, reacting to events (typically the
@@ -132,136 +126,69 @@ type Supervisor struct {
 // to begin supervision.
 func New(avg Averager, events *obs.EventLog, cfg Config) *Supervisor {
 	cfg = cfg.withDefaults()
-	return &Supervisor{
-		cfg: cfg, avg: avg, events: events,
-		deadline: cfg.Deadline,
-		counters: make(map[string]*obs.Counter),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		wake:     make(chan chan struct{}),
-	}
+	return &Supervisor{cfg: cfg, avg: avg, events: events, deadline: cfg.Deadline,
+		counters: make(map[string]*obs.Counter)}
 }
 
-// Start subscribes to the event stream and launches the supervision
-// loop. Call at most once; Stop ends supervision.
+// Start subscribes to the event stream and installs the round checks on
+// the averager's reference loop. Call it once; Stop ends supervision.
 func (s *Supervisor) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.mu.Unlock()
 	s.events.AddSink(s.onEvent)
-	go s.loop()
+	s.avg.SetRoundPass(s.pass)
 }
 
-// Stop ends the supervision loop. The event sink stays registered (the
-// event log has no removal; a stopped supervisor's sink is inert).
+// Stop ends supervision: it removes the round checks from the reference
+// loop and makes the event sink, which the log cannot remove, inert. Once
+// Stop returns, no new pass starts.
 func (s *Supervisor) Stop() {
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stop) })
-	if started {
-		<-s.done
-	}
-}
-
-// Kick forces one immediate supervision pass and returns once that pass
-// has run, so a test can check its effect without polling. It returns at
-// once when the supervision loop is not running.
-func (s *Supervisor) Kick() {
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if !started {
-		return
-	}
-	ran := make(chan struct{})
-	select {
-	case s.wake <- ran:
-		<-ran
-	case <-s.done:
-	}
+	s.stopped.Store(true)
+	s.avg.SetRoundPass(nil)
 }
 
 // onEvent reacts synchronously to health events. It must stay fast and
 // re-entrant: Detach itself emits events, which re-enter here.
 func (s *Supervisor) onEvent(e obs.Event) {
-	select {
-	case <-s.stop:
-		return
-	default:
-	}
-	switch e.Type {
-	case obs.EventWatchdogStall:
+	var action, detail string
+	switch {
+	case e.Type == obs.EventWatchdogStall:
 		// A wedged pipeline: its replica cannot produce updates, so take
 		// it out of the averaging set before it drags every round to the
 		// deadline.
-		if e.Replica >= 0 && s.avg.Live(e.Replica) {
-			s.act(ActionDetachStall, e.Replica, fmt.Sprintf("watchdog stalled replica %d", e.Replica))
-			s.avg.Detach(e.Replica)
-		}
-	case obs.EventReconnectAttempt:
+		action, detail = ActionDetachStall, fmt.Sprintf("watchdog stalled replica %d", e.Replica)
+	case e.Type == obs.EventReconnectAttempt && int(e.Value) >= s.cfg.ReconnectFailures:
 		// The mesh layer keeps redialing in the background; once a peer
 		// has resisted a streak of attempts, stop waiting for it. A later
 		// successful reconnect re-admits it via its rejoin announcement.
-		if int(e.Value) >= s.cfg.ReconnectFailures && e.Replica >= 0 && s.avg.Live(e.Replica) {
-			s.act(ActionDetachConn, e.Replica,
-				fmt.Sprintf("replica %d unreachable after %d reconnect attempts", e.Replica, int(e.Value)))
-			s.avg.Detach(e.Replica)
-		}
-	case obs.EventReplicaDisconnect:
+		action, detail = ActionDetachConn,
+			fmt.Sprintf("replica %d unreachable after %d reconnect attempts", e.Replica, int(e.Value))
+	case e.Type == obs.EventReplicaDisconnect:
 		// The redial budget was exhausted: the connection is permanently
 		// dead, the peer is gone.
-		if e.Replica >= 0 && s.avg.Live(e.Replica) {
-			s.act(ActionDetachConn, e.Replica, fmt.Sprintf("connection to replica %d is dead", e.Replica))
-			s.avg.Detach(e.Replica)
-		}
+		action, detail = ActionDetachConn, fmt.Sprintf("connection to replica %d is dead", e.Replica)
+	default:
+		return
+	}
+	if !s.stopped.Load() && e.Replica >= 0 && s.avg.Live(e.Replica) {
+		s.act(action, e.Replica, detail)
+		s.avg.Detach(e.Replica)
 	}
 }
 
-// loop runs the periodic checks: missed-round streaks and the adaptive
-// round deadline.
-func (s *Supervisor) loop() {
-	defer close(s.done)
-	ticker := time.NewTicker(s.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		var kicked chan struct{}
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-		case kicked = <-s.wake:
-		}
-		s.checkRounds()
-		s.retuneDeadline()
-		if kicked != nil {
-			close(kicked)
-		}
+// pass runs the round checks after each frame the reference loop handles.
+// It detaches the live replicas MissedRounds behind the newest submitted
+// round — a crashed or partitioned replica whose connection still looks
+// healthy — and retunes the round deadline. No clock is needed: a lag
+// grows only when an update arrives, and the latency p99 moves only when
+// a round closes on quorum, both inside a frame.
+func (s *Supervisor) pass() {
+	if s.stopped.Load() {
+		return
 	}
-}
-
-// checkRounds detaches live replicas that have fallen MissedRounds
-// behind the newest submitted round — a crashed or partitioned replica
-// whose connection still looks healthy.
-func (s *Supervisor) checkRounds() {
-	latest, last := s.avg.RoundProgress()
-	if latest < 0 {
-		return // no updates yet
+	for _, p := range s.avg.DetachLagging(s.cfg.MissedRounds, s.cfg.Self) {
+		s.act(ActionDetachBehind, p,
+			fmt.Sprintf("replica %d is %d or more rounds behind", p, s.cfg.MissedRounds))
 	}
-	for p, lr := range last {
-		if p == s.cfg.Self || !s.avg.Live(p) {
-			continue
-		}
-		if latest-lr >= s.cfg.MissedRounds {
-			s.act(ActionDetachBehind, p,
-				fmt.Sprintf("replica %d is %d rounds behind round %d", p, latest-lr, latest))
-			s.avg.Detach(p)
-		}
-	}
+	s.retuneDeadline()
 }
 
 // retuneDeadline adapts the round deadline to DeadlineMultiple × the

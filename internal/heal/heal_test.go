@@ -1,29 +1,30 @@
 package heal
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
 
+	"avgpipe/internal/core"
 	"avgpipe/internal/obs"
 )
 
-// fakeAverager is a scriptable recovery surface.
+// fakeAverager is a scriptable recovery surface. It keeps the round pass
+// the supervisor registers, and a test runs it synchronously.
 type fakeAverager struct {
 	mu       sync.Mutex
 	live     []bool
 	detached []int
 	deadline time.Duration
-	latest   int
-	last     []int
 	p99      float64
+	pass     func()
 }
 
 func newFake(n int) *fakeAverager {
-	f := &fakeAverager{live: make([]bool, n), latest: -1, last: make([]int, n)}
+	f := &fakeAverager{live: make([]bool, n)}
 	for p := range f.live {
 		f.live[p] = true
-		f.last[p] = -1
 	}
 	return f
 }
@@ -32,18 +33,6 @@ func (f *fakeAverager) Live(p int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return p >= 0 && p < len(f.live) && f.live[p]
-}
-
-func (f *fakeAverager) LiveReplicas() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, l := range f.live {
-		if l {
-			n++
-		}
-	}
-	return n
 }
 
 func (f *fakeAverager) Detach(p int) {
@@ -55,16 +44,29 @@ func (f *fakeAverager) Detach(p int) {
 	}
 }
 
+// DetachLagging finds no one: the lag rule is the averager's, and the
+// tests of it run on a real one.
+func (f *fakeAverager) DetachLagging(missed, self int) []int { return nil }
+
+func (f *fakeAverager) SetRoundPass(fn func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.pass = fn
+}
+
+// runPass runs the registered round pass, as the reference loop does after
+// a frame.
+func (f *fakeAverager) runPass() {
+	f.mu.Lock()
+	pass := f.pass
+	f.mu.Unlock()
+	pass()
+}
+
 func (f *fakeAverager) SetRoundDeadline(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.deadline = d
-}
-
-func (f *fakeAverager) RoundProgress() (int, []int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.latest, append([]int(nil), f.last...)
 }
 
 func (f *fakeAverager) RoundLatencyQuantile(q float64) float64 {
@@ -85,15 +87,11 @@ func (f *fakeAverager) currentDeadline() time.Duration {
 	return f.deadline
 }
 
-func newSupervisor(t *testing.T, fake *fakeAverager, cfg Config) (*Supervisor, *obs.Registry) {
+func newSupervisor(t *testing.T, avg Averager, cfg Config) (*Supervisor, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg.Registry = reg
-	// A long interval so test passes are driven by Kick, not the ticker.
-	if cfg.Interval == 0 {
-		cfg.Interval = time.Hour
-	}
-	s := New(fake, reg.Events(), cfg)
+	s := New(avg, reg.Events(), cfg)
 	s.Start()
 	t.Cleanup(s.Stop)
 	return s, reg
@@ -149,27 +147,6 @@ func TestSupervisorDetachesExhaustedConnection(t *testing.T) {
 	}
 }
 
-func TestSupervisorDetachesReplicaFallingBehind(t *testing.T) {
-	fake := newFake(3)
-	s, _ := newSupervisor(t, fake, Config{Self: 0, MissedRounds: 3})
-	fake.mu.Lock()
-	fake.latest = 10
-	fake.last = []int{10, 7, 8}
-	fake.mu.Unlock()
-	s.Kick()
-	if got := fake.detachedList(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("detached %v, want [1] (replica 2 is only 2 behind)", got)
-	}
-	// Self is never detached for falling behind, even when silent.
-	fake.mu.Lock()
-	fake.last[0] = 0
-	fake.mu.Unlock()
-	s.Kick()
-	if got := fake.detachedList(); len(got) != 1 {
-		t.Fatalf("detached %v — the supervisor detached its own replica", got)
-	}
-}
-
 func TestSupervisorRetunesDeadlineWithHysteresis(t *testing.T) {
 	fake := newFake(2)
 	s, reg := newSupervisor(t, fake, Config{
@@ -179,7 +156,7 @@ func TestSupervisorRetunesDeadlineWithHysteresis(t *testing.T) {
 	fake.mu.Lock()
 	fake.p99 = 0.05 // p99 50ms → deadline 200ms
 	fake.mu.Unlock()
-	s.Kick()
+	fake.runPass()
 	if got := fake.currentDeadline(); got != 200*time.Millisecond {
 		t.Fatalf("first retune set %v, want 200ms", got)
 	}
@@ -187,7 +164,7 @@ func TestSupervisorRetunesDeadlineWithHysteresis(t *testing.T) {
 	fake.mu.Lock()
 	fake.p99 = 0.055 // → 220ms, a 10% change
 	fake.mu.Unlock()
-	s.Kick()
+	fake.runPass()
 	if got := fake.currentDeadline(); got != 200*time.Millisecond {
 		t.Fatalf("deadline %v retuned inside the hysteresis band", got)
 	}
@@ -195,7 +172,7 @@ func TestSupervisorRetunesDeadlineWithHysteresis(t *testing.T) {
 	fake.mu.Lock()
 	fake.p99 = 10 // → 40s, clamped to MaxDeadline
 	fake.mu.Unlock()
-	s.Kick()
+	fake.runPass()
 	if got := fake.currentDeadline(); got != time.Second {
 		t.Fatalf("clamped retune set %v, want 1s", got)
 	}
@@ -213,5 +190,120 @@ func TestSupervisorRetunesDeadlineWithHysteresis(t *testing.T) {
 	}
 	if got := s.Deadline(); got != time.Second {
 		t.Fatalf("Deadline() = %v, want 1s", got)
+	}
+}
+
+func TestSupervisorStopIsInert(t *testing.T) {
+	fake := newFake(2)
+	s, reg := newSupervisor(t, fake, Config{Self: 0})
+	s.Stop()
+	if fake.pass != nil {
+		t.Fatal("Stop left the round pass installed")
+	}
+	reg.Events().Emit(obs.Event{Type: obs.EventWatchdogStall, Replica: 1})
+	if got := fake.detachedList(); len(got) != 0 {
+		t.Fatalf("a stopped supervisor detached %v", got)
+	}
+}
+
+// lockstep is a real averager whose reference loop hands each supervisor
+// pass to the test: after a frame's pass the loop waits until the test
+// takes it, so the test reads the pass's effect without polling.
+type lockstep struct {
+	*core.Averager
+	reg    *obs.Registry
+	passed chan struct{}
+}
+
+func newLockstep(t *testing.T, n int) lockstep {
+	reg := obs.NewRegistry()
+	a := lockstep{core.NewAveragerObs(n, smallParams(), reg), reg, make(chan struct{})}
+	t.Cleanup(a.Close)
+	return a
+}
+
+func (a lockstep) SetRoundPass(fn func()) {
+	if fn != nil {
+		pass := fn
+		fn = func() { pass(); a.passed <- struct{}{} }
+	}
+	a.Averager.SetRoundPass(fn)
+}
+
+// submit sends replica p's update for each round in rounds and waits for
+// the pass after each.
+func (a lockstep) submit(t *testing.T, p int, rounds ...int) {
+	t.Helper()
+	for _, r := range rounds {
+		if err := a.SubmitContext(context.Background(), p, r, smallParams()); err != nil {
+			t.Fatal(err)
+		}
+		<-a.passed
+	}
+}
+
+func span(from, to int) []int {
+	var rs []int
+	for r := from; r <= to; r++ {
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+func behind(reg *obs.Registry) float64 {
+	return reg.Counter("avgpipe_heal_actions_total", "", "action", ActionDetachBehind).Value()
+}
+
+// The lag rule on a real averager: a replica MissedRounds behind the
+// newest submitted round is detached, one a round less behind is kept, and
+// the supervisor's own replica is never detached.
+func TestSupervisorDetachesReplicaFallingBehind(t *testing.T) {
+	a := newLockstep(t, 3)
+	_, reg := newSupervisor(t, a, Config{Self: 0, MissedRounds: 3})
+	for r := range 11 { // replica 1 stops after round 7, replica 2 after 8
+		if r <= 7 {
+			a.submit(t, 1, r)
+		}
+		if r <= 8 {
+			a.submit(t, 2, r)
+		}
+		a.submit(t, 0, r)
+	}
+	if a.Live(1) || !a.Live(2) || behind(reg) != 1 {
+		t.Fatalf("at round 10: live 1 %v, live 2 %v, %v lag detaches; want replica 1 (3 behind) out, replica 2 (2 behind) in, 1 detach",
+			a.Live(1), a.Live(2), behind(reg))
+	}
+	a.submit(t, 2, span(9, 13)...) // Self falls 3 behind
+	if !a.Live(0) || behind(reg) != 1 {
+		t.Fatalf("the supervisor detached its own replica: live %v, %v lag detaches", a.Live(0), behind(reg))
+	}
+}
+
+// A replica detached for lag and re-admitted is judged from its join
+// round, not from its progress before the detach: the survivor reaches
+// round 18, the replica rejoins from 19, and it stays live until the
+// newest round is 18+MissedRounds without its update.
+func TestSupervisorJudgesRejoinFromJoinRound(t *testing.T) {
+	const missed = 3
+	a := newLockstep(t, 2)
+	_, reg := newSupervisor(t, a, Config{Self: 0, MissedRounds: missed})
+	a.submit(t, 1, span(0, 8)...)
+	a.submit(t, 0, span(0, 18)...)
+	if a.Live(1) || behind(reg) != 1 {
+		t.Fatalf("the silent replica was not detached once: live %v, %v lag detaches", a.Live(1), behind(reg))
+	}
+	a.Rejoin(1, smallParams())
+	if ev := a.reg.Events().Peek(); ev[len(ev)-1].Type != obs.EventReplicaRejoin || ev[len(ev)-1].Round != 19 {
+		t.Fatalf("last averager event %+v, want the rejoin from round 19", ev[len(ev)-1])
+	}
+	for r := 19; r < 18+missed; r++ {
+		a.submit(t, 0, r)
+		if !a.Live(1) || behind(reg) != 1 {
+			t.Fatalf("round %d: the rejoined replica was detached %d rounds after its join round 19", r, r-18)
+		}
+	}
+	a.submit(t, 0, 18+missed)
+	if a.Live(1) || behind(reg) != 2 {
+		t.Fatalf("round %d: live %v, %v lag detaches; want the rejoined replica detached once more", 18+missed, a.Live(1), behind(reg))
 	}
 }

@@ -27,7 +27,7 @@ func TestSupervisorRacesWithAveragerTraffic(t *testing.T) {
 	a.SetRoundDeadline(5 * time.Millisecond)
 
 	s := New(a, reg.Events(), Config{
-		Self: 0, Interval: time.Millisecond,
+		Self:         0,
 		MissedRounds: 50, // high: detaches in this test come from events
 		MinDeadline:  time.Millisecond, MaxDeadline: 50 * time.Millisecond,
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func soakUp(t *testing.T, id int, reg *obs.Registry, tp netx.Transport, mesh *ne
 	node := &soakNode{id: id, reg: reg, tp: tp, mesh: mesh, trainer: trainer}
 	if selfHeal {
 		node.sup = New(trainer.Averager(), reg.Events(), Config{
-			Self: id, Interval: 10 * time.Millisecond,
+			Self:        id,
 			MinDeadline: 20 * time.Millisecond, MaxDeadline: 300 * time.Millisecond,
 			Deadline: soakRoundDeadline, Registry: reg,
 		})
@@ -240,7 +241,17 @@ func runChaosRecovery(t *testing.T, topo netx.Topology, faults fault.Config, pre
 	if err := <-survErr; err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
+	t.Logf("heal actions: survivor%s; restarted%s", n0.healActions(), n1b.healActions())
 	return rate
+}
+
+// healActions renders the node's supervisor action counts by name.
+func (n *soakNode) healActions() string {
+	var b strings.Builder
+	for _, a := range []string{ActionDetachStall, ActionDetachBehind, ActionDetachConn, ActionRetune} {
+		fmt.Fprintf(&b, " %s=%v", a, n.reg.Counter("avgpipe_heal_actions_total", "", "action", a).Value())
+	}
+	return b.String()
 }
 
 // TestSelfHealRejoinAfterHardRestart is the fast always-on slice of the

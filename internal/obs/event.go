@@ -173,22 +173,6 @@ func (l *EventLog) Dropped() uint64 {
 	return l.dropped
 }
 
-// SetSink installs fn to be called synchronously on every Emit,
-// replacing every previously installed sink (nil uninstalls all). The
-// sink must be fast and must not call back into the log.
-func (l *EventLog) SetSink(fn func(Event)) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if fn == nil {
-		l.sinks = nil
-	} else {
-		l.sinks = []func(Event){fn}
-	}
-	l.mu.Unlock()
-}
-
 // AddSink installs fn alongside the existing sinks, so independent
 // observers — the telemetry publisher and the heal supervisor — can
 // each watch the same event stream without stealing it from the other.

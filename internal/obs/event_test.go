@@ -43,7 +43,7 @@ func TestEventLogSinkAndNil(t *testing.T) {
 
 	l := NewEventLog(0)
 	var sunk []Event
-	l.SetSink(func(e Event) { sunk = append(sunk, e) })
+	l.AddSink(func(e Event) { sunk = append(sunk, e) })
 	l.Emit(Event{Type: "a"})
 	l.Emit(Event{Type: "b"})
 	if len(sunk) != 2 || sunk[0].Type != "a" || sunk[1].Type != "b" {
@@ -99,13 +99,5 @@ func TestEventLogAddSinkFansOut(t *testing.T) {
 	}
 	if len(b) != 1 || b[0] != "second" {
 		t.Fatalf("second sink saw %v", b)
-	}
-	// SetSink replaces every sink; SetSink(nil) uninstalls all.
-	l.SetSink(func(e Event) { a = append(a, "only-"+e.Type) })
-	l.Emit(Event{Type: "third"})
-	l.SetSink(nil)
-	l.Emit(Event{Type: "fourth"})
-	if a[len(a)-1] != "only-third" || len(b) != 1 {
-		t.Fatalf("SetSink did not replace: a=%v b=%v", a, b)
 	}
 }
