@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-obs build cross test test-benchmark selfcheck figures race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-baseline bench-graph-gate bench-graph-baseline bench-serve-gate bench-serve-baseline cover
+.PHONY: ci fmt vet vet-obs build cross test test-benchmark selfcheck figures race faults faults-soak fuzz-smoke exhaustive-act bench-smoke bench-gate bench-graph-gate bench-serve-gate cover
 
 # ci is the full verification tier: formatting, static checks (including
 # the obs build tag, which turns on strict metric-name validation), build,
@@ -56,18 +56,20 @@ test-benchmark:
 selfcheck:
 	cd benchmark && $(GO) run . -selfcheck -seconds 4
 
-# figures diffs every deterministic figure command, each the same bytes
-# on every run and at any GOMAXPROCS, against its golden in
-# internal/exp/testdata/<fig>.txt: the simulated figures `fig02`,
-# `fig07`, `fig11`-`fig13`, `fig15`-`fig17` (under 1 s to about 7 s
-# each, about 36 s together), `fig14` — real training of the four
-# systems Fig. 14 compares — and `fig18`/`fig19`, the tuning cost and
-# tuning result of the configuration search (about 30 s each). A change
-# that moves the cost model's, a trainer's or the tuner's arithmetic
-# moves them; rewrite a golden only for a change meant to. `ablations`
-# (its async row varies run to run) and `topology` are not pinned.
+# figures diffs every slow deterministic figure command, each the same
+# bytes on every run and at any GOMAXPROCS, against its golden in
+# internal/exp/testdata/<fig>.txt: the simulated figures `fig11`-`fig13`
+# and `fig15`-`fig17` (about 5 s to 12 s each on 2 vCPUs), `fig14` —
+# real training of the four systems Fig. 14 compares — and
+# `fig18`/`fig19`, the tuning cost and tuning result of the
+# configuration search (about 30 s each). The sub-second `fig02` and
+# `fig07` are compared in tier 1 instead (internal/exp
+# TestFigureGoldens). A change that moves the cost model's, a trainer's
+# or the tuner's arithmetic moves them; rewrite a golden only for a
+# change meant to. `ablations` (its async row varies run to run) and
+# `topology` are not pinned.
 figures:
-	@for fig in fig02 fig07 fig11 fig12 fig13 fig15 fig16 fig17 fig14 fig18 fig19; do \
+	@for fig in fig11 fig12 fig13 fig15 fig16 fig17 fig14 fig18 fig19; do \
 		$(GO) run ./cmd/avgpipe-bench $$fig | diff -u internal/exp/testdata/$$fig.txt - || exit 1; \
 	done
 
@@ -140,10 +142,8 @@ bench-smoke:
 	AVGPIPE_BENCH_COLLECT=1 $(GO) test ./internal/obs/collect/ \
 		-run '^TestCollectorOverheadGate$$' -count=1
 
-# The micro-benchmark regression gates are one recipe over this table:
-# BENCH_<name> = <-bench pattern> <packages...>, baseline BENCH_<name>.json.
-# Gate and re-baseline share bench_flags so they always measure the same
-# way: allocation counts on, minimum taken across 5 repetitions.
+# The micro-benchmark regression gates are one paired recipe over this
+# table: BENCH_<set> = <-bench pattern> <packages...>.
 #   kernels: every Kernel* benchmark in the tensor and nn packages.
 #   graph:   every Graph* benchmark replays one full steady-state
 #            micro-batch (forward, 2BP grad-input, grad-weight, EndMicro)
@@ -155,37 +155,57 @@ bench-smoke:
 #            closed-loop saturation number (1/ns_per_op = sustained req/s
 #            through Predict), and the p99 latency at a fixed offered
 #            load (reported as that benchmark's ns/op).
-BENCH_kernels = Kernel ./internal/tensor/ ./internal/nn/
-BENCH_graph   = Graph ./internal/nn/
-BENCH_serve   = Serve ./internal/serve/
-bench_flags = -run '^$$' -bench $(firstword $(BENCH_$*)) -benchmem -benchtime 300ms -count 5 $(wordlist 2,9,$(BENCH_$*))
+BENCH_kernels = Kernel ./internal/tensor ./internal/nn
+BENCH_graph   = Graph ./internal/nn
+BENCH_serve   = Serve ./internal/serve
+bench_pattern = $(firstword $(BENCH_$*))
+bench_pkgs    = $(wordlist 2,9,$(BENCH_$*))
 
-# bench-gate-<name> fails on regressions against the committed
-# BENCH_<name>.json: >15% ns/op, or ANY allocs/op increase (arena
-# regressions surface in allocation counts long before wall time moves).
-# BENCH_serve.json carries an elevated time_regression_limit (tail
-# latency is noisier than kernel time) and a small alloc_regression_limit
-# (batch composition under load varies run to run).
+# BASE is the commit a change is measured against.
+BASE ?= HEAD
+
+# bench-gate-<set> measures the working tree against BASE on this
+# machine. It builds the set's test binaries once from BASE (extracted
+# with git archive, so no network) and once from the working tree, both
+# -trimpath so that equal sources give equal binaries. Then, one
+# benchmark at a time so that the two sides of a pair run within about
+# 0.1 s of each other, it runs 31 pairs of 20 ms windows, base first in
+# odd pairs and change first in even ones, each in its side's package
+# directory. cmd/benchgate holds the rule: a benchmark fails when it is
+# over the ratio limit in a majority of its pairs, allocates more, or
+# is gone. The committed BENCH_*.json files are the recorded
+# trajectory; no gate reads them.
 bench-gate-%:
-	@out="$$(mktemp -t avgpipe-bench-$*.XXXXXX.txt)"; \
-	trap 'rm -f "$$out"' EXIT; \
-	$(GO) test $(bench_flags) > "$$out" 2>&1 || { cat "$$out"; exit 1; }; \
-	$(GO) run ./cmd/benchgate -baseline BENCH_$*.json < "$$out"
-
-# bench-baseline-<name> rewrites BENCH_<name>.json from a fresh run. Use
-# after an intentional change to that layer or on a new machine class,
-# and commit the result; pre_overhaul_* reference fields are preserved
-# (see README "Benchmarking & re-baselining").
-bench-baseline-%:
-	$(GO) test $(bench_flags) | $(GO) run ./cmd/benchgate -baseline BENCH_$*.json -update
+	@tmp="$$(mktemp -d -t avgpipe-bench-$*.XXXXXX)"; \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	git archive -o "$$tmp/src.tar" $(BASE) && mkdir "$$tmp/src" && tar -xf "$$tmp/src.tar" -C "$$tmp/src" || exit 1; \
+	(cd "$$tmp/src" && $(GO) test -c -trimpath -o "$$tmp/base/" $(bench_pkgs)) || exit 1; \
+	$(GO) test -c -trimpath -o "$$tmp/change/" $(bench_pkgs) || exit 1; \
+	run() { \
+		side=$$1; shift; dir=.; [ $$side = change ] || dir="$$tmp/src"; \
+		(cd "$$dir/$$pkg" && "$$tmp/$$side/$${pkg##*/}.test" -test.run '^$$' -test.timeout 2m -test.benchmem "$$@"); \
+	}; \
+	for pkg in $(bench_pkgs); do \
+		names="$$( { run base -test.bench '$(bench_pattern)' -test.benchtime 1x; \
+			run change -test.bench '$(bench_pattern)' -test.benchtime 1x; } | \
+			sed -n 's/^Benchmark\([^[:space:]]*\)-[0-9][0-9]*[[:space:]].*/\1/p' | sort -u)"; \
+		for name in $$names; do \
+			re="$$(echo "Benchmark$$name" | sed 's,[^/]*,^&$$,g')"; \
+			for pair in $$(seq 31); do \
+				order="base change"; [ $$((pair % 2)) = 1 ] || order="change base"; \
+				for side in $$order; do \
+					run $$side -test.bench "$$re" -test.benchtime 20ms >> "$$tmp/$$side.txt" 2>&1 || \
+						{ cat "$$tmp/$$side.txt"; exit 1; }; \
+				done; \
+			done; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchgate "$$tmp/base.txt" "$$tmp/change.txt"
 
 # The names ci.yml and the README use.
 bench-gate: bench-gate-kernels
 bench-graph-gate: bench-gate-graph
 bench-serve-gate: bench-gate-serve
-bench-baseline: bench-baseline-kernels
-bench-graph-baseline: bench-baseline-graph
-bench-serve-baseline: bench-baseline-serve
 
 # cover reports per-package coverage and enforces a 70% floor on the
 # kernel hot path (internal/tensor), the op-graph compiler

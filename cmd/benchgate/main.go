@@ -1,69 +1,49 @@
-// Command benchgate compares `go test -bench -benchmem` output against a
-// committed baseline and fails on regressions. It is the CI guard for the
-// tensor/nn kernel hot path:
+// Command benchgate is the paired benchmark gate: it compares a change's
+// `go test -bench -benchmem` results against its base commit's, both
+// measured on the same machine in alternating runs, and fails on a
+// regression:
 //
-//	go test -run '^$' -bench Kernel -benchmem -count 5 ./internal/tensor/ ./internal/nn/ \
-//	    | go run ./cmd/benchgate -baseline BENCH_kernels.json
+//	benchgate BASE.txt CHANGE.txt
 //
-// The minimum across -count repetitions is used for both sides, which
-// suppresses scheduler noise; a benchmark fails the gate when its best
-// ns/op exceeds baseline*time_regression_limit (default 1.15) or its
-// allocs/op exceed baseline*alloc_regression_limit (default 1.0 — any
-// increase fails; buffer-arena regressions show up here first, long
-// before they are visible in wall time). Baselines whose benchmarks
-// have timing-dependent allocation counts — the serve saturation
-// benches, where batch composition varies run to run — set a small
-// alloc_regression_limit headroom instead of giving up the check.
-// Every benchmark recorded in the baseline must be present in the
-// input, so silently deleting a benchmark cannot pass the gate.
+// Each file holds the output of several runs of one benchmark set, one
+// result per benchmark per run (-count 1). The k-th result of a
+// benchmark in BASE.txt and the k-th in CHANGE.txt are its k-th pair.
+// `make bench-gate-<set>` builds both sides, runs them in pairs whose
+// order alternates, and calls this command (see the Makefile).
 //
-// Re-baselining (after an intentional kernel change, or on a new CI
-// machine class): run the same bench command into
-// `go run ./cmd/benchgate -baseline BENCH_kernels.json -update` and commit
-// the rewritten file. -update preserves the pre_overhaul_* and pre_avx2_*
-// reference fields and the prose fields; only measurements, cpu, go, and
-// date are replaced.
+// A benchmark fails when
+//   - its change/base ns/op ratio exceeds timeLimit in a majority of
+//     its pairs;
+//   - the change's median allocs/op exceeds the base's largest (buffer
+//     and arena regressions show here long before wall time moves; the
+//     base's spread absorbs counts that vary with scheduling, as the
+//     serve benchmarks' do);
+//   - it ran at the base but not in the change, so deleting a benchmark
+//     cannot pass.
+//
+// A benchmark that is new in the change is reported but not gated.
+// Every benchmark's line gives its median ratio and its wins, the pairs
+// in which the change ran faster.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"regexp"
-	"runtime"
-	"sort"
+	"slices"
 	"strconv"
-	"time"
 )
 
-// entry is one benchmark's committed measurements. The pre_overhaul_*
-// fields are a frozen reference to the pre-arena/pre-fusion kernels, the
-// pre_avx2_* fields to the scalar-Go inner loops before the AVX2 kernel
-// layer; neither is touched by -update.
-type entry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-
-	PreOverhaulNsPerOp     float64 `json:"pre_overhaul_ns_per_op,omitempty"`
-	PreOverhaulAllocsPerOp float64 `json:"pre_overhaul_allocs_per_op,omitempty"`
-	PreAVX2NsPerOp         float64 `json:"pre_avx2_ns_per_op,omitempty"`
-	PreAVX2AllocsPerOp     float64 `json:"pre_avx2_allocs_per_op,omitempty"`
-}
-
-type baseline struct {
-	Description          string           `json:"description"`
-	Method               string           `json:"method"`
-	CPU                  string           `json:"cpu"`
-	Go                   string           `json:"go"`
-	Date                 string           `json:"date"`
-	TimeRegressionLimit  float64          `json:"time_regression_limit"`
-	AllocRegressionLimit float64          `json:"alloc_regression_limit,omitempty"`
-	Benchmarks           map[string]entry `json:"benchmarks"`
-	Notes                string           `json:"notes"`
-}
+// timeLimit is the change/base ns/op ratio a pair may not exceed. The
+// A/A calibration in EXPERIMENTS.md ("The paired benchmark gate") sets
+// it: on a shared 2-vCPU box the small compute-bound kernels read over
+// it in about a quarter of their pairs with both sides built from one
+// commit, never in a majority of 31, while a kernel made about 20%
+// slower reads over it in most of its pairs.
+const timeLimit = 1.15
 
 // benchLine matches one `go test -bench -benchmem` result row, e.g.
 //
@@ -71,144 +51,130 @@ type baseline struct {
 //
 // The -8 GOMAXPROCS suffix is optional (absent when GOMAXPROCS=1).
 var benchLine = regexp.MustCompile(
-	`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ [A-Z]B/s)?\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
+	`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ [A-Z]B/s)?\s+[0-9.]+ B/op\s+([0-9.]+) allocs/op`)
 
-var cpuLine = regexp.MustCompile(`^cpu:\s*(.+?)\s*$`)
+// sample is one run's result for one benchmark.
+type sample struct{ ns, allocs float64 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_kernels.json", "baseline JSON to compare against (or rewrite with -update)")
-	update := flag.Bool("update", false, "rewrite the baseline's measurements from this run instead of gating")
-	flag.Parse()
-
-	got := map[string]entry{}
-	var cpu string
-	sc := bufio.NewScanner(os.Stdin)
+// parse collects every result row in r, in run order, by benchmark name.
+func parse(r io.Reader) (map[string][]sample, error) {
+	got := map[string][]sample{}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if m := cpuLine.FindStringSubmatch(line); m != nil {
-			cpu = m[1]
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
+		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		name := m[1]
 		ns, _ := strconv.ParseFloat(m[2], 64)
-		bytes, _ := strconv.ParseFloat(m[3], 64)
-		allocs, _ := strconv.ParseFloat(m[4], 64)
-		e, seen := got[name]
-		if !seen {
-			got[name] = entry{NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
-			continue
-		}
-		// Keep the minimum of each column across -count repetitions.
-		if ns < e.NsPerOp {
-			e.NsPerOp = ns
-		}
-		if bytes < e.BytesPerOp {
-			e.BytesPerOp = bytes
-		}
-		if allocs < e.AllocsPerOp {
-			e.AllocsPerOp = allocs
-		}
-		got[name] = e
+		allocs, _ := strconv.ParseFloat(m[3], 64)
+		got[m[1]] = append(got[m[1]], sample{ns, allocs})
 	}
-	if err := sc.Err(); err != nil {
-		fatalf("reading bench output: %v", err)
-	}
-	if len(got) == 0 {
-		fatalf("no benchmark results on stdin (pipe `go test -bench -benchmem` output in)")
-	}
-
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil && !(*update && os.IsNotExist(err)) {
-		fatalf("reading baseline: %v", err)
-	}
-	var base baseline
-	if raw != nil {
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fatalf("parsing %s: %v", *baselinePath, err)
-		}
-	}
-	if base.TimeRegressionLimit == 0 {
-		base.TimeRegressionLimit = 1.15
-	}
-	if base.AllocRegressionLimit == 0 {
-		base.AllocRegressionLimit = 1.0
-	}
-
-	if *update {
-		writeBaseline(*baselinePath, &base, got, cpu)
-		return
-	}
-	gate(&base, got)
+	return got, sc.Err()
 }
 
-func gate(base *baseline, got map[string]entry) {
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
+// gate applies the rule to every benchmark of base and change, writes
+// one line per benchmark to w, and reports whether all of them pass.
+func gate(base, change map[string][]sample, w io.Writer) bool {
+	if len(base) == 0 || len(change) == 0 {
+		fmt.Fprintln(w, "bench-gate: FAILED, no benchmark results (feed it `go test -bench -benchmem` output)")
+		return false
 	}
-	sort.Strings(names)
-
-	failed := false
-	for _, name := range names {
-		want := base.Benchmarks[name]
-		have, ok := got[name]
-		if !ok {
-			fmt.Printf("FAIL %s: missing from bench output (all baseline benchmarks must run)\n", name)
-			failed = true
+	ok := true
+	for _, name := range names(base, change) {
+		b, c := base[name], change[name]
+		switch {
+		case b == nil:
+			fmt.Fprintf(w, "new  %s: not at base, not gated\n", name)
+			continue
+		case c == nil:
+			fmt.Fprintf(w, "FAIL %s: ran at base, missing from the change\n", name)
+			ok = false
+			continue
+		case len(b) != len(c):
+			fmt.Fprintf(w, "FAIL %s: %d base results but %d change results, no pairs\n", name, len(b), len(c))
+			ok = false
 			continue
 		}
-		limit := want.NsPerOp * base.TimeRegressionLimit
-		allocLimit := want.AllocsPerOp * base.AllocRegressionLimit
-		switch {
-		case have.NsPerOp > limit:
-			fmt.Printf("FAIL %s: %.0f ns/op exceeds %.0f (baseline %.0f * limit %.2f)\n",
-				name, have.NsPerOp, limit, want.NsPerOp, base.TimeRegressionLimit)
-			failed = true
-		case have.AllocsPerOp > allocLimit:
-			fmt.Printf("FAIL %s: %.0f allocs/op exceeds %.0f (baseline %.0f * alloc limit %.2f)\n",
-				name, have.AllocsPerOp, allocLimit, want.AllocsPerOp, base.AllocRegressionLimit)
-			failed = true
-		default:
-			fmt.Printf("ok   %s: %.0f ns/op (baseline %.0f), %.0f allocs/op (baseline %.0f)\n",
-				name, have.NsPerOp, want.NsPerOp, have.AllocsPerOp, want.AllocsPerOp)
+		ratios := make([]float64, len(b))
+		var wins, over int
+		var baseAllocs, changeAllocs []float64
+		for k := range b {
+			ratios[k] = c[k].ns / b[k].ns
+			if ratios[k] < 1 {
+				wins++
+			}
+			if ratios[k] > timeLimit {
+				over++
+			}
+			baseAllocs = append(baseAllocs, b[k].allocs)
+			changeAllocs = append(changeAllocs, c[k].allocs)
 		}
+		verdict := "ok  "
+		slower := 2*over > len(b)
+		allocs := median(changeAllocs) > slices.Max(baseAllocs)
+		if slower || allocs {
+			verdict, ok = "FAIL", false
+		}
+		fmt.Fprintf(w, "%s %s: median ratio %.3f, %d/%d wins, %d/%d pairs over %.2f; allocs/op %g (base largest %g)",
+			verdict, name, median(ratios), wins, len(b), over, len(b), timeLimit, median(changeAllocs), slices.Max(baseAllocs))
+		if slower {
+			fmt.Fprint(w, ", slower in a majority of pairs")
+		}
+		if allocs {
+			fmt.Fprint(w, ", allocates more")
+		}
+		fmt.Fprintln(w)
 	}
-	if failed {
-		fmt.Println("bench-gate: FAILED — if the regression is intentional, re-baseline with -update (see README)")
+	if !ok {
+		fmt.Fprintln(w, "bench-gate: FAILED")
+		return false
+	}
+	fmt.Fprintf(w, "bench-gate: %d benchmarks pass\n", len(base))
+	return true
+}
+
+// names lists every benchmark of base and change, sorted.
+func names(base, change map[string][]sample) []string {
+	all := maps.Clone(base)
+	maps.Copy(all, change)
+	out := make([]string, 0, len(all))
+	for name := range all {
+		out = append(out, name)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func median(vs []float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	n := len(s)
+	return (s[(n-1)/2] + s[n/2]) / 2
+}
+
+func main() {
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate BASE.txt CHANGE.txt")
+		os.Exit(2)
+	}
+	base, change := load(os.Args[1]), load(os.Args[2])
+	if !gate(base, change, os.Stdout) {
 		os.Exit(1)
 	}
-	fmt.Printf("bench-gate: %d benchmarks within limits\n", len(names))
 }
 
-func writeBaseline(path string, base *baseline, got map[string]entry, cpu string) {
-	if base.Benchmarks == nil {
-		base.Benchmarks = map[string]entry{}
-	}
-	for name, have := range got {
-		e := base.Benchmarks[name] // zero value keeps pre_overhaul_* empty for new benchmarks
-		e.NsPerOp = have.NsPerOp
-		e.BytesPerOp = have.BytesPerOp
-		e.AllocsPerOp = have.AllocsPerOp
-		base.Benchmarks[name] = e
-	}
-	if cpu != "" {
-		base.CPU = cpu
-	}
-	base.Go = runtime.Version()
-	base.Date = time.Now().UTC().Format("2006-01-02")
-	out, err := json.MarshalIndent(base, "", "  ")
+func load(path string) map[string][]sample {
+	f, err := os.Open(path)
 	if err != nil {
-		fatalf("encoding baseline: %v", err)
+		fatalf("%v", err)
 	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fatalf("writing %s: %v", path, err)
+	defer f.Close()
+	got, err := parse(f)
+	if err != nil {
+		fatalf("reading %s: %v", path, err)
 	}
-	fmt.Printf("bench-gate: wrote %d benchmarks to %s\n", len(got), path)
+	return got
 }
 
 func fatalf(format string, args ...any) {

@@ -7,8 +7,8 @@ import (
 	"avgpipe/internal/tensor"
 )
 
-// Steady-state micro-batch benchmarks for the compiled op-graph path
-// (BENCH_graph.json, gated by `make bench-graph-gate`). Each iteration
+// Steady-state micro-batch benchmarks for the compiled op-graph path,
+// gated against the base commit by `make bench-graph-gate`. Each iteration
 // replays one full micro-batch — forward, 2BP grad-input, grad-weight,
 // EndMicro — against a pre-built Program and a reused Env, exactly the
 // loop the compiled stage worker runs after its pool warms up. The

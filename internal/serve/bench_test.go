@@ -11,8 +11,9 @@ import (
 	"avgpipe/internal/workload"
 )
 
-// The Serve* benchmarks back `make bench-serve-gate` (baseline:
-// BENCH_serve.json). Three angles on the serving hot path:
+// The Serve* benchmarks back `make bench-serve-gate`, which runs them
+// against the base commit in alternating pairs. Three angles on the
+// serving hot path:
 //
 //   - ServeBatchForward8 drives runBatch directly with a full batch —
 //     deterministic work, no scheduler in the loop. This is the number
@@ -104,7 +105,7 @@ func BenchmarkServeBatchForward8(b *testing.B) {
 // benchmark: parallel clients issue back-to-back Predict calls, each
 // running batches on its own goroutine while a replica is idle. ns/op
 // is wall time per completed request, so sustained throughput = 1e9 / ns_per_op req/s — the
-// "sustained throughput" number BENCH_serve.json commits to.
+// "sustained throughput" number the serve gate compares.
 func BenchmarkServeSaturatedPredict(b *testing.B) {
 	s := benchServer(b, 8, 2)
 	toks := benchTokens(s)

@@ -7,8 +7,8 @@ import (
 )
 
 // Fused-op benchmarks live in their own file because the fused API does
-// not exist in pre-overhaul trees (the before-numbers worktree deletes
-// this file; see README "Benchmarking & re-baselining").
+// not exist in pre-overhaul trees (the before-numbers worktree behind
+// BENCH_kernels.json's pre_overhaul_* fields deleted this file).
 
 func BenchmarkKernelMatMulBiasAct(b *testing.B) {
 	rng := tensor.NewRNG(5)

@@ -7,10 +7,11 @@ import (
 	"avgpipe/internal/tensor"
 )
 
-// Kernel benchmarks feed the bench-gate (make bench-gate): any >15% ns/op
-// or allocs/op regression against BENCH_kernels.json fails CI. The matmul
-// shapes come from the three workload cost models (transformer translation
-// FFN, AWD-LSTM embedding projection, backward weight/input gradients).
+// Kernel benchmarks feed the paired bench gate (make bench-gate): a
+// change that runs slower than its base commit in a majority of pairs, or
+// allocates more, fails CI (README "Benchmarking"). The matmul shapes come
+// from the three workload cost models (transformer translation FFN,
+// AWD-LSTM embedding projection, backward weight/input gradients).
 
 func benchMatMul(b *testing.B, m, k, n int) {
 	rng := tensor.NewRNG(1)
