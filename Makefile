@@ -76,13 +76,17 @@ figures:
 race:
 	$(GO) test -race ./internal/core/... ./internal/comm/... ./internal/heal/... ./internal/net/... ./internal/obs/... ./internal/tensor/... ./internal/compiled/... ./internal/serve/... ./internal/nn/... ./internal/optim/...
 
-# fuzz-smoke runs the wire-codec fuzz target for 30 seconds on top of
-# its checked-in regression corpus (internal/net/testdata/fuzz): decode
-# must never panic on arbitrary bytes, and any bytes that decode must
-# re-encode to exactly the consumed prefix (the canonical-encoding
-# property the mesh relies on).
+# fuzz-smoke runs each fuzz target for 30 seconds. The wire codec's
+# runs on top of its checked-in regression corpus
+# (internal/net/testdata/fuzz): decode must never panic on arbitrary
+# bytes, and any bytes that decode must re-encode to exactly the consumed
+# prefix (the canonical-encoding property the mesh relies on). The GEMM
+# target holds MatMul, MatMulBiasAct, MatMulTransA, MatMulTransAAcc and
+# SumRowsAcc to the same bits with the AVX2 layer on and off, over fuzzed
+# shapes and special values (it skips without AVX2).
 fuzz-smoke:
 	$(GO) test ./internal/net/ -run '^FuzzDecodeFrame$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s
+	$(GO) test ./internal/tensor/ -run '^FuzzGEMMMatchesGo$$' -fuzz '^FuzzGEMMMatchesGo$$' -fuzztime 30s
 
 # exhaustive-act checks the verified sigmoid/tanh/GELU/GELU' kernels
 # against Sigmoid32/Tanh32/Gelu32/GeluDeriv32 on all 2^32 float32 inputs

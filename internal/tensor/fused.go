@@ -45,21 +45,19 @@ const (
 // Tanh(AddRowVector(MatMul(a, b), bias)) and friends.
 func MatMulBiasAct(a, b, bias *Tensor, act Act) *Tensor {
 	checkMatMulBiasAct(a, b, bias)
-	out := Borrow(a.shape[0], b.shape[1])
+	out := borrowRaw(a.shape[0], b.shape[1])
 	matMulBiasActInto(out, a, b, bias, act)
 	return out
 }
 
 // MatMulBiasActInto computes dst = act(a @ b + bias), fully overwriting
 // dst — the zero-allocation variant the compiled execution path writes
-// into pre-planned slot storage. dst is cleared first so the in-place
-// accumulation is bit-identical to MatMulBiasAct's zeroed arena borrow.
+// into pre-planned slot storage.
 func MatMulBiasActInto(dst, a, b, bias *Tensor, act Act) {
 	checkMatMulBiasAct(a, b, bias)
 	if len(dst.shape) != 2 || dst.shape[0] != a.shape[0] || dst.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulBiasActInto dst %v for %v x %v", dst.shape, a.shape, b.shape))
 	}
-	dst.Zero()
 	matMulBiasActInto(dst, a, b, bias, act)
 }
 
@@ -72,13 +70,14 @@ func checkMatMulBiasAct(a, b, bias *Tensor) {
 	}
 }
 
-// matMulBiasActInto accumulates into out, which must be zeroed.
+// matMulBiasActInto sets out = act(a @ b + bias), overwriting every
+// element.
 func matMulBiasActInto(out, a, b, bias *Tensor, act Act) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	g := operands{out: out, a: a, b: b, bias: bias, act: act}
 	parallelGEMM(m, k, n, matmulRowTile, g, func(g operands, lo, hi int) {
 		k, n := g.a.shape[1], g.b.shape[1]
-		gemmAccRows(g.out.data, g.a.data, k, 1, g.b.data, k, n, lo, hi)
+		gemmRows(g.out.data, g.a.data, k, 1, g.b.data, k, n, lo, hi, false)
 		if g.bias != nil {
 			for i := lo; i < hi; i++ {
 				vecAdd(g.out.data[i*n:(i+1)*n], g.bias.data)

@@ -35,81 +35,53 @@ func axpyAddGo(av float32, b, o []float32) {
 	}
 }
 
-// axpy4AddGo fuses four consecutive k-steps into one pass over the output
-// row: o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j].
-// That is the exact operation sequence of four successive axpyAdd calls —
-// one accumulator per element, ascending k — so it is bit-identical while
-// reading and writing the output row a quarter as often.
-func axpy4AddGo(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
-	n := len(o)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	for j := 0; j < n; j++ {
-		s := o[j] + a0*b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
-		o[j] = s
-	}
-}
+// tileMode says where a GEMM tile's accumulators start and where they
+// end (gemmTileGo).
+type tileMode int
 
-// axpy4Add2Go is axpy4Add over two independent output rows at once,
-// sharing the four b-row loads between them. Each output element's
-// accumulation chain is the same as in axpy4Add, so it remains
-// bit-identical; the pairing only halves the number of passes over the B
-// panel.
-func axpy4Add2Go(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
-	n := len(ox)
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	oy = oy[:n]
-	for j := 0; j < n; j++ {
-		bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
-		s := ox[j] + x0*bv0
-		s += x1 * bv1
-		s += x2 * bv2
-		s += x3 * bv3
-		ox[j] = s
-		t := oy[j] + y0*bv0
-		t += y1 * bv1
-		t += y2 * bv2
-		t += y3 * bv3
-		oy[j] = t
-	}
-}
+const (
+	tileSet    tileMode = iota // start at +0, store: a product's first k-block
+	tileResume                 // start from o, store: every later k-block
+	tileAcc                    // start at +0, add to o once: the accumulate kernel
+)
 
-// transAAccCols is how many output columns transAAccGo carries in its
-// accumulator block (the AVX2 twin keeps as many in eight registers).
-const transAAccCols = 64
+// gemmTileCols is how many output columns gemmTileGo carries per row in
+// its accumulator block.
+const gemmTileCols = 64
 
-// transAAccGo adds one k-chain to every element of the output row o:
-// s = +0, then s += a[p*ps]*b[p*n+j] for p ascending, skipping a zero
-// coefficient exactly as axpyRange does, then o[j] += s. b is (k,n) with
-// n = len(o). The chain is the one a zeroed scratch row receives from
-// the GEMM, and the final add is the scratch form's AddInPlace, so
-// accumulating this way is bit-identical to "scratch = aᵀb; o += scratch"
-// while each accumulator stays put across all of k.
-func transAAccGo(a []float32, ps int, b []float32, k int, o []float32) {
-	n := len(o)
-	var acc [transAAccCols]float32
-	for j0 := 0; j0 < n; j0 += transAAccCols {
-		s := acc[:min(transAAccCols, n-j0)]
-		clear(s)
-		for p := 0; p < k; p++ {
-			av := a[p*ps]
-			if av == 0 {
-				continue
+// gemmTileGo is the one GEMM primitive: rows r < rows by columns j < n of
+// an output o with row stride ldo. Each element is one accumulator s that
+// starts at +0, or at o[r*ldo+j] in tileResume; then, for p < kb
+// ascending, unless the coefficient c = a[r*rs+p*ps] is ±0,
+// s += c*b[p*ldb+j], a multiply and then an add; then it is stored, or in
+// tileAcc added to o once (o first, as in vecAdd). A NaN coefficient is
+// not zero and is not skipped. A skipped step adds nothing — not even +0,
+// which would turn a −0 accumulator into +0 — so this is exactly the
+// chain of single axpyAdd steps under the av != 0 skip, whichever way the
+// caller blocks k (a stored float32 reloads as itself) or the assembly
+// pairs rows.
+func gemmTileGo(a []float32, rs, ps int, b []float32, ldb, kb int, o []float32, ldo, n, rows int, mode tileMode) {
+	var acc [gemmTileCols]float32
+	for r := 0; r < rows; r++ {
+		or := o[r*ldo : r*ldo+n]
+		for j0 := 0; j0 < n; j0 += len(acc) {
+			s := acc[:min(len(acc), n-j0)]
+			if mode == tileResume {
+				copy(s, or[j0:])
+			} else {
+				clear(s)
 			}
-			brow := b[p*n+j0 : p*n+j0+len(s)]
-			for j := range s {
-				s[j] += av * brow[j]
+			for p := 0; p < kb; p++ {
+				if c := a[r*rs+p*ps]; c != 0 {
+					axpyAddGo(c, b[p*ldb+j0:], s)
+				}
+			}
+			if mode == tileAcc {
+				vecAddGo(or[j0:j0+len(s)], s)
+			} else {
+				copy(or[j0:], s)
 			}
 		}
-		vecAddGo(o[j0:j0+len(s)], s)
 	}
 }
 

@@ -42,11 +42,17 @@ func detectAVX2() bool {
 //go:noescape
 func axpyAddAVX2(av float32, b, o []float32)
 
+// gemmTileAVX2 is gemmTileGo with a register tile: it takes the rows in
+// pairs and holds two rows by 32 columns in eight accumulators across all
+// kb steps, then two rows by 8, then single columns; the two rows share
+// each load of b. Per step it reads both rows' coefficients, sorts the
+// step into both rows live, one row live or neither — ±0 is dead, NaN
+// live, as av != 0 — and runs only the live rows' multiplies and adds. An
+// odd last row takes the one-row form, which reads no coefficient and
+// writes no output of a second row.
+//
 //go:noescape
-func axpy4AddAVX2(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32)
-
-//go:noescape
-func axpy4Add2AVX2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32)
+func gemmTileAVX2(a []float32, rs, ps int, b []float32, ldb, kb int, o []float32, ldo, n, rows int, mode tileMode)
 
 //go:noescape
 func vecAddAVX2(o, b []float32)
@@ -85,14 +91,6 @@ func runsAVX2(x, s, vals []float32, spans []Span, base uint32) (nv, ns int)
 //
 //go:noescape
 func dotCols8AVX2(at, b []float32, ldb, kb, n int, out []float32, ldo int, resume bool)
-
-// transAAccAVX2 is transAAccGo with each output element a lane: blocks of
-// 64 columns keep their accumulators in eight registers across all of k,
-// then blocks of 8 in one, then single lanes. b must hold k rows of
-// len(o), and a the coefficient a[(k-1)*ps].
-//
-//go:noescape
-func transAAccAVX2(a []float32, ps int, b []float32, k int, o []float32)
 
 // lstmCellBwdAVX2 is lstmCellBwdGo eight elements at a time; len(tc)
 // must be a multiple of 8, and every other hidden vector at least as long.
@@ -183,22 +181,21 @@ func axpyAdd(av float32, b, o []float32) {
 	axpyAddGo(av, b, o)
 }
 
-func axpy4Add(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
+// gemmTile runs one GEMM tile (gemmTileGo). The assembly reads
+// a[r*rs+p*ps], b[p*ldb+j] and o[r*ldo+j] for r < rows, p < kb, j < n;
+// the checks here panic on a short operand as indexing does in Go.
+func gemmTile(a []float32, rs, ps int, b []float32, ldb, kb int, o []float32, ldo, n, rows int, mode tileMode) {
 	if useAVX2 {
-		n := len(o)
-		axpy4AddAVX2(a0, a1, a2, a3, b0[:n], b1[:n], b2[:n], b3[:n], o)
+		if n > 0 && rows > 0 {
+			_ = o[(rows-1)*ldo+n-1]
+			if kb > 0 {
+				_, _ = a[(rows-1)*rs+(kb-1)*ps], b[(kb-1)*ldb+n-1]
+			}
+		}
+		gemmTileAVX2(a, rs, ps, b, ldb, kb, o, ldo, n, rows, mode)
 		return
 	}
-	axpy4AddGo(a0, a1, a2, a3, b0, b1, b2, b3, o)
-}
-
-func axpy4Add2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
-	if useAVX2 {
-		n := len(ox)
-		axpy4Add2AVX2(x0, x1, x2, x3, y0, y1, y2, y3, b0[:n], b1[:n], b2[:n], b3[:n], ox, oy[:n])
-		return
-	}
-	axpy4Add2Go(x0, x1, x2, x3, y0, y1, y2, y3, b0, b1, b2, b3, ox, oy)
+	gemmTileGo(a, rs, ps, b, ldb, kb, o, ldo, n, rows, mode)
 }
 
 func vecAdd(o, b []float32) {
@@ -284,10 +281,13 @@ func runs(x, s, vals []float32, spans []Span, base uint32) (int, int) {
 
 // vectorOpsPerUnit is how many element operations of a vector kernel — a
 // GEMM multiply-add, an elementwise add — make one parallel-for cost unit
-// (parallel.go). Measured on a 2-vCPU Xeon @ 2.1 GHz with these kernels:
-// fanning out stops losing to the serial call at about 2^20 of them, for
-// all three GEMM variants (32×128×n, n = 64…1024) and for AxpyInPlace
-// alike, against parallelThreshold = 2^14 units.
+// (parallel.go). Measured on a 2-vCPU Xeon @ 2.1 GHz with the streaming
+// kernels: fanning out stops losing to the serial call at about 2^20 of
+// them, for all three GEMM variants (32×128×n, n = 64…1024) and for
+// AxpyInPlace alike, against parallelThreshold = 2^14 units. The GEMM
+// tile leaves the forward product's break-even at about 2^20 (the three
+// per-micro-batch shapes with n scaled; the AWD embedding projection
+// fans out faster at every size).
 const vectorOpsPerUnit = 64
 
 // transBRowTile is how many rows of a the A·Bᵀ kernel packs per block,
@@ -319,19 +319,6 @@ func transBRows(out, a, b []float32, k, n, lo, hi int) {
 		}
 	}
 	transBRowsGo(out, a, b, k, n, lo, hi)
-}
-
-// transAAcc adds to the output row o one k-chain per element
-// (transAAccGo).
-func transAAcc(a []float32, ps int, b []float32, k int, o []float32) {
-	if useAVX2 {
-		if k > 0 {
-			_ = a[(k-1)*ps]
-		}
-		transAAccAVX2(a, ps, b[:k*len(o)], k, o)
-		return
-	}
-	transAAccGo(a, ps, b, k, o)
 }
 
 // lstmCellBwd runs the cell backward of one row (lstmCellBwdGo): the

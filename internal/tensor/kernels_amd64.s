@@ -72,125 +72,6 @@ axpy1_test1:
 	VZEROUPPER
 	RET
 
-// func axpy4AddAVX2(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32)
-// o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
-TEXT ·axpy4AddAVX2(SB), NOSPLIT, $0-136
-	VBROADCASTSS a0+0(FP), Y8
-	VBROADCASTSS a1+4(FP), Y9
-	VBROADCASTSS a2+8(FP), Y10
-	VBROADCASTSS a3+12(FP), Y11
-	MOVQ b0_base+16(FP), R8
-	MOVQ b1_base+40(FP), R9
-	MOVQ b2_base+64(FP), R10
-	MOVQ b3_base+88(FP), R11
-	MOVQ o_base+112(FP), DI
-	MOVQ o_len+120(FP), CX
-	SHLQ $2, CX
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $~31, DX
-	JMP  axpy4_test8
-
-axpy4_loop8:
-	VMOVUPS (DI)(AX*1), Y0
-	STEP8(Y8, R8, Y0, Y1)
-	STEP8(Y9, R9, Y0, Y2)
-	STEP8(Y10, R10, Y0, Y3)
-	STEP8(Y11, R11, Y0, Y4)
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ $32, AX
-
-axpy4_test8:
-	CMPQ AX, DX
-	JLT  axpy4_loop8
-	JMP  axpy4_test1
-
-axpy4_loop1:
-	VMOVSS (DI)(AX*1), X0
-	STEP1(X8, R8, X0, X1)
-	STEP1(X9, R9, X0, X2)
-	STEP1(X10, R10, X0, X3)
-	STEP1(X11, R11, X0, X4)
-	VMOVSS X0, (DI)(AX*1)
-	ADDQ $4, AX
-
-axpy4_test1:
-	CMPQ AX, CX
-	JLT  axpy4_loop1
-	VZEROUPPER
-	RET
-
-// Two rows share one load of b: accx += cx*b, accy += cy*b.
-#define STEP8X2(cx, cy, bptr, accx, accy) \
-	VMOVUPS (bptr)(AX*1), Y4; \
-	VMULPS Y4, cx, Y5; \
-	VADDPS Y5, accx, accx; \
-	VMULPS Y4, cy, Y6; \
-	VADDPS Y6, accy, accy
-#define STEP1X2(cx, cy, bptr, accx, accy) \
-	VMOVSS (bptr)(AX*1), X4; \
-	VMULSS X4, cx, X5; \
-	VADDSS X5, accx, accx; \
-	VMULSS X4, cy, X6; \
-	VADDSS X6, accy, accy
-
-// func axpy4Add2AVX2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32)
-// axpy4Add on two output rows at once.
-TEXT ·axpy4Add2AVX2(SB), NOSPLIT, $0-176
-	VBROADCASTSS x0+0(FP), Y7
-	VBROADCASTSS x1+4(FP), Y8
-	VBROADCASTSS x2+8(FP), Y9
-	VBROADCASTSS x3+12(FP), Y10
-	VBROADCASTSS y0+16(FP), Y11
-	VBROADCASTSS y1+20(FP), Y12
-	VBROADCASTSS y2+24(FP), Y13
-	VBROADCASTSS y3+28(FP), Y14
-	MOVQ b0_base+32(FP), R8
-	MOVQ b1_base+56(FP), R9
-	MOVQ b2_base+80(FP), R10
-	MOVQ b3_base+104(FP), R11
-	MOVQ ox_base+128(FP), DI
-	MOVQ ox_len+136(FP), CX
-	MOVQ oy_base+152(FP), SI
-	SHLQ $2, CX
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $~31, DX
-	JMP  axpy42_test8
-
-axpy42_loop8:
-	VMOVUPS (DI)(AX*1), Y0
-	VMOVUPS (SI)(AX*1), Y1
-	STEP8X2(Y7, Y11, R8, Y0, Y1)
-	STEP8X2(Y8, Y12, R9, Y0, Y1)
-	STEP8X2(Y9, Y13, R10, Y0, Y1)
-	STEP8X2(Y10, Y14, R11, Y0, Y1)
-	VMOVUPS Y0, (DI)(AX*1)
-	VMOVUPS Y1, (SI)(AX*1)
-	ADDQ $32, AX
-
-axpy42_test8:
-	CMPQ AX, DX
-	JLT  axpy42_loop8
-	JMP  axpy42_test1
-
-axpy42_loop1:
-	VMOVSS (DI)(AX*1), X0
-	VMOVSS (SI)(AX*1), X1
-	STEP1X2(X7, X11, R8, X0, X1)
-	STEP1X2(X8, X12, R9, X0, X1)
-	STEP1X2(X9, X13, R10, X0, X1)
-	STEP1X2(X10, X14, R11, X0, X1)
-	VMOVSS X0, (DI)(AX*1)
-	VMOVSS X1, (SI)(AX*1)
-	ADDQ $4, AX
-
-axpy42_test1:
-	CMPQ AX, CX
-	JLT  axpy42_loop1
-	VZEROUPPER
-	RET
-
 // The elementwise family: dst[i] = x[i] OP y[i] over CX bytes, with the
 // operand order of the scalar instruction the Go loop compiles to
 // (x is the destination operand there). DI = dst, SI = x, R8 = y; the
@@ -423,148 +304,363 @@ dot8_test1:
 	VZEROUPPER
 	RET
 
-// One k-step of an accumulator: acc += coef(Y8) * b[BX+off], the
-// coefficient the first operand as in STEP8.
-#define TACC(off, acc) \
-	VMULPS off(BX), Y8, Y9; \
-	VADDPS Y9, acc, acc
-// o[AX+off] += acc, o the first operand as in vecAdd.
-#define TACCOUT(off, acc) \
-	VMOVUPS off(DI)(AX*1), Y9; \
-	VADDPS acc, Y9, Y9; \
-	VMOVUPS Y9, off(DI)(AX*1)
-// Start a column block at AX: coefficient pointer R11, b pointer BX,
-// step count CX.
-#define TACCSTART \
+// The GEMM tile (gemmTileAVX2). Registers: R14 rows left (R14 is scratch
+// in assembly; the ABI wrapper restores it), R15 the pair's step count
+// (R15 is scratch in a function that reads no global), SI the pair's row 0
+// coefficients, BX the byte offset of row 1's (0 in the one-row form), R9
+// the coefficient stride, R8 b at the current column group, R10 b's row
+// stride, DI o at the current column group, AX columns left, R13 row 1's
+// live mask. Within a group: R11 the step's coefficients, DX the step's
+// row of b, CX steps left, R12 scratch and row 1's output; Y0–Y3 row 0's
+// accumulators, Y4–Y7 row 1's, Y8 and Y9 the step's two coefficients
+// broadcast.
+
+// Start a column group, with the step count in CX and ldo in R12: coefficients at
+// R11, b at DX, row 1's output at R12, every accumulator +0. (The frame
+// arguments are read outside the macros: vet checks an (FP) reference in
+// a #define against the function before it.)
+#define TSTART \
 	MOVQ SI, R11; \
-	LEAQ (R8)(AX*1), BX; \
-	MOVQ R10, CX
-// Load the step's coefficient into X8 and jump to skip when it is ±0
-// (ZF set, PF clear); a NaN compares unordered and is not skipped.
-#define TACCCOEF(skip) \
-	VMOVSS (R11), X8; \
-	VUCOMISS X15, X8; \
-	JNE  2(PC); \
-	JPC  skip
-// Advance to the next step; fall through when none is left.
-#define TACCNEXT(loop) \
+	MOVQ R8, DX; \
+	LEAQ (DI)(R12*4), R12; \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	VXORPS Y4, Y4, Y4; \
+	VXORPS Y5, Y5, Y5; \
+	VXORPS Y6, Y6, Y6; \
+	VXORPS Y7, Y7, Y7
+
+// Jump to dead when the coefficient at c is ±0: its bits under mask, all
+// but the sign bit, are zero. A NaN is not ±0 and is live, as av != 0 in
+// Go. Row 1's mask, R13, is 0 in the one-row form, so no row 1 is live.
+#define TDEAD(c, mask, dead) \
+	MOVL c, R12; \
+	ANDL mask, R12; \
+	JZ   dead
+#define TDEAD0(dead) TDEAD((R11), $0x7fffffff, dead)
+#define TDEAD1(dead) TDEAD((R11)(BX*1), R13, dead)
+
+// Advance to the next k-step; fall through when none is left.
+#define TNEXT(loop) \
 	ADDQ R9, R11; \
-	ADDQ DX, BX; \
+	ADDQ R10, DX; \
 	DECQ CX; \
 	JNZ  loop
 
-// func transAAccAVX2(a []float32, ps int, b []float32, k int, o []float32)
-// o[j] += (+0 + Σ_p a[p*ps]*b[p*n+j]) for n = len(o), p ascending, zero
-// coefficients skipped. Registers: SI coefficient base, R9 its stride, R8
-// b, R10 k, DI o, DX n bytes (b's row stride), AX column byte offset, R13
-// end of the current block size, X15 zero.
-TEXT ·transAAccAVX2(SB), NOSPLIT, $0-88
+// acc += coef * b[DX+off] on one row; on both rows, sharing the load of
+// b; and the single-column form. The coefficient is the first operand of
+// the multiply and the accumulator of the add, as in axpyAddGo.
+#define TSTEP(off, coef, acc) \
+	VMULPS off(DX), coef, Y11; \
+	VADDPS Y11, acc, acc
+#define TSTEP2(off, acc0, acc1) \
+	VMOVUPS off(DX), Y10; \
+	VMULPS Y10, Y8, Y11; \
+	VADDPS Y11, acc0, acc0; \
+	VMULPS Y10, Y9, Y12; \
+	VADDPS Y12, acc1, acc1
+#define TSTEP1(coef, acc) \
+	VMULSS (DX), coef, X11; \
+	VADDSS X11, acc, acc
+
+// Four accumulators from / to 32 columns at p; TADD sets o = o + acc, o
+// the first operand as in vecAdd.
+#define TLOAD4(p, r0, r1, r2, r3) \
+	VMOVUPS 0(p), r0; \
+	VMOVUPS 32(p), r1; \
+	VMOVUPS 64(p), r2; \
+	VMOVUPS 96(p), r3
+#define TSTORE4(p, r0, r1, r2, r3) \
+	VMOVUPS r0, 0(p); \
+	VMOVUPS r1, 32(p); \
+	VMOVUPS r2, 64(p); \
+	VMOVUPS r3, 96(p)
+#define TADD(off, p, acc) \
+	VMOVUPS off(p), Y10; \
+	VADDPS acc, Y10, Y10; \
+	VMOVUPS Y10, off(p)
+#define TADD1(p, acc) \
+	VMOVSS (p), X10; \
+	VADDSS acc, X10, X10; \
+	VMOVSS X10, (p)
+
+// func gemmTileAVX2(a []float32, rs, ps int, b []float32, ldb, kb int, o []float32, ldo, n, rows int, mode tileMode)
+// For r < rows, j < n: s = +0 (tileSet, tileAcc) or o[r*ldo+j]
+// (tileResume); s += c*b[p*ldb+j] for p < kb ascending where c =
+// a[r*rs+p*ps] is not ±0; then o[r*ldo+j] = s, or o[r*ldo+j] += s in
+// tileAcc. Rows go in pairs, an odd last row in the one-row form; within
+// a pair, columns go in groups of 32, then 8, then 1, and each step
+// branches to the code for the rows it has live.
+TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-136
 	MOVQ a_base+0(FP), SI
-	MOVQ ps+24(FP), R9
+	MOVQ ps+32(FP), R9
 	SHLQ $2, R9
-	MOVQ b_base+32(FP), R8
-	MOVQ k+56(FP), R10
-	MOVQ o_base+64(FP), DI
-	MOVQ o_len+72(FP), DX
-	SHLQ $2, DX
-	VXORPS X15, X15, X15
-	XORQ AX, AX
-	MOVQ DX, R13
-	ANDQ $~255, R13
-	JMP  tacc_test64
+	MOVQ ldb+64(FP), R10
+	SHLQ $2, R10
+	MOVQ o_base+80(FP), DI
+	MOVQ rows+120(FP), R14
+	JMP  tile_pairs
 
-tacc_block64:
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	TACCSTART
+tile_pair:
+	MOVQ b_base+40(FP), R8
+	MOVQ n+112(FP), AX
+	XORQ BX, BX
+	XORQ R13, R13
+	CMPQ R14, $2
+	JLT  tile_scan
+	MOVQ rs+24(FP), BX
+	SHLQ $2, BX
+	MOVL $0x7fffffff, R13
+
+tile_scan:
+	// R15 is the pair's step count: kb, or 0 when every coefficient of
+	// the pair is ±0 (an LSTM's first step multiplies h = 0), so that no
+	// column group walks dead steps. The scan stops at the first live one.
+	MOVQ kb+72(FP), R15
+	MOVQ SI, R11
+	MOVQ R15, CX
 	TESTQ CX, CX
-	JZ   tacc_out64
+	JZ   tile_test32
 
-tacc_k64:
-	TACCCOEF(tacc_next64)
-	VBROADCASTSS X8, Y8
-	TACC(0, Y0)
-	TACC(32, Y1)
-	TACC(64, Y2)
-	TACC(96, Y3)
-	TACC(128, Y4)
-	TACC(160, Y5)
-	TACC(192, Y6)
-	TACC(224, Y7)
+tile_scan_k:
+	TDEAD0(tile_scan_dead0)
+	JMP  tile_test32
 
-tacc_next64:
-	TACCNEXT(tacc_k64)
+tile_scan_dead0:
+	TDEAD1(tile_scan_next)
+	JMP  tile_test32
 
-tacc_out64:
-	TACCOUT(0, Y0)
-	TACCOUT(32, Y1)
-	TACCOUT(64, Y2)
-	TACCOUT(96, Y3)
-	TACCOUT(128, Y4)
-	TACCOUT(160, Y5)
-	TACCOUT(192, Y6)
-	TACCOUT(224, Y7)
-	ADDQ $256, AX
+tile_scan_next:
+	ADDQ R9, R11
+	DECQ CX
+	JNZ  tile_scan_k
+	XORQ R15, R15
+	JMP  tile_test32
 
-tacc_test64:
-	CMPQ AX, R13
-	JLT  tacc_block64
-	MOVQ DX, R13
-	ANDQ $~31, R13
-	JMP  tacc_test8
+tile_group32:
+	MOVQ R15, CX
+	MOVQ ldo+104(FP), R12
+	TSTART
+	CMPQ mode+128(FP), $1
+	JNE  tile_steps32
+	TLOAD4(DI, Y0, Y1, Y2, Y3)
+	TESTQ R13, R13
+	JZ   tile_steps32
+	TLOAD4(R12, Y4, Y5, Y6, Y7)
 
-tacc_block8:
-	VXORPS Y0, Y0, Y0
-	TACCSTART
+tile_steps32:
 	TESTQ CX, CX
-	JZ   tacc_out8
+	JZ   tile_out32
 
-tacc_k8:
-	TACCCOEF(tacc_next8)
-	VBROADCASTSS X8, Y8
-	TACC(0, Y0)
+tile_k32:
+	TDEAD0(tile_dead32)
+	VBROADCASTSS (R11), Y8
+	TDEAD1(tile_row0_32)
+	VBROADCASTSS (R11)(BX*1), Y9
+	TSTEP2(0, Y0, Y4)
+	TSTEP2(32, Y1, Y5)
+	TSTEP2(64, Y2, Y6)
+	TSTEP2(96, Y3, Y7)
 
-tacc_next8:
-	TACCNEXT(tacc_k8)
+tile_next32:
+	TNEXT(tile_k32)
+	JMP  tile_out32
 
-tacc_out8:
-	TACCOUT(0, Y0)
-	ADDQ $32, AX
+tile_row0_32:
+	TSTEP(0, Y8, Y0)
+	TSTEP(32, Y8, Y1)
+	TSTEP(64, Y8, Y2)
+	TSTEP(96, Y8, Y3)
+	JMP  tile_next32
 
-tacc_test8:
-	CMPQ AX, R13
-	JLT  tacc_block8
-	JMP  tacc_test1
+tile_dead32:
+	TDEAD1(tile_next32)
+	VBROADCASTSS (R11)(BX*1), Y9
+	TSTEP(0, Y9, Y4)
+	TSTEP(32, Y9, Y5)
+	TSTEP(64, Y9, Y6)
+	TSTEP(96, Y9, Y7)
+	JMP  tile_next32
 
-tacc_col1:
-	VXORPS X0, X0, X0
-	TACCSTART
+tile_out32:
+	MOVQ ldo+104(FP), R12
+	LEAQ (DI)(R12*4), R12
+	CMPQ mode+128(FP), $2
+	JEQ  tile_add32
+	TSTORE4(DI, Y0, Y1, Y2, Y3)
+	TESTQ R13, R13
+	JZ   tile_done32
+	TSTORE4(R12, Y4, Y5, Y6, Y7)
+	JMP  tile_done32
+
+tile_add32:
+	TADD(0, DI, Y0)
+	TADD(32, DI, Y1)
+	TADD(64, DI, Y2)
+	TADD(96, DI, Y3)
+	TESTQ R13, R13
+	JZ   tile_done32
+	TADD(0, R12, Y4)
+	TADD(32, R12, Y5)
+	TADD(64, R12, Y6)
+	TADD(96, R12, Y7)
+
+tile_done32:
+	ADDQ $128, DI
+	ADDQ $128, R8
+	SUBQ $32, AX
+
+tile_test32:
+	CMPQ AX, $32
+	JGE  tile_group32
+	JMP  tile_test8
+
+tile_group8:
+	MOVQ R15, CX
+	MOVQ ldo+104(FP), R12
+	TSTART
+	CMPQ mode+128(FP), $1
+	JNE  tile_steps8
+	VMOVUPS (DI), Y0
+	TESTQ R13, R13
+	JZ   tile_steps8
+	VMOVUPS (R12), Y4
+
+tile_steps8:
 	TESTQ CX, CX
-	JZ   tacc_out1
+	JZ   tile_out8
 
-tacc_k1:
-	TACCCOEF(tacc_next1)
-	VMULSS (BX), X8, X9
-	VADDSS X9, X0, X0
+tile_k8:
+	TDEAD0(tile_dead8)
+	VBROADCASTSS (R11), Y8
+	TDEAD1(tile_row0_8)
+	VBROADCASTSS (R11)(BX*1), Y9
+	TSTEP2(0, Y0, Y4)
 
-tacc_next1:
-	TACCNEXT(tacc_k1)
+tile_next8:
+	TNEXT(tile_k8)
+	JMP  tile_out8
 
-tacc_out1:
-	VMOVSS (DI)(AX*1), X9
-	VADDSS X0, X9, X9
-	VMOVSS X9, (DI)(AX*1)
-	ADDQ $4, AX
+tile_row0_8:
+	TSTEP(0, Y8, Y0)
+	JMP  tile_next8
 
-tacc_test1:
-	CMPQ AX, DX
-	JLT  tacc_col1
+tile_dead8:
+	TDEAD1(tile_next8)
+	VBROADCASTSS (R11)(BX*1), Y9
+	TSTEP(0, Y9, Y4)
+	JMP  tile_next8
+
+tile_out8:
+	MOVQ ldo+104(FP), R12
+	LEAQ (DI)(R12*4), R12
+	CMPQ mode+128(FP), $2
+	JEQ  tile_add8
+	VMOVUPS Y0, (DI)
+	TESTQ R13, R13
+	JZ   tile_done8
+	VMOVUPS Y4, (R12)
+	JMP  tile_done8
+
+tile_add8:
+	TADD(0, DI, Y0)
+	TESTQ R13, R13
+	JZ   tile_done8
+	TADD(0, R12, Y4)
+
+tile_done8:
+	ADDQ $32, DI
+	ADDQ $32, R8
+	SUBQ $8, AX
+
+tile_test8:
+	CMPQ AX, $8
+	JGE  tile_group8
+	JMP  tile_test1
+
+tile_col1:
+	MOVQ R15, CX
+	MOVQ ldo+104(FP), R12
+	TSTART
+	CMPQ mode+128(FP), $1
+	JNE  tile_steps1
+	VMOVSS (DI), X0
+	TESTQ R13, R13
+	JZ   tile_steps1
+	VMOVSS (R12), X4
+
+tile_steps1:
+	TESTQ CX, CX
+	JZ   tile_out1
+
+tile_k1:
+	TDEAD0(tile_dead1)
+	VMOVSS (R11), X8
+	TDEAD1(tile_row0_1)
+	VMOVSS (R11)(BX*1), X9
+	VMOVSS (DX), X10
+	VMULSS X10, X8, X11
+	VADDSS X11, X0, X0
+	VMULSS X10, X9, X12
+	VADDSS X12, X4, X4
+
+tile_next1:
+	TNEXT(tile_k1)
+	JMP  tile_out1
+
+tile_row0_1:
+	TSTEP1(X8, X0)
+	JMP  tile_next1
+
+tile_dead1:
+	TDEAD1(tile_next1)
+	VMOVSS (R11)(BX*1), X9
+	TSTEP1(X9, X4)
+	JMP  tile_next1
+
+tile_out1:
+	MOVQ ldo+104(FP), R12
+	LEAQ (DI)(R12*4), R12
+	CMPQ mode+128(FP), $2
+	JEQ  tile_add1
+	VMOVSS X0, (DI)
+	TESTQ R13, R13
+	JZ   tile_done1
+	VMOVSS X4, (R12)
+	JMP  tile_done1
+
+tile_add1:
+	TADD1(DI, X0)
+	TESTQ R13, R13
+	JZ   tile_done1
+	TADD1(R12, X4)
+
+tile_done1:
+	ADDQ $4, DI
+	ADDQ $4, R8
+	DECQ AX
+
+tile_test1:
+	TESTQ AX, AX
+	JNZ  tile_col1
+
+	// The next pair: DI back n columns and down two rows, SI two rows on.
+	MOVQ n+112(FP), R12
+	SHLQ $2, R12
+	SUBQ R12, DI
+	MOVQ ldo+104(FP), R12
+	SHLQ $3, R12
+	ADDQ R12, DI
+	MOVQ rs+24(FP), R12
+	SHLQ $3, R12
+	ADDQ R12, SI
+	SUBQ $2, R14
+
+tile_pairs:
+	CMPQ R14, $0
+	JGT  tile_pair
 	VZEROUPPER
 	RET
 

@@ -6,12 +6,8 @@ package tensor
 
 func axpyAdd(av float32, b, o []float32) { axpyAddGo(av, b, o) }
 
-func axpy4Add(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
-	axpy4AddGo(a0, a1, a2, a3, b0, b1, b2, b3, o)
-}
-
-func axpy4Add2(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
-	axpy4Add2Go(x0, x1, x2, x3, y0, y1, y2, y3, b0, b1, b2, b3, ox, oy)
+func gemmTile(a []float32, rs, ps int, b []float32, ldb, kb int, o []float32, ldo, n, rows int, mode tileMode) {
+	gemmTileGo(a, rs, ps, b, ldb, kb, o, ldo, n, rows, mode)
 }
 
 func vecAdd(o, b []float32)               { vecAddGo(o, b) }
@@ -46,10 +42,6 @@ const transBRowTile = 1
 
 func transBRows(out, a, b []float32, k, n, lo, hi int) {
 	transBRowsGo(out, a, b, k, n, lo, hi)
-}
-
-func transAAcc(a []float32, ps int, b []float32, k int, o []float32) {
-	transAAccGo(a, ps, b, k, o)
 }
 
 func lstmCellBwd(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32) {

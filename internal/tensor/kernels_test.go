@@ -15,8 +15,6 @@ import (
 // against the Go loops (kernels_amd64_test.go).
 type kernelImpl struct {
 	axpy   func(av float32, b, o []float32)
-	axpy4  func(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32)
-	axpy42 func(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32)
 	add    func(o, b []float32)
 	sub    func(o, a, b []float32)
 	mul    func(o, b []float32)
@@ -26,18 +24,17 @@ type kernelImpl struct {
 	transB func(out, a, b []float32, k, n, lo, hi int)
 	act    func(a Act, dst, src []float32) // ActSigmoid, ActTanh, actGELU or actGELUDeriv
 	addTo  func(o, a, b []float32)
-	// transAAcc and cellBwd have the signatures of transAAccGo and
+	// tile and cellBwd have the signatures of gemmTileGo and
 	// lstmCellBwdGo.
-	transAAcc func(a []float32, ps int, b []float32, k int, o []float32)
-	cellBwd   func(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32)
+	tile    func(a []float32, rs, ps int, b []float32, ldb, kb int, o []float32, ldo, n, rows int, mode tileMode)
+	cellBwd func(dz, z []float32, h int, tc, cPrev, dy, dhNext, dcNext, dcPrev []float32)
 }
 
 var goKernels = kernelImpl{
-	axpy: axpyAddGo, axpy4: axpy4AddGo, axpy42: axpy4Add2Go,
-	add: vecAddGo, sub: vecSubGo, mul: vecMulGo, scale: vecScaleGo,
+	axpy: axpyAddGo, add: vecAddGo, sub: vecSubGo, mul: vecMulGo, scale: vecScaleGo,
 	dilute: diluteGo, runs: runsGo,
 	transB: transBRowsGo, act: actGo, addTo: vecAddToGo,
-	transAAcc: transAAccGo, cellBwd: lstmCellBwdGo,
+	tile: gemmTileGo, cellBwd: lstmCellBwdGo,
 }
 
 func naiveAxpy(av float32, b, o []float32) {
@@ -46,22 +43,10 @@ func naiveAxpy(av float32, b, o []float32) {
 	}
 }
 
-func naiveAxpy4(a0, a1, a2, a3 float32, b0, b1, b2, b3, o []float32) {
-	naiveAxpy(a0, b0, o)
-	naiveAxpy(a1, b1, o)
-	naiveAxpy(a2, b2, o)
-	naiveAxpy(a3, b3, o)
-}
-
 // naiveKernels spells each primitive as the chain of single steps it
 // claims to equal.
 var naiveKernels = kernelImpl{
 	axpy:  naiveAxpy,
-	axpy4: naiveAxpy4,
-	axpy42: func(x0, x1, x2, x3, y0, y1, y2, y3 float32, b0, b1, b2, b3, ox, oy []float32) {
-		naiveAxpy4(x0, x1, x2, x3, b0, b1, b2, b3, ox)
-		naiveAxpy4(y0, y1, y2, y3, b0, b1, b2, b3, oy)
-	},
 	add:   vecAddGo,
 	sub:   vecSubGo,
 	mul:   vecMulGo,
@@ -113,16 +98,26 @@ var naiveKernels = kernelImpl{
 		}
 	},
 	addTo: vecAddToGo,
-	// One chain per element from +0 into a scratch value, added once.
-	transAAcc: func(a []float32, ps int, b []float32, k int, o []float32) {
-		for j := range o {
-			var s float32
-			for p := 0; p < k; p++ {
-				if av := a[p*ps]; av != 0 {
-					s += av * b[p*len(o)+j]
+	// One chain of single steps per element, from +0 or o, stored or
+	// added to o once.
+	tile: func(a []float32, rs, ps int, b []float32, ldb, kb int, o []float32, ldo, n, rows int, mode tileMode) {
+		for r := 0; r < rows; r++ {
+			for j := 0; j < n; j++ {
+				var s float32
+				if mode == tileResume {
+					s = o[r*ldo+j]
+				}
+				for p := 0; p < kb; p++ {
+					if av := a[r*rs+p*ps]; av != 0 {
+						s += av * b[p*ldb+j]
+					}
+				}
+				if mode == tileAcc {
+					o[r*ldo+j] += s
+				} else {
+					o[r*ldo+j] = s
 				}
 			}
-			o[j] += s
 		}
 	},
 	cellBwd: lstmCellBwdGo,
@@ -251,12 +246,6 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 				}
 			}
 			run("axpyAdd", func(k kernelImpl, ox, _ []float32) { k.axpy(c[0], b[0], ox) })
-			run("axpy4Add", func(k kernelImpl, ox, _ []float32) {
-				k.axpy4(c[0], c[1], c[2], c[3], b[0], b[1], b[2], b[3], ox)
-			})
-			run("axpy4Add2", func(k kernelImpl, ox, oy []float32) {
-				k.axpy42(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], b[0], b[1], b[2], b[3], ox, oy)
-			})
 			run("vecAdd", func(k kernelImpl, ox, _ []float32) { k.add(ox, b[0]) })
 			run("vecAddTo", func(k kernelImpl, ox, oy []float32) {
 				k.addTo(ox, ox, b[0])   // in place
@@ -395,25 +384,68 @@ func checkKernelsBitEqual(t *testing.T, got, want kernelImpl) {
 		}
 	}
 
-	// One output row of aᵀb accumulated: k around the 4-step unroll and
-	// the 64-step block, n around the 64- and 8-column register blocks,
-	// a coefficient stride, dense ±0 coefficients, and NaN in b and o.
-	nan := float32(math.NaN())
-	for _, sh := range []struct{ k, ps, n int }{
-		{0, 1, 9}, {1, 1, 1}, {3, 2, 7}, {8, 48, 192}, {64, 1, 65}, {65, 3, 130}, {5, 1, 64}, {9, 5, 71},
-	} {
-		a := specialSlice(r, max(sh.k*sh.ps, 1), 1, 3)
-		b := specialSlice(r, sh.k*sh.n, 2, 5)
-		if len(b) > 0 {
-			b[r.Intn(len(b))] = nan
+	checkTilesBitEqual(t, r, got, want, sizes)
+}
+
+// checkTilesBitEqual runs the GEMM tile of got and want over every mode;
+// one, two and three rows (a pair, and an odd last row after one); the
+// coefficient layouts of SumRowsAcc (ps = 0), MatMul (ps = 1, rs = kb)
+// and MatMulTransA (ps = m, rs = 1); kb around the 64-step k-block; and
+// every column path: n = 0…40 and around 192 reach the 32-, 8- and
+// 1-column groups. Each row's coefficient at each step is dead (±0) or
+// live (a normal, ±Inf, a denormal or NaN) at random, so every row pair
+// meets each skip case, and a third of the rows are dead at every step,
+// so pairs meet the all-dead k-block too; b carries sparse specials, and o carries NaN and
+// −0 into tileResume and tileAcc and junk that tileSet must overwrite.
+func checkTilesBitEqual(t *testing.T, r *rand.Rand, got, want kernelImpl, sizes []int) {
+	t.Helper()
+	live := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-40, math.MaxFloat32}
+	coef := func() float32 {
+		switch r.Intn(12) {
+		case 0, 1, 2, 3, 4:
+			return []float32{0, float32(math.Copysign(0, -1))}[r.Intn(2)]
+		case 5:
+			return live[r.Intn(len(live))]
 		}
-		g := specialSlice(r, sh.n, 3, 5)
-		g[r.Intn(sh.n)] = nan
-		w := append([]float32(nil), g...)
-		got.transAAcc(a, sh.ps, b, sh.k, g)
-		want.transAAcc(a, sh.ps, b, sh.k, w)
-		if i, ok := sameBits(g, w); !ok {
-			t.Fatalf("transAAcc k=%d ps=%d n=%d: element %d = %v, want %v", sh.k, sh.ps, sh.n, i, g[i], w[i])
+		return float32(r.NormFloat64())
+	}
+	for _, n := range sizes {
+		for _, kb := range []int{1, 63, 64, 65, 129} {
+			ldb, ldo := n+3, n+5
+			b := specialSlice(r, (kb-1)*ldb+n, (n+1)%8, 2*kb)
+			for rows := 1; rows <= 3; rows++ {
+				for _, ps := range []int{0, 1, rows} {
+					rs := 1
+					if ps == 1 {
+						rs = kb
+					}
+					a := make([]float32, n%8+rows*kb)[n%8:]
+					for i := range a {
+						a[i] = coef()
+					}
+					for row := 0; row < rows; row++ {
+						if r.Intn(3) == 0 { // a row dead at every step
+							for p := 0; p < kb; p++ {
+								a[row*rs+p*ps] = 0
+							}
+						}
+					}
+					for _, mode := range []tileMode{tileSet, tileResume, tileAcc} {
+						o := specialSlice(r, (rows-1)*ldo+n, (n+2)%8, 5)
+						if len(o) > 0 {
+							o[r.Intn(len(o))] = float32(math.NaN())
+							o[r.Intn(len(o))] = float32(math.Copysign(0, -1))
+						}
+						g, w := append([]float32(nil), o...), append([]float32(nil), o...)
+						got.tile(a, rs, ps, b, ldb, kb, g, ldo, n, rows, mode)
+						want.tile(a, rs, ps, b, ldb, kb, w, ldo, n, rows, mode)
+						if i, ok := sameBits(g, w); !ok {
+							t.Fatalf("tile mode %d rows %d n=%d kb=%d ps=%d: element %d = %v, want %v",
+								mode, rows, n, kb, ps, i, g[i], w[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -452,7 +484,7 @@ func checkAccumulateMatchesScratchForm(t *testing.T, r *rand.Rand) {
 			sprinkle(dst.data)
 
 			want, scratch := dst.Clone(), New(sh.m, sh.n)
-			matMulTransAAccInto(scratch, a, b)
+			MatMulTransAInto(scratch, a, b)
 			want.AddInPlace(scratch)
 			MatMulTransAAcc(dst, a, b)
 			if i, ok := sameBits(dst.data, want.data); !ok {

@@ -3,139 +3,90 @@ package tensor
 import "fmt"
 
 // Determinism contract for every matmul variant: output element (i,j) is
-// the sum over p, in ascending p order, into a single accumulator. The
-// optimizations below — unrolling across j (independent output elements),
-// cache blocking over p (which only groups the same ascending-p visits),
-// and row-parallelism — never reorder the per-element accumulation, so
-// results are bit-identical to the naive triple loop.
+// the sum over p, in ascending p order, into a single accumulator that
+// skips the steps whose coefficient is ±0. The optimizations below —
+// register tiles across j and across a row pair (independent output
+// elements), cache blocking over p and over j (which only group the same
+// ascending-p visits; a later k-block resumes from the float32 the earlier
+// one stored, which reloads as itself), and row-parallelism — never
+// reorder the per-element accumulation, so results are bit-identical to
+// the naive triple loop.
 //
 // The SIMD layer (kernels_amd64.s) lives under the same contract by one
 // rule: a SIMD lane is an output element; no lane ever holds a partial
 // sum; multiply and add are separate instructions (no fused multiply-add,
 // in assembly or in Go). A lane then performs exactly the scalar loop's
 // rounding sequence, so the Go loops in kernels.go stay the definition and
-// the assembly is tested bit-equal to them. A reduction with one running
-// accumulator (L2Norm, Dot, SumRows, softmax and layernorm sums) has no
-// independent output elements to spread over lanes and stays scalar.
+// the assembly is tested bit-equal to them. The skip decision belongs to
+// the tile too: gemmTileAVX2 makes it per row per step, as gemmTileGo
+// does. A reduction with one running accumulator (L2Norm, Dot, SumRows,
+// softmax and layernorm sums) has no independent output elements to
+// spread over lanes and stays scalar.
 
-// matmulBlock is the cache-blocking factor for the inner kernels. 64
-// float32s per row segment keeps three blocks comfortably inside L1.
+// matmulBlock is the k-blocking factor of a product: a tile holds its
+// accumulators in registers across this many k-steps before it stores
+// them, and the block of b it reads stays in cache across every row pair.
 const matmulBlock = 64
 
-// matmulRowTile is how many output rows the axpy kernels advance together
-// (axpyRange2 pairs rows to share each load of b); matmul chunk boundaries
-// are multiples of it so a chunk never splits a pair.
+// gemmColBlock is how many output columns every row pair of a chunk
+// advances through before the next column block, so that the k-block of b
+// they all read (matmulBlock rows of gemmColBlock floats, 64 KB) stays in
+// cache.
+const gemmColBlock = 256
+
+// matmulRowTile is how many output rows a GEMM tile advances together
+// (they share each load of b); matmul chunk boundaries are multiples of it
+// so a chunk never splits a pair.
 const matmulRowTile = 2
 
-// axpyRange accumulates orow += Σ_q ar[q]·b[q,:] for one block of k-steps:
-// ar holds the block's coefficients and bblk its rows of b (len(ar) rows of
-// n). It takes the fused 4-step path whenever the next four coefficients
-// are all non-zero and falls back to single steps (with the av==0 skip)
-// otherwise, which preserves the skip's semantics exactly.
-func axpyRange(ar, bblk []float32, n int, orow []float32) {
-	p := 0
-	for ; p+4 <= len(ar); p += 4 {
-		a0, a1, a2, a3 := ar[p], ar[p+1], ar[p+2], ar[p+3]
-		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-			axpy4Add(a0, a1, a2, a3,
-				bblk[p*n:(p+1)*n], bblk[(p+1)*n:(p+2)*n],
-				bblk[(p+2)*n:(p+3)*n], bblk[(p+3)*n:(p+4)*n], orow)
-			continue
-		}
-		for q := p; q < p+4; q++ {
-			if av := ar[q]; av != 0 {
-				axpyAdd(av, bblk[q*n:(q+1)*n], orow)
-			}
-		}
+// gemmRows computes rows [lo,hi) of out (·,n) = A @ b for b (k,n) — or,
+// with acc, adds A @ b to them as the accumulate kernel does — where A's
+// element (i,p) is a[i*rs+p*ps]: a itself for MatMul (rs=k, ps=1), its
+// transpose for MatMulTransA (rs=1, ps=m). It is only the blocking loop
+// around gemmTile: k in blocks of matmulBlock (all of k in one block with
+// acc, whose accumulators must see the whole chain before their one add),
+// and columns in blocks of gemmColBlock, each block running every row.
+// The first k-block starts each element at +0, so out need not be
+// cleared.
+func gemmRows(out, a []float32, rs, ps int, b []float32, k, n, lo, hi int, acc bool) {
+	kblock, mode := matmulBlock, tileSet
+	if acc {
+		kblock, mode = k, tileAcc
 	}
-	for ; p < len(ar); p++ {
-		if av := ar[p]; av != 0 {
-			axpyAdd(av, bblk[p*n:(p+1)*n], orow)
+	if k == 0 {
+		// An empty product is +0, and the accumulate kernel adds that +0
+		// once; neither reads a or b.
+		gemmTile(nil, 0, 0, nil, 0, 0, out[lo*n:], n, n, hi-lo, mode)
+		return
+	}
+	for p0 := 0; p0 < k; p0 += kblock {
+		kb := min(kblock, k-p0)
+		for j0 := 0; j0 < n; j0 += gemmColBlock {
+			gemmTile(a[lo*rs+p0*ps:], rs, ps, b[p0*n+j0:], n, kb, out[lo*n+j0:], n, min(gemmColBlock, n-j0), hi-lo, mode)
 		}
-	}
-}
-
-// axpyRange2 is axpyRange over two output rows, pairing them through
-// axpy4Add2 when all eight coefficients are non-zero and degrading to the
-// single-row path (which keeps the av==0 skip exact) otherwise.
-func axpyRange2(ar0, ar1, bblk []float32, n int, o0, o1 []float32) {
-	ar1 = ar1[:len(ar0)]
-	p := 0
-	for ; p+4 <= len(ar0); p += 4 {
-		x0, x1, x2, x3 := ar0[p], ar0[p+1], ar0[p+2], ar0[p+3]
-		y0, y1, y2, y3 := ar1[p], ar1[p+1], ar1[p+2], ar1[p+3]
-		if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 &&
-			y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
-			axpy4Add2(x0, x1, x2, x3, y0, y1, y2, y3,
-				bblk[p*n:(p+1)*n], bblk[(p+1)*n:(p+2)*n],
-				bblk[(p+2)*n:(p+3)*n], bblk[(p+3)*n:(p+4)*n], o0, o1)
-			continue
-		}
-		axpyRange(ar0[p:p+4], bblk[p*n:(p+4)*n], n, o0)
-		axpyRange(ar1[p:p+4], bblk[p*n:(p+4)*n], n, o1)
-	}
-	axpyRange(ar0[p:], bblk[p*n:], n, o0)
-	axpyRange(ar1[p:], bblk[p*n:], n, o1)
-}
-
-// coefBlock returns A[i, p0:p1] as one contiguous slice, where A's element
-// (i,p) is a[i*rs+p*ps]: a view when A is stored row-major (ps == 1),
-// otherwise gathered into buf.
-func coefBlock(a []float32, i, rs, ps, p0, p1 int, buf []float32) []float32 {
-	if ps == 1 {
-		return a[i*rs+p0 : i*rs+p1]
-	}
-	buf = buf[:p1-p0]
-	for q := range buf {
-		buf[q] = a[i*rs+(p0+q)*ps]
-	}
-	return buf
-}
-
-// gemmAccRows accumulates rows [lo,hi) of out (·,n) += A @ b for b (k,n),
-// where A's element (i,p) is a[i*rs+p*ps] — a itself for MatMul (rs=k,
-// ps=1), its transpose for MatMulTransA (rs=1, ps=m). Rows are paired so
-// each b panel pass feeds two output rows, and blocked over k so the panel
-// is reused while hot; a leftover odd row takes the single-row path.
-// Neither changes any element's accumulation order.
-func gemmAccRows(out, a []float32, rs, ps int, b []float32, k, n, lo, hi int) {
-	var g0, g1 [matmulBlock]float32
-	for i := lo; i < hi; i += matmulRowTile {
-		o0 := out[i*n : (i+1)*n]
-		for p0 := 0; p0 < k; p0 += matmulBlock {
-			p1 := min(p0+matmulBlock, k)
-			bblk := b[p0*n : p1*n]
-			ar0 := coefBlock(a, i, rs, ps, p0, p1, g0[:])
-			if i+1 == hi {
-				axpyRange(ar0, bblk, n, o0)
-				continue
-			}
-			ar1 := coefBlock(a, i+1, rs, ps, p0, p1, g1[:])
-			axpyRange2(ar0, ar1, bblk, n, o0, out[(i+1)*n:(i+2)*n])
-		}
+		mode = tileResume
 	}
 }
 
 // MatMul returns a @ b for 2-D tensors: (m,k) x (k,n) -> (m,n).
 // Rows of the output are computed in parallel; the inner loops are blocked
-// over k so each B panel is reused while hot in cache. The result is drawn
-// from the buffer arena; Release it when its lifetime is known.
+// over k and n so each B panel is reused while hot in cache. The result is
+// drawn from the buffer arena; Release it when its lifetime is known.
 func MatMul(a, b *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul shapes %v x %v", a.shape, b.shape))
 	}
-	out := Borrow(a.shape[0], b.shape[1])
-	matMulAccInto(out, a, b)
+	out := borrowRaw(a.shape[0], b.shape[1])
+	matMulInto(out, a, b)
 	return out
 }
 
-// matMulAccInto accumulates a @ b into out (out += a@b elementwise). out
-// must be zeroed for a plain product.
-func matMulAccInto(out, a, b *Tensor) {
+// matMulInto sets out = a @ b, overwriting every element.
+func matMulInto(out, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	parallelGEMM(m, k, n, matmulRowTile, operands{out: out, a: a, b: b}, func(g operands, lo, hi int) {
 		k, n := g.a.shape[1], g.b.shape[1]
-		gemmAccRows(g.out.data, g.a.data, k, 1, g.b.data, k, n, lo, hi)
+		gemmRows(g.out.data, g.a.data, k, 1, g.b.data, k, n, lo, hi, false)
 	})
 }
 
@@ -145,6 +96,7 @@ func matMulAccInto(out, a, b *Tensor) {
 type operands struct {
 	out, a, b, bias *Tensor
 	act             Act
+	acc             bool
 }
 
 // MatMulTransB returns a @ bᵀ: (m,k) x (n,k) -> (m,n). Used by backward
@@ -186,8 +138,8 @@ func matMulTransBInto(out, a, b *Tensor) {
 // is arena-backed.
 func MatMulTransA(a, b *Tensor) *Tensor {
 	checkTransA(a, b)
-	out := Borrow(a.shape[1], b.shape[1])
-	matMulTransAAccInto(out, a, b)
+	out := borrowRaw(a.shape[1], b.shape[1])
+	matMulTransAGEMM(out, a, b, false)
 	return out
 }
 
@@ -195,8 +147,8 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 // weight-gradient accumulate of every lowered layer. Each element of dst
 // gets one accumulator that starts at +0, takes the product's chain (p
 // ascending, zero coefficients skipped) and is then added to dst once
-// (transAAcc): the rounding sequence of a zeroed scratch product added
-// with AddInPlace, so the result is bit-identical to
+// (tileAcc): the rounding sequence of a zeroed scratch product added with
+// AddInPlace, so the result is bit-identical to
 // dst.AddInPlace(MatMulTransA(a, b)) with no scratch at all. Accumulating
 // straight into a non-zero dst would change that sequence.
 func MatMulTransAAcc(dst, a, b *Tensor) {
@@ -204,25 +156,17 @@ func MatMulTransAAcc(dst, a, b *Tensor) {
 	if len(dst.shape) != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransAAcc dst %v for %vᵀ x %v", dst.shape, a.shape, b.shape))
 	}
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	parallelGEMM(m, k, n, 1, operands{out: dst, a: a, b: b}, func(g operands, lo, hi int) {
-		k, m, n := g.a.shape[0], g.a.shape[1], g.b.shape[1]
-		for i := lo; i < hi; i++ {
-			transAAcc(g.a.data[i:], m, g.b.data, k, g.out.data[i*n:(i+1)*n])
-		}
-	})
+	matMulTransAGEMM(dst, a, b, true)
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b, fully overwriting dst: the
-// no-allocation MatMulTransA (dst is cleared first, as the arena borrow
-// is). dst must be (m,n) for a (k,m) and b (k,n).
+// no-allocation MatMulTransA. dst must be (m,n) for a (k,m) and b (k,n).
 func MatMulTransAInto(dst, a, b *Tensor) {
 	checkTransA(a, b)
 	if len(dst.shape) != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto dst %v for %vᵀ x %v", dst.shape, a.shape, b.shape))
 	}
-	dst.Zero()
-	matMulTransAAccInto(dst, a, b)
+	matMulTransAGEMM(dst, a, b, false)
 }
 
 func checkTransA(a, b *Tensor) {
@@ -231,13 +175,13 @@ func checkTransA(a, b *Tensor) {
 	}
 }
 
-// matMulTransAAccInto accumulates aᵀ @ b into out; out must be zeroed for
-// a plain product.
-func matMulTransAAccInto(out, a, b *Tensor) {
+// matMulTransAGEMM sets out = aᵀ @ b or, with acc, adds it to out.
+func matMulTransAGEMM(out, a, b *Tensor, acc bool) {
 	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	parallelGEMM(m, k, n, matmulRowTile, operands{out: out, a: a, b: b}, func(g operands, lo, hi int) {
+	g := operands{out: out, a: a, b: b, acc: acc}
+	parallelGEMM(m, k, n, matmulRowTile, g, func(g operands, lo, hi int) {
 		k, m, n := g.a.shape[0], g.a.shape[1], g.b.shape[1]
-		gemmAccRows(g.out.data, g.a.data, 1, m, g.b.data, k, n, lo, hi)
+		gemmRows(g.out.data, g.a.data, 1, m, g.b.data, k, n, lo, hi, g.acc)
 	})
 }
 

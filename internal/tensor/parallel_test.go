@@ -89,7 +89,7 @@ func TestSerialKernelsAllocateNothing(t *testing.T) {
 	gates := LSTMGates{Z: New(2, 16), C: New(2, 4), TanhC: New(2, 4), H: New(2, 4)}
 	dz, dc := New(2, 16), New(2, 4)
 	for name, f := range map[string]func(){
-		"matMulAccInto":        func() { matMulAccInto(out, a, b) },
+		"matMulInto":           func() { matMulInto(out, a, b) },
 		"MatMulTransBInto":     func() { MatMulTransBInto(out, a, bt) },
 		"MatMulTransAInto":     func() { MatMulTransAInto(out, a, b) },
 		"MatMulTransAAcc":      func() { MatMulTransAAcc(out, a, b) },

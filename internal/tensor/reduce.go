@@ -99,7 +99,7 @@ func SumRowsAcc(dst, t *Tensor) {
 		panic(fmt.Sprintf("tensor: SumRowsAcc dst %v for %v", dst.shape, t.shape))
 	}
 	one := [1]float32{1}
-	transAAcc(one[:], 0, t.data, t.shape[0], dst.data)
+	gemmRows(dst.data, one[:], 0, 0, t.data, t.shape[0], t.shape[1], 0, 1, true)
 }
 
 func sumRowsAccInto(out, t *Tensor) {
